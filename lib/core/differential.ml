@@ -156,6 +156,8 @@ let start ?(parallel : parallel option) ~base subs =
 
 let pages c = c.pages
 
+let fixup_time c = c.fixup_time
+
 let next_page c = c.next_page
 
 let send st m =

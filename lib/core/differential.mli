@@ -112,6 +112,10 @@ val pages : cursor -> int
 (** Data pages the scan will cover (fixed at {!start}; pages added by
     concurrent inserts are not scanned — the catch-up phase owns them). *)
 
+val fixup_time : cursor -> Clock.ts
+(** The shared [FixupTime] stamped into every annotation the scan
+    restores (deferred mode). *)
+
 val next_page : cursor -> int
 (** The 1-based page the next {!scan_to} will decode first;
     [pages c + 1] once the scan is complete. *)

@@ -44,6 +44,24 @@ val run : Base_table.t -> fixup_time:Clock.ts -> stats
     a fresh summary recorded, so repeated fix-ups over a quiescent table
     cost O(pages), not O(entries). *)
 
+(** {1 Resumable form}
+
+    The same pass as a cursor, so a caller holding page locks can run it
+    chunk by chunk; [run] is the cursor driven without suspension. *)
+
+type cursor
+
+val start : Base_table.t -> fixup_time:Clock.ts -> cursor
+(** Fix the data-page count the pass covers and position it before
+    page 1. *)
+
+val scan_to : cursor -> last_page:int -> unit
+(** Restore the annotations of every page up to [last_page] (clamped to
+    the page count) not yet passed.  The caller must hold locks covering
+    those pages. *)
+
+val stats : cursor -> stats
+
 val step :
   addr:Snapdiff_storage.Addr.t ->
   expect_prev:Snapdiff_storage.Addr.t ->

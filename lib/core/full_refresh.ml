@@ -6,17 +6,41 @@ type report = {
   data_messages : int;
 }
 
-let refresh ~base ~restrict ~project ~xmit () =
+type cursor = {
+  base : Base_table.t;
+  restrict : Snapdiff_storage.Tuple.t -> bool;
+  project : Snapdiff_storage.Tuple.t -> Snapdiff_storage.Tuple.t;
+  xmit : Refresh_msg.t -> unit;
+  now : Clock.ts;
+  pages : int;
+  mutable next_page : int;
+  mutable scanned : int;
+  mutable data : int;
+}
+
+let start ~base ~restrict ~project ~xmit =
   let now = Clock.tick (Base_table.clock base) in
-  let scanned = ref 0 in
-  let data = ref 0 in
   xmit Refresh_msg.Clear;
-  Base_table.iter_stored base (fun addr stored ->
-      incr scanned;
-      let user = Annotations.user_part stored in
-      if restrict user then begin
-        incr data;
-        xmit (Refresh_msg.Upsert { addr; values = project user })
-      end);
-  xmit (Refresh_msg.Snaptime now);
-  { new_snaptime = now; entries_scanned = !scanned; data_messages = !data }
+  { base; restrict; project; xmit; now; pages = Base_table.data_pages base; next_page = 1;
+    scanned = 0; data = 0 }
+
+let pages c = c.pages
+
+let scan_to c ~last_page =
+  for page = c.next_page to min last_page c.pages do
+    Base_table.iter_page_stored c.base ~page (fun addr stored ->
+        c.scanned <- c.scanned + 1;
+        let user = Annotations.user_part stored in
+        if c.restrict user then begin
+          c.data <- c.data + 1;
+          c.xmit (Refresh_msg.Upsert { addr; values = c.project user })
+        end)
+  done;
+  c.next_page <- max c.next_page (min last_page c.pages + 1)
+
+let finish c =
+  scan_to c ~last_page:c.pages;
+  c.xmit (Refresh_msg.Snaptime c.now);
+  { new_snaptime = c.now; entries_scanned = c.scanned; data_messages = c.data }
+
+let refresh ~base ~restrict ~project ~xmit () = finish (start ~base ~restrict ~project ~xmit)

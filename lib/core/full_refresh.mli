@@ -23,3 +23,29 @@ val refresh :
   xmit:(Refresh_msg.t -> unit) ->
   unit ->
   report
+
+(** {1 Resumable form}
+
+    The same pass as a cursor, so a caller holding page locks can run it
+    chunk by chunk and append a catch-up overlay before the commit marker;
+    [refresh] is [finish (start ...)], so the two cannot drift apart. *)
+
+type cursor
+
+val start :
+  base:Base_table.t ->
+  restrict:(Tuple.t -> bool) ->
+  project:(Tuple.t -> Tuple.t) ->
+  xmit:(Refresh_msg.t -> unit) ->
+  cursor
+(** Tick the clock for the new [SnapTime], send [Clear], and fix the
+    data-page count the scan covers. *)
+
+val pages : cursor -> int
+
+val scan_to : cursor -> last_page:int -> unit
+(** Send an [Upsert] for every qualified entry on pages up to [last_page]
+    (clamped to {!pages}) not yet scanned. *)
+
+val finish : cursor -> report
+(** Scan any remaining pages, then send the [Snaptime] commit marker. *)

@@ -111,7 +111,6 @@ type snapshot = {
   base_name : string;
   restrict_expr : Expr.t;
   restrict : Tuple.t -> bool;
-  projection : string list;
   project : Tuple.t -> Tuple.t;
   table : Snapshot_table.t;
   link : Link.t;
@@ -288,69 +287,21 @@ let drop_capture t base_name =
     Base_table.unsubscribe st.base_table sub;
     st.capture <- None
 
+let mutations_since_refresh t name =
+  let s = snapshot t name in
+  max 0 (Base_table.mutations (base t s.base_name) - s.mutations_at_refresh)
+
 (* Observed distinct-update activity is approximated by the operation count
    since the snapshot's last refresh, capped at 1. *)
-let observed_update_fraction base s =
-  let n = Base_table.count base in
-  if n = 0 then 0.0
-  else
-    Float.min 1.0
-      (float_of_int (Base_table.mutations base - s.mutations_at_refresh) /. float_of_int n)
-
-let estimate t name =
-  let s = snapshot t name in
-  let b = base t s.base_name in
-  let n = Base_table.count b in
-  let q = s.selectivity in
-  let u = observed_update_fraction b s in
-  let full = Model.full_messages ~n ~q in
-  let diff = Model.differential_messages ~n ~q ~u () in
-  (full, diff)
+let observed_update_fraction t name =
+  Model.observed_update_fraction ~mutations:(mutations_since_refresh t name)
+    ~n:(Base_table.count (base t (snapshot t name).base_name))
 
 let estimate_refresh_messages t name =
-  let full, diff = estimate t name in
-  (`Full full, `Differential diff)
-
-let with_table_lock t base mode f =
-  let txn = Txn.begin_txn t.txns in
-  match
-    Txn.lock txn (Base_table.lock_resource base) mode;
-    f ()
-  with
-  | v ->
-    ignore (Txn.commit txn : int list);
-    v
-  | exception e ->
-    (* A failed refresh attempt must not count as a committed transaction:
-       abort releases the same locks but keeps the commit/abort accounting
-       honest and runs any registered undo actions. *)
-    if Txn.is_active txn then ignore (Txn.abort txn : int list);
-    raise e
-
-let blank_report s method_used =
-  {
-    snapshot = s.snap_name;
-    method_used;
-    new_snaptime = Clock.never;
-    entries_scanned = 0;
-    entries_skipped = 0;
-    pages_decoded = 0;
-    fixup_writes = 0;
-    data_messages = 0;
-    link_messages = 0;
-    link_logical_messages = 0;
-    link_bytes = 0;
-    tail_suppressed = false;
-    log_records_scanned = 0;
-    attempts = 1;
-    aborts = 0;
-    escalated = false;
-    backoff_us = 0.0;
-    group_size = 1;
-    chunks = 0;
-    catchup_records = 0;
-    max_lock_hold_us = 0.0;
-  }
+  let s = snapshot t name in
+  let n = Base_table.count (base t s.base_name) and q = s.selectivity in
+  let u = observed_update_fraction t name in
+  (`Full (Model.full_messages ~n ~q), `Differential (Model.differential_messages ~n ~q ~u ()))
 
 (* --- Chunked concurrent refresh ------------------------------------------ *)
 
@@ -358,70 +309,6 @@ exception Catchup_truncated
 (* Internal: the WAL tail the catch-up phase needs was truncated while the
    chunked scan ran.  The attempt cannot be made consistent; the caller
    escalates to a monolithic full refresh, which needs no log. *)
-
-type chunk_stats = {
-  cs_chunks : int;
-  cs_catchup : int;  (* net-changed addresses replayed, per subscriber *)
-  cs_max_hold_us : float;  (* longest single lock-hold window *)
-}
-
-let no_chunk_stats = { cs_chunks = 0; cs_catchup = 0; cs_max_hold_us = 0.0 }
-
-(* Entries-per-chunk is the user-facing knob; convert it to whole pages
-   using the table's current average page fill. *)
-let chunk_pages_for t b ~total =
-  if total = 0 then 1
-  else max 1 (t.chunk_entries / max 1 (Base_table.count b / max 1 total))
-
-(* Walk pages [1..total] in chunks: each chunk's pages are locked in
-   [page_mode] before the previous chunk's are released (lock coupling —
-   no updater can slip between the cursor's footsteps), the previous
-   chunk's hold time is observed, and the interleave hook runs so
-   cooperative updaters can act on the released pages.  [scan ~last_page]
-   advances the caller's cursor through the newly locked range.  The
-   enclosing table intention lock stays held throughout. *)
-let chunk_walk t txn b ~page_mode ~total ~observe_hold ~scan =
-  let yield () = match t.on_chunk with Some f -> f () | None -> () in
-  let per_chunk = chunk_pages_for t b ~total in
-  let lock_pages lo hi =
-    for p = lo to hi do
-      Txn.lock txn (Base_table.page_lock_resource b p) page_mode
-    done
-  in
-  let unlock_pages lo hi =
-    for p = lo to hi do
-      ignore (Txn.unlock txn (Base_table.page_lock_resource b p) : int list)
-    done
-  in
-  let chunks = ref 0 in
-  let prev = ref None in
-  let next = ref 1 in
-  while !next <= total do
-    let lo = !next in
-    let hi = min total (lo + per_chunk - 1) in
-    let t0 = Trace.now_us () in
-    lock_pages lo hi;
-    (match !prev with
-    | Some (plo, phi, pt0) ->
-      unlock_pages plo phi;
-      observe_hold pt0;
-      yield ()
-    | None -> ());
-    Trace.with_span "refresh.chunk"
-      ~attrs:
-        [ ("table", Base_table.name b); ("pages", Printf.sprintf "%d-%d" lo hi) ]
-      (fun () -> scan ~last_page:hi);
-    incr chunks;
-    prev := Some (lo, hi, t0);
-    next := hi + 1
-  done;
-  (match !prev with
-  | Some (plo, phi, pt0) ->
-    unlock_pages plo phi;
-    observe_hold pt0;
-    yield ()
-  | None -> ());
-  !chunks
 
 let wal_horizon t wal =
   match List.find_opt (fun (w, _) -> w == wal) t.wal_horizons with
@@ -455,163 +342,162 @@ let sync_cursor_lease t s =
              ~holder:("cursor:" ^ s.snap_name) ~lsn:s.cursor_lsn ()))
   | _ -> release_cursor_lease s
 
-(* Committed net changes to [b] since the LSN captured at scan start.
-   Skipped entirely (no log scan) when the per-table LSN map proves the
-   table quiescent since the capture. *)
+(* Committed changes to [b] since the LSN captured at scan start, folded
+   per address.  An address whose changes cancel out is kept: the fuzzy
+   scan may have shipped its intermediate state (a row inserted ahead of
+   the cursor and deleted behind it).  Skipped entirely (no log scan) when
+   the per-table LSN map proves the table quiescent since the capture. *)
 let catchup_net_changes b ~wal ~lsn0 =
   if Wal.oldest_retained wal > lsn0 then raise Catchup_truncated;
   let table = Base_table.name b in
   match Wal.last_lsn_for wal ~table with
   | Some l when l >= lsn0 ->
     Trace.with_span "refresh.catchup" ~attrs:[ ("table", table) ] (fun () ->
-        fst (Recovery.net_changes wal ~table ~since:lsn0))
+        fst (Recovery.net_changes ~keep_unchanged:true wal ~table ~since:lsn0))
   | _ -> []
 
-(* Replay one subscriber's view of the net changes as Upsert/Remove
-   overlay messages.  WAL records carry stored (annotated) tuples, so the
-   user part is extracted before the snapshot's restriction/projection
-   apply.  Exactly one message per net-changed address: an address whose
-   final version fails the restriction gets a Remove (idempotent if the
-   snapshot never held it). *)
-let catchup_messages nets ~restrict ~project ~xmit =
-  List.iter
-    (fun (addr, net) ->
-      match net.Recovery.after with
-      | Some stored ->
-        let user = Annotations.user_part stored in
-        if restrict user then xmit (Refresh_msg.Upsert { addr; values = project user })
-        else xmit (Refresh_msg.Remove { addr })
-      | None -> xmit (Refresh_msg.Remove { addr }))
-    nets
+(* A scan source, opened once the base is locked: the address-ordered
+   pages it walks (0 for the log sources, which read no pages) and how to
+   close every member's stream given the catch-up overlay — tails, the
+   overlay's Upsert/Remove messages, then the Snaptime commit markers.
+   [sc_close] returns each member's report and commit hook.
+   [sc_fixup_time] is the FixupTime of a scan that restores a deferred-mode
+   base's annotations as it goes (None for one that only reads them). *)
+type scan = {
+  sc_pages : int;
+  sc_scan_to : last_page:int -> unit;
+  sc_close : (Addr.t * Recovery.net) list -> (refresh_report * (unit -> unit)) array;
+  sc_fixup_time : Clock.ts option;
+}
 
-(* Chunked differential refresh of [subs] over [b]: table intention lock,
-   lock-coupled page chunks driving the resumable scan cursor, then one
-   short table-S catch-up replaying the WAL tail before the Snaptime
-   markers.  Eager mode reads under IS + page S; deferred mode fix-up
-   writes need IX + page X.  The catch-up upgrade IS+S = S (or IX+S = SIX)
-   still excludes updaters for its short window, which is what makes the
-   committed stream transaction-consistent as of catch-up time. *)
-let run_chunked_differential t b subs =
-  let wal =
-    match Base_table.wal b with
-    | Some w -> w
-    | None -> invalid_arg "chunked refresh requires a WAL on the base table"
-  in
-  let deferred = Base_table.mode b = Base_table.Deferred in
-  let txn = Txn.begin_txn t.txns in
-  let pin = ref None in
-  match
-    Txn.lock txn (Base_table.lock_resource b) (if deferred then Lock.IX else Lock.IS);
-    let lsn0 = Wal.end_lsn wal in
-    pin :=
-      Some
-        (Horizon.acquire (wal_horizon t wal) ~kind:Lease.Scan
-           ~holder:("scan:" ^ Base_table.name b) ~lsn:lsn0 ());
-    let cursor = Differential.start ?parallel:(parallel_opt t) ~base:b subs in
-    let max_hold = ref 0.0 in
-    let observe_hold t0 =
-      let d = Trace.now_us () -. t0 in
-      if d > !max_hold then max_hold := d;
-      Metrics.observe h_lock_hold d
-    in
-    let chunks =
-      chunk_walk t txn b
-        ~page_mode:(if deferred then Lock.X else Lock.S)
-        ~total:(Differential.pages cursor) ~observe_hold
-        ~scan:(fun ~last_page -> Differential.scan_to cursor ~last_page)
-    in
-    let t0 = Trace.now_us () in
-    Txn.lock txn (Base_table.lock_resource b) Lock.S;
-    let nets = catchup_net_changes b ~wal ~lsn0 in
-    Differential.emit_tails cursor;
-    Array.iter
-      (fun sub ->
-        catchup_messages nets ~restrict:sub.Differential.sub_restrict
-          ~project:sub.Differential.sub_project ~xmit:sub.Differential.sub_xmit)
-      subs;
-    let g = Differential.finish cursor in
-    observe_hold t0;
-    let stats =
-      { cs_chunks = chunks; cs_catchup = List.length nets; cs_max_hold_us = !max_hold }
-    in
-    Metrics.observe h_chunks (float_of_int stats.cs_chunks);
-    Metrics.observe h_catchup_records (float_of_int stats.cs_catchup);
-    (g, stats)
-  with
-  | v ->
-    Option.iter Lease.release !pin;
-    ignore (Txn.commit txn : int list);
-    v
-  | exception e ->
-    Option.iter Lease.release !pin;
-    if Txn.is_active txn then ignore (Txn.abort txn : int list);
-    raise e
+(* A catch-up change the scan's fix-up never saw: an entry inserted
+   behind the cursor (or past the pages the scan covers) still carries a
+   NULL PrevAddr, so it is outside the chain although the overlay ships
+   it. *)
+let unchained b (addr, net) =
+  net.Recovery.after <> None
+  && (match Base_table.get_annotations b addr with
+     | Some { Annotations.prev_addr = None; _ } -> true
+     | _ -> false)
 
-(* Chunked full refresh: same protocol with a read-only page scan (always
-   IS + page S — full refresh never writes annotations here; the priming
-   fix-up case stays monolithic).  The stream is Clear, chunked Upserts,
-   catch-up overlay, Snaptime. *)
-let run_chunked_full t b ~restrict ~project ~xmit =
-  let wal =
-    match Base_table.wal b with
-    | Some w -> w
-    | None -> invalid_arg "chunked refresh requires a WAL on the base table"
-  in
+(* The one lock/lease wrapper every refresh attempt runs under.
+
+   Monolithic ([chunked = None]) is the one-chunk case: the table is locked
+   in its final mode (X when the scan writes annotations, else S) for the
+   whole scan, with no page locks, no interleave point and no catch-up.
+
+   Chunked ([Some wal]): a table intention lock (IX/IS) plus a [Scan] lease
+   at the WAL's end pinning the catch-up start.  The scan walks chunks of
+   roughly [t.chunk_entries] entries (whole pages at the table's current
+   average fill); each chunk's pages are locked in the final mode before
+   the previous chunk's are released (lock coupling — no updater can slip
+   between the cursor's footsteps), then the interleave hook runs so
+   cooperative updaters can act on the released pages.  One short table-S
+   catch-up replays the WAL tail before the Snaptime markers: the upgrade
+   IS+S = S (or IX+S = SIX) still excludes updaters for its short window,
+   which is what makes the committed stream transaction-consistent as of
+   catch-up time.  When the scan restores annotations and the catch-up
+   ships an unchained entry, the table goes to X and the fix-up pass runs
+   once more, stamped with the scan's FixupTime: a row the stream carries
+   must be in the chain, or its delete before the next differential
+   refresh would leave no anomaly and the row would stay in the snapshot.
+   Pages the walk restored keep their summaries, so the pass decodes only
+   the pages changed behind the cursor.  Its writes are charged to the
+   first member.  The protocol's own figures (chunks, catch-up records,
+   longest lock-hold window) are stamped on the members' reports.
+
+   A failed attempt aborts its transaction rather than committing it:
+   abort releases the same locks but keeps the commit/abort accounting
+   honest and runs any registered undo actions. *)
+let locked_scan t b ~write ~chunked open_scan =
   let txn = Txn.begin_txn t.txns in
-  let pin = ref None in
+  let table = Base_table.lock_resource b in
+  let final = if write then Lock.X else Lock.S in
+  let lease = ref None in
+  let release () = Option.iter Lease.release !lease in
   match
-    Txn.lock txn (Base_table.lock_resource b) Lock.IS;
-    let lsn0 = Wal.end_lsn wal in
-    pin :=
-      Some
-        (Horizon.acquire (wal_horizon t wal) ~kind:Lease.Scan
-           ~holder:("scan:" ^ Base_table.name b) ~lsn:lsn0 ());
-    let now = Clock.tick (Base_table.clock b) in
-    xmit Refresh_msg.Clear;
-    let scanned = ref 0 in
-    let sent = ref 0 in
-    let last_scanned = ref 0 in
-    let max_hold = ref 0.0 in
-    let observe_hold t0 =
-      let d = Trace.now_us () -. t0 in
-      if d > !max_hold then max_hold := d;
-      Metrics.observe h_lock_hold d
-    in
-    let chunks =
-      chunk_walk t txn b ~page_mode:Lock.S ~total:(Base_table.data_pages b)
-        ~observe_hold
-        ~scan:(fun ~last_page ->
-          for page = !last_scanned + 1 to last_page do
-            Base_table.iter_page_stored b ~page (fun addr stored ->
-                incr scanned;
-                let user = Annotations.user_part stored in
-                if restrict user then begin
-                  incr sent;
-                  xmit (Refresh_msg.Upsert { addr; values = project user })
-                end)
-          done;
-          last_scanned := last_page)
-    in
-    let t0 = Trace.now_us () in
-    Txn.lock txn (Base_table.lock_resource b) Lock.S;
-    let nets = catchup_net_changes b ~wal ~lsn0 in
-    catchup_messages nets ~restrict ~project ~xmit;
-    xmit (Refresh_msg.Snaptime now);
-    observe_hold t0;
-    let stats =
-      { cs_chunks = chunks; cs_catchup = List.length nets; cs_max_hold_us = !max_hold }
-    in
-    Metrics.observe h_chunks (float_of_int stats.cs_chunks);
-    Metrics.observe h_catchup_records (float_of_int stats.cs_catchup);
-    ( { Full_refresh.new_snaptime = now; entries_scanned = !scanned; data_messages = !sent },
-      stats )
+    match chunked with
+    | None ->
+      Txn.lock txn table final;
+      let sc = open_scan () in
+      sc.sc_scan_to ~last_page:sc.sc_pages;
+      sc.sc_close []
+    | Some wal ->
+      Txn.lock txn table (if write then Lock.IX else Lock.IS);
+      let lsn0 = Wal.end_lsn wal in
+      lease :=
+        Some
+          (Horizon.acquire (wal_horizon t wal) ~kind:Lease.Scan
+             ~holder:("scan:" ^ Base_table.name b) ~lsn:lsn0 ());
+      let sc = open_scan () in
+      let max_hold = ref 0.0 in
+      let held_since t0 =
+        let d = Trace.now_us () -. t0 in
+        if d > !max_hold then max_hold := d;
+        Metrics.observe h_lock_hold d
+      in
+      let per_chunk =
+        max 1 (t.chunk_entries / max 1 (Base_table.count b / max 1 sc.sc_pages))
+      in
+      let page_locks lo hi f =
+        for p = lo to hi do
+          f (Base_table.page_lock_resource b p)
+        done
+      in
+      let release_chunk = function
+        | Some (lo, hi, t0) ->
+          page_locks lo hi (fun r -> ignore (Txn.unlock txn r : int list));
+          held_since t0;
+          Option.iter (fun f -> f ()) t.on_chunk
+        | None -> ()
+      in
+      let rec walk prev lo chunks =
+        if lo > sc.sc_pages then begin
+          release_chunk prev;
+          chunks
+        end
+        else begin
+          let hi = min sc.sc_pages (lo + per_chunk - 1) in
+          let t0 = Trace.now_us () in
+          page_locks lo hi (fun r -> Txn.lock txn r final);
+          release_chunk prev;
+          Trace.with_span "refresh.chunk"
+            ~attrs:[ ("table", Base_table.name b); ("pages", Printf.sprintf "%d-%d" lo hi) ]
+            (fun () -> sc.sc_scan_to ~last_page:hi);
+          walk (Some (lo, hi, t0)) (hi + 1) (chunks + 1)
+        end
+      in
+      let chunks = walk None 1 0 in
+      let t0 = Trace.now_us () in
+      Txn.lock txn table Lock.S;
+      let nets = catchup_net_changes b ~wal ~lsn0 in
+      let refixed =
+        match sc.sc_fixup_time with
+        | Some fixup_time when List.exists (unchained b) nets ->
+          Txn.lock txn table Lock.X;
+          Trace.with_span "refresh.fixup" ~attrs:[ ("table", Base_table.name b) ] (fun () ->
+              (Fixup.run b ~fixup_time).Fixup.writes)
+        | _ -> 0
+      in
+      let outs = sc.sc_close nets in
+      held_since t0;
+      let catchup = List.length nets in
+      Metrics.observe h_chunks (float_of_int chunks);
+      Metrics.observe h_catchup_records (float_of_int catchup);
+      Array.mapi
+        (fun i (r, on_commit) ->
+          ( { r with data_messages = r.data_messages + catchup; chunks;
+              catchup_records = catchup; max_lock_hold_us = !max_hold;
+              fixup_writes = (r.fixup_writes + if i = 0 then refixed else 0) },
+            on_commit ))
+        outs
   with
-  | v ->
-    Option.iter Lease.release !pin;
+  | outs ->
+    release ();
     ignore (Txn.commit txn : int list);
-    v
+    outs
   | exception e ->
-    Option.iter Lease.release !pin;
+    release ();
     if Txn.is_active txn then ignore (Txn.abort txn : int list);
     raise e
 
@@ -638,6 +524,29 @@ let truncation_floor t wal ~ceiling =
   let floor, gating = Horizon.lsn_floor (wal_horizon t wal) ~ceiling in
   (max (Wal.oldest_retained wal) floor, gating)
 
+(* Truncate the log to its gated floor under [ceiling]; returns the gating
+   leases. *)
+let truncate_gated t wal ~ceiling =
+  let floor, gated = truncation_floor t wal ~ceiling in
+  if floor > Wal.oldest_retained wal then Wal.truncate_before wal floor;
+  gated
+
+(* Fuzzy-checkpoint one base's pool.  The Begin_checkpoint record carries
+   the transactions genuinely in flight at this instant.  WAL-level
+   autocommit (Base_table.log_op) appends Begin/op/Commit atomically, so
+   these are the manager's lock-level transactions — refresh scans and
+   writers mid-flight.  The checkpoint itself runs under a lease at the
+   log's oldest record: a vacuum fired from the yield hook can then never
+   truncate records the fuzzy pass has yet to fence.  The lease is
+   released on return, before the caller computes the truncation floor,
+   so a checkpoint never gates itself. *)
+let checkpoint_base t wal b =
+  Horizon.with_lease (wal_horizon t wal) ~kind:Lease.Checkpoint
+    ~holder:("checkpoint:" ^ Base_table.name b) ~lsn:(Wal.oldest_retained wal)
+    (fun _ ->
+      Wal_checkpoint.run ~wal ~pool:(Base_table.pool b) ~active:(Txn.active_ids t.txns)
+        ?yield:t.on_chunk ())
+
 let checkpoint t base_name =
   let b = base t base_name in
   let wal =
@@ -647,24 +556,9 @@ let checkpoint t base_name =
       raise
         (Bad_definition (Printf.sprintf "table %s has no WAL to checkpoint" base_name))
   in
-  (* The Begin_checkpoint record carries the transactions genuinely in
-     flight at this instant.  WAL-level autocommit (Base_table.log_op)
-     appends Begin/op/Commit atomically, so these are the manager's
-     lock-level transactions — refresh scans and writers mid-flight.
-     The checkpoint itself runs under a lease at the current end: a
-     vacuum fired from the yield hook can then never truncate records
-     the fuzzy pass has yet to fence.  Released before the floor below
-     is computed, so a checkpoint never gates itself. *)
-  let stats =
-    Horizon.with_lease (wal_horizon t wal) ~kind:Lease.Checkpoint
-      ~holder:("checkpoint:" ^ Base_table.name b) ~lsn:(Wal.oldest_retained wal)
-      (fun _ ->
-        Wal_checkpoint.run ~wal ~pool:(Base_table.pool b)
-          ~active:(Txn.active_ids t.txns) ?yield:t.on_chunk ())
-  in
+  let stats = checkpoint_base t wal b in
   let bytes_before = Wal.byte_size wal in
-  let floor, gated = truncation_floor t wal ~ceiling:stats.Wal_checkpoint.begin_lsn in
-  if floor > Wal.oldest_retained wal then Wal.truncate_before wal floor;
+  let gated = truncate_gated t wal ~ceiling:stats.Wal_checkpoint.begin_lsn in
   {
     cp_base = Base_table.name b;
     cp_begin_lsn = stats.Wal_checkpoint.begin_lsn;
@@ -727,24 +621,21 @@ let vacuum ?older_than ?(dry_run = false) t =
         })
       snaps
   in
-  let groups = ref [] in
-  Hashtbl.iter
-    (fun _ bst ->
-      match Base_table.wal bst.base_table with
-      | None -> ()
-      | Some wal -> (
-        match List.find_opt (fun (w, _) -> w == wal) !groups with
-        | Some (_, bases) -> bases := bst.base_table :: !bases
-        | None -> groups := (wal, ref [ bst.base_table ]) :: !groups))
-    t.bases;
+  (* WAL-backed bases by name, then grouped by physical log. *)
+  let logged =
+    Hashtbl.fold
+      (fun _ bst acc ->
+        match Base_table.wal bst.base_table with
+        | Some wal -> (wal, bst.base_table) :: acc
+        | None -> acc)
+      t.bases []
+    |> List.sort (fun (_, a) (_, b) -> compare (Base_table.name a) (Base_table.name b))
+  in
+  let wals = List.fold_left (fun acc (w, _) -> if List.memq w acc then acc else w :: acc) [] logged in
   let vac_wals =
     List.map
-      (fun (wal, bases) ->
-        let bases =
-          List.sort
-            (fun a b -> compare (Base_table.name a) (Base_table.name b))
-            !bases
-        in
+      (fun wal ->
+        let bases = List.filter_map (fun (w, b) -> if w == wal then Some b else None) logged in
         let names = List.map Base_table.name bases in
         if dry_run then begin
           (* What a vacuum now could reclaim at best: a checkpoint's begin
@@ -760,24 +651,12 @@ let vacuum ?older_than ?(dry_run = false) t =
         end
         else begin
           let bytes_before = Wal.byte_size wal in
-          let h = wal_horizon t wal in
-          let begin_lsns =
-            List.map
-              (fun b ->
-                Horizon.with_lease h ~kind:Lease.Checkpoint
-                  ~holder:("checkpoint:" ^ Base_table.name b)
-                  ~lsn:(Wal.oldest_retained wal)
-                  (fun _ ->
-                    let stats =
-                      Wal_checkpoint.run ~wal ~pool:(Base_table.pool b)
-                        ~active:(Txn.active_ids t.txns) ?yield:t.on_chunk ()
-                    in
-                    stats.Wal_checkpoint.begin_lsn))
-              bases
+          let ceiling =
+            List.fold_left
+              (fun acc b -> min acc (checkpoint_base t wal b).Wal_checkpoint.begin_lsn)
+              (Wal.end_lsn wal) bases
           in
-          let ceiling = List.fold_left min (Wal.end_lsn wal) begin_lsns in
-          let floor, gating = truncation_floor t wal ~ceiling in
-          if floor > Wal.oldest_retained wal then Wal.truncate_before wal floor;
+          let gating = truncate_gated t wal ~ceiling in
           {
             wv_bases = names;
             wv_truncated_to = Wal.oldest_retained wal;
@@ -785,12 +664,258 @@ let vacuum ?older_than ?(dry_run = false) t =
             wv_gated = gating;
           }
         end)
-      !groups
-  in
-  let vac_wals =
-    List.sort (fun a b -> compare a.wv_bases b.wv_bases) vac_wals
+      wals
+    |> List.sort (fun a b -> compare a.wv_bases b.wv_bases)
   in
   { vac_dry_run = dry_run; vac_snapshots; vac_wals }
+
+(* --- The refresh pipeline ------------------------------------------------- *)
+
+let report_of s method_used ~new_snaptime ~entries_scanned ~data_messages =
+  {
+    snapshot = s.snap_name;
+    method_used;
+    new_snaptime;
+    entries_scanned;
+    entries_skipped = 0;
+    pages_decoded = 0;
+    fixup_writes = 0;
+    data_messages;
+    link_messages = 0;
+    link_logical_messages = 0;
+    link_bytes = 0;
+    tail_suppressed = false;
+    log_records_scanned = 0;
+    attempts = 1;
+    aborts = 0;
+    escalated = false;
+    backoff_us = 0.0;
+    group_size = 1;
+    chunks = 0;
+    catchup_records = 0;
+    max_lock_hold_us = 0.0;
+  }
+
+let report_of_sub s (r : Differential.report) =
+  {
+    (report_of s Used_differential ~new_snaptime:r.new_snaptime
+       ~entries_scanned:r.entries_scanned ~data_messages:r.data_messages)
+    with
+    entries_skipped = r.entries_skipped;
+    pages_decoded = r.pages_decoded;
+    fixup_writes = r.fixup_writes;
+    tail_suppressed = r.tail_suppressed;
+  }
+
+(* The differential scan trusts the annotation state to be current as of
+   the snapshot's SnapTime.  A log-based or ideal refresh of a
+   deferred-mode base ships rows without restoring their annotations (a
+   row inserted and shipped, then deleted before any fix-up, leaves no
+   anomaly behind), so the first differential refresh after one runs as a
+   priming full refresh instead. *)
+let choose_method t s =
+  let chosen =
+    match s.spec with
+    | Full -> Used_full
+    | Differential -> Used_differential
+    | Ideal -> Used_ideal
+    | Log_based -> Used_log_based
+    | Auto ->
+      let `Full full, `Differential diff = estimate_refresh_messages t s.snap_name in
+      if diff <= full then Used_differential else Used_full
+  in
+  match (chosen, s.history) with
+  | Used_differential, { method_used = Used_log_based | Used_ideal; _ } :: _
+    when Base_table.mode (base t s.base_name) = Base_table.Deferred ->
+    Used_full
+  | _ -> chosen
+
+(* The slowest ideal cursor on a base: change-log space below it is
+   garbage ([max_int] when no ideal snapshot remains). *)
+let min_ideal_cursor t base_name =
+  Hashtbl.fold
+    (fun _ o acc ->
+      if key o.base_name = key base_name && o.spec = Ideal then min acc o.cursor_seq else acc)
+    t.snapshots max_int
+
+(* One snapshot's refresh as it moves through the pipeline.  The retry
+   history lives here, so a member whose group arm failed re-enters the
+   same attempt function as a group of one with the group attempt counted
+   as attempt 1: escalation and the attempt cap see one consecutive-failure
+   history, not two.  The last three fields describe the attempt under
+   way: its epoch, the link's counters before its stream, and — once the
+   link has failed — why, flagged when retrying cannot help. *)
+type member = {
+  snap : snapshot;
+  populate : bool;  (* CREATE SNAPSHOT's transfer: no Request, always full *)
+  started : float;
+  mutable attempt : int;  (* 1-based number of the attempt under way *)
+  mutable backoff : float;  (* simulated backoff accumulated so far *)
+  mutable forced_full : bool;  (* catch-up truncated: monolithic full from now on *)
+  mutable epoch : int;
+  mutable before : Link.stats;
+  mutable failure : (string * bool) option;
+}
+
+let member ?(populate = false) s =
+  { snap = s; populate; started = Trace.now_us (); attempt = 1; backoff = 0.0;
+    forced_full = false; epoch = 0; before = Link.stats s.link; failure = None }
+
+(* After [escalate_after] consecutive failures the method degrades to a
+   full refresh — the stream that needs the least shared state to
+   converge.  A truncated catch-up forces it at once. *)
+let escalated t m =
+  m.forced_full || (t.retry.escalate_after > 0 && m.attempt - 1 >= t.retry.escalate_after)
+
+(* The source an attempt of [m] reads.  A log-based snapshot whose cursor
+   fell behind the retained log falls back to a full scan: "One could
+   bound the buffering required and transmit the entire (restricted) base
+   table if the last refresh of the snapshot precedes the earliest
+   retained changes." *)
+let method_for t b m =
+  match if m.populate || escalated t m then Used_full else choose_method t m.snap with
+  | Used_log_based when m.snap.cursor_lsn < Wal.oldest_retained (Option.get (Base_table.wal b)) ->
+    Log.info (fun f ->
+        f "snapshot %s: log truncated past its cursor; falling back to full refresh"
+          m.snap.snap_name);
+    Used_full
+  | used -> used
+
+(* Open [used]'s scan source over [members] (differential is the only source
+   a group of more than one shares).  Runs under the attempt's locks.
+
+   A full scan of a deferred-mode base primes the annotations: the fix-up
+   pass runs over each chunk's pages just before the scan reads them.  A
+   full refresh synchronizes the snapshot's contents as of its new
+   SnapTime but does not touch annotations — so an entry inserted before
+   it (still carrying NULL PrevAddr, hence absent from the chain) could be
+   deleted afterwards without leaving any anomaly, and a later
+   differential refresh would miss the deletion.  Priming restores the
+   invariant the differential scan depends on: "the annotation state is
+   current as of SnapTime".  It depends on the base mode and the method
+   only, since the scheduler or [set_method] may route any snapshot to the
+   differential method later.  The fix-up is idempotent (safe to re-run on
+   a retried attempt). *)
+let open_source t b used members xmits () =
+  let s = members.(0).snap in
+  let unpaged close =
+    { sc_pages = 0; sc_scan_to = (fun ~last_page:_ -> ()); sc_close = close; sc_fixup_time = None }
+  in
+  (* The catch-up overlay: each member's view of the WAL tail's net
+     changes as Upsert/Remove messages.  WAL records carry stored
+     (annotated) tuples, so the user part is extracted before the
+     restriction/projection apply.  Exactly one message per net-changed
+     address: an address whose final version fails the restriction gets a
+     Remove (idempotent if the snapshot never held it). *)
+  let overlay nets =
+    Array.iteri
+      (fun i { snap; _ } ->
+        List.iter
+          (fun (addr, net) ->
+            xmits.(i)
+              (match Option.map Annotations.user_part net.Recovery.after with
+              | Some user when snap.restrict user ->
+                Refresh_msg.Upsert { addr; values = snap.project user }
+              | _ -> Refresh_msg.Remove { addr }))
+          nets)
+      members
+  in
+  match used with
+  | Used_differential ->
+    let subs =
+      Array.mapi
+        (fun i { snap; _ } ->
+          {
+            Differential.sub_snaptime = Snapshot_table.snaptime snap.table;
+            sub_restrict = snap.restrict;
+            sub_project = snap.project;
+            sub_tail_suppression =
+              (if snap.tail_suppression then Some (Snapshot_table.high_water snap.table)
+               else None);
+            sub_prune = snap.prune;
+            sub_xmit = xmits.(i);
+          })
+        members
+    in
+    let c = Differential.start ?parallel:(parallel_opt t) ~base:b subs in
+    {
+      sc_pages = Differential.pages c;
+      sc_scan_to = Differential.scan_to c;
+      sc_close =
+        (fun nets ->
+          Differential.emit_tails c;
+          overlay nets;
+          let g = Differential.finish c in
+          Array.mapi (fun i m -> (report_of_sub m.snap g.Differential.sub_reports.(i), ignore)) members);
+      sc_fixup_time =
+        (if Base_table.mode b = Base_table.Deferred then Some (Differential.fixup_time c) else None);
+    }
+  | Used_full ->
+    let fixup_time =
+      if Base_table.mode b <> Base_table.Deferred then None
+      else Some (Clock.tick (Base_table.clock b))
+    in
+    let prime = Option.map (fun fixup_time -> Fixup.start b ~fixup_time) fixup_time in
+    let c = Full_refresh.start ~base:b ~restrict:s.restrict ~project:s.project ~xmit:xmits.(0) in
+    {
+      sc_pages = Full_refresh.pages c;
+      sc_scan_to =
+        (fun ~last_page ->
+          Option.iter
+            (fun f ->
+              Trace.with_span "refresh.fixup" ~attrs:[ ("snapshot", s.snap_name) ] (fun () ->
+                  Fixup.scan_to f ~last_page))
+            prime;
+          Full_refresh.scan_to c ~last_page);
+      sc_close =
+        (fun nets ->
+          overlay nets;
+          let r = Full_refresh.finish c in
+          [| ( {
+                 (report_of s Used_full ~new_snaptime:r.Full_refresh.new_snaptime
+                    ~entries_scanned:r.Full_refresh.entries_scanned
+                    ~data_messages:r.Full_refresh.data_messages)
+                 with
+                 fixup_writes = Option.fold prime ~none:0 ~some:(fun f -> (Fixup.stats f).Fixup.writes);
+               },
+               ignore ) |]);
+      sc_fixup_time = fixup_time;
+    }
+  | Used_ideal ->
+    let log = ensure_capture t s.base_name in
+    unpaged (fun _ ->
+        let r =
+          Ideal.refresh ~base:b ~log ~cursor:s.cursor_seq ~restrict:s.restrict
+            ~project:s.project ~xmit:xmits.(0) ()
+        in
+        let on_commit () =
+          s.cursor_seq <- r.Ideal.new_cursor;
+          (* Reclaim change-log space below the slowest ideal cursor on
+             this base — the buffer-management obligation the paper charges
+             change buffering with.  Strictly after commit: truncating below
+             the new cursor while the stream could still abort is permanent
+             loss. *)
+          let floor = min (min_ideal_cursor t s.base_name) r.Ideal.new_cursor in
+          if floor < max_int then Change_log.truncate_below log floor
+        in
+        [| ( report_of s Used_ideal ~new_snaptime:r.Ideal.new_snaptime
+               ~entries_scanned:r.Ideal.net_changes ~data_messages:r.Ideal.data_messages,
+             on_commit ) |])
+  | Used_log_based ->
+    let wal = Option.get (Base_table.wal b) in
+    unpaged (fun _ ->
+        let r =
+          Log_based.refresh ~base:b ~wal ~cursor:s.cursor_lsn ~restrict:s.restrict
+            ~project:s.project ~xmit:xmits.(0) ()
+        in
+        [| ( {
+               (report_of s Used_log_based ~new_snaptime:r.Log_based.new_snaptime
+                  ~entries_scanned:r.Log_based.data_messages
+                  ~data_messages:r.Log_based.data_messages)
+               with
+               log_records_scanned = r.Log_based.log_records_scanned;
+             },
+             fun () -> set_cursor_lsn s r.Log_based.new_cursor ) |])
 
 (* Batched transport: buffer batchable (data) messages and frame up to
    [t.batch] of them as one Batch under a single header, sequence number
@@ -811,14 +936,10 @@ let make_stream_xmit t ~epoch ~link =
   let flush () =
     match !buffered with
     | [] -> ()
-    | [ m ] ->
-      buffered := [];
-      buffered_n := 0;
-      send_framed m
     | ms ->
       buffered := [];
       buffered_n := 0;
-      send_framed (Refresh_msg.Batch (List.rev ms))
+      send_framed (match ms with [ m ] -> m | ms -> Refresh_msg.Batch (List.rev ms))
   in
   fun msg ->
     if t.batch > 1 && Refresh_msg.batchable msg then begin
@@ -831,253 +952,147 @@ let make_stream_xmit t ~epoch ~link =
       send_framed msg
     end
 
-(* Run one refresh stream for [s] under [epoch].  Every message is framed
-   with the epoch and a sequence number so the receiver can detect gaps,
-   truncation, and corruption, and apply the stream atomically at its
-   Snaptime commit marker.  Returns the report plus an [on_commit] hook
-   that advances the snapshot's change cursors — which must only happen
-   once the receiver has actually committed the epoch, or an aborted
+exception Abandoned
+(* Internal: every member's stream has failed, so no one is left to feed;
+   the attempt stops scanning and aborts its lock transaction. *)
+
+(* The one attempt function.  Every member gets its own epoch, Request
+   control message, framed/batched stream on its own link and commit
+   check, while the base is scanned once.  Every message is framed with
+   the epoch and a sequence number so the receiver can detect gaps,
+   truncation and corruption, and apply the stream atomically at its
+   Snaptime commit marker.  A member whose link fails is muted (its sends
+   become no-ops) rather than allowed to abort the scan: the others'
+   streams must not notice, and the scan's shared page-decode/fix-up
+   state must stay deterministic.  Returns each member's outcome: its
+   report and an [on_commit] hook that advances its cursors — which must
+   only run once the receiver has committed the epoch, or an aborted
    stream would silently lose the changes between the old and new cursor
-   on retry. *)
-let rec run_method t s ~epoch method_used =
-  let b = base t s.base_name in
-  let xmit = make_stream_xmit t ~epoch ~link:s.link in
-  let nop_commit () = () in
-  match method_used with
-  | Used_full ->
-    let r = Full_refresh.refresh ~base:b ~restrict:s.restrict ~project:s.project ~xmit () in
-    ( {
-        (blank_report s method_used) with
-        new_snaptime = r.Full_refresh.new_snaptime;
-        entries_scanned = r.Full_refresh.entries_scanned;
-        data_messages = r.Full_refresh.data_messages;
-      },
-      nop_commit )
-  | Used_differential ->
-    let tail_suppression =
-      if s.tail_suppression then Some (Snapshot_table.high_water s.table) else None
-    in
-    let r =
-      Differential.refresh ~tail_suppression ?prune:s.prune
-        ?parallel:(parallel_opt t) ~base:b
-        ~snaptime:(Snapshot_table.snaptime s.table) ~restrict:s.restrict ~project:s.project
-        ~xmit ()
-    in
-    ( {
-        (blank_report s method_used) with
-        new_snaptime = r.Differential.new_snaptime;
-        entries_scanned = r.Differential.entries_scanned;
-        entries_skipped = r.Differential.entries_skipped;
-        pages_decoded = r.Differential.pages_decoded;
-        fixup_writes = r.Differential.fixup_writes;
-        data_messages = r.Differential.data_messages;
-        tail_suppressed = r.Differential.tail_suppressed;
-      },
-      nop_commit )
-  | Used_ideal ->
-    let log = ensure_capture t s.base_name in
-    let r =
-      Ideal.refresh ~base:b ~log ~cursor:s.cursor_seq ~restrict:s.restrict ~project:s.project
-        ~xmit ()
-    in
-    let on_commit () =
-      s.cursor_seq <- r.Ideal.new_cursor;
-      (* Reclaim change-log space below the slowest ideal cursor on this
-         base — the buffer-management obligation the paper charges change
-         buffering with.  Strictly after commit: truncating below the new
-         cursor while the stream could still abort is permanent loss. *)
-      let min_cursor =
-        Hashtbl.fold
-          (fun _ other acc ->
-            if key other.base_name = key s.base_name && other.spec = Ideal then
-              min acc other.cursor_seq
-            else acc)
-          t.snapshots max_int
-      in
-      let min_cursor = min min_cursor r.Ideal.new_cursor in
-      if min_cursor < max_int then Change_log.truncate_below log min_cursor
-    in
-    ( {
-        (blank_report s method_used) with
-        new_snaptime = r.Ideal.new_snaptime;
-        entries_scanned = r.Ideal.net_changes;
-        data_messages = r.Ideal.data_messages;
-      },
-      on_commit )
-  | Used_log_based ->
-    let wal =
-      match Base_table.wal b with
-      | Some w -> w
-      | None -> raise (Bad_definition "log-based refresh requires a WAL on the base table")
-    in
-    if s.cursor_lsn < Wal.oldest_retained wal then begin
-      (* "One could bound the buffering required and transmit the entire
-         (restricted) base table if the last refresh of the snapshot
-         precedes the earliest retained changes." *)
-      Log.info (fun m ->
-          m "snapshot %s: log truncated past its cursor; falling back to full refresh"
-            s.snap_name);
-      let r, commit_full = run_method t s ~epoch Used_full in
-      (r, fun () -> commit_full (); set_cursor_lsn s (Wal.end_lsn wal))
+   on retry — or its failure. *)
+let attempt t b members =
+  let n = Array.length members in
+  let used = method_for t b members.(0) in
+  let live = ref n in
+  let fail m failure =
+    if m.failure = None then begin
+      m.failure <- Some failure;
+      decr live
     end
-    else begin
-      let r =
-        Log_based.refresh ~base:b ~wal ~cursor:s.cursor_lsn ~restrict:s.restrict
-          ~project:s.project ~xmit ()
-      in
-      ( {
-          (blank_report s method_used) with
-          new_snaptime = r.Log_based.new_snaptime;
-          entries_scanned = r.Log_based.data_messages;
-          data_messages = r.Log_based.data_messages;
-          log_records_scanned = r.Log_based.log_records_scanned;
-        },
-        fun () -> set_cursor_lsn s r.Log_based.new_cursor )
-    end
-
-let choose_method t s =
-  match s.spec with
-  | Full -> Used_full
-  | Differential -> Used_differential
-  | Ideal -> Used_ideal
-  | Log_based -> Used_log_based
-  | Auto ->
-    let full, diff = estimate t s.snap_name in
-    if diff <= full then Used_differential else Used_full
-
-(* An Auto snapshot may alternate between full and differential refresh.
-   A full refresh synchronizes the snapshot's contents as of its new
-   SnapTime but does not touch annotations — so an entry inserted before
-   it (still carrying NULL PrevAddr, hence absent from the chain) could be
-   deleted afterwards without leaving any anomaly, and a later
-   differential refresh would miss the deletion.  Running the fix-up pass
-   alongside such a full refresh restores the invariant the differential
-   scan depends on: "the annotation state is current as of SnapTime". *)
-let needs_priming_fixup b s method_used =
-  method_used = Used_full && s.spec = Auto && Base_table.mode b = Base_table.Deferred
-
-(* Deferred-mode differential refresh (and a priming fix-up) rewrites
-   annotation fields, so it needs an exclusive table lock; every other
-   method only reads. *)
-let lock_mode_for b s = function
-  | Used_differential when Base_table.mode b = Base_table.Deferred -> Lock.X
-  | Used_full when needs_priming_fixup b s Used_full -> Lock.X
-  | Used_differential | Used_full | Used_ideal | Used_log_based -> Lock.S
-
-(* The chunked protocol applies when a chunk size is configured and the
-   method is a scan over a WAL-backed table; priming passes (which rewrite
-   annotations wholesale) and the log/change-log methods (no table scan to
-   chunk) stay monolithic.  [chunk_entries = max_int] — the default —
-   takes the monolithic path unconditionally, byte-identical to the
-   pre-chunking code. *)
-let chunked_eligible t b s ~prime method_used =
-  t.chunk_entries < max_int && (not prime)
-  && Base_table.wal b <> None
-  && (not (needs_priming_fixup b s method_used))
-  && (method_used = Used_differential || method_used = Used_full)
-
-(* One chunked solo stream attempt (a group of one for differential). *)
-let attempt_chunked t s ~epoch method_used =
-  let b = base t s.base_name in
-  let before = Link.stats s.link in
-  let xmit = make_stream_xmit t ~epoch ~link:s.link in
-  let report =
-    Trace.with_span "refresh.scan"
-      ~attrs:[ ("snapshot", s.snap_name); ("method", method_name method_used) ]
-      (fun () ->
-        match method_used with
-        | Used_differential ->
-          let sub =
-            {
-              Differential.sub_snaptime = Snapshot_table.snaptime s.table;
-              sub_restrict = s.restrict;
-              sub_project = s.project;
-              sub_tail_suppression =
-                (if s.tail_suppression then Some (Snapshot_table.high_water s.table)
-                 else None);
-              sub_prune = s.prune;
-              sub_xmit = xmit;
-            }
-          in
-          let g, cs = run_chunked_differential t b [| sub |] in
-          let r = g.Differential.sub_reports.(0) in
-          {
-            (blank_report s method_used) with
-            new_snaptime = r.Differential.new_snaptime;
-            entries_scanned = r.Differential.entries_scanned;
-            entries_skipped = r.Differential.entries_skipped;
-            pages_decoded = r.Differential.pages_decoded;
-            fixup_writes = r.Differential.fixup_writes;
-            data_messages = r.Differential.data_messages + cs.cs_catchup;
-            tail_suppressed = r.Differential.tail_suppressed;
-            chunks = cs.cs_chunks;
-            catchup_records = cs.cs_catchup;
-            max_lock_hold_us = cs.cs_max_hold_us;
-          }
-        | _ ->
-          let r, cs = run_chunked_full t b ~restrict:s.restrict ~project:s.project ~xmit in
-          {
-            (blank_report s Used_full) with
-            new_snaptime = r.Full_refresh.new_snaptime;
-            entries_scanned = r.Full_refresh.entries_scanned;
-            data_messages = r.Full_refresh.data_messages + cs.cs_catchup;
-            chunks = cs.cs_chunks;
-            catchup_records = cs.cs_catchup;
-            max_lock_hold_us = cs.cs_max_hold_us;
-          })
   in
-  let after = Link.stats s.link in
-  ( {
-      report with
-      link_messages = after.Link.messages - before.Link.messages;
-      link_logical_messages = after.Link.logical_messages - before.Link.logical_messages;
-      link_bytes = after.Link.bytes - before.Link.bytes;
-    },
-    fun () -> () )
-
-(* One complete stream attempt: initiate, lock, optionally prime
-   annotations, stream the epoch.  Raises Link.Link_down on an outage. *)
-let attempt_refresh t s ~epoch ~prime ~send_request ~allow_chunked method_used =
-  let b = base t s.base_name in
-  (* "The refresh algorithm is initiated by sending the last snapshot
-     refresh time (SnapTime) ... to the base table." *)
-  if send_request then
-    Trace.with_span "refresh.request" ~attrs:[ ("snapshot", s.snap_name) ] (fun () ->
-        Link.send s.request_link
-          (Refresh_msg.encode
-             (Refresh_msg.Request { snaptime = Snapshot_table.snaptime s.table })));
-  if allow_chunked && chunked_eligible t b s ~prime method_used then
-    attempt_chunked t s ~epoch method_used
-  else
-  let lock_mode = if prime then Lock.X else lock_mode_for b s method_used in
-  with_table_lock t b lock_mode (fun () ->
-      let before = Link.stats s.link in
-      let fixups =
-        if prime || needs_priming_fixup b s method_used then
-          Trace.with_span "refresh.fixup" ~attrs:[ ("snapshot", s.snap_name) ] (fun () ->
-              let writes =
-                (Fixup.run b ~fixup_time:(Clock.tick (Base_table.clock b))).Fixup.writes
-              in
-              (* A priming fix-up is idempotent (safe to re-run on a retried
-                 attempt) and its writes are not charged to the report. *)
-              if prime then 0 else writes)
-        else 0
-      in
-      let report, on_commit =
-        Trace.with_span "refresh.scan"
-          ~attrs:[ ("snapshot", s.snap_name); ("method", method_name method_used) ]
-          (fun () -> run_method t s ~epoch method_used)
-      in
-      let after = Link.stats s.link in
-      ( {
-          report with
-          fixup_writes = report.fixup_writes + fixups;
-          link_messages = after.Link.messages - before.Link.messages;
-          link_logical_messages =
-            after.Link.logical_messages - before.Link.logical_messages;
-          link_bytes = after.Link.bytes - before.Link.bytes;
-        },
-        on_commit ))
+  let mark m = function
+    | Link.Link_down l -> fail m (Printf.sprintf "link %s down mid-stream" l, false)
+    | Link.No_receiver l ->
+      (* A wiring error, not a transient fault: no receiver will appear by
+         retrying, so the member fails for good. *)
+      fail m (Printf.sprintf "link %s: no receiver attached" l, true)
+    | e -> raise e
+  in
+  Array.iter
+    (fun m ->
+      let s = m.snap in
+      Metrics.incr m_attempts;
+      if escalated t m && m.attempt - 1 = t.retry.escalate_after then Metrics.incr m_escalations;
+      m.epoch <- s.next_epoch;
+      s.next_epoch <- m.epoch + 1;
+      m.before <- Link.stats s.link;
+      m.failure <- None;
+      (* "The refresh algorithm is initiated by sending the last snapshot
+         refresh time (SnapTime) ... to the base table." *)
+      if not m.populate then
+        try
+          Trace.with_span "refresh.request" ~attrs:[ ("snapshot", s.snap_name) ] (fun () ->
+              Link.send s.request_link
+                (Refresh_msg.encode
+                   (Refresh_msg.Request { snaptime = Snapshot_table.snaptime s.table })))
+        with e -> mark m e)
+    members;
+  let xmits =
+    Array.map
+      (fun m ->
+        let xmit = make_stream_xmit t ~epoch:m.epoch ~link:m.snap.link in
+        fun msg ->
+          if m.failure = None then
+            try xmit msg
+            with e ->
+              mark m e;
+              if !live = 0 then raise Abandoned)
+      members
+  in
+  let deferred = Base_table.mode b = Base_table.Deferred in
+  let scans_table = used = Used_differential || used = Used_full in
+  (* Chunking applies to a table scan over a WAL-backed base when a chunk
+     size is configured — except an attempt forced monolithic by a
+     truncated catch-up. *)
+  let chunked =
+    match Base_table.wal b with
+    | Some wal when t.chunk_entries < max_int && scans_table && not members.(0).forced_full ->
+      Some wal
+    | _ -> None
+  in
+  let span, attrs =
+    if n = 1 then
+      ("refresh.scan", [ ("snapshot", members.(0).snap.snap_name); ("method", method_name used) ])
+    else ("refresh.group", [ ("base", Base_table.name b); ("subscribers", string_of_int n) ])
+  in
+  let outs =
+    if !live = 0 then None
+    else
+      match
+        Trace.with_span span ~attrs (fun () ->
+            locked_scan t b ~write:(deferred && scans_table) ~chunked
+              (open_source t b used members xmits))
+      with
+      | outs -> Some outs
+      | exception Abandoned -> None
+      | exception Catchup_truncated ->
+        Metrics.incr m_escalations;
+        Array.iter
+          (fun m ->
+            if m.failure = None then m.forced_full <- true;
+            fail m ("WAL truncated past the chunked scan's catch-up LSN", false))
+          members;
+        None
+  in
+  if n > 1 then Metrics.observe h_group_size (float_of_int n);
+  (* Taken now, not when a member settles: a failed sibling's solo retries
+     may run updaters from the chunk hook before the later members settle. *)
+  let wal_end = Option.map Wal.end_lsn (Base_table.wal b) in
+  let mutations = Base_table.mutations b in
+  Array.mapi
+    (fun i m ->
+      let s = m.snap in
+      match (outs, m.failure) with
+      | Some outs, None when Snapshot_table.last_committed_epoch s.table = m.epoch ->
+        let report, on_commit = outs.(i) in
+        let after = Link.stats s.link in
+        Ok
+          ( {
+              report with
+              link_messages = after.Link.messages - m.before.Link.messages;
+              link_logical_messages =
+                after.Link.logical_messages - m.before.Link.logical_messages;
+              link_bytes = after.Link.bytes - m.before.Link.bytes;
+              group_size = n;
+              (* CREATE SNAPSHOT's pass, like R* adding the funny fields, is
+                 not charged to the report. *)
+              fixup_writes = (if m.populate then 0 else report.fixup_writes);
+            },
+            fun () ->
+              on_commit ();
+              s.mutations_at_refresh <- mutations;
+              (* A committed refresh of any method leaves the snapshot
+                 consistent as of the WAL's end, so the log cursor advances
+                 too — a later scheduler-driven switch to the log-based
+                 method then replays only the genuine tail.  The log-based
+                 method's own hook has set its exact new cursor. *)
+              if used <> Used_log_based then Option.iter (set_cursor_lsn s) wal_end )
+      | _, Some failure -> Error failure
+      | _, None ->
+        Error
+          ( Option.value (Snapshot_table.last_abort s.table)
+              ~default:"stream not committed by receiver",
+            false ))
+    members
 
 let backoff_delay t ~failures =
   let p = t.retry in
@@ -1086,381 +1101,122 @@ let backoff_delay t ~failures =
   if p.jitter <= 0.0 then capped
   else capped *. (1.0 -. (p.jitter /. 2.0) +. Snapdiff_util.Rng.float t.rng p.jitter)
 
-(* Refresh [s] with retry: each attempt streams a fresh epoch; a failed
-   attempt (link outage mid-stream, or a stream the receiver refused to
-   commit because of loss/corruption/truncation) is discarded wholesale
-   on the snapshot side and retried after exponential backoff with
-   jitter.  After [escalate_after] consecutive failures the method
-   degrades to a full refresh — the stream that needs the least shared
-   state to converge.  [choose] picks the method for each attempt.
-
-   [prior_failures]/[prior_backoff] account for attempts made elsewhere —
-   a member of a group scan whose arm failed retries solo here with the
-   group attempt counted as attempt 1, so escalation and the attempt cap
-   see one consecutive-failure history, not two. *)
-let refresh_with_retries t s ~choose ?(prime = false) ?(send_request = true)
-    ?(prior_failures = 0) ?(prior_backoff = 0.0) () =
-  let p = t.retry in
-  let backoff_total = ref prior_backoff in
-  let t_start = Trace.now_us () in
-  (* Set when a chunked attempt found the WAL truncated past its catch-up
-     LSN: every subsequent attempt of this refresh runs as a monolithic
-     full refresh, the one stream guaranteed consistent without a log. *)
-  let force_monolithic_full = ref false in
-  let rec go attempt =
-    Metrics.incr m_attempts;
-    let failures = attempt - 1 in
-    let escalated =
-      !force_monolithic_full || (p.escalate_after > 0 && failures >= p.escalate_after)
+(* The one settle function.  A committed member runs its commit hook and
+   is recorded; a failed one discards its staged stream (the receiver
+   keeps its previous consistent image) and, unless the failure is final,
+   backs off — simulated time charged to the link, with jitter — and
+   re-enters the attempt function as a group of one. *)
+let rec settle t b m outcome =
+  let s = m.snap in
+  match outcome with
+  | Ok (report, on_commit) ->
+    on_commit ();
+    let report =
+      { report with attempts = m.attempt; aborts = m.attempt - 1; escalated = escalated t m;
+        backoff_us = m.backoff }
     in
-    if escalated && failures = p.escalate_after then Metrics.incr m_escalations;
-    let method_used = if escalated then Used_full else choose t s in
-    let epoch = s.next_epoch in
-    s.next_epoch <- epoch + 1;
-    let outcome =
-      match
-        attempt_refresh t s ~epoch ~prime ~send_request
-          ~allow_chunked:(not !force_monolithic_full) method_used
-      with
-      | report, on_commit ->
-        if Snapshot_table.last_committed_epoch s.table = epoch then Ok (report, on_commit)
-        else
-          Error
-            (Option.value (Snapshot_table.last_abort s.table)
-               ~default:"stream not committed by receiver")
-      | exception Catchup_truncated ->
-        force_monolithic_full := true;
-        Metrics.incr m_escalations;
-        Error "WAL truncated past the chunked scan's catch-up LSN"
-      | exception Link.Link_down l -> Error (Printf.sprintf "link %s down mid-stream" l)
-      | exception Link.No_receiver l ->
-        (* A wiring error, not a transient fault: no receiver will appear
-           by retrying, so fail the refresh immediately. *)
-        let reason = Printf.sprintf "link %s: no receiver attached" l in
-        Snapshot_table.discard_stage s.table ~reason;
-        Metrics.incr m_aborted_streams;
-        Metrics.incr m_failures;
-        Metrics.observe h_duration (Trace.now_us () -. t_start);
-        raise (Refresh_failed { snapshot = s.snap_name; attempts = attempt; reason })
-    in
-    match outcome with
-    | Ok (report, on_commit) ->
-      on_commit ();
-      s.mutations_at_refresh <- Base_table.mutations (base t s.base_name);
-      (* A committed refresh of any method leaves the snapshot consistent
-         as of the WAL's current end, so the log cursor may advance too —
-         this is what makes a later scheduler-driven switch to the
-         log-based method replay only the genuine tail.  (The log-based
-         method's own on_commit has already set its exact new cursor.) *)
-      (match Base_table.wal (base t s.base_name) with
-      | Some wal when s.spec <> Log_based -> set_cursor_lsn s (Wal.end_lsn wal)
-      | _ -> ());
-      let report =
-        { report with attempts = attempt; aborts = failures; escalated;
-          backoff_us = !backoff_total }
-      in
-      note_report s report;
-      Metrics.incr m_refreshes;
-      Metrics.add m_data_messages report.data_messages;
-      Metrics.add m_entries_scanned report.entries_scanned;
-      Metrics.observe h_duration (Trace.now_us () -. t_start);
-      Log.info (fun m ->
-          m "refresh %s via %s: %d data msgs, %d bytes, %d fixups, snaptime %d%s"
-            report.snapshot (method_name report.method_used) report.data_messages
-            report.link_bytes report.fixup_writes report.new_snaptime
-            (if report.attempts > 1 then
-               Printf.sprintf " (%d attempts%s)" report.attempts
-                 (if report.escalated then ", escalated to full" else "")
-             else ""));
-      report
-    | Error reason ->
-      Snapshot_table.discard_stage s.table ~reason;
-      Metrics.incr m_aborted_streams;
-      Log.info (fun m ->
-          m "refresh %s attempt %d/%d failed: %s" s.snap_name attempt p.max_attempts reason);
-      if attempt >= p.max_attempts then begin
-        Metrics.incr m_failures;
-        Metrics.observe h_duration (Trace.now_us () -. t_start);
-        raise (Refresh_failed { snapshot = s.snap_name; attempts = attempt; reason })
-      end
-      else begin
-        let d = backoff_delay t ~failures:(failures + 1) in
-        backoff_total := !backoff_total +. d;
-        Metrics.observe h_backoff d;
-        Trace.event "refresh.retry"
-          ~attrs:
-            [ ("snapshot", s.snap_name);
-              ("attempt", string_of_int attempt);
-              ("reason", reason);
-              ("backoff_us", Printf.sprintf "%.0f" d) ];
-        Link.advance_time s.link d;
-        (* The transport layer re-establishes a dead link after backoff;
-           an armed fault plan stays armed and may kill it again. *)
-        if not (Link.is_up s.link) then Link.set_up s.link true;
-        go (attempt + 1)
-      end
+    note_report s report;
+    Metrics.incr m_refreshes;
+    Metrics.add m_data_messages report.data_messages;
+    Metrics.add m_entries_scanned report.entries_scanned;
+    Metrics.observe h_duration (Trace.now_us () -. m.started);
+    Log.info (fun f ->
+        f "refresh %s via %s (group of %d, attempt %d%s): %d data msgs, %d bytes, %d fixups, \
+           snaptime %d"
+          report.snapshot (method_name report.method_used) report.group_size report.attempts
+          (if report.escalated then ", escalated to full" else "")
+          report.data_messages report.link_bytes report.fixup_writes report.new_snaptime);
+    Ok report
+  | Error (reason, fatal) ->
+    Snapshot_table.discard_stage s.table ~reason;
+    Metrics.incr m_aborted_streams;
+    Log.info (fun f ->
+        f "refresh %s attempt %d/%d failed: %s" s.snap_name m.attempt t.retry.max_attempts
+          reason);
+    if fatal || m.attempt >= t.retry.max_attempts then begin
+      Metrics.incr m_failures;
+      Metrics.observe h_duration (Trace.now_us () -. m.started);
+      Error (Refresh_failed { snapshot = s.snap_name; attempts = m.attempt; reason })
+    end
+    else begin
+      let d = backoff_delay t ~failures:m.attempt in
+      m.backoff <- m.backoff +. d;
+      Metrics.observe h_backoff d;
+      Trace.event "refresh.retry"
+        ~attrs:
+          [ ("snapshot", s.snap_name);
+            ("attempt", string_of_int m.attempt);
+            ("reason", reason);
+            ("backoff_us", Printf.sprintf "%.0f" d) ];
+      Link.advance_time s.link d;
+      (* The transport layer re-establishes a dead link after backoff; an
+         armed fault plan stays armed and may kill it again. *)
+      if not (Link.is_up s.link) then Link.set_up s.link true;
+      m.attempt <- m.attempt + 1;
+      settle t b m (attempt t b [| m |]).(0)
+    end
+
+(* Attempt [members] as one group, then settle each in order.  A solo
+   refresh — a group of one — runs inside its own [refresh] span. *)
+let run t b members =
+  let go () =
+    let outcomes = attempt t b members in
+    Array.mapi (fun i m -> try settle t b m outcomes.(i) with e -> Error e) members
   in
-  Trace.with_span "refresh" ~attrs:[ ("snapshot", s.snap_name) ]
-    (fun () -> go (prior_failures + 1))
+  if Array.length members > 1 then go ()
+  else Trace.with_span "refresh" ~attrs:[ ("snapshot", members.(0).snap.snap_name) ] go
 
-let refresh_snapshot t s =
-  refresh_with_retries t s
-    ~choose:(fun t s -> choose_method t s)
-    ()
-
-(* --- Group refresh ------------------------------------------------------- *)
-
-(* One multiplexed group attempt over [b]: every member gets its own epoch,
-   Request control message, framed/batched stream on its own link, and
-   commit check — but the base table is scanned once.  A member whose link
-   fails mid-stream is muted (its sends become no-ops) rather than allowed
-   to abort the scan: the other subscribers' streams must not notice, and
-   the scan's shared page-decode/fix-up state must stay deterministic.
-   Returns everything the caller needs to settle each arm. *)
-let group_attempt t b members =
-  let n = Array.length members in
-  let epochs =
-    Array.map
-      (fun s ->
-        let e = s.next_epoch in
-        s.next_epoch <- e + 1;
-        e)
-      members
-  in
-  let failed = Array.make n None in
-  let fatal = Array.make n false in
-  let mark i = function
-    | Link.Link_down l ->
-      if failed.(i) = None then
-        failed.(i) <- Some (Printf.sprintf "link %s down mid-stream" l)
-    | Link.No_receiver l ->
-      if failed.(i) = None then
-        failed.(i) <- Some (Printf.sprintf "link %s: no receiver attached" l);
-      fatal.(i) <- true
-    | e -> raise e
-  in
-  Array.iteri
-    (fun i s ->
-      Metrics.incr m_attempts;
-      try
-        Trace.with_span "refresh.request" ~attrs:[ ("snapshot", s.snap_name) ] (fun () ->
-            Link.send s.request_link
-              (Refresh_msg.encode
-                 (Refresh_msg.Request { snaptime = Snapshot_table.snaptime s.table })))
-      with e -> mark i e)
-    members;
-  let make_subs () =
-    Array.mapi
-      (fun i s ->
-        let raw = make_stream_xmit t ~epoch:epochs.(i) ~link:s.link in
-        {
-          Differential.sub_snaptime = Snapshot_table.snaptime s.table;
-          sub_restrict = s.restrict;
-          sub_project = s.project;
-          sub_tail_suppression =
-            (if s.tail_suppression then Some (Snapshot_table.high_water s.table)
-             else None);
-          sub_prune = s.prune;
-          sub_xmit = (fun msg -> if failed.(i) = None then try raw msg with e -> mark i e);
-        })
-      members
-  in
-  if t.chunk_entries < max_int && Base_table.wal b <> None then begin
-    (* Chunked group scan: run_chunked_differential owns the transaction
-       and the intention-lock/page-lock protocol.  A truncated catch-up
-       fails every arm of this attempt; the arms then degrade solo, where
-       the retry loop escalates them to monolithic full refreshes. *)
-    let before = Array.map (fun s -> Link.stats s.link) members in
-    let subs = make_subs () in
-    let result =
-      match
-        Trace.with_span "refresh.group"
-          ~attrs:[ ("base", Base_table.name b); ("subscribers", string_of_int n) ]
-          (fun () -> run_chunked_differential t b subs)
-      with
-      | g, cs -> Some (g, cs)
-      | exception Catchup_truncated ->
-        Metrics.incr m_escalations;
-        Array.iteri
-          (fun i _ ->
-            if failed.(i) = None then
-              failed.(i) <- Some "WAL truncated past the chunked scan's catch-up LSN")
-          members;
-        None
-    in
-    Metrics.observe h_group_size (float_of_int n);
-    let after = Array.map (fun s -> Link.stats s.link) members in
-    (epochs, failed, fatal, result, before, after)
-  end
-  else
-    (* Deferred-mode fix-up rewrites annotations: exclusive, like the solo
-       path.  The group never includes a priming fix-up — only snapshots
-       already routed to the differential method join a group. *)
-    let lock_mode = if Base_table.mode b = Base_table.Deferred then Lock.X else Lock.S in
-    with_table_lock t b lock_mode (fun () ->
-        let before = Array.map (fun s -> Link.stats s.link) members in
-        let subs = make_subs () in
-        let g =
-          Trace.with_span "refresh.group"
-            ~attrs:
-              [ ("base", Base_table.name b); ("subscribers", string_of_int n) ]
-            (fun () ->
-              Differential.refresh_group ?parallel:(parallel_opt t) ~base:b subs)
-        in
-        Metrics.observe h_group_size (float_of_int n);
-        let after = Array.map (fun s -> Link.stats s.link) members in
-        (epochs, failed, fatal, Some (g, no_chunk_stats), before, after))
-
-(* Group-refresh [members] (all routed to the differential method) of base
-   [b] under one shared scan, then settle each arm: a committed stream
-   advances that snapshot's cursors exactly as a solo refresh would; a
-   failed arm discards its staged stream and degrades to a solo refresh
-   with retries, the group attempt counting as attempt 1 — unless the
-   failure was a wiring error, which fails immediately. *)
-let group_refresh_base t b members =
-  let n = Array.length members in
-  let t_start = Trace.now_us () in
-  let epochs, failed, fatal, result, before, after = group_attempt t b members in
-  Array.mapi
-    (fun i s ->
-      let committed =
-        result <> None && failed.(i) = None
-        && Snapshot_table.last_committed_epoch s.table = epochs.(i)
-      in
-      if committed then begin
-        let g, cs =
-          match result with Some gc -> gc | None -> assert false
-        in
-        s.mutations_at_refresh <- Base_table.mutations b;
-        (match Base_table.wal b with
-        | Some wal when s.spec <> Log_based -> set_cursor_lsn s (Wal.end_lsn wal)
-        | _ -> ());
-        let sr = g.Differential.sub_reports.(i) in
-        let report =
-          {
-            (blank_report s Used_differential) with
-            new_snaptime = sr.Differential.new_snaptime;
-            entries_scanned = sr.Differential.entries_scanned;
-            entries_skipped = sr.Differential.entries_skipped;
-            pages_decoded = sr.Differential.pages_decoded;
-            fixup_writes = sr.Differential.fixup_writes;
-            data_messages = sr.Differential.data_messages + cs.cs_catchup;
-            tail_suppressed = sr.Differential.tail_suppressed;
-            link_messages = after.(i).Link.messages - before.(i).Link.messages;
-            link_logical_messages =
-              after.(i).Link.logical_messages - before.(i).Link.logical_messages;
-            link_bytes = after.(i).Link.bytes - before.(i).Link.bytes;
-            group_size = n;
-            chunks = cs.cs_chunks;
-            catchup_records = cs.cs_catchup;
-            max_lock_hold_us = cs.cs_max_hold_us;
-          }
-        in
-        note_report s report;
-        Metrics.incr m_refreshes;
-        Metrics.add m_data_messages report.data_messages;
-        Metrics.add m_entries_scanned report.entries_scanned;
-        Metrics.observe h_duration (Trace.now_us () -. t_start);
-        Log.info (fun m ->
-            m "refresh %s via group scan (%d subscribers): %d data msgs, %d bytes, snaptime %d"
-              s.snap_name n report.data_messages report.link_bytes report.new_snaptime);
-        (s.snap_name, Ok report)
-      end
-      else begin
-        let reason =
-          match failed.(i) with
-          | Some r -> r
-          | None ->
-            Option.value (Snapshot_table.last_abort s.table)
-              ~default:"stream not committed by receiver"
-        in
-        Snapshot_table.discard_stage s.table ~reason;
-        Metrics.incr m_aborted_streams;
-        Log.info (fun m ->
-            m "refresh %s group arm failed: %s; degrading to solo" s.snap_name reason);
-        if fatal.(i) || t.retry.max_attempts <= 1 then begin
-          Metrics.incr m_failures;
-          ( s.snap_name,
-            Error (Refresh_failed { snapshot = s.snap_name; attempts = 1; reason }) )
-        end
-        else begin
-          let d = backoff_delay t ~failures:1 in
-          Metrics.observe h_backoff d;
-          Trace.event "refresh.retry"
-            ~attrs:
-              [ ("snapshot", s.snap_name);
-                ("attempt", "1");
-                ("reason", reason);
-                ("backoff_us", Printf.sprintf "%.0f" d) ];
-          Link.advance_time s.link d;
-          if not (Link.is_up s.link) then Link.set_up s.link true;
-          match
-            refresh_with_retries t s
-              ~choose:(fun t s -> choose_method t s)
-              ~prior_failures:1 ~prior_backoff:d ()
-          with
-          | r -> (s.snap_name, Ok r)
-          | exception e -> (s.snap_name, Error e)
-        end
-      end)
-    members
-
-(* Refresh every snapshot named in [names] (all of them by default),
+(* Refresh every snapshot named in [only] (all of them by default),
    grouping by base table so that all members routed to the differential
-   method share one scan; the rest (full, ideal, log-based, or a group of
-   one) refresh solo.  Per-snapshot failures are returned, not raised:
-   one bad arm must not abandon the rest of the batch. *)
+   method share one scan; the rest (full, ideal, log-based) refresh as
+   groups of one.  Per-snapshot failures are returned, not raised: one bad
+   arm must not abandon the rest of the batch.  Results land by request
+   position. *)
 let refresh_all ?only t =
-  let names =
-    match only with
-    | Some l -> List.map (fun n -> (snapshot t n).snap_name) l
-    | None -> List.sort compare (snapshot_names t)
+  let snaps =
+    Array.of_list
+      (List.map (snapshot t)
+         (match only with Some l -> l | None -> List.sort compare (snapshot_names t)))
   in
+  let results = Array.make (Array.length snaps) None in
   let by_base = Hashtbl.create 8 in
   let base_order = ref [] in
-  List.iter
-    (fun n ->
-      let s = snapshot t n in
+  Array.iteri
+    (fun i s ->
       let k = key s.base_name in
-      if not (Hashtbl.mem by_base k) then base_order := k :: !base_order;
-      let existing = Option.value (Hashtbl.find_opt by_base k) ~default:[] in
-      Hashtbl.replace by_base k (s :: existing))
-    names;
-  let results =
-    List.concat_map
-      (fun k ->
-        let members = List.rev (Hashtbl.find by_base k) in
-        let b = (Hashtbl.find t.bases k).base_table in
-        let grouped, solo =
-          List.partition (fun s -> choose_method t s = Used_differential) members
-        in
-        let run_solo s =
-          (s.snap_name, try Ok (refresh_snapshot t s) with e -> Error e)
-        in
-        let group_results =
-          match grouped with
-          | [] | [ _ ] -> List.map run_solo grouped
-          | _ -> Array.to_list (group_refresh_base t b (Array.of_list grouped))
-        in
-        group_results @ List.map run_solo solo)
-      (List.rev !base_order)
+      match Hashtbl.find_opt by_base k with
+      | Some positions -> Hashtbl.replace by_base k (i :: positions)
+      | None ->
+        base_order := k :: !base_order;
+        Hashtbl.replace by_base k [ i ])
+    snaps;
+  let run_group b positions =
+    let members = Array.of_list (List.map (fun i -> member snaps.(i)) positions) in
+    let rs = try run t b members with e -> Array.map (fun _ -> Error e) members in
+    List.iteri (fun k i -> results.(i) <- Some rs.(k)) positions
   in
-  (* Report in request order regardless of grouping. *)
-  List.map (fun n -> (n, List.assoc n results)) names
+  List.iter
+    (fun k ->
+      let b = (Hashtbl.find t.bases k).base_table in
+      let grouped, solo =
+        List.partition
+          (fun i -> choose_method t snaps.(i) = Used_differential)
+          (List.rev (Hashtbl.find by_base k))
+      in
+      if grouped <> [] then run_group b grouped;
+      List.iter (fun i -> run_group b [ i ]) solo)
+    (List.rev !base_order);
+  Array.to_list (Array.mapi (fun i s -> (s.snap_name, Option.get results.(i))) snaps)
 
+(* A solo refresh is [refresh_all] over the one snapshot.  With [group]
+   the named snapshot is refreshed together with its base-table siblings
+   so they can share the scan; the named snapshot's outcome is this
+   call's, the siblings' reports are dropped (use refresh_all to see
+   them). *)
 let refresh ?(group = false) t name =
   let s = snapshot t name in
-  if not group then refresh_snapshot t s
-  else begin
-    (* Refresh the named snapshot together with its base-table siblings so
-       they can share the scan; the named snapshot's outcome is this
-       call's, the siblings' reports are dropped (use refresh_all to see
-       them). *)
-    let siblings = List.sort compare (snapshots_on t s.base_name) in
-    match List.assoc s.snap_name (refresh_all ~only:siblings t) with
-    | Ok r -> r
-    | Error e -> raise e
-  end
+  let only = if group then List.sort compare (snapshots_on t s.base_name) else [ s.snap_name ] in
+  match List.assoc s.snap_name (refresh_all ~only t) with Ok r -> r | Error e -> raise e
 
 (* Selectivity measurement for CREATE SNAPSHOT.  Small tables get the
    exact single-pass scan; above [sample_threshold] entries we draw a
@@ -1497,6 +1253,11 @@ let measure_selectivity t b ~restrict_expr restrict_fn =
     float_of_int !hits /. float_of_int k
   end
 
+let check_log_based b = function
+  | Log_based when Base_table.wal b = None ->
+    raise (Bad_definition "log-based refresh requires a WAL on the base table")
+  | _ -> ()
+
 let validate_projection user_schema projection =
   List.iter
     (fun col_name ->
@@ -1507,12 +1268,15 @@ let validate_projection user_schema projection =
           raise (Bad_definition (Printf.sprintf "hidden column %s in projection" col_name)))
     projection
 
-let create_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
-    ?(method_ = Auto) ?link ?(tail_suppression = false) ?(prune = true) ?selectivity
-    ?version_strategy ?version_retain () =
+(* Compile a snapshot definition against its base table: type-check and
+   simplify the restriction, validate the projection, build the replica
+   with [make_table] over the projected schema, wire the link pair (the
+   base site receives the one-time Register), and measure the selectivity.
+   Nothing is registered in the catalog. *)
+let compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
+    ~tail_suppression ~prune ?selectivity make_table =
   if Hashtbl.mem t.snapshots (key name) then raise (Duplicate_name name);
-  let bst = base_state t base_name in
-  let b = bst.base_table in
+  let b = base t base_name in
   let user_schema = Base_table.user_schema b in
   (match Typecheck.check_predicate user_schema restrict with
   | Ok () -> ()
@@ -1526,16 +1290,13 @@ let create_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
       cols
     | None -> List.map (fun c -> c.Schema.name) (Schema.columns user_schema)
   in
-  let projected_schema = Schema.project user_schema projection in
   let idx = Array.of_list (List.map (Schema.index_of_exn user_schema) projection) in
   let identity = Array.length idx = Schema.arity user_schema
                  && Array.for_all2 ( = ) idx (Array.init (Array.length idx) Fun.id) in
   let project = if identity then Fun.id else fun tuple -> Tuple.project_idx tuple idx in
   let restrict_fn = Eval.compile user_schema restrict in
-  (match method_ with
-  | Log_based when Base_table.wal b = None ->
-    raise (Bad_definition "log-based refresh requires a WAL on the base table")
-  | _ -> ());
+  check_log_based b method_;
+  let table = make_table (Schema.project user_schema projection) in
   let link =
     match link with
     | Some l -> l
@@ -1545,10 +1306,6 @@ let create_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
   (* The base site consumes control messages; it already holds the compiled
      definition, so receipt is just accounted. *)
   Link.attach request_link (fun (_ : bytes) -> ());
-  let table =
-    Snapshot_table.create ?version_strategy ?version_retain ~name ~schema:projected_schema
-      ()
-  in
   Link.attach link (Snapshot_table.apply_bytes table);
   (* CREATE SNAPSHOT ships the definition to the base site once. *)
   Link.send request_link
@@ -1561,46 +1318,47 @@ let create_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
     | Some q -> Float.max 0.0 (Float.min 1.0 q)  (* caller-provided estimate *)
     | None -> measure_selectivity t b ~restrict_expr:restrict restrict_fn
   in
+  {
+    snap_name = name;
+    base_name;
+    restrict_expr = restrict;
+    restrict = restrict_fn;
+    project;
+    table;
+    link;
+    request_link;
+    spec = method_;
+    tail_suppression;
+    prune = (if prune then Some (Differential.Prune_cache.create ()) else None);
+    selectivity;
+    cursor_seq = 0;
+    cursor_lsn = Wal.start_lsn;
+    cursor_lease = None;
+    mutations_at_refresh = 0;
+    next_epoch = 1;
+    history = [];
+  }
+
+let create_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
+    ?(method_ = Auto) ?link ?(tail_suppression = false) ?(prune = true) ?selectivity
+    ?version_strategy ?version_retain () =
+  let s =
+    compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
+      ~tail_suppression ~prune ?selectivity (fun schema ->
+        Snapshot_table.create ?version_strategy ?version_retain ~name ~schema ())
+  in
+  let bst = base_state t base_name in
   (* Change capture must be live before the initial population so that the
      first ideal refresh misses nothing. *)
   let created_capture = method_ = Ideal && bst.capture = None in
   if method_ = Ideal then ignore (ensure_capture t base_name : Change_log.t);
-  let s =
-    {
-      snap_name = name;
-      base_name;
-      restrict_expr = restrict;
-      restrict = restrict_fn;
-      projection;
-      project;
-      table;
-      link;
-      request_link;
-      spec = method_;
-      tail_suppression;
-      prune = (if prune then Some (Differential.Prune_cache.create ()) else None);
-      selectivity;
-      cursor_seq = 0;
-      cursor_lsn = Wal.start_lsn;
-      cursor_lease = None;
-      mutations_at_refresh = 0;
-      next_epoch = 1;
-      history = [];
-    }
-  in
-  (* Initial population is always a full transfer, under the table lock.
-     For a deferred-mode base that may later refresh differentially we also
-     prime the annotations now (one fix-up pass, like R* adding the funny
-     fields at CREATE SNAPSHOT time) so that the first differential refresh
-     does not mistake the whole table for freshly inserted. *)
-  let prime_fixup = Base_table.mode b = Base_table.Deferred
-                    && (method_ = Auto || method_ = Differential) in
+  (* Initial population is always a full transfer (priming a deferred-mode
+     base's annotations), committed like any refresh; its commit starts the
+     log cursor and the churn count "now". *)
   let report =
-    try
-      refresh_with_retries t s
-        ~choose:(fun _ _ -> Used_full)
-        ~prime:prime_fixup ~send_request:false ()
-    with e ->
+    match (run t (base t base_name) [| member ~populate:true s |]).(0) with
+    | Ok r -> r
+    | Error e | (exception e) ->
       (* The populating transfer failed for good: leave no trace.  The
          snapshot was never registered, so no half-populated table with
          stale cursors survives; a capture subscription opened for it is
@@ -1610,21 +1368,15 @@ let create_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
   in
   (* Register only after the populating transfer has succeeded. *)
   Hashtbl.replace t.snapshots (key name) s;
-  (* Cursors start "now": everything up to this point is already in the
-     snapshot. *)
   (match bst.capture with
   | Some (log, _) -> s.cursor_seq <- Change_log.current_seq log
   | None -> ());
-  (match Base_table.wal b with
-  | Some wal -> set_cursor_lsn s (Wal.end_lsn wal)
-  | None -> ());
   sync_cursor_lease t s;
-  s.mutations_at_refresh <- Base_table.mutations b;
   Log.info (fun m ->
       m "created snapshot %s on %s (%s, selectivity %.3f): %d entries shipped"
         name base_name
-        (Expr.to_string restrict)
-        selectivity report.data_messages);
+        (Expr.to_string s.restrict_expr)
+        s.selectivity report.data_messages);
   report
 
 (* Adopt a persisted snapshot replica (a file-backed store written by a
@@ -1636,91 +1388,24 @@ let create_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
 let attach_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
     ?(method_ = Auto) ?link ?(tail_suppression = false) ?(prune = true) ?selectivity
     ?snaptime ?version_strategy ?version_retain pool =
-  if Hashtbl.mem t.snapshots (key name) then raise (Duplicate_name name);
-  let bst = base_state t base_name in
-  let b = bst.base_table in
-  let user_schema = Base_table.user_schema b in
-  (match Typecheck.check_predicate user_schema restrict with
-  | Ok () -> ()
-  | Error e -> raise (Bad_definition (Format.asprintf "%a" Typecheck.pp_error e)));
-  let restrict = Snapdiff_expr.Simplify.simplify restrict in
-  let projection =
-    match projection with
-    | Some cols ->
-      validate_projection user_schema cols;
-      cols
-    | None -> List.map (fun c -> c.Schema.name) (Schema.columns user_schema)
-  in
-  let projected_schema = Schema.project user_schema projection in
-  let idx = Array.of_list (List.map (Schema.index_of_exn user_schema) projection) in
-  let identity = Array.length idx = Schema.arity user_schema
-                 && Array.for_all2 ( = ) idx (Array.init (Array.length idx) Fun.id) in
-  let project = if identity then Fun.id else fun tuple -> Tuple.project_idx tuple idx in
-  let restrict_fn = Eval.compile user_schema restrict in
-  (match method_ with
-  | Ideal ->
+  if method_ = Ideal then
     (* Change capture installed now would have missed everything between
        the persisted snaptime and this attach. *)
-    raise (Bad_definition "cannot attach a persisted snapshot with the ideal method")
-  | Log_based when Base_table.wal b = None ->
-    raise (Bad_definition "log-based refresh requires a WAL on the base table")
-  | _ -> ());
+    raise (Bad_definition "cannot attach a persisted snapshot with the ideal method");
   (* May raise Corrupt_snapshot: nothing has been registered yet. *)
-  let table =
-    Snapshot_table.on_pool ?snaptime ?version_strategy ?version_retain ~name
-      ~schema:projected_schema pool
-  in
-  let link =
-    match link with
-    | Some l -> l
-    | None -> Link.create ~name:(Printf.sprintf "%s->%s" base_name name) ()
-  in
-  let request_link = Link.create ~name:(Printf.sprintf "%s->%s" name base_name) () in
-  Link.attach request_link (fun (_ : bytes) -> ());
-  Link.attach link (Snapshot_table.apply_bytes table);
-  Link.send request_link
-    (Refresh_msg.encode
-       (Refresh_msg.Register { restrict = Expr.to_string restrict; projection }));
-  let selectivity =
-    match selectivity with
-    | Some q -> Float.max 0.0 (Float.min 1.0 q)
-    | None -> measure_selectivity t b ~restrict_expr:restrict restrict_fn
-  in
   let s =
-    {
-      snap_name = name;
-      base_name;
-      restrict_expr = restrict;
-      restrict = restrict_fn;
-      projection;
-      project;
-      table;
-      link;
-      request_link;
-      spec = method_;
-      tail_suppression;
-      prune = (if prune then Some (Differential.Prune_cache.create ()) else None);
-      selectivity;
-      cursor_seq = 0;
-      cursor_lsn = Wal.start_lsn;
-      cursor_lease = None;
-      mutations_at_refresh = 0;
-      next_epoch = 1;
-      history = [];
-    }
+    compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
+      ~tail_suppression ~prune ?selectivity (fun schema ->
+        Snapshot_table.on_pool ?snaptime ?version_strategy ?version_retain ~name ~schema pool)
   in
   Hashtbl.replace t.snapshots (key name) s;
   sync_cursor_lease t s;
   Log.info (fun m ->
       m "attached persisted snapshot %s on %s (snaptime %d, %d entries)" name base_name
-        (Snapshot_table.snaptime table) (Snapshot_table.count table))
+        (Snapshot_table.snaptime s.table) (Snapshot_table.count s.table))
 
 let drop_snapshot t name =
-  let s =
-    match Hashtbl.find_opt t.snapshots (key name) with
-    | Some s -> s
-    | None -> raise (Unknown_snapshot name)
-  in
+  let s = snapshot t name in
   Hashtbl.remove t.snapshots (key name);
   release_cursor_lease s;
   let bst = base_state t s.base_name in
@@ -1732,18 +1417,9 @@ let drop_snapshot t name =
        Change_log grows without bound (nothing would ever truncate it
        again); with Ideal snapshots remaining, reclaim up to the slowest
        surviving cursor in case the dropped one was the laggard. *)
-    let remaining_ideal =
-      Hashtbl.fold
-        (fun _ other acc ->
-          if key other.base_name = key s.base_name && other.spec = Ideal then other :: acc
-          else acc)
-        t.snapshots []
-    in
-    match remaining_ideal with
-    | [] -> drop_capture t s.base_name
-    | rest ->
-      let min_cursor = List.fold_left (fun acc o -> min acc o.cursor_seq) max_int rest in
-      Change_log.truncate_below log min_cursor)
+    match min_ideal_cursor t s.base_name with
+    | floor when floor = max_int -> drop_capture t s.base_name
+    | floor -> Change_log.truncate_below log floor)
 
 (* --- Scheduler hooks ------------------------------------------------------ *)
 
@@ -1757,10 +1433,8 @@ let report_history ?limit t name =
 
 let set_method t name spec =
   let s = snapshot t name in
-  let b = base t s.base_name in
+  check_log_based (base t s.base_name) spec;
   (match spec with
-  | Log_based when Base_table.wal b = None ->
-    raise (Bad_definition "log-based refresh requires a WAL on the base table")
   | Ideal when s.spec <> Ideal ->
     (* Capture installed now would have missed every change since the last
        refresh, so the first ideal stream would silently lose them. *)
@@ -1768,11 +1442,3 @@ let set_method t name spec =
   | _ -> ());
   s.spec <- spec;
   sync_cursor_lease t s
-
-let mutations_since_refresh t name =
-  let s = snapshot t name in
-  max 0 (Base_table.mutations (base t s.base_name) - s.mutations_at_refresh)
-
-let observed_update_fraction t name =
-  let s = snapshot t name in
-  observed_update_fraction (base t s.base_name) s

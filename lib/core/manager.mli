@@ -66,8 +66,8 @@ type refresh_report = {
       (** page-range chunks the chunked concurrent scan was split into;
           0 = the monolithic whole-scan-lock path ran *)
   catchup_records : int;
-      (** net-changed addresses the catch-up phase replayed from the WAL
-          tail (each became one Upsert/Remove on this stream) *)
+      (** addresses changed since scan start that the catch-up phase
+          replayed from the WAL tail (each one Upsert/Remove here) *)
   max_lock_hold_us : float;
       (** longest single lock-hold window — a chunk's page locks or the
           catch-up's table-S — the measure the chunked protocol bounds;
@@ -347,12 +347,12 @@ val report_history : ?limit:int -> t -> string -> refresh_report list
     further.  Raises {!Unknown_snapshot}. *)
 
 val set_method : t -> string -> method_spec -> unit
-(** Re-route a snapshot's refresh method; takes effect from the next
-    refresh.  Raises {!Bad_definition} for [Log_based] without a WAL, or
-    for switching to [Ideal] after creation (change capture installed now
-    would have missed everything since the last refresh).  A committed
-    refresh of any method advances the snapshot's log cursor, so a later
-    switch to [Log_based] replays only the genuine WAL tail. *)
+(** Re-route a snapshot's method from the next refresh.  Raises
+    {!Bad_definition} for [Log_based] without a WAL, or for [Ideal] after
+    creation (capture installed now would miss everything since the last
+    refresh).  Any committed refresh advances the log cursor, so [Log_based]
+    replays only the genuine tail; on a deferred-mode base the first
+    differential refresh after a log-based or ideal one runs full. *)
 
 val mutations_since_refresh : t -> string -> int
 (** Base-table operations observed since the snapshot's last committed

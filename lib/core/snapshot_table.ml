@@ -282,16 +282,11 @@ let subscribe t f = t.observers <- t.observers @ [ f ]
 let notify t msg = List.iter (fun f -> f msg) t.observers
 
 let rec apply t (msg : Refresh_msg.t) =
+  (* Unbatch before notifying: observers (cascades, message meters) see
+     the logical stream, never the transport coalescing. *)
+  (match msg with Batch _ -> () | _ -> notify t msg);
   match msg with
-  | Refresh_msg.Batch ms ->
-    (* Unbatch before notifying: observers (cascades, message meters) see
-       the logical stream, never the transport coalescing. *)
-    List.iter (apply t) ms
-  | _ -> apply_single t msg
-
-and apply_single t (msg : Refresh_msg.t) =
-  notify t msg;
-  match msg with
+  | Batch ms -> List.iter (apply t) ms
   | Entry { addr; prev_qual; values } ->
     (* Everything strictly between the previous qualified entry and this
        one is gone from the base table's qualified set. *)
@@ -307,9 +302,6 @@ and apply_single t (msg : Refresh_msg.t) =
     (* Control messages flow the other way (snapshot -> base); receiving
        one here is harmless and means a loopback link. *)
     ()
-  | Batch ms ->
-    (* Unreachable via [apply], which unbatches first. *)
-    List.iter (apply t) ms
 
 (* ------------------------------------------------------------------ *)
 (* Atomic application of framed streams. *)

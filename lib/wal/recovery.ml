@@ -51,7 +51,7 @@ type scan_stats = {
   relevant : int;
 }
 
-let net_changes log ~table ~since =
+let net_changes ?(keep_unchanged = false) log ~table ~since =
   (* [since] may predate [oldest_retained] once the log has been truncated
      (or exceed [end_lsn] on a stale caller); clamp to the range that is
      actually scannable so iteration succeeds and [bytes_scanned] reports
@@ -90,7 +90,7 @@ let net_changes log ~table ~since =
           | Some b, Some a -> Tuple.equal b a
           | _ -> false
         in
-        if unchanged then acc else (addr, st) :: acc)
+        if unchanged && not keep_unchanged then acc else (addr, st) :: acc)
       states []
   in
   let sorted = List.sort (fun (a, _) (b, _) -> Addr.compare a b) out in

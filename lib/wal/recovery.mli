@@ -36,10 +36,13 @@ type scan_stats = {
 }
 
 val net_changes :
+  ?keep_unchanged:bool ->
   Wal.t -> table:string -> since:Wal.lsn -> (Addr.t * net) list * scan_stats
 (** Net committed effect per address, in address order.  Addresses whose
     before and after states are equal (including inserted-then-deleted
-    inside the window) are omitted.  Uncommitted and aborted transactions
+    inside the window) are omitted, unless [keep_unchanged] (default
+    [false]) asks for every address the window touched — a reader that
+    may have seen an intermediate state needs those too.  Uncommitted and aborted transactions
     are excluded (a commit record must appear in the log).  The before
     value is what lets a refresh method decide whether a deleted or
     updated entry *used to* qualify for a snapshot.  A [since] older than

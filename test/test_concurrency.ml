@@ -379,6 +379,125 @@ let prop_chunked_refresh_faithful =
       && (not grouped || faithful m "s2" base threshold2)
       && Lock.lock_count (Txn.lock_table (Manager.txn_manager m)) = 0)
 
+(* Property: the same, over many refreshes.  A row inserted behind the
+   cursor reaches the snapshot through the catch-up overlay; unless the
+   refresh also puts it in the PrevAddr chain, deleting it before the next
+   differential refresh leaves no anomaly and the row stays in the
+   snapshot.  And a row the scan shipped ahead of the cursor, then deleted
+   behind it, nets out to nothing in the log, yet the snapshot holds it.
+   Each round routes every snapshot Full or Differential and refreshes
+   them solo or through [refresh_all] while updaters run at the chunk
+   boundaries; then, with no updater running, it deletes some of the rows
+   the updaters inserted and refreshes every snapshot differentially.  A
+   solo refresh's updaters may change rows after a sibling committed, so
+   only that last, quiescent refresh is checked against the base. *)
+type chunk_round = {
+  cr_methods : Manager.method_spec list;  (* one per snapshot *)
+  cr_all : bool;
+  cr_batches : yop list list;  (* one batch per chunk boundary *)
+  cr_drop : int list;  (* victims among the rows updaters inserted, newest first *)
+}
+
+let chunk_round_gen nsnaps =
+  Gen.map4
+    (fun cr_methods cr_all cr_batches cr_drop -> { cr_methods; cr_all; cr_batches; cr_drop })
+    (Gen.list_repeat nsnaps (Gen.oneofl [ Manager.Full; Manager.Differential ]))
+    Gen.bool
+    (Gen.list_size (Gen.int_range 0 8)
+       (Gen.list_size (Gen.int_range 0 2)
+          (Gen.frequency [ (3, Gen.map (fun s -> (`Ins s : yop)) (Gen.int_range 0 19)); (2, yop_gen) ])))
+    (Gen.list_size (Gen.int_range 0 3) (Gen.int_range 0 3))
+
+let print_chunk_rounds rounds =
+  String.concat " / "
+    (List.map
+       (fun r ->
+         Printf.sprintf "%s%s {%s} drop[%s]"
+           (String.concat ","
+              (List.map (function Manager.Full -> "F" | _ -> "D") r.cr_methods))
+           (if r.cr_all then " all" else "")
+           (print_yops r.cr_batches)
+           (String.concat "," (List.map string_of_int r.cr_drop)))
+       rounds)
+
+let prop_chunked_rounds_keep_deletes =
+  QCheck2.Test.make ~name:"chunked refreshes over rounds miss no delete" ~count:100
+    ~print:(fun ((deferred, nsnaps, chunk), (threshold, rounds)) ->
+      Printf.sprintf "deferred=%b nsnaps=%d chunk=%d threshold=%d %s" deferred nsnaps chunk
+        threshold (print_chunk_rounds rounds))
+    Gen.(
+      triple bool (int_range 1 2) (int_range 2 8) >>= fun (deferred, nsnaps, chunk) ->
+      pair
+        (pure (deferred, nsnaps, chunk))
+        (pair (int_range 1 20) (list_repeat 10 (chunk_round_gen nsnaps))))
+    (fun ((deferred, nsnaps, chunk), (threshold, rounds)) ->
+      let mode = if deferred then Base_table.Deferred else Base_table.Eager in
+      let m, base, _wal = setup ~mode ~chunk_entries:chunk ~threshold ~n:30 () in
+      let snaps = List.init nsnaps (fun i -> if i = 0 then ("s", threshold) else ("s2", 21 - threshold)) in
+      let names = List.map fst snaps in
+      if nsnaps = 2 then
+        ignore
+          (Manager.create_snapshot m ~name:"s2" ~base:"emp"
+             ~restrict:Expr.(col "salary" <. int (21 - threshold))
+             ~method_:Manager.Differential ()
+            : Manager.refresh_report);
+      let inserted = ref [] in  (* newest first *)
+      let remaining = ref [] in
+      Manager.set_chunk_hook m
+        (Some
+           (fun () ->
+             match !remaining with
+             | [] -> ()
+             | ops :: rest ->
+               remaining := rest;
+               List.iter
+                 (function
+                   | `Ins s ->
+                     let txn = Txn.begin_txn (Manager.txn_manager m) in
+                     (match Txn.try_lock txn (Base_table.lock_resource base) Lock.IX with
+                     | `Granted -> inserted := Base_table.insert base (emp "y" s) :: !inserted
+                     | _ -> ());
+                     ignore (Txn.commit txn : int list)
+                   | op -> apply_yop m base op)
+                 ops));
+      let refresh round all =
+        if all then
+          List.iter
+            (fun (name, res) ->
+              match res with
+              | Ok (_ : Manager.refresh_report) -> ()
+              | Error e ->
+                QCheck2.Test.fail_reportf "round %d: %s: %s" round name (Printexc.to_string e))
+            (Manager.refresh_all m)
+        else List.iter (fun name -> ignore (Manager.refresh m name : Manager.refresh_report)) names
+      in
+      List.iteri
+        (fun round r ->
+          List.iter2 (Manager.set_method m) names r.cr_methods;
+          remaining := r.cr_batches;
+          refresh round r.cr_all;
+          remaining := [];
+          inserted := List.filter (fun a -> Base_table.get base a <> None) !inserted;
+          List.iter
+            (fun i ->
+              match List.nth_opt !inserted i with
+              | Some addr when Base_table.get base addr <> None -> Base_table.delete base addr
+              | _ -> ())
+            r.cr_drop;
+          List.iter (fun name -> Manager.set_method m name Manager.Differential) names;
+          refresh round r.cr_all;
+          List.iter
+            (fun (name, th) ->
+              if not (faithful m name base th) then
+                QCheck2.Test.fail_reportf "round %d: %s differs from its base restriction" round
+                  name)
+            snaps;
+          if Lock.lock_count (Txn.lock_table (Manager.txn_manager m)) <> 0 then
+            QCheck2.Test.fail_reportf "round %d: lock table not drained" round)
+        rounds;
+      Manager.set_chunk_hook m None;
+      true)
+
 let suite =
   [
     Alcotest.test_case "chunked deferred: updaters interleave" `Quick
@@ -393,4 +512,5 @@ let suite =
     Alcotest.test_case "quiescent chunked stream byte-identical" `Quick
       test_quiescent_chunked_stream_byte_identical;
     QCheck_alcotest.to_alcotest prop_chunked_refresh_faithful;
+    QCheck_alcotest.to_alcotest prop_chunked_rounds_keep_deletes;
   ]

@@ -105,13 +105,13 @@ let faithful_via_manager ~mode ~method_ (script, threshold) =
   check_faithful "final";
   true
 
+let op_str = function
+  | Ins s -> Printf.sprintf "Ins %d" s
+  | Upd (i, s) -> Printf.sprintf "Upd(%d,%d)" i s
+  | Del i -> Printf.sprintf "Del %d" i
+  | Refresh -> "Refresh"
+
 let print_scenario (script, threshold) =
-  let op_str = function
-    | Ins s -> Printf.sprintf "Ins %d" s
-    | Upd (i, s) -> Printf.sprintf "Upd(%d,%d)" i s
-    | Del i -> Printf.sprintf "Del %d" i
-    | Refresh -> "Refresh"
-  in
   Printf.sprintf "threshold=%d script=[%s]" threshold
     (String.concat "; " (List.map op_str script))
 
@@ -1158,6 +1158,141 @@ let prop_group_fault_isolation =
       check "final";
       true)
 
+(* Regression: method switches on a deferred-mode base.  The fleet
+   scheduler (or [Manager.set_method]) may route a snapshot to the full
+   method and later back to differential.  A full refresh ships rows whose
+   annotations are still NULL (inserted since the last fix-up); unless it
+   primes the annotations, such a row stays out of the PrevAddr chain and
+   its later delete leaves no anomaly for the differential scan to find,
+   so the deleted row survives in the snapshot.  Priming used to depend on
+   the snapshot being [Auto]; it must depend on the base mode and the
+   method only.  A log-based refresh ships such rows too, so the
+   differential refresh after one must not trust the chain either.  One
+   or two snapshots, refreshed solo or through [refresh_all], monolithic
+   or chunked, each routed Full, Differential or Log_based at random
+   before every refresh. *)
+type switch_round = {
+  sw_ops : op list;
+  sw_methods : Manager.method_spec list;  (* one per snapshot *)
+  sw_all : bool;  (* refresh through refresh_all instead of one by one *)
+}
+
+let switch_gen =
+  let round nsnaps =
+    Gen.map3
+      (fun sw_ops sw_methods sw_all -> { sw_ops; sw_methods; sw_all })
+      (Gen.list_size (Gen.int_range 1 6)
+         (Gen.frequency
+            [
+              (4, Gen.map (fun s -> Ins s) (Gen.int_range 0 19));
+              (2, Gen.map2 (fun i s -> Upd (i, s)) (Gen.int_range 0 1000) (Gen.int_range 0 19));
+              (2, Gen.map (fun i -> Del i) (Gen.int_range 0 1000));
+              (* A negative victim counts back through the inserted rows,
+                 newest first: recent inserts are the rows a skipped
+                 priming pass leaves out of the chain. *)
+              (3, Gen.map (fun i -> Del (-i)) (Gen.int_range 1 3));
+            ]))
+      (Gen.list_repeat nsnaps
+         (Gen.frequencyl
+            [ (3, Manager.Full); (3, Manager.Differential); (2, Manager.Log_based) ]))
+      Gen.bool
+  in
+  Gen.(
+    pair (int_range 1 2) bool >>= fun (nsnaps, chunked) ->
+    pair (pure (nsnaps, chunked)) (pair (int_range 6 20) (list_repeat 30 (round nsnaps))))
+
+let print_switch ((nsnaps, chunked), (threshold, rounds)) =
+  Printf.sprintf "nsnaps=%d chunked=%b threshold=%d rounds=[%s]" nsnaps chunked threshold
+    (String.concat "; "
+       (List.map
+          (fun r ->
+            Printf.sprintf "{%s | %s%s}"
+              (String.concat "," (List.map op_str r.sw_ops))
+              (String.concat ","
+                 (List.map
+                    (function
+                      | Manager.Full -> "F"
+                      | Manager.Log_based -> "L"
+                      | _ -> "D")
+                    r.sw_methods))
+              (if r.sw_all then " all" else ""))
+          rounds))
+
+let prop_method_switch_keeps_deletes =
+  QCheck2.Test.make ~name:"method switches on a deferred base miss no delete"
+    ~count:150 ~print:print_switch switch_gen
+    (fun ((nsnaps, chunked), (threshold, rounds)) ->
+      let clock = Clock.create () in
+      let base =
+        Base_table.create ~mode:Base_table.Deferred ~page_size:256
+          ~wal:(Snapdiff_wal.Wal.create ()) ~name:"emp" ~clock emp_schema
+      in
+      let m = Manager.create ~chunk_entries:(if chunked then 4 else max_int) () in
+      Manager.register_base m base;
+      for i = 0 to 7 do
+        ignore (Base_table.insert base (emp (Printf.sprintf "seed%d" i) (i * 3 mod 20)) : Addr.t)
+      done;
+      let names = List.init nsnaps (Printf.sprintf "s%d") in
+      List.iteri
+        (fun i name ->
+          ignore
+            (Manager.create_snapshot m ~name ~base:"emp"
+               ~restrict:Expr.(col "salary" <. int ((threshold + (i * 7)) mod 21))
+               ~method_:Manager.Differential ()
+              : Manager.refresh_report))
+        names;
+      let n = ref 0 in
+      let inserted = ref [] in  (* newest first *)
+      List.iteri
+        (fun round r ->
+          List.iter
+            (fun op ->
+              incr n;
+              match op with
+              | Ins s ->
+                inserted := Base_table.insert base (emp (Printf.sprintf "x%d" !n) s) :: !inserted
+              | Upd (i, s) -> (
+                match pick_live base i with
+                | Some addr -> Base_table.update base addr (emp (Printf.sprintf "u%d" !n) s)
+                | None -> ())
+              | Del i -> (
+                let victim =
+                  if i >= 0 then pick_live base i
+                  else begin
+                    inserted := List.filter (fun a -> Base_table.get base a <> None) !inserted;
+                    List.nth_opt !inserted (-i - 1)
+                  end
+                in
+                match victim with
+                | Some addr -> Base_table.delete base addr
+                | None -> ())
+              | Refresh -> ())
+            r.sw_ops;
+          List.iter2 (Manager.set_method m) names r.sw_methods;
+          if r.sw_all then
+            List.iter
+              (fun (name, res) ->
+                match res with
+                | Ok (_ : Manager.refresh_report) -> ()
+                | Error e -> fail_report (name ^ ": " ^ Printexc.to_string e))
+              (Manager.refresh_all m)
+          else
+            List.iter (fun name -> ignore (Manager.refresh m name : Manager.refresh_report)) names;
+          List.iteri
+            (fun i name ->
+              let th = (threshold + (i * 7)) mod 21 in
+              let want =
+                List.filter (fun (_, u) -> salary u < th) (Base_table.to_user_list base)
+              in
+              if Snapshot_table.contents (Manager.snapshot_table m name) <> want then
+                fail_report
+                  (Printf.sprintf "round %d: %s has %d entries, base view has %d" round name
+                     (List.length (Snapshot_table.contents (Manager.snapshot_table m name)))
+                     (List.length want)))
+            names)
+        rounds;
+      true)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1182,6 +1317,7 @@ let suite =
       prop_group_solo_byte_identity;
       prop_group_prune_isolation;
       prop_group_fault_isolation;
+      prop_method_switch_keeps_deletes;
     ]
   @ [ Alcotest.test_case "prune: reused-slot delete not hidden" `Quick
         test_prune_insert_reuse_delete ]
