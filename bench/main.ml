@@ -38,17 +38,6 @@ let json_path =
   in
   find (Array.to_list Sys.argv)
 
-(* Caps the parallel section's domain sweep (CI smoke runs at 2 so the
-   single-core runner is not asked to time an 8-way fan-out). *)
-let domains_cap =
-  let rec find = function
-    | "--domains" :: d :: _ -> (
-      match int_of_string_opt d with Some v when v >= 1 -> v | _ -> 8)
-    | _ :: tl -> find tl
-    | [] -> 8
-  in
-  find (Array.to_list Sys.argv)
-
 (* Set when a section detects an invariant violation (the group section's
    monotonic check); the process then exits nonzero so CI fails. *)
 let violations : string list ref = ref []
@@ -65,19 +54,25 @@ type json_record = {
   jr_entries_scanned : int;
   jr_messages : int;
   jr_bytes : int;
-  mutable jr_wall_ns : float;  (* stamped with the section's wall time *)
+  jr_wall_ns : float;
+      (* wall time since the section's previous row (or its start); the
+         section-total row carries the whole section's *)
 }
 
 let json_records : json_record list ref = ref []
 let current_section = ref "-"
+let last_stamp = ref 0.0  (* when the section's previous row was emitted *)
 
 let emit ?(params = []) ?(entries_scanned = 0) ?(messages = 0) ?(bytes = 0) () =
-  if json_mode then
+  if json_mode then begin
+    let now = Unix.gettimeofday () in
     json_records :=
       { jr_section = !current_section; jr_params = params;
         jr_entries_scanned = entries_scanned; jr_messages = messages;
-        jr_bytes = bytes; jr_wall_ns = 0.0 }
-      :: !json_records
+        jr_bytes = bytes; jr_wall_ns = (now -. !last_stamp) *. 1e9 }
+      :: !json_records;
+    last_stamp := now
+  end
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -1121,158 +1116,6 @@ let concurrency () =
     \ chunked updaters take real IX/X locks against the scan's lock table)"
 
 (* ------------------------------------------------------------------ *)
-(* Parallel refresh: the domain-partitioned speculative scan and the
-   zero-copy decode arena.
-
-   The sweep rebuilds an identically-seeded world per domain count, so
-   every run refreshes the same byte image and the only variable is the
-   scan configuration; throughput is the report's entries_scanned over
-   the measured refresh wall time.  The >= 4x acceptance bar is only
-   checked where it is observable -- full size, with at least 8 hardware
-   threads and the sweep allowed to reach 8 domains.  The arena ablation
-   holds domains = 1 and toggles only the decode path, so the allocation
-   delta (GC minor words per scanned entry) is attributable to the arena
-   alone.  Result fidelity: the top-domain snapshot image is compared
-   against the single-domain one (stream-level byte identity is pinned
-   by the qcheck suite; here we assert the committed images agree). *)
-
-let parallel () =
-  let module Manager = Snapdiff_core.Manager in
-  let module Base_table = Snapdiff_core.Base_table in
-  let module Snapshot_table = Snapdiff_core.Snapshot_table in
-  let module W = Snapdiff_workload.Workload in
-  let module Par = Snapdiff_par.Par in
-  header "Parallel refresh: domain sweep + zero-copy decode arena ablation";
-  let n = if quick then 4_000 else 1_000_000 in
-  (* The pool holds the whole table, so the sweep measures decode
-     bandwidth rather than store faulting. *)
-  let frames = (n / 8) + 256 in
-  let build ~domains ?arena () =
-    let clock = Snapdiff_txn.Clock.create () in
-    let wal = Snapdiff_wal.Wal.create () in
-    let base = W.make_base ~wal ~page_size:4096 ~frames ~clock () in
-    let rng = Snapdiff_util.Rng.create 23 in
-    W.populate base ~rng ~n;
-    let m = Manager.create ~domains ?arena () in
-    Manager.register_base m base;
-    ignore
-      (Manager.create_snapshot m ~name:"p" ~base:(Base_table.name base)
-         ~restrict:(W.restrict_fraction 0.25) ~method_:Manager.Differential ()
-        : Manager.refresh_report);
-    (* 5% random payload churn dirties essentially every page (at ~60
-       entries per 4 KiB page the chance a page stays clean is under
-       5%), so the measured refresh decodes the whole table. *)
-    ignore (W.update_fraction base ~rng ~u:0.05 ~mix:W.payload_updates_only : int);
-    m
-  in
-  let measure m =
-    let w0 = Gc.minor_words () in
-    let p0 = Metrics.counter_value Metrics.global "refresh.parallel_pages" in
-    let t0 = Unix.gettimeofday () in
-    let r = Manager.refresh m "p" in
-    let dur = Unix.gettimeofday () -. t0 in
-    let words = Gc.minor_words () -. w0 in
-    let ppages = Metrics.counter_value Metrics.global "refresh.parallel_pages" - p0 in
-    (r, dur, words, ppages)
-  in
-  (* 1. The domain sweep. *)
-  let counts = List.filter (fun d -> d <= domains_cap) [ 1; 2; 4; 8 ] in
-  let t =
-    Text_table.create
-      [ ("domains", Text_table.Right); ("refresh ms", Text_table.Right);
-        ("Mentries/s", Text_table.Right); ("speedup", Text_table.Right);
-        ("par pages", Text_table.Right) ]
-  in
-  let base_dur = ref 0.0 in
-  let top_speedup = ref 1.0 in
-  let top_domains = ref 1 in
-  List.iter
-    (fun d ->
-      let m = build ~domains:d () in
-      let r, dur, _, ppages = measure m in
-      if d = 1 then base_dur := dur;
-      let speedup = !base_dur /. Float.max 1e-9 dur in
-      if d >= !top_domains then begin
-        top_domains := d;
-        top_speedup := speedup
-      end;
-      let eps = float_of_int r.Manager.entries_scanned /. Float.max 1e-9 dur in
-      Text_table.add_row t
-        [ string_of_int d; Printf.sprintf "%.1f" (dur *. 1e3);
-          Printf.sprintf "%.2f" (eps /. 1e6); Printf.sprintf "%.2fx" speedup;
-          string_of_int ppages ];
-      emit
-        ~params:
-          [ ("experiment", "domain_sweep"); ("n", string_of_int n);
-            ("domains", string_of_int d); ("available", string_of_int (Par.available ()));
-            ("refresh_ms", Printf.sprintf "%.2f" (dur *. 1e3));
-            ("entries_per_sec", Printf.sprintf "%.0f" eps);
-            ("speedup", Printf.sprintf "%.2f" speedup);
-            ("parallel_pages", string_of_int ppages) ]
-        ~entries_scanned:r.Manager.entries_scanned ~messages:r.Manager.data_messages ())
-    counts;
-  Text_table.print t;
-  if (not quick) && Par.available () >= 8 && !top_domains >= 8 && !top_speedup < 4.0
-  then
-    violations :=
-      Printf.sprintf "parallel: %.2fx speedup at %d domains < 4x" !top_speedup
-        !top_domains
-      :: !violations;
-  (* 2. The decode-arena ablation at domains = 1: same sequential merge
-     order, only the per-entry decode allocation changes. *)
-  let ablate arena =
-    let m = build ~domains:1 ~arena () in
-    let r, dur, words, _ = measure m in
-    (r, dur, words /. float_of_int (max 1 r.Manager.entries_scanned))
-  in
-  let _, plain_dur, plain_wpe = ablate false in
-  let _, arena_dur, arena_wpe = ablate true in
-  Printf.printf
-    "\ndecode arena (domains=1): %.1f -> %.1f minor words/entry (%.1f ms -> %.1f ms)\n"
-    plain_wpe arena_wpe (plain_dur *. 1e3) (arena_dur *. 1e3);
-  emit
-    ~params:
-      [ ("experiment", "arena_ablation"); ("n", string_of_int n);
-        ("plain_words_per_entry", Printf.sprintf "%.2f" plain_wpe);
-        ("arena_words_per_entry", Printf.sprintf "%.2f" arena_wpe);
-        ("plain_ms", Printf.sprintf "%.2f" (plain_dur *. 1e3));
-        ("arena_ms", Printf.sprintf "%.2f" (arena_dur *. 1e3)) ]
-    ~entries_scanned:n ();
-  if (not quick) && arena_wpe >= plain_wpe then
-    violations :=
-      Printf.sprintf
-        "parallel: arena decode allocates %.1f words/entry >= plain %.1f" arena_wpe
-        plain_wpe
-      :: !violations;
-  (* 3. Fidelity: the top-domain committed image equals the sequential
-     one.  Both worlds were built from the same seeds, so any divergence
-     is the parallel scan's fault. *)
-  let image domains =
-    let m = build ~domains () in
-    ignore (Manager.refresh m "p" : Manager.refresh_report);
-    let st = Manager.snapshot_table m "p" in
-    (Snapshot_table.contents st, Snapshot_table.validate st)
-  in
-  let seq_img, seq_ok = image 1 in
-  let par_img, par_ok = image (List.fold_left max 1 counts) in
-  let faithful = seq_img = par_img && seq_ok = Ok () && par_ok = Ok () in
-  if not faithful then
-    violations :=
-      "parallel: multi-domain snapshot image diverged from sequential"
-      :: !violations;
-  emit
-    ~params:
-      [ ("experiment", "fidelity"); ("domains", string_of_int (List.fold_left max 1 counts));
-        ("faithful", string_of_bool faithful) ]
-    ~entries_scanned:(List.length seq_img) ();
-  print_endline
-    "(each sweep point rebuilds an identically-seeded world, so the speedup\n\
-    \ column is decode-bandwidth scaling on the same byte image; the merger\n\
-    \ emits in strict address order, so subscriber streams are byte-identical\n\
-    \ to the sequential scan -- the qcheck suite pins that per batch/prune/\n\
-    \ maintenance mode, and the fidelity row re-checks the committed image)"
-
-(* ------------------------------------------------------------------ *)
 (* Real durability: file-backed WAL group commit, recovery replay time,
    and the asynchronous fuzzy checkpoint. *)
 
@@ -1856,8 +1699,6 @@ let sections : (string * string * (unit -> unit)) list =
     ("group", "group refresh - one scan for N snapshots vs N solo scans", group);
     ("concurrency", "chunked refresh - updater stall p95 vs the monolithic lock",
      concurrency);
-    ("parallel", "multicore  - domain-partitioned scan sweep + decode-arena ablation",
-     parallel);
     ("obs", "observability - tracing overhead, disabled vs enabled", obs);
     ("wal", "durability - group-commit sweep, recovery replay, fuzzy checkpoint",
      wal_bench);
@@ -1878,27 +1719,16 @@ let usage () =
   print_endline "  --quick           shrink the base tables for a fast smoke run";
   print_endline "  --json            also write every table row to the JSON log";
   print_endline "  --json-file FILE  JSON log path (default: BENCH_refresh.json)";
-  print_endline
-    "  --domains N       cap the parallel section's domain sweep (default: 8)";
   print_endline "  --trace FILE      stream engine spans/events to FILE as JSON lines";
   print_endline "  --help            print this text"
 
 let run_section (name, _desc, fn) =
   current_section := name;
-  let before = !json_records in
   let t0 = Unix.gettimeofday () in
+  last_stamp := t0;
   fn ();
-  let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-  emit ~params:[ ("kind", "section-total") ] ();
-  let rec stamp l =
-    if l != before then
-      match l with
-      | r :: tl ->
-        r.jr_wall_ns <- wall_ns;
-        stamp tl
-      | [] -> ()
-  in
-  stamp !json_records
+  last_stamp := t0;  (* the total row spans the whole section *)
+  emit ~params:[ ("kind", "section-total") ] ()
 
 let () =
   if want_help then (usage (); exit 0);
@@ -1908,7 +1738,6 @@ let () =
     let rec strip = function
       | "--trace" :: _ :: tl -> strip tl
       | "--json-file" :: _ :: tl -> strip tl
-      | "--domains" :: _ :: tl -> strip tl
       | a :: tl when String.length a > 0 && a.[0] = '-' -> strip tl
       | a :: tl -> a :: strip tl
       | [] -> []

@@ -235,8 +235,8 @@ let stats_cmd verbose trace json n rounds u =
    [--chunk-entries N] turns on the chunked concurrent protocol: the
    scan runs under a table intention lock as lock-coupled page chunks
    of roughly N entries, with a WAL-tail catch-up phase at the end. *)
-let refresh_cmd verbose trace json all names n rounds u chunk_entries domains
-    version_strategy version_retain wal_file =
+let refresh_cmd verbose trace json all names n rounds u chunk_entries version_strategy
+    version_retain wal_file =
   setup_logs verbose trace;
   let module Workload = Snapdiff_workload.Workload in
   let module Manager = Snapdiff_core.Manager in
@@ -256,8 +256,8 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries domains
   let base = Workload.make_base ~wal ~clock () in
   Workload.populate base ~rng ~n;
   let m = match chunk_entries with
-    | Some c -> Manager.create ~chunk_entries:c ~domains ()
-    | None -> Manager.create ~domains ()
+    | Some c -> Manager.create ~chunk_entries:c ()
+    | None -> Manager.create ()
   in
   Manager.register_base m base;
   let version_strategy =
@@ -743,17 +743,6 @@ let refresh_t =
              phase restoring transaction consistency.  Default: the \
              monolithic whole-scan table lock.")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"D"
-          ~doc:
-            "Decode refresh scans with $(docv) domains: workers pre-decode \
-             page waves in parallel while the coordinator merges them in \
-             strict address order, so the transmitted streams are \
-             byte-identical to the sequential scan's.  Default: 1 \
-             (sequential).")
-  in
   let wal_file =
     Arg.(
       value
@@ -788,7 +777,7 @@ let refresh_t =
   in
   Term.(
     const refresh_cmd $ verbose_t $ trace_t $ json $ all $ names $ n $ rounds $ u
-    $ chunk_entries $ domains $ version_strategy $ version_retain $ wal_file)
+    $ chunk_entries $ version_strategy $ version_retain $ wal_file)
 
 let vacuum_t =
   let json =

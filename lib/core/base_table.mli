@@ -175,8 +175,8 @@ val iter_page_stored : t -> page:int -> (Addr.t -> Tuple.t -> unit) -> unit
 val iter_page_stored_arena :
   t -> arena:Decode_arena.t -> page:int -> (Addr.t -> Tuple.t -> unit) -> unit
 (** {!iter_page_stored} through a reused {!Decode_arena} — same sequence,
-    near-zero allocation (see {!Heap.iter_page_arena}).  The parallel
-    scan gives each worker domain its own arena. *)
+    near-zero allocation (see {!Heap.iter_page_arena}).  Each
+    differential scan cursor owns its own arena. *)
 
 val set_stored : t -> Addr.t -> Tuple.t -> unit
 (** Raw annotated-tuple write: used by the fix-up pass to restore

@@ -10,8 +10,6 @@ let m_fixup_writes = Metrics.counter Metrics.global "refresh.fixup_writes"
 let m_group_scans = Metrics.counter Metrics.global "refresh.group_scans"
 let m_group_subscribers = Metrics.counter Metrics.global "refresh.group_subscribers"
 let m_group_decodes_saved = Metrics.counter Metrics.global "refresh.group_decodes_saved"
-let m_parallel_scans = Metrics.counter Metrics.global "refresh.parallel_scans"
-let m_parallel_pages = Metrics.counter Metrics.global "refresh.parallel_pages"
 
 module Prune_cache = struct
   type entry = { token : int; page_last_qual : Addr.t option }
@@ -22,13 +20,6 @@ module Prune_cache = struct
 
   let size = Hashtbl.length
 end
-
-(* How to run the scan's decode work.  [par_domains > 1] turns on the
-   speculative parallel decode (see [parallel_scan_to] below); [par_arena]
-   routes decoding through reused per-domain {!Decode_arena}s instead of
-   the allocate-per-record path.  The default — one domain, no arena — is
-   the unchanged sequential scan. *)
-type parallel = { par_domains : int; par_arena : bool }
 
 type report = {
   new_snaptime : Clock.ts;
@@ -108,12 +99,10 @@ type cursor = {
   pages : int;  (* data pages at scan start; later growth is catch-up's job *)
   mutable next_page : int;
   mutable tails_sent : bool;
-  par_domains : int;  (* decode parallelism; 1 = sequential scan *)
-  par_arena : bool;  (* decode through reused arenas *)
-  mutable arena : Decode_arena.t option;  (* coordinator's own arena *)
+  arena : Decode_arena.t;  (* the scan's one decoder, reused page to page *)
 }
 
-let start ?(parallel : parallel option) ~base subs =
+let start ~base subs =
   let n_subs = Array.length subs in
   if n_subs = 0 then invalid_arg "Differential.refresh_group: empty group";
   let deferred = Base_table.mode base = Base_table.Deferred in
@@ -146,12 +135,7 @@ let start ?(parallel : parallel option) ~base subs =
     pages = Base_table.data_pages base;
     next_page = 1;
     tails_sent = false;
-    par_domains =
-      (match parallel with
-      | Some p -> max 1 (min p.par_domains Snapdiff_par.Par.max_domains)
-      | None -> 1);
-    par_arena = (match parallel with Some p -> p.par_arena | None -> false);
-    arena = None;
+    arena = Decode_arena.create ();
   }
 
 let pages c = c.pages
@@ -200,14 +184,10 @@ let apply_skip st = function
     (match page_last_qual with Some l -> st.last_qual <- l | None -> ())
   | Decode -> assert false
 
-(* The per-page scan body, generalized over where the decoded entries come
-   from: [entries] feeds [(addr, stored, user, ann)] in ascending address
-   order — straight off the page, through a decode arena, or replayed from
-   a buffer a worker domain pre-decoded.  Everything stateful (decisions,
-   fix-up, LastQual/Deletion, summaries, prune caches) happens here, on the
-   calling domain, in address order — which is why every decode source
-   yields byte-identical subscriber streams. *)
-let scan_page_with c page entries =
+(* The per-page scan body.  Everything stateful (decisions, fix-up,
+   LastQual/Deletion, summaries, prune caches) happens here, in address
+   order, over the entries the cursor's arena decodes from the page. *)
+let scan_page c page =
   let base = c.base in
   let deferred = c.deferred in
   let states = c.states in
@@ -251,7 +231,8 @@ let scan_page_with c page entries =
     let first_prev = ref Addr.zero in
     let max_ts = ref Clock.never in
     let any_null = ref false in
-    entries (fun addr stored user ann ->
+    Base_table.iter_page_stored_arena base ~arena:c.arena ~page (fun addr stored ->
+        let user, ann = Annotations.split stored in
         let ann =
           if deferred then begin
             let ann', expect_prev' =
@@ -330,136 +311,12 @@ let scan_page_with c page entries =
         states
   end
 
-(* Entries decoded on the calling domain, straight from the page (the
-   pre-refactor decode) or through the cursor's reused arena. *)
-let sequential_entries c page k =
-  if c.par_arena then begin
-    let arena =
-      match c.arena with
-      | Some a -> a
-      | None ->
-        let a = Decode_arena.create () in
-        c.arena <- Some a;
-        a
-    in
-    Base_table.iter_page_stored_arena c.base ~arena ~page (fun addr stored ->
-        let user, ann = Annotations.split stored in
-        k addr stored user ann)
-  end
-  else
-    Base_table.iter_page_stored c.base ~page (fun addr stored ->
-        let user, ann = Annotations.split stored in
-        k addr stored user ann)
-
-let scan_page c page = scan_page_with c page (sequential_entries c page)
-
-(* ---- parallel decode ----------------------------------------------- *)
-
-(* The parallel scan is {e speculative decode + sequential merge}: worker
-   domains pre-decode a wave of pages into private buffers, then the
-   calling domain merges the wave page by page through the exact
-   sequential state machine above, replaying each pre-decoded buffer in
-   address order.  Workers only read (page pins through the domain-safe
-   buffer pool, decode, annotation split); every write — fix-up,
-   summaries, prune caches, message emission — stays on the merging
-   domain.  Two facts make the pre-decoded content exactly what the
-   sequential scan would have decoded: fix-up writes touch only the entry
-   being visited, so merging pages [< p] never mutates page [p]; and the
-   sequential decode itself snapshots a page before applying its own
-   fix-up writes, so pre-fix-up content is what it decodes too.
-
-   [speculate_decode] guesses, from summary/prune state at wave start,
-   which pages the merge will need decoded.  It may guess wrong in either
-   direction: a page decoded in vain is discarded, and a page the merge
-   needs but no worker decoded (the deferred chain-anomaly and pending-
-   deletion conditions depend on merge-time state) falls back to an
-   inline sequential decode.  Speculation is thus purely a performance
-   matter — correctness never depends on it. *)
-
-let worker_arena_key = Domain.DLS.new_key (fun () -> Decode_arena.create ())
-
-let speculate_decode c page =
-  match Base_table.page_summary c.base page with
-  | None -> true
-  | Some s ->
-    s.Base_table.sum_live > 0
-    && Array.exists
-         (fun st ->
-           match st.sub.sub_prune with
-           | None -> true
-           | Some cache ->
-             s.Base_table.sum_max_ts > st.sub.sub_snaptime
-             ||
-             (match Hashtbl.find_opt cache page with
-             | Some { Prune_cache.token; _ } -> token <> s.Base_table.sum_token
-             | None -> true))
-         c.states
-
-(* Runs on a worker domain: decode one page into a buffer.  A decode
-   failure yields no buffer rather than an exception — the merge may
-   legitimately skip a page speculation chose to decode, and only a page
-   the merge actually decodes is allowed to raise. *)
-let decode_page_task c page () =
-  let each acc addr stored =
-    let user, ann = Annotations.split stored in
-    (addr, stored, user, ann) :: acc
-  in
-  match
-    let acc = ref [] in
-    (if c.par_arena then
-       let arena = Domain.DLS.get worker_arena_key in
-       Base_table.iter_page_stored_arena c.base ~arena ~page (fun addr stored ->
-           acc := each !acc addr stored)
-     else
-       Base_table.iter_page_stored c.base ~page (fun addr stored ->
-           acc := each !acc addr stored));
-    Array.of_list (List.rev !acc)
-  with
-  | buf -> Some buf
-  | exception _ -> None
-
-let buffered_entries buf k =
-  Array.iter (fun (addr, stored, user, ann) -> k addr stored user ann) buf
-
-(* Pages a wave hands to the pool per domain.  Large enough to amortize
-   batch dispatch, small enough to bound how many decoded pages are held
-   in memory at once (waves, not the whole table). *)
-let wave_span = 32
-
-let parallel_scan_to c ~upto =
-  Metrics.incr m_parallel_scans;
-  while c.next_page <= upto do
-    let first = c.next_page in
-    let last = min upto (first + (c.par_domains * wave_span) - 1) in
-    let todo = ref [] in
-    for page = last downto first do
-      if speculate_decode c page then todo := page :: !todo
-    done;
-    let todo = Array.of_list !todo in
-    let bufs = Array.make (last - first + 1) None in
-    let results =
-      Snapdiff_par.Par.run ~domains:c.par_domains
-        (Array.map (fun page -> decode_page_task c page) todo)
-    in
-    Array.iteri (fun i buf -> bufs.(todo.(i) - first) <- buf) results;
-    for page = first to last do
-      (match bufs.(page - first) with
-      | Some buf ->
-        Metrics.incr m_parallel_pages;
-        scan_page_with c page (buffered_entries buf)
-      | None -> scan_page c page);
-      c.next_page <- page + 1
-    done
-  done
-
 let scan_to c ~last_page =
   let upto = min last_page c.pages in
-  if c.par_domains > 1 && c.next_page <= upto then parallel_scan_to c ~upto
-  else
-    while c.next_page <= upto do
-      scan_page c c.next_page;
-      c.next_page <- c.next_page + 1
-    done
+  while c.next_page <= upto do
+    scan_page c c.next_page;
+    c.next_page <- c.next_page + 1
+  done
 
 let emit_tails c =
   if not c.tails_sent then begin
@@ -532,15 +389,15 @@ let finish c =
     sub_reports;
   }
 
-let refresh_group ?parallel ~base subs = finish (start ?parallel ~base subs)
+let refresh_group ~base subs = finish (start ~base subs)
 
 (* The solo scan is a group of one: same code path, so the "group stream =
    solo stream" invariant is structural for the degenerate case and the two
    can never drift apart. *)
-let refresh ?(tail_suppression = None) ?prune ?parallel ~base ~snaptime ~restrict
-    ~project ~xmit () =
+let refresh ?(tail_suppression = None) ?prune ~base ~snaptime ~restrict ~project
+    ~xmit () =
   let g =
-    refresh_group ?parallel ~base
+    refresh_group ~base
       [| { sub_snaptime = snaptime; sub_restrict = restrict; sub_project = project;
            sub_tail_suppression = tail_suppression; sub_prune = prune;
            sub_xmit = xmit } |]

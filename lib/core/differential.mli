@@ -39,26 +39,6 @@ module Prune_cache : sig
   val size : t -> int
 end
 
-type parallel = {
-  par_domains : int;
-      (** decode parallelism; clamped to [1 ..] {!Snapdiff_par.Par.max_domains};
-          1 = the sequential scan *)
-  par_arena : bool;
-      (** decode through reused per-domain {!Snapdiff_storage.Decode_arena}s
-          (zero-copy path) instead of the allocate-per-record path *)
-}
-(** How the scan decodes pages.  With [par_domains > 1] the scan runs as
-    {e speculative decode + sequential merge}: worker domains pre-decode
-    waves of pages into private buffers, and the calling domain merges
-    them page by page through the exact sequential state machine, in
-    address order — so every subscriber stream, every annotation write,
-    and every report counter is byte-for-byte identical to the sequential
-    scan's, for any [par_domains] and either [par_arena] setting.
-    Workers only read; all fix-up writes, summary/prune-cache updates,
-    and message emission stay on the calling domain.  Omitting [parallel]
-    (or passing [{par_domains = 1; par_arena = false}]) runs the literal
-    pre-existing sequential path. *)
-
 type report = {
   new_snaptime : Clock.ts;
   entries_scanned : int;  (** entries decoded by this scan *)
@@ -100,9 +80,11 @@ type cursor
     bookkeeping and the shared deferred-mode PrevAddr-chain fix-up state —
     lives in the cursor, so the scan can stop at any page boundary (the
     chunked refresh protocol releases its page locks there and lets
-    updaters interleave) and later resume exactly where it left off. *)
+    updaters interleave) and later resume exactly where it left off.
+    Each cursor owns one {!Snapdiff_storage.Decode_arena}, the scan's only
+    decoder, reused from page to page. *)
 
-val start : ?parallel:parallel -> base:Base_table.t -> subscriber array -> cursor
+val start : base:Base_table.t -> subscriber array -> cursor
 (** Tick the clock once per subscriber (drawing each stream's new
     [SnapTime]; the first tick is the shared [FixupTime]), snapshot the
     data-page count, and position the cursor before page 1.  Nothing is
@@ -139,8 +121,7 @@ val finish : cursor -> group_report
     the one-shot form is literally the cursor driven without suspension,
     so the two can never drift apart. *)
 
-val refresh_group :
-  ?parallel:parallel -> base:Base_table.t -> subscriber array -> group_report
+val refresh_group : base:Base_table.t -> subscriber array -> group_report
 (** One page-pruned, address-ordered pass over [base], demultiplexed into
     per-subscriber streams.  Each subscriber keeps its own [SnapTime],
     restriction, projection, [Deletion] flag, qualification cache, and
@@ -162,7 +143,6 @@ val refresh_group :
 val refresh :
   ?tail_suppression:Addr.t option ->
   ?prune:Prune_cache.t ->
-  ?parallel:parallel ->
   base:Base_table.t ->
   snaptime:Clock.ts ->
   restrict:(Tuple.t -> bool) ->

@@ -141,8 +141,6 @@ type t = {
   mutable retry : retry_policy;
   mutable batch : int;  (* flush threshold for batched transport; <= 1 = off *)
   mutable chunk_entries : int;  (* scan chunk size; max_int = monolithic *)
-  mutable domains : int;  (* refresh decode parallelism; 1 = sequential *)
-  mutable arena : bool option;  (* decode-arena override; None = (domains > 1) *)
   mutable on_chunk : (unit -> unit) option;  (* interleave point between chunks *)
   rng : Snapdiff_util.Rng.t;  (* backoff jitter, selectivity sampling *)
   (* One retention horizon per WAL (keyed by physical identity — several
@@ -156,7 +154,7 @@ type t = {
 let key = String.lowercase_ascii
 
 let create ?(retry = default_retry_policy) ?(seed = 0x5EED) ?(batch_size = 1)
-    ?(chunk_entries = max_int) ?(domains = 1) ?arena () =
+    ?(chunk_entries = max_int) () =
   {
     bases = Hashtbl.create 8;
     snapshots = Hashtbl.create 8;
@@ -164,8 +162,6 @@ let create ?(retry = default_retry_policy) ?(seed = 0x5EED) ?(batch_size = 1)
     retry;
     batch = max 1 batch_size;
     chunk_entries = max 1 chunk_entries;
-    domains = max 1 domains;
-    arena;
     on_chunk = None;
     rng = Snapdiff_util.Rng.create seed;
     wal_horizons = [];
@@ -184,20 +180,6 @@ let set_batch_size t n = t.batch <- max 1 n
 let chunk_entries t = t.chunk_entries
 
 let set_chunk_entries t n = t.chunk_entries <- max 1 n
-
-let domains t = t.domains
-
-let set_domains ?arena t n =
-  t.domains <- max 1 n;
-  match arena with None -> () | Some _ -> t.arena <- arena
-
-(* The [Differential.parallel] the next refresh scan should use; [None]
-   when the configuration is the default — that keeps [domains = 1]
-   (without an arena override) on the literal pre-existing code path. *)
-let parallel_opt t =
-  let arena = Option.value t.arena ~default:(t.domains > 1) in
-  if t.domains <= 1 && not arena then None
-  else Some { Differential.par_domains = t.domains; par_arena = arena }
 
 let set_chunk_hook t f = t.on_chunk <- f
 
@@ -837,7 +819,7 @@ let open_source t b used members xmits () =
           })
         members
     in
-    let c = Differential.start ?parallel:(parallel_opt t) ~base:b subs in
+    let c = Differential.start ~base:b subs in
     {
       sc_pages = Differential.pages c;
       sc_scan_to = Differential.scan_to c;

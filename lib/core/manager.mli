@@ -111,8 +111,6 @@ val create :
   ?seed:int ->
   ?batch_size:int ->
   ?chunk_entries:int ->
-  ?domains:int ->
-  ?arena:bool ->
   unit ->
   t
 (** [seed] feeds the manager's private RNG (backoff jitter, selectivity
@@ -131,20 +129,8 @@ val create :
     consistency is restored by a final short table-S catch-up that
     replays the WAL tail written since the scan began.  With the default,
     refresh holds the whole-scan table lock exactly as before, and the
-    transmitted stream is byte-identical.
-
-    [domains] (default 1 = sequential) sets the refresh scan's decode
-    parallelism ({!Differential.parallel}): worker domains pre-decode
-    waves of pages while the coordinating domain merges them in strict
-    address order, so every transmitted stream is byte-identical to the
-    sequential scan's for any [domains].  The locking protocol is
-    unchanged — the coordinator's table/page locks cover everything the
-    workers read.  [arena] (default [domains > 1]) routes decoding
-    through reused per-domain arenas (the zero-copy path); pass
-    [~arena:false] to measure the parallel scan without it, or
-    [~arena:true] to use the arena path on a single domain.  With the
-    defaults the refresh runs the literal pre-existing sequential code
-    path. *)
+    transmitted stream is byte-identical.  Every refresh scan decodes pages
+    through its cursor's one reused {!Snapdiff_storage.Decode_arena}. *)
 
 val txn_manager : t -> Snapdiff_txn.Txn.manager
 (** The manager's transaction/lock manager.  Cooperative concurrency
@@ -166,13 +152,6 @@ val chunk_entries : t -> int
 val set_chunk_entries : t -> int -> unit
 (** Takes effect from the next refresh; values below 1 clamp to 1.
     [max_int] restores the monolithic whole-scan-lock behaviour. *)
-
-val domains : t -> int
-
-val set_domains : ?arena:bool -> t -> int -> unit
-(** Takes effect from the next refresh; values below 1 clamp to 1.
-    [arena], when given, overrides the decode-arena setting (otherwise
-    the existing override, or its [domains > 1] default, stands). *)
 
 val set_chunk_hook : t -> (unit -> unit) option -> unit
 (** Interleave point for cooperative drivers (tests, the bench): called

@@ -1,10 +1,10 @@
 module Stats = Snapdiff_util.Stats
 
-(* Counters and gauges are atomics so hot-path bumps from parallel scan
-   workers never lose increments; histograms take a per-histogram mutex
-   (observe is two array stores plus a Welford update — far too much for
-   a CAS loop, and histogram observations are orders of magnitude rarer
-   than counter bumps).  The registry table itself is guarded by a mutex,
+(* Counters and gauges are atomics so hot-path bumps from concurrent
+   domains (MVCC readers beside a refresh) never lose increments;
+   histograms take a per-histogram mutex (observe is two array stores
+   plus a Welford update — far too much for a CAS loop, and histogram
+   observations are orders of magnitude rarer than counter bumps).  The registry table itself is guarded by a mutex,
    but components fetch their handles once at init, so the lock never
    appears on a hot path. *)
 

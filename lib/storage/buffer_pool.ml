@@ -30,8 +30,8 @@ type stats = {
 }
 
 (* Domain-safety: the resident-page table is striped by page number so
-   parallel scan domains pinning distinct pages never contend on one
-   lock.  The hit path (pin + LRU touch + unpin) takes exactly one
+   domains pinning distinct pages (e.g. MVCC reader domains beside a
+   refresh) never contend on one lock.  The hit path (pin + LRU touch + unpin) takes exactly one
    stripe lock; everything that spans stripes — miss handling, eviction,
    flush, invalidate — first takes the global [g_m] and, when it must
    examine frames, the stripe locks in ascending order.  Lock order is

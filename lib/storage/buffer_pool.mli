@@ -6,9 +6,9 @@
     written back on eviction or {!flush_all}.
 
     The pool is domain-safe for concurrent readers: the resident-page
-    table is lock-striped by page number, so parallel scan domains
-    pinning distinct pages take disjoint locks, while misses, eviction,
-    and whole-pool operations serialize behind a global lock.  No frame
+    table is lock-striped by page number, so domains pinning distinct
+    pages take disjoint locks, while misses, eviction, and whole-pool
+    operations serialize behind a global lock.  No frame
     is ever evicted while pinned, and {!stats} counters are exact under
     concurrency.  Run on a single domain the pool's observable behavior
     (hit/miss/eviction sequence, LRU victims, stats) is identical to the

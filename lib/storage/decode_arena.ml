@@ -1,4 +1,4 @@
-(* A per-domain scratch area for the zero-copy page decode path.
+(* A reusable scratch area for the zero-copy page decode path.
 
    The classic decode loop ([Heap.iter_page]) allocates a fresh
    [Bytes.sub] per record plus a [(value, offset)] pair per field.  The
@@ -7,8 +7,8 @@
    and then decodes each record in place with a {!Codec.Cursor} — so per
    entry the only allocations left are the decoded values themselves.
 
-   An arena is single-domain scratch: each parallel scan worker owns one
-   and reuses it across every page it decodes.  [load] must run while the
+   An arena is single-domain scratch: each scan cursor owns one and
+   reuses it across every page it decodes.  [load] must run while the
    page is pinned; after it returns the arena holds a private snapshot,
    so [iter] needs no pin and is immune to concurrent page mutation
    (matching [Heap.iter_page]'s snapshot-then-decode contract). *)

@@ -1,4 +1,4 @@
-(** Reused per-domain scratch for the zero-copy page decode path.
+(** Reused scratch for the zero-copy page decode path.
 
     {!load} snapshots a pinned page's image into the arena's scratch
     buffer (one [blit], no per-record copies) together with its live
@@ -7,8 +7,8 @@
     yielded for the same page state but without the per-record
     [Bytes.sub] and per-field offset-pair allocations.
 
-    An arena is {e not} domain-safe: give each scan worker its own and
-    let it reuse it across pages.  Because [load] copies, [iter] runs
+    An arena is {e not} domain-safe: each scan cursor owns one and reuses
+    it across pages.  Because [load] copies, [iter] runs
     without a pin and is unaffected by page mutations after the load —
     the same snapshot-then-decode contract as [Heap.iter_page]. *)
 

@@ -177,7 +177,7 @@ let iter_page t ~page:p f =
 let iter_page_arena t ~arena ~page:p f =
   let store = Buffer_pool.store t.pool in
   if p < 1 || p >= Page_store.page_count store then
-    invalid_arg "Heap.iter_page: no such data page";
+    invalid_arg "Heap.iter_page_arena: no such data page";
   Buffer_pool.with_page t.pool p (fun page ->
       Decode_arena.load arena page;
       (`Clean, ()));

@@ -33,9 +33,9 @@ val make_base :
   clock:Clock.t ->
   unit ->
   Base_table.t
-(** [frames] sizes the buffer pool (see {!Base_table.create}); the
-    parallel-scan bench sizes it to hold the whole table so the sweep
-    measures decode bandwidth, not store faulting. *)
+(** [frames] sizes the buffer pool (see {!Base_table.create}); size it
+    to hold the whole table to measure decode bandwidth, not store
+    faulting. *)
 
 val populate : Base_table.t -> rng:Rng.t -> n:int -> unit
 (** Insert [n] rows with uniform [qual] and sequential ids. *)

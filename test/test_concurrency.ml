@@ -52,7 +52,7 @@ let setup ?(mode = Base_table.Deferred) ?(prune = true) ?(chunk_entries = 4)
   let base =
     Base_table.create ~mode ~page_size:256 ~wal ~name:"emp" ~clock emp_schema
   in
-  let m = Manager.create ~chunk_entries ~domains:Test_parallel.env_domains () in
+  let m = Manager.create ~chunk_entries () in
   Manager.register_base m base;
   for i = 0 to n - 1 do
     ignore (Base_table.insert base (emp (Printf.sprintf "s%d" i) (i * 3 mod 20)) : Addr.t)
@@ -265,7 +265,7 @@ let capture_refresh ~chunk_entries =
     Base_table.create ~mode:Base_table.Deferred ~page_size:256 ~wal ~name:"emp" ~clock
       emp_schema
   in
-  let m = Manager.create ~chunk_entries ~domains:Test_parallel.env_domains () in
+  let m = Manager.create ~chunk_entries () in
   Manager.register_base m base;
   for i = 0 to 39 do
     ignore (Base_table.insert base (emp (Printf.sprintf "s%d" i) (i * 3 mod 20)) : Addr.t)

@@ -23,7 +23,6 @@ let () =
       ("edge-cases", Test_edge_cases.suite);
       ("failures", Test_failures.suite);
       ("concurrency", Test_concurrency.suite);
-      ("parallel", Test_parallel.suite);
       ("fleet", Test_fleet.suite);
       ("mvcc", Test_mvcc.suite);
       ("lifecycle", Test_lifecycle.suite);

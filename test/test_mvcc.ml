@@ -12,8 +12,8 @@
      including the typed Corrupt_snapshot failure;
    - the qcheck property the interface promises: all three strategies are
      byte-identical per retained epoch under random refresh methods,
-     fault-induced aborts, prune settings, grouped scans, and domain
-     counts — and no pinned version is ever reclaimed. *)
+     fault-induced aborts, prune settings, and grouped scans — and no
+     pinned version is ever reclaimed. *)
 
 open Snapdiff_storage
 open Snapdiff_txn
@@ -523,7 +523,7 @@ let test_fleet_pinned_reads () =
 (* ------------------------------------------------------------------ *)
 (* The headline property: the three strategies maintain byte-identical
    images per retained epoch under random refresh methods, prune
-   settings, grouped scans, domain counts, and fault-induced aborts —
+   settings, grouped scans, and fault-induced aborts —
    and a pinned version is never reclaimed (its reads stay exact long
    after eviction). *)
 
@@ -564,13 +564,12 @@ let strategies = [ ("sn", VS.Naive); ("sc", VS.Copy_on_update); ("sz", VS.Zigzag
 let prop_strategies_identical =
   QCheck2.Test.make ~name:"three strategies byte-identical per retained epoch"
     ~count:30
-    Gen.(quad rounds_gen (int_range 1 20) bool (int_range 0 1000))
-    (fun (rounds, threshold, prune, knob0) ->
+    Gen.(triple rounds_gen (int_range 1 20) bool)
+    (fun (rounds, threshold, prune) ->
       let clock = Clock.create () in
       let base = Base_table.create ~name:"emp" ~clock emp_schema in
       let m = Manager.create () in
       Manager.register_base m base;
-      if knob0 mod 2 = 0 then Manager.set_domains m 2;
       for i = 0 to 9 do
         ignore (Base_table.insert base (emp (Printf.sprintf "s%d" i) (i * 3 mod 20)) : Addr.t)
       done;

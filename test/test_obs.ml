@@ -43,6 +43,25 @@ let test_metrics_counters_gauges () =
   Metrics.incr c;
   checki "old handles stay live across reset" 1 (Metrics.counter_value t "c")
 
+(* Counters and gauges are atomic: reader domains (the MVCC bench's) and
+   the refresh path bump the same global registry concurrently. *)
+let test_metrics_counters_across_domains () =
+  let r = Metrics.create () in
+  let c = Metrics.counter r "par.counter" in
+  let g = Metrics.gauge r "par.gauge" in
+  let per = 25_000 in
+  let workers =
+    Array.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to per do
+              Metrics.incr c;
+              Metrics.shift g 1.0
+            done))
+  in
+  Array.iter Domain.join workers;
+  checki "no lost counter increments" (4 * per) (Metrics.value c);
+  checkb "no lost gauge shifts" true (Metrics.level g = float_of_int (4 * per))
+
 let test_metrics_quantiles () =
   let t = Metrics.create () in
   let h = Metrics.histogram t "h" in
@@ -319,6 +338,8 @@ let test_histogram_single_sample_bucket () =
 let suite =
   [
     Alcotest.test_case "metrics counters/gauges" `Quick test_metrics_counters_gauges;
+    Alcotest.test_case "metrics counters across domains" `Quick
+      test_metrics_counters_across_domains;
     Alcotest.test_case "metrics quantiles" `Quick test_metrics_quantiles;
     Alcotest.test_case "histogram single-sample buckets exact" `Quick
       test_histogram_single_sample_bucket;

@@ -841,3 +841,216 @@ let suite =
         test_codec_truncation_raises;
       QCheck_alcotest.to_alcotest prop_cursor_matches_offset_readers;
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Domain safety of the striped buffer pool *)
+
+(* Two domains through one tiny pool: domain A holds a pin while domain B
+   faults every other page through the remaining frame.  The pinned frame
+   must never be evicted (its image is stable across B's churn), B must
+   always read back the bytes each page was stamped with, and the hit/miss
+   counters must account for exactly one pin per access. *)
+let test_pool_two_domain_stress () =
+  let npages = 12 and rounds = 50 in
+  let store = Page_store.in_memory ~page_size:256 () in
+  let pool = Buffer_pool.create ~frames:2 store in
+  let pages = Array.init npages (fun _ -> Buffer_pool.allocate_page pool) in
+  let stamp i = Bytes.make 16 (Char.chr (65 + (i mod 26))) in
+  Array.iteri
+    (fun i n ->
+      Buffer_pool.with_page pool n (fun page ->
+          (match Page.insert page (stamp i) with
+          | Some _ -> ()
+          | None -> Alcotest.fail "stamp insert failed");
+          (`Dirty, ())))
+    pages;
+  Buffer_pool.flush_all pool;
+  let st0 = Buffer_pool.stats pool in
+  let a_pinned = Atomic.make false and b_done = Atomic.make false in
+  let pinner =
+    Domain.spawn (fun () ->
+        Buffer_pool.with_page pool pages.(0) (fun page ->
+            let before = Page.read page 0 in
+            Atomic.set a_pinned true;
+            while not (Atomic.get b_done) do
+              Domain.cpu_relax ()
+            done;
+            (`Clean, (before, Page.read page 0))))
+  in
+  while not (Atomic.get a_pinned) do
+    Domain.cpu_relax ()
+  done;
+  for _ = 1 to rounds do
+    for i = 1 to npages - 1 do
+      Buffer_pool.with_page pool pages.(i) (fun page ->
+          (match Page.read page 0 with
+          | Some b when Bytes.equal b (stamp i) -> ()
+          | Some _ -> Alcotest.fail "page image corrupted under churn"
+          | None -> Alcotest.fail "stamped record vanished under churn");
+          (`Clean, ()))
+    done
+  done;
+  Atomic.set b_done true;
+  let before, after = Domain.join pinner in
+  checkb "pinned frame never evicted: image stable" true
+    (before <> None && before = after);
+  let st1 = Buffer_pool.stats pool in
+  checki "hits + misses = accesses"
+    (1 + (rounds * (npages - 1)))
+    (st1.Buffer_pool.hits - st0.Buffer_pool.hits
+    + (st1.Buffer_pool.misses - st0.Buffer_pool.misses));
+  checkb "churn actually evicted" true (st1.Buffer_pool.evictions > st0.Buffer_pool.evictions)
+
+(* ------------------------------------------------------------------ *)
+(* Decode arena: the differential scan's only decoder must yield exactly
+   what the allocate-per-record [Heap.iter_page] yields. *)
+
+module Gen = QCheck2.Gen
+
+type heap_op = H_ins of string * int | H_upd of int * string * int | H_del of int
+
+let heap_name_gen = Gen.string_size ~gen:Gen.printable (Gen.int_range 0 24)
+
+let heap_op_gen =
+  Gen.frequency
+    [ (5, Gen.map2 (fun n s -> H_ins (n, s)) heap_name_gen (Gen.int_range 0 99));
+      (3, Gen.map3 (fun i n s -> H_upd (i, n, s)) Gen.nat heap_name_gen (Gen.int_range 0 99));
+      (2, Gen.map (fun i -> H_del i) Gen.nat) ]
+
+let print_heap_case (page_size, script) =
+  let op = function
+    | H_ins (n, s) -> Printf.sprintf "Ins(%S,%d)" n s
+    | H_upd (i, n, s) -> Printf.sprintf "Upd(%d,%S,%d)" i n s
+    | H_del i -> Printf.sprintf "Del %d" i
+  in
+  Printf.sprintf "page_size=%d script=[%s]" page_size
+    (String.concat "; " (List.map op script))
+
+let nth_live h i =
+  match Heap.to_list h with
+  | [] -> None
+  | live -> Some (fst (List.nth live (i mod List.length live)))
+
+(* Replays [script], then tops the table up to 100 rows: first-fit
+   insertion fills the lowest pages first, so a 4 KiB page ends up with
+   more than the arena's initial 64 span slots. *)
+let heap_of_script ~page_size script =
+  let h = Heap.create ~page_size emp_schema in
+  List.iter
+    (fun op ->
+      match op with
+      | H_ins (n, s) -> ignore (Heap.insert h (mk_emp n s) : Addr.t)
+      | H_upd (i, n, s) -> (
+        match nth_live h i with
+        | Some a -> ( try Heap.update h a (mk_emp n s) with Heap.Tuple_error _ -> ())
+        | None -> ())
+      | H_del i -> ( match nth_live h i with Some a -> Heap.delete h a | None -> ()))
+    script;
+  let k = ref 0 in
+  while Heap.count h < 100 do
+    incr k;
+    ignore (Heap.insert h (mk_emp (Printf.sprintf "top%d" !k) !k) : Addr.t)
+  done;
+  h
+
+(* Every page's (addr, tuple) sequence through [iter]. *)
+let pages_via iter h =
+  List.init (Heap.data_pages h) (fun i ->
+      let acc = ref [] in
+      iter h ~page:(i + 1) (fun a t -> acc := (a, t) :: !acc);
+      List.rev !acc)
+
+let plain_iter h ~page f = Heap.iter_page h ~page f
+
+(* One arena reused across every page, as a scan cursor reuses its own. *)
+let arena_iter () =
+  let arena = Decode_arena.create () in
+  fun h ~page f -> Heap.iter_page_arena h ~arena ~page f
+
+let prop_arena_matches_plain =
+  QCheck2.Test.make ~name:"arena page decode = plain page decode" ~count:100
+    ~print:print_heap_case
+    Gen.(pair (oneofl [ 256; 4096 ]) (list_size (int_range 0 150) heap_op_gen))
+    (fun (page_size, script) ->
+      let h = heap_of_script ~page_size script in
+      let plain = pages_via plain_iter h in
+      let arena = pages_via (arena_iter ()) h in
+      let same page_a page_b =
+        List.length page_a = List.length page_b
+        && List.for_all2
+             (fun (a, t) (b, u) -> Addr.equal a b && Tuple.equal t u)
+             page_a page_b
+      in
+      if not (List.length plain = List.length arena && List.for_all2 same plain arena)
+      then QCheck2.Test.fail_report "arena sequence <> plain sequence";
+      if page_size = 4096
+         && not (List.exists (fun p -> List.length p > 64) plain)
+      then QCheck2.Test.fail_report "no 4 KiB page exceeded 64 live slots";
+      true)
+
+let raises_failure f =
+  match f () with () -> false | exception Failure _ -> true
+
+(* A record with trailing or missing bytes fails the decode the same way
+   on both paths, whichever record of the page it is. *)
+let test_arena_corrupt_record_raises () =
+  List.iter
+    (fun page_size ->
+      List.iter
+        (fun (what, corrupt) ->
+          let h = heap_of_script ~page_size [] in
+          let victim = List.nth (List.map fst (Heap.to_list h)) 3 in
+          let page = Addr.page victim in
+          Buffer_pool.with_page (Heap.pool h) page (fun p ->
+              match Page.read p (Addr.slot victim) with
+              | Some b ->
+                checkb "rewrite victim" true (Page.update p (Addr.slot victim) (corrupt b));
+                (`Dirty, ())
+              | None -> Alcotest.fail "victim not live");
+          let label path = Printf.sprintf "%s raises Failure (%s, %d B pages)" path what page_size in
+          checkb (label "plain") true
+            (raises_failure (fun () -> plain_iter h ~page (fun _ _ -> ())));
+          checkb (label "arena") true
+            (raises_failure (fun () -> (arena_iter ()) h ~page (fun _ _ -> ()))))
+        [ ("trailing bytes", fun b -> Bytes.cat b (Bytes.of_string "\000\000"));
+          ("truncated", fun b -> Bytes.sub b 0 (Bytes.length b - 1)) ])
+    [ 256; 4096 ]
+
+(* The arena exists to cut per-entry allocation: over the same pages it
+   must allocate fewer minor-heap words per decoded entry than the plain
+   path. *)
+let test_arena_allocates_less () =
+  let h = Heap.create ~page_size:4096 emp_schema in
+  for i = 0 to 1999 do
+    ignore (Heap.insert h (mk_emp (Printf.sprintf "emp%04d" i) i) : Addr.t)
+  done;
+  let words_per_entry iter =
+    let n = ref 0 in
+    let scan () =
+      for page = 1 to Heap.data_pages h do
+        iter h ~page (fun _ _ -> incr n)
+      done
+    in
+    scan ();
+    n := 0;
+    let w0 = Gc.minor_words () in
+    scan ();
+    (Gc.minor_words () -. w0) /. float_of_int !n
+  in
+  let plain = words_per_entry plain_iter in
+  let arena = words_per_entry (arena_iter ()) in
+  checkb
+    (Printf.sprintf "arena %.1f words/entry < plain %.1f" arena plain)
+    true (arena < plain)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "buffer pool: two-domain stress" `Quick
+        test_pool_two_domain_stress;
+      QCheck_alcotest.to_alcotest prop_arena_matches_plain;
+      Alcotest.test_case "arena: corrupt record raises on both paths" `Quick
+        test_arena_corrupt_record_raises;
+      Alcotest.test_case "arena: fewer minor words per entry" `Quick
+        test_arena_allocates_less;
+    ]
