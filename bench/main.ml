@@ -1677,6 +1677,81 @@ let vacuum_bench () =
     \ to the lease horizon; the live head always survives)"
 
 (* ------------------------------------------------------------------ *)
+(* Buffer-pool miss cost *)
+
+(* Wall time of one [with_page] that misses, against one that hits.  A
+   cyclic sweep over twice as many 4 KiB in-memory pages as the pool has
+   frames makes every access an LRU miss; the "dirty" sweep marks each
+   page dirty, so every victim also pays a whole-page writeback.  Each
+   cell is the median of [reps] timed sweeps after one warm-up sweep. *)
+let pool_bench () =
+  let module Bp = Snapdiff_storage.Buffer_pool in
+  let module Ps = Snapdiff_storage.Page_store in
+  header "Buffer-pool miss cost (4 KiB in-memory pages, LRU, median of sweeps)";
+  let reps = if quick then 3 else 9 in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let tbl =
+    Text_table.create
+      [ ("frames", Text_table.Right); ("hit us", Text_table.Right);
+        ("clean miss us", Text_table.Right); ("dirty miss us", Text_table.Right);
+        ("major words/miss", Text_table.Right) ]
+  in
+  List.iter
+    (fun frames ->
+      let store = Ps.in_memory ~page_size:4096 () in
+      let pool = Bp.create ~frames store in
+      let npages = 2 * frames in
+      for _ = 1 to npages do
+        ignore (Bp.allocate_page pool : int)
+      done;
+      let accesses = max 20_000 (4 * npages) in
+      let sweep status =
+        let t0 = Unix.gettimeofday () in
+        for i = 0 to accesses - 1 do
+          Bp.with_page pool (i mod npages) (fun _ -> (status, ()))
+        done;
+        (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int accesses
+      in
+      let miss_cost status =
+        ignore (sweep status : float);
+        median (List.init reps (fun _ -> sweep status))
+      in
+      let clean = miss_cost `Clean in
+      let dirty = miss_cost `Dirty in
+      let _, _, major0 = Gc.counters () in
+      let m0 = (Bp.stats pool).Bp.misses in
+      ignore (sweep `Clean : float);
+      let _, _, major1 = Gc.counters () in
+      let words_per_miss =
+        (major1 -. major0) /. float_of_int ((Bp.stats pool).Bp.misses - m0)
+      in
+      let hit =
+        median
+          (List.init reps (fun _ ->
+               let t0 = Unix.gettimeofday () in
+               for _ = 1 to accesses do
+                 Bp.with_page pool 0 (fun _ -> (`Clean, ()))
+               done;
+               (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int accesses))
+      in
+      emit
+        ~params:
+          [ ("frames", string_of_int frames); ("hit_us", Printf.sprintf "%.3f" hit);
+            ("clean_miss_us", Printf.sprintf "%.3f" clean);
+            ("dirty_miss_us", Printf.sprintf "%.3f" dirty);
+            ("major_words_per_miss", Printf.sprintf "%.1f" words_per_miss) ]
+        ();
+      Text_table.add_row tbl
+        [ string_of_int frames; Printf.sprintf "%.3f" hit; Printf.sprintf "%.2f" clean;
+          Printf.sprintf "%.2f" dirty; Printf.sprintf "%.1f" words_per_miss ])
+    [ 8; 128; 512; 1024 ];
+  Text_table.print tbl
+
+(* ------------------------------------------------------------------ *)
 (* The section table: the single source of truth for the usage text,
    the default run list, and dispatch. *)
 
@@ -1707,6 +1782,7 @@ let sections : (string * string * (unit -> unit)) list =
      mvcc_bench);
     ("vacuum", "lifecycle - reclaimed version/WAL bytes vs retention window",
      vacuum_bench);
+    ("pool", "buffer pool - wall time of a hit vs a clean / dirty-victim miss", pool_bench);
     ("timing", "Bechamel wall-clock benches (one per figure/experiment)", timing) ]
 
 let usage () =

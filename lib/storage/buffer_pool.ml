@@ -18,6 +18,7 @@ type frame = {
   mutable pins : int;  (* guarded by the frame's stripe lock *)
   mutable last_used : int;  (* logical tick for LRU *)
   mutable referenced : bool;  (* second-chance bit *)
+  mutable slot : int;  (* index in [resident]; guarded by g_m *)
 }
 
 type stats = {
@@ -31,18 +32,26 @@ type stats = {
 
 (* Domain-safety: the resident-page table is striped by page number so
    domains pinning distinct pages (e.g. MVCC reader domains beside a
-   refresh) never contend on one lock.  The hit path (pin + LRU touch + unpin) takes exactly one
-   stripe lock; everything that spans stripes — miss handling, eviction,
-   flush, invalidate — first takes the global [g_m] and, when it must
-   examine frames, the stripe locks in ascending order.  Lock order is
-   always g_m -> stripes ascending, and only a g_m holder ever holds
-   more than one stripe lock, so the pool cannot deadlock.  [g_m] also
-   serializes all {!Page_store} I/O (the store is not itself
-   domain-safe).  Counters and the LRU tick are atomics.
+   refresh) never contend on one lock.  The hit path (pin + LRU touch +
+   unpin) takes exactly one stripe lock.  Everything that changes which
+   pages are resident — miss handling and eviction — holds the global
+   [g_m]; whole-pool operations (flush, invalidate) take [g_m] and then
+   every stripe lock in ascending order.  Lock order is always g_m ->
+   stripes ascending, and only a g_m holder ever holds more than one
+   stripe lock, so the pool cannot deadlock.  [g_m] also serializes all
+   {!Page_store} I/O (the store is not itself domain-safe).  Counters and
+   the LRU tick are atomics.
+
+   [resident] lists the resident frames compactly in its first
+   [n_resident] slots; only g_m holders change it, so the evictor (a g_m
+   holder) can walk it without stripe locks.  A miss never allocates a
+   page buffer once the pool is full: the victim's buffer is reused for
+   the incoming page, and buffers of dropped frames wait in [spare].  A
+   pool therefore allocates at most [capacity] page buffers.
 
    Run single-domain, the pool behaves exactly as the unstriped original:
    same tick sequence, same stats, same LRU victim (ticks are unique, so
-   the strict-min fold has a unique answer regardless of fold order). *)
+   the strict-min scan has a unique answer regardless of scan order). *)
 
 let stripe_count = 16
 
@@ -55,7 +64,9 @@ type t = {
   g_m : Mutex.t;
   stripes : stripe array;
   clock_ring : int Queue.t;  (* second-chance order; guarded by g_m *)
-  n_frames : int Atomic.t;
+  mutable resident : frame array;  (* guarded by g_m; sized on first fault *)
+  mutable n_resident : int;  (* guarded by g_m *)
+  mutable spare : bytes list;  (* page buffers of dropped frames; guarded by g_m *)
   tick : int Atomic.t;
   hits : int Atomic.t;
   misses : int Atomic.t;
@@ -76,7 +87,9 @@ let create ?(frames = 128) ?(policy = Lru) store =
       Array.init stripe_count (fun _ ->
           { s_m = Mutex.create (); tbl = Hashtbl.create 16 });
     clock_ring = Queue.create ();
-    n_frames = Atomic.make 0;
+    resident = [||];
+    n_resident = 0;
+    spare = [];
     tick = Atomic.make 0;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
@@ -93,6 +106,19 @@ let stripe_of t n = t.stripes.(n land (stripe_count - 1))
 let lock_all t = Array.iter (fun s -> Mutex.lock s.s_m) t.stripes
 
 let unlock_all t = Array.iter (fun s -> Mutex.unlock s.s_m) t.stripes
+
+(* [resident] maintenance, g_m held. *)
+let add_resident t f =
+  if Array.length t.resident = 0 then t.resident <- Array.make t.capacity f;
+  f.slot <- t.n_resident;
+  t.resident.(t.n_resident) <- f;
+  t.n_resident <- t.n_resident + 1
+
+let remove_resident t f =
+  let last = t.resident.(t.n_resident - 1) in
+  t.resident.(f.slot) <- last;
+  last.slot <- f.slot;
+  t.n_resident <- t.n_resident - 1
 
 (* Write back only the page's tracked dirty ranges when that is cheaper
    than a full-page write (each range write carries per-call overhead, so
@@ -133,77 +159,106 @@ let writeback t frame =
     written
   end
 
-(* Eviction runs with g_m held.  Victim selection takes every stripe lock
-   so a concurrent hit cannot pin the chosen victim under us; the victim
-   is unlinked before the stripe locks drop, after which it is private to
-   the evictor and can be written back under g_m alone. *)
+(* Eviction runs with g_m held.  The victim is unlinked from its stripe
+   under that stripe's lock, so no concurrent hit can pin it afterwards;
+   from then on it is private to the evictor, which writes it back under
+   g_m alone and hands its page buffer to the incoming page. *)
 
-let evict_lru t =
-  lock_all t;
-  (* Choose the least-recently-used unpinned frame. *)
-  let victim =
-    Array.fold_left
-      (fun best s ->
-        Hashtbl.fold
-          (fun _ f best ->
-            if f.pins > 0 then best
-            else
-              match best with
-              | None -> Some f
-              | Some b -> if f.last_used < b.last_used then Some f else best)
-          s.tbl best)
-      None t.stripes
-  in
-  match victim with
+let retire t f =
+  remove_resident t f;
+  ignore (writeback t f : int);
+  Atomic.incr t.evictions;
+  Metrics.incr m_evictions;
+  Page.bytes f.page
+
+(* The least-recently-used unpinned frame and the tick the walk read for
+   it, from an unlocked walk of [resident].  Concurrent hits may pin or
+   touch frames during the walk; the caller confirms the choice under the
+   victim's stripe lock. *)
+let lru_candidate t =
+  let best = ref None and best_used = ref max_int in
+  for i = 0 to t.n_resident - 1 do
+    let f = t.resident.(i) in
+    let used = f.last_used in
+    if f.pins = 0 && used < !best_used then begin
+      best := Some f;
+      best_used := used
+    end
+  done;
+  match !best with Some f -> Some (f, !best_used) | None -> None
+
+let rec evict_lru t =
+  match lru_candidate t with
+  | Some (f, used) ->
+    let s = stripe_of t f.page_no in
+    Mutex.lock s.s_m;
+    (* Still unpinned and untouched since the walk read it, so still the
+       oldest frame the walk saw unpinned; otherwise walk again. *)
+    if f.pins = 0 && f.last_used = used then begin
+      Hashtbl.remove s.tbl f.page_no;
+      Mutex.unlock s.s_m;
+      retire t f
+    end
+    else begin
+      Mutex.unlock s.s_m;
+      evict_lru t
+    end
   | None ->
+    (* Every frame looked pinned; decide under all stripe locks so a
+       racing unpin cannot make the failure spurious. *)
+    lock_all t;
+    let any_unpinned = ref false in
+    for i = 0 to t.n_resident - 1 do
+      if t.resident.(i).pins = 0 then any_unpinned := true
+    done;
     unlock_all t;
-    failwith "Buffer_pool: all frames pinned"
-  | Some f ->
-    Hashtbl.remove (stripe_of t f.page_no).tbl f.page_no;
-    Atomic.decr t.n_frames;
-    unlock_all t;
-    ignore (writeback t f : int);
-    Atomic.incr t.evictions;
-    Metrics.incr m_evictions
+    if !any_unpinned then evict_lru t else failwith "Buffer_pool: all frames pinned"
 
 let evict_second_chance t =
-  lock_all t;
-  (* Sweep the ring: a referenced or pinned frame gets a second chance. *)
+  (* Sweep the ring: a referenced or pinned frame gets a second chance.
+     Each ring entry is examined under its own stripe lock. *)
   let budget = ref (2 * (Queue.length t.clock_ring + 1)) in
   let rec sweep () =
-    if Queue.is_empty t.clock_ring || !budget <= 0 then begin
-      unlock_all t;
+    if Queue.is_empty t.clock_ring || !budget <= 0 then
       failwith "Buffer_pool: all frames pinned"
-    end
     else begin
       decr budget;
       let page_no = Queue.pop t.clock_ring in
-      match Hashtbl.find_opt (stripe_of t page_no).tbl page_no with
-      | None -> sweep ()  (* stale ring entry *)
+      let s = stripe_of t page_no in
+      Mutex.lock s.s_m;
+      match Hashtbl.find_opt s.tbl page_no with
+      | None ->
+        Mutex.unlock s.s_m;
+        sweep ()  (* stale ring entry *)
+      | Some f when f.pins > 0 || f.referenced ->
+        f.referenced <- false;
+        Mutex.unlock s.s_m;
+        Queue.add page_no t.clock_ring;
+        sweep ()
       | Some f ->
-        if f.pins > 0 || f.referenced then begin
-          f.referenced <- false;
-          Queue.add page_no t.clock_ring;
-          sweep ()
-        end
-        else begin
-          Hashtbl.remove (stripe_of t page_no).tbl page_no;
-          Atomic.decr t.n_frames;
-          unlock_all t;
-          ignore (writeback t f : int);
-          Atomic.incr t.evictions;
-          Metrics.incr m_evictions
-        end
+        Hashtbl.remove s.tbl page_no;
+        Mutex.unlock s.s_m;
+        retire t f
     end
   in
   sweep ()
 
-let evict_one t =
-  match t.policy with Lru -> evict_lru t | Second_chance -> evict_second_chance t
+(* A page buffer for an incoming page, g_m held: the evicted victim's
+   when the pool is full, else a spare or (at most [capacity] times over
+   the pool's life) a fresh one. *)
+let frame_buffer t =
+  if t.n_resident >= t.capacity then
+    match t.policy with Lru -> evict_lru t | Second_chance -> evict_second_chance t
+  else
+    match t.spare with
+    | buf :: rest ->
+      t.spare <- rest;
+      buf
+    | [] -> Bytes.create (Page_store.page_size t.store)
 
 (* Pin page [n] if resident, refreshing its LRU state, all under its
-   stripe lock so eviction (which holds every stripe lock while picking a
-   victim) can never choose a frame between our find and our pin. *)
+   stripe lock so an evictor (which unlinks its victim under the same
+   lock) can never take a frame between our find and our pin. *)
 let try_pin t n =
   let s = stripe_of t n in
   Mutex.lock s.s_m;
@@ -220,21 +275,33 @@ let try_pin t n =
   r
 
 let fault_in t n =
-  (* Miss path, g_m held: evict if full, read from the store, insert the
-     frame already pinned. *)
+  (* Miss path, g_m held: check the page number before anything is
+     evicted, take a buffer (evicting if full), read the page into it,
+     and insert the frame already pinned. *)
+  if n < 0 || n >= Page_store.page_count t.store then raise (Page_store.Bad_page n);
   Atomic.incr t.misses;
   Metrics.incr m_misses;
-  if Atomic.get t.n_frames >= t.capacity then evict_one t;
-  let image = Page_store.read t.store n in
+  let buf = frame_buffer t in
+  let page =
+    match
+      Page_store.read_into t.store n buf;
+      Page.of_bytes buf
+    with
+    | page -> page
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.spare <- buf :: t.spare;
+      Printexc.raise_with_backtrace e bt
+  in
   let f =
-    { page_no = n; page = Page.of_bytes image; dirty = false; pins = 1;
-      last_used = 1 + Atomic.fetch_and_add t.tick 1; referenced = true }
+    { page_no = n; page; dirty = false; pins = 1;
+      last_used = 1 + Atomic.fetch_and_add t.tick 1; referenced = true; slot = 0 }
   in
   let s = stripe_of t n in
   Mutex.lock s.s_m;
   Hashtbl.replace s.tbl n f;
   Mutex.unlock s.s_m;
-  Atomic.incr t.n_frames;
+  add_resident t f;
   if t.policy = Second_chance then Queue.add n t.clock_ring;
   f
 
@@ -289,7 +356,9 @@ let with_all t f =
     f
 
 let iter_frames t f =
-  Array.iter (fun s -> Hashtbl.iter (fun _ fr -> f fr) s.tbl) t.stripes
+  for i = 0 to t.n_resident - 1 do
+    f t.resident.(i)
+  done
 
 let flush_all t = with_all t (fun () -> iter_frames t (fun f -> ignore (writeback t f : int)))
 
@@ -310,8 +379,9 @@ let invalidate t =
       iter_frames t (fun f ->
           if f.pins > 0 then failwith "Buffer_pool.invalidate: pinned frame");
       iter_frames t (fun f -> ignore (writeback t f : int));
+      iter_frames t (fun f -> t.spare <- Page.bytes f.page :: t.spare);
       Array.iter (fun s -> Hashtbl.reset s.tbl) t.stripes;
-      Atomic.set t.n_frames 0;
+      t.n_resident <- 0;
       Queue.clear t.clock_ring)
 
 let stats t =

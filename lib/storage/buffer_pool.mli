@@ -5,19 +5,28 @@
     use, unpin) and mark it dirty if they modified it; dirty frames are
     written back on eviction or {!flush_all}.
 
+    A miss allocates no page buffer once the pool is full: the page is
+    read ({!Page_store.read_into}) straight into the evicted frame's own
+    buffer, under either policy, so a pool allocates at most [frames]
+    page buffers over its lifetime.
+
     The pool is domain-safe for concurrent readers: the resident-page
     table is lock-striped by page number, so domains pinning distinct
     pages take disjoint locks, while misses, eviction, and whole-pool
-    operations serialize behind a global lock.  No frame
-    is ever evicted while pinned, and {!stats} counters are exact under
-    concurrency.  Run on a single domain the pool's observable behavior
-    (hit/miss/eviction sequence, LRU victims, stats) is identical to the
-    unstriped design. *)
+    operations serialize behind a global lock.  The LRU victim is chosen
+    by a scan of a compact array of the resident frames, which only the
+    global lock's holder changes, so the scan takes no stripe lock; the
+    choice is then confirmed under the victim's one stripe lock (still
+    unpinned, not touched since the scan) and the scan repeats if a
+    concurrent hit got there first.  No frame is ever evicted while
+    pinned, and {!stats} counters are exact under concurrency.  Run on a
+    single domain the pool's observable behavior (hit/miss/eviction
+    sequence, LRU victims, stats) is identical to the unstriped design. *)
 
 type t
 
 type policy =
-  | Lru  (** exact least-recently-used (default) *)
+  | Lru  (** exact least-recently-used among unpinned frames (default) *)
   | Second_chance  (** clock sweep with reference bits — cheaper bookkeeping *)
 
 val create : ?frames:int -> ?policy:policy -> Page_store.t -> t
@@ -29,8 +38,15 @@ val with_page : t -> int -> (Page.t -> [ `Clean | `Dirty ] * 'a) -> 'a
 (** [with_page t n f] pins page [n], applies [f] to its in-frame image, and
     unpins.  If [f] returns [`Dirty] the frame is marked dirty.  Nested
     [with_page] on distinct pages is allowed; re-entering the same page is
-    allowed and pins are counted.  Raises [Page_store.Bad_page] for an
-    unknown page and [Failure] if every frame is pinned. *)
+    allowed and pins are counted.
+
+    The {!Page.t} handed to [f] (and its {!Page.bytes}) is valid only
+    inside [f]: once unpinned the frame may be evicted and its buffer
+    reused for another page, so copy out anything needed afterwards.
+
+    Raises [Page_store.Bad_page] for an unknown page — before any frame is
+    evicted or any counter moves — and [Failure] if every frame is
+    pinned. *)
 
 val allocate_page : t -> int
 (** Allocate a fresh page in the store and return its number. *)

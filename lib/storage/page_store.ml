@@ -41,27 +41,34 @@ let really_pread fd buf off =
   in
   go 0
 
-let really_pwrite fd buf off =
+(* Write bytes [\[pos, pos + len)] of [buf] at file offset [off]. *)
+let really_pwrite_sub fd buf ~pos ~len off =
   ignore (Unix.lseek fd off Unix.SEEK_SET);
-  let len = Bytes.length buf in
+  let stop = pos + len in
   let rec go pos =
-    if pos < len then begin
-      let k = Unix.write fd buf pos (len - pos) in
+    if pos < stop then begin
+      let k = Unix.write fd buf pos (stop - pos) in
       go (pos + k)
     end
   in
-  go 0
+  go pos
 
-let read t n =
+let really_pwrite fd buf off = really_pwrite_sub fd buf ~pos:0 ~len:(Bytes.length buf) off
+
+let read_into t n buf =
   check_open t;
   check_page t n;
+  if Bytes.length buf <> t.page_size then
+    invalid_arg "Page_store.read_into: wrong page size";
   t.reads <- t.reads + 1;
   match t.impl with
-  | Mem m -> Bytes.copy m.pages.(n)
-  | File f ->
-    let buf = Bytes.create t.page_size in
-    really_pread f.fd buf (file_offset t n);
-    buf
+  | Mem m -> Bytes.blit m.pages.(n) 0 buf 0 t.page_size
+  | File f -> really_pread f.fd buf (file_offset t n)
+
+let read t n =
+  let buf = Bytes.create t.page_size in
+  read_into t n buf;
+  buf
 
 let write t n page =
   check_open t;
@@ -71,7 +78,7 @@ let write t n page =
   t.writes <- t.writes + 1;
   t.written_bytes <- t.written_bytes + t.page_size;
   match t.impl with
-  | Mem m -> m.pages.(n) <- Bytes.copy page
+  | Mem m -> Bytes.blit page 0 m.pages.(n) 0 t.page_size
   | File f -> really_pwrite f.fd page (file_offset t n)
 
 let write_ranges t n page ranges =
@@ -98,7 +105,7 @@ let write_ranges t n page ranges =
         t.written_bytes <- t.written_bytes + len;
         match t.impl with
         | Mem m -> Bytes.blit page off m.pages.(n) off len
-        | File f -> really_pwrite f.fd (Bytes.sub page off len) (file_offset t n + off))
+        | File f -> really_pwrite_sub f.fd page ~pos:off ~len (file_offset t n + off))
       ranges
 
 let write_range t n page ~off ~len = write_ranges t n page [ (off, len) ]

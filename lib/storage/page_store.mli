@@ -18,8 +18,15 @@ val page_count : t -> int
 val read : t -> int -> bytes
 (** A copy of the page image.  Raises [Bad_page] if out of range. *)
 
+val read_into : t -> int -> bytes -> unit
+(** [read_into t n buf] overwrites [buf] with page [n]'s image, allocating
+    nothing — the buffer pool's miss path reads into the evicted frame's
+    own buffer.  Raises [Bad_page] if out of range, [Invalid_argument] if
+    [buf] is not exactly one page long. *)
+
 val write : t -> int -> bytes -> unit
-(** Raises [Bad_page] if out of range, [Invalid_argument] on a wrong-size
+(** Stores a copy of the image (the caller keeps ownership of [page]).
+    Raises [Bad_page] if out of range, [Invalid_argument] on a wrong-size
     image. *)
 
 val write_range : t -> int -> bytes -> off:int -> len:int -> unit

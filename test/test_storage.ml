@@ -321,6 +321,79 @@ let test_buffer_pool_invalidate () =
       checkb "flushed then dropped: data still there" true (Page.read page 0 <> None);
       (`Clean, ()))
 
+(* A page number outside the store is rejected before the pool touches
+   any frame: a full pool with dirty frames neither evicts nor writes
+   back, and the failed access counts as neither hit nor miss. *)
+let test_buffer_pool_bad_page_evicts_nothing () =
+  let s = Page_store.in_memory ~page_size:256 () in
+  let bp = Buffer_pool.create ~frames:2 s in
+  let p0 = Buffer_pool.allocate_page bp in
+  let p1 = Buffer_pool.allocate_page bp in
+  List.iter
+    (fun p ->
+      Buffer_pool.with_page bp p (fun page ->
+          ignore (Page.insert page (Bytes.of_string "dirty"));
+          (`Dirty, ())))
+    [ p0; p1 ];
+  let st0 = Buffer_pool.stats bp in
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises "bad page" (Page_store.Bad_page bad) (fun () ->
+          Buffer_pool.with_page bp bad (fun _ -> (`Clean, ()))))
+    [ 99; -1 ];
+  let st1 = Buffer_pool.stats bp in
+  checki "evictions unchanged" st0.Buffer_pool.evictions st1.Buffer_pool.evictions;
+  checki "writebacks unchanged" st0.Buffer_pool.writebacks st1.Buffer_pool.writebacks;
+  checki "misses unchanged" st0.Buffer_pool.misses st1.Buffer_pool.misses;
+  checki "hits unchanged" st0.Buffer_pool.hits st1.Buffer_pool.hits;
+  List.iter
+    (fun p ->
+      Buffer_pool.with_page bp p (fun page ->
+          checkb "dirty frame still resident" true (Page.read page 0 <> None);
+          (`Clean, ())))
+    [ p0; p1 ];
+  checki "both frames hit afterwards" (st0.Buffer_pool.hits + 2)
+    (Buffer_pool.stats bp).Buffer_pool.hits
+
+(* Exact LRU on a 3-frame pool: each access's hit/miss is scripted, so a
+   miss on a page shows it was the previous victim.  Comments give the
+   resident pages oldest first ( * = pinned). *)
+let test_buffer_pool_exact_lru () =
+  let s = Page_store.in_memory ~page_size:256 () in
+  let bp = Buffer_pool.create ~frames:3 ~policy:Buffer_pool.Lru s in
+  for _ = 0 to 5 do
+    ignore (Buffer_pool.allocate_page bp : int)
+  done;
+  let access n expect =
+    let st0 = Buffer_pool.stats bp in
+    Buffer_pool.with_page bp n (fun _ -> (`Clean, ()));
+    let missed = (Buffer_pool.stats bp).Buffer_pool.misses > st0.Buffer_pool.misses in
+    checkb (Printf.sprintf "page %d %s" n (if expect = `Miss then "misses" else "hits"))
+      (expect = `Miss) missed
+  in
+  access 0 `Miss;  (* 0 *)
+  access 1 `Miss;  (* 0 1 *)
+  access 2 `Miss;  (* 0 1 2 *)
+  access 0 `Hit;  (* 1 2 0 *)
+  access 3 `Miss;  (* victim 1: 2 0 3 *)
+  access 1 `Miss;  (* victim 2: 0 3 1 *)
+  access 2 `Miss;  (* victim 0: 3 1 2 *)
+  access 3 `Hit;  (* 1 2 3 *)
+  access 0 `Miss;  (* victim 1: 2 3 0 *)
+  Buffer_pool.with_page bp 0 (fun _ ->
+      (* 2 3 0* *)
+      access 2 `Hit;  (* 3 0* 2 *)
+      access 3 `Hit;  (* 0* 2 3: the LRU frame is pinned *)
+      access 4 `Miss;  (* victim 2, the next-oldest: 0* 3 4 *)
+      access 2 `Miss;  (* victim 3: 0* 4 2 *)
+      access 4 `Hit;  (* 0* 2 4 *)
+      (`Clean, ()));
+  access 5 `Miss;  (* unpinned 0 is oldest again, victim 0: 2 4 5 *)
+  access 0 `Miss;  (* victim 2: 4 5 0 *)
+  access 4 `Hit;
+  access 5 `Hit;
+  checki "evictions" 8 (Buffer_pool.stats bp).Buffer_pool.evictions
+
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
@@ -502,6 +575,9 @@ let suite =
     Alcotest.test_case "buffer pool writeback" `Quick test_buffer_pool_writeback;
     Alcotest.test_case "buffer pool eviction" `Quick test_buffer_pool_eviction_preserves_data;
     Alcotest.test_case "buffer pool invalidate" `Quick test_buffer_pool_invalidate;
+    Alcotest.test_case "buffer pool: bad page evicts nothing" `Quick
+      test_buffer_pool_bad_page_evicts_nothing;
+    Alcotest.test_case "buffer pool: exact LRU victims" `Quick test_buffer_pool_exact_lru;
     Alcotest.test_case "heap insert/get" `Quick test_heap_insert_get;
     Alcotest.test_case "heap rejects bad tuple" `Quick test_heap_rejects_bad_tuple;
     Alcotest.test_case "heap update/delete" `Quick test_heap_update_delete;
@@ -899,7 +975,68 @@ let test_pool_two_domain_stress () =
     (1 + (rounds * (npages - 1)))
     (st1.Buffer_pool.hits - st0.Buffer_pool.hits
     + (st1.Buffer_pool.misses - st0.Buffer_pool.misses));
-  checkb "churn actually evicted" true (st1.Buffer_pool.evictions > st0.Buffer_pool.evictions)
+  checkb "churn actually evicted" true (st1.Buffer_pool.evictions > st0.Buffer_pool.evictions);
+  (* Two domains churn disjoint page sets through a pool smaller than
+     either set, each visiting its own pages in a random order and
+     re-stamping every page it visits.  A domain often revisits a page
+     that is still resident, so one domain's unlocked victim scans race
+     the other domain's real hits.  Every stamp must survive eviction (a
+     recycled frame buffer must never leak another page's bytes, and a
+     frame pinned after the scan chose it must not be evicted), and every
+     access is exactly one hit or one miss. *)
+  let per_domain = 10 and frames = 6 and visits = 4000 in
+  let store = Page_store.in_memory ~page_size:256 () in
+  let pool = Buffer_pool.create ~frames store in
+  let sets =
+    Array.init 2 (fun _ -> Array.init per_domain (fun _ -> Buffer_pool.allocate_page pool))
+  in
+  let stamp d i r = Bytes.of_string (Printf.sprintf "d%d p%02d r%04d" d i r) in
+  Array.iteri
+    (fun d set ->
+      Array.iteri
+        (fun i n ->
+          Buffer_pool.with_page pool n (fun page ->
+              ignore (Page.insert page (stamp d i 0) : int option);
+              (`Dirty, ())))
+        set)
+    sets;
+  let st0 = Buffer_pool.stats pool in
+  let churn d () =
+    let set = sets.(d) and last = Array.make per_domain 0 in
+    let rng = Random.State.make [| d |] in
+    for _ = 1 to visits do
+      let i = Random.State.int rng per_domain in
+      Buffer_pool.with_page pool set.(i) (fun page ->
+          (match Page.read page 0 with
+          | Some b when Bytes.equal b (stamp d i last.(i)) -> ()
+          | Some b -> Alcotest.failf "page %d of domain %d holds %S" i d (Bytes.to_string b)
+          | None -> Alcotest.failf "stamp of page %d of domain %d vanished" i d);
+          last.(i) <- last.(i) + 1;
+          if not (Page.update page 0 (stamp d i last.(i))) then Alcotest.fail "restamp failed";
+          (`Dirty, ()))
+    done;
+    last
+  in
+  let other = Domain.spawn (churn 1) in
+  let last0 = churn 0 () in
+  let last1 = Domain.join other in
+  let st1 = Buffer_pool.stats pool in
+  checki "two domains: hits + misses = accesses" (2 * visits)
+    (st1.Buffer_pool.hits - st0.Buffer_pool.hits
+    + (st1.Buffer_pool.misses - st0.Buffer_pool.misses));
+  checkb "two domains: resident pages hit" true (st1.Buffer_pool.hits > st0.Buffer_pool.hits);
+  checkb "two domains: churn evicted" true
+    (st1.Buffer_pool.evictions - st0.Buffer_pool.evictions > visits / 2);
+  Buffer_pool.flush_all pool;
+  Array.iteri
+    (fun d last ->
+      Array.iteri
+        (fun i n ->
+          checks "final stamp reached the store"
+            (Bytes.to_string (stamp d i last.(i)))
+            (Bytes.to_string (Option.get (Page.read (Page.of_bytes (Page_store.read store n)) 0))))
+        sets.(d))
+    [| last0; last1 |]
 
 (* ------------------------------------------------------------------ *)
 (* Decode arena: the differential scan's only decoder must yield exactly
@@ -1043,6 +1180,142 @@ let test_arena_allocates_less () =
     (Printf.sprintf "arena %.1f words/entry < plain %.1f" arena plain)
     true (arena < plain)
 
+(* ------------------------------------------------------------------ *)
+(* The buffer pool against a plain page -> bytes model.  Frames recycle
+   their victim's page buffer, so a stale byte from the previous tenant
+   reaching a faulted-in page would show as a whole-image mismatch. *)
+
+type pool_op =
+  | P_read of int
+  | P_write of int * int * char  (* page, record length, fill *)
+  | P_pin of int * pool_op list  (* hold the page pinned across the body *)
+
+let pool_pages = 8
+
+(* Pins nest at most [frames - 1] deep, so a free frame always exists. *)
+let pool_ops_gen ~frames =
+  let page = Gen.int_range 0 (pool_pages - 1) in
+  let rec ops depth = Gen.list_size (Gen.int_range 0 (if depth = 0 then 60 else 4)) (op depth)
+  and op depth =
+    Gen.frequency
+      ([ (4, Gen.map (fun n -> P_read n) page);
+         (3, Gen.map3 (fun n len c -> P_write (n, len, c)) page (Gen.int_range 1 40)
+               (Gen.char_range 'a' 'z')) ]
+      @ if depth < frames - 1 then
+          [ (1, Gen.map2 (fun n body -> P_pin (n, body)) page (ops (depth + 1))) ]
+        else [])
+  in
+  ops 0
+
+let pool_case_gen =
+  Gen.(
+    oneofl [ Buffer_pool.Lru; Buffer_pool.Second_chance ] >>= fun policy ->
+    int_range 1 4 >>= fun frames ->
+    bool >>= fun file_backed ->
+    map (fun script -> (policy, frames, file_backed, script)) (pool_ops_gen ~frames))
+
+let print_pool_case (policy, frames, file_backed, script) =
+  let rec op = function
+    | P_read n -> Printf.sprintf "R%d" n
+    | P_write (n, len, c) -> Printf.sprintf "W%d:%d%c" n len c
+    | P_pin (n, body) -> Printf.sprintf "Pin%d[%s]" n (String.concat " " (List.map op body))
+  in
+  Printf.sprintf "%s frames=%d %s [%s]"
+    (match policy with Buffer_pool.Lru -> "lru" | Buffer_pool.Second_chance -> "second-chance")
+    frames (if file_backed then "file" else "mem")
+    (String.concat " " (List.map op script))
+
+let run_pool_case store (policy, frames, _, script) =
+  let page_size = Page_store.page_size store in
+  let model =
+    Array.init pool_pages (fun n ->
+        let page = Page.create ~page_size in
+        ignore (Page.insert page (Bytes.of_string (Printf.sprintf "page %d" n)) : int option);
+        let n' = Page_store.allocate store in
+        Page_store.write store n' (Page.bytes page);
+        Page.bytes page)
+  in
+  let pool = Buffer_pool.create ~frames ~policy store in
+  let accesses = ref 0 in
+  let check_image what n page =
+    if not (Bytes.equal (Page.bytes page) model.(n)) then
+      QCheck2.Test.fail_reportf "%s of page %d differs from the model" what n
+  in
+  let rec run op =
+    incr accesses;
+    match op with
+    | P_read n ->
+      Buffer_pool.with_page pool n (fun page -> check_image "read" n page; (`Clean, ()))
+    | P_write (n, len, c) ->
+      let record = Bytes.make len c in
+      Buffer_pool.with_page pool n (fun page ->
+          check_image "pre-write image" n page;
+          let applied = Page.update page 0 record in
+          if Page.update (Page.of_bytes model.(n)) 0 record <> applied then
+            QCheck2.Test.fail_reportf "update of page %d disagrees with the model" n;
+          ((if applied then `Dirty else `Clean), ()))
+    | P_pin (n, body) ->
+      Buffer_pool.with_page pool n (fun page ->
+          check_image "pinned read" n page;
+          List.iter run body;
+          check_image "image after pinned body" n page;
+          (`Clean, ()))
+  in
+  let st0 = Buffer_pool.stats pool in
+  List.iter run script;
+  let st1 = Buffer_pool.stats pool in
+  if st1.Buffer_pool.hits - st0.Buffer_pool.hits + (st1.Buffer_pool.misses - st0.Buffer_pool.misses)
+     <> !accesses
+  then QCheck2.Test.fail_report "hits + misses <> accesses";
+  Buffer_pool.flush_all pool;
+  Array.iteri
+    (fun n image ->
+      if not (Bytes.equal (Page_store.read store n) image) then
+        QCheck2.Test.fail_reportf "store page %d differs from the model after flush_all" n)
+    model;
+  true
+
+let prop_pool_matches_model =
+  QCheck2.Test.make ~name:"buffer pool = page model (reads, writes, nested pins)" ~count:300
+    ~print:print_pool_case pool_case_gen (fun ((_, _, file_backed, _) as case) ->
+      if file_backed then
+        with_tmp_file (fun path ->
+            let store = Page_store.open_file ~page_size:256 path in
+            Fun.protect ~finally:(fun () -> Page_store.close store) (fun () ->
+                run_pool_case store case))
+      else run_pool_case (Page_store.in_memory ~page_size:256 ()) case)
+
+(* Once the pool is full a miss reuses the victim's page buffer: the
+   major heap must grow by less than one page per miss, with clean and
+   with dirty (written-back) victims alike. *)
+let test_pool_miss_allocates_no_page () =
+  let page_size = 4096 in
+  let store = Page_store.in_memory ~page_size () in
+  let pool = Buffer_pool.create ~frames:16 store in
+  let npages = 64 in
+  for _ = 1 to npages do
+    ignore (Buffer_pool.allocate_page pool : int)
+  done;
+  let sweep status =
+    for i = 0 to (4 * npages) - 1 do
+      Buffer_pool.with_page pool (i mod npages) (fun _ -> (status, ()))
+    done
+  in
+  sweep `Clean;
+  List.iter
+    (fun (what, status) ->
+      let m0 = (Buffer_pool.stats pool).Buffer_pool.misses in
+      let _, _, w0 = Gc.counters () in
+      sweep status;
+      let _, _, w1 = Gc.counters () in
+      let misses = (Buffer_pool.stats pool).Buffer_pool.misses - m0 in
+      let per_miss = (w1 -. w0) /. float_of_int misses in
+      let page_words = float_of_int (page_size / (Sys.word_size / 8)) in
+      checkb
+        (Printf.sprintf "%s victims: %.1f major words/miss < %.0f" what per_miss page_words)
+        true (misses > 0 && per_miss < page_words))
+    [ ("clean", `Clean); ("dirty", `Dirty) ]
+
 let suite =
   suite
   @ [
@@ -1053,4 +1326,7 @@ let suite =
         test_arena_corrupt_record_raises;
       Alcotest.test_case "arena: fewer minor words per entry" `Quick
         test_arena_allocates_less;
+      QCheck_alcotest.to_alcotest prop_pool_matches_model;
+      Alcotest.test_case "buffer pool: a miss allocates no page buffer" `Quick
+        test_pool_miss_allocates_no_page;
     ]
