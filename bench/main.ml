@@ -1589,8 +1589,9 @@ let mvcc_bench () =
     \ uniform image; 'torn' counts pinned scans that saw two tags at once\n\
     \ and must be zero; 'in-commit' counts reads that completed while a\n\
     \ refresh commit was streaming - the never-blocked demonstration;\n\
-    \ naive pays pages*retain copy cost per commit, copy-on-update and\n\
-    \ zigzag shift cost to the 'indirections' read-amplification column)"
+    \ naive rebuilds the pages written since the last commit by merging\n\
+    \ their post-images into shared pages; copy-on-update and zigzag\n\
+    \ shift cost to the 'indirections' read-amplification column)"
 
 (* ------------------------------------------------------------------ *)
 (* Vacuum: how much version memory and WAL tail a vacuum reclaims as a

@@ -71,6 +71,7 @@ type refresh_report = {
   chunks : int;  (* page-range chunks the scan was split into; 0 = monolithic *)
   catchup_records : int;  (* net-changed addresses replayed from the WAL tail *)
   max_lock_hold_us : float;  (* longest single lock-hold window (chunk or catch-up) *)
+  receiver : Snapshot_table.commit_phases;  (* the committing stream's receiver phases *)
 }
 
 (* Retry discipline for refresh streams.  Backoff is simulated time
@@ -676,6 +677,7 @@ let report_of s method_used ~new_snaptime ~entries_scanned ~data_messages =
     chunks = 0;
     catchup_records = 0;
     max_lock_hold_us = 0.0;
+    receiver = Snapshot_table.no_phases;
   }
 
 let report_of_sub s (r : Differential.report) =
@@ -1095,7 +1097,7 @@ let rec settle t b m outcome =
     on_commit ();
     let report =
       { report with attempts = m.attempt; aborts = m.attempt - 1; escalated = escalated t m;
-        backoff_us = m.backoff }
+        backoff_us = m.backoff; receiver = Snapshot_table.last_commit_phases s.table }
     in
     note_report s report;
     Metrics.incr m_refreshes;

@@ -73,6 +73,11 @@ type refresh_report = {
           catch-up's table-S — the measure the chunked protocol bounds;
           0 on the monolithic path (which holds one table lock throughout,
           its hold being the whole refresh duration) *)
+  receiver : Snapshot_table.commit_phases;
+      (** the receiver half of the refresh's cost: how long the snapshot
+          site spent staging, freezing, replaying and publishing the
+          committed stream ({!Snapshot_table.last_commit_phases}); all
+          zero for a refresh that did not commit a framed stream *)
 }
 
 (** {1 Retry policy}

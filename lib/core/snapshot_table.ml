@@ -35,7 +35,17 @@ type stage = {
   mutable expected_seq : int;
   mutable staged : Refresh_msg.t list;  (* newest first *)
   mutable poison : string option;
+  mutable stage_time_us : float;  (* time spent validating and queueing frames *)
 }
+
+type commit_phases = {
+  stage_us : float;
+  freeze_us : float;
+  replay_us : float;
+  publish_us : float;
+}
+
+let no_phases = { stage_us = 0.0; freeze_us = 0.0; replay_us = 0.0; publish_us = 0.0 }
 
 type t = {
   snap_name : string;
@@ -51,6 +61,7 @@ type t = {
   mutable aborts : int;
   mutable last_abort : string option;
   mutable committed_epoch : int;  (* -1 before any framed commit *)
+  mutable last_phases : commit_phases;  (* of the last framed commit *)
   versions : Version_store.t;  (* MVCC epoch ring; inert until retained/pinned *)
   horizon : Horizon.t;  (* epoch leases + retention policy for this snapshot *)
 }
@@ -140,6 +151,7 @@ let create ?(page_size = 4096) ?(frames = 128) ?version_strategy ?version_retain
     aborts = 0;
     last_abort = None;
     committed_epoch = -1;
+    last_phases = no_phases;
     versions = make_versions ?version_strategy ?version_retain ~user:schema ~heap ~index ();
     horizon = make_horizon ?version_retain ?retain_duration ();
   }
@@ -174,6 +186,7 @@ let on_pool ?(snaptime = Clock.never) ?version_strategy ?version_retain ?retain_
     aborts = 0;
     last_abort = None;
     committed_epoch = -1;
+    last_phases = no_phases;
     versions = make_versions ?version_strategy ?version_retain ~user:schema ~heap ~index ();
     horizon = make_horizon ?version_retain ?retain_duration ();
   }
@@ -224,20 +237,36 @@ let user_of_rid t rid =
     (fun stored -> Array.sub stored 0 (Schema.arity t.user))
     (Heap.get t.heap rid)
 
-(* Every mutation funnels through {!Version_store.write}: when versions
-   are retained or pinned, the store captures the touched page's pre-image
-   (and holds its lock across the mutation so pinned readers never observe
-   a half-applied entry); when the store is inert — the default — the
-   mutation runs directly, one boolean test away from the pre-MVCC code. *)
+(* The old row, decoded only when a secondary index must unlink it. *)
+let indexed_old t rid = if Hashtbl.length t.secondaries = 0 then None else user_of_rid t rid
+
+(* Rewrite the row at [rid] in place.  A row grown past its page's free
+   space moves to a new rid instead — inserted before the old one is
+   deleted, so a row that fits nowhere changes nothing — and the BaseAddr
+   index follows it. *)
+let rewrite_row t base_addr rid stored =
+  match Heap.update t.heap rid stored with
+  | () -> ()
+  | exception Heap.Tuple_error _ ->
+    let moved = Heap.insert t.heap stored in
+    Heap.delete t.heap rid;
+    Int_btree.insert t.index base_addr moved
+
+(* Every mutation funnels through {!Version_store.write}, naming its
+   post-image: when versions are retained or pinned, the store captures
+   the touched page's pre-image, records the post-image for the next Naive
+   freeze, and holds its lock across the mutation so pinned readers never
+   observe a half-applied entry; when the store is inert — the default —
+   the mutation runs directly, one boolean test away from the pre-MVCC
+   code. *)
 let upsert t base_addr values =
   let stored = stored_tuple t base_addr values in
-  Version_store.write t.versions (`Addr base_addr) (fun () ->
+  Version_store.write t.versions (`Put (base_addr, values)) (fun () ->
       match Int_btree.find t.index base_addr with
       | Some rid ->
-        (match user_of_rid t rid with
-        | Some old -> sec_remove t base_addr old
-        | None -> ());
-        Heap.update t.heap rid stored;
+        let old = indexed_old t rid in
+        rewrite_row t base_addr rid stored;
+        Option.iter (sec_remove t base_addr) old;
         sec_add t base_addr values
       | None ->
         let rid = Heap.insert t.heap stored in
@@ -245,22 +274,24 @@ let upsert t base_addr values =
         sec_add t base_addr values)
 
 let remove t base_addr =
-  Version_store.write t.versions (`Addr base_addr) (fun () ->
+  Version_store.write t.versions (`Del base_addr) (fun () ->
       match Int_btree.find t.index base_addr with
       | Some rid ->
-        (match user_of_rid t rid with
-        | Some old -> sec_remove t base_addr old
-        | None -> ());
+        Option.iter (sec_remove t base_addr) (indexed_old t rid);
         Heap.delete t.heap rid;
         ignore (Int_btree.remove t.index base_addr : bool)
       | None -> ())
 
-let remove_range t ~lo ~hi =
-  (* Inclusive bounds; collect first, then delete (the index must not be
-     mutated mid-iteration).  Each victim goes through {!remove}, so the
-     version store captures every touched page. *)
-  let victims = Int_btree.keys_in_range t.index ?lo ?hi () in
-  List.iter (remove t) victims
+(* Delete every entry with [lo <= BaseAddr <= hi] ([hi = None]: no upper
+   bound), one successor probe per victim: an empty gap — the common case
+   in a differential stream — costs a single probe and builds no list.
+   Each victim goes through {!remove}, so the version store sees it. *)
+let rec remove_range t ~lo ~hi =
+  match Int_btree.find_first t.index ~lo with
+  | Some (a, _) when (match hi with None -> true | Some h -> a <= h) ->
+    remove t a;
+    remove_range t ~lo:(a + 1) ~hi
+  | _ -> ()
 
 let clear t =
   Version_store.write t.versions `All (fun () ->
@@ -290,10 +321,10 @@ let rec apply t (msg : Refresh_msg.t) =
   | Entry { addr; prev_qual; values } ->
     (* Everything strictly between the previous qualified entry and this
        one is gone from the base table's qualified set. *)
-    remove_range t ~lo:(Some (prev_qual + 1)) ~hi:(Some (addr - 1));
+    remove_range t ~lo:(prev_qual + 1) ~hi:(Some (addr - 1));
     upsert t addr values
-  | Tail { last_qual } -> remove_range t ~lo:(Some (last_qual + 1)) ~hi:None
-  | Region { lo; hi } -> remove_range t ~lo:(Some lo) ~hi:(Some hi)
+  | Tail { last_qual } -> remove_range t ~lo:(last_qual + 1) ~hi:None
+  | Region { lo; hi } -> remove_range t ~lo ~hi:(Some hi)
   | Upsert { addr; values } -> upsert t addr values
   | Remove { addr } -> remove t addr
   | Clear -> clear t
@@ -306,7 +337,19 @@ let rec apply t (msg : Refresh_msg.t) =
 (* ------------------------------------------------------------------ *)
 (* Atomic application of framed streams. *)
 
-let fresh_stage epoch = { stage_epoch = epoch; expected_seq = 0; staged = []; poison = None }
+let fresh_stage epoch =
+  { stage_epoch = epoch; expected_seq = 0; staged = []; poison = None; stage_time_us = 0.0 }
+
+(* A checksum-valid frame can still carry a row the snapshot cannot hold
+   (wrong arity, wrong type, NULL in a NOT NULL column).  It is caught
+   here, at staging, so the stream aborts whole instead of raising half
+   way through its replay. *)
+let rec malformed t (msg : Refresh_msg.t) =
+  match msg with
+  | Entry { values; _ } | Upsert { values; _ } -> (
+    match Schema.validate_tuple t.user values with Ok () -> None | Error e -> Some e)
+  | Batch ms -> List.find_map (malformed t) ms
+  | Tail _ | Region _ | Remove _ | Clear | Snaptime _ | Register _ | Request _ -> None
 
 let discard_stage t ~reason =
   match t.stage with
@@ -365,9 +408,13 @@ let apply_framed t { Refresh_msg.epoch; seq; msg } =
          staged message mutates the table, and publish the new epoch as
          the live head afterwards: readers pinned across this replay keep
          a consistent version throughout. *)
+      let t0 = Trace.now_us () in
       Version_store.begin_commit t.versions;
+      let t1 = Trace.now_us () in
+      let t2 = ref t1 in
       Fun.protect
         ~finally:(fun () ->
+          t2 := Trace.now_us ();
           Version_store.end_commit t.versions ~epoch ~snaptime:commit_ts)
         (fun () ->
           Trace.with_span "refresh.apply"
@@ -375,10 +422,20 @@ let apply_framed t { Refresh_msg.epoch; seq; msg } =
             (fun () ->
               List.iter (apply t) (List.rev st.staged);
               apply t msg));
+      t.last_phases <-
+        { stage_us = st.stage_time_us; freeze_us = t1 -. t0; replay_us = !t2 -. t1;
+          publish_us = Trace.now_us () -. !t2 };
       t.commits <- t.commits + 1;
       t.committed_epoch <- epoch;
       Metrics.incr m_stream_commits)
-  | _ -> st.staged <- msg :: st.staged
+  | _ ->
+    let t0 = Trace.now_us () in
+    (if st.poison = None then
+       match malformed t msg with
+       | Some e -> st.poison <- Some (Printf.sprintf "malformed frame in epoch %d: %s" epoch e)
+       | None -> ());
+    st.staged <- msg :: st.staged;
+    st.stage_time_us <- st.stage_time_us +. (Trace.now_us () -. t0)
 
 let apply_bytes t b =
   if Refresh_msg.is_framed b then
@@ -399,6 +456,7 @@ let epochs_committed t = t.commits
 let epochs_aborted t = t.aborts
 let last_abort t = t.last_abort
 let last_committed_epoch t = t.committed_epoch
+let last_commit_phases t = t.last_phases
 let stream_pending t = t.stage <> None
 let staged_depth t = match t.stage with None -> 0 | Some st -> List.length st.staged
 

@@ -96,7 +96,10 @@ val apply_bytes : t -> bytes -> unit
     Messages of a framed refresh stream are staged per epoch and applied
     only when the stream's {!Refresh_msg.Snaptime} commit marker arrives
     with no sequence gap, truncation, or corruption.  A bad stream is
-    discarded wholesale — the previous consistent image stays intact. *)
+    discarded wholesale — the previous consistent image stays intact.
+    A data frame whose row does not validate against the snapshot
+    schema (arity, column types, NOT NULL) poisons its stream at
+    staging, so it too aborts whole. *)
 
 val apply_framed : t -> Refresh_msg.frame -> unit
 
@@ -111,6 +114,26 @@ val last_abort : t -> string option
 
 val last_committed_epoch : t -> int
 (** Epoch of the most recently committed framed stream; [-1] before any. *)
+
+(** Where the receiver's time went in its last framed commit, in
+    microseconds.  The four phases are disjoint: [stage_us] sums the
+    staging of the epoch's data frames (validation and queueing, one
+    call per frame); [freeze_us] is {!Version_store.begin_commit}
+    freezing the pre-commit image; [replay_us] applies the staged
+    messages to the live table; [publish_us] is
+    {!Version_store.end_commit} publishing the epoch. *)
+type commit_phases = {
+  stage_us : float;
+  freeze_us : float;
+  replay_us : float;
+  publish_us : float;
+}
+
+val no_phases : commit_phases
+(** All zero: no framed commit yet. *)
+
+val last_commit_phases : t -> commit_phases
+(** {!no_phases} before the first framed commit. *)
 
 val stream_pending : t -> bool
 

@@ -278,16 +278,19 @@ module Make (Key : ORDERED) = struct
 
   let iter_range t ?lo ?hi f = iter_range_node t.root lo hi f
 
-  exception Found_binding
-
   let find_first t ~lo =
-    let result = ref None in
-    (try
-       iter_range t ~lo (fun k v ->
-           result := Some (k, v);
-           raise Found_binding)
-     with Found_binding -> ());
-    !result
+    (* A descent remembering the last node whose key at [i] lies above
+       [lo] (the best successor so far): O(log n), no traversal closure. *)
+    let rec go n best bi =
+      let i, hit = locate n lo in
+      if hit then Some (n.keys.(i), n.vals.(i))
+      else if i < nkeys n then
+        if is_leaf n then Some (n.keys.(i), n.vals.(i)) else go n.kids.(i) n i
+      else if not (is_leaf n) then go n.kids.(i) best bi
+      else if bi < 0 then None
+      else Some (best.keys.(bi), best.vals.(bi))
+    in
+    go t.root t.root (-1)
 
   let find_last t ~hi =
     (* No reverse iterator; a descent tracking the best-so-far is O(log n). *)

@@ -45,9 +45,16 @@ type live = {
   live_count : unit -> int;
 }
 
+(* A Naive frozen page: its rows, plus their addresses and encoded sizes
+   ([row_bytes]) as flat int arrays and the page's byte total.  A merge
+   locates its post-images and moves the total by the delta from these
+   alone, never touching the scattered blocks of untouched rows. *)
+type npage = { rows : page; addrs : int array; sizes : int array; bytes : int }
+
 (* One frozen view per strategy:
 
-   - [Frozen_naive]: a complete private page table (absent pid = empty).
+   - [Frozen_naive]: a complete page table (absent pid = empty).  Pages
+     are immutable and shared with the neighbouring freezes' tables.
    - [Frozen_cou]: overrides laid over the live table.  Invariant: a pid
      with no override is untouched since the version froze, so the live
      page *is* the version's page (the one read indirection).
@@ -56,7 +63,7 @@ type live = {
      and read through to live. *)
 type view =
   | Live
-  | Frozen_naive of (int, page) Hashtbl.t
+  | Frozen_naive of (int, npage) Hashtbl.t
   | Frozen_cou of (int, page option) Hashtbl.t
   | Frozen_zz of zz_view
 
@@ -89,6 +96,13 @@ type t = {
   mutable committing : bool;
   mutable froze_head : bool;  (* this commit took the freeze (slow) path *)
   touched : (int, unit) Hashtbl.t;  (* pids captured this commit *)
+  (* Naive incremental freeze: the last freeze's page table, valid while
+     [dirty] holds the post-image of every mutation since, per pid, newest
+     first ([None] = deleted).  Dropped when the store goes inert (writes
+     then bypass it) and on [`All]; the next freeze then builds from
+     scratch. *)
+  mutable nv_base : (int, npage) Hashtbl.t option;
+  dirty : (int, posts ref) Hashtbl.t;
   (* Cached "mutations need interception" flag: one unsynchronized read on
      the write path keeps the inert default at zero overhead. *)
   mutable is_active : bool;
@@ -99,6 +113,8 @@ type t = {
      (always reclaimable) is the pre-lifecycle refcount-only behaviour. *)
   mutable guard : epoch:int -> snaptime:Clock.ts -> bool;
 }
+
+and posts = (Addr.t * Tuple.t option) list
 
 type txn = { tx_store : t; tx_version : version; mutable tx_pinned : bool }
 
@@ -145,6 +161,8 @@ let create ?(strategy = Naive) ?(retain = 1) ?(page_span = 64) ~live () =
     committing = false;
     froze_head = false;
     touched = Hashtbl.create 16;
+    nv_base = None;
+    dirty = Hashtbl.create 64;
     is_active = false;
     guard = (fun ~epoch:_ ~snaptime:_ -> true);
   }
@@ -160,21 +178,33 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Recompute the interception flag; call with the lock held. *)
+let drop_base t =
+  if t.nv_base <> None then begin
+    t.nv_base <- None;
+    Hashtbl.reset t.dirty
+  end
+
+(* Recompute the interception flag; call with the lock held.  An inert
+   store stops seeing writes, so the Naive base goes with it. *)
 let refresh_active t =
   t.is_active <-
     (match t.ring with
     | [ { v_view = Live; v_pins = 0; _ } ] -> t.zombies <> []
-    | _ -> true)
+    | _ -> true);
+  if not t.is_active then drop_base t
+
+let row_bytes tup = 8 + Tuple.encoded_size tup
 
 let page_bytes (p : page option) =
   match p with
   | None -> 0
-  | Some p -> Array.fold_left (fun acc (_, tup) -> acc + 8 + Tuple.encoded_size tup) 0 p
+  | Some p -> Array.fold_left (fun acc (_, tup) -> acc + row_bytes tup) 0 p
 
-let note_copy p =
+let note_bytes n =
   Metrics.incr m_pages_copied;
-  Metrics.add m_copy_bytes (page_bytes p)
+  Metrics.add m_copy_bytes n
+
+let note_copy p = note_bytes (page_bytes p)
 
 let frozen_versions t =
   List.filter (fun v -> v.v_view <> Live) t.ring @ t.zombies
@@ -253,17 +283,148 @@ let capture_pid t pid =
     | Copy_on_update -> capture_cou t pid
     | Zigzag -> demote_zz t pid
 
+(* Naive: remember the mutation's post-image for the next freeze's merge.
+   A clear empties every page at once; the next freeze rebuilds instead. *)
+let note_post t target =
+  let push addr post =
+    let pid = addr / t.span in
+    match Hashtbl.find_opt t.dirty pid with
+    | Some l -> l := (addr, post) :: !l
+    | None -> Hashtbl.add t.dirty pid (ref [ (addr, post) ])
+  in
+  if t.nv_base <> None then
+    match target with
+    | `Put (addr, tup) -> push addr (Some tup)
+    | `Del addr -> push addr None
+    | `All -> drop_base t
+
 let write t target mutate =
   if not t.is_active then mutate ()
   else
     locked t (fun () ->
         (match target with
-        | `Addr addr -> capture_pid t (addr / t.span)
+        | `Put (addr, _) | `Del addr -> capture_pid t (addr / t.span)
         | `All -> List.iter (capture_pid t) (t.live.live_pids ()));
-        mutate ())
+        match mutate () with
+        | v ->
+          note_post t target;
+          v
+        | exception e ->
+          (* The host may have half-applied the mutation: the post-image
+             no longer describes the live image. *)
+          let bt = Printexc.get_raw_backtrace () in
+          drop_base t;
+          Printexc.raise_with_backtrace e bt)
 
 (* ------------------------------------------------------------------ *)
 (* Commit protocol. *)
+
+(* Naive freeze without a base: every live page, read through the host. *)
+let build_pages t =
+  let pages = Hashtbl.create 64 in
+  List.iter
+    (fun pid ->
+      match t.live.live_page pid with
+      | Some rows ->
+        let sizes = Array.map (fun (_, tup) -> row_bytes tup) rows in
+        let np =
+          { rows; addrs = Array.map fst rows; sizes; bytes = Array.fold_left ( + ) 0 sizes }
+        in
+        note_bytes np.bytes;
+        Hashtbl.replace pages pid np
+      | None -> ())
+    (t.live.live_pids ());
+  pages
+
+(* A pid's post-images, newest first, as an ascending list holding only
+   the last write per address.  A refresh stream writes in address order,
+   so the reversed list is usually already that; otherwise sort (stable,
+   so the newest of equal addresses stays first) and drop the older ones. *)
+let ascending_posts (l : posts) =
+  let rec strictly_desc = function
+    | (a, _) :: ((b, _) :: _ as tl) -> a > b && strictly_desc tl
+    | _ -> true
+  in
+  if strictly_desc l then List.rev l
+  else
+    let rec dedup = function
+      | (a, x) :: (b, _) :: tl when a = b -> dedup ((a, x) :: tl)
+      | p :: tl -> p :: dedup tl
+      | [] -> []
+    in
+    dedup (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) l)
+
+(* One linear merge of an old page with its pid's ascending post-images;
+   [None] when nothing is left.  A first pass sizes the result exactly and
+   moves the byte total by the delta; the second fills it, copying the
+   untouched runs wholesale. *)
+let merge_page old (posts : posts) =
+  let rows, addrs, sizes, bytes =
+    match old with
+    | Some p -> (p.rows, p.addrs, p.sizes, p.bytes)
+    | None -> ([||], [||], [||], 0)
+  in
+  let n = Array.length rows in
+  let size = ref n and bytes = ref bytes and r = ref 0 in
+  List.iter
+    (fun (a, post) ->
+      while !r < n && addrs.(!r) < a do
+        incr r
+      done;
+      if !r < n && addrs.(!r) = a then begin
+        bytes := !bytes - sizes.(!r);
+        decr size
+      end;
+      match post with
+      | Some tup ->
+        bytes := !bytes + row_bytes tup;
+        incr size
+      | None -> ())
+    posts;
+  if !size = 0 then None
+  else begin
+    let out = Array.make !size (0, [||]) in
+    let out_addrs = Array.make !size 0 and out_sizes = Array.make !size 0 in
+    let k = ref 0 and r = ref 0 in
+    let copy_to a =
+      let from = !r in
+      while !r < n && addrs.(!r) < a do
+        incr r
+      done;
+      Array.blit rows from out !k (!r - from);
+      Array.blit addrs from out_addrs !k (!r - from);
+      Array.blit sizes from out_sizes !k (!r - from);
+      k := !k + (!r - from)
+    in
+    List.iter
+      (fun (a, post) ->
+        copy_to a;
+        if !r < n && addrs.(!r) = a then incr r;
+        match post with
+        | Some tup ->
+          out.(!k) <- (a, tup);
+          out_addrs.(!k) <- a;
+          out_sizes.(!k) <- row_bytes tup;
+          incr k
+        | None -> ())
+      posts;
+    copy_to max_int;
+    Some { rows = out; addrs = out_addrs; sizes = out_sizes; bytes = !bytes }
+  end
+
+(* Naive freeze from a base: share its pages and rebuild only the dirty
+   pids, each by one merge — no host read, no decode. *)
+let merge_pages t base =
+  let pages = Hashtbl.copy base in
+  Hashtbl.iter
+    (fun pid l ->
+      match merge_page (Hashtbl.find_opt base pid) (ascending_posts !l) with
+      | Some np ->
+        note_bytes np.bytes;
+        Hashtbl.replace pages pid np
+      | None -> Hashtbl.remove pages pid)
+    t.dirty;
+  pages
 
 let freeze_head t head =
   (* While no frozen version is retained, writes bypass the store, so the
@@ -274,15 +435,11 @@ let freeze_head t head =
   let view =
     match t.strat with
     | Naive ->
-      let pages = Hashtbl.create 64 in
-      List.iter
-        (fun pid ->
-          match t.live.live_page pid with
-          | Some p ->
-            note_copy (Some p);
-            Hashtbl.replace pages pid p
-          | None -> ())
-        (t.live.live_pids ());
+      let pages =
+        match t.nv_base with Some base -> merge_pages t base | None -> build_pages t
+      in
+      t.nv_base <- Some pages;
+      Hashtbl.reset t.dirty;
       Frozen_naive pages
     | Copy_on_update -> Frozen_cou (Hashtbl.create 16)
     | Zigzag ->
@@ -334,10 +491,11 @@ let zz_publish t =
     t.touched
 
 let free_version v =
-  (* Drop the bulk structures eagerly; the record itself is small. *)
+  (* Drop the bulk structures eagerly; the record itself is small.  A
+     Naive table may still be the next freeze's base, so it is only
+     unreferenced here. *)
   (match v.v_view with
-  | Live -> ()
-  | Frozen_naive pages -> Hashtbl.reset pages
+  | Live | Frozen_naive _ -> ()
   | Frozen_cou over -> Hashtbl.reset over
   | Frozen_zz zv -> Hashtbl.reset zv.zv_over);
   v.v_view <- Frozen_cou (Hashtbl.create 1);
@@ -448,7 +606,7 @@ let check_pinned tx op = if not tx.tx_pinned then invalid_arg ("Version_store." 
 let resolve_page t v pid : page option =
   match v.v_view with
   | Live -> t.live.live_page pid
-  | Frozen_naive pages -> Hashtbl.find_opt pages pid
+  | Frozen_naive pages -> Option.map (fun np -> np.rows) (Hashtbl.find_opt pages pid)
   | Frozen_cou over -> (
     match Hashtbl.find_opt over pid with
     | Some p -> p
@@ -485,6 +643,18 @@ let candidate_pids t v =
     Hashtbl.iter (fun pid _ -> add set pid) t.zz_slots;
     Hashtbl.iter (fun pid _ -> add set pid) zv.zv_over;
     List.sort compare (Hashtbl.fold (fun pid () acc -> pid :: acc) set [])
+
+let page_table tx =
+  check_pinned tx "page_table";
+  let t = tx.tx_store and v = tx.tx_version in
+  locked t (fun () ->
+      List.filter_map
+        (fun pid ->
+          match v.v_view with
+          | Frozen_naive pages ->
+            Option.map (fun np -> (pid, np.rows, np.bytes)) (Hashtbl.find_opt pages pid)
+          | _ -> Option.map (fun p -> (pid, p, page_bytes (Some p))) (resolve_page t v pid))
+        (candidate_pids t v))
 
 let find_in_page (p : page) addr =
   (* Binary search; pages are sorted by address. *)
@@ -610,7 +780,7 @@ type vacuum_stats = {
 let version_bytes v =
   match v.v_view with
   | Live -> 0
-  | Frozen_naive pages -> Hashtbl.fold (fun _ p acc -> acc + page_bytes (Some p)) pages 0
+  | Frozen_naive pages -> Hashtbl.fold (fun _ np acc -> acc + np.bytes) pages 0
   | Frozen_cou over -> Hashtbl.fold (fun _ p acc -> acc + page_bytes p) over 0
   | Frozen_zz zv -> Hashtbl.fold (fun _ p acc -> acc + page_bytes p) zv.zv_over 0
 

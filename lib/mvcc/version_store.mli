@@ -20,9 +20,15 @@
     {e A Comparative Study of Consistent Snapshot Algorithms for
     Main-Memory Database Systems}:
 
-    - {b Naive} — the freezing epoch is cloned wholesale at commit:
-      highest commit cost (O(table) copy per commit once anything is
-      retained or pinned), zero read amplification.
+    - {b Naive} — every frozen epoch owns a complete page table, so reads
+      have zero amplification.  The store records each mutation's
+      post-image while it is active, and a freeze shares the previous
+      freeze's immutable pages, rebuilding only the pages written since
+      (one merge of the old sorted page with the sorted post-images).
+      Commit cost is O(rows changed since the last freeze) plus one
+      O(pages) table copy.  Only a freeze with no base — the first, the
+      first after the store was inert, or the first after an [`All]
+      write — reads every live page through the host.
     - {b Copy-on-update} — the commit installs only the epoch's dirty-page
       pre-images over the shared live base; a read chases at most one
       indirection (override miss -> live page).  Cheapest commit,
@@ -128,11 +134,18 @@ val set_reclaim_guard : t -> (epoch:int -> snaptime:Clock.ts -> bool) -> unit
     live head (the head {e is} the live image) while frozen versions stay
     sealed off from them. *)
 
-val write : t -> [ `Addr of Addr.t | `All ] -> (unit -> 'a) -> 'a
+val write : t -> [ `Put of Addr.t * Tuple.t | `Del of Addr.t | `All ] -> (unit -> 'a) -> 'a
 (** [write t target mutate] captures the pre-image of the page(s) covering
     [target] (first touch per commit only) according to the strategy, then
     runs [mutate], all under the store lock — unless the store is inert,
-    in which case [mutate] runs directly. *)
+    in which case [mutate] runs directly.
+
+    [target] names the mutation's post-image: [`Put (addr, row)] leaves
+    [row] (the user tuple, which must not be mutated afterwards) at
+    [addr]; [`Del addr] leaves nothing there; [`All] empties the table.
+    Naive freezes are built from these post-images, so a host whose
+    [mutate] does anything else corrupts later versions.  If [mutate]
+    raises, the next Naive freeze rebuilds from the live image. *)
 
 val begin_commit : t -> unit
 (** Freeze the live head into an immutable version (unless the inert fast
@@ -179,6 +192,13 @@ val exists_in_range :
   txn -> ?lo:Addr.t -> ?hi:Addr.t -> f:(Tuple.t -> bool) -> unit -> bool
 
 (** {1 Introspection} *)
+
+val page_table : txn -> (int * page * int) list
+(** The pinned version's non-empty logical pages, ascending pid, each with
+    its encoded byte total ([8 + Tuple.encoded_size row] per row).  A
+    frozen Naive version returns its own table and the totals it carries,
+    updated by merged deltas; other views resolve and sum on the fly.
+    Exposed for tests. *)
 
 type version_info = {
   vi_epoch : int;

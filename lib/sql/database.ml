@@ -562,6 +562,7 @@ let populate_query_snapshot t qs =
     chunks = 0;
     catchup_records = 0;
     max_lock_hold_us = 0.0;
+    receiver = Snapshot_table.no_phases;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -831,6 +832,7 @@ let execute t (stmt : Ast.stmt) =
             chunks = 0;
             catchup_records = 0;
             max_lock_hold_us = 0.0;
+            receiver = Snapshot_table.no_phases;
           }
       | exception Invalid_argument m -> err "%s" m)
     | [ b ] -> err "unknown table %s" b

@@ -73,22 +73,20 @@ let validate_tuple t values =
     Error
       (Printf.sprintf "arity mismatch: schema has %d columns, tuple has %d"
          (arity t) (Array.length values))
-  else begin
-    let err = ref None in
-    Array.iteri
-      (fun i v ->
-        if !err = None then begin
-          let c = t.cols.(i) in
-          if Value.is_null v then begin
-            if not c.nullable then
-              err := Some (Printf.sprintf "column %s is NOT NULL" c.name)
-          end
-          else if not (Value.has_type v c.ty) then
-            err :=
-              Some
-                (Printf.sprintf "column %s expects %s, got %s" c.name
-                   (Value.ty_name c.ty) (Value.to_string v))
-        end)
-      values;
-    match !err with None -> Ok () | Some e -> Error e
-  end
+  else
+    (* Every stored and every received row passes here: no allocation
+       unless a column fails. *)
+    let rec check i =
+      if i = Array.length values then Ok ()
+      else
+        let c = t.cols.(i) and v = values.(i) in
+        if Value.is_null v then
+          if c.nullable then check (i + 1)
+          else Error (Printf.sprintf "column %s is NOT NULL" c.name)
+        else if Value.has_type v c.ty then check (i + 1)
+        else
+          Error
+            (Printf.sprintf "column %s expects %s, got %s" c.name (Value.ty_name c.ty)
+               (Value.to_string v))
+    in
+    check 0

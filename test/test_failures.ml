@@ -181,6 +181,94 @@ let test_gap_and_corruption_detected () =
     && Snapshot_table.epochs_aborted snap = 1
     && Snapshot_table.epochs_committed snap = 0)
 
+(* A checksum-valid frame whose row the snapshot cannot hold — wrong
+   arity, wrong column type, even buried in a Batch — poisons its stream
+   at staging: the epoch aborts whole instead of raising half way through
+   its replay, and the next clean epoch commits. *)
+let test_malformed_frame_aborts () =
+  let bad_rows =
+    [ ("arity", Refresh_msg.Upsert { addr = a3; values = Tuple.make [ Value.str "short" ] });
+      ("type", Refresh_msg.Upsert { addr = a3; values = Tuple.make [ Value.int 1; Value.int 2 ] });
+      ( "batched arity",
+        Refresh_msg.Batch
+          [ Refresh_msg.Upsert { addr = a3; values = emp "c" 3 };
+            Refresh_msg.Entry
+              { addr = a3 + 1; prev_qual = a3; values = Tuple.make [ Value.str "x"; Value.int 1; Value.int 2 ] }
+          ] ) ]
+  in
+  List.iteri
+    (fun k (what, bad) ->
+      let snap = mk_snap () in
+      let old_image = Snapshot_table.contents snap in
+      let frames = [ Refresh_msg.Remove { addr = a1 }; bad; Refresh_msg.Snaptime 20 ] in
+      (match
+         List.iteri
+           (fun i msg ->
+             Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch:(k + 1) ~seq:i msg))
+           frames
+       with
+      | () -> ()
+      | exception e -> Alcotest.failf "%s: malformed frame raised %s" what (Printexc.to_string e));
+      checkb (what ^ ": stream aborted, old image kept") true
+        (Snapshot_table.contents snap = old_image
+        && Snapshot_table.epochs_aborted snap = 1
+        && Snapshot_table.epochs_committed snap = 0
+        && Snapshot_table.validate snap = Ok ());
+      checkb (what ^ ": abort names the malformed frame") true
+        (match Snapshot_table.last_abort snap with
+        | Some r -> String.length r >= 15 && String.sub r 0 15 = "malformed frame"
+        | None -> false);
+      List.iteri
+        (fun i msg ->
+          Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch:(k + 10) ~seq:i msg))
+        stream;
+      checki (what ^ ": the next clean epoch commits") (k + 10)
+        (Snapshot_table.last_committed_epoch snap))
+    bad_rows
+
+(* A snapshot row that grows past its page's free space moves to a new rid
+   instead of failing the replay.  Before, [Heap.update] raised mid-commit:
+   the half-applied epoch was published (the ring named an epoch the
+   snapshot never committed) and every later refresh raised again. *)
+let test_grown_row_relocates () =
+  let clock = Clock.create () in
+  let base = Base_table.create ~name:"emp" ~clock emp_schema in
+  let addrs =
+    Array.init 400 (fun i ->
+        Base_table.insert base (emp (Printf.sprintf "%040d" i) (if i mod 2 = 0 then 1 else 100)))
+  in
+  let m = Manager.create () in
+  Manager.register_base m base;
+  ignore
+    (Manager.create_snapshot m ~name:"s" ~base:"emp"
+       ~restrict:Expr.(col "salary" <. int 50)
+       ~method_:Manager.Differential ~version_retain:2 ()
+      : Manager.refresh_report);
+  let first_page = Addr.page addrs.(0) in
+  Array.iteri
+    (fun i a -> if i mod 2 = 1 && Addr.page a = first_page then Base_table.delete base a)
+    addrs;
+  Base_table.update base addrs.(2) (emp "changed" 1);
+  Base_table.update base addrs.(40) (emp (String.make 1200 'x') 1);
+  let snap = Manager.snapshot_table m "s" in
+  let check_consistent what =
+    checkb (what ^ ": image is the base restriction") true (faithful m base 50);
+    match Manager.snapshot_versions m "s" with
+    | head :: _ ->
+      checki (what ^ ": ring head is the committed epoch")
+        (Snapshot_table.last_committed_epoch snap) head.Snapdiff_mvcc.Version_store.vi_epoch
+    | [] -> Alcotest.fail "empty ring"
+  in
+  (match Manager.refresh m "s" with
+  | _ -> ()
+  | exception e -> Alcotest.failf "refresh with a grown row raised %s" (Printexc.to_string e));
+  check_consistent "grown row";
+  Base_table.update base addrs.(4) (emp "later" 1);
+  (match Manager.refresh m "s" with
+  | _ -> ()
+  | exception e -> Alcotest.failf "the next refresh raised %s" (Printexc.to_string e));
+  check_consistent "next refresh"
+
 (* ------------------------------------------------------------------ *)
 (* Manager-level determinism: outage mid-stream with no retry budget
    keeps the old image; with budget the refresh converges. *)
@@ -453,6 +541,10 @@ let suite =
       `Quick test_partial_stream_neither_image;
     Alcotest.test_case "gap and corruption poison the stream" `Quick
       test_gap_and_corruption_detected;
+    Alcotest.test_case "malformed frame aborts its stream at staging" `Quick
+      test_malformed_frame_aborts;
+    Alcotest.test_case "grown snapshot row relocates instead of wedging" `Quick
+      test_grown_row_relocates;
     Alcotest.test_case "outage keeps old image, retry recovers" `Quick
       test_outage_keeps_old_image_then_recovers;
     Alcotest.test_case "partition window heals under backoff" `Quick

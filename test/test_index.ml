@@ -141,10 +141,14 @@ let prop_range =
       let t = IntBtree.create ~degree:2 () in
       List.iter (fun k -> IntBtree.insert t k ()) keys;
       let got = IntBtree.keys_in_range t ~lo ~hi () in
-      let expected =
-        List.sort_uniq compare (List.filter (fun k -> k >= lo && k <= hi) keys)
-      in
-      got = expected)
+      let sorted = List.sort_uniq compare keys in
+      let expected = List.filter (fun k -> k >= lo && k <= hi) sorted in
+      (* Successor and predecessor probes at the same bounds. *)
+      let succ = List.find_opt (fun k -> k >= lo) sorted in
+      let pred = List.find_opt (fun k -> k <= hi) (List.rev sorted) in
+      got = expected
+      && Option.map fst (IntBtree.find_first t ~lo) = succ
+      && Option.map fst (IntBtree.find_last t ~hi) = pred)
 
 let suite =
   [

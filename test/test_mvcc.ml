@@ -5,7 +5,9 @@
    - Version_store directly, over a toy live table: the inert default
      path, pin-across-commit per strategy, mid-commit pins landing on the
      frozen pre-commit image, raw (uncommitted) writes demoting zigzag
-     slots, and refcount-gated zombie reclamation;
+     slots, refcount-gated zombie reclamation, and a qcheck property over
+     random host schedules that also checks the incremental Naive page
+     table against a from-scratch build;
    - Snapshot_table / Manager: read transactions pinned across real
      framed-stream refreshes, the iter/fold fast paths, commit-only
      subscriber delivery, and persisted-store adoption (attach_snapshot)
@@ -74,9 +76,10 @@ let commit_epoch vs tbl e =
     (fun () ->
       for i = 0 to 9 do
         let a = 1 + (((e * 7) + (i * 13)) mod 40) in
-        VS.write vs (`Addr a) (fun () ->
-            if (e + i) mod 5 = 0 then Hashtbl.remove tbl a
-            else Hashtbl.replace tbl a (row e i))
+        if (e + i) mod 5 = 0 then VS.write vs (`Del a) (fun () -> Hashtbl.remove tbl a)
+        else
+          let v = row e i in
+          VS.write vs (`Put (a, v)) (fun () -> Hashtbl.replace tbl a v)
       done)
 
 let test_vs_inert_default () =
@@ -144,7 +147,8 @@ let test_vs_epochs_exact strat () =
     (fun () ->
       for i = 0 to 9 do
         let a = 1 + (((7 * 7) + (i * 13)) mod 40) in
-        VS.write vs (`Addr a) (fun () -> Hashtbl.replace tbl a (row 7 i));
+        let v = row 7 i in
+        VS.write vs (`Put (a, v)) (fun () -> Hashtbl.replace tbl a v);
         if i = 4 then begin
           match VS.pin vs with
           | None -> Alcotest.fail "mid-commit pin refused"
@@ -204,9 +208,10 @@ let test_vs_raw_write_isolation strat () =
   let m1 = txn_list t1 in
   for i = 0 to 19 do
     let a = 1 + ((i * 3) mod 40) in
-    VS.write vs (`Addr a) (fun () ->
-        if i mod 4 = 0 then Hashtbl.remove tbl a
-        else Hashtbl.replace tbl a (row 99 i))
+    if i mod 4 = 0 then VS.write vs (`Del a) (fun () -> Hashtbl.remove tbl a)
+    else
+      let v = row 99 i in
+      VS.write vs (`Put (a, v)) (fun () -> Hashtbl.replace tbl a v)
   done;
   let m_raw = model tbl in
   checkb "frozen epoch 1 unmoved by raw writes" true (txn_list t1 = m1);
@@ -229,6 +234,141 @@ let test_vs_raw_write_isolation strat () =
   | Some t3 ->
     checkb "epoch 3 is the post-commit image" true (txn_list t3 = model tbl);
     VS.release t3
+
+(* Random host schedules over the toy table: framed commits, raw writes
+   between them, [`All] clears, and pins and releases of the head and of
+   older epochs — so the store crosses inert <-> active — under every
+   strategy and retain 1-4.  Every pinned or retained version must read
+   the model image at its freeze (the live image while it is still the
+   head), and its page table must equal a from-scratch build of that
+   image, page for page and byte total for byte total: under Naive this
+   is the incrementally merged table the store carries. *)
+
+(* [W_torn]: a host mutation that changes the row and then raises, so
+   the post-image it named never landed as named. *)
+type wop = W_put of int * int | W_del of int | W_clear | W_torn of int * int
+
+type vop =
+  | V_commit of wop list
+  | V_raw of wop
+  | V_pin_head
+  | V_pin_old of int
+  | V_release of int
+
+let wop_gen =
+  Gen.frequency
+    [ (6, Gen.map2 (fun a i -> W_put (a, i)) (Gen.int_range 1 40) (Gen.int_range 0 999));
+      (3, Gen.map (fun a -> W_del a) (Gen.int_range 1 40));
+      (1, Gen.pure W_clear);
+      (1, Gen.map2 (fun a i -> W_torn (a, i)) (Gen.int_range 1 40) (Gen.int_range 0 999)) ]
+
+let vop_gen =
+  Gen.frequency
+    [ (4, Gen.map (fun ws -> V_commit ws) (Gen.list_size (Gen.int_range 0 12) wop_gen));
+      (2, Gen.map (fun w -> V_raw w) wop_gen);
+      (1, Gen.pure V_pin_head);
+      (1, Gen.map (fun k -> V_pin_old k) Gen.nat);
+      (2, Gen.map (fun k -> V_release k) Gen.nat) ]
+
+let strategy_gen = Gen.oneofl [ VS.Naive; VS.Copy_on_update; VS.Zigzag ]
+
+(* The oracle's own page build: group by pid, rows ascending, bytes summed. *)
+let scratch_pages image =
+  let by_pid = Hashtbl.create 8 in
+  List.iter
+    (fun (a, v) ->
+      let pid = a / span in
+      Hashtbl.replace by_pid pid ((a, v) :: Option.value (Hashtbl.find_opt by_pid pid) ~default:[]))
+    image;
+  Hashtbl.fold
+    (fun pid rows acc ->
+      let rows = List.rev rows in
+      let bytes = List.fold_left (fun b (_, v) -> b + 8 + Tuple.encoded_size v) 0 rows in
+      (pid, Array.of_list rows, bytes) :: acc)
+    by_pid []
+  |> List.sort compare
+
+let run_vs_schedule (strat, retain, ops) =
+  let tbl = Hashtbl.create 64 in
+  let vs = VS.create ~strategy:strat ~retain ~page_span:span ~live:(mk_live tbl) () in
+  let frozen = Hashtbl.create 16 in
+  let head_epoch = ref (-1) and next = ref 1 and held = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> QCheck2.Test.fail_report s) fmt in
+  let write e w =
+    match w with
+    | W_put (a, i) ->
+      let v = row e i in
+      VS.write vs (`Put (a, v)) (fun () -> Hashtbl.replace tbl a v)
+    | W_del a -> VS.write vs (`Del a) (fun () -> Hashtbl.remove tbl a)
+    | W_clear -> VS.write vs `All (fun () -> Hashtbl.reset tbl)
+    | W_torn (a, i) -> (
+      let named = row e i and landed = row e (i + 1) in
+      match
+        VS.write vs (`Put (a, named)) (fun () ->
+            Hashtbl.replace tbl a landed;
+            failwith "torn host write")
+      with
+      | () -> fail "torn write did not raise"
+      | exception Failure _ -> ())
+  in
+  let expected tx =
+    let e = VS.txn_epoch tx in
+    if e = !head_epoch then model tbl else Hashtbl.find frozen e
+  in
+  let check what tx =
+    let img = expected tx in
+    if txn_list tx <> img then fail "%s: epoch %d differs from its image" what (VS.txn_epoch tx);
+    if VS.page_table tx <> scratch_pages img then
+      fail "%s: epoch %d page table differs from a from-scratch build" what (VS.txn_epoch tx)
+  in
+  let check_ring () =
+    List.iter
+      (fun vi ->
+        match VS.pin ~epoch:vi.VS.vi_epoch vs with
+        | None -> fail "retained epoch %d unpinnable" vi.VS.vi_epoch
+        | Some tx ->
+          check "ring" tx;
+          VS.release tx)
+      (VS.versions vs)
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | V_commit ws ->
+        let e = !next in
+        incr next;
+        Hashtbl.replace frozen !head_epoch (model tbl);
+        VS.begin_commit vs;
+        List.iter (write e) ws;
+        VS.end_commit vs ~epoch:e ~snaptime:(10 * e);
+        head_epoch := e;
+        check_ring ()
+      | V_raw w -> write 0 w
+      | V_pin_head -> held := Option.get (VS.pin vs) :: !held
+      | V_pin_old k -> (
+        let ring = VS.versions vs in
+        let vi = List.nth ring (k mod List.length ring) in
+        match VS.pin ~epoch:vi.VS.vi_epoch vs with
+        | Some tx -> held := tx :: !held
+        | None -> fail "retained epoch %d unpinnable" vi.VS.vi_epoch)
+      | V_release k -> (
+        match !held with
+        | [] -> ()
+        | l ->
+          let tx = List.nth l (k mod List.length l) in
+          VS.release tx;
+          held := List.filter (fun t -> t != tx) l));
+      List.iter (check "held") !held)
+    ops;
+  check_ring ();
+  List.iter VS.release !held;
+  if VS.zombie_count vs <> 0 then fail "zombies survive their last release";
+  true
+
+let prop_vs_schedules =
+  QCheck2.Test.make ~name:"version store: random schedules, every version exact" ~count:300
+    Gen.(triple strategy_gen (int_range 1 4) (list_size (int_range 1 30) vop_gen))
+    run_vs_schedule
 
 (* ------------------------------------------------------------------ *)
 (* Manager / Snapshot_table integration. *)
@@ -689,6 +829,7 @@ let suite =
       (test_vs_raw_write_isolation VS.Copy_on_update);
     Alcotest.test_case "version store: raw writes isolated (zigzag)" `Quick
       (test_vs_raw_write_isolation VS.Zigzag);
+    QCheck_alcotest.to_alcotest prop_vs_schedules;
     Alcotest.test_case "read txn pins across refresh (naive)" `Quick
       (test_read_txn_pins_across_refresh VS.Naive);
     Alcotest.test_case "read txn pins across refresh (copy-on-update)" `Quick

@@ -335,6 +335,46 @@ let test_histogram_single_sample_bucket () =
         (Metrics.quantile h1 q = 7.0))
     [ 0.0; 0.5; 0.95; 0.99; 1.0 ]
 
+(* The receiver half of the refresh ledger: a committed refresh reports
+   how long the snapshot site spent staging, freezing, replaying and
+   publishing its stream.  The phases are disjoint slices of the refresh,
+   so each is non-negative and together they fit inside its wall time. *)
+let test_receiver_ledger () =
+  let clock = Clock.create () in
+  let base = Base_table.create ~name:"emp" ~clock emp_schema in
+  let m = Manager.create () in
+  Manager.register_base m base;
+  for i = 0 to 299 do
+    ignore (Base_table.insert base (emp (Printf.sprintf "s%d" i) (i mod 20)) : Addr.t)
+  done;
+  ignore
+    (Manager.create_snapshot m ~name:"s" ~base:"emp"
+       ~restrict:Expr.(col "salary" <. int 12)
+       ~method_:Manager.Differential ~version_retain:3 ()
+      : Manager.refresh_report);
+  let st = Manager.snapshot_table m "s" in
+  for round = 1 to 3 do
+    List.iteri
+      (fun i (a, _) -> if i mod 3 = round mod 3 then Base_table.update base a (emp "u" (i mod 20)))
+      (Base_table.to_user_list base);
+    let t0 = Trace.now_us () in
+    let r = Manager.refresh m "s" in
+    let wall = Trace.now_us () -. t0 in
+    let p = r.Manager.receiver in
+    let phases =
+      [ ("stage", p.stage_us); ("freeze", p.freeze_us); ("replay", p.replay_us);
+        ("publish", p.publish_us) ]
+    in
+    List.iter (fun (name, us) -> checkb (name ^ " phase is non-negative") true (us >= 0.0)) phases;
+    let sum = List.fold_left (fun acc (_, us) -> acc +. us) 0.0 phases in
+    checkb
+      (Printf.sprintf "round %d: phases (%.0f us) fit in the refresh (%.0f us)" round sum wall)
+      true (sum <= wall);
+    checkb "the replay of ~60 upserts was timed" true (p.replay_us > 0.0);
+    checkb "the report carries the snapshot's last commit" true
+      (p = Snapshot_table.last_commit_phases st)
+  done
+
 let suite =
   [
     Alcotest.test_case "metrics counters/gauges" `Quick test_metrics_counters_gauges;
@@ -348,5 +388,6 @@ let suite =
     Alcotest.test_case "trace spans + pause/resume" `Quick test_trace_spans_and_pause;
     Alcotest.test_case "trace disabled passthrough" `Quick test_trace_disabled_is_passthrough;
     Alcotest.test_case "subsystem coverage" `Quick test_subsystem_coverage;
+    Alcotest.test_case "receiver ledger phases fit the refresh" `Quick test_receiver_ledger;
     QCheck_alcotest.to_alcotest prop_stream_identical_traced;
   ]
