@@ -304,14 +304,16 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_st
              \"group_size\": %d, \"pages_decoded\": %d, \"data_messages\": %d, \
              \"link_bytes\": %d, \"attempts\": %d, \"chunks\": %d, \
              \"catchup_records\": %d, \"stage_us\": %.1f, \"freeze_us\": %.1f, \
-             \"replay_us\": %.1f, \"publish_us\": %.1f"
+             \"replay_us\": %.1f, \"publish_us\": %.1f, \"scan_us\": %.1f, \
+             \"send_us\": %.1f, \"fixup_bytes\": %d"
             name
             (Manager.method_name r.Manager.method_used)
             r.Manager.group_size r.Manager.pages_decoded r.Manager.data_messages
             r.Manager.link_bytes r.Manager.attempts r.Manager.chunks
             r.Manager.catchup_records r.Manager.receiver.stage_us
             r.Manager.receiver.freeze_us r.Manager.receiver.replay_us
-            r.Manager.receiver.publish_us;
+            r.Manager.receiver.publish_us r.Manager.sender.scan_us r.Manager.sender.send_us
+            r.Manager.sender.fixup_bytes;
           if version_retain > 1 || version_strategy <> None then begin
             Printf.bprintf buf ", \"version_strategy\": \"%s\", \"versions\": ["
               (VS.strategy_name (Manager.snapshot_version_strategy m name));

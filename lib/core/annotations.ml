@@ -33,52 +33,88 @@ type t = {
 let nulls = { prev_addr = None; timestamp = None }
 
 (* NULL is stored as an in-band sentinel rather than a SQL NULL so that the
-   two annotation fields have a fixed encoded width: the fix-up pass
-   rewrites them in place, and a tuple that grew (1-byte NULL tag -> 9-byte
-   integer) could fail to fit back into a tightly packed page.  R* had the
-   same constraint solved by its fixed-width field encoding. *)
+   two annotation fields have a fixed encoded width: the last 18 bytes of
+   every stored record are [tag_int; PrevAddr as i64; tag_int; TimeStamp
+   as i64], and the fix-up pass rewrites exactly those bytes in place
+   ({!Base_table.set_annotations} via [Heap.patch_tail]) instead of
+   re-encoding the row.  A tuple that grew (1-byte NULL tag -> 9-byte
+   integer) could also fail to fit back into a tightly packed page.  R*
+   had the same constraint solved by its fixed-width field encoding. *)
 let null_sentinel = Int64.min_int
 
-let value_of_opt = function
-  | None -> Value.Int null_sentinel
-  | Some i -> Value.int i
+(* The scan-side form of a field: a plain int, NULL = [null].  Addresses
+   and timestamps are non-negative, so [min_int] is free. *)
+let null = min_int
 
-let opt_of_value ~what = function
-  | Value.Null -> None  (* tolerated on input (R*-style NULL extension) *)
-  | Value.Int i when i = null_sentinel -> None
-  | Value.Int i -> Some (Int64.to_int i)
+let value_of_raw r = if r = null then Value.Int null_sentinel else Value.int r
+
+let raw_of_opt = Option.value ~default:null
+
+let raw_of_value ~what = function
+  | Value.Null -> null  (* tolerated on input (R*-style NULL extension) *)
+  | Value.Int i when Int64.equal i null_sentinel -> null
+  | Value.Int i -> Int64.to_int i
   | v ->
     invalid_arg
       (Printf.sprintf "Annotations: %s field holds %s" what (Value.to_string v))
+
+let check_arity what stored =
+  if Array.length stored < 2 then invalid_arg ("Annotations." ^ what ^ ": tuple too short")
+
+let raw_prev stored =
+  check_arity "raw_prev" stored;
+  raw_of_value ~what:prevaddr_col stored.(Array.length stored - 2)
+
+let raw_ts stored =
+  check_arity "raw_ts" stored;
+  raw_of_value ~what:timestamp_col stored.(Array.length stored - 1)
+
+let opt_of_raw r = if r = null then None else Some r
+
+let tail_bytes = 18
+
+let patchable stored =
+  let n = Array.length stored in
+  n >= 2
+  && (match stored.(n - 2), stored.(n - 1) with Value.Int _, Value.Int _ -> true | _ -> false)
+
+let encode_tail ~prev ~ts =
+  let b = Bytes.create tail_bytes in
+  let field off r =
+    Bytes.set b off Value.tag_int;
+    Bytes.set_int64_le b (off + 1) (if r = null then null_sentinel else Int64.of_int r)
+  in
+  field 0 prev;
+  field 9 ts;
+  b
 
 let annotate user ann =
   let n = Array.length user in
   Array.init (n + 2) (fun i ->
       if i < n then user.(i)
-      else if i = n then value_of_opt ann.prev_addr
-      else value_of_opt ann.timestamp)
+      else if i = n then value_of_raw (raw_of_opt ann.prev_addr)
+      else value_of_raw (raw_of_opt ann.timestamp))
 
 let split stored =
+  check_arity "split" stored;
   let n = Array.length stored in
-  if n < 2 then invalid_arg "Annotations.split: tuple too short";
-  let user = Array.sub stored 0 (n - 2) in
-  let ann =
-    {
-      prev_addr = opt_of_value ~what:prevaddr_col stored.(n - 2);
-      timestamp = opt_of_value ~what:timestamp_col stored.(n - 1);
-    }
-  in
-  (user, ann)
+  ( Array.sub stored 0 (n - 2),
+    { prev_addr = opt_of_raw (raw_prev stored); timestamp = opt_of_raw (raw_ts stored) } )
 
-let user_part stored = fst (split stored)
+let user_part stored =
+  check_arity "user_part" stored;
+  Array.sub stored 0 (Array.length stored - 2)
+
+let with_raw stored ~prev ~ts =
+  check_arity "with_annotations" stored;
+  let n = Array.length stored in
+  let t = Array.copy stored in
+  t.(n - 2) <- value_of_raw prev;
+  t.(n - 1) <- value_of_raw ts;
+  t
 
 let with_annotations stored ann =
-  let n = Array.length stored in
-  if n < 2 then invalid_arg "Annotations.with_annotations: tuple too short";
-  let t = Array.copy stored in
-  t.(n - 2) <- value_of_opt ann.prev_addr;
-  t.(n - 1) <- value_of_opt ann.timestamp;
-  t
+  with_raw stored ~prev:(raw_of_opt ann.prev_addr) ~ts:(raw_of_opt ann.timestamp)
 
 let pp ppf t =
   let pp_opt ppf = function

@@ -15,8 +15,12 @@
     - [__timestamp] : the local time of the entry's last modification;
       NULL means "updated since the last fix-up".
 
-    This module owns the column names and the (de)construction of annotated
-    tuples. *)
+    This module owns the column names, the (de)construction of annotated
+    tuples, and the stored layout of the two fields: NULL is an in-band
+    integer sentinel, so both fields always encode as [tag_int] plus an
+    8-byte integer and together form the record's last {!tail_bytes}
+    bytes.  A fix-up write patches exactly that tail
+    ({!Base_table.set_annotations}). *)
 
 open Snapdiff_storage
 
@@ -56,5 +60,40 @@ val user_part : Tuple.t -> Tuple.t
 
 val with_annotations : Tuple.t -> t -> Tuple.t
 (** Replace the annotation fields of a stored (already annotated) tuple. *)
+
+(** {1 Raw fields}
+
+    The scan's allocation-free view: each field as a plain [int], NULL
+    being {!null}. *)
+
+val null : int
+(** The raw NULL ([min_int]; addresses and timestamps are non-negative). *)
+
+val raw_prev : Tuple.t -> int
+(** The stored tuple's [__prevaddr] as a raw int.  Accepts an SQL
+    [Value.Null] as NULL (rows written outside this module); raises
+    [Invalid_argument] on a non-integer value or a tuple shorter than 2. *)
+
+val raw_ts : Tuple.t -> int
+(** Same for [__timestamp]. *)
+
+val with_raw : Tuple.t -> prev:int -> ts:int -> Tuple.t
+(** {!with_annotations} from raw fields. *)
+
+(** {1 The fixed-width tail} *)
+
+val tail_bytes : int
+(** [18]: two fields of [tag_int] plus an 8-byte little-endian integer. *)
+
+val patchable : Tuple.t -> bool
+(** Whether both annotation values of a stored tuple are [Value.Int], so
+    that its encoded record ends in the fixed-width tail and a patch of
+    its last {!tail_bytes} bytes equals a whole-row rewrite.  False for a
+    row carrying SQL [Value.Null] annotations, which must be rewritten
+    whole (the fields grow from 1 to 9 bytes). *)
+
+val encode_tail : prev:int -> ts:int -> bytes
+(** The {!tail_bytes}-byte encoding of the two raw fields: exactly the
+    last bytes of [Tuple.encode_to_bytes (with_raw stored ~prev ~ts)]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -179,11 +179,24 @@ let set_stored t addr tuple =
   invalidate_summary t addr;
   Heap.update t.heap addr tuple
 
+let set_annotations t addr stored ~prev ~ts =
+  if Annotations.patchable stored then begin
+    invalidate_summary t addr;
+    Heap.patch_tail t.heap addr (Annotations.encode_tail ~prev ~ts);
+    Annotations.tail_bytes
+  end
+  else begin
+    let row = Annotations.with_raw stored ~prev ~ts in
+    set_stored t addr row;
+    Tuple.encoded_size row
+  end
+
 let insert t user_tuple =
   (match Schema.validate_tuple t.user user_tuple with
   | Ok () -> ()
   | Error e -> raise (Heap.Tuple_error e));
-  let addr = Heap.insert t.heap (Annotations.annotate user_tuple Annotations.nulls) in
+  let row = Annotations.annotate user_tuple Annotations.nulls in
+  let addr = Heap.insert t.heap row in
   invalidate_summary t addr;
   (match t.table_mode with
   | Deferred ->
@@ -199,22 +212,17 @@ let insert t user_tuple =
       match successor t addr with
       | Some succ_addr ->
         let succ = stored_of t succ_addr in
-        let succ_user, succ_ann = Annotations.split succ in
-        ignore (succ_user : Tuple.t);
+        let succ_prev = Annotations.raw_prev succ in
         let inherited =
-          match succ_ann.Annotations.prev_addr with
-          | Some p -> p
-          | None -> Option.value (predecessor t addr) ~default:Addr.zero
+          if succ_prev <> Annotations.null then succ_prev
+          else Option.value (predecessor t addr) ~default:Addr.zero
         in
-        set_stored t succ_addr
-          (Annotations.with_annotations succ
-             { succ_ann with Annotations.prev_addr = Some addr });
+        ignore
+          (set_annotations t succ_addr succ ~prev:addr ~ts:(Annotations.raw_ts succ) : int);
         inherited
       | None -> Option.value (predecessor t addr) ~default:Addr.zero
     in
-    set_stored t addr
-      (Annotations.annotate user_tuple
-         { Annotations.prev_addr = Some prev; timestamp = Some now }));
+    ignore (set_annotations t addr row ~prev ~ts:now : int));
   Int_btree.insert t.live addr ();
   t.mutation_count <- t.mutation_count + 1;
   Metrics.incr m_inserts;
@@ -254,7 +262,7 @@ let update t addr user_tuple =
 
 let delete t addr =
   let old_stored = stored_of t addr in
-  let old_user, old_ann = Annotations.split old_stored in
+  let old_user = Annotations.user_part old_stored in
   invalidate_summary t addr;
   Heap.delete t.heap addr;
   ignore (Int_btree.remove t.live addr : bool);
@@ -270,15 +278,10 @@ let delete t addr =
     match successor t addr with
     | Some succ_addr ->
       let now = Clock.tick t.table_clock in
-      let succ = stored_of t succ_addr in
-      let _, succ_ann = Annotations.split succ in
-      ignore (succ_ann : Annotations.t);
-      set_stored t succ_addr
-        (Annotations.with_annotations succ
-           {
-             Annotations.prev_addr = old_ann.Annotations.prev_addr;
-             timestamp = Some now;
-           })
+      ignore
+        (set_annotations t succ_addr (stored_of t succ_addr)
+           ~prev:(Annotations.raw_prev old_stored) ~ts:now
+          : int)
     | None ->
       (* Deletion at the end of the table leaves no annotation anywhere;
          the refresh algorithm's unconditional tail message covers it. *)

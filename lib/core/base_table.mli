@@ -118,7 +118,7 @@ val to_user_list : t -> (Addr.t * Tuple.t) list
 
 val iter_stored : t -> (Addr.t -> Tuple.t -> unit) -> unit
 (** Address-order scan of stored (annotated) tuples.  The callback may call
-    {!set_stored} on the entry it is visiting. *)
+    {!set_stored} or {!set_annotations} on the entry it is visiting. *)
 
 (** {2 Page summaries}
 
@@ -179,9 +179,21 @@ val iter_page_stored_arena :
     differential scan cursor owns its own arena. *)
 
 val set_stored : t -> Addr.t -> Tuple.t -> unit
-(** Raw annotated-tuple write: used by the fix-up pass to restore
-    annotation fields.  Does not tick the clock, fire observers, or write
-    WAL (annotation maintenance is not a user change). *)
+(** Raw annotated-tuple write: re-validates, re-encodes and rewrites the
+    whole record.  Does not tick the clock, fire observers, or write WAL
+    (annotation maintenance is not a user change). *)
+
+val set_annotations : t -> Addr.t -> Tuple.t -> prev:int -> ts:int -> int
+(** [set_annotations t addr stored ~prev ~ts] rewrites the annotation
+    fields of the entry at [addr], whose current stored tuple is [stored],
+    to the raw values [prev]/[ts] ({!Annotations.null} = NULL), and returns
+    the record bytes written.  It removes the page's summary, then patches
+    the record's fixed-width tail in place ({!Heap.patch_tail}: 18 bytes,
+    nothing decoded or re-encoded).  A row whose annotation values are
+    not both [Value.Int] ({!Annotations.patchable}) is rewritten whole
+    through {!set_stored} instead.  The one write path of the fix-up
+    pass, the combined scan and eager successor maintenance; like
+    {!set_stored} it is not a user change. *)
 
 val last_addr : t -> Addr.t
 (** Address of the last live entry, or {!Addr.zero} if empty. *)

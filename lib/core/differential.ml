@@ -28,6 +28,7 @@ type report = {
   pages_decoded : int;
   pages_skipped : int;
   fixup_writes : int;
+  fixup_bytes : int;
   data_messages : int;
   tail_suppressed : bool;
 }
@@ -61,7 +62,7 @@ type sub_state = {
   mutable st_pages_decoded : int;
   mutable st_pages_skipped : int;
   mutable data_messages : int;
-  mutable page_last_qual : Addr.t option;  (* on the page being decoded *)
+  mutable page_qualified : bool;  (* an entry on the page being decoded qualified *)
 }
 
 (* What one subscriber does with the current page. *)
@@ -85,16 +86,15 @@ type cursor = {
   base : Base_table.t;
   deferred : bool;
   states : sub_state array;
-  fixup_time : Clock.ts;
   (* Shared fix-up state (deferred mode only): it tracks the base table's
      annotation chain, not any one subscriber, so one copy serves the whole
      group.  After a decoded page's chain is repaired — or a skipped page's
      summary proves it intact — the state lands on the page's last live
      address either way, which is why per-subscriber skip decisions can all
-     read the same refs. *)
-  mutable expect_prev : Addr.t;
-  mutable last_addr : Addr.t;
+     read the same chain. *)
+  chain : Fixup.chain;
   mutable fixup_writes : int;
+  mutable fixup_bytes : int;
   mutable pages_decoded : int;
   pages : int;  (* data pages at scan start; later growth is catch-up's job *)
   mutable next_page : int;
@@ -111,7 +111,7 @@ let start ~base subs =
       (fun sub ->
         { sub; new_snaptime = Clock.never; last_qual = Addr.zero; deletion = false;
           scanned = 0; skipped = 0; st_pages_decoded = 0; st_pages_skipped = 0;
-          data_messages = 0; page_last_qual = None })
+          data_messages = 0; page_qualified = false })
       subs
   in
   (* One clock tick per subscriber, in subscriber order: subscriber [i]'s
@@ -127,10 +127,9 @@ let start ~base subs =
     base;
     deferred;
     states;
-    fixup_time = states.(0).new_snaptime;
-    expect_prev = Addr.zero;
-    last_addr = Addr.zero;
+    chain = Fixup.chain ~fixup_time:states.(0).new_snaptime;
     fixup_writes = 0;
+    fixup_bytes = 0;
     pages_decoded = 0;
     pages = Base_table.data_pages base;
     next_page = 1;
@@ -140,7 +139,7 @@ let start ~base subs =
 
 let pages c = c.pages
 
-let fixup_time c = c.fixup_time
+let fixup_time c = c.chain.Fixup.fixup_time
 
 let next_page c = c.next_page
 
@@ -165,8 +164,8 @@ let decide c st page =
       else if
         c.deferred
         && not
-             (c.expect_prev = c.last_addr
-             && s.Base_table.sum_first_prev = c.expect_prev)
+             (c.chain.expect_prev = c.chain.last_addr
+             && s.Base_table.sum_first_prev = c.chain.expect_prev)
       then Decode
       else (
         match Hashtbl.find_opt cache page with
@@ -209,8 +208,8 @@ let scan_page c page =
         Array.find_opt (function Skip_cached _ -> true | _ -> false) decisions
       with
       | Some (Skip_cached (s, _)) ->
-        c.expect_prev <- s.Base_table.sum_last_live;
-        c.last_addr <- s.Base_table.sum_last_live
+        c.chain.expect_prev <- s.Base_table.sum_last_live;
+        c.chain.last_addr <- s.Base_table.sum_last_live
       | _ -> ()
   end
   else begin
@@ -222,70 +221,61 @@ let scan_page c page =
         match decisions.(i) with
         | Decode ->
           st.st_pages_decoded <- st.st_pages_decoded + 1;
-          st.page_last_qual <- None
+          st.page_qualified <- false
         | d -> apply_skip st d)
       states;
+    let chain = c.chain in
+    let null = Annotations.null in
     let live = ref 0 in
     let first_live = ref Addr.zero in
     let page_last_live = ref Addr.zero in
     let first_prev = ref Addr.zero in
     let max_ts = ref Clock.never in
     let any_null = ref false in
+    (* Per entry: read the two raw annotation fields, step the fix-up
+       chain and patch the record's tail if it changed, then run each
+       decoding subscriber on the stored row.  The user part is copied out
+       only for an entry that is actually sent. *)
     Base_table.iter_page_stored_arena base ~arena:c.arena ~page (fun addr stored ->
-        let user, ann = Annotations.split stored in
-        let ann =
-          if deferred then begin
-            let ann', expect_prev' =
-              Fixup.step ~addr ~expect_prev:c.expect_prev ~last_addr:c.last_addr
-                ~fixup_time:c.fixup_time ann
-            in
-            if ann' <> ann then begin
-              Base_table.set_stored base addr (Annotations.with_annotations stored ann');
-              c.fixup_writes <- c.fixup_writes + 1
-            end;
-            c.expect_prev <- expect_prev';
-            c.last_addr <- addr;
-            ann'
-          end
-          else ann
-        in
+        let prev = Annotations.raw_prev stored and ts = Annotations.raw_ts stored in
+        if deferred && Fixup.step chain ~addr ~prev ~ts then begin
+          c.fixup_bytes <-
+            c.fixup_bytes + Base_table.set_annotations base addr stored ~prev:chain.prev ~ts:chain.ts;
+          c.fixup_writes <- c.fixup_writes + 1
+        end;
+        let prev = if deferred then chain.prev else prev in
+        let ts = if deferred then chain.ts else ts in
         if !live = 0 then begin
           first_live := addr;
-          first_prev := Option.value ann.Annotations.prev_addr ~default:Addr.zero
+          first_prev := if prev = null then Addr.zero else prev
         end;
         incr live;
         page_last_live := addr;
-        (match ann.Annotations.timestamp with
-        | Some ts -> if ts > !max_ts then max_ts := ts
-        | None -> any_null := true);
-        if ann.Annotations.prev_addr = None then any_null := true;
-        Array.iteri
-          (fun i st ->
-            match decisions.(i) with
-            | Decode ->
-              st.scanned <- st.scanned + 1;
-              (* A NULL timestamp cannot survive fix-up; in eager mode it
-                 would mean corrupted annotations — treat as changed. *)
-              let changed =
-                match ann.Annotations.timestamp with
-                | None -> true
-                | Some ts -> ts > st.sub.sub_snaptime
-              in
-              if st.sub.sub_restrict user then begin
-                if changed || st.deletion then
-                  send st
-                    (Refresh_msg.Entry
-                       { addr; prev_qual = st.last_qual;
-                         values = st.sub.sub_project user });
-                st.last_qual <- addr;
-                st.page_last_qual <- Some addr;
-                st.deletion <- false
-              end
-              else if changed then
-                (* "Updated entry ==> may have qualified before update." *)
-                st.deletion <- true
-            | _ -> ())
-          states);
+        if ts = null || prev = null then any_null := true;
+        if ts > !max_ts then max_ts := ts;
+        for i = 0 to Array.length states - 1 do
+          match decisions.(i) with
+          | Decode ->
+            let st = states.(i) in
+            st.scanned <- st.scanned + 1;
+            (* A NULL timestamp cannot survive fix-up; in eager mode it
+               would mean corrupted annotations — treat as changed. *)
+            let changed = ts = null || ts > st.sub.sub_snaptime in
+            if st.sub.sub_restrict stored then begin
+              if changed || st.deletion then
+                send st
+                  (Refresh_msg.Entry
+                     { addr; prev_qual = st.last_qual;
+                       values = st.sub.sub_project (Annotations.user_part stored) });
+              st.last_qual <- addr;
+              st.page_qualified <- true;
+              st.deletion <- false
+            end
+            else if changed then
+              (* "Updated entry ==> may have qualified before update." *)
+              st.deletion <- true
+          | _ -> ()
+        done);
     if not !any_null then begin
       let token =
         Base_table.record_page_summary base ~page ~live:!live ~first_live:!first_live
@@ -298,7 +288,8 @@ let scan_page c page =
           match (decisions.(i), st.sub.sub_prune) with
           | Decode, Some cache ->
             Hashtbl.replace cache page
-              { Prune_cache.token; page_last_qual = st.page_last_qual }
+              { Prune_cache.token;
+                page_last_qual = (if st.page_qualified then Some st.last_qual else None) }
           | _ -> ())
         states
     end
@@ -360,6 +351,7 @@ let finish c =
              the one that restores every disturbed annotation, and the rest
              find nothing left to write. *)
           fixup_writes = (if i = 0 then c.fixup_writes else 0);
+          fixup_bytes = (if i = 0 then c.fixup_bytes else 0);
           data_messages = st.data_messages;
           tail_suppressed;
         })

@@ -46,14 +46,24 @@ type report = {
   pages_decoded : int;
   pages_skipped : int;
   fixup_writes : int;  (** 0 in eager mode *)
+  fixup_bytes : int;
+      (** record bytes those writes stored: 18 per in-place tail patch
+          ({!Base_table.set_annotations}) *)
   data_messages : int;
   tail_suppressed : bool;
 }
 
 type subscriber = {
   sub_snaptime : Clock.ts;  (** the snapshot's current [SnapTime] *)
-  sub_restrict : Tuple.t -> bool;  (** compiled [SnapRestrict] *)
+  sub_restrict : Tuple.t -> bool;
+      (** compiled [SnapRestrict].  It receives the {e stored} row: the
+          user columns followed by the two annotation columns.  User
+          columns are a prefix, so a predicate compiled against the user
+          schema indexes them unchanged; it must not depend on the row's
+          length or on its last two fields. *)
   sub_project : Tuple.t -> Tuple.t;
+      (** applied to the user part of an entry that is sent, only then
+          copied out of the stored row *)
   sub_tail_suppression : Addr.t option;
       (** the snapshot's high-water [BaseAddr]; [None] disables *)
   sub_prune : Prune_cache.t option;
@@ -150,8 +160,10 @@ val refresh :
   xmit:(Refresh_msg.t -> unit) ->
   unit ->
   report
-(** [restrict] and [project] operate on user-schema tuples (they are the
-    compiled [SnapRestrict] and projection).  [tail_suppression] is the
+(** [restrict] and [project] are the compiled [SnapRestrict] and
+    projection, under the {!subscriber} contract: [restrict] sees the
+    stored row (user columns first), [project] the user part of a sent
+    entry.  [tail_suppression] is the
     snapshot's current high-water [BaseAddr] ([None] disables the
     optimization, reproducing the paper's algorithm verbatim).  The caller
     holds the table lock.

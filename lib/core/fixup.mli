@@ -28,6 +28,9 @@ type stats = {
   scanned : int;  (** entries decoded *)
   skipped : int;  (** entries proven clean by a page summary, not decoded *)
   writes : int;  (** entries whose annotation fields were rewritten *)
+  bytes : int;
+      (** record bytes those writes stored: 18 per in-place patch
+          ({!Base_table.set_annotations}) *)
 }
 
 val run : Base_table.t -> fixup_time:Clock.ts -> stats
@@ -62,15 +65,28 @@ val scan_to : cursor -> last_page:int -> unit
 
 val stats : cursor -> stats
 
-val step :
-  addr:Snapdiff_storage.Addr.t ->
-  expect_prev:Snapdiff_storage.Addr.t ->
-  last_addr:Snapdiff_storage.Addr.t ->
-  fixup_time:Clock.ts ->
-  Annotations.t ->
-  Annotations.t * Snapdiff_storage.Addr.t
-(** The per-entry state transition, exposed for the combined pass and for
-    direct unit testing against the pseudocode: returns the corrected
-    annotations and the new [ExpectPrev].  The caller passes the entry's
-    address and current annotations and is responsible for [LastAddr]
-    bookkeeping. *)
+(** {1 The per-entry step}
+
+    The Figure 7 state machine, shared by this pass and the combined
+    fix-up/refresh scan in {!Differential}.  It works on raw fields
+    ({!Annotations.raw_prev}/{!Annotations.raw_ts}, NULL =
+    {!Annotations.null}) and mutable state, so a step allocates
+    nothing. *)
+
+type chain = {
+  fixup_time : Clock.ts;  (** stamped into every restored [TimeStamp] *)
+  mutable expect_prev : Snapdiff_storage.Addr.t;
+      (** last non-newly-inserted entry passed *)
+  mutable last_addr : Snapdiff_storage.Addr.t;  (** last entry of any kind passed *)
+  mutable prev : int;  (** the last stepped entry's corrected PrevAddr *)
+  mutable ts : int;  (** the last stepped entry's corrected TimeStamp *)
+}
+
+val chain : fixup_time:Clock.ts -> chain
+(** The state before the first entry: [ExpectPrev = LastAddr = 0]. *)
+
+val step : chain -> addr:Snapdiff_storage.Addr.t -> prev:int -> ts:int -> bool
+(** [step c ~addr ~prev ~ts] processes the entry at [addr] whose stored
+    fields are [prev]/[ts]: it leaves the corrected fields in [c.prev] and
+    [c.ts] (never NULL), advances [ExpectPrev] and [LastAddr], and returns
+    whether either field changed — i.e. whether the entry needs a write. *)

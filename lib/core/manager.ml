@@ -49,6 +49,10 @@ let method_name = function
   | Used_ideal -> "ideal"
   | Used_log_based -> "log-based"
 
+type sender_phases = { scan_us : float; send_us : float; fixup_bytes : int }
+
+let no_sender = { scan_us = 0.0; send_us = 0.0; fixup_bytes = 0 }
+
 type refresh_report = {
   snapshot : string;
   method_used : method_used;
@@ -72,6 +76,7 @@ type refresh_report = {
   catchup_records : int;  (* net-changed addresses replayed from the WAL tail *)
   max_lock_hold_us : float;  (* longest single lock-hold window (chunk or catch-up) *)
   receiver : Snapshot_table.commit_phases;  (* the committing stream's receiver phases *)
+  sender : sender_phases;
 }
 
 (* Retry discipline for refresh streams.  Backoff is simulated time
@@ -459,8 +464,8 @@ let locked_scan t b ~write ~chunked open_scan =
         | Some fixup_time when List.exists (unchained b) nets ->
           Txn.lock txn table Lock.X;
           Trace.with_span "refresh.fixup" ~attrs:[ ("table", Base_table.name b) ] (fun () ->
-              (Fixup.run b ~fixup_time).Fixup.writes)
-        | _ -> 0
+              Fixup.run b ~fixup_time)
+        | _ -> { Fixup.scanned = 0; skipped = 0; writes = 0; bytes = 0 }
       in
       let outs = sc.sc_close nets in
       held_since t0;
@@ -471,7 +476,10 @@ let locked_scan t b ~write ~chunked open_scan =
         (fun i (r, on_commit) ->
           ( { r with data_messages = r.data_messages + catchup; chunks;
               catchup_records = catchup; max_lock_hold_us = !max_hold;
-              fixup_writes = (r.fixup_writes + if i = 0 then refixed else 0) },
+              fixup_writes = (r.fixup_writes + if i = 0 then refixed.Fixup.writes else 0);
+              sender =
+                { r.sender with
+                  fixup_bytes = (r.sender.fixup_bytes + if i = 0 then refixed.Fixup.bytes else 0) } },
             on_commit ))
         outs
   with
@@ -678,6 +686,7 @@ let report_of s method_used ~new_snaptime ~entries_scanned ~data_messages =
     catchup_records = 0;
     max_lock_hold_us = 0.0;
     receiver = Snapshot_table.no_phases;
+    sender = no_sender;
   }
 
 let report_of_sub s (r : Differential.report) =
@@ -689,6 +698,7 @@ let report_of_sub s (r : Differential.report) =
     pages_decoded = r.pages_decoded;
     fixup_writes = r.fixup_writes;
     tail_suppressed = r.tail_suppressed;
+    sender = { no_sender with fixup_bytes = r.fixup_bytes };
   }
 
 (* The differential scan trusts the annotation state to be current as of
@@ -739,11 +749,12 @@ type member = {
   mutable epoch : int;
   mutable before : Link.stats;
   mutable failure : (string * bool) option;
+  mutable xmit_us : float;  (* this attempt's time inside the stream's xmit *)
 }
 
 let member ?(populate = false) s =
   { snap = s; populate; started = Trace.now_us (); attempt = 1; backoff = 0.0;
-    forced_full = false; epoch = 0; before = Link.stats s.link; failure = None }
+    forced_full = false; epoch = 0; before = Link.stats s.link; failure = None; xmit_us = 0.0 }
 
 (* After [escalate_after] consecutive failures the method degrades to a
    full refresh — the stream that needs the least shared state to
@@ -861,6 +872,10 @@ let open_source t b used members xmits () =
                     ~data_messages:r.Full_refresh.data_messages)
                  with
                  fixup_writes = Option.fold prime ~none:0 ~some:(fun f -> (Fixup.stats f).Fixup.writes);
+                 sender =
+                   { no_sender with
+                     fixup_bytes =
+                       Option.fold prime ~none:0 ~some:(fun f -> (Fixup.stats f).Fixup.bytes) };
                },
                ignore ) |]);
       sc_fixup_time = fixup_time;
@@ -980,6 +995,7 @@ let attempt t b members =
       s.next_epoch <- m.epoch + 1;
       m.before <- Link.stats s.link;
       m.failure <- None;
+      m.xmit_us <- 0.0;
       (* "The refresh algorithm is initiated by sending the last snapshot
          refresh time (SnapTime) ... to the base table." *)
       if not m.populate then
@@ -995,11 +1011,16 @@ let attempt t b members =
       (fun m ->
         let xmit = make_stream_xmit t ~epoch:m.epoch ~link:m.snap.link in
         fun msg ->
-          if m.failure = None then
-            try xmit msg
-            with e ->
+          if m.failure = None then begin
+            let t0 = Trace.now_us () in
+            let charge () = m.xmit_us <- m.xmit_us +. (Trace.now_us () -. t0) in
+            match xmit msg with
+            | () -> charge ()
+            | exception e ->
+              charge ();
               mark m e;
-              if !live = 0 then raise Abandoned)
+              if !live = 0 then raise Abandoned
+          end)
       members
   in
   let deferred = Base_table.mode b = Base_table.Deferred in
@@ -1018,13 +1039,19 @@ let attempt t b members =
       ("refresh.scan", [ ("snapshot", members.(0).snap.snap_name); ("method", method_name used) ])
     else ("refresh.group", [ ("base", Base_table.name b); ("subscribers", string_of_int n) ])
   in
+  let scan_wall = ref 0.0 in
   let outs =
     if !live = 0 then None
     else
       match
         Trace.with_span span ~attrs (fun () ->
-            locked_scan t b ~write:(deferred && scans_table) ~chunked
-              (open_source t b used members xmits))
+            let t0 = Trace.now_us () in
+            let outs =
+              locked_scan t b ~write:(deferred && scans_table) ~chunked
+                (open_source t b used members xmits)
+            in
+            scan_wall := Trace.now_us () -. t0;
+            outs)
       with
       | outs -> Some outs
       | exception Abandoned -> None
@@ -1042,6 +1069,9 @@ let attempt t b members =
      may run updaters from the chunk hook before the later members settle. *)
   let wal_end = Option.map Wal.end_lsn (Base_table.wal b) in
   let mutations = Base_table.mutations b in
+  let scan_us =
+    Float.max 0.0 (Array.fold_left (fun acc m -> acc -. m.xmit_us) !scan_wall members)
+  in
   Array.mapi
     (fun i m ->
       let s = m.snap in
@@ -1049,6 +1079,10 @@ let attempt t b members =
       | Some outs, None when Snapshot_table.last_committed_epoch s.table = m.epoch ->
         let report, on_commit = outs.(i) in
         let after = Link.stats s.link in
+        let receiver = Snapshot_table.last_commit_phases s.table in
+        let received =
+          receiver.stage_us +. receiver.freeze_us +. receiver.replay_us +. receiver.publish_us
+        in
         Ok
           ( {
               report with
@@ -1060,6 +1094,11 @@ let attempt t b members =
               (* CREATE SNAPSHOT's pass, like R* adding the funny fields, is
                  not charged to the report. *)
               fixup_writes = (if m.populate then 0 else report.fixup_writes);
+              receiver;
+              sender =
+                { scan_us;
+                  send_us = Float.max 0.0 (m.xmit_us -. received);
+                  fixup_bytes = (if m.populate then 0 else report.sender.fixup_bytes) };
             },
             fun () ->
               on_commit ();
@@ -1097,7 +1136,7 @@ let rec settle t b m outcome =
     on_commit ();
     let report =
       { report with attempts = m.attempt; aborts = m.attempt - 1; escalated = escalated t m;
-        backoff_us = m.backoff; receiver = Snapshot_table.last_commit_phases s.table }
+        backoff_us = m.backoff }
     in
     note_report s report;
     Metrics.incr m_refreshes;

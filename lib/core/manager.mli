@@ -35,6 +35,21 @@ type method_used = Used_full | Used_differential | Used_ideal | Used_log_based
 
 val method_name : method_used -> string
 
+(** The sender half of a refresh's cost, in microseconds and bytes.
+    [scan_us] is the locked scan's wall time (locks, fix-up, decode,
+    restriction) minus the time every member of its group spent inside
+    its stream's transmit function; it is the same for all members of
+    one group scan.  [send_us] is this member's time inside that
+    function (encode, frame, checksum, link) minus the receiver's commit
+    phases, which run synchronously inside it.  [fixup_bytes] is the
+    record bytes the scan's fix-up writes stored (18 per in-place patch),
+    charged like [fixup_writes].  Both times are clamped at 0 against
+    clock rounding. *)
+type sender_phases = { scan_us : float; send_us : float; fixup_bytes : int }
+
+val no_sender : sender_phases
+(** All zero. *)
+
 type refresh_report = {
   snapshot : string;
   method_used : method_used;
@@ -78,6 +93,9 @@ type refresh_report = {
           site spent staging, freezing, replaying and publishing the
           committed stream ({!Snapshot_table.last_commit_phases}); all
           zero for a refresh that did not commit a framed stream *)
+  sender : sender_phases;
+      (** the sender half: scan, send and fix-up bytes; {!no_sender} for a
+          report not produced by a refresh attempt *)
 }
 
 (** {1 Retry policy}

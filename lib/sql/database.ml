@@ -563,6 +563,7 @@ let populate_query_snapshot t qs =
     catchup_records = 0;
     max_lock_hold_us = 0.0;
     receiver = Snapshot_table.no_phases;
+    sender = Manager.no_sender;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -833,6 +834,7 @@ let execute t (stmt : Ast.stmt) =
             catchup_records = 0;
             max_lock_hold_us = 0.0;
             receiver = Snapshot_table.no_phases;
+            sender = Manager.no_sender;
           }
       | exception Invalid_argument m -> err "%s" m)
     | [ b ] -> err "unknown table %s" b

@@ -6,7 +6,9 @@ type t = {
   free_bytes : (int, int) Hashtbl.t;  (* data page -> insertable bytes *)
   reserve : int;  (* headroom kept per page for in-place record growth *)
   mutable count : int;
-  mutable insert_hint : int;  (* lowest data page that may have space *)
+  mutable insert_hint : int;
+      (* where first-fit starts: the page the last insert landed on, or
+         lower if a delete freed space below it *)
 }
 
 let schema t = t.schema
@@ -81,9 +83,12 @@ let insert t tuple =
   in
   let addr =
     match find (max 1 t.insert_hint) with
-    | Some addr -> addr
+    | Some addr ->
+      t.insert_hint <- Addr.page addr;
+      addr
     | None ->
       let p = Buffer_pool.allocate_page t.pool in
+      t.insert_hint <- p;
       Buffer_pool.with_page t.pool p (fun page ->
           (* A fresh page arrives zeroed, which decodes as an empty page. *)
           match Page.insert page record with
@@ -144,6 +149,15 @@ let update t addr tuple =
           (`Dirty, Some ())
         end
         else raise (Tuple_error "updated tuple does not fit in its page"))
+  with
+  | Some () -> ()
+  | None -> raise Not_found
+
+let patch_tail t addr src =
+  match
+    with_entry t addr (fun _ page slot ->
+        if Page.overwrite_tail page slot src then (`Dirty, Some ())
+        else invalid_arg "Heap.patch_tail: record shorter than the patch")
   with
   | Some () -> ()
   | None -> raise Not_found

@@ -2,8 +2,11 @@
 
     Entry addresses are {!Addr.t} (page, slot) pairs; {!iter} visits live
     entries in strictly increasing address order, which is the address-order
-    scan the refresh algorithms require.  Insertion is lowest-first-fit, so
-    freed addresses are naturally reused ("insert the entry into some empty
+    scan the refresh algorithms require.  Insertion is first-fit from a
+    hint: the page the previous insert landed on, lowered by every delete
+    below it.  Populating with rows of one size therefore probes O(1)
+    pages per row and lays rows out as lowest-first-fit would, and freed
+    addresses are still reused ("insert the entry into some empty
     address of the base table").
 
     The callback of {!iter} may [update] or [delete] the entry it is
@@ -51,6 +54,14 @@ val update : t -> Addr.t -> Tuple.t -> unit
 (** Replace the entry at [addr], keeping its address.  Raises [Not_found]
     if there is no live entry there; [Tuple_error] if the new tuple cannot
     fit in the entry's page. *)
+
+val patch_tail : t -> Addr.t -> bytes -> unit
+(** [patch_tail t addr src] overwrites the last [Bytes.length src] bytes
+    of the entry's encoded record in place ({!Page.overwrite_tail}): no
+    decode, no re-encode, no validation, and only those bytes become
+    dirty.  The caller guarantees [src] is a valid encoding of the fields
+    it replaces.  Raises [Not_found] if there is no live entry at [addr],
+    [Invalid_argument] if the record is shorter than [src]. *)
 
 val delete : t -> Addr.t -> unit
 (** Raises [Not_found] if there is no live entry at [addr]. *)

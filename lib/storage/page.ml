@@ -251,6 +251,19 @@ let update t i record =
     end
   end
 
+let overwrite_tail t i src =
+  if not (slot_is_live t i) then false
+  else begin
+    let k = Bytes.length src and len = slot_length t i in
+    if k > len then false
+    else begin
+      let off = slot_offset t i + len - k in
+      Bytes.blit src 0 t.data off k;
+      touch t off k;
+      true
+    end
+  end
+
 let iter_live t f =
   for i = 0 to nslots t - 1 do
     match read t i with Some r -> f i r | None -> ()

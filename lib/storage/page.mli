@@ -69,6 +69,13 @@ val update : t -> int -> bytes -> bool
     is preserved.  Returns [false] (leaving the page unchanged) if the slot
     is not live or the new record cannot fit. *)
 
+val overwrite_tail : t -> int -> bytes -> bool
+(** [overwrite_tail t slot src] overwrites the last [Bytes.length src]
+    bytes of the live record in [slot] with [src], in place: the record
+    keeps its offset and length, and only those bytes are marked dirty.
+    Returns [false] (leaving the page unchanged) if the slot is not live
+    or the record is shorter than [src]. *)
+
 val iter_live : t -> (int -> bytes -> unit) -> unit
 (** Live slots in ascending slot order. *)
 

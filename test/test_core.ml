@@ -267,34 +267,40 @@ let test_fixup_insert_before_existing_no_stamp () =
   checkb "NOT restamped" true (ann3.Annotations.timestamp = ts3)
 
 let test_fixup_step_pseudocode_cases () =
-  (* Direct checks of the Figure 7 state machine. *)
+  (* Direct checks of the Figure 7 state machine, on raw fields. *)
   let t = 100 in
+  let null = Annotations.null in
+  let at ~expect_prev ~last_addr =
+    let c = Fixup.chain ~fixup_time:t in
+    c.Fixup.expect_prev <- expect_prev;
+    c.Fixup.last_addr <- last_addr;
+    c
+  in
   (* Inserted entry. *)
-  let ann, ep = Fixup.step ~addr:9 ~expect_prev:3 ~last_addr:5 ~fixup_time:t Annotations.nulls in
-  checkb "inserted: points at last_addr" true (ann.Annotations.prev_addr = Some 5);
-  checkb "inserted: stamped" true (ann.Annotations.timestamp = Some t);
-  checki "inserted: expect_prev unchanged" 3 ep;
+  let c = at ~expect_prev:3 ~last_addr:5 in
+  checkb "inserted: written" true (Fixup.step c ~addr:9 ~prev:null ~ts:null);
+  checki "inserted: points at last_addr" 5 c.Fixup.prev;
+  checki "inserted: stamped" t c.Fixup.ts;
+  checki "inserted: expect_prev unchanged" 3 c.Fixup.expect_prev;
+  checki "inserted: last_addr advanced" 9 c.Fixup.last_addr;
   (* Clean entry. *)
-  let clean = { Annotations.prev_addr = Some 5; timestamp = Some 7 } in
-  let ann, ep = Fixup.step ~addr:9 ~expect_prev:5 ~last_addr:5 ~fixup_time:t clean in
-  checkb "clean: untouched" true (ann = clean);
-  checki "clean: expect_prev = addr" 9 ep;
+  let c = at ~expect_prev:5 ~last_addr:5 in
+  checkb "clean: untouched" false (Fixup.step c ~addr:9 ~prev:5 ~ts:7);
+  checkb "clean: fields kept" true (c.Fixup.prev = 5 && c.Fixup.ts = 7);
+  checki "clean: expect_prev = addr" 9 c.Fixup.expect_prev;
   (* Updated entry. *)
-  let upd = { Annotations.prev_addr = Some 5; timestamp = None } in
-  let ann, _ = Fixup.step ~addr:9 ~expect_prev:5 ~last_addr:5 ~fixup_time:t upd in
-  checkb "updated: stamped only" true
-    (ann = { Annotations.prev_addr = Some 5; timestamp = Some t });
+  let c = at ~expect_prev:5 ~last_addr:5 in
+  checkb "updated: written" true (Fixup.step c ~addr:9 ~prev:5 ~ts:null);
+  checkb "updated: stamped only" true (c.Fixup.prev = 5 && c.Fixup.ts = t);
   (* Deletion anomaly. *)
-  let del = { Annotations.prev_addr = Some 4; timestamp = Some 7 } in
-  let ann, ep = Fixup.step ~addr:9 ~expect_prev:5 ~last_addr:5 ~fixup_time:t del in
-  checkb "deletion: repointed + stamped" true
-    (ann = { Annotations.prev_addr = Some 5; timestamp = Some t });
-  checki "deletion: expect_prev = addr" 9 ep;
+  let c = at ~expect_prev:5 ~last_addr:5 in
+  checkb "deletion: written" true (Fixup.step c ~addr:9 ~prev:4 ~ts:7);
+  checkb "deletion: repointed + stamped" true (c.Fixup.prev = 5 && c.Fixup.ts = t);
+  checki "deletion: expect_prev = addr" 9 c.Fixup.expect_prev;
   (* Insertions before current entry: prev = expect_prev but <> last_addr. *)
-  let ins = { Annotations.prev_addr = Some 5; timestamp = Some 7 } in
-  let ann, _ = Fixup.step ~addr:9 ~expect_prev:5 ~last_addr:8 ~fixup_time:t ins in
-  checkb "insert-before: repointed, NOT stamped" true
-    (ann = { Annotations.prev_addr = Some 8; timestamp = Some 7 })
+  let c = at ~expect_prev:5 ~last_addr:8 in
+  checkb "insert-before: written" true (Fixup.step c ~addr:9 ~prev:5 ~ts:7);
+  checkb "insert-before: repointed, NOT stamped" true (c.Fixup.prev = 8 && c.Fixup.ts = 7)
 
 (* ------------------------------------------------------------------ *)
 (* Differential refresh: the paper's worked example (Figures 5-6). *)

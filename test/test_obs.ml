@@ -375,6 +375,48 @@ let test_receiver_ledger () =
       (p = Snapshot_table.last_commit_phases st)
   done
 
+(* The sender half of the ledger: the locked scan's own time, the
+   stream's transmit time net of the receiver's commit (which runs inside
+   it), and the bytes the fix-up wrote — 18 per in-place tail patch.
+   Every field is non-negative and sender plus receiver fit inside the
+   refresh's wall time. *)
+let test_sender_ledger () =
+  let clock = Clock.create () in
+  let base = Base_table.create ~name:"emp" ~clock emp_schema in
+  let m = Manager.create () in
+  Manager.register_base m base;
+  for i = 0 to 299 do
+    ignore (Base_table.insert base (emp (Printf.sprintf "s%d" i) (i mod 20)) : Addr.t)
+  done;
+  ignore
+    (Manager.create_snapshot m ~name:"s" ~base:"emp"
+       ~restrict:Expr.(col "salary" <. int 12)
+       ~method_:Manager.Differential ()
+      : Manager.refresh_report);
+  for round = 1 to 3 do
+    List.iteri
+      (fun i (a, _) -> if i mod 3 = round mod 3 then Base_table.update base a (emp "u" (i mod 20)))
+      (Base_table.to_user_list base);
+    let t0 = Trace.now_us () in
+    let r = Manager.refresh m "s" in
+    let wall = Trace.now_us () -. t0 in
+    let s = r.Manager.sender and p = r.Manager.receiver in
+    checkb "scan_us is non-negative" true (s.Manager.scan_us >= 0.0);
+    checkb "send_us is non-negative" true (s.Manager.send_us >= 0.0);
+    checkb "fixup_bytes is non-negative" true (s.Manager.fixup_bytes >= 0);
+    checkb "the ~100 restamped rows were written" true (r.Manager.fixup_writes >= 100);
+    checkb "each fix-up write is an 18-byte patch" true
+      (s.Manager.fixup_bytes = 18 * r.Manager.fixup_writes);
+    let sum =
+      s.Manager.scan_us +. s.Manager.send_us +. p.stage_us +. p.freeze_us +. p.replay_us
+      +. p.publish_us
+    in
+    checkb
+      (Printf.sprintf "round %d: sender + receiver (%.0f us) fit in the refresh (%.0f us)" round
+         sum wall)
+      true (sum <= wall)
+  done
+
 let suite =
   [
     Alcotest.test_case "metrics counters/gauges" `Quick test_metrics_counters_gauges;
@@ -389,5 +431,6 @@ let suite =
     Alcotest.test_case "trace disabled passthrough" `Quick test_trace_disabled_is_passthrough;
     Alcotest.test_case "subsystem coverage" `Quick test_subsystem_coverage;
     Alcotest.test_case "receiver ledger phases fit the refresh" `Quick test_receiver_ledger;
+    Alcotest.test_case "sender ledger fits the refresh" `Quick test_sender_ledger;
     QCheck_alcotest.to_alcotest prop_stream_identical_traced;
   ]

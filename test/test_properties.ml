@@ -1293,6 +1293,197 @@ let prop_method_switch_keeps_deletes =
         rounds;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* The fix-up write is an in-place patch of the annotation tail. *)
+
+let record_bytes base addr =
+  Buffer_pool.with_page (Base_table.pool base) (Addr.page addr) (fun page ->
+      (`Clean, Option.get (Page.read page (Addr.slot addr))))
+
+let stored_rows base =
+  let acc = ref [] in
+  Base_table.iter_stored base (fun addr stored -> acc := (addr, stored) :: !acc);
+  List.rev !acc
+
+(* The bytes a whole-row rewrite of [old] with the entry's current
+   annotations would have stored. *)
+let rewrite_of base addr old =
+  Tuple.encode_to_bytes
+    (Annotations.with_annotations old (Option.get (Base_table.get_annotations base addr)))
+
+(* Over random histories on Deferred and Eager bases: after every
+   operation and every refresh, each surviving record's bytes equal a
+   whole-row rewrite of its previous row with its current annotations
+   (eager successor maintenance and the scan's fix-up both patch); and a
+   refresh leaves dirty exactly the 18-byte tails of the records whose
+   annotations it changed — none at all on an eager base. *)
+let prop_tail_patch_is_rewrite =
+  QCheck2.Test.make ~name:"annotation tail patch = whole-row rewrite" ~count:120
+    ~print:(fun (eager, sc) -> Printf.sprintf "eager=%b %s" eager (print_scenario sc))
+    (Gen.pair Gen.bool scenario_gen)
+    (fun (eager, (script, threshold)) ->
+      let mode = if eager then Base_table.Eager else Base_table.Deferred in
+      let clock = Clock.create () in
+      let base = Base_table.create ~mode ~page_size:512 ~name:"emp" ~clock emp_schema in
+      let m = Manager.create () in
+      Manager.register_base m base;
+      for i = 0 to 7 do
+        ignore (Base_table.insert base (emp (Printf.sprintf "seed%d" i) (i * 3 mod 20)) : Addr.t)
+      done;
+      ignore
+        (Manager.create_snapshot m ~name:"s" ~base:"emp"
+           ~restrict:Expr.(col "salary" <. int threshold)
+           ~method_:Manager.Differential ()
+          : Manager.refresh_report);
+      let check where ?(except = Addr.zero) before =
+        List.iter
+          (fun (addr, old) ->
+            if addr <> except && Base_table.get base addr <> None then
+              if not (Bytes.equal (record_bytes base addr) (rewrite_of base addr old)) then
+                fail_report
+                  (Printf.sprintf "%s: record %d differs from its whole-row rewrite" where addr))
+          before
+      in
+      let refresh where =
+        let before = stored_rows base in
+        Base_table.flush base;
+        let r = Manager.refresh m "s" in
+        check where before;
+        let changed =
+          List.filter_map
+            (fun (addr, old) ->
+              if Base_table.get_annotations base addr <> Some (snd (Annotations.split old)) then
+                Some addr
+              else None)
+            before
+        in
+        if r.Manager.fixup_writes <> List.length changed then
+          fail_report (Printf.sprintf "%s: %d writes for %d changed rows" where
+                         r.Manager.fixup_writes (List.length changed));
+        if r.Manager.sender.Manager.fixup_bytes <> Annotations.tail_bytes * List.length changed
+        then fail_report (Printf.sprintf "%s: fixup_bytes is not 18 per write" where);
+        for p = 1 to Base_table.data_pages base do
+          Buffer_pool.with_page (Base_table.pool base) p (fun page ->
+              let tails = ref [] in
+              Page.iter_live_spans page (fun slot ~off ~len ->
+                  if List.mem (Addr.make ~page:p ~slot) changed then
+                    tails := (off + len - Annotations.tail_bytes, Annotations.tail_bytes) :: !tails);
+              let tails = List.sort compare !tails in
+              let dirty = Page.dirty_ranges page in
+              let within (o, l) = List.exists (fun (d, dl) -> d <= o && o + l <= d + dl) in
+              let ok =
+                if List.length tails <= 4 then dirty = tails
+                else
+                  (* More tails than tracked spans: the closest get merged,
+                     so every tail is covered and nothing outside the
+                     first..last tail is dirty. *)
+                  let lo = fst (List.hd tails) in
+                  let hi = List.fold_left (fun acc (o, l) -> max acc (o + l)) 0 tails in
+                  List.for_all (fun t -> within t dirty) tails
+                  && List.for_all (fun (d, dl) -> lo <= d && d + dl <= hi) dirty
+              in
+              if not ok then
+                fail_report (Printf.sprintf "%s: page %d dirty outside the patched tails" where p);
+              (`Clean, ()))
+        done
+      in
+      let n = ref 0 in
+      List.iter
+        (fun op ->
+          incr n;
+          let where = Printf.sprintf "op %d (%s)" !n (op_str op) in
+          let before = stored_rows base in
+          match op with
+          | Ins s ->
+            let user = emp (Printf.sprintf "x%d" !n) s in
+            let addr = Base_table.insert base user in
+            check where before;
+            let ann = Option.get (Base_table.get_annotations base addr) in
+            if not
+                 (Bytes.equal (record_bytes base addr)
+                    (Tuple.encode_to_bytes (Annotations.annotate user ann)))
+            then fail_report (where ^ ": inserted record differs from its encoding")
+          | Upd (i, s) -> (
+            match pick_live base i with
+            | Some addr ->
+              Base_table.update base addr (emp (Printf.sprintf "u%d" !n) s);
+              check where ~except:addr before
+            | None -> ())
+          | Del i -> (
+            match pick_live base i with
+            | Some addr ->
+              Base_table.delete base addr;
+              check where before
+            | None -> ())
+          | Refresh -> refresh where)
+        script;
+      refresh "final";
+      Snapshot_table.contents (Manager.snapshot_table m "s")
+      = expected_restricted base threshold)
+
+(* A table adopted with [on_pool] over rows written with SQL NULL
+   annotations (1-byte fields, so no fixed-width tail): the scan rewrites
+   those rows whole instead of patching, the chain comes out exact, and
+   refreshes on top of it stay faithful — afterwards every write is an
+   18-byte patch. *)
+let test_null_annotation_fallback () =
+  let pool = Buffer_pool.create ~frames:16 (Page_store.in_memory ~page_size:512 ()) in
+  (* Half-empty pages: each row grows by 16 bytes when its NULLs become
+     integers, so a packed page could not take the rewrite. *)
+  let heap = Heap.on_pool ~fill_factor:0.5 pool (Annotations.extend_schema emp_schema) in
+  for i = 0 to 29 do
+    let user = emp (Printf.sprintf "n%d" i) (i mod 20) in
+    ignore (Heap.insert heap (Array.append user [| Value.Null; Value.Null |]) : Addr.t)
+  done;
+  Heap.flush heap;
+  let clock = Clock.create () in
+  let base = Base_table.on_pool ~name:"emp" ~clock pool emp_schema in
+  let before = stored_rows base in
+  Alcotest.(check bool) "adopted rows carry no tail" false
+    (List.exists (fun (_, t) -> Annotations.patchable t) before);
+  let sent = ref 0 in
+  let r =
+    Differential.refresh ~base ~snaptime:Clock.never
+      ~restrict:(fun t -> salary t < 10)
+      ~project:Fun.id
+      ~xmit:(function Refresh_msg.Entry _ -> incr sent | _ -> ())
+      ()
+  in
+  Alcotest.(check int) "every row rewritten" 30 r.Differential.fixup_writes;
+  Alcotest.(check int) "whole rows written"
+    (List.fold_left (fun acc (a, old) -> acc + Bytes.length (rewrite_of base a old)) 0 before)
+    r.Differential.fixup_bytes;
+  Alcotest.(check int) "every qualifying row sent" 20 !sent;
+  let prev = ref Addr.zero in
+  List.iter
+    (fun (addr, old) ->
+      Alcotest.(check bool) "record = whole-row rewrite" true
+        (Bytes.equal (record_bytes base addr) (rewrite_of base addr old));
+      (match Base_table.get_annotations base addr with
+      | Some { Annotations.prev_addr = Some p; timestamp = Some _ } ->
+        Alcotest.(check int) "chain exact" !prev p
+      | _ -> Alcotest.fail "annotation left NULL");
+      prev := addr)
+    before;
+  let m = Manager.create () in
+  Manager.register_base m base;
+  ignore
+    (Manager.create_snapshot m ~name:"s" ~base:"emp"
+       ~restrict:Expr.(col "salary" <. int 10)
+       ~method_:Manager.Differential ()
+      : Manager.refresh_report);
+  let live () = List.map fst (Base_table.to_user_list base) in
+  List.iteri (fun i a -> if i mod 4 = 0 then Base_table.update base a (emp "u" (i mod 13))) (live ());
+  List.iteri (fun i a -> if i mod 7 = 3 then Base_table.delete base a) (live ());
+  ignore (Base_table.insert base (emp "new1" 2) : Addr.t);
+  ignore (Base_table.insert base (emp "new2" 18) : Addr.t);
+  let r = Manager.refresh m "s" in
+  Alcotest.(check bool) "refresh wrote annotations" true (r.Manager.fixup_writes > 0);
+  Alcotest.(check int) "now 18 bytes per write" (18 * r.Manager.fixup_writes)
+    r.Manager.sender.Manager.fixup_bytes;
+  Alcotest.(check bool) "snapshot faithful" true
+    (Snapshot_table.contents (Manager.snapshot_table m "s") = expected_restricted base 10)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1318,6 +1509,9 @@ let suite =
       prop_group_prune_isolation;
       prop_group_fault_isolation;
       prop_method_switch_keeps_deletes;
+      prop_tail_patch_is_rewrite;
     ]
   @ [ Alcotest.test_case "prune: reused-slot delete not hidden" `Quick
-        test_prune_insert_reuse_delete ]
+        test_prune_insert_reuse_delete;
+      Alcotest.test_case "NULL-annotation rows: whole-row fallback" `Quick
+        test_null_annotation_fallback ]

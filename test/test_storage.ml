@@ -1330,3 +1330,57 @@ let suite =
       Alcotest.test_case "buffer pool: a miss allocates no page buffer" `Quick
         test_pool_miss_allocates_no_page;
     ]
+
+(* ------------------------------------------------------------------ *)
+(* In-place tail patches and the insertion hint *)
+
+(* [Page.overwrite_tail] rewrites a record's last bytes where they lie:
+   same offset and length, and on a clean page exactly those bytes become
+   dirty.  It refuses a dead slot or a patch longer than the record. *)
+let test_page_overwrite_tail () =
+  let p = Page.create ~page_size:256 in
+  let s0 = Option.get (Page.insert p (Bytes.of_string "0123456789")) in
+  let s1 = Option.get (Page.insert p (Bytes.of_string "abcdefghij")) in
+  Page.reset_dirty_ranges p;
+  checkb "patched" true (Page.overwrite_tail p s0 (Bytes.of_string "XYZ"));
+  checks "tail replaced, head kept" "0123456XYZ"
+    (Bytes.to_string (Option.get (Page.read p s0)));
+  checks "neighbour untouched" "abcdefghij" (Bytes.to_string (Option.get (Page.read p s1)));
+  let off = 256 - 10 in
+  checkb "dirty = the 3 patched bytes" true (Page.dirty_ranges p = [ (off + 7, 3) ]);
+  checkb "longer than the record" false (Page.overwrite_tail p s1 (Bytes.make 11 'q'));
+  ignore (Page.delete p s1 : bool);
+  checkb "dead slot" false (Page.overwrite_tail p s1 (Bytes.of_string "q"));
+  checkb "page still valid" true (Page.validate p = Ok ())
+
+(* Fixed-size rows populated in order fill page 1, then page 2, ...:
+   exactly [k] rows per page, [k] fixed by the first page — the layout
+   lowest-first-fit gives, now reached without probing every full page
+   per insert.  Space freed on an early page is reused by the next
+   insert, lowest page first. *)
+let test_heap_insert_hint () =
+  let h = Heap.create ~page_size:512 ~frames:8 emp_schema in
+  let addrs = Array.init 200 (fun i -> Heap.insert h (mk_emp (Printf.sprintf "r%03d" i) i)) in
+  let k = Array.fold_left (fun n a -> if Addr.page a = 1 then n + 1 else n) 0 addrs in
+  checkb "several rows per page" true (k > 1);
+  Array.iteri
+    (fun i a -> checki (Printf.sprintf "row %d lands on page %d" i (1 + (i / k))) (1 + (i / k))
+        (Addr.page a))
+    addrs;
+  let victim1 = addrs.(k + 1) and victim0 = addrs.(1) in
+  Heap.delete h victim1;
+  Heap.delete h victim0;
+  let again0 = Heap.insert h (mk_emp "n000" 0) in
+  let again1 = Heap.insert h (mk_emp "n001" 1) in
+  checkb "page-1 hole reused first" true (Addr.equal again0 victim0);
+  checkb "page-2 hole reused next" true (Addr.equal again1 victim1);
+  let next = Heap.insert h (mk_emp "n002" 2) in
+  checki "then back to the last page" (1 + (199 / k) + if 200 mod k = 0 then 1 else 0)
+    (Addr.page next)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "page overwrite_tail in place" `Quick test_page_overwrite_tail;
+      Alcotest.test_case "heap insert hint keeps first-fit layout" `Quick test_heap_insert_hint;
+    ]
