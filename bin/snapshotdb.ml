@@ -155,6 +155,7 @@ let faults_cmd n rounds =
         ("failed refreshes", Text_table.Right); ("wire msgs", Text_table.Right);
         ("converged", Text_table.Right) ]
   in
+  let rows = Figures.faults_ablation ~n ~rounds () in
   List.iter
     (fun r ->
       Text_table.add_row t
@@ -164,12 +165,20 @@ let faults_cmd n rounds =
           string_of_int r.Figures.refreshes_failed;
           string_of_int r.Figures.wire_messages;
           (if r.Figures.converged then "yes" else "NO") ])
-    (Figures.faults_ablation ~n ~rounds ());
+    rows;
   Text_table.print t;
   print_endline
     "A failed refresh is atomic: the snapshot keeps its previous image and\n\
      SnapTime, so one refresh on a healed line covers the whole gap.";
-  0
+  (* A plan whose snapshot diverged from its base restriction is a
+     correctness failure, not a table row. *)
+  match List.filter (fun r -> not r.Figures.converged) rows with
+  | [] -> 0
+  | bad ->
+    prerr_endline
+      ("faults: not converged: "
+      ^ String.concat ", " (List.map (fun r -> r.Figures.fault_name) bad));
+    1
 
 (* ------------------------------------------------------------------ *)
 (* stats *)
@@ -303,17 +312,18 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_st
             "  {\"snapshot\": \"%s\", \"ok\": true, \"method\": \"%s\", \
              \"group_size\": %d, \"pages_decoded\": %d, \"data_messages\": %d, \
              \"link_bytes\": %d, \"attempts\": %d, \"chunks\": %d, \
-             \"catchup_records\": %d, \"stage_us\": %.1f, \"freeze_us\": %.1f, \
-             \"replay_us\": %.1f, \"publish_us\": %.1f, \"scan_us\": %.1f, \
-             \"send_us\": %.1f, \"fixup_bytes\": %d"
+             \"catchup_records\": %d, \"decode_us\": %.1f, \"stage_us\": %.1f, \
+             \"freeze_us\": %.1f, \"replay_us\": %.1f, \"publish_us\": %.1f, \
+             \"scan_us\": %.1f, \"encode_us\": %.1f, \"send_us\": %.1f, \
+             \"fixup_bytes\": %d"
             name
             (Manager.method_name r.Manager.method_used)
             r.Manager.group_size r.Manager.pages_decoded r.Manager.data_messages
             r.Manager.link_bytes r.Manager.attempts r.Manager.chunks
-            r.Manager.catchup_records r.Manager.receiver.stage_us
+            r.Manager.catchup_records r.Manager.receiver.decode_us r.Manager.receiver.stage_us
             r.Manager.receiver.freeze_us r.Manager.receiver.replay_us
-            r.Manager.receiver.publish_us r.Manager.sender.scan_us r.Manager.sender.send_us
-            r.Manager.sender.fixup_bytes;
+            r.Manager.receiver.publish_us r.Manager.sender.scan_us r.Manager.sender.encode_us
+            r.Manager.sender.send_us r.Manager.sender.fixup_bytes;
           if version_retain > 1 || version_strategy <> None then begin
             Printf.bprintf buf ", \"version_strategy\": \"%s\", \"versions\": ["
               (VS.strategy_name (Manager.snapshot_version_strategy m name));
@@ -870,7 +880,9 @@ let cmds =
       vacuum_t;
     Cmd.v
       (Cmd.info "faults"
-         ~doc:"Drive refreshes over fault-injecting links and report the retry tax.")
+         ~doc:
+           "Drive refreshes over fault-injecting links and report the retry tax; exits 1 \
+            if any fault plan's snapshot does not converge to its base restriction.")
       faults_t;
     Cmd.v
       (Cmd.info "fleet"

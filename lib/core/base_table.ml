@@ -168,8 +168,6 @@ let record_page_summary t ~page ~live ~first_live ~last_live ~first_prev ~max_ts
 
 let summarized_pages t = Hashtbl.length t.summaries
 
-let iter_page_stored t ~page f = Heap.iter_page t.heap ~page f
-
 let iter_page_stored_arena t ~arena ~page f =
   Heap.iter_page_arena t.heap ~arena ~page f
 

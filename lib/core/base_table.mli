@@ -169,14 +169,12 @@ val record_page_summary :
 val summarized_pages : t -> int
 (** How many data pages currently carry a summary (observability). *)
 
-val iter_page_stored : t -> page:int -> (Addr.t -> Tuple.t -> unit) -> unit
-(** {!iter_stored} restricted to one data page (see {!Heap.iter_page}). *)
-
 val iter_page_stored_arena :
   t -> arena:Decode_arena.t -> page:int -> (Addr.t -> Tuple.t -> unit) -> unit
-(** {!iter_page_stored} through a reused {!Decode_arena} — same sequence,
-    near-zero allocation (see {!Heap.iter_page_arena}).  Each
-    differential scan cursor owns its own arena. *)
+(** {!iter_stored} restricted to one data page, decoded through a reused
+    {!Decode_arena}: the sequence {!Heap.iter_page} would yield, with
+    near-zero allocation (see {!Heap.iter_page_arena}).  Each scan cursor
+    (full, fix-up, differential) owns its own arena. *)
 
 val set_stored : t -> Addr.t -> Tuple.t -> unit
 (** Raw annotated-tuple write: re-validates, re-encodes and rewrites the

@@ -13,6 +13,7 @@ type cursor = {
   xmit : Refresh_msg.t -> unit;
   now : Clock.ts;
   pages : int;
+  arena : Snapdiff_storage.Decode_arena.t;  (* the pass's one decoder, reused page to page *)
   mutable next_page : int;
   mutable scanned : int;
   mutable data : int;
@@ -21,14 +22,14 @@ type cursor = {
 let start ~base ~restrict ~project ~xmit =
   let now = Clock.tick (Base_table.clock base) in
   xmit Refresh_msg.Clear;
-  { base; restrict; project; xmit; now; pages = Base_table.data_pages base; next_page = 1;
-    scanned = 0; data = 0 }
+  { base; restrict; project; xmit; now; pages = Base_table.data_pages base;
+    arena = Snapdiff_storage.Decode_arena.create (); next_page = 1; scanned = 0; data = 0 }
 
 let pages c = c.pages
 
 let scan_to c ~last_page =
   for page = c.next_page to min last_page c.pages do
-    Base_table.iter_page_stored c.base ~page (fun addr stored ->
+    Base_table.iter_page_stored_arena c.base ~arena:c.arena ~page (fun addr stored ->
         c.scanned <- c.scanned + 1;
         let user = Annotations.user_part stored in
         if c.restrict user then begin

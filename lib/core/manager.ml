@@ -49,9 +49,9 @@ let method_name = function
   | Used_ideal -> "ideal"
   | Used_log_based -> "log-based"
 
-type sender_phases = { scan_us : float; send_us : float; fixup_bytes : int }
+type sender_phases = { scan_us : float; encode_us : float; send_us : float; fixup_bytes : int }
 
-let no_sender = { scan_us = 0.0; send_us = 0.0; fixup_bytes = 0 }
+let no_sender = { scan_us = 0.0; encode_us = 0.0; send_us = 0.0; fixup_bytes = 0 }
 
 type refresh_report = {
   snapshot : string;
@@ -750,11 +750,13 @@ type member = {
   mutable before : Link.stats;
   mutable failure : (string * bool) option;
   mutable xmit_us : float;  (* this attempt's time inside the stream's xmit *)
+  mutable encode_us : float;  (* the part of [xmit_us] spent encoding frames *)
 }
 
 let member ?(populate = false) s =
   { snap = s; populate; started = Trace.now_us (); attempt = 1; backoff = 0.0;
-    forced_full = false; epoch = 0; before = Link.stats s.link; failure = None; xmit_us = 0.0 }
+    forced_full = false; epoch = 0; before = Link.stats s.link; failure = None; xmit_us = 0.0;
+    encode_us = 0.0 }
 
 (* After [escalate_after] consecutive failures the method degrades to a
    full refresh — the stream that needs the least shared state to
@@ -921,14 +923,17 @@ let open_source t b used members xmits () =
    and checksum.  Control messages flush the buffer first and travel
    alone — Snaptime is among them, so the stream's trailing batch is
    always on the wire before the commit marker.  One such closure per
-   stream: it owns the epoch's sequence-number counter. *)
-let make_stream_xmit t ~epoch ~link =
+   stream: it owns the epoch's sequence-number counter.  [on_encode] is
+   charged the time each frame took to encode. *)
+let make_stream_xmit t ~epoch ~link ~on_encode =
   let seq = ref 0 in
   let buffered = ref [] in  (* newest first *)
   let buffered_n = ref 0 in
   let send_framed msg =
     let logical = Refresh_msg.logical_count msg in
+    let t0 = Trace.now_us () in
     let framed = Refresh_msg.encode_framed ~epoch ~seq:!seq msg in
+    on_encode (Trace.now_us () -. t0);
     incr seq;
     Link.send link ~logical framed
   in
@@ -996,6 +1001,7 @@ let attempt t b members =
       m.before <- Link.stats s.link;
       m.failure <- None;
       m.xmit_us <- 0.0;
+      m.encode_us <- 0.0;
       (* "The refresh algorithm is initiated by sending the last snapshot
          refresh time (SnapTime) ... to the base table." *)
       if not m.populate then
@@ -1009,7 +1015,10 @@ let attempt t b members =
   let xmits =
     Array.map
       (fun m ->
-        let xmit = make_stream_xmit t ~epoch:m.epoch ~link:m.snap.link in
+        let xmit =
+          make_stream_xmit t ~epoch:m.epoch ~link:m.snap.link ~on_encode:(fun us ->
+              m.encode_us <- m.encode_us +. us)
+        in
         fun msg ->
           if m.failure = None then begin
             let t0 = Trace.now_us () in
@@ -1081,7 +1090,8 @@ let attempt t b members =
         let after = Link.stats s.link in
         let receiver = Snapshot_table.last_commit_phases s.table in
         let received =
-          receiver.stage_us +. receiver.freeze_us +. receiver.replay_us +. receiver.publish_us
+          receiver.decode_us +. receiver.stage_us +. receiver.freeze_us +. receiver.replay_us
+          +. receiver.publish_us
         in
         Ok
           ( {
@@ -1097,7 +1107,8 @@ let attempt t b members =
               receiver;
               sender =
                 { scan_us;
-                  send_us = Float.max 0.0 (m.xmit_us -. received);
+                  encode_us = m.encode_us;
+                  send_us = Float.max 0.0 (m.xmit_us -. m.encode_us -. received);
                   fixup_bytes = (if m.populate then 0 else report.sender.fixup_bytes) };
             },
             fun () ->

@@ -39,13 +39,15 @@ val method_name : method_used -> string
     [scan_us] is the locked scan's wall time (locks, fix-up, decode,
     restriction) minus the time every member of its group spent inside
     its stream's transmit function; it is the same for all members of
-    one group scan.  [send_us] is this member's time inside that
-    function (encode, frame, checksum, link) minus the receiver's commit
-    phases, which run synchronously inside it.  [fixup_bytes] is the
-    record bytes the scan's fix-up writes stored (18 per in-place patch),
-    charged like [fixup_writes].  Both times are clamped at 0 against
-    clock rounding. *)
-type sender_phases = { scan_us : float; send_us : float; fixup_bytes : int }
+    one group scan.  [encode_us] is this member's time inside
+    {!Refresh_msg.encode_framed} (encode, frame, checksum).  [send_us] is
+    the rest of its time inside the transmit function — the link and its
+    accounting — net of [encode_us] and of the receiver's phases
+    (including its frame decode), which run synchronously inside it.
+    [fixup_bytes] is the record bytes the scan's fix-up writes stored (18
+    per in-place patch), charged like [fixup_writes].  [scan_us] and
+    [send_us] are clamped at 0 against clock rounding. *)
+type sender_phases = { scan_us : float; encode_us : float; send_us : float; fixup_bytes : int }
 
 val no_sender : sender_phases
 (** All zero. *)

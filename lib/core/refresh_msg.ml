@@ -46,107 +46,110 @@ let rec pp ppf = function
       (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ") pp)
       ms
 
-let rec encode msg =
-  let buf = Buffer.create 64 in
-  (match msg with
-  | Entry { addr; prev_qual; values } ->
-    Codec.add_u8 buf 1;
-    Codec.add_int buf addr;
-    Codec.add_int buf prev_qual;
-    Codec.add_tuple buf values
-  | Tail { last_qual } ->
-    Codec.add_u8 buf 2;
-    Codec.add_int buf last_qual
-  | Region { lo; hi } ->
-    Codec.add_u8 buf 3;
-    Codec.add_int buf lo;
-    Codec.add_int buf hi
-  | Upsert { addr; values } ->
-    Codec.add_u8 buf 4;
-    Codec.add_int buf addr;
-    Codec.add_tuple buf values
-  | Remove { addr } ->
-    Codec.add_u8 buf 5;
-    Codec.add_int buf addr
-  | Clear -> Codec.add_u8 buf 6
-  | Snaptime ts ->
-    Codec.add_u8 buf 7;
-    Codec.add_int buf ts
+(* The one writer.  [size] is the exact encoded length, so every encoding
+   is one allocation of the right size written front to back; a batch
+   member's u32 length prefix is back-patched once the member is written,
+   so member sizes are not computed twice. *)
+let rec size = function
+  | Entry { values; _ } -> 17 + Tuple.encoded_size values
+  | Upsert { values; _ } -> 9 + Tuple.encoded_size values
+  | Tail _ | Remove _ | Snaptime _ | Request _ -> 9
+  | Region _ -> 17
+  | Clear -> 1
   | Register { restrict; projection } ->
-    Codec.add_u8 buf 8;
-    Codec.add_string buf restrict;
-    Codec.add_u32 buf (List.length projection);
-    List.iter (Codec.add_string buf) projection
-  | Request { snaptime } ->
-    Codec.add_u8 buf 9;
-    Codec.add_int buf snaptime
-  | Batch ms ->
-    Codec.add_u8 buf 10;
-    Codec.add_u32 buf (List.length ms);
-    List.iter
-      (fun m ->
-        let b = encode m in
-        Codec.add_u32 buf (Bytes.length b);
-        Buffer.add_bytes buf b)
-      ms);
-  Buffer.to_bytes buf
+    List.fold_left
+      (fun acc s -> acc + Codec.string_size s)
+      (5 + Codec.string_size restrict) projection
+  | Batch ms -> List.fold_left (fun acc m -> acc + 4 + size m) 5 ms
 
-let rec decode b =
-  let tag, off = Codec.u8 b 0 in
-  let msg, off =
-    match tag with
-    | 1 ->
-      let addr, off = Codec.int b off in
-      let prev_qual, off = Codec.int b off in
-      let values, off = Codec.tuple b off in
-      (Entry { addr; prev_qual; values }, off)
-    | 2 ->
-      let last_qual, off = Codec.int b off in
-      (Tail { last_qual }, off)
-    | 3 ->
-      let lo, off = Codec.int b off in
-      let hi, off = Codec.int b off in
-      (Region { lo; hi }, off)
-    | 4 ->
-      let addr, off = Codec.int b off in
-      let values, off = Codec.tuple b off in
-      (Upsert { addr; values }, off)
-    | 5 ->
-      let addr, off = Codec.int b off in
-      (Remove { addr }, off)
-    | 6 -> (Clear, off)
-    | 7 ->
-      let ts, off = Codec.int b off in
-      (Snaptime ts, off)
-    | 8 ->
-      let restrict, off = Codec.string b off in
-      let n, off = Codec.u32 b off in
-      let projection = ref [] in
-      let off = ref off in
-      for _ = 1 to n do
-        let s, off' = Codec.string b !off in
-        projection := s :: !projection;
-        off := off'
-      done;
-      (Register { restrict; projection = List.rev !projection }, !off)
-    | 9 ->
-      let snaptime, off = Codec.int b off in
-      (Request { snaptime }, off)
-    | 10 ->
-      let n, off = Codec.u32 b off in
-      let ms = ref [] in
-      let off = ref off in
-      for _ = 1 to n do
-        let len, off' = Codec.u32 b !off in
-        if off' + len > Bytes.length b then failwith "Refresh_msg.decode: truncated batch";
-        ms := decode (Bytes.sub b off' len) :: !ms;
-        off := off' + len
-      done;
-      (Batch (List.rev !ms), !off)
-    | _ -> failwith "Refresh_msg.decode: bad tag"
-  in
-  if off <> Bytes.length b then failwith "Refresh_msg.decode: trailing bytes";
+let rec write b off msg =
+  match msg with
+  | Entry { addr; prev_qual; values } ->
+    let off = Codec.write_u8 b off 1 in
+    let off = Codec.write_int b off addr in
+    let off = Codec.write_int b off prev_qual in
+    Codec.write_tuple b off values
+  | Tail { last_qual } -> Codec.write_int b (Codec.write_u8 b off 2) last_qual
+  | Region { lo; hi } ->
+    let off = Codec.write_u8 b off 3 in
+    let off = Codec.write_int b off lo in
+    Codec.write_int b off hi
+  | Upsert { addr; values } ->
+    let off = Codec.write_u8 b off 4 in
+    let off = Codec.write_int b off addr in
+    Codec.write_tuple b off values
+  | Remove { addr } -> Codec.write_int b (Codec.write_u8 b off 5) addr
+  | Clear -> Codec.write_u8 b off 6
+  | Snaptime ts -> Codec.write_int b (Codec.write_u8 b off 7) ts
+  | Register { restrict; projection } ->
+    let off = Codec.write_u8 b off 8 in
+    let off = Codec.write_string b off restrict in
+    let off = Codec.write_u32 b off (List.length projection) in
+    List.fold_left (Codec.write_string b) off projection
+  | Request { snaptime } -> Codec.write_int b (Codec.write_u8 b off 9) snaptime
+  | Batch ms ->
+    let off = Codec.write_u8 b off 10 in
+    let off = Codec.write_u32 b off (List.length ms) in
+    List.fold_left
+      (fun off m ->
+        let stop = write b (off + 4) m in
+        ignore (Codec.write_u32 b off (stop - off - 4) : int);
+        stop)
+      off ms
+
+let encode msg =
+  let b = Bytes.create (size msg) in
+  ignore (write b 0 msg : int);
+  b
+
+(* The one reader: straight from the received bytes through a cursor; a
+   batch member is read inside its length-prefixed window, not copied
+   out. *)
+let rec read c =
+  let module C = Codec.Cursor in
+  match C.u8 c with
+  | 1 ->
+    let addr = C.int c in
+    let prev_qual = C.int c in
+    Entry { addr; prev_qual; values = C.tuple c }
+  | 2 -> Tail { last_qual = C.int c }
+  | 3 ->
+    let lo = C.int c in
+    Region { lo; hi = C.int c }
+  | 4 ->
+    let addr = C.int c in
+    Upsert { addr; values = C.tuple c }
+  | 5 -> Remove { addr = C.int c }
+  | 6 -> Clear
+  | 7 -> Snaptime (C.int c)
+  | 8 ->
+    let restrict = C.string c in
+    let n = C.u32 c in
+    let projection = ref [] in
+    for _ = 1 to n do
+      projection := C.string c :: !projection
+    done;
+    Register { restrict; projection = List.rev !projection }
+  | 9 -> Request { snaptime = C.int c }
+  | 10 ->
+    let n = C.u32 c in
+    let ms = ref [] in
+    for _ = 1 to n do
+      let len = C.u32 c in
+      ms := C.within c len read_exactly :: !ms
+    done;
+    Batch (List.rev !ms)
+  | _ -> failwith "Refresh_msg.decode: bad tag"
+
+and read_exactly c =
+  let msg = read c in
+  if not (Codec.Cursor.at_end c) then failwith "Refresh_msg.decode: trailing bytes";
   msg
+
+let decode b =
+  let c = Codec.Cursor.create () in
+  Codec.Cursor.set c b ~pos:0 ~len:(Bytes.length b);
+  read_exactly c
 
 (* ------------------------------------------------------------------ *)
 (* Epoch framing.
@@ -166,42 +169,49 @@ exception Corrupt of string
 
 let frame_tag = 0xF7
 
-(* FNV-1a over the payload, folded with epoch and seq so a frame whose
-   header was garbled fails the check even if the payload survived. *)
-let checksum ~epoch ~seq payload =
+let header_size = 21  (* tag, epoch, seq, checksum *)
+
+let fnv h byte = (h lxor byte) * 0x01000193 land 0xFFFFFFFF
+
+(* FNV-1a over the payload [b.[pos, pos+len)], folded with epoch and seq
+   so a frame whose header was garbled fails the check even if the
+   payload survived. *)
+let checksum ~epoch ~seq b ~pos ~len =
   let h = ref 0x811C9DC5 in
-  let feed byte = h := (!h lxor byte) * 0x01000193 land 0xFFFFFFFF in
-  Bytes.iter (fun c -> feed (Char.code c)) payload;
+  for i = pos to pos + len - 1 do
+    h := fnv !h (Char.code (Bytes.get b i))
+  done;
   for k = 0 to 7 do
-    feed ((epoch lsr (8 * k)) land 0xFF);
-    feed ((seq lsr (8 * k)) land 0xFF)
+    h := fnv (fnv !h ((epoch lsr (8 * k)) land 0xFF)) ((seq lsr (8 * k)) land 0xFF)
   done;
   !h
 
 let encode_framed ~epoch ~seq msg =
   if epoch < 0 || seq < 0 then invalid_arg "Refresh_msg.encode_framed: negative header";
-  let payload = encode msg in
-  let buf = Buffer.create (Bytes.length payload + 21) in
-  Codec.add_u8 buf frame_tag;
-  Codec.add_int buf epoch;
-  Codec.add_int buf seq;
-  Codec.add_u32 buf (checksum ~epoch ~seq payload);
-  Buffer.add_bytes buf payload;
-  Buffer.to_bytes buf
+  let len = size msg in
+  let b = Bytes.create (header_size + len) in
+  let off = Codec.write_u8 b 0 frame_tag in
+  let off = Codec.write_int b off epoch in
+  let off = Codec.write_int b off seq in
+  ignore (write b header_size msg : int);
+  ignore (Codec.write_u32 b off (checksum ~epoch ~seq b ~pos:header_size ~len) : int);
+  b
 
 let is_framed b = Bytes.length b > 0 && Char.code (Bytes.get b 0) = frame_tag
 
 let decode_framed b =
   try
-    let tag, off = Codec.u8 b 0 in
-    if tag <> frame_tag then failwith "not a framed message";
-    let epoch, off = Codec.int b off in
-    let seq, off = Codec.int b off in
-    let sum, off = Codec.u32 b off in
+    let c = Codec.Cursor.create () in
+    Codec.Cursor.set c b ~pos:0 ~len:(Bytes.length b);
+    if Codec.Cursor.u8 c <> frame_tag then failwith "not a framed message";
+    let epoch = Codec.Cursor.int c in
+    let seq = Codec.Cursor.int c in
+    let sum = Codec.Cursor.u32 c in
     if epoch < 0 || seq < 0 then failwith "negative frame header";
-    let payload = Bytes.sub b off (Bytes.length b - off) in
-    if checksum ~epoch ~seq payload <> sum then failwith "checksum mismatch";
-    { epoch; seq; msg = decode payload }
+    let pos = Codec.Cursor.pos c in
+    if checksum ~epoch ~seq b ~pos ~len:(Bytes.length b - pos) <> sum then
+      failwith "checksum mismatch";
+    { epoch; seq; msg = read_exactly c }
   with Failure reason | Invalid_argument reason -> raise (Corrupt reason)
 
 let rec equal a b =

@@ -36,16 +36,19 @@ type stage = {
   mutable staged : Refresh_msg.t list;  (* newest first *)
   mutable poison : string option;
   mutable stage_time_us : float;  (* time spent validating and queueing frames *)
+  mutable decode_time_us : float;  (* time spent checksumming and decoding frames *)
 }
 
 type commit_phases = {
+  decode_us : float;
   stage_us : float;
   freeze_us : float;
   replay_us : float;
   publish_us : float;
 }
 
-let no_phases = { stage_us = 0.0; freeze_us = 0.0; replay_us = 0.0; publish_us = 0.0 }
+let no_phases =
+  { decode_us = 0.0; stage_us = 0.0; freeze_us = 0.0; replay_us = 0.0; publish_us = 0.0 }
 
 type t = {
   snap_name : string;
@@ -338,7 +341,8 @@ let rec apply t (msg : Refresh_msg.t) =
 (* Atomic application of framed streams. *)
 
 let fresh_stage epoch =
-  { stage_epoch = epoch; expected_seq = 0; staged = []; poison = None; stage_time_us = 0.0 }
+  { stage_epoch = epoch; expected_seq = 0; staged = []; poison = None; stage_time_us = 0.0;
+    decode_time_us = 0.0 }
 
 (* A checksum-valid frame can still carry a row the snapshot cannot hold
    (wrong arity, wrong type, NULL in a NOT NULL column).  It is caught
@@ -371,7 +375,10 @@ let poison_stage t reason =
   | Some st -> if st.poison = None then st.poison <- Some reason
   | None -> t.stage <- Some { (fresh_stage (-1)) with poison = Some reason }
 
-let apply_framed t { Refresh_msg.epoch; seq; msg } =
+(* [decode_us] is the time [apply_bytes] spent checksumming and decoding
+   this frame, and [decoded_at] when it finished: staging is timed from
+   there, so the two phases share one clock read. *)
+let stage_frame t ~decode_us ~decoded_at { Refresh_msg.epoch; seq; msg } =
   let st =
     match t.stage with
     | Some st when st.stage_epoch = epoch -> st
@@ -396,6 +403,7 @@ let apply_framed t { Refresh_msg.epoch; seq; msg } =
     st.poison <-
       Some (Printf.sprintf "sequence gap in epoch %d: expected %d, got %d" epoch st.expected_seq seq);
   st.expected_seq <- seq + 1;
+  st.decode_time_us <- st.decode_time_us +. decode_us;
   match msg with
   | Refresh_msg.Snaptime _ -> (
     (* The commit marker: apply everything or nothing. *)
@@ -423,25 +431,30 @@ let apply_framed t { Refresh_msg.epoch; seq; msg } =
               List.iter (apply t) (List.rev st.staged);
               apply t msg));
       t.last_phases <-
-        { stage_us = st.stage_time_us; freeze_us = t1 -. t0; replay_us = !t2 -. t1;
-          publish_us = Trace.now_us () -. !t2 };
+        { decode_us = st.decode_time_us; stage_us = st.stage_time_us; freeze_us = t1 -. t0;
+          replay_us = !t2 -. t1; publish_us = Trace.now_us () -. !t2 };
       t.commits <- t.commits + 1;
       t.committed_epoch <- epoch;
       Metrics.incr m_stream_commits)
   | _ ->
-    let t0 = Trace.now_us () in
     (if st.poison = None then
        match malformed t msg with
        | Some e -> st.poison <- Some (Printf.sprintf "malformed frame in epoch %d: %s" epoch e)
        | None -> ());
     st.staged <- msg :: st.staged;
-    st.stage_time_us <- st.stage_time_us +. (Trace.now_us () -. t0)
+    st.stage_time_us <- st.stage_time_us +. (Trace.now_us () -. decoded_at)
+
+let apply_framed t frame = stage_frame t ~decode_us:0.0 ~decoded_at:(Trace.now_us ()) frame
 
 let apply_bytes t b =
-  if Refresh_msg.is_framed b then
+  if Refresh_msg.is_framed b then begin
+    let t0 = Trace.now_us () in
     match Refresh_msg.decode_framed b with
-    | frame -> apply_framed t frame
+    | frame ->
+      let decoded_at = Trace.now_us () in
+      stage_frame t ~decode_us:(decoded_at -. t0) ~decoded_at frame
     | exception Refresh_msg.Corrupt reason -> poison_stage t ("corrupt frame: " ^ reason)
+  end
   else
     match Refresh_msg.decode b with
     | msg ->

@@ -116,13 +116,16 @@ val last_committed_epoch : t -> int
 (** Epoch of the most recently committed framed stream; [-1] before any. *)
 
 (** Where the receiver's time went in its last framed commit, in
-    microseconds.  The four phases are disjoint: [stage_us] sums the
+    microseconds.  The five phases are disjoint: [decode_us] sums
+    {!apply_bytes}' checksum and decode of the epoch's frames (0 for
+    frames handed to {!apply_framed} already decoded); [stage_us] sums the
     staging of the epoch's data frames (validation and queueing, one
     call per frame); [freeze_us] is {!Version_store.begin_commit}
     freezing the pre-commit image; [replay_us] applies the staged
     messages to the live table; [publish_us] is
     {!Version_store.end_commit} publishing the epoch. *)
 type commit_phases = {
+  decode_us : float;
   stage_us : float;
   freeze_us : float;
   replay_us : float;

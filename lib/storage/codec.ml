@@ -1,17 +1,8 @@
 let add_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
 
-let add_u16 buf v =
-  add_u8 buf v;
-  add_u8 buf (v lsr 8)
+let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
 
-let add_u32 buf v =
-  add_u16 buf v;
-  add_u16 buf (v lsr 16)
-
-let add_i64 buf i =
-  for k = 0 to 7 do
-    add_u8 buf (Int64.to_int (Int64.shift_right_logical i (8 * k)))
-  done
+let add_i64 = Buffer.add_int64_le
 
 let add_int buf i = add_i64 buf (Int64.of_int i)
 
@@ -21,32 +12,57 @@ let add_string buf s =
 
 let add_tuple = Tuple.encode
 
+(* In-place writers into a buffer the caller sized exactly (fixed widths,
+   [string_size], [Tuple.encoded_size]); each returns the offset just past
+   what it wrote. *)
+
+let string_size s = 4 + String.length s
+
+let write_u8 b off v =
+  Bytes.set b off (Char.chr (v land 0xff));
+  off + 1
+
+let write_u32 b off v =
+  Bytes.set_int32_le b off (Int32.of_int v);
+  off + 4
+
+let write_int b off i =
+  Bytes.set_int64_le b off (Int64.of_int i);
+  off + 8
+
+let write_string b off s =
+  let len = String.length s in
+  let off = write_u32 b off len in
+  Bytes.blit_string s 0 b off len;
+  off + len
+
+let write_tuple = Tuple.write
+
 let need b off n = if off + n > Bytes.length b then failwith "Codec: truncated"
 
 let u8 b off =
   need b off 1;
   (Char.code (Bytes.get b off), off + 1)
 
-let u16 b off =
-  need b off 2;
-  (Char.code (Bytes.get b off) lor (Char.code (Bytes.get b (off + 1)) lsl 8), off + 2)
-
 let u32 b off =
-  let lo, off = u16 b off in
-  let hi, off = u16 b off in
-  (lo lor (hi lsl 16), off)
+  need b off 4;
+  (Int32.to_int (Bytes.get_int32_le b off) land 0xffff_ffff, off + 4)
 
 let i64 b off =
   need b off 8;
-  let acc = ref 0L in
-  for k = 7 downto 0 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (Char.code (Bytes.get b (off + k))))
-  done;
-  (!acc, off + 8)
+  (Bytes.get_int64_le b off, off + 8)
+
+(* An OCaml int is 63 bits: an i64 outside that range was not written by
+   [add_int]/[write_int], and [Int64.to_int] would silently drop its top
+   bit (so a flipped bit 63 would decode to the original value). *)
+let int_of_i64 v =
+  let i = Int64.to_int v in
+  if Int64.of_int i <> v then failwith "Codec: int out of range";
+  i
 
 let int b off =
   let v, off = i64 b off in
-  (Int64.to_int v, off)
+  (int_of_i64 v, off)
 
 let string b off =
   let len, off = u32 b off in
@@ -84,6 +100,15 @@ module Cursor = struct
     need c n;
     c.pos <- c.pos + n
 
+  let within c len f =
+    if len < 0 then invalid_arg "Codec.Cursor.within: negative";
+    need c len;
+    let limit = c.limit in
+    c.limit <- c.pos + len;
+    let v = f c in
+    c.limit <- limit;
+    v
+
   let u8 c =
     need c 1;
     let v = Char.code (Bytes.get c.buf c.pos) in
@@ -92,19 +117,14 @@ module Cursor = struct
 
   let u16 c =
     need c 2;
-    let v = Char.code (Bytes.get c.buf c.pos)
-            lor (Char.code (Bytes.get c.buf (c.pos + 1)) lsl 8) in
+    let v = Bytes.get_uint16_le c.buf c.pos in
     c.pos <- c.pos + 2;
     v
 
   let u32 c =
     need c 4;
-    let p = c.pos in
-    let v = Char.code (Bytes.get c.buf p)
-            lor (Char.code (Bytes.get c.buf (p + 1)) lsl 8)
-            lor (Char.code (Bytes.get c.buf (p + 2)) lsl 16)
-            lor (Char.code (Bytes.get c.buf (p + 3)) lsl 24) in
-    c.pos <- p + 4;
+    let v = Int32.to_int (Bytes.get_int32_le c.buf c.pos) land 0xffff_ffff in
+    c.pos <- c.pos + 4;
     v
 
   let i64 c =
@@ -113,7 +133,7 @@ module Cursor = struct
     c.pos <- c.pos + 8;
     v
 
-  let int c = Int64.to_int (i64 c)
+  let int c = int_of_i64 (i64 c)
 
   let string c =
     let len = u32 c in

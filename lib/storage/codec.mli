@@ -2,7 +2,6 @@
     and the network message format. *)
 
 val add_u8 : Buffer.t -> int -> unit
-val add_u16 : Buffer.t -> int -> unit
 val add_u32 : Buffer.t -> int -> unit
 val add_i64 : Buffer.t -> int64 -> unit
 
@@ -14,11 +13,28 @@ val add_string : Buffer.t -> string -> unit
 
 val add_tuple : Buffer.t -> Tuple.t -> unit
 
+(** In-place writers: the same bytes as the [add_] appenders, written at
+    an offset of a buffer the caller sized; each returns the offset just
+    past what it wrote (raising [Invalid_argument] if it does not fit). *)
+
+val string_size : string -> int
+(** Encoded size of a string: its u32 length + bytes. *)
+
+val write_u8 : bytes -> int -> int -> int
+val write_u32 : bytes -> int -> int -> int
+
+val write_int : bytes -> int -> int -> int
+(** OCaml int as i64. *)
+
+val write_string : bytes -> int -> string -> int
+val write_tuple : bytes -> int -> Tuple.t -> int
+
 (** Readers take [bytes] and an offset and return the value with the offset
-    just past it; they raise [Failure _] on truncation. *)
+    just past it; they raise [Failure _] on truncation.  {!int} (and
+    {!Cursor.int}) also raise [Failure _] on an i64 outside OCaml's int
+    range, which no writer produces. *)
 
 val u8 : bytes -> int -> int * int
-val u16 : bytes -> int -> int * int
 val u32 : bytes -> int -> int * int
 val i64 : bytes -> int -> int64 * int
 val int : bytes -> int -> int * int
@@ -53,6 +69,13 @@ module Cursor : sig
       [Tuple.decode_exactly]'s trailing-bytes check. *)
 
   val skip : t -> int -> unit
+
+  val within : t -> int -> (t -> 'a) -> 'a
+  (** [within c len f] runs [f c] with the window narrowed to the next
+      [len] bytes, then restores the window's end.  Raises
+      [Failure "Codec: truncated"] if fewer than [len] bytes remain.  Use
+      it to read a length-prefixed member in place: [f] sees the member's
+      end as the window edge (and can check {!at_end}). *)
 
   val u8 : t -> int
   val u16 : t -> int

@@ -19,6 +19,8 @@ let data_pages t = max 0 (Page_store.page_count (Buffer_pool.store t.pool) - 1)
 
 let note_free t page_no free = Hashtbl.replace t.free_bytes page_no free
 
+let noted_free t ~page = Hashtbl.find_opt t.free_bytes page
+
 let scan_existing t =
   let store = Buffer_pool.store t.pool in
   for p = 1 to Page_store.page_count store - 1 do

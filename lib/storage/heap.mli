@@ -35,6 +35,11 @@ val count : t -> int
 
 val data_pages : t -> int
 
+val noted_free : t -> page:int -> int option
+(** The insertable bytes first-fit insertion believes the data page has
+    (its {!Page.free_space_for_insert} as of the page's last mutation),
+    or [None] for a page insertion has not seen. *)
+
 exception Tuple_error of string
 (** Raised when a tuple does not validate against the schema, or is too
     large for a page. *)

@@ -3,8 +3,20 @@
    pairs: every mutation funnels through the primitives below, so a page
    adopted from a store image differs from that image only inside the
    tracked spans.  The buffer pool exploits this to write back sub-page
-   ranges instead of whole pages. *)
-type t = { data : bytes; size : int; mutable ranges : (int * int) list }
+   ranges instead of whole pages.
+
+   [live] (bytes of live records) and [holes] (empty directory entries)
+   are a cache of what a walk of the slot directory would count: computed
+   once when the page is created or adopted and kept current by every
+   primitive that changes the directory, so the free-space questions the
+   heap asks after each mutation cost O(1). *)
+type t = {
+  data : bytes;
+  size : int;
+  mutable ranges : (int * int) list;
+  mutable live : int;
+  mutable holes : int;
+}
 
 let min_page_size = 64
 let max_page_size = 32768
@@ -89,7 +101,9 @@ let set_slot t i ~off ~len =
 let create ~page_size =
   if page_size < min_page_size || page_size > max_page_size then
     invalid_arg "Page.create: bad page size";
-  let t = { data = Bytes.make page_size '\000'; size = page_size; ranges = [] } in
+  let t =
+    { data = Bytes.make page_size '\000'; size = page_size; ranges = []; live = 0; holes = 0 }
+  in
   set_nslots t 0;
   set_free_ptr t page_size;
   t
@@ -97,7 +111,7 @@ let create ~page_size =
 let page_size t = t.size
 
 let of_bytes data =
-  let t = { data; size = Bytes.length data; ranges = [] } in
+  let t = { data; size = Bytes.length data; ranges = []; live = 0; holes = 0 } in
   if t.size < min_page_size || t.size > max_page_size then
     failwith "Page.of_bytes: bad page size";
   (* A freshly-allocated page arrives zeroed: normalize it to a valid empty
@@ -106,37 +120,33 @@ let of_bytes data =
   let n = nslots t in
   if header_size + (slot_entry_size * n) > free_ptr t || free_ptr t > t.size then
     failwith "Page.of_bytes: corrupt header";
+  for i = 0 to n - 1 do
+    if slot_offset t i <> 0 then t.live <- t.live + slot_length t i
+    else t.holes <- t.holes + 1
+  done;
   t
 
 let bytes t = t.data
 
 let slot_is_live t i = i >= 0 && i < nslots t && slot_offset t i <> 0
 
-let live_records t =
-  let n = ref 0 in
-  for i = 0 to nslots t - 1 do
-    if slot_offset t i <> 0 then incr n
-  done;
-  !n
+let live_records t = nslots t - t.holes
 
 let dir_end t = header_size + (slot_entry_size * nslots t)
 
-let live_bytes t =
-  let total = ref 0 in
-  for i = 0 to nslots t - 1 do
-    if slot_offset t i <> 0 then total := !total + slot_length t i
-  done;
-  !total
+let live_bytes t = t.live
 
 let first_empty_slot t =
-  let n = nslots t in
-  let rec go i = if i >= n then None else if slot_offset t i = 0 then Some i else go (i + 1) in
-  go 0
+  if t.holes = 0 then None
+  else begin
+    let n = nslots t in
+    let rec go i = if i >= n then None else if slot_offset t i = 0 then Some i else go (i + 1) in
+    go 0
+  end
 
 let free_space_for_insert t =
-  let slack = t.size - dir_end t - live_bytes t in
-  let need_dir = match first_empty_slot t with Some _ -> 0 | None -> slot_entry_size in
-  max 0 (slack - need_dir)
+  let need_dir = if t.holes > 0 then 0 else slot_entry_size in
+  max 0 (t.size - dir_end t - t.live - need_dir)
 
 let compact t =
   (* Copy live records, highest offset first, back to the end of the page. *)
@@ -171,15 +181,16 @@ let insert t record =
     | None -> (nslots t, slot_entry_size)
   in
   if slot > 0xffff then None
-  else if t.size - dir_end t - live_bytes t - dir_need < len then None
+  else if t.size - dir_end t - t.live - dir_need < len then None
   else begin
     if contiguous_free t - dir_need < len then compact t;
-    if dir_need > 0 then set_nslots t (nslots t + 1);
+    if dir_need > 0 then set_nslots t (nslots t + 1) else t.holes <- t.holes - 1;
     let off = free_ptr t - len in
     Bytes.blit record 0 t.data off len;
     touch t off len;
     set_free_ptr t off;
     set_slot t slot ~off ~len;
+    t.live <- t.live + len;
     Some slot
   end
 
@@ -191,21 +202,25 @@ let insert_at t slot record =
   else begin
     let extra_slots = max 0 (slot + 1 - nslots t) in
     let dir_need = slot_entry_size * extra_slots in
-    if t.size - dir_end t - live_bytes t - dir_need < len then false
+    if t.size - dir_end t - t.live - dir_need < len then false
     else begin
       if contiguous_free t - dir_need < len then compact t;
       if extra_slots > 0 then begin
-        (* New directory entries must be zeroed (empty). *)
+        (* New directory entries must be zeroed (empty); all but [slot]
+           itself stay holes. *)
         for i = nslots t to slot do
           set_slot t i ~off:0 ~len:0
         done;
-        set_nslots t (slot + 1)
-      end;
+        set_nslots t (slot + 1);
+        t.holes <- t.holes + extra_slots - 1
+      end
+      else t.holes <- t.holes - 1;
       let off = free_ptr t - len in
       Bytes.blit record 0 t.data off len;
       touch t off len;
       set_free_ptr t off;
       set_slot t slot ~off ~len;
+      t.live <- t.live + len;
       true
     end
   end
@@ -216,6 +231,8 @@ let read t i =
 
 let delete t i =
   if slot_is_live t i then begin
+    t.live <- t.live - slot_length t i;
+    t.holes <- t.holes + 1;
     set_slot t i ~off:0 ~len:0;
     true
   end
@@ -228,15 +245,17 @@ let update t i record =
     if len = 0 then invalid_arg "Page.update: empty record";
     let old_len = slot_length t i in
     if len <= old_len then begin
-      (* Rewrite in place; the record shrinks at its original offset. *)
+      (* Rewrite in place; the record shrinks at its original offset, and
+         a record of the same length keeps its directory entry as is. *)
       let off = slot_offset t i in
       Bytes.blit record 0 t.data off len;
       touch t off len;
-      set_slot t i ~off ~len;
+      if len < old_len then set_slot t i ~off ~len;
+      t.live <- t.live + len - old_len;
       true
     end
     else begin
-      let slack = t.size - dir_end t - live_bytes t in
+      let slack = t.size - dir_end t - t.live in
       if slack < len - old_len then false
       else begin
         set_slot t i ~off:0 ~len:0;
@@ -246,6 +265,7 @@ let update t i record =
         touch t off len;
         set_free_ptr t off;
         set_slot t i ~off ~len;
+        t.live <- t.live + len - old_len;
         true
       end
     end

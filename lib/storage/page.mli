@@ -42,9 +42,18 @@ val live_records : t -> int
 val slot_is_live : t -> int -> bool
 (** False for empty slots and out-of-range slot numbers. *)
 
+val live_bytes : t -> int
+(** Total length of the live records.  O(1): the page keeps it current
+    (with the count of empty directory entries) through every mutation. *)
+
+val first_empty_slot : t -> int option
+(** The lowest-numbered empty directory entry, if any.  O(1) when the
+    directory has no empty entries; otherwise a scan up to the first. *)
+
 val free_space_for_insert : t -> int
 (** Length of the largest record currently insertable (accounting for a new
-    directory entry if no empty slot is available, and assuming compaction). *)
+    directory entry if no empty slot is available, and assuming compaction).
+    O(1). *)
 
 val insert : t -> bytes -> int option
 (** [insert t record] places the record in the lowest-numbered empty slot

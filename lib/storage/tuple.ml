@@ -41,12 +41,15 @@ let to_string t = Format.asprintf "%a" pp t
 let encoded_size t =
   Array.fold_left (fun acc v -> acc + Value.encoded_size v) 2 t
 
-let encode buf t =
+let write b off t =
   let n = Array.length t in
-  if n > 0xffff then invalid_arg "Tuple.encode: too many fields";
-  Buffer.add_char buf (Char.chr (n land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-  Array.iter (Value.encode buf) t
+  if n > 0xffff then invalid_arg "Tuple.write: too many fields";
+  Bytes.set_uint16_le b off n;
+  let off = ref (off + 2) in
+  for i = 0 to n - 1 do
+    off := Value.write b !off t.(i)
+  done;
+  !off
 
 let decode b off =
   if off + 2 > Bytes.length b then failwith "Tuple.decode: truncated";
@@ -61,9 +64,11 @@ let decode b off =
   (t, !off)
 
 let encode_to_bytes t =
-  let buf = Buffer.create (encoded_size t) in
-  encode buf t;
-  Buffer.to_bytes buf
+  let b = Bytes.create (encoded_size t) in
+  ignore (write b 0 t : int);
+  b
+
+let encode buf t = Buffer.add_bytes buf (encode_to_bytes t)
 
 let decode_exactly b =
   let t, off = decode b 0 in

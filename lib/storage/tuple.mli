@@ -33,11 +33,18 @@ val to_string : t -> string
 
 val encoded_size : t -> int
 
+val write : bytes -> int -> t -> int
+(** [write b off t] writes [t]'s encoding (exactly {!encoded_size}[ t]
+    bytes) at [off] and returns the offset just past it.  The caller
+    sizes [b].  The one tuple writer: the functions below use it. *)
+
 val encode : Buffer.t -> t -> unit
+(** Append {!encode_to_bytes}[ t]. *)
 
 val decode : bytes -> int -> t * int
 
 val encode_to_bytes : t -> bytes
+(** {!write} into one exact-size buffer. *)
 
 val decode_exactly : bytes -> t
 (** Decode and require that the whole buffer is consumed. *)

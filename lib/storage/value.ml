@@ -71,55 +71,40 @@ let encoded_size = function
   | Bool _ -> 2
   | Str s -> 5 + String.length s
 
-let add_u32 buf n =
-  Buffer.add_char buf (Char.chr (n land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
-
-let add_i64 buf i =
-  for k = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical i (8 * k)) 0xffL)))
-  done
-
-let encode buf v =
+let write b off v =
   match v with
-  | Null -> Buffer.add_char buf tag_null
+  | Null ->
+    Bytes.set b off tag_null;
+    off + 1
   | Int i ->
-    Buffer.add_char buf tag_int;
-    add_i64 buf i
+    Bytes.set b off tag_int;
+    Bytes.set_int64_le b (off + 1) i;
+    off + 9
   | Float f ->
-    Buffer.add_char buf tag_float;
-    add_i64 buf (Int64.bits_of_float f)
+    Bytes.set b off tag_float;
+    Bytes.set_int64_le b (off + 1) (Int64.bits_of_float f);
+    off + 9
   | Str s ->
-    Buffer.add_char buf tag_str;
-    add_u32 buf (String.length s);
-    Buffer.add_string buf s
-  | Bool b ->
-    Buffer.add_char buf tag_bool;
-    Buffer.add_char buf (if b then '\001' else '\000')
+    let len = String.length s in
+    Bytes.set b off tag_str;
+    Bytes.set_int32_le b (off + 1) (Int32.of_int len);
+    Bytes.blit_string s 0 b (off + 5) len;
+    off + 5 + len
+  | Bool x ->
+    Bytes.set b off tag_bool;
+    Bytes.set b (off + 1) (if x then '\001' else '\000');
+    off + 2
 
 let need b off n =
   if off + n > Bytes.length b then failwith "Value.decode: truncated"
 
 let get_u32 b off =
   need b off 4;
-  Char.code (Bytes.get b off)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 8)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 3)) lsl 24)
+  Int32.to_int (Bytes.get_int32_le b off) land 0xffff_ffff
 
 let get_i64 b off =
   need b off 8;
-  let acc = ref 0L in
-  for k = 7 downto 0 do
-    acc :=
-      Int64.logor
-        (Int64.shift_left !acc 8)
-        (Int64.of_int (Char.code (Bytes.get b (off + k))))
-  done;
-  !acc
+  Bytes.get_int64_le b off
 
 let decode b off =
   need b off 1;

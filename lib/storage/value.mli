@@ -56,7 +56,10 @@ val tag_bool : char
 
 val encoded_size : t -> int
 
-val encode : Buffer.t -> t -> unit
+val write : bytes -> int -> t -> int
+(** [write b off v] writes [v]'s encoding (exactly {!encoded_size}[ v]
+    bytes) at [off] and returns the offset just past it.  The caller
+    sizes [b]; raises [Invalid_argument] if the encoding does not fit. *)
 
 val decode : bytes -> int -> t * int
 (** [decode b off] returns the value and the offset just past it.

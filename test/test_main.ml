@@ -15,6 +15,7 @@ let () =
       ("stepwise", Test_stepwise.suite);
       ("methods", Test_methods.suite);
       ("properties", Test_properties.suite);
+      ("wire", Test_wire.suite);
       ("analysis", Test_analysis.suite);
       ("sql", Test_sql.suite);
       ("extensions", Test_extensions.suite);

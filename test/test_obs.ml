@@ -336,8 +336,8 @@ let test_histogram_single_sample_bucket () =
     [ 0.0; 0.5; 0.95; 0.99; 1.0 ]
 
 (* The receiver half of the refresh ledger: a committed refresh reports
-   how long the snapshot site spent staging, freezing, replaying and
-   publishing its stream.  The phases are disjoint slices of the refresh,
+   how long the snapshot site spent decoding, staging, freezing,
+   replaying and publishing its stream.  The phases are disjoint slices of the refresh,
    so each is non-negative and together they fit inside its wall time. *)
 let test_receiver_ledger () =
   let clock = Clock.create () in
@@ -362,8 +362,8 @@ let test_receiver_ledger () =
     let wall = Trace.now_us () -. t0 in
     let p = r.Manager.receiver in
     let phases =
-      [ ("stage", p.stage_us); ("freeze", p.freeze_us); ("replay", p.replay_us);
-        ("publish", p.publish_us) ]
+      [ ("decode", p.decode_us); ("stage", p.stage_us); ("freeze", p.freeze_us);
+        ("replay", p.replay_us); ("publish", p.publish_us) ]
     in
     List.iter (fun (name, us) -> checkb (name ^ " phase is non-negative") true (us >= 0.0)) phases;
     let sum = List.fold_left (fun acc (_, us) -> acc +. us) 0.0 phases in
@@ -375,9 +375,10 @@ let test_receiver_ledger () =
       (p = Snapshot_table.last_commit_phases st)
   done
 
-(* The sender half of the ledger: the locked scan's own time, the
-   stream's transmit time net of the receiver's commit (which runs inside
-   it), and the bytes the fix-up wrote — 18 per in-place tail patch.
+(* The sender half of the ledger: the locked scan's own time, the time
+   spent encoding frames, the stream's remaining transmit time net of the
+   receiver's decode and commit (which run inside it), and the bytes the
+   fix-up wrote — 18 per in-place tail patch.
    Every field is non-negative and sender plus receiver fit inside the
    refresh's wall time. *)
 let test_sender_ledger () =
@@ -402,14 +403,19 @@ let test_sender_ledger () =
     let wall = Trace.now_us () -. t0 in
     let s = r.Manager.sender and p = r.Manager.receiver in
     checkb "scan_us is non-negative" true (s.Manager.scan_us >= 0.0);
+    checkb "encode_us is non-negative" true (s.Manager.encode_us >= 0.0);
     checkb "send_us is non-negative" true (s.Manager.send_us >= 0.0);
+    List.iter
+      (fun (name, us) -> checkb (name ^ " is non-negative") true (us >= 0.0))
+      [ ("decode_us", p.decode_us); ("stage_us", p.stage_us); ("freeze_us", p.freeze_us);
+        ("replay_us", p.replay_us); ("publish_us", p.publish_us) ];
     checkb "fixup_bytes is non-negative" true (s.Manager.fixup_bytes >= 0);
     checkb "the ~100 restamped rows were written" true (r.Manager.fixup_writes >= 100);
     checkb "each fix-up write is an 18-byte patch" true
       (s.Manager.fixup_bytes = 18 * r.Manager.fixup_writes);
     let sum =
-      s.Manager.scan_us +. s.Manager.send_us +. p.stage_us +. p.freeze_us +. p.replay_us
-      +. p.publish_us
+      s.Manager.scan_us +. s.Manager.encode_us +. s.Manager.send_us +. p.decode_us
+      +. p.stage_us +. p.freeze_us +. p.replay_us +. p.publish_us
     in
     checkb
       (Printf.sprintf "round %d: sender + receiver (%.0f us) fit in the refresh (%.0f us)" round

@@ -33,12 +33,11 @@ let sample_values =
 let test_value_roundtrip () =
   List.iter
     (fun v ->
-      let buf = Buffer.create 16 in
-      Value.encode buf v;
-      checki "encoded_size exact" (Value.encoded_size v) (Buffer.length buf);
-      let v', off = Value.decode (Buffer.to_bytes buf) 0 in
+      let b = Bytes.create (Value.encoded_size v) in
+      checki "encoded_size exact" (Bytes.length b) (Value.write b 0 v);
+      let v', off = Value.decode b 0 in
       Alcotest.check value "roundtrip" v v';
-      checki "consumed all" (Buffer.length buf) off)
+      checki "consumed all" (Bytes.length b) off)
     sample_values
 
 let test_value_decode_garbage () =
@@ -799,7 +798,7 @@ let test_codec_boundary_values () =
   Codec.add_i64 buf Int64.min_int;
   Codec.add_i64 buf (-1L);
   Codec.add_string buf "";
-  Codec.add_u16 buf 0xFFFF;
+  Buffer.add_uint16_le buf 0xFFFF;
   Codec.add_u8 buf 0xFF;
   let b = Buffer.to_bytes buf in
   let v, off = Codec.u32 b 0 in
@@ -810,8 +809,7 @@ let test_codec_boundary_values () =
   checkb "i64 -1" true (v64 = -1L);
   let s, off = Codec.string b off in
   checks "empty string" "" s;
-  let v, off = Codec.u16 b off in
-  checki "u16 max" 0xFFFF v;
+  let off = off + 2 (* the u16: read by the cursor below *) in
   let v, off = Codec.u8 b off in
   checki "u8 max" 0xFF v;
   checki "offset readers consumed exactly" (Bytes.length b) off;
@@ -829,32 +827,33 @@ let test_codec_truncation_raises () =
   let cases =
     [ ( "u8",
         (fun buf -> Codec.add_u8 buf 0xAB),
-        (fun b -> ignore (Codec.u8 b 0 : int * int)),
+        Some (fun b -> ignore (Codec.u8 b 0 : int * int)),
         fun c -> ignore (Codec.Cursor.u8 c : int) );
       ( "u16",
-        (fun buf -> Codec.add_u16 buf 0xBEEF),
-        (fun b -> ignore (Codec.u16 b 0 : int * int)),
+        (fun buf -> Buffer.add_uint16_le buf 0xBEEF),
+        (* u16 has only the cursor reader *)
+        None,
         fun c -> ignore (Codec.Cursor.u16 c : int) );
       ( "u32",
         (fun buf -> Codec.add_u32 buf 0xFFFF_FFFF),
-        (fun b -> ignore (Codec.u32 b 0 : int * int)),
+        Some (fun b -> ignore (Codec.u32 b 0 : int * int)),
         fun c -> ignore (Codec.Cursor.u32 c : int) );
       ( "i64",
         (fun buf -> Codec.add_i64 buf (-1L)),
-        (fun b -> ignore (Codec.i64 b 0 : int64 * int)),
+        Some (fun b -> ignore (Codec.i64 b 0 : int64 * int)),
         fun c -> ignore (Codec.Cursor.i64 c : int64) );
       ( "int",
         (fun buf -> Codec.add_int buf (-7)),
-        (fun b -> ignore (Codec.int b 0 : int * int)),
+        Some (fun b -> ignore (Codec.int b 0 : int * int)),
         fun c -> ignore (Codec.Cursor.int c : int) );
       ( "string",
         (fun buf -> Codec.add_string buf "xyz"),
-        (fun b -> ignore (Codec.string b 0 : string * int)),
+        Some (fun b -> ignore (Codec.string b 0 : string * int)),
         fun c -> ignore (Codec.Cursor.string c : string) );
       ( "tuple",
         (fun buf ->
           Codec.add_tuple buf (Tuple.make [ Value.int (-5); Value.str "s"; Value.Null ])),
-        (fun b -> ignore (Codec.tuple b 0 : Tuple.t * int)),
+        Some (fun b -> ignore (Codec.tuple b 0 : Tuple.t * int)),
         fun c -> ignore (Codec.Cursor.tuple c : Tuple.t) );
     ]
   in
@@ -864,17 +863,20 @@ let test_codec_truncation_raises () =
       enc buf;
       let b = Buffer.to_bytes buf in
       let full = Bytes.length b in
-      read_off b;
+      Option.iter (fun read -> read b) read_off;
       let c = Codec.Cursor.create () in
       Codec.Cursor.set c b ~pos:0 ~len:full;
       read_cur c;
       checkb (name ^ ": full read consumes the window") true (Codec.Cursor.at_end c);
       for cut = 0 to full - 1 do
         let short = Bytes.sub b 0 cut in
-        (match read_off short with
-        | () ->
-          Alcotest.failf "%s: offset reader accepted a %d/%d-byte prefix" name cut full
-        | exception Failure _ -> ());
+        Option.iter
+          (fun read ->
+            match read short with
+            | () ->
+              Alcotest.failf "%s: offset reader accepted a %d/%d-byte prefix" name cut full
+            | exception Failure _ -> ())
+          read_off;
         (* The cursor window edge is the truncation boundary even when the
            underlying buffer holds the remaining bytes. *)
         Codec.Cursor.set c b ~pos:0 ~len:cut;
@@ -1383,4 +1385,185 @@ let suite =
   @ [
       Alcotest.test_case "page overwrite_tail in place" `Quick test_page_overwrite_tail;
       Alcotest.test_case "heap insert hint keeps first-fit layout" `Quick test_heap_insert_hint;
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Cached page accounting *)
+
+(* The page's live-byte and empty-slot counts are a cache kept current by
+   each mutation; these walk the directory from scratch instead. *)
+let recount_live p =
+  let n = ref 0 in
+  Page.iter_live_spans p (fun _ ~off:_ ~len -> n := !n + len);
+  !n
+
+let recount_first_empty p =
+  let rec go i =
+    if i >= Page.nslots p then None else if Page.slot_is_live p i then go (i + 1) else Some i
+  in
+  go 0
+
+let recount_free p =
+  let dir_end = 4 + (4 * Page.nslots p) in
+  let need_dir = if recount_first_empty p = None then 4 else 0 in
+  max 0 (Page.page_size p - dir_end - recount_live p - need_dir)
+
+type page_op =
+  | Pg_insert of int  (* record length *)
+  | Pg_insert_at of int * int  (* slot, length *)
+  | Pg_update of int * int  (* live-slot index, length change *)
+  | Pg_delete of int  (* live-slot index *)
+  | Pg_compact
+
+let page_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (4, map (fun n -> Pg_insert n) (int_range 1 48));
+        (2, map2 (fun s n -> Pg_insert_at (s, n)) (int_range 0 24) (int_range 1 32));
+        (* Shrink, same length (weighted up), and grow — growth past the
+           contiguous gap forces a compaction inside the update. *)
+        (4, map2 (fun i d -> Pg_update (i, d)) (int_range 0 50)
+              (frequency [ (2, pure 0); (1, int_range (-20) (-1)); (2, int_range 1 60) ]));
+        (3, map (fun i -> Pg_delete i) (int_range 0 50));
+        (1, pure Pg_compact) ])
+
+let print_page_op = function
+  | Pg_insert n -> Printf.sprintf "insert %d" n
+  | Pg_insert_at (s, n) -> Printf.sprintf "insert_at %d %d" s n
+  | Pg_update (i, d) -> Printf.sprintf "update #%d %+d" i d
+  | Pg_delete i -> Printf.sprintf "delete #%d" i
+  | Pg_compact -> "compact"
+
+let prop_page_accounting_matches_recount =
+  QCheck2.Test.make ~name:"page: cached live bytes / free space / first hole = a recount"
+    ~count:300
+    ~print:QCheck2.Print.(list print_page_op)
+    QCheck2.Gen.(list_size (int_range 1 80) page_op_gen)
+    (fun ops ->
+      let p = Page.create ~page_size:256 in
+      let model = Hashtbl.create 16 in  (* slot -> record *)
+      let fill = ref 0 in
+      let fresh len =
+        incr fill;
+        Bytes.make len (Char.chr (Char.code 'a' + (!fill mod 26)))
+      in
+      let live_slot i =
+        let slots = List.sort compare (Hashtbl.fold (fun s _ acc -> s :: acc) model []) in
+        match slots with [] -> None | _ -> Some (List.nth slots (i mod List.length slots))
+      in
+      let check what =
+        let q = Page.of_bytes (Bytes.copy (Page.bytes p)) in
+        let expect name got want =
+          if got <> want then
+            QCheck2.Test.fail_reportf "after %s: %s = %d, recount %d" what name got want
+        in
+        expect "live_records" (Page.live_records p) (Hashtbl.length model);
+        expect "live_bytes" (Page.live_bytes p) (recount_live p);
+        expect "free_space_for_insert" (Page.free_space_for_insert p) (recount_free p);
+        expect "first_empty_slot"
+          (Option.value ~default:(-1) (Page.first_empty_slot p))
+          (Option.value ~default:(-1) (recount_first_empty p));
+        expect "adopted live_bytes" (Page.live_bytes q) (recount_live p);
+        expect "adopted free_space_for_insert" (Page.free_space_for_insert q) (recount_free p);
+        expect "adopted first_empty_slot"
+          (Option.value ~default:(-1) (Page.first_empty_slot q))
+          (Option.value ~default:(-1) (recount_first_empty p));
+        if Page.validate p <> Ok () then QCheck2.Test.fail_reportf "after %s: invalid page" what;
+        Hashtbl.iter
+          (fun s r ->
+            if Page.read p s <> Some r then
+              QCheck2.Test.fail_reportf "after %s: slot %d lost its record" what s)
+          model
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Pg_insert n -> (
+            let r = fresh n in
+            match Page.insert p r with Some s -> Hashtbl.replace model s r | None -> ())
+          | Pg_insert_at (s, n) ->
+            let r = fresh n in
+            if Page.insert_at p s r then Hashtbl.replace model s r
+          | Pg_update (i, d) -> (
+            match live_slot i with
+            | None -> ()
+            | Some s ->
+              let r = fresh (max 1 (Bytes.length (Hashtbl.find model s) + d)) in
+              if Page.update p s r then Hashtbl.replace model s r)
+          | Pg_delete i -> (
+            match live_slot i with
+            | None -> ()
+            | Some s ->
+              ignore (Page.delete p s : bool);
+              Hashtbl.remove model s)
+          | Pg_compact -> Page.compact p);
+          check (print_page_op op))
+        ops;
+      true)
+
+(* The heap's per-page free-bytes table — what first-fit insertion
+   consults — equals a recount of every data page after random inserts,
+   updates (shrinking and growing), deletes and re-inserts at a freed
+   address. *)
+type heap_hist_op = H_insert of int | H_update of int * int | H_delete of int | H_insert_at of int
+
+let prop_heap_free_table_matches_recount =
+  QCheck2.Test.make ~name:"heap: per-page free-bytes table = a recount" ~count:150
+    QCheck2.Gen.(
+      list_size (int_range 1 120)
+        (frequency
+           [ (4, map (fun n -> H_insert n) (int_range 0 40));
+             (3, map2 (fun i n -> H_update (i, n)) (int_range 0 500) (int_range 0 60));
+             (2, map (fun i -> H_delete i) (int_range 0 500));
+             (1, map (fun i -> H_insert_at i) (int_range 0 500)) ]))
+    (fun ops ->
+      let h = Heap.create ~page_size:256 ~frames:3 emp_schema in
+      let live = ref [||] and freed = ref [] in
+      let refresh_live () = live := Array.of_list (List.map fst (Heap.to_list h)) in
+      let pick i = if !live = [||] then None else Some !live.(i mod Array.length !live) in
+      List.iteri
+        (fun k op ->
+          (match op with
+          | H_insert n -> ignore (Heap.insert h (mk_emp (String.make n 'i') k) : Addr.t)
+          | H_update (i, n) -> (
+            match pick i with
+            | None -> ()
+            | Some a -> (
+              try Heap.update h a (mk_emp (String.make n 'u') k)
+              with Heap.Tuple_error _ -> ()))
+          | H_delete i -> (
+            match pick i with
+            | None -> ()
+            | Some a ->
+              Heap.delete h a;
+              freed := a :: !freed)
+          | H_insert_at i -> (
+            match !freed with
+            | [] -> ()
+            | fs ->
+              let a = List.nth fs (i mod List.length fs) in
+              freed := List.filter (fun b -> not (Addr.equal a b)) fs;
+              (try Heap.insert_at h a (mk_emp "back" k) with Heap.Tuple_error _ -> ())));
+          refresh_live ())
+        ops;
+      for p = 1 to Heap.data_pages h do
+        let image =
+          Buffer_pool.with_page (Heap.pool h) p (fun page ->
+              (`Clean, Bytes.copy (Page.bytes page)))
+        in
+        let want = Page.free_space_for_insert (Page.of_bytes image) in
+        let want_walk = recount_free (Page.of_bytes image) in
+        if want <> want_walk then QCheck2.Test.fail_reportf "page %d: adopted page miscounts" p;
+        match Heap.noted_free h ~page:p with
+        | Some got when got = want -> ()
+        | Some got -> QCheck2.Test.fail_reportf "page %d: table says %d, recount %d" p got want
+        | None -> QCheck2.Test.fail_reportf "page %d: missing from the table" p
+      done;
+      true)
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_page_accounting_matches_recount;
+      QCheck_alcotest.to_alcotest prop_heap_free_table_matches_recount;
     ]

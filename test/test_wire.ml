@@ -1,0 +1,295 @@
+(* The refresh stream's wire format, pinned byte for byte.
+
+   The reference encoder below is written from the documented layout, not
+   from the library: a message is a tag byte then its fields — addresses,
+   timestamps and counts as little-endian i64 (OCaml ints) or u32 (string
+   lengths, list and batch member counts), tuples as a u16 field count
+   then tag-byte values, batch members each behind a u32 length.  A frame
+   is tag 0xF7, epoch and seq as i64, the u32 FNV-1a checksum of the
+   payload folded with epoch and seq, then the payload.  The library's
+   encoders must produce exactly these bytes, and its decoders must
+   reject every truncation and every single-byte flip of a frame as
+   [Refresh_msg.Corrupt] — leaving a snapshot's committed image alone. *)
+
+open Snapdiff_storage
+open Snapdiff_core
+module Gen = QCheck2.Gen
+
+(* ---- Reference encoder (the test's spec) ------------------------------ *)
+
+let ref_u8 buf v = Buffer.add_char buf (Char.chr v)
+
+let ref_u16 buf v =
+  ref_u8 buf (v land 0xff);
+  ref_u8 buf ((v lsr 8) land 0xff)
+
+let ref_u32 buf v =
+  for k = 0 to 3 do
+    ref_u8 buf ((v lsr (8 * k)) land 0xff)
+  done
+
+let ref_i64 buf v =
+  for k = 0 to 7 do
+    ref_u8 buf (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * k)) 0xffL))
+  done
+
+let ref_int buf i = ref_i64 buf (Int64.of_int i)
+
+let ref_string buf s =
+  ref_u32 buf (String.length s);
+  Buffer.add_string buf s
+
+let ref_value buf = function
+  | Value.Null -> ref_u8 buf 0
+  | Value.Int i ->
+    ref_u8 buf 1;
+    ref_i64 buf i
+  | Value.Float f ->
+    ref_u8 buf 2;
+    ref_i64 buf (Int64.bits_of_float f)
+  | Value.Str s ->
+    ref_u8 buf 3;
+    ref_string buf s
+  | Value.Bool b ->
+    ref_u8 buf 4;
+    ref_u8 buf (if b then 1 else 0)
+
+let ref_tuple buf t =
+  ref_u16 buf (Array.length t);
+  Array.iter (ref_value buf) t
+
+let rec ref_msg (m : Refresh_msg.t) =
+  let buf = Buffer.create 64 in
+  (match m with
+  | Entry { addr; prev_qual; values } ->
+    ref_u8 buf 1;
+    ref_int buf addr;
+    ref_int buf prev_qual;
+    ref_tuple buf values
+  | Tail { last_qual } ->
+    ref_u8 buf 2;
+    ref_int buf last_qual
+  | Region { lo; hi } ->
+    ref_u8 buf 3;
+    ref_int buf lo;
+    ref_int buf hi
+  | Upsert { addr; values } ->
+    ref_u8 buf 4;
+    ref_int buf addr;
+    ref_tuple buf values
+  | Remove { addr } ->
+    ref_u8 buf 5;
+    ref_int buf addr
+  | Clear -> ref_u8 buf 6
+  | Snaptime ts ->
+    ref_u8 buf 7;
+    ref_int buf ts
+  | Register { restrict; projection } ->
+    ref_u8 buf 8;
+    ref_string buf restrict;
+    ref_u32 buf (List.length projection);
+    List.iter (ref_string buf) projection
+  | Request { snaptime } ->
+    ref_u8 buf 9;
+    ref_int buf snaptime
+  | Batch ms ->
+    ref_u8 buf 10;
+    ref_u32 buf (List.length ms);
+    List.iter
+      (fun m ->
+        let s = ref_msg m in
+        ref_u32 buf (String.length s);
+        Buffer.add_string buf s)
+      ms);
+  Buffer.contents buf
+
+let ref_checksum ~epoch ~seq payload =
+  let h = ref 0x811C9DC5 in
+  let feed byte = h := ((!h lxor byte) * 0x01000193) land 0xFFFFFFFF in
+  String.iter (fun c -> feed (Char.code c)) payload;
+  for k = 0 to 7 do
+    feed ((epoch lsr (8 * k)) land 0xff);
+    feed ((seq lsr (8 * k)) land 0xff)
+  done;
+  !h
+
+let ref_framed ~epoch ~seq m =
+  let payload = ref_msg m in
+  let buf = Buffer.create (String.length payload + 21) in
+  ref_u8 buf 0xF7;
+  ref_int buf epoch;
+  ref_int buf seq;
+  ref_u32 buf (ref_checksum ~epoch ~seq payload);
+  Buffer.add_string buf payload;
+  Buffer.contents buf
+
+(* ---- Generators: every constructor and every kind of value ------------ *)
+
+let value_gen =
+  Gen.oneof
+    [ Gen.pure Value.Null;
+      Gen.map
+        (fun i -> Value.Int i)
+        (Gen.oneof
+           [ Gen.oneofl [ Int64.min_int; Int64.max_int; -1L; 0L ];
+             Gen.map Int64.of_int Gen.int;
+             Gen.map (fun i -> Int64.neg (Int64.of_int (abs i))) Gen.int ]);
+      Gen.map
+        (fun f -> Value.Float f)
+        (Gen.oneof [ Gen.oneofl [ Float.nan; -0.0; 0.0; infinity; neg_infinity ]; Gen.float ]);
+      Gen.map
+        (fun s -> Value.Str s)
+        (Gen.oneof
+           [ Gen.pure ""; Gen.string_size (Gen.int_range 1 12);
+             Gen.string_size (Gen.int_range 200 400) ]);
+      Gen.map (fun b -> Value.Bool b) Gen.bool ]
+
+let tuple_gen = Gen.map Array.of_list (Gen.list_size (Gen.int_range 0 6) value_gen)
+
+let name_gen = Gen.string_size (Gen.int_range 0 10)
+
+let leaf_gen =
+  let open Refresh_msg in
+  Gen.oneof
+    [ Gen.map3 (fun addr prev_qual values -> Entry { addr; prev_qual; values }) Gen.int Gen.int
+        tuple_gen;
+      Gen.map (fun last_qual -> Tail { last_qual }) Gen.int;
+      Gen.map2 (fun lo hi -> Region { lo; hi }) Gen.int Gen.int;
+      Gen.map2 (fun addr values -> Upsert { addr; values }) Gen.int tuple_gen;
+      Gen.map (fun addr -> Remove { addr }) Gen.int;
+      Gen.pure Clear;
+      Gen.map (fun ts -> Snaptime ts) Gen.int;
+      Gen.map2
+        (fun restrict projection -> Register { restrict; projection })
+        name_gen
+        (Gen.list_size (Gen.int_range 0 4) name_gen);
+      Gen.map (fun snaptime -> Request { snaptime }) Gen.int ]
+
+(* Batches nest up to two deep: deeper than the manager ever sends, so
+   the member-window reader is exercised inside another member. *)
+let msg_gen =
+  let rec go depth =
+    if depth = 0 then leaf_gen
+    else
+      Gen.frequency
+        [ (5, leaf_gen);
+          (2, Gen.map (fun ms -> Refresh_msg.Batch ms)
+                (Gen.list_size (Gen.int_range 0 4) (go (depth - 1)))) ]
+  in
+  go 2
+
+let header_gen = Gen.oneof [ Gen.int_range 0 1000; Gen.map (fun i -> i land max_int) Gen.int ]
+
+let case_gen = Gen.triple msg_gen header_gen header_gen
+
+let print_case (m, epoch, seq) =
+  Format.asprintf "epoch=%d seq=%d %a" epoch seq Refresh_msg.pp m
+
+(* ---- Properties ------------------------------------------------------- *)
+
+let prop_encoders_match_reference =
+  QCheck2.Test.make ~name:"wire: encode/encode_framed = reference layout, byte for byte"
+    ~count:500 ~print:print_case case_gen (fun (m, epoch, seq) ->
+      let raw = Refresh_msg.encode m in
+      let framed = Refresh_msg.encode_framed ~epoch ~seq m in
+      if Bytes.to_string raw <> ref_msg m then
+        QCheck2.Test.fail_reportf "encode differs from the reference (%d vs %d bytes)"
+          (Bytes.length raw) (String.length (ref_msg m));
+      if Bytes.to_string framed <> ref_framed ~epoch ~seq m then
+        QCheck2.Test.fail_report "encode_framed differs from the reference";
+      let f = Refresh_msg.decode_framed framed in
+      Refresh_msg.equal m (Refresh_msg.decode raw)
+      && f.Refresh_msg.epoch = epoch && f.Refresh_msg.seq = seq
+      && Refresh_msg.equal m f.Refresh_msg.msg)
+
+(* [decode_framed] of a damaged frame must raise [Corrupt] and nothing
+   else: no other exception, no silent success. *)
+let expect_corrupt what b =
+  match Refresh_msg.decode_framed b with
+  | (_ : Refresh_msg.frame) -> QCheck2.Test.fail_reportf "%s decoded without error" what
+  | exception Refresh_msg.Corrupt _ -> ()
+  | exception e ->
+    QCheck2.Test.fail_reportf "%s raised %s, not Corrupt" what (Printexc.to_string e)
+
+(* Every damaged copy of one frame: each strict prefix, and each byte
+   XORed with a nonzero mask. *)
+let damaged framed mask =
+  let len = Bytes.length framed in
+  List.init len (fun cut -> (Printf.sprintf "%d/%d-byte prefix" cut len, Bytes.sub framed 0 cut))
+  @ List.init len (fun i ->
+        let b = Bytes.copy framed in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+        (Printf.sprintf "flip 0x%02x at byte %d/%d" mask i len, b))
+
+let prop_damaged_frames_are_corrupt =
+  QCheck2.Test.make ~name:"wire: every truncation and byte flip of a frame raises Corrupt"
+    ~count:300
+    ~print:(fun (c, mask) -> Printf.sprintf "%s mask=0x%02x" (print_case c) mask)
+    (Gen.pair case_gen (Gen.int_range 1 255))
+    (fun ((m, epoch, seq), mask) ->
+      let raw = Refresh_msg.encode m in
+      for cut = 0 to Bytes.length raw - 1 do
+        match Refresh_msg.decode (Bytes.sub raw 0 cut) with
+        | (_ : Refresh_msg.t) ->
+          QCheck2.Test.fail_reportf "raw %d/%d-byte prefix decoded" cut (Bytes.length raw)
+        | exception Failure _ -> ()
+      done;
+      List.iter
+        (fun (what, b) -> expect_corrupt what b)
+        (damaged (Refresh_msg.encode_framed ~epoch ~seq m) mask);
+      true)
+
+let snap_schema =
+  Schema.make
+    [ Schema.col ~nullable:false "name" Value.Tstring;
+      Schema.col ~nullable:false "salary" Value.Tint ]
+
+let row name salary = Tuple.make [ Value.str name; Value.int salary ]
+
+(* A damaged frame inside an otherwise valid stream poisons it: at the
+   commit marker the stream is discarded and the committed image is what
+   it was.  The stream's first frame is a valid upsert (so the stream is
+   open when the damaged frame arrives, and a wrongful commit would show
+   in the image); the damaged frame is the generated message at seq 1. *)
+let prop_damaged_frame_keeps_committed_image =
+  QCheck2.Test.make ~name:"wire: a damaged frame leaves the committed image unchanged"
+    ~count:150
+    ~print:(fun (c, mask) -> Printf.sprintf "%s mask=0x%02x" (print_case c) mask)
+    (Gen.pair case_gen (Gen.int_range 1 255))
+    (fun ((m, _, _), mask) ->
+      let snap = Snapshot_table.create ~name:"s" ~schema:snap_schema () in
+      let a1 = Addr.make ~page:1 ~slot:0 and a2 = Addr.make ~page:1 ~slot:1 in
+      List.iteri
+        (fun seq msg ->
+          Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch:0 ~seq msg))
+        [ Refresh_msg.Upsert { addr = a1; values = row "a" 1 }; Refresh_msg.Snaptime 10 ];
+      let image = Snapshot_table.contents snap in
+      let epoch = ref 0 in
+      List.iter
+        (fun (what, bad) ->
+          incr epoch;
+          let epoch = !epoch in
+          Snapshot_table.apply_bytes snap
+            (Refresh_msg.encode_framed ~epoch ~seq:0
+               (Refresh_msg.Upsert { addr = a2; values = row "b" epoch }));
+          Snapshot_table.apply_bytes snap bad;
+          Snapshot_table.apply_bytes snap
+            (Refresh_msg.encode_framed ~epoch ~seq:2 (Refresh_msg.Snaptime (10 + epoch)));
+          if Snapshot_table.contents snap <> image || Snapshot_table.snaptime snap <> 10 then
+            QCheck2.Test.fail_reportf "%s: the committed image changed" what;
+          if Snapshot_table.last_committed_epoch snap <> 0 then
+            QCheck2.Test.fail_reportf "%s: epoch %d committed" what epoch)
+        (damaged (Refresh_msg.encode_framed ~epoch:0 ~seq:1 m) mask);
+      (* The same stream undamaged does commit. *)
+      incr epoch;
+      List.iteri
+        (fun seq msg ->
+          Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch:!epoch ~seq msg))
+        [ Refresh_msg.Upsert { addr = a2; values = row "b" 0 }; Refresh_msg.Snaptime 99 ];
+      Snapshot_table.last_committed_epoch snap = !epoch
+      && Snapshot_table.get snap a2 = Some (row "b" 0))
+
+let suite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_encoders_match_reference; prop_damaged_frames_are_corrupt;
+      prop_damaged_frame_keeps_committed_image ]
