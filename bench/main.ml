@@ -457,20 +457,24 @@ let faults () =
   header "Ablation: fault-injecting links -- retry tax and atomic apply (q=25%)";
   let t =
     Text_table.create
-      [ ("fault plan", Text_table.Left); ("refreshes", Text_table.Right);
+      [ ("fault plan", Text_table.Left); ("batch size", Text_table.Right);
+        ("refreshes", Text_table.Right);
         ("attempts", Text_table.Right); ("aborted streams", Text_table.Right);
         ("escalations", Text_table.Right); ("failed", Text_table.Right);
-        ("wire msgs", Text_table.Right); ("converged", Text_table.Right) ]
+        ("wire msgs", Text_table.Right); ("faults hit", Text_table.Right);
+        ("converged", Text_table.Right) ]
   in
   List.iter
     (fun r ->
       Text_table.add_row t
-        [ r.Figures.fault_name; string_of_int r.Figures.refresh_rounds;
+        [ r.Figures.fault_name; string_of_int r.Figures.fault_batch;
+          string_of_int r.Figures.refresh_rounds;
           string_of_int r.Figures.attempts_total;
           string_of_int r.Figures.aborted_streams;
           string_of_int r.Figures.escalations;
           string_of_int r.Figures.refreshes_failed;
           string_of_int r.Figures.wire_messages;
+          string_of_int r.Figures.faults_hit;
           (if r.Figures.converged then "yes" else "NO") ])
     (Figures.faults_ablation ~n:n_ablation ());
   Text_table.print t;

@@ -150,20 +150,23 @@ let faults_cmd n rounds =
     "Refresh over fault-injecting links, n = %d, %d refresh rounds per plan\n" n rounds;
   let t =
     Text_table.create
-      [ ("fault plan", Text_table.Left); ("attempts", Text_table.Right);
+      [ ("fault plan", Text_table.Left); ("batch size", Text_table.Right);
+        ("attempts", Text_table.Right);
         ("aborted streams", Text_table.Right); ("escalations", Text_table.Right);
         ("failed refreshes", Text_table.Right); ("wire msgs", Text_table.Right);
-        ("converged", Text_table.Right) ]
+        ("faults hit", Text_table.Right); ("converged", Text_table.Right) ]
   in
   let rows = Figures.faults_ablation ~n ~rounds () in
   List.iter
     (fun r ->
       Text_table.add_row t
-        [ r.Figures.fault_name; string_of_int r.Figures.attempts_total;
+        [ r.Figures.fault_name; string_of_int r.Figures.fault_batch;
+          string_of_int r.Figures.attempts_total;
           string_of_int r.Figures.aborted_streams;
           string_of_int r.Figures.escalations;
           string_of_int r.Figures.refreshes_failed;
           string_of_int r.Figures.wire_messages;
+          string_of_int r.Figures.faults_hit;
           (if r.Figures.converged then "yes" else "NO") ])
     rows;
   Text_table.print t;
@@ -171,14 +174,23 @@ let faults_cmd n rounds =
     "A failed refresh is atomic: the snapshot keeps its previous image and\n\
      SnapTime, so one refresh on a healed line covers the whole gap.";
   (* A plan whose snapshot diverged from its base restriction is a
-     correctness failure, not a table row. *)
-  match List.filter (fun r -> not r.Figures.converged) rows with
-  | [] -> 0
-  | bad ->
-    prerr_endline
-      ("faults: not converged: "
-      ^ String.concat ", " (List.map (fun r -> r.Figures.fault_name) bad));
-    1
+     correctness failure, not a table row; an armed plan that injected
+     nothing checked nothing, so it fails the oracle too. *)
+  let report what bad =
+    if bad <> [] then
+      prerr_endline
+        (Printf.sprintf "faults: %s: %s" what
+           (String.concat ", "
+              (List.map
+                 (fun r ->
+                   Printf.sprintf "%s (batch %d)" r.Figures.fault_name r.Figures.fault_batch)
+                 bad)))
+  in
+  let diverged = List.filter (fun r -> not r.Figures.converged) rows in
+  let idle = List.filter (fun r -> r.Figures.fault_armed && r.Figures.faults_hit = 0) rows in
+  report "not converged" diverged;
+  report "no fault injected" idle;
+  if diverged = [] && idle = [] then 0 else 1
 
 (* ------------------------------------------------------------------ *)
 (* stats *)
@@ -200,7 +212,7 @@ let stats_cmd verbose trace json n rounds u =
   let wal = Wal.create () in
   let base = Workload.make_base ~wal ~clock () in
   Workload.populate base ~rng ~n;
-  let m = Manager.create ~batch_size:16 () in
+  let m = Manager.create () in
   Manager.register_base m base;
   ignore
     (Manager.create_snapshot m ~name:"clean" ~base:(Snapdiff_core.Base_table.name base)
@@ -315,7 +327,7 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_st
              \"catchup_records\": %d, \"decode_us\": %.1f, \"stage_us\": %.1f, \
              \"freeze_us\": %.1f, \"replay_us\": %.1f, \"publish_us\": %.1f, \
              \"scan_us\": %.1f, \"encode_us\": %.1f, \"send_us\": %.1f, \
-             \"fixup_bytes\": %d"
+             \"fixup_bytes\": %d, \"wall_us\": %.1f, \"residual_us\": %.1f"
             name
             (Manager.method_name r.Manager.method_used)
             r.Manager.group_size r.Manager.pages_decoded r.Manager.data_messages
@@ -323,7 +335,8 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_st
             r.Manager.catchup_records r.Manager.receiver.decode_us r.Manager.receiver.stage_us
             r.Manager.receiver.freeze_us r.Manager.receiver.replay_us
             r.Manager.receiver.publish_us r.Manager.sender.scan_us r.Manager.sender.encode_us
-            r.Manager.sender.send_us r.Manager.sender.fixup_bytes;
+            r.Manager.sender.send_us r.Manager.sender.fixup_bytes r.Manager.wall_us
+            r.Manager.residual_us;
           if version_retain > 1 || version_strategy <> None then begin
             Printf.bprintf buf ", \"version_strategy\": \"%s\", \"versions\": ["
               (VS.strategy_name (Manager.snapshot_version_strategy m name));

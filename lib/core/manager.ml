@@ -77,6 +77,8 @@ type refresh_report = {
   max_lock_hold_us : float;  (* longest single lock-hold window (chunk or catch-up) *)
   receiver : Snapshot_table.commit_phases;  (* the committing stream's receiver phases *)
   sender : sender_phases;
+  wall_us : float;  (* the committing attempt's wall time *)
+  residual_us : float;  (* [wall_us] not covered by any member's phases *)
 }
 
 (* Retry discipline for refresh streams.  Backoff is simulated time
@@ -145,7 +147,7 @@ type t = {
   snapshots : (string, snapshot) Hashtbl.t;
   txns : Txn.manager;
   mutable retry : retry_policy;
-  mutable batch : int;  (* flush threshold for batched transport; <= 1 = off *)
+  mutable batch : int;  (* data messages per Batch frame; 1 = one frame each *)
   mutable chunk_entries : int;  (* scan chunk size; max_int = monolithic *)
   mutable on_chunk : (unit -> unit) option;  (* interleave point between chunks *)
   rng : Snapdiff_util.Rng.t;  (* backoff jitter, selectivity sampling *)
@@ -159,7 +161,9 @@ type t = {
 
 let key = String.lowercase_ascii
 
-let create ?(retry = default_retry_policy) ?(seed = 0x5EED) ?(batch_size = 1)
+let default_batch_size = 64
+
+let create ?(retry = default_retry_policy) ?(seed = 0x5EED) ?(batch_size = default_batch_size)
     ?(chunk_entries = max_int) () =
   {
     bases = Hashtbl.create 8;
@@ -687,6 +691,8 @@ let report_of s method_used ~new_snaptime ~entries_scanned ~data_messages =
     max_lock_hold_us = 0.0;
     receiver = Snapshot_table.no_phases;
     sender = no_sender;
+    wall_us = 0.0;
+    residual_us = 0.0;
   }
 
 let report_of_sub s (r : Differential.report) =
@@ -974,6 +980,7 @@ exception Abandoned
    stream would silently lose the changes between the old and new cursor
    on retry — or its failure. *)
 let attempt t b members =
+  let started = Trace.now_us () in
   let n = Array.length members in
   let used = method_for t b members.(0) in
   let live = ref n in
@@ -1081,18 +1088,40 @@ let attempt t b members =
   let scan_us =
     Float.max 0.0 (Array.fold_left (fun acc m -> acc -. m.xmit_us) !scan_wall members)
   in
+  (* Each committed member's ledger: its receiver phases, and its send
+     time net of encoding and of those phases (all of which run inside its
+     xmit).  A member that did not commit has no ledger; its xmit time
+     stays in the residual. *)
+  let ledgers =
+    Array.map
+      (fun m ->
+        if outs <> None && m.failure = None
+           && Snapshot_table.last_committed_epoch m.snap.table = m.epoch
+        then begin
+          let receiver = Snapshot_table.last_commit_phases m.snap.table in
+          let received =
+            receiver.decode_us +. receiver.stage_us +. receiver.freeze_us +. receiver.replay_us
+            +. receiver.publish_us
+          in
+          let send_us = Float.max 0.0 (m.xmit_us -. m.encode_us -. received) in
+          Some (receiver, send_us, m.encode_us +. send_us +. received)
+        end
+        else None)
+      members
+  in
+  let wall_us = Trace.now_us () -. started in
+  let residual_us =
+    Array.fold_left
+      (fun acc -> function Some (_, _, spent) -> acc -. spent | None -> acc)
+      (wall_us -. scan_us) ledgers
+  in
   Array.mapi
     (fun i m ->
       let s = m.snap in
-      match (outs, m.failure) with
-      | Some outs, None when Snapshot_table.last_committed_epoch s.table = m.epoch ->
+      match (outs, m.failure, ledgers.(i)) with
+      | Some outs, None, Some (receiver, send_us, _) ->
         let report, on_commit = outs.(i) in
         let after = Link.stats s.link in
-        let receiver = Snapshot_table.last_commit_phases s.table in
-        let received =
-          receiver.decode_us +. receiver.stage_us +. receiver.freeze_us +. receiver.replay_us
-          +. receiver.publish_us
-        in
         Ok
           ( {
               report with
@@ -1108,8 +1137,10 @@ let attempt t b members =
               sender =
                 { scan_us;
                   encode_us = m.encode_us;
-                  send_us = Float.max 0.0 (m.xmit_us -. m.encode_us -. received);
+                  send_us;
                   fixup_bytes = (if m.populate then 0 else report.sender.fixup_bytes) };
+              wall_us;
+              residual_us;
             },
             fun () ->
               on_commit ();
@@ -1120,8 +1151,8 @@ let attempt t b members =
                  method then replays only the genuine tail.  The log-based
                  method's own hook has set its exact new cursor. *)
               if used <> Used_log_based then Option.iter (set_cursor_lsn s) wal_end )
-      | _, Some failure -> Error failure
-      | _, None ->
+      | _, Some failure, _ -> Error failure
+      | _, None, _ ->
         Error
           ( Option.value (Snapshot_table.last_abort s.table)
               ~default:"stream not committed by receiver",

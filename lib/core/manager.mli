@@ -69,7 +69,7 @@ type refresh_report = {
   link_messages : int;  (** physical frames on the wire, incl. bracketing *)
   link_logical_messages : int;
       (** protocol messages those frames carried — the paper's metric;
-          equals [link_messages] unless batching is on *)
+          equals [link_messages] only at [batch_size = 1] *)
   link_bytes : int;
   tail_suppressed : bool;
   log_records_scanned : int;  (** log-based method only *)
@@ -98,6 +98,19 @@ type refresh_report = {
   sender : sender_phases;
       (** the sender half: scan, send and fix-up bytes; {!no_sender} for a
           report not produced by a refresh attempt *)
+  wall_us : float;
+      (** the committing attempt's wall time, from its start to its
+          receivers' commits (earlier failed attempts and their backoff
+          are not in it); 0 for a report not produced by a refresh
+          attempt.  The same for every member of one group scan. *)
+  residual_us : float;
+      (** the part of [wall_us] no phase explains: [wall_us] minus
+          [sender.scan_us] minus, over every member of the group that
+          committed, its [encode_us], [send_us] and five receiver phases.
+          The same for every member of one group; for a solo refresh it is
+          the wall time minus that refresh's own phases.  It holds request
+          sends, stream set-up and a failed sibling's time on its link,
+          and is [>= 0] up to clock rounding. *)
 }
 
 (** {1 Retry policy}
@@ -131,6 +144,9 @@ exception Bad_definition of string
 
 type t
 
+val default_batch_size : int
+(** 64: {!create}'s [batch_size] when none is given. *)
+
 val create :
   ?retry:retry_policy ->
   ?seed:int ->
@@ -139,15 +155,19 @@ val create :
   unit ->
   t
 (** [seed] feeds the manager's private RNG (backoff jitter, selectivity
-    sampling), keeping runs reproducible.  [batch_size] (default 1 = off)
-    is the batched-transport flush threshold: with [batch_size = k > 1],
-    up to [k] consecutive data messages of a refresh stream are coalesced
-    into one {!Refresh_msg.Batch} frame — one link header, one sequence
-    number, one checksum — cutting physical message count up to [k]-fold
+    sampling), keeping runs reproducible.  [batch_size] (default
+    {!default_batch_size}) is the batched-transport flush threshold: up to
+    [batch_size] consecutive data messages of a refresh stream are
+    coalesced into one
+    {!Refresh_msg.Batch} frame — one link header, one sequence number, one
+    checksum — cutting physical message count up to [batch_size]-fold
     while the logical stream (and the receiver's atomic staging) is
-    unchanged.  [chunk_entries] (default [max_int] = off) enables the
-    chunked concurrent refresh protocol: scans of WAL-backed base tables
-    run under a table {e intention} lock and process roughly
+    unchanged.  Control messages flush the buffer and travel alone.
+    [batch_size = 1] frames every message by itself.
+
+    [chunk_entries] (default [max_int] = off) enables the chunked
+    concurrent refresh protocol: scans of WAL-backed base tables run
+    under a table {e intention} lock and process roughly
     [chunk_entries] entries per chunk under short page locks (coupled —
     the next chunk's pages are locked before the previous chunk's are
     released), letting updaters interleave between chunks; transaction

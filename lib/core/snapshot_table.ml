@@ -34,6 +34,7 @@ type stage = {
   mutable stage_epoch : int;  (* -1 until a well-formed frame names it *)
   mutable expected_seq : int;
   mutable staged : Refresh_msg.t list;  (* newest first *)
+  mutable staged_logical : int;  (* protocol messages in [staged], batches unpacked *)
   mutable poison : string option;
   mutable stage_time_us : float;  (* time spent validating and queueing frames *)
   mutable decode_time_us : float;  (* time spent checksumming and decoding frames *)
@@ -255,46 +256,51 @@ let rewrite_row t base_addr rid stored =
     Heap.delete t.heap rid;
     Int_btree.insert t.index base_addr moved
 
+(* The receiver's one probe: the first live BaseAddr at or above [lo],
+   one descent of the index. *)
+let probe t lo = Int_btree.find_first t.index ~lo
+
 (* Every mutation funnels through {!Version_store.write}, naming its
    post-image: when versions are retained or pinned, the store captures
    the touched page's pre-image, records the post-image for the next Naive
    freeze, and holds its lock across the mutation so pinned readers never
    observe a half-applied entry; when the store is inert — the default —
    the mutation runs directly, one boolean test away from the pre-MVCC
-   code. *)
-let upsert t base_addr values =
+   code.  [found] is the probe's answer at [base_addr]: the row to
+   rewrite when it names [base_addr], an insert otherwise. *)
+let put t base_addr found values =
   let stored = stored_tuple t base_addr values in
   Version_store.write t.versions (`Put (base_addr, values)) (fun () ->
-      match Int_btree.find t.index base_addr with
-      | Some rid ->
+      match found with
+      | Some (a, rid) when a = base_addr ->
         let old = indexed_old t rid in
         rewrite_row t base_addr rid stored;
         Option.iter (sec_remove t base_addr) old;
         sec_add t base_addr values
-      | None ->
+      | _ ->
         let rid = Heap.insert t.heap stored in
         Int_btree.insert t.index base_addr rid;
         sec_add t base_addr values)
 
-let remove t base_addr =
+let delete t base_addr rid =
   Version_store.write t.versions (`Del base_addr) (fun () ->
-      match Int_btree.find t.index base_addr with
-      | Some rid ->
-        Option.iter (sec_remove t base_addr) (indexed_old t rid);
-        Heap.delete t.heap rid;
-        ignore (Int_btree.remove t.index base_addr : bool)
-      | None -> ())
+      Option.iter (sec_remove t base_addr) (indexed_old t rid);
+      Heap.delete t.heap rid;
+      ignore (Int_btree.remove t.index base_addr : bool))
 
-(* Delete every entry with [lo <= BaseAddr <= hi] ([hi = None]: no upper
-   bound), one successor probe per victim: an empty gap — the common case
-   in a differential stream — costs a single probe and builds no list.
-   Each victim goes through {!remove}, so the version store sees it. *)
-let rec remove_range t ~lo ~hi =
-  match Int_btree.find_first t.index ~lo with
-  | Some (a, _) when (match hi with None -> true | Some h -> a <= h) ->
-    remove t a;
-    remove_range t ~lo:(a + 1) ~hi
-  | _ -> ()
+(* Delete every entry with [lo <= BaseAddr <= hi] and return the probe's
+   answer just above [hi]: the merge step of Figure 4.  A gap victim is
+   any probed key at or below [hi]; an empty gap — the common case in a
+   differential stream — costs the one probe, whose answer the caller
+   then uses for its own address. *)
+let rec sweep t ~lo ~hi =
+  match probe t lo with
+  | Some (a, rid) when a <= hi ->
+    delete t a rid;
+    sweep t ~lo:(a + 1) ~hi
+  | found -> found
+
+let drop_range t ~lo ~hi = ignore (sweep t ~lo ~hi : (Addr.t * Addr.t) option)
 
 let clear t =
   Version_store.write t.versions `All (fun () ->
@@ -323,13 +329,14 @@ let rec apply t (msg : Refresh_msg.t) =
   | Batch ms -> List.iter (apply t) ms
   | Entry { addr; prev_qual; values } ->
     (* Everything strictly between the previous qualified entry and this
-       one is gone from the base table's qualified set. *)
-    remove_range t ~lo:(prev_qual + 1) ~hi:(Some (addr - 1));
-    upsert t addr values
-  | Tail { last_qual } -> remove_range t ~lo:(last_qual + 1) ~hi:None
-  | Region { lo; hi } -> remove_range t ~lo ~hi:(Some hi)
-  | Upsert { addr; values } -> upsert t addr values
-  | Remove { addr } -> remove t addr
+       one is gone from the base table's qualified set; the probe that
+       ends the gap lands on [addr]'s own row, if the table holds it. *)
+    put t addr (sweep t ~lo:(min (prev_qual + 1) addr) ~hi:(addr - 1)) values
+  | Tail { last_qual } -> drop_range t ~lo:(last_qual + 1) ~hi:max_int
+  | Region { lo; hi } -> drop_range t ~lo ~hi
+  | Upsert { addr; values } -> put t addr (probe t addr) values
+  | Remove { addr } -> (
+    match probe t addr with Some (a, rid) when a = addr -> delete t a rid | _ -> ())
   | Clear -> clear t
   | Snaptime ts -> t.time <- ts
   | Register _ | Request _ ->
@@ -341,8 +348,8 @@ let rec apply t (msg : Refresh_msg.t) =
 (* Atomic application of framed streams. *)
 
 let fresh_stage epoch =
-  { stage_epoch = epoch; expected_seq = 0; staged = []; poison = None; stage_time_us = 0.0;
-    decode_time_us = 0.0 }
+  { stage_epoch = epoch; expected_seq = 0; staged = []; staged_logical = 0; poison = None;
+    stage_time_us = 0.0; decode_time_us = 0.0 }
 
 (* A checksum-valid frame can still carry a row the snapshot cannot hold
    (wrong arity, wrong type, NULL in a NOT NULL column).  It is caught
@@ -442,6 +449,7 @@ let stage_frame t ~decode_us ~decoded_at { Refresh_msg.epoch; seq; msg } =
        | Some e -> st.poison <- Some (Printf.sprintf "malformed frame in epoch %d: %s" epoch e)
        | None -> ());
     st.staged <- msg :: st.staged;
+    st.staged_logical <- st.staged_logical + Refresh_msg.logical_count msg;
     st.stage_time_us <- st.stage_time_us +. (Trace.now_us () -. decoded_at)
 
 let apply_framed t frame = stage_frame t ~decode_us:0.0 ~decoded_at:(Trace.now_us ()) frame
@@ -471,7 +479,7 @@ let last_abort t = t.last_abort
 let last_committed_epoch t = t.committed_epoch
 let last_commit_phases t = t.last_phases
 let stream_pending t = t.stage <> None
-let staged_depth t = match t.stage with None -> 0 | Some st -> List.length st.staged
+let staged_depth t = match t.stage with None -> 0 | Some st -> st.staged_logical
 
 let get t base_addr =
   match Int_btree.find t.index base_addr with

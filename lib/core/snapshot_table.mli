@@ -141,7 +141,9 @@ val last_commit_phases : t -> commit_phases
 val stream_pending : t -> bool
 
 val staged_depth : t -> int
-(** Messages currently staged for the in-flight stream. *)
+(** Protocol messages currently staged for the in-flight stream: a staged
+    {!Refresh_msg.Batch} frame counts its members
+    ({!Refresh_msg.logical_count}), not 1. *)
 
 val get : t -> Addr.t -> Tuple.t option
 (** Lookup by base address. *)

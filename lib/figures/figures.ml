@@ -718,12 +718,15 @@ let skew_ablation ?(seed = 23) ?(n = 10_000) ?(ops = 5_000) () =
 
 type faults_row = {
   fault_name : string;
+  fault_batch : int;
+  fault_armed : bool;
   refresh_rounds : int;
   attempts_total : int;
   aborted_streams : int;
   escalations : int;
   refreshes_failed : int;
   wire_messages : int;
+  faults_hit : int;
   converged : bool;
 }
 
@@ -731,15 +734,24 @@ type faults_row = {
    converges (possibly escalating to a full refresh) or fails the refresh
    atomically -- the snapshot keeps its previous image and SnapTime, so a
    later round on a healed line covers the whole gap.  Wire messages
-   (against the clean-line row) measure the retry tax. *)
+   (against the clean-line row) measure the retry tax.  Every plan runs
+   under both framings — one message per frame, and the default batched
+   frames — since a lost or garbled frame takes a different number of
+   messages with it in each.  A plan is stated in logical messages and
+   armed per frame, so at [b] messages a frame it is translated: a
+   message rate [p] becomes [1 - (1-p)^b], the chance that a full frame
+   carries a hit message, and "crash after 3 msgs" fails the frame that
+   carries the fourth message.  A partition is already stated in sends
+   (frames).  The burst stays armed until its first loss, so every armed
+   plan injects at any [n]; [faults_hit] reports how much it did. *)
 let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
   let module Manager = Snapdiff_core.Manager in
-  let run (fault_name, arm) =
+  let run fault_batch (fault_name, fault_armed, arm) =
     let clock = Clock.create () in
     let base = Workload.make_base ~clock () in
     let rng = Rng.create seed in
     Workload.populate base ~rng ~n;
-    let mgr = Manager.create ~seed () in
+    let mgr = Manager.create ~seed ~batch_size:fault_batch () in
     Manager.register_base mgr base;
     ignore
       (Manager.create_snapshot mgr ~name:"s" ~base:"emp"
@@ -750,7 +762,7 @@ let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
     let attempts = ref 0 and aborted = ref 0 and escal = ref 0 and failed = ref 0 in
     for round = 1 to rounds do
       ignore (Workload.update_fraction base ~rng ~u:0.02 ~mix:Workload.churn : int);
-      arm link ~round;
+      arm link ~batch:fault_batch ~round;
       match Manager.refresh mgr "s" with
       | r ->
         attempts := !attempts + r.Manager.attempts;
@@ -761,7 +773,11 @@ let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
         aborted := !aborted + a;
         incr failed
     done;
-    let wire_messages = (Link.stats link).Link.messages in
+    let st = Link.stats link in
+    let wire_messages = st.Link.messages in
+    let faults_hit =
+      st.Link.injected_drops + st.Link.injected_corruptions + st.Link.injected_failures
+    in
     (* SnapTime only advances on commit, so one refresh on a clean line
        converges no matter how many rounds failed. *)
     Link.clear_faults link;
@@ -771,32 +787,47 @@ let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
     let snap = Manager.snapshot_table mgr "s" in
     {
       fault_name;
+      fault_batch;
+      fault_armed;
       refresh_rounds = rounds;
       attempts_total = !attempts;
       aborted_streams = !aborted;
       escalations = !escal;
       refreshes_failed = !failed;
       wire_messages;
+      faults_hit;
       converged =
         Snapshot_table.contents snap = expected && Snapshot_table.validate snap = Ok ();
     }
   in
-  List.map run
+  let per_frame p ~batch = 1.0 -. ((1.0 -. p) ** float_of_int batch) in
+  let plans =
     [
-      ("clean line", fun _ ~round:_ -> ());
+      ("clean line", false, fun _ ~batch:_ ~round:_ -> ());
       ( "drop 5%",
-        fun l ~round -> Link.inject_faults l ~drop_prob:0.05 ~seed:(seed + round) () );
-      ( "drop 5%, round 1 burst",
-        fun l ~round ->
-          if round = 1 then Link.inject_faults l ~drop_prob:0.05 ~seed ()
-          else Link.clear_faults l );
+        true,
+        fun l ~batch ~round ->
+          Link.inject_faults l ~drop_prob:(per_frame 0.05 ~batch) ~seed:(seed + round) () );
+      ( "drop 5%, burst to first loss",
+        true,
+        fun l ~batch ~round ->
+          if round = 1 then Link.inject_faults l ~drop_prob:(per_frame 0.05 ~batch) ~seed ()
+          else if (Link.stats l).Link.injected_drops > 0 then Link.clear_faults l );
       ( "corrupt 5%",
-        fun l ~round -> Link.inject_faults l ~corrupt_prob:0.05 ~seed:(seed + round) () );
+        true,
+        fun l ~batch ~round ->
+          Link.inject_faults l ~corrupt_prob:(per_frame 0.05 ~batch) ~seed:(seed + round) () );
       ( "crash after 3 msgs",
-        fun l ~round -> Link.inject_faults l ~fail_after:3 ~seed:(seed + round) () );
+        true,
+        fun l ~batch ~round -> Link.inject_faults l ~fail_after:(3 / batch) ~seed:(seed + round) ()
+      );
       ( "partition, sends 4-12",
-        fun l ~round -> if round = 1 then Link.inject_faults l ~partitions:[ (4, 12) ] ~seed () );
+        true,
+        fun l ~batch:_ ~round ->
+          if round = 1 then Link.inject_faults l ~partitions:[ (4, 12) ] ~seed () );
     ]
+  in
+  List.concat_map (fun batch -> List.map (run batch) plans) [ 1; Manager.default_batch_size ]
 
 type prune_row = {
   prune_page_size : int;

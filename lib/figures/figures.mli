@@ -151,12 +151,17 @@ val skew_ablation : ?seed:int -> ?n:int -> ?ops:int -> unit -> skew_row list
 
 type faults_row = {
   fault_name : string;
+  fault_batch : int;  (** the manager's [batch_size]: 1, or the default *)
+  fault_armed : bool;  (** the plan injects faults (every plan but the clean line) *)
   refresh_rounds : int;
   attempts_total : int;  (** refresh attempts summed over all rounds *)
   aborted_streams : int;  (** streams the receiver discarded *)
   escalations : int;  (** rounds where differential was abandoned for full *)
   refreshes_failed : int;  (** rounds that exhausted the retry budget *)
   wire_messages : int;  (** total messages sent, including wasted streams *)
+  faults_hit : int;
+      (** frames the plan actually dropped, garbled or failed; an armed
+          plan with none tested nothing *)
   converged : bool;  (** faithful image after one refresh on a healed line *)
 }
 
@@ -166,7 +171,10 @@ val faults_ablation :
     corruption, crashes, partitions): attempts, aborted streams and
     escalations measure the retry tax; [converged] checks the atomicity
     guarantee — a failed refresh keeps the old image and SnapTime, so a
-    healed line always catches up in one refresh. *)
+    healed line always catches up in one refresh.  Every plan runs twice:
+    one message per frame ([fault_batch = 1]) first, then every plan
+    again under the manager's default batched framing, with its message
+    rates and message positions translated to frames of that size. *)
 
 type prune_row = {
   prune_page_size : int;  (** pruning granularity under sweep *)

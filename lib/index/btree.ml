@@ -42,19 +42,21 @@ module Make (Key : ORDERED) = struct
 
   let is_empty t = t.size = 0
 
-  (* First index i with keys.(i) >= k, and whether it is an exact hit. *)
+  (* First index i with keys.(i) >= k.  Returns a bare int, so a descent
+     allocates nothing per level; [hit] tells an exact match. *)
   let locate n k =
     let lo = ref 0 and hi = ref (nkeys n) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       if Key.compare n.keys.(mid) k < 0 then lo := mid + 1 else hi := mid
     done;
-    let i = !lo in
-    (i, i < nkeys n && Key.compare n.keys.(i) k = 0)
+    !lo
+
+  let hit n i k = i < nkeys n && Key.compare n.keys.(i) k = 0
 
   let rec find_node n k =
-    let i, hit = locate n k in
-    if hit then Some n.vals.(i)
+    let i = locate n k in
+    if hit n i k then Some n.vals.(i)
     else if is_leaf n then None
     else find_node n.kids.(i) k
 
@@ -82,8 +84,8 @@ module Make (Key : ORDERED) = struct
     parent.kids <- arr_insert parent.kids (i + 1) right
 
   let rec insert_nonfull t n k v =
-    let i, hit = locate n k in
-    if hit then n.vals.(i) <- v
+    let i = locate n k in
+    if hit n i k then n.vals.(i) <- v
     else if is_leaf n then begin
       n.keys <- arr_insert n.keys i k;
       n.vals <- arr_insert n.vals i v;
@@ -185,8 +187,8 @@ module Make (Key : ORDERED) = struct
 
   let rec remove_from t n k =
     let d = t.degree in
-    let i, hit = locate n k in
-    if hit then begin
+    let i = locate n k in
+    if hit n i k then begin
       if is_leaf n then begin
         n.keys <- arr_remove n.keys i;
         n.vals <- arr_remove n.vals i;
@@ -247,7 +249,7 @@ module Make (Key : ORDERED) = struct
     let from =
       match lo with
       | None -> 0
-      | Some l -> fst (locate n l)
+      | Some l -> locate n l
     in
     if is_leaf n then begin
       let i = ref from in
@@ -282,8 +284,8 @@ module Make (Key : ORDERED) = struct
     (* A descent remembering the last node whose key at [i] lies above
        [lo] (the best successor so far): O(log n), no traversal closure. *)
     let rec go n best bi =
-      let i, hit = locate n lo in
-      if hit then Some (n.keys.(i), n.vals.(i))
+      let i = locate n lo in
+      if hit n i lo then Some (n.keys.(i), n.vals.(i))
       else if i < nkeys n then
         if is_leaf n then Some (n.keys.(i), n.vals.(i)) else go n.kids.(i) n i
       else if not (is_leaf n) then go n.kids.(i) best bi
@@ -295,8 +297,8 @@ module Make (Key : ORDERED) = struct
   let find_last t ~hi =
     (* No reverse iterator; a descent tracking the best-so-far is O(log n). *)
     let rec go n best =
-      let i, hit = locate n hi in
-      if hit then Some (n.keys.(i), n.vals.(i))
+      let i = locate n hi in
+      if hit n i hi then Some (n.keys.(i), n.vals.(i))
       else begin
         let best = if i > 0 then Some (n.keys.(i - 1), n.vals.(i - 1)) else best in
         if is_leaf n then best else go n.kids.(i) best

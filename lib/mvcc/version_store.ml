@@ -355,9 +355,10 @@ let ascending_posts (l : posts) =
     dedup (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) l)
 
 (* One linear merge of an old page with its pid's ascending post-images;
-   [None] when nothing is left.  A first pass sizes the result exactly and
-   moves the byte total by the delta; the second fills it, copying the
-   untouched runs wholesale. *)
+   [None] when nothing is left.  A first pass sizes the result exactly,
+   moves the byte total by the delta and records each post-image's
+   encoded size; the second fills the result from those sizes, copying
+   the untouched runs wholesale. *)
 let merge_page old (posts : posts) =
   let rows, addrs, sizes, bytes =
     match old with
@@ -365,9 +366,10 @@ let merge_page old (posts : posts) =
     | None -> ([||], [||], [||], 0)
   in
   let n = Array.length rows in
+  let post_sizes = Array.make (List.length posts) 0 in
   let size = ref n and bytes = ref bytes and r = ref 0 in
-  List.iter
-    (fun (a, post) ->
+  List.iteri
+    (fun j (a, post) ->
       while !r < n && addrs.(!r) < a do
         incr r
       done;
@@ -377,7 +379,8 @@ let merge_page old (posts : posts) =
       end;
       match post with
       | Some tup ->
-        bytes := !bytes + row_bytes tup;
+        post_sizes.(j) <- row_bytes tup;
+        bytes := !bytes + post_sizes.(j);
         incr size
       | None -> ())
     posts;
@@ -396,15 +399,15 @@ let merge_page old (posts : posts) =
       Array.blit sizes from out_sizes !k (!r - from);
       k := !k + (!r - from)
     in
-    List.iter
-      (fun (a, post) ->
+    List.iteri
+      (fun j (a, post) ->
         copy_to a;
         if !r < n && addrs.(!r) = a then incr r;
         match post with
         | Some tup ->
           out.(!k) <- (a, tup);
           out_addrs.(!k) <- a;
-          out_sizes.(!k) <- row_bytes tup;
+          out_sizes.(!k) <- post_sizes.(j);
           incr k
         | None -> ())
       posts;

@@ -564,6 +564,8 @@ let populate_query_snapshot t qs =
     max_lock_hold_us = 0.0;
     receiver = Snapshot_table.no_phases;
     sender = Manager.no_sender;
+    wall_us = 0.0;
+    residual_us = 0.0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -835,6 +837,8 @@ let execute t (stmt : Ast.stmt) =
             max_lock_hold_us = 0.0;
             receiver = Snapshot_table.no_phases;
             sender = Manager.no_sender;
+            wall_us = 0.0;
+            residual_us = 0.0;
           }
       | exception Invalid_argument m -> err "%s" m)
     | [ b ] -> err "unknown table %s" b

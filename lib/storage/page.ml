@@ -1,9 +1,11 @@
-(* [ranges] tracks the byte spans modified since the last
-   {!reset_dirty_ranges} as a short sorted list of disjoint [lo, hi)
-   pairs: every mutation funnels through the primitives below, so a page
-   adopted from a store image differs from that image only inside the
-   tracked spans.  The buffer pool exploits this to write back sub-page
-   ranges instead of whole pages.
+(* [spans] tracks the byte spans modified since the last
+   {!reset_dirty_ranges} as a short sorted run of disjoint [lo, hi)
+   pairs, [nspans] of them, flat in a preallocated int array
+   ([spans.(2i)], [spans.(2i+1)]) that {!touch} edits in place: every
+   mutation funnels through the primitives below, so a page adopted from
+   a store image differs from that image only inside the tracked spans.
+   The buffer pool exploits this to write back sub-page ranges instead of
+   whole pages.
 
    [live] (bytes of live records) and [holes] (empty directory entries)
    are a cache of what a walk of the slot directory would count: computed
@@ -13,7 +15,8 @@
 type t = {
   data : bytes;
   size : int;
-  mutable ranges : (int * int) list;
+  spans : int array;
+  mutable nspans : int;
   mutable live : int;
   mutable holes : int;
 }
@@ -24,53 +27,63 @@ let max_page_size = 32768
 let header_size = 4
 let slot_entry_size = 4
 
-(* Cap the list so tracking stays O(1)-ish per mutation; on overflow the
-   two closest spans are merged (over-approximation is always safe). *)
+(* Cap the spans so tracking stays O(1) per mutation; on overflow the two
+   closest spans are merged (over-approximation is always safe).  The
+   array has room for one span over the cap, briefly, before that merge. *)
 let max_tracked_ranges = 4
+
+let new_spans () = Array.make (2 * (max_tracked_ranges + 1)) 0
+
+(* Move spans [from..nspans-1] to start at index [into]. *)
+let shift_spans t ~from ~into =
+  let r = t.spans in
+  Array.blit r (2 * from) r (2 * into) (2 * (t.nspans - from));
+  t.nspans <- t.nspans + into - from
 
 let touch t off len =
   if len > 0 then begin
-    let lo = off and hi = off + len in
-    let rec ins = function
-      | [] -> [ (lo, hi) ]
-      | (a, b) :: rest ->
-        if hi < a then (lo, hi) :: (a, b) :: rest
-        else if b < lo then (a, b) :: ins rest
-        else absorb (min a lo) (max b hi) rest
-    and absorb lo hi = function
-      | (a, b) :: rest when a <= hi -> absorb lo (max b hi) rest
-      | rest -> (lo, hi) :: rest
-    in
-    let rs = ins t.ranges in
-    t.ranges <-
-      (if List.length rs <= max_tracked_ranges then rs
-       else begin
-         (* Merge the pair separated by the smallest gap. *)
-         let besti = ref 0 and best = ref max_int in
-         let rec scan i = function
-           | (_, b) :: ((c, _) :: _ as rest) ->
-             if c - b < !best then begin
-               best := c - b;
-               besti := i
-             end;
-             scan (i + 1) rest
-           | _ -> ()
-         in
-         scan 0 rs;
-         let rec merge i = function
-           | (a, b) :: (_, d) :: rest when i = 0 -> (a, max b d) :: rest
-           | x :: rest -> x :: merge (i - 1) rest
-           | [] -> []
-         in
-         merge !besti rs
-       end)
+    let r = t.spans and lo = off and hi = off + len in
+    (* Spans [i, j) overlap or abut [lo, hi) and fold into one. *)
+    let i = ref 0 in
+    while !i < t.nspans && r.((2 * !i) + 1) < lo do
+      incr i
+    done;
+    let j = ref !i and mlo = ref lo and mhi = ref hi in
+    while !j < t.nspans && r.(2 * !j) <= !mhi do
+      mlo := min !mlo r.(2 * !j);
+      mhi := max !mhi r.((2 * !j) + 1);
+      incr j
+    done;
+    shift_spans t ~from:!j ~into:(!i + 1);
+    r.(2 * !i) <- !mlo;
+    r.((2 * !i) + 1) <- !mhi;
+    if t.nspans > max_tracked_ranges then begin
+      (* Merge the pair separated by the smallest gap. *)
+      let besti = ref 0 and best = ref max_int in
+      for k = 0 to t.nspans - 2 do
+        let gap = r.(2 * (k + 1)) - r.((2 * k) + 1) in
+        if gap < !best then begin
+          best := gap;
+          besti := k
+        end
+      done;
+      let k = !besti in
+      r.((2 * k) + 1) <- max r.((2 * k) + 1) r.((2 * k) + 3);
+      shift_spans t ~from:(k + 2) ~into:(k + 1)
+    end
   end
 
-let dirty_ranges t = List.map (fun (lo, hi) -> (lo, hi - lo)) t.ranges
+let dirty_ranges t =
+  List.init t.nspans (fun i -> (t.spans.(2 * i), t.spans.((2 * i) + 1) - t.spans.(2 * i)))
 
-let dirty_bytes t = List.fold_left (fun acc (lo, hi) -> acc + (hi - lo)) 0 t.ranges
+let dirty_bytes t =
+  let acc = ref 0 in
+  for i = 0 to t.nspans - 1 do
+    acc := !acc + t.spans.((2 * i) + 1) - t.spans.(2 * i)
+  done;
+  !acc
 
-let reset_dirty_ranges t = t.ranges <- []
+let reset_dirty_ranges t = t.nspans <- 0
 
 let get_u16 b off = Char.code (Bytes.get b off) lor (Char.code (Bytes.get b (off + 1)) lsl 8)
 
@@ -102,7 +115,8 @@ let create ~page_size =
   if page_size < min_page_size || page_size > max_page_size then
     invalid_arg "Page.create: bad page size";
   let t =
-    { data = Bytes.make page_size '\000'; size = page_size; ranges = []; live = 0; holes = 0 }
+    { data = Bytes.make page_size '\000'; size = page_size; spans = new_spans (); nspans = 0;
+      live = 0; holes = 0 }
   in
   set_nslots t 0;
   set_free_ptr t page_size;
@@ -111,7 +125,9 @@ let create ~page_size =
 let page_size t = t.size
 
 let of_bytes data =
-  let t = { data; size = Bytes.length data; ranges = []; live = 0; holes = 0 } in
+  let t =
+    { data; size = Bytes.length data; spans = new_spans (); nspans = 0; live = 0; holes = 0 }
+  in
   if t.size < min_page_size || t.size > max_page_size then
     failwith "Page.of_bytes: bad page size";
   (* A freshly-allocated page arrives zeroed: normalize it to a valid empty

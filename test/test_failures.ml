@@ -59,10 +59,14 @@ let apply_script base script =
       | _ -> ())
     script
 
-let setup ~method_ ?retry (script, threshold) =
+(* [batch_size] defaults to 1 here, not to the manager's default: link
+   faults are decided once per frame, so one message per frame lets a
+   fault plan land at every message position of the stream.  The
+   properties below also run at {!Manager.default_batch_size}. *)
+let setup ~method_ ?retry ?(batch_size = 1) (script, threshold) =
   let clock = Clock.create () in
   let base = Base_table.create ~name:"emp" ~clock emp_schema in
-  let m = Manager.create ?retry () in
+  let m = Manager.create ?retry ~batch_size () in
   Manager.register_base m base;
   for i = 0 to 9 do
     ignore (Base_table.insert base (emp (Printf.sprintf "s%d" i) (i * 3 mod 20)) : Addr.t)
@@ -345,23 +349,25 @@ let test_corruption_exhausts_then_recovers () =
 (* ------------------------------------------------------------------ *)
 (* Properties over random scenarios and fault seeds. *)
 
-(* A single transient outage: the retry loop always converges. *)
-let prop_transient_outage ~method_ name =
+(* A single transient outage: the retry loop always converges.  The
+   outage fires at frame [k + 1]; a batched stream of these scripts is a
+   Batch frame and a Snaptime frame, so [max_k] is smaller there. *)
+let prop_transient_outage ?batch_size ?(max_k = 5) ~method_ name =
   QCheck2.Test.make ~name ~count:60
-    (Gen.quad script_gen threshold_gen (Gen.int_range 0 5) seed_gen)
+    (Gen.quad script_gen threshold_gen (Gen.int_range 0 max_k) seed_gen)
     (fun (script, threshold, k, seed) ->
-      let m, base = setup ~method_ (script, threshold) in
+      let m, base = setup ~method_ ?batch_size (script, threshold) in
       Link.inject_faults (Manager.snapshot_link m "s") ~fail_after:k ~seed ();
       ignore (Manager.refresh m "s" : Manager.refresh_report);
       faithful m base threshold)
 
 (* Silent loss at up to 20%: every outcome is atomic (committed faithful
    image, or the old image untouched), and a clean line converges. *)
-let prop_atomic_under_faults ~method_ ~fault name =
+let prop_atomic_under_faults ?batch_size ~method_ ~fault name =
   QCheck2.Test.make ~name ~count:60
     (Gen.quad script_gen threshold_gen (Gen.float_bound_inclusive 0.2) seed_gen)
     (fun (script, threshold, p, seed) ->
-      let m, base = setup ~method_ (script, threshold) in
+      let m, base = setup ~method_ ?batch_size (script, threshold) in
       let snap = Manager.snapshot_table m "s" in
       let pre = Snapshot_table.contents snap in
       let link = Manager.snapshot_link m "s" in
@@ -379,14 +385,14 @@ let prop_atomic_under_faults ~method_ ~fault name =
 
 (* Partition windows always heal: the send index moves on every attempt,
    so a bounded window cannot outlast a big enough retry budget. *)
-let prop_partition_converges =
-  QCheck2.Test.make ~name:"partition window converges (differential)" ~count:60
+let prop_partition_converges ?batch_size name =
+  QCheck2.Test.make ~name ~count:60
     (Gen.quad script_gen threshold_gen (Gen.int_range 1 5) (Gen.int_range 0 8))
     (fun (script, threshold, lo, width) ->
       let m, base =
         setup ~method_:Manager.Differential
           ~retry:{ Manager.default_retry_policy with max_attempts = 16 }
-          (script, threshold)
+          ?batch_size (script, threshold)
       in
       let link = Manager.snapshot_link m "s" in
       Link.inject_faults link ~partitions:[ (lo, lo + width) ] ~seed:0 ();
@@ -535,10 +541,33 @@ let test_no_receiver_in_group () =
       | Error e -> raise e)
     [ ("a", 10); ("c", 20) ]
 
+(* [staged_depth] counts protocol messages: a staged Batch frame of [k]
+   members is [k] of them, not one frame. *)
+let test_staged_depth_counts_batch_members () =
+  let snap = mk_snap () in
+  let k = 5 in
+  let members =
+    List.init k (fun i -> Refresh_msg.Upsert { addr = a3 + i; values = emp "m" i })
+  in
+  Snapshot_table.apply_bytes snap
+    (Refresh_msg.encode_framed ~epoch:1 ~seq:0 (Refresh_msg.Batch members));
+  checki "a batch frame stages its members" k (Snapshot_table.staged_depth snap);
+  Snapshot_table.apply_bytes snap
+    (Refresh_msg.encode_framed ~epoch:1 ~seq:1 (Refresh_msg.Remove { addr = a1 }));
+  checki "a lone frame adds one" (k + 1) (Snapshot_table.staged_depth snap);
+  Snapshot_table.apply_bytes snap
+    (Refresh_msg.encode_framed ~epoch:1 ~seq:2 (Refresh_msg.Snaptime 30));
+  checki "nothing staged after the commit" 0 (Snapshot_table.staged_depth snap);
+  checki "every member applied" (2 - 1 + k) (Snapshot_table.count snap)
+
+let batched = Manager.default_batch_size
+
 let suite =
   [
     Alcotest.test_case "partial stream is neither image (legacy) vs old image (framed)"
       `Quick test_partial_stream_neither_image;
+    Alcotest.test_case "staged depth counts a batch's members" `Quick
+      test_staged_depth_counts_batch_members;
     Alcotest.test_case "gap and corruption poison the stream" `Quick
       test_gap_and_corruption_detected;
     Alcotest.test_case "malformed frame aborts its stream at staging" `Quick
@@ -564,7 +593,29 @@ let suite =
                                    ~fault:`Drop "atomic under silent loss (ideal)");
     QCheck_alcotest.to_alcotest (prop_atomic_under_faults ~method_:Manager.Differential
                                    ~fault:`Corrupt "atomic under corruption (differential)");
-    QCheck_alcotest.to_alcotest prop_partition_converges;
+    QCheck_alcotest.to_alcotest
+      (prop_partition_converges "partition window converges (differential)");
+    QCheck_alcotest.to_alcotest (prop_transient_outage ~batch_size:batched ~max_k:2
+                                   ~method_:Manager.Differential
+                                   "batched outage converges (differential)");
+    QCheck_alcotest.to_alcotest (prop_transient_outage ~batch_size:batched ~max_k:2
+                                   ~method_:Manager.Ideal
+                                   "batched outage converges (ideal)");
+    QCheck_alcotest.to_alcotest (prop_transient_outage ~batch_size:batched ~max_k:2
+                                   ~method_:Manager.Full
+                                   "batched outage converges (full)");
+    QCheck_alcotest.to_alcotest (prop_atomic_under_faults ~batch_size:batched
+                                   ~method_:Manager.Differential ~fault:`Drop
+                                   "batched atomic under loss (differential)");
+    QCheck_alcotest.to_alcotest (prop_atomic_under_faults ~batch_size:batched
+                                   ~method_:Manager.Ideal ~fault:`Drop
+                                   "batched atomic under loss (ideal)");
+    QCheck_alcotest.to_alcotest (prop_atomic_under_faults ~batch_size:batched
+                                   ~method_:Manager.Differential ~fault:`Corrupt
+                                   "batched atomic under corruption");
+    QCheck_alcotest.to_alcotest
+      (prop_partition_converges ~batch_size:batched
+         "batched partition converges");
     Alcotest.test_case "failed create leaves no trace" `Quick
       test_failed_create_leaves_no_trace;
     Alcotest.test_case "dropping last ideal snapshot detaches capture" `Quick

@@ -380,7 +380,8 @@ let test_receiver_ledger () =
    receiver's decode and commit (which run inside it), and the bytes the
    fix-up wrote — 18 per in-place tail patch.
    Every field is non-negative and sender plus receiver fit inside the
-   refresh's wall time. *)
+   refresh's wall time; the residual is what is left of the attempt's
+   [wall_us], so phases plus residual are exactly [wall_us]. *)
 let test_sender_ledger () =
   let clock = Clock.create () in
   let base = Base_table.create ~name:"emp" ~clock emp_schema in
@@ -420,8 +421,58 @@ let test_sender_ledger () =
     checkb
       (Printf.sprintf "round %d: sender + receiver (%.0f us) fit in the refresh (%.0f us)" round
          sum wall)
-      true (sum <= wall)
-  done
+      true (sum <= wall);
+    (* The residual closes the ledger: what no phase explains, never
+       negative beyond clock rounding, and with the phases it is exactly
+       the attempt's wall time. *)
+    checkb
+      (Printf.sprintf "round %d: residual %.1f us >= 0" round r.Manager.residual_us)
+      true
+      (r.Manager.residual_us >= -1.0);
+    checkb
+      (Printf.sprintf "round %d: phases + residual (%.1f) = wall_us (%.1f)" round
+         (sum +. r.Manager.residual_us) r.Manager.wall_us)
+      true
+      (Float.abs (sum +. r.Manager.residual_us -. r.Manager.wall_us) < 1e-6);
+    checkb "wall_us fits in the refresh" true (r.Manager.wall_us <= wall)
+  done;
+  (* A group scan: one wall and one residual for every member, and the
+     shared scan plus every member's phases plus the residual is the wall. *)
+  ignore
+    (Manager.create_snapshot m ~name:"t" ~base:"emp"
+       ~restrict:Expr.(col "salary" >=. int 8)
+       ~method_:Manager.Differential ()
+      : Manager.refresh_report);
+  List.iteri
+    (fun i (a, _) -> if i mod 2 = 0 then Base_table.update base a (emp "g" (i mod 20)))
+    (Base_table.to_user_list base);
+  let rs =
+    List.map
+      (fun (_, res) -> match res with Ok r -> r | Error e -> raise e)
+      (Manager.refresh_all m)
+  in
+  checki "one group of two" 2 (List.hd rs).Manager.group_size;
+  let r0 = List.hd rs in
+  List.iter
+    (fun r ->
+      checkb "same wall on every member" true (r.Manager.wall_us = r0.Manager.wall_us);
+      checkb "same residual on every member" true
+        (r.Manager.residual_us = r0.Manager.residual_us))
+    rs;
+  let spent =
+    List.fold_left
+      (fun acc r ->
+        let s = r.Manager.sender and p = r.Manager.receiver in
+        acc +. s.Manager.encode_us +. s.Manager.send_us +. p.decode_us +. p.stage_us
+        +. p.freeze_us +. p.replay_us +. p.publish_us)
+      r0.Manager.sender.scan_us rs
+  in
+  checkb "group residual >= 0" true (r0.Manager.residual_us >= -1.0);
+  checkb
+    (Printf.sprintf "group: scan + members' phases + residual (%.1f) = wall_us (%.1f)"
+       (spent +. r0.Manager.residual_us) r0.Manager.wall_us)
+    true
+    (Float.abs (spent +. r0.Manager.residual_us -. r0.Manager.wall_us) < 1e-6)
 
 let suite =
   [

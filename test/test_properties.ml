@@ -1484,6 +1484,193 @@ let test_null_annotation_fallback () =
   Alcotest.(check bool) "snapshot faithful" true
     (Snapshot_table.contents (Manager.snapshot_table m "s") = expected_restricted base 10)
 
+(* ---- Stream apply = model --------------------------------------------- *)
+
+(* The receiver applies a stream as one address-ordered merge: one
+   successor probe per Entry on the snapshot's BaseAddr index, gap
+   victims deleted as the probe meets them.  Against an assoc-map model of
+   Figure 4's semantics, over random images and random streams: Entry with
+   gaps, Region, Tail, a Clear now and then, and catch-up Upsert/Remove in
+   any order.  Images of up to 400 rows over 600 addresses give the index
+   (degree 16) up to two dozen leaves under its root, so the stream's
+   inserts and deletes split and merge its nodes between probes.  Each
+   stream arrives framed one message per frame and batched [k] per frame;
+   both must commit the model's image, and the observer must see the
+   logical stream either way.  With one frame dropped or garbled, neither
+   the image nor the committed epoch may move. *)
+module IntMap = Map.Make (Int)
+
+let stream_span = 600
+
+let row_gen = Gen.map (fun v -> emp (Printf.sprintf "r%d" v) v) (Gen.int_range 0 99)
+
+let image_gen =
+  Gen.map
+    (fun rows -> IntMap.bindings (IntMap.of_seq (List.to_seq rows)))
+    (Gen.list_size (Gen.int_range 0 400)
+       (Gen.pair (Gen.int_range 0 (stream_span - 1)) row_gen))
+
+let stream_gen =
+  let open Gen in
+  let* clear = map (fun i -> i = 0) (int_range 0 7) in
+  let* addrs = list_size (int_range 0 80) (int_range 0 (stream_span - 1)) in
+  let addrs = List.sort_uniq compare addrs in
+  let* picks = list_repeat (List.length addrs) (triple (int_range 0 9) nat row_gen) in
+  let* tail = opt (int_range 0 20) in
+  let* catchup =
+    list_size (int_range 0 20)
+      (oneof
+         [ map2 (fun addr values -> Refresh_msg.Upsert { addr; values })
+             (int_range 0 (stream_span - 1)) row_gen;
+           map (fun addr -> Refresh_msg.Remove { addr }) (int_range 0 (stream_span - 1)) ])
+  in
+  (* Address order: each step starts after the previous one's address. *)
+  let prev = ref (-1) in
+  let ordered =
+    List.map2
+      (fun addr (kind, r, values) ->
+        let from = !prev in
+        prev := addr;
+        let within = r mod (addr - from) in
+        if kind < 7 then Refresh_msg.Entry { addr; prev_qual = from + within; values }
+        else Refresh_msg.Region { lo = from + 1 + within; hi = addr })
+      addrs picks
+  in
+  let tail = Option.map (fun d -> Refresh_msg.Tail { last_qual = !prev + d }) tail in
+  return
+    ((if clear then [ Refresh_msg.Clear ] else [])
+    @ ordered @ Option.to_list tail @ catchup)
+
+let model_apply m = function
+  | Refresh_msg.Entry { addr; prev_qual; values } ->
+    IntMap.add addr values (IntMap.filter (fun a _ -> a <= prev_qual || a >= addr) m)
+  | Refresh_msg.Region { lo; hi } -> IntMap.filter (fun a _ -> a < lo || a > hi) m
+  | Refresh_msg.Tail { last_qual } -> IntMap.filter (fun a _ -> a <= last_qual) m
+  | Refresh_msg.Upsert { addr; values } -> IntMap.add addr values m
+  | Refresh_msg.Remove { addr } -> IntMap.remove addr m
+  | Refresh_msg.Clear -> IntMap.empty
+  | _ -> m
+
+(* The sender's framing: consecutive batchable messages coalesce up to
+   [k] per Batch frame; anything else flushes and travels alone. *)
+let frames_of ~k msgs =
+  let out = ref [] and buf = ref [] and n = ref 0 in
+  let flush () =
+    (match !buf with
+    | [] -> ()
+    | [ m ] -> out := m :: !out
+    | ms -> out := Refresh_msg.Batch (List.rev ms) :: !out);
+    buf := [];
+    n := 0
+  in
+  List.iter
+    (fun m ->
+      if k > 1 && Refresh_msg.batchable m then begin
+        buf := m :: !buf;
+        incr n;
+        if !n >= k then flush ()
+      end
+      else begin
+        flush ();
+        out := m :: !out
+      end)
+    msgs;
+  flush ();
+  List.rev !out
+
+let send_frames snap ~epoch frames =
+  List.iteri
+    (fun seq m -> Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch ~seq m))
+    frames
+
+type stream_fault = No_fault | Drop of int | Garble of int * int * int  (* frame, byte, mask *)
+
+let stream_case_gen =
+  Gen.(
+    quad image_gen stream_gen (int_range 2 70)
+      (frequency
+         [ (2, pure No_fault);
+           (1, map (fun i -> Drop i) nat);
+           (1, map3 (fun i b x -> Garble (i, b, x)) nat nat (int_range 1 255)) ]))
+
+let print_stream_case (image, stream, k, fault) =
+  Printf.sprintf "image %d rows, k=%d, fault=%s, stream:\n%s" (List.length image) k
+    (match fault with
+    | No_fault -> "none"
+    | Drop i -> Printf.sprintf "drop %d" i
+    | Garble (i, b, x) -> Printf.sprintf "garble frame %d byte %d ^ %d" i b x)
+    (String.concat "\n" (List.map (Format.asprintf "%a" Refresh_msg.pp) stream))
+
+let prop_stream_apply_model =
+  QCheck2.Test.make ~name:"stream apply = model, batched or not, faults atomic" ~count:150
+    ~print:print_stream_case stream_case_gen
+    (fun (image, stream, k, fault) ->
+      let load () =
+        let snap = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
+        send_frames snap ~epoch:1
+          (frames_of ~k:64
+             (List.map (fun (addr, values) -> Refresh_msg.Upsert { addr; values }) image
+             @ [ Refresh_msg.Snaptime 1 ]));
+        snap
+      in
+      let stream = stream @ [ Refresh_msg.Snaptime 2 ] in
+      let expected =
+        IntMap.bindings
+          (List.fold_left model_apply (IntMap.of_seq (List.to_seq image)) stream)
+      in
+      let check_committed k =
+        let snap = load () in
+        let seen = ref [] in
+        Snapshot_table.subscribe snap (fun m -> seen := m :: !seen);
+        send_frames snap ~epoch:2 (frames_of ~k stream);
+        if Snapshot_table.last_committed_epoch snap <> 2 then
+          fail_report (Printf.sprintf "k=%d: epoch 2 not committed" k);
+        if Snapshot_table.contents snap <> expected then
+          fail_report (Printf.sprintf "k=%d: image differs from the model" k);
+        if Snapshot_table.validate snap <> Ok () then
+          fail_report (Printf.sprintf "k=%d: index and heap disagree" k);
+        if not (List.equal Refresh_msg.equal (List.rev !seen) stream) then
+          fail_report (Printf.sprintf "k=%d: observer did not see the logical stream" k)
+      in
+      check_committed 1;
+      check_committed k;
+      (match fault with
+      | No_fault -> ()
+      | Drop _ | Garble _ ->
+        List.iter
+          (fun k ->
+            let snap = load () in
+            let before = Snapshot_table.contents snap in
+            let frames =
+              List.mapi
+                (fun seq m -> Refresh_msg.encode_framed ~epoch:2 ~seq m)
+                (frames_of ~k stream)
+            in
+            let nf = List.length frames in
+            let frames =
+              match fault with
+              | Drop i -> List.filteri (fun j _ -> j <> i mod nf) frames
+              | Garble (i, b, x) ->
+                List.mapi
+                  (fun j f ->
+                    if j <> i mod nf then f
+                    else begin
+                      let f = Bytes.copy f in
+                      let p = b mod Bytes.length f in
+                      Bytes.set f p (Char.chr (Char.code (Bytes.get f p) lxor x));
+                      f
+                    end)
+                  frames
+              | No_fault -> frames
+            in
+            List.iter (Snapshot_table.apply_bytes snap) frames;
+            if Snapshot_table.last_committed_epoch snap <> 1 then
+              fail_report (Printf.sprintf "k=%d: a faulted stream committed" k);
+            if Snapshot_table.contents snap <> before then
+              fail_report (Printf.sprintf "k=%d: a faulted stream changed the image" k))
+          [ 1; k ]);
+      true)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1510,6 +1697,7 @@ let suite =
       prop_group_fault_isolation;
       prop_method_switch_keeps_deletes;
       prop_tail_patch_is_rewrite;
+      prop_stream_apply_model;
     ]
   @ [ Alcotest.test_case "prune: reused-slot delete not hidden" `Quick
         test_prune_insert_reuse_delete;

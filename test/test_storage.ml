@@ -1380,11 +1380,65 @@ let test_heap_insert_hint () =
   checki "then back to the last page" (1 + (199 / k) + if 200 mod k = 0 then 1 else 0)
     (Addr.page next)
 
+(* The dirty-span policy against a list-based reference: insert the
+   span, fold every span it overlaps or abuts, and past four spans merge
+   the pair with the smallest gap (the leftmost such pair on a tie).
+   Tail patches of fixed-size records packed back to back touch known
+   spans, adjacent records abut, and more than four records force the
+   merge. *)
+let reference_touch ranges (lo, hi) =
+  let rec ins = function
+    | [] -> [ (lo, hi) ]
+    | (a, b) :: rest ->
+      if hi < a then (lo, hi) :: (a, b) :: rest
+      else if b < lo then (a, b) :: ins rest
+      else absorb (min a lo) (max b hi) rest
+  and absorb lo hi = function
+    | (a, b) :: rest when a <= hi -> absorb lo (max b hi) rest
+    | rest -> (lo, hi) :: rest
+  in
+  let rs = ins ranges in
+  if List.length rs <= 4 then rs
+  else begin
+    let rec gaps i = function
+      | (_, b) :: ((c, _) :: _ as rest) -> (c - b, i) :: gaps (i + 1) rest
+      | _ -> []
+    in
+    let _, besti = List.fold_left min (max_int, 0) (gaps 0 rs) in
+    let rec merge i = function
+      | (a, b) :: (_, d) :: rest when i = 0 -> (a, max b d) :: rest
+      | x :: rest -> x :: merge (i - 1) rest
+      | [] -> []
+    in
+    merge besti rs
+  end
+
+let prop_page_dirty_spans_reference =
+  let page_size = 1024 and len = 16 and records = 40 in
+  QCheck2.Test.make ~name:"page dirty ranges = the list-based span policy" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 40) (pair (int_range 0 (records - 1)) (int_range 1 len)))
+    (fun patches ->
+      let p = Page.create ~page_size in
+      for i = 0 to records - 1 do
+        ignore (Page.insert p (Bytes.make len (Char.chr (65 + (i mod 26)))) : int option)
+      done;
+      Page.reset_dirty_ranges p;
+      let model = ref [] in
+      List.for_all
+        (fun (slot, k) ->
+          ignore (Page.overwrite_tail p slot (Bytes.make k 'z') : bool);
+          (* Slot [i] holds [page_size - (i+1)*len, page_size - i*len). *)
+          let hi = page_size - (slot * len) in
+          model := reference_touch !model (hi - k, hi);
+          Page.dirty_ranges p = List.map (fun (a, b) -> (a, b - a)) !model)
+        patches)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "page overwrite_tail in place" `Quick test_page_overwrite_tail;
       Alcotest.test_case "heap insert hint keeps first-fit layout" `Quick test_heap_insert_hint;
+      QCheck_alcotest.to_alcotest prop_page_dirty_spans_reference;
     ]
 
 (* ------------------------------------------------------------------ *)
