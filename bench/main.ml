@@ -508,7 +508,7 @@ let group () =
     let snaps =
       Array.init nsubs (fun i ->
           ( Snapshot_table.create ~name:(Printf.sprintf "g%d" i) ~schema:W.schema (),
-            Snapdiff_expr.Eval.compile W.schema
+            Snapdiff_expr.Eval.compile_record W.schema
               (W.restrict_fraction fractions.(i mod Array.length fractions)),
             D.Prune_cache.create () ))
     in
@@ -520,7 +520,7 @@ let group () =
       Array.mapi
         (fun i (snap, restrict, cache) ->
           { D.sub_snaptime = Snapshot_table.snaptime snap;
-            sub_restrict = restrict; sub_project = Fun.id;
+            sub_restrict = restrict; sub_project = None;
             sub_tail_suppression = None; sub_prune = Some cache;
             sub_xmit = (fun m -> outs.(i) := m :: !(outs.(i))) })
         snaps
@@ -536,7 +536,7 @@ let group () =
     let out = ref [] in
     let r =
       D.refresh ~prune:cache ~base ~snaptime:(Snapshot_table.snaptime snap)
-        ~restrict ~project:Fun.id
+        ~restrict
         ~xmit:(fun m -> out := m :: !out) ()
     in
     List.iter (Snapshot_table.apply snap) (List.rev !out);
@@ -651,7 +651,7 @@ let group () =
       let snaps =
         Array.init 4 (fun i ->
             ( Snapshot_table.create ~name:(Printf.sprintf "p%d" i) ~schema:W.schema (),
-              Snapdiff_expr.Eval.compile W.schema
+              Snapdiff_expr.Eval.compile_record W.schema
                 (W.restrict_fraction fractions.(i)),
               D.Prune_cache.create () ))
       in
@@ -706,7 +706,7 @@ let timing () =
       (Snapdiff_core.Fixup.run base ~fixup_time:(Snapdiff_txn.Clock.tick clock)
         : Snapdiff_core.Fixup.stats);
     let restrict =
-      Snapdiff_expr.Eval.compile Snapdiff_workload.Workload.schema
+      Snapdiff_expr.Eval.compile_record Snapdiff_workload.Workload.schema
         (Snapdiff_workload.Workload.restrict_fraction 0.25)
     in
     (base, restrict)
@@ -722,7 +722,7 @@ let timing () =
       (Staged.stage (fun () ->
            ignore
              (Snapdiff_core.Differential.refresh ~base:base_d ~snaptime:(snaptime ())
-                ~restrict ~project:Fun.id ~xmit ()
+                ~restrict ~xmit ()
                : Snapdiff_core.Differential.report)))
   in
   let prune_cache = Snapdiff_core.Differential.Prune_cache.create () in
@@ -730,21 +730,21 @@ let timing () =
      cache; the bench then measures the steady quiescent state. *)
   ignore
     (Snapdiff_core.Differential.refresh ~prune:prune_cache ~base:base_d
-       ~snaptime:(snaptime ()) ~restrict ~project:Fun.id ~xmit ()
+       ~snaptime:(snaptime ()) ~restrict ~xmit ()
       : Snapdiff_core.Differential.report);
   let t_pruned =
     Test.make ~name:"prune differential refresh scan (quiescent, pruned)"
       (Staged.stage (fun () ->
            ignore
              (Snapdiff_core.Differential.refresh ~prune:prune_cache ~base:base_d
-                ~snaptime:(snaptime ()) ~restrict ~project:Fun.id ~xmit ()
+                ~snaptime:(snaptime ()) ~restrict ~xmit ()
                : Snapdiff_core.Differential.report)))
   in
   let t_full =
     Test.make ~name:"fig8 full refresh scan"
       (Staged.stage (fun () ->
            ignore
-             (Snapdiff_core.Full_refresh.refresh ~base:base_d ~restrict ~project:Fun.id
+             (Snapdiff_core.Full_refresh.refresh ~base:base_d ~restrict
                 ~xmit ()
                : Snapdiff_core.Full_refresh.report)))
   in

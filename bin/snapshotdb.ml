@@ -326,7 +326,9 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_st
              \"link_bytes\": %d, \"attempts\": %d, \"chunks\": %d, \
              \"catchup_records\": %d, \"decode_us\": %.1f, \"stage_us\": %.1f, \
              \"freeze_us\": %.1f, \"replay_us\": %.1f, \"publish_us\": %.1f, \
-             \"scan_us\": %.1f, \"encode_us\": %.1f, \"send_us\": %.1f, \
+             \"scan_us\": %.1f, \"lock_us\": %.1f, \"load_us\": %.1f, \
+             \"fixup_us\": %.1f, \"filter_us\": %.1f, \"emit_us\": %.1f, \
+             \"scan_other_us\": %.1f, \"encode_us\": %.1f, \"send_us\": %.1f, \
              \"fixup_bytes\": %d, \"wall_us\": %.1f, \"residual_us\": %.1f"
             name
             (Manager.method_name r.Manager.method_used)
@@ -334,7 +336,9 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_st
             r.Manager.link_bytes r.Manager.attempts r.Manager.chunks
             r.Manager.catchup_records r.Manager.receiver.decode_us r.Manager.receiver.stage_us
             r.Manager.receiver.freeze_us r.Manager.receiver.replay_us
-            r.Manager.receiver.publish_us r.Manager.sender.scan_us r.Manager.sender.encode_us
+            r.Manager.receiver.publish_us r.Manager.sender.scan_us r.Manager.sender.lock_us
+            r.Manager.sender.load_us r.Manager.sender.fixup_us r.Manager.sender.filter_us
+            r.Manager.sender.emit_us r.Manager.sender.scan_other_us r.Manager.sender.encode_us
             r.Manager.sender.send_us r.Manager.sender.fixup_bytes r.Manager.wall_us
             r.Manager.residual_us;
           if version_retain > 1 || version_strategy <> None then begin

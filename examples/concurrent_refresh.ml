@@ -82,8 +82,7 @@ let () =
             fun () ->
               let msgs = ref [] in
               ignore
-                (Differential.refresh ~base ~snaptime:(Snapshot_table.snaptime snap) ~restrict
-                   ~project:Fun.id
+                (Differential.refresh ~base ~snaptime:(Snapshot_table.snaptime snap) ~restrict:(Annotations.user_pred restrict)
                    ~xmit:(fun m -> msgs := m :: !msgs)
                    ()
                   : Differential.report);

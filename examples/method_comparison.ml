@@ -86,7 +86,7 @@ let () =
    mutate base 42;
    let msgs = ref 0 and bytes = ref 0 in
    let r =
-     Differential.refresh ~base ~snaptime ~restrict ~project:Fun.id
+     Differential.refresh ~base ~snaptime ~restrict:(Annotations.user_pred restrict)
        ~xmit:(fun m ->
          if Refresh_msg.is_data m then incr msgs;
          bytes := !bytes + Bytes.length (Refresh_msg.encode m) + 32)

@@ -142,7 +142,7 @@ let part2_deferred () =
 
   let msgs = ref [] in
   let report =
-    Differential.refresh ~base ~snaptime ~restrict ~project:Fun.id
+    Differential.refresh ~base ~snaptime ~restrict:(Annotations.user_pred restrict)
       ~xmit:(fun m -> msgs := m :: !msgs)
       ()
   in

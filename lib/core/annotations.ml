@@ -50,10 +50,14 @@ let value_of_raw r = if r = null then Value.Int null_sentinel else Value.int r
 
 let raw_of_opt = Option.value ~default:null
 
+(* Range-checked like [Codec.int]: an i64 outside OCaml's int range was
+   not written here, and [Int64.to_int] would drop its bit 63 (a flipped
+   top bit of a stored PrevAddr would fold back to a valid address). *)
+let raw_of_i64 i = if Int64.equal i null_sentinel then null else Codec.int_of_i64 i
+
 let raw_of_value ~what = function
   | Value.Null -> null  (* tolerated on input (R*-style NULL extension) *)
-  | Value.Int i when Int64.equal i null_sentinel -> null
-  | Value.Int i -> Int64.to_int i
+  | Value.Int i -> raw_of_i64 i
   | v ->
     invalid_arg
       (Printf.sprintf "Annotations: %s field holds %s" what (Value.to_string v))
@@ -71,6 +75,41 @@ let raw_ts stored =
 
 let opt_of_raw r = if r = null then None else Some r
 
+(* The same two readers over a walked record.  The annotation fields are
+   located by the walk, as fields n-2 and n-1, not at a fixed distance
+   from the record's end: that distance holds only while both fields are
+   integers, and a tolerated SQL NULL field is 1 byte long. *)
+let record_field ~what (f : Codec.Fields.t) i =
+  let o = f.offs.(f.base + i) in
+  let tag = Bytes.get f.buf o in
+  if tag = Value.tag_int then begin
+    (* [raw_of_i64], kept in line so the i64 is never boxed. *)
+    let v = Bytes.get_int64_le f.buf (o + 1) in
+    if Int64.equal v null_sentinel then null
+    else begin
+      let r = Int64.to_int v in
+      if not (Int64.equal (Int64.of_int r) v) then failwith "Codec: int out of range";
+      r
+    end
+  end
+  else if tag = Value.tag_null then null
+  else raw_of_value ~what (Codec.Fields.value f i)
+
+let record_arity what (f : Codec.Fields.t) =
+  let n = f.count in
+  if n < 2 then invalid_arg ("Annotations." ^ what ^ ": tuple too short");
+  n
+
+let record_prev f = record_field ~what:prevaddr_col f (record_arity "record_prev" f - 2)
+
+let record_ts f = record_field ~what:timestamp_col f (record_arity "record_ts" f - 1)
+
+let record_patchable (f : Codec.Fields.t) =
+  let n = f.count in
+  n >= 2 && Codec.Fields.tag f (n - 2) = Value.tag_int && Codec.Fields.tag f (n - 1) = Value.tag_int
+
+let user_pred p f = p (Codec.Fields.tuple f ~n:(record_arity "user_pred" f - 2))
+
 let tail_bytes = 18
 
 let patchable stored =
@@ -78,14 +117,17 @@ let patchable stored =
   n >= 2
   && (match stored.(n - 2), stored.(n - 1) with Value.Int _, Value.Int _ -> true | _ -> false)
 
-let encode_tail ~prev ~ts =
-  let b = Bytes.create tail_bytes in
+let write_tail b ~prev ~ts =
   let field off r =
     Bytes.set b off Value.tag_int;
     Bytes.set_int64_le b (off + 1) (if r = null then null_sentinel else Int64.of_int r)
   in
   field 0 prev;
-  field 9 ts;
+  field 9 ts
+
+let encode_tail ~prev ~ts =
+  let b = Bytes.create tail_bytes in
+  write_tail b ~prev ~ts;
   b
 
 let annotate user ann =

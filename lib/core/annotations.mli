@@ -72,10 +72,34 @@ val null : int
 val raw_prev : Tuple.t -> int
 (** The stored tuple's [__prevaddr] as a raw int.  Accepts an SQL
     [Value.Null] as NULL (rows written outside this module); raises
-    [Invalid_argument] on a non-integer value or a tuple shorter than 2. *)
+    [Invalid_argument] on a non-integer value or a tuple shorter than 2,
+    and [Failure] on an integer outside OCaml's int range (no writer
+    stores one: it is a damaged field, e.g. a flipped bit 63). *)
 
 val raw_ts : Tuple.t -> int
 (** Same for [__timestamp]. *)
+
+(** {2 Over a walked record}
+
+    The scans read the two fields in place, from the field offsets a
+    walk recorded ({!Snapdiff_storage.Codec.Fields}): fields [n-2] and
+    [n-1] of an [n]-field record.  They are located by the walk, not at a
+    fixed distance from the record's end, because a SQL NULL field is one
+    byte long.  Same results and failures as {!raw_prev}/{!raw_ts} on
+    the decoded tuple. *)
+
+val record_prev : Codec.Fields.t -> int
+val record_ts : Codec.Fields.t -> int
+
+val record_patchable : Codec.Fields.t -> bool
+(** {!patchable} for a walked record: both annotation fields carry
+    [tag_int]. *)
+
+val user_pred : (Tuple.t -> bool) -> Codec.Fields.t -> bool
+(** [user_pred p] adapts a tuple predicate to a walked stored record: it
+    decodes the user part (every field but the last two) and calls [p]
+    on it.  For callers holding a closure rather than a compiled
+    {!Snapdiff_expr.Eval.record_pred}. *)
 
 val with_raw : Tuple.t -> prev:int -> ts:int -> Tuple.t
 (** {!with_annotations} from raw fields. *)
@@ -95,5 +119,9 @@ val patchable : Tuple.t -> bool
 val encode_tail : prev:int -> ts:int -> bytes
 (** The {!tail_bytes}-byte encoding of the two raw fields: exactly the
     last bytes of [Tuple.encode_to_bytes (with_raw stored ~prev ~ts)]. *)
+
+val write_tail : bytes -> prev:int -> ts:int -> unit
+(** {!encode_tail} into the first {!tail_bytes} bytes of a buffer the
+    caller reuses. *)
 
 val pp : Format.formatter -> t -> unit

@@ -168,8 +168,15 @@ let record_page_summary t ~page ~live ~first_live ~last_live ~first_prev ~max_ts
 
 let summarized_pages t = Hashtbl.length t.summaries
 
-let iter_page_stored_arena t ~arena ~page f =
-  Heap.iter_page_arena t.heap ~arena ~page f
+let load_page t ~arena ~page f =
+  Heap.load_page t.heap ~arena ~page (fun p ->
+      let wrote = f p in
+      if wrote then Hashtbl.remove t.summaries page;
+      wrote)
+
+let iter_addrs t f = Int_btree.iter t.live (fun addr () -> f addr)
+
+let read_record t addr = Heap.read_record t.heap addr
 
 (* -------------------------------------------------------------------- *)
 

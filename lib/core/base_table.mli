@@ -169,12 +169,19 @@ val record_page_summary :
 val summarized_pages : t -> int
 (** How many data pages currently carry a summary (observability). *)
 
-val iter_page_stored_arena :
-  t -> arena:Decode_arena.t -> page:int -> (Addr.t -> Tuple.t -> unit) -> unit
-(** {!iter_stored} restricted to one data page, decoded through a reused
-    {!Decode_arena}: the sequence {!Heap.iter_page} would yield, with
-    near-zero allocation (see {!Heap.iter_page_arena}).  Each scan cursor
-    (full, fix-up, differential) owns its own arena. *)
+val load_page : t -> arena:Decode_arena.t -> page:int -> (Page.t -> bool) -> unit
+(** One pin of data page [page]: snapshot it into [arena], then run [f]
+    on the pinned page ({!Heap.load_page}).  [f] returns whether it
+    wrote the page; if it did, the frame is marked dirty and the page's
+    summary removed, once.  The scans' page load: {!Fixup} patches
+    annotation tails inside [f], at most one pin per page. *)
+
+val iter_addrs : t -> (Addr.t -> unit) -> unit
+(** Live addresses in ascending order, from the address index: no page
+    is read. *)
+
+val read_record : t -> Addr.t -> bytes option
+(** The entry's stored record, encoded ({!Heap.read_record}). *)
 
 val set_stored : t -> Addr.t -> Tuple.t -> unit
 (** Raw annotated-tuple write: re-validates, re-encodes and rewrites the

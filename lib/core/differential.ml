@@ -1,6 +1,7 @@
 open Snapdiff_storage
 open Snapdiff_txn
 module Metrics = Snapdiff_obs.Metrics
+module Trace = Snapdiff_obs.Trace
 
 let m_entries_decoded = Metrics.counter Metrics.global "refresh.entries_decoded"
 let m_entries_pruned = Metrics.counter Metrics.global "refresh.entries_pruned"
@@ -35,8 +36,8 @@ type report = {
 
 type subscriber = {
   sub_snaptime : Clock.ts;
-  sub_restrict : Tuple.t -> bool;
-  sub_project : Tuple.t -> Tuple.t;
+  sub_restrict : Snapdiff_expr.Eval.record_pred;
+  sub_project : int array option;
   sub_tail_suppression : Addr.t option;
   sub_prune : Prune_cache.t option;
   sub_xmit : Refresh_msg.t -> unit;
@@ -63,6 +64,9 @@ type sub_state = {
   mutable st_pages_skipped : int;
   mutable data_messages : int;
   mutable page_qualified : bool;  (* an entry on the page being decoded qualified *)
+  mutable qualified : Bytes.t;  (* the restriction over the page being decoded, per entry *)
+  mutable out : Refresh_msg.t array;  (* the page's messages, sent after its phases *)
+  mutable n_out : int;
 }
 
 (* What one subscriber does with the current page. *)
@@ -93,13 +97,17 @@ type cursor = {
      address either way, which is why per-subscriber skip decisions can all
      read the same chain. *)
   chain : Fixup.chain;
-  mutable fixup_writes : int;
-  mutable fixup_bytes : int;
   mutable pages_decoded : int;
   pages : int;  (* data pages at scan start; later growth is catch-up's job *)
   mutable next_page : int;
   mutable tails_sent : bool;
-  arena : Decode_arena.t;  (* the scan's one decoder, reused page to page *)
+  ps : Fixup.page_scan;  (* the scan's one page scratch, reused page to page *)
+  (* The column cache of the entry being emitted: column [i] was decoded
+     for entry [entry_seq] iff [col_entry.(i) = entry_seq], so subscribers
+     sending the same entry share one decode per column. *)
+  mutable col_vals : Value.t array;
+  mutable col_entry : int array;
+  mutable entry_seq : int;
 }
 
 let start ~base subs =
@@ -111,7 +119,8 @@ let start ~base subs =
       (fun sub ->
         { sub; new_snaptime = Clock.never; last_qual = Addr.zero; deletion = false;
           scanned = 0; skipped = 0; st_pages_decoded = 0; st_pages_skipped = 0;
-          data_messages = 0; page_qualified = false })
+          data_messages = 0; page_qualified = false; qualified = Bytes.create 64;
+          out = Array.make 16 Refresh_msg.Clear; n_out = 0 })
       subs
   in
   (* One clock tick per subscriber, in subscriber order: subscriber [i]'s
@@ -128,13 +137,14 @@ let start ~base subs =
     deferred;
     states;
     chain = Fixup.chain ~fixup_time:states.(0).new_snaptime;
-    fixup_writes = 0;
-    fixup_bytes = 0;
     pages_decoded = 0;
     pages = Base_table.data_pages base;
     next_page = 1;
     tails_sent = false;
-    arena = Decode_arena.create ();
+    ps = Fixup.page_scan ();
+    col_vals = [||];
+    col_entry = [||];
+    entry_seq = 0;
   }
 
 let pages c = c.pages
@@ -143,9 +153,38 @@ let fixup_time c = c.chain.Fixup.fixup_time
 
 let next_page c = c.next_page
 
+let timing c = c.ps.Fixup.timing
+
 let send st m =
   if Refresh_msg.is_data m then st.data_messages <- st.data_messages + 1;
   st.sub.sub_xmit m
+
+let push st m =
+  if st.n_out = Array.length st.out then
+    st.out <- Array.init (2 * st.n_out) (fun j -> if j < st.n_out then st.out.(j) else m);
+  st.out.(st.n_out) <- m;
+  st.n_out <- st.n_out + 1
+
+let column c f i =
+  if c.col_entry.(i) = c.entry_seq then c.col_vals.(i)
+  else begin
+    let v = Codec.Fields.value f i in
+    c.col_vals.(i) <- v;
+    c.col_entry.(i) <- c.entry_seq;
+    v
+  end
+
+(* The sent entry's user columns ([None]: all of them), each decoded at
+   most once per entry across the group. *)
+let project c f cols =
+  let n = Codec.Fields.count f in
+  if n > Array.length c.col_vals then begin
+    c.col_vals <- Array.make n Value.Null;
+    c.col_entry <- Array.make n (-1)
+  end;
+  match cols with
+  | None -> Array.init (n - 2) (column c f)
+  | Some idx -> Array.map (column c f) idx
 
 (* A subscriber may skip a page under exactly the solo conditions: the
    summary proves nothing on the page is newer than its SnapTime, the
@@ -224,7 +263,22 @@ let scan_page c page =
           st.page_qualified <- false
         | d -> apply_skip st d)
       states;
-    let chain = c.chain in
+    let ps = c.ps in
+    Fixup.load_page ps base ~page (if deferred then Fixup.Fix c.chain else Fixup.Read);
+    let n = Fixup.entries ps in
+    let tm = ps.Fixup.timing in
+    (* Each decoding subscriber's restriction over the whole page, on the
+       walked records: only the columns it references are read. *)
+    let t0 = Trace.now_us () in
+    Array.iteri
+      (fun i st ->
+        match decisions.(i) with
+        | Decode ->
+          if n > Bytes.length st.qualified then st.qualified <- Bytes.create (2 * n);
+          Decode_arena.filter ps.Fixup.arena st.sub.sub_restrict st.qualified
+        | _ -> ())
+      states;
+    let t1 = Trace.now_us () in
     let null = Annotations.null in
     let live = ref 0 in
     let first_live = ref Addr.zero in
@@ -232,50 +286,54 @@ let scan_page c page =
     let first_prev = ref Addr.zero in
     let max_ts = ref Clock.never in
     let any_null = ref false in
-    (* Per entry: read the two raw annotation fields, step the fix-up
-       chain and patch the record's tail if it changed, then run each
-       decoding subscriber on the stored row.  The user part is copied out
-       only for an entry that is actually sent. *)
-    Base_table.iter_page_stored_arena base ~arena:c.arena ~page (fun addr stored ->
-        let prev = Annotations.raw_prev stored and ts = Annotations.raw_ts stored in
-        if deferred && Fixup.step chain ~addr ~prev ~ts then begin
-          c.fixup_bytes <-
-            c.fixup_bytes + Base_table.set_annotations base addr stored ~prev:chain.prev ~ts:chain.ts;
-          c.fixup_writes <- c.fixup_writes + 1
-        end;
-        let prev = if deferred then chain.prev else prev in
-        let ts = if deferred then chain.ts else ts in
-        if !live = 0 then begin
-          first_live := addr;
-          first_prev := if prev = null then Addr.zero else prev
-        end;
-        incr live;
-        page_last_live := addr;
-        if ts = null || prev = null then any_null := true;
-        if ts > !max_ts then max_ts := ts;
-        for i = 0 to Array.length states - 1 do
-          match decisions.(i) with
-          | Decode ->
-            let st = states.(i) in
-            st.scanned <- st.scanned + 1;
-            (* A NULL timestamp cannot survive fix-up; in eager mode it
-               would mean corrupted annotations — treat as changed. *)
-            let changed = ts = null || ts > st.sub.sub_snaptime in
-            if st.sub.sub_restrict stored then begin
-              if changed || st.deletion then
-                send st
-                  (Refresh_msg.Entry
-                     { addr; prev_qual = st.last_qual;
-                       values = st.sub.sub_project (Annotations.user_part stored) });
-              st.last_qual <- addr;
-              st.page_qualified <- true;
-              st.deletion <- false
-            end
-            else if changed then
-              (* "Updated entry ==> may have qualified before update." *)
-              st.deletion <- true
-          | _ -> ()
-        done);
+    (* Per entry, in address order, on the corrected annotations: the
+       Figure 3 state machine of each decoding subscriber.  An entry is
+       decoded only if it is sent, and then only its projected columns. *)
+    for k = 0 to n - 1 do
+      let addr = ps.Fixup.addrs.(k) and prev = ps.Fixup.prevs.(k) and ts = ps.Fixup.tss.(k) in
+      c.entry_seq <- c.entry_seq + 1;
+      if !live = 0 then begin
+        first_live := addr;
+        first_prev := if prev = null then Addr.zero else prev
+      end;
+      incr live;
+      page_last_live := addr;
+      if ts = null || prev = null then any_null := true;
+      if ts > !max_ts then max_ts := ts;
+      for i = 0 to Array.length states - 1 do
+        match decisions.(i) with
+        | Decode ->
+          let st = states.(i) in
+          st.scanned <- st.scanned + 1;
+          (* A NULL timestamp cannot survive fix-up; in eager mode it
+             would mean corrupted annotations — treat as changed. *)
+          let changed = ts = null || ts > st.sub.sub_snaptime in
+          if Bytes.get st.qualified k <> '\000' then begin
+            if changed || st.deletion then
+              push st
+                (Refresh_msg.Entry
+                   { addr; prev_qual = st.last_qual;
+                     values = project c (Fixup.fields ps k) st.sub.sub_project });
+            st.last_qual <- addr;
+            st.page_qualified <- true;
+            st.deletion <- false
+          end
+          else if changed then
+            (* "Updated entry ==> may have qualified before update." *)
+            st.deletion <- true
+        | _ -> ()
+      done
+    done;
+    let t2 = Trace.now_us () in
+    tm.Fixup.filter_us <- tm.Fixup.filter_us +. (t1 -. t0);
+    tm.Fixup.emit_us <- tm.Fixup.emit_us +. (t2 -. t1);
+    Array.iter
+      (fun st ->
+        for j = 0 to st.n_out - 1 do
+          send st st.out.(j)
+        done;
+        st.n_out <- 0)
+      states;
     if not !any_null then begin
       let token =
         Base_table.record_page_summary base ~page ~live:!live ~first_live:!first_live
@@ -350,8 +408,8 @@ let finish c =
              in the equivalent solo sequence the first refresher's pass is
              the one that restores every disturbed annotation, and the rest
              find nothing left to write. *)
-          fixup_writes = (if i = 0 then c.fixup_writes else 0);
-          fixup_bytes = (if i = 0 then c.fixup_bytes else 0);
+          fixup_writes = (if i = 0 then c.ps.Fixup.writes else 0);
+          fixup_bytes = (if i = 0 then c.ps.Fixup.bytes else 0);
           data_messages = st.data_messages;
           tail_suppressed;
         })
@@ -367,7 +425,7 @@ let finish c =
     (Array.fold_left (fun acc st -> acc + st.skipped) 0 c.states);
   Metrics.add m_pages_decoded c.pages_decoded;
   Metrics.add m_pages_skipped (c.pages - c.pages_decoded);
-  Metrics.add m_fixup_writes c.fixup_writes;
+  Metrics.add m_fixup_writes c.ps.Fixup.writes;
   if n_subs > 1 then begin
     Metrics.incr m_group_scans;
     Metrics.add m_group_subscribers n_subs;
@@ -377,7 +435,7 @@ let finish c =
     group_pages = c.pages;
     group_pages_decoded = c.pages_decoded;
     group_decodes_saved = decodes_saved;
-    group_fixup_writes = c.fixup_writes;
+    group_fixup_writes = c.ps.Fixup.writes;
     sub_reports;
   }
 
@@ -386,7 +444,7 @@ let refresh_group ~base subs = finish (start ~base subs)
 (* The solo scan is a group of one: same code path, so the "group stream =
    solo stream" invariant is structural for the degenerate case and the two
    can never drift apart. *)
-let refresh ?(tail_suppression = None) ?prune ~base ~snaptime ~restrict ~project
+let refresh ?(tail_suppression = None) ?prune ~base ~snaptime ~restrict ?project
     ~xmit () =
   let g =
     refresh_group ~base

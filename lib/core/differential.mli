@@ -41,7 +41,7 @@ end
 
 type report = {
   new_snaptime : Clock.ts;
-  entries_scanned : int;  (** entries decoded by this scan *)
+  entries_scanned : int;  (** entries on the pages this scan read for this subscriber *)
   entries_skipped : int;  (** entries proven irrelevant by page summaries *)
   pages_decoded : int;
   pages_skipped : int;
@@ -55,15 +55,15 @@ type report = {
 
 type subscriber = {
   sub_snaptime : Clock.ts;  (** the snapshot's current [SnapTime] *)
-  sub_restrict : Tuple.t -> bool;
-      (** compiled [SnapRestrict].  It receives the {e stored} row: the
-          user columns followed by the two annotation columns.  User
-          columns are a prefix, so a predicate compiled against the user
-          schema indexes them unchanged; it must not depend on the row's
-          length or on its last two fields. *)
-  sub_project : Tuple.t -> Tuple.t;
-      (** applied to the user part of an entry that is sent, only then
-          copied out of the stored row *)
+  sub_restrict : Snapdiff_expr.Eval.record_pred;
+      (** compiled [SnapRestrict] ({!Snapdiff_expr.Eval.compile_record}),
+          run on the {e stored} record: the user columns followed by the
+          two annotation columns, so a predicate compiled against the
+          user schema reads its columns unchanged.  A [Tuple.t -> bool]
+          closure goes through {!Annotations.user_pred}. *)
+  sub_project : int array option;
+      (** the user columns an [Entry] carries, in order ([None]: all of
+          them); only these fields of a sent entry are decoded *)
   sub_tail_suppression : Addr.t option;
       (** the snapshot's high-water [BaseAddr]; [None] disables *)
   sub_prune : Prune_cache.t option;
@@ -91,8 +91,21 @@ type cursor
     lives in the cursor, so the scan can stop at any page boundary (the
     chunked refresh protocol releases its page locks there and lets
     updaters interleave) and later resume exactly where it left off.
-    Each cursor owns one {!Snapdiff_storage.Decode_arena}, the scan's only
-    decoder, reused from page to page. *)
+    Each cursor owns its scratch — one {!Fixup.page_scan} (page copy,
+    field offsets, corrected annotations), the per-subscriber restriction
+    bitmaps and the column cache — reused from page to page; the
+    subscribers' compiled definitions hold none of it.
+
+    {b A page in two phases.}  Phase 1 is {!Fixup.load_page}: under the
+    page's one pin, copy it, walk every record's fields, and (deferred
+    mode) step the Figure 7 chain on the raw annotation fields read in
+    place, patching changed tails in the pinned frame.  Phase 2 runs
+    unpinned over the copy: each decoding subscriber's restriction over
+    the page into a bitmap, then the address-order Figure 3 pass, which
+    decodes an entry's projected columns only if it is sent (each column
+    at most once per entry, however many subscribers send it).  The
+    page's messages go out after its phases, so {!timing}'s filter and
+    emit phases hold no transmit time. *)
 
 val start : base:Base_table.t -> subscriber array -> cursor
 (** Tick the clock once per subscriber (drawing each stream's new
@@ -107,6 +120,10 @@ val pages : cursor -> int
 val fixup_time : cursor -> Clock.ts
 (** The shared [FixupTime] stamped into every annotation the scan
     restores (deferred mode). *)
+
+val timing : cursor -> Fixup.timing
+(** Where the scan spent its time so far: [load_us], [fixup_us],
+    [filter_us], [emit_us], each timed per page. *)
 
 val next_page : cursor -> int
 (** The 1-based page the next {!scan_to} will decode first;
@@ -155,15 +172,15 @@ val refresh :
   ?prune:Prune_cache.t ->
   base:Base_table.t ->
   snaptime:Clock.ts ->
-  restrict:(Tuple.t -> bool) ->
-  project:(Tuple.t -> Tuple.t) ->
+  restrict:Snapdiff_expr.Eval.record_pred ->
+  ?project:int array ->
   xmit:(Refresh_msg.t -> unit) ->
   unit ->
   report
 (** [restrict] and [project] are the compiled [SnapRestrict] and
     projection, under the {!subscriber} contract: [restrict] sees the
-    stored row (user columns first), [project] the user part of a sent
-    entry.  [tail_suppression] is the
+    stored record (user columns first), [project] lists the user columns
+    a sent entry carries (default: all).  [tail_suppression] is the
     snapshot's current high-water [BaseAddr] ([None] disables the
     optimization, reproducing the paper's algorithm verbatim).  The caller
     holds the table lock.

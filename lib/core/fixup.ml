@@ -1,5 +1,6 @@
 open Snapdiff_storage
 open Snapdiff_txn
+module Trace = Snapdiff_obs.Trace
 
 type stats = {
   scanned : int;
@@ -66,6 +67,109 @@ let can_skip (s : Base_table.page_summary) ~expect_prev ~last_addr =
   s.Base_table.sum_live = 0
   || (expect_prev = last_addr && s.Base_table.sum_first_prev = expect_prev)
 
+(* ---- one page under one pin ---------------------------------------- *)
+
+type timing = {
+  mutable load_us : float;
+  mutable fixup_us : float;
+  mutable filter_us : float;
+  mutable emit_us : float;
+}
+
+type annotations = Fix of chain | Read | Skip
+
+type page_scan = {
+  arena : Decode_arena.t;  (* page copy, spans and field offsets *)
+  mutable page : int;  (* the page last loaded *)
+  mutable addrs : int array;  (* entry k's address *)
+  mutable prevs : int array;  (* entry k's PrevAddr, corrected under [Fix] *)
+  mutable tss : int array;  (* entry k's TimeStamp, likewise *)
+  tail : bytes;  (* the patch buffer, [Annotations.tail_bytes] long *)
+  mutable writes : int;
+  mutable bytes : int;
+  timing : timing;
+}
+
+let page_scan () =
+  { arena = Decode_arena.create (); page = 0; addrs = Array.make 64 0; prevs = Array.make 64 0;
+    tss = Array.make 64 0;
+    tail = Bytes.create Annotations.tail_bytes; writes = 0; bytes = 0;
+    timing = { load_us = 0.0; fixup_us = 0.0; filter_us = 0.0; emit_us = 0.0 } }
+
+let entries ps = Decode_arena.length ps.arena
+
+let fields ps k = Decode_arena.fields ps.arena k
+
+(* Phase 1 of a page: while the page is pinned, copy it, walk each record
+   and, under [Fix], run the Figure 7 step on the two raw fields and patch
+   a changed tail straight into the frame.  A record whose annotations are
+   not both integers has no fixed tail; it is rewritten whole once the
+   pin is released.  The frame is marked dirty and the summary dropped
+   once, by [Base_table.load_page], even when a walk fails part-way: the
+   writes before the failing record stand, as they would have with a pin
+   per write, and the failure is raised after them. *)
+let load_page ps base ~page ann =
+  let a = ps.arena and tm = ps.timing in
+  ps.page <- page;
+  let t0 = Trace.now_us () in
+  let t1 = ref t0 and t2 = ref t0 in
+  let rewrites = ref [] and failure = ref None in
+  Base_table.load_page base ~arena:a ~page (fun pg ->
+      t1 := Trace.now_us ();
+      let n = Decode_arena.length a in
+      if n > Array.length ps.prevs then begin
+        ps.addrs <- Array.make (2 * n) 0;
+        ps.prevs <- Array.make (2 * n) 0;
+        ps.tss <- Array.make (2 * n) 0
+      end;
+      let wrote = ref false in
+      (try
+         for k = 0 to n - 1 do
+           Decode_arena.walk a k;
+           ps.addrs.(k) <- Addr.make ~page ~slot:(Decode_arena.slot a k);
+           match ann with
+           | Skip -> ()
+           | Read ->
+             let f = Decode_arena.fields a k in
+             ps.prevs.(k) <- Annotations.record_prev f;
+             ps.tss.(k) <- Annotations.record_ts f
+           | Fix ch ->
+             let f = Decode_arena.fields a k in
+             let prev = Annotations.record_prev f and ts = Annotations.record_ts f in
+             if step ch ~addr:ps.addrs.(k) ~prev ~ts then begin
+               if Annotations.record_patchable f then begin
+                 Annotations.write_tail ps.tail ~prev:ch.prev ~ts:ch.ts;
+                 if not (Page.overwrite_tail pg (Decode_arena.slot a k) ps.tail) then
+                   invalid_arg "Fixup.load_page: record shorter than its tail";
+                 wrote := true;
+                 ps.writes <- ps.writes + 1;
+                 ps.bytes <- ps.bytes + Annotations.tail_bytes
+               end
+               else rewrites := (k, ch.prev, ch.ts) :: !rewrites
+             end;
+             ps.prevs.(k) <- ch.prev;
+             ps.tss.(k) <- ch.ts
+         done
+       with e -> failure := Some (e, Printexc.get_raw_backtrace ()));
+      t2 := Trace.now_us ();
+      !wrote);
+  let t3 = Trace.now_us () in
+  tm.load_us <- tm.load_us +. (!t1 -. t0) +. (t3 -. !t2);
+  tm.fixup_us <- tm.fixup_us +. (!t2 -. !t1);
+  if !rewrites <> [] then begin
+    List.iter
+      (fun (k, prev, ts) ->
+        let f = Decode_arena.fields a k in
+        let stored = Codec.Fields.tuple f ~n:(Codec.Fields.count f) in
+        ps.bytes <- ps.bytes + Base_table.set_annotations base ps.addrs.(k) stored ~prev ~ts;
+        ps.writes <- ps.writes + 1)
+      (List.rev !rewrites);
+    tm.fixup_us <- tm.fixup_us +. (Trace.now_us () -. t3)
+  end;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure
+
+(* ---- the standalone pass ------------------------------------------- *)
+
 type cursor = {
   base : Base_table.t;
   chain : chain;
@@ -73,14 +177,12 @@ type cursor = {
   mutable next_page : int;
   mutable scanned : int;
   mutable skipped : int;
-  mutable writes : int;
-  mutable bytes : int;
-  arena : Decode_arena.t;
+  ps : page_scan;
 }
 
 let start base ~fixup_time =
   { base; chain = chain ~fixup_time; pages = Base_table.data_pages base; next_page = 1;
-    scanned = 0; skipped = 0; writes = 0; bytes = 0; arena = Decode_arena.create () }
+    scanned = 0; skipped = 0; ps = page_scan () }
 
 let fix_page c page =
   let base = c.base and ch = c.chain in
@@ -93,27 +195,21 @@ let fix_page c page =
     end
   | _ ->
     let entry_last_addr = ch.last_addr in
-    let live = ref 0 in
-    let first_live = ref Addr.zero in
+    load_page c.ps base ~page (Fix ch);
+    let live = entries c.ps in
+    c.scanned <- c.scanned + live;
     let max_ts = ref Clock.never in
-    Base_table.iter_page_stored_arena base ~arena:c.arena ~page (fun addr stored ->
-        c.scanned <- c.scanned + 1;
-        if
-          step ch ~addr ~prev:(Annotations.raw_prev stored) ~ts:(Annotations.raw_ts stored)
-        then begin
-          c.bytes <- c.bytes + Base_table.set_annotations base addr stored ~prev:ch.prev ~ts:ch.ts;
-          c.writes <- c.writes + 1
-        end;
-        if !live = 0 then first_live := addr;
-        incr live;
-        if ch.ts > !max_ts then max_ts := ch.ts);
+    for k = 0 to live - 1 do
+      if c.ps.tss.(k) > !max_ts then max_ts := c.ps.tss.(k)
+    done;
     (* The page was just fully restored, so this summary is exact; the
        first entry's corrected PrevAddr always equals LastAddr as it
        stood at the page boundary. *)
     ignore
-      (Base_table.record_page_summary base ~page ~live:!live ~first_live:!first_live
-         ~last_live:(if !live = 0 then Addr.zero else ch.last_addr)
-         ~first_prev:(if !live = 0 then Addr.zero else entry_last_addr)
+      (Base_table.record_page_summary base ~page ~live
+         ~first_live:(if live = 0 then Addr.zero else c.ps.addrs.(0))
+         ~last_live:(if live = 0 then Addr.zero else ch.last_addr)
+         ~first_prev:(if live = 0 then Addr.zero else entry_last_addr)
          ~max_ts:!max_ts
         : int)
 
@@ -123,7 +219,10 @@ let scan_to c ~last_page =
   done;
   c.next_page <- max c.next_page (min last_page c.pages + 1)
 
-let stats c = { scanned = c.scanned; skipped = c.skipped; writes = c.writes; bytes = c.bytes }
+let stats c =
+  { scanned = c.scanned; skipped = c.skipped; writes = c.ps.writes; bytes = c.ps.bytes }
+
+let timing c = c.ps.timing
 
 let run base ~fixup_time =
   let c = start base ~fixup_time in

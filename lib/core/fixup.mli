@@ -25,7 +25,7 @@
 open Snapdiff_txn
 
 type stats = {
-  scanned : int;  (** entries decoded *)
+  scanned : int;  (** entries read (walked) on the pages loaded *)
   skipped : int;  (** entries proven clean by a page summary, not decoded *)
   writes : int;  (** entries whose annotation fields were rewritten *)
   bytes : int;
@@ -90,3 +90,69 @@ val step : chain -> addr:Snapdiff_storage.Addr.t -> prev:int -> ts:int -> bool
     fields are [prev]/[ts]: it leaves the corrected fields in [c.prev] and
     [c.ts] (never NULL), advances [ExpectPrev] and [LastAddr], and returns
     whether either field changed — i.e. whether the entry needs a write. *)
+
+(** {1 One page under one pin}
+
+    The first phase of every page-wise scan — this pass, the combined
+    fix-up/refresh scan in {!Differential} and {!Full_refresh} — is this
+    one function.  It pins the page once, copies it into the scan's
+    arena, walks every record's fields
+    ({!Snapdiff_storage.Decode_arena.walk}: nothing is decoded) and, for
+    a fix-up, runs {!step} on the two raw annotation fields read in
+    place and patches each changed tail straight into the pinned frame
+    from one reused {!Annotations.tail_bytes}-byte buffer.  The frame is
+    marked dirty and the page summary removed at most once per page.  A
+    record whose annotation fields are not both integers
+    ({!Annotations.record_patchable}) is rewritten whole through
+    {!Base_table.set_annotations} after the pin is released.  The later
+    phases (restriction, projection) run unpinned over the arena copy. *)
+
+type timing = {
+  mutable load_us : float;  (** pin, pool miss, page copy *)
+  mutable fixup_us : float;  (** record walk, Figure 7 step, patches *)
+  mutable filter_us : float;  (** restrictions (charged by the refresh scans) *)
+  mutable emit_us : float;  (** decode and projection of sent rows *)
+}
+(** Where a scan spent its time, summed over its pages; each phase is
+    timed per page, never per entry. *)
+
+type annotations =
+  | Fix of chain  (** step the chain and patch (deferred-mode refresh) *)
+  | Read  (** read the stored fields as they are (eager mode) *)
+  | Skip  (** walk only (full refresh) *)
+
+type page_scan = private {
+  arena : Snapdiff_storage.Decode_arena.t;  (** the page copy and its walked records *)
+  mutable page : int;  (** the page last loaded *)
+  mutable addrs : int array;  (** entry [k]'s address (ascending) *)
+  mutable prevs : int array;
+      (** entry [k]'s PrevAddr: corrected under [Fix], as stored under
+          [Read], unset under [Skip] *)
+  mutable tss : int array;  (** entry [k]'s TimeStamp, likewise *)
+  tail : bytes;  (** the patch buffer *)
+  mutable writes : int;  (** annotation writes so far, over every page loaded *)
+  mutable bytes : int;  (** record bytes those writes stored *)
+  timing : timing;
+      (** the phases of every page loaded, plus the later phases its
+          owner charges *)
+}
+(** A scan cursor's page scratch, reused page to page and never shared
+    between cursors.  Read-only outside this module, except [timing]. *)
+
+val page_scan : unit -> page_scan
+
+val load_page : page_scan -> Base_table.t -> page:int -> annotations -> unit
+(** Phase 1 of data page [page]: fills [addrs], [prevs] and [tss] for its
+    {!entries} live entries.  Raises [Failure] where
+    [Tuple.decode_exactly] would on a record, after the earlier records'
+    patches, which stay written. *)
+
+val entries : page_scan -> int
+(** Live entries on the loaded page. *)
+
+val fields : page_scan -> int -> Snapdiff_storage.Codec.Fields.t
+(** The [k]-th entry's walked record, over the arena copy (one view,
+    re-pointed per call). *)
+
+val timing : cursor -> timing
+(** Where the standalone pass spent its time ([load_us], [fixup_us]). *)

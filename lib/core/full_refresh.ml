@@ -1,4 +1,6 @@
+open Snapdiff_storage
 open Snapdiff_txn
+module Trace = Snapdiff_obs.Trace
 
 type report = {
   new_snaptime : Clock.ts;
@@ -8,34 +10,62 @@ type report = {
 
 type cursor = {
   base : Base_table.t;
-  restrict : Snapdiff_storage.Tuple.t -> bool;
-  project : Snapdiff_storage.Tuple.t -> Snapdiff_storage.Tuple.t;
+  restrict : Snapdiff_expr.Eval.record_pred;
+  project : int array option;
   xmit : Refresh_msg.t -> unit;
   now : Clock.ts;
   pages : int;
-  arena : Snapdiff_storage.Decode_arena.t;  (* the pass's one decoder, reused page to page *)
+  ps : Fixup.page_scan;  (* the pass's one page scratch, reused page to page *)
+  mutable qualified : Bytes.t;  (* the page's restriction bitmap *)
   mutable next_page : int;
   mutable scanned : int;
   mutable data : int;
 }
 
-let start ~base ~restrict ~project ~xmit =
+let start ~base ~restrict ?project ~xmit () =
   let now = Clock.tick (Base_table.clock base) in
   xmit Refresh_msg.Clear;
   { base; restrict; project; xmit; now; pages = Base_table.data_pages base;
-    arena = Snapdiff_storage.Decode_arena.create (); next_page = 1; scanned = 0; data = 0 }
+    ps = Fixup.page_scan (); qualified = Bytes.create 64; next_page = 1; scanned = 0; data = 0 }
 
 let pages c = c.pages
 
+let timing c = c.ps.Fixup.timing
+
+let user_values project f =
+  match project with
+  | None -> Codec.Fields.tuple f ~n:(Codec.Fields.count f - 2)
+  | Some idx -> Array.map (Codec.Fields.value f) idx
+
+(* Per page: load and walk (no annotations read), the restriction over
+   the page into a bitmap, then the qualified rows decoded straight into
+   their messages; the messages are sent once the page's phases are
+   timed, so no phase includes transmit time. *)
 let scan_to c ~last_page =
+  let ps = c.ps and tm = timing c in
   for page = c.next_page to min last_page c.pages do
-    Base_table.iter_page_stored_arena c.base ~arena:c.arena ~page (fun addr stored ->
-        c.scanned <- c.scanned + 1;
-        let user = Annotations.user_part stored in
-        if c.restrict user then begin
-          c.data <- c.data + 1;
-          c.xmit (Refresh_msg.Upsert { addr; values = c.project user })
-        end)
+    Fixup.load_page ps c.base ~page Fixup.Skip;
+    let n = Fixup.entries ps in
+    c.scanned <- c.scanned + n;
+    if n > Bytes.length c.qualified then c.qualified <- Bytes.create (2 * n);
+    let t0 = Trace.now_us () in
+    Decode_arena.filter ps.Fixup.arena c.restrict c.qualified;
+    let t1 = Trace.now_us () in
+    let out = ref [] in
+    for k = n - 1 downto 0 do
+      if Bytes.get c.qualified k <> '\000' then begin
+        let values = user_values c.project (Fixup.fields ps k) in
+        out := Refresh_msg.Upsert { addr = ps.Fixup.addrs.(k); values } :: !out
+      end
+    done;
+    let t2 = Trace.now_us () in
+    tm.Fixup.filter_us <- tm.Fixup.filter_us +. (t1 -. t0);
+    tm.Fixup.emit_us <- tm.Fixup.emit_us +. (t2 -. t1);
+    List.iter
+      (fun m ->
+        c.data <- c.data + 1;
+        c.xmit m)
+      !out
   done;
   c.next_page <- max c.next_page (min last_page c.pages + 1)
 
@@ -44,4 +74,4 @@ let finish c =
   c.xmit (Refresh_msg.Snaptime c.now);
   { new_snaptime = c.now; entries_scanned = c.scanned; data_messages = c.data }
 
-let refresh ~base ~restrict ~project ~xmit () = finish (start ~base ~restrict ~project ~xmit)
+let refresh ~base ~restrict ?project ~xmit () = finish (start ~base ~restrict ?project ~xmit ())

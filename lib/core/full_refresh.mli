@@ -7,7 +7,6 @@
     qualified entry whether or not anything changed — the baseline the
     differential algorithm is measured against. *)
 
-open Snapdiff_storage
 open Snapdiff_txn
 
 type report = {
@@ -18,11 +17,16 @@ type report = {
 
 val refresh :
   base:Base_table.t ->
-  restrict:(Tuple.t -> bool) ->
-  project:(Tuple.t -> Tuple.t) ->
+  restrict:Snapdiff_expr.Eval.record_pred ->
+  ?project:int array ->
   xmit:(Refresh_msg.t -> unit) ->
   unit ->
   report
+(** [restrict] runs on each stored record (user columns first, then the
+    two annotations; {!Annotations.user_pred} adapts a tuple predicate).
+    [project] lists the user columns each [Upsert] carries (default: all
+    of them, in order); only those fields of a qualified row are
+    decoded, and nothing of a row that does not qualify. *)
 
 (** {1 Resumable form}
 
@@ -34,9 +38,10 @@ type cursor
 
 val start :
   base:Base_table.t ->
-  restrict:(Tuple.t -> bool) ->
-  project:(Tuple.t -> Tuple.t) ->
+  restrict:Snapdiff_expr.Eval.record_pred ->
+  ?project:int array ->
   xmit:(Refresh_msg.t -> unit) ->
+  unit ->
   cursor
 (** Tick the clock for the new [SnapTime], send [Clear], and fix the
     data-page count the scan covers. *)
@@ -46,6 +51,10 @@ val pages : cursor -> int
 val scan_to : cursor -> last_page:int -> unit
 (** Send an [Upsert] for every qualified entry on pages up to [last_page]
     (clamped to {!pages}) not yet scanned. *)
+
+val timing : cursor -> Fixup.timing
+(** Where the pass spent its time: [load_us], [filter_us], [emit_us]
+    (nothing is fixed up). *)
 
 val finish : cursor -> report
 (** Scan any remaining pages, then send the [Snaptime] commit marker. *)

@@ -49,9 +49,22 @@ let method_name = function
   | Used_ideal -> "ideal"
   | Used_log_based -> "log-based"
 
-type sender_phases = { scan_us : float; encode_us : float; send_us : float; fixup_bytes : int }
+type sender_phases = {
+  scan_us : float;
+  lock_us : float;
+  load_us : float;
+  fixup_us : float;
+  filter_us : float;
+  emit_us : float;
+  scan_other_us : float;
+  encode_us : float;
+  send_us : float;
+  fixup_bytes : int;
+}
 
-let no_sender = { scan_us = 0.0; encode_us = 0.0; send_us = 0.0; fixup_bytes = 0 }
+let no_sender =
+  { scan_us = 0.0; lock_us = 0.0; load_us = 0.0; fixup_us = 0.0; filter_us = 0.0;
+    emit_us = 0.0; scan_other_us = 0.0; encode_us = 0.0; send_us = 0.0; fixup_bytes = 0 }
 
 type refresh_report = {
   snapshot : string;
@@ -120,6 +133,8 @@ type snapshot = {
   restrict_expr : Expr.t;
   restrict : Tuple.t -> bool;
   project : Tuple.t -> Tuple.t;
+  record_restrict : Eval.record_pred;  (* the scans' form of [restrict] *)
+  project_cols : int array option;  (* the scans' form of [project]; None = identity *)
   table : Snapshot_table.t;
   link : Link.t;
   request_link : Link.t;  (* snapshot -> base control path *)
@@ -360,6 +375,7 @@ type scan = {
   sc_scan_to : last_page:int -> unit;
   sc_close : (Addr.t * Recovery.net) list -> (refresh_report * (unit -> unit)) array;
   sc_fixup_time : Clock.ts option;
+  sc_timing : unit -> Fixup.timing list;  (* the scan cursors' page phases *)
 }
 
 (* A catch-up change the scan's fix-up never saw: an entry inserted
@@ -407,15 +423,38 @@ let locked_scan t b ~write ~chunked open_scan =
   let final = if write then Lock.X else Lock.S in
   let lease = ref None in
   let release () = Option.iter Lease.release !lease in
+  (* The scan's sub-phases: lock waits here, the cursors' page phases
+     from the source (and from the catch-up's fix-up pass, if it runs). *)
+  let lock_us = ref 0.0 in
+  let lock r mode =
+    let t0 = Trace.now_us () in
+    Txn.lock txn r mode;
+    lock_us := !lock_us +. (Trace.now_us () -. t0)
+  in
+  let refix_timing = ref [] in
+  let with_phases sc outs =
+    let timings = !refix_timing @ sc.sc_timing () in
+    let sum f = List.fold_left (fun acc tm -> acc +. f tm) 0.0 timings in
+    let load_us = sum (fun tm -> tm.Fixup.load_us)
+    and fixup_us = sum (fun tm -> tm.Fixup.fixup_us)
+    and filter_us = sum (fun tm -> tm.Fixup.filter_us)
+    and emit_us = sum (fun tm -> tm.Fixup.emit_us) in
+    Array.map
+      (fun (r, on_commit) ->
+        ( { r with
+            sender = { r.sender with lock_us = !lock_us; load_us; fixup_us; filter_us; emit_us } },
+          on_commit ))
+      outs
+  in
   match
     match chunked with
     | None ->
-      Txn.lock txn table final;
+      lock table final;
       let sc = open_scan () in
       sc.sc_scan_to ~last_page:sc.sc_pages;
-      sc.sc_close []
+      with_phases sc (sc.sc_close [])
     | Some wal ->
-      Txn.lock txn table (if write then Lock.IX else Lock.IS);
+      lock table (if write then Lock.IX else Lock.IS);
       let lsn0 = Wal.end_lsn wal in
       lease :=
         Some
@@ -451,7 +490,7 @@ let locked_scan t b ~write ~chunked open_scan =
         else begin
           let hi = min sc.sc_pages (lo + per_chunk - 1) in
           let t0 = Trace.now_us () in
-          page_locks lo hi (fun r -> Txn.lock txn r final);
+          page_locks lo hi (fun r -> lock r final);
           release_chunk prev;
           Trace.with_span "refresh.chunk"
             ~attrs:[ ("table", Base_table.name b); ("pages", Printf.sprintf "%d-%d" lo hi) ]
@@ -461,17 +500,20 @@ let locked_scan t b ~write ~chunked open_scan =
       in
       let chunks = walk None 1 0 in
       let t0 = Trace.now_us () in
-      Txn.lock txn table Lock.S;
+      lock table Lock.S;
       let nets = catchup_net_changes b ~wal ~lsn0 in
       let refixed =
         match sc.sc_fixup_time with
         | Some fixup_time when List.exists (unchained b) nets ->
-          Txn.lock txn table Lock.X;
+          lock table Lock.X;
           Trace.with_span "refresh.fixup" ~attrs:[ ("table", Base_table.name b) ] (fun () ->
-              Fixup.run b ~fixup_time)
+              let f = Fixup.start b ~fixup_time in
+              Fixup.scan_to f ~last_page:max_int;
+              refix_timing := [ Fixup.timing f ];
+              Fixup.stats f)
         | _ -> { Fixup.scanned = 0; skipped = 0; writes = 0; bytes = 0 }
       in
-      let outs = sc.sc_close nets in
+      let outs = with_phases sc (sc.sc_close nets) in
       held_since t0;
       let catchup = List.length nets in
       Metrics.observe h_chunks (float_of_int chunks);
@@ -802,7 +844,8 @@ let method_for t b m =
 let open_source t b used members xmits () =
   let s = members.(0).snap in
   let unpaged close =
-    { sc_pages = 0; sc_scan_to = (fun ~last_page:_ -> ()); sc_close = close; sc_fixup_time = None }
+    { sc_pages = 0; sc_scan_to = (fun ~last_page:_ -> ()); sc_close = close; sc_fixup_time = None;
+      sc_timing = (fun () -> []) }
   in
   (* The catch-up overlay: each member's view of the WAL tail's net
      changes as Upsert/Remove messages.  WAL records carry stored
@@ -830,8 +873,8 @@ let open_source t b used members xmits () =
         (fun i { snap; _ } ->
           {
             Differential.sub_snaptime = Snapshot_table.snaptime snap.table;
-            sub_restrict = snap.restrict;
-            sub_project = snap.project;
+            sub_restrict = snap.record_restrict;
+            sub_project = snap.project_cols;
             sub_tail_suppression =
               (if snap.tail_suppression then Some (Snapshot_table.high_water snap.table)
                else None);
@@ -852,6 +895,7 @@ let open_source t b used members xmits () =
           Array.mapi (fun i m -> (report_of_sub m.snap g.Differential.sub_reports.(i), ignore)) members);
       sc_fixup_time =
         (if Base_table.mode b = Base_table.Deferred then Some (Differential.fixup_time c) else None);
+      sc_timing = (fun () -> [ Differential.timing c ]);
     }
   | Used_full ->
     let fixup_time =
@@ -859,7 +903,10 @@ let open_source t b used members xmits () =
       else Some (Clock.tick (Base_table.clock b))
     in
     let prime = Option.map (fun fixup_time -> Fixup.start b ~fixup_time) fixup_time in
-    let c = Full_refresh.start ~base:b ~restrict:s.restrict ~project:s.project ~xmit:xmits.(0) in
+    let c =
+      Full_refresh.start ~base:b ~restrict:s.record_restrict ?project:s.project_cols
+        ~xmit:xmits.(0) ()
+    in
     {
       sc_pages = Full_refresh.pages c;
       sc_scan_to =
@@ -887,6 +934,9 @@ let open_source t b used members xmits () =
                },
                ignore ) |]);
       sc_fixup_time = fixup_time;
+      sc_timing =
+        (fun () ->
+          Full_refresh.timing c :: Option.fold prime ~none:[] ~some:(fun f -> [ Fixup.timing f ]));
     }
   | Used_ideal ->
     let log = ensure_capture t s.base_name in
@@ -1135,10 +1185,16 @@ let attempt t b members =
               fixup_writes = (if m.populate then 0 else report.fixup_writes);
               receiver;
               sender =
-                { scan_us;
-                  encode_us = m.encode_us;
-                  send_us;
-                  fixup_bytes = (if m.populate then 0 else report.sender.fixup_bytes) };
+                (let p = report.sender in
+                 { p with
+                   scan_us;
+                   scan_other_us =
+                     Float.max 0.0
+                       (scan_us -. p.lock_us -. p.load_us -. p.fixup_us -. p.filter_us
+                      -. p.emit_us);
+                   encode_us = m.encode_us;
+                   send_us;
+                   fixup_bytes = (if m.populate then 0 else p.fixup_bytes) });
               wall_us;
               residual_us;
             },
@@ -1290,30 +1346,39 @@ let refresh ?(group = false) t name =
 let sample_threshold = 10_000
 let sample_size = 1_000
 
-let measure_selectivity t b ~restrict_expr restrict_fn =
+let measure_selectivity t b ~restrict_expr restrict =
   let n = Base_table.count b in
   if n = 0 then Selectivity.heuristic restrict_expr
   else if n <= sample_threshold then begin
     let hits = ref 0 in
-    Base_table.iter_stored b (fun _ stored ->
-        if restrict_fn (Annotations.user_part stored) then incr hits);
+    let ps = Fixup.page_scan () in
+    for page = 1 to Base_table.data_pages b do
+      Fixup.load_page ps b ~page Fixup.Skip;
+      for k = 0 to Fixup.entries ps - 1 do
+        if restrict (Fixup.fields ps k) then incr hits
+      done
+    done;
     float_of_int !hits /. float_of_int n
   end
   else begin
-    let reservoir = Array.make sample_size (Tuple.make []) in
+    (* The reservoir holds addresses, drawn from the address index in
+       address order (the order, hence the draws, of a table scan); only
+       the sampled records are read. *)
+    let reservoir = Array.make sample_size Addr.zero in
     let seen = ref 0 in
-    Base_table.iter_stored b (fun _ stored ->
-        let u = Annotations.user_part stored in
-        if !seen < sample_size then reservoir.(!seen) <- u
+    Base_table.iter_addrs b (fun addr ->
+        if !seen < sample_size then reservoir.(!seen) <- addr
         else begin
           let j = Snapdiff_util.Rng.int t.rng (!seen + 1) in
-          if j < sample_size then reservoir.(j) <- u
+          if j < sample_size then reservoir.(j) <- addr
         end;
         incr seen);
     let k = min sample_size !seen in
     let hits = ref 0 in
     for i = 0 to k - 1 do
-      if restrict_fn reservoir.(i) then incr hits
+      match Base_table.read_record b reservoir.(i) with
+      | Some record -> if restrict (Codec.Fields.of_record record) then incr hits
+      | None -> ()
     done;
     float_of_int !hits /. float_of_int k
   end
@@ -1359,7 +1424,9 @@ let compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
   let identity = Array.length idx = Schema.arity user_schema
                  && Array.for_all2 ( = ) idx (Array.init (Array.length idx) Fun.id) in
   let project = if identity then Fun.id else fun tuple -> Tuple.project_idx tuple idx in
+  let project_cols = if identity then None else Some idx in
   let restrict_fn = Eval.compile user_schema restrict in
+  let record_restrict = Eval.compile_record user_schema restrict in
   check_log_based b method_;
   let table = make_table (Schema.project user_schema projection) in
   let link =
@@ -1381,7 +1448,7 @@ let compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
   let selectivity =
     match selectivity with
     | Some q -> Float.max 0.0 (Float.min 1.0 q)  (* caller-provided estimate *)
-    | None -> measure_selectivity t b ~restrict_expr:restrict restrict_fn
+    | None -> measure_selectivity t b ~restrict_expr:restrict record_restrict
   in
   {
     snap_name = name;
@@ -1389,6 +1456,8 @@ let compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
     restrict_expr = restrict;
     restrict = restrict_fn;
     project;
+    record_restrict;
+    project_cols;
     table;
     link;
     request_link;

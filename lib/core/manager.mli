@@ -36,10 +36,30 @@ type method_used = Used_full | Used_differential | Used_ideal | Used_log_based
 val method_name : method_used -> string
 
 (** The sender half of a refresh's cost, in microseconds and bytes.
-    [scan_us] is the locked scan's wall time (locks, fix-up, decode,
-    restriction) minus the time every member of its group spent inside
-    its stream's transmit function; it is the same for all members of
-    one group scan.  [encode_us] is this member's time inside
+
+    [scan_us] is the locked scan's wall time (locks, page loads, fix-up,
+    restriction, decode and projection, catch-up, stream close) minus the
+    time every member of its group spent inside its stream's transmit
+    function; it is the same for all members of one group scan, and so
+    is its split into six sub-phases, which sum to it:
+    - [lock_us]: waiting for the table and page locks ({!Txn.lock});
+    - [load_us]: pinning each scanned page (a pool miss included) and
+      copying it into the scan's arena;
+    - [fixup_us]: walking each record's fields, the Figure 7 step on the
+      annotations read in place, and the tail patches (and the
+      catch-up's fix-up pass when one runs);
+    - [filter_us]: the restrictions, run page by page on the walked
+      records;
+    - [emit_us]: the Figure 3 pass and the decode and projection of the
+      rows sent, net of transmit (a page's messages are sent after its
+      phases are timed);
+    - [scan_other_us]: the rest — summaries and prune caches, lock
+      release, the catch-up's log scan and overlay, tails and commit
+      markers — [scan_us] minus the other five, clamped at 0.
+    Each phase is timed per page, never per entry.  A log-based or ideal
+    refresh reads no pages: its scan is locks and other.
+
+    [encode_us] is this member's time inside
     {!Refresh_msg.encode_framed} (encode, frame, checksum).  [send_us] is
     the rest of its time inside the transmit function — the link and its
     accounting — net of [encode_us] and of the receiver's phases
@@ -47,7 +67,18 @@ val method_name : method_used -> string
     [fixup_bytes] is the record bytes the scan's fix-up writes stored (18
     per in-place patch), charged like [fixup_writes].  [scan_us] and
     [send_us] are clamped at 0 against clock rounding. *)
-type sender_phases = { scan_us : float; encode_us : float; send_us : float; fixup_bytes : int }
+type sender_phases = {
+  scan_us : float;
+  lock_us : float;
+  load_us : float;
+  fixup_us : float;
+  filter_us : float;
+  emit_us : float;
+  scan_other_us : float;
+  encode_us : float;
+  send_us : float;
+  fixup_bytes : int;
+}
 
 val no_sender : sender_phases
 (** All zero. *)

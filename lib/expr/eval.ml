@@ -124,49 +124,56 @@ let truth_of_value = function
   | Value.Null -> Unknown
   | v -> err "expected BOOL, got %s" (Value.to_string v)
 
-let rec eval_r tuple r =
+(* One evaluator for every source: [get src i] reads column [i] (a tuple
+   slot, or one field of a walked record), so a tuple and a record
+   evaluate under the same semantics by construction. *)
+let rec eval_with get src r =
   match r with
   | RConst v -> v
-  | RCol i ->
-    if i >= Array.length tuple then err "column index %d out of range" i else tuple.(i)
+  | RCol i -> get src i
   | RCmp (op, a, b) -> (
-    let va = eval_r tuple a and vb = eval_r tuple b in
+    let va = eval_with get src a and vb = eval_with get src b in
     match (va, vb) with
     | Value.Null, _ | _, Value.Null -> Value.Null
     | _ -> value_of_truth (apply_cmp op va vb))
   | RAnd (a, b) ->
     value_of_truth
-      (truth_and (truth_of_value (eval_r tuple a)) (truth_of_value (eval_r tuple b)))
+      (truth_and (truth_of_value (eval_with get src a)) (truth_of_value (eval_with get src b)))
   | ROr (a, b) ->
     value_of_truth
-      (truth_or (truth_of_value (eval_r tuple a)) (truth_of_value (eval_r tuple b)))
-  | RNot a -> value_of_truth (truth_not (truth_of_value (eval_r tuple a)))
-  | RIs_null a -> Value.Bool (Value.is_null (eval_r tuple a))
-  | RArith (op, a, b) -> apply_arith op (eval_r tuple a) (eval_r tuple b)
+      (truth_or (truth_of_value (eval_with get src a)) (truth_of_value (eval_with get src b)))
+  | RNot a -> value_of_truth (truth_not (truth_of_value (eval_with get src a)))
+  | RIs_null a -> Value.Bool (Value.is_null (eval_with get src a))
+  | RArith (op, a, b) -> apply_arith op (eval_with get src a) (eval_with get src b)
   | RNeg a -> (
-    match eval_r tuple a with
+    match eval_with get src a with
     | Value.Null -> Value.Null
     | Value.Int x -> Value.Int (Int64.neg x)
     | Value.Float x -> Value.Float (-.x)
     | v -> err "unary minus on %s" (Value.to_string v))
   | RLike (a, pat) -> (
-    match eval_r tuple a with
+    match eval_with get src a with
     | Value.Null -> Value.Null
     | Value.Str s -> Value.Bool (like_match s pat)
     | v -> err "LIKE on %s" (Value.to_string v))
   | RIn (a, vs) -> (
-    match eval_r tuple a with
+    match eval_with get src a with
     | Value.Null -> Value.Null
     | v -> Value.Bool (List.exists (fun x -> compare_vals v x = 0) vs))
   | RBetween (a, lo, hi) ->
     (* SQL defines BETWEEN as (lo <= x) AND (x <= hi), so e.g.
        [0 BETWEEN NULL AND -1] is FALSE, not Unknown: Unknown AND False. *)
-    let v = eval_r tuple a and vlo = eval_r tuple lo and vhi = eval_r tuple hi in
+    let v = eval_with get src a and vlo = eval_with get src lo and vhi = eval_with get src hi in
     let cmp_le x y =
       if Value.is_null x || Value.is_null y then Unknown
       else truth_of_bool (compare_vals x y <= 0)
     in
     value_of_truth (truth_and (cmp_le vlo v) (cmp_le v vhi))
+
+let tuple_col tuple i =
+  if i >= Array.length tuple then err "column index %d out of range" i else tuple.(i)
+
+let eval_r tuple r = eval_with tuple_col tuple r
 
 let eval schema tuple e = eval_r tuple (resolve schema e)
 
@@ -190,3 +197,47 @@ let compile schema e =
 let compile_scalar schema e =
   let r = resolve schema e in
   fun tuple -> eval_r tuple r
+
+type record_pred = Codec.Fields.t -> bool
+
+let record_col f i =
+  if i >= Codec.Fields.count f then err "column index %d out of range" i
+  else Codec.Fields.value f i
+
+let flip = function
+  | Expr.Eq -> Expr.Eq
+  | Expr.Neq -> Expr.Neq
+  | Expr.Lt -> Expr.Gt
+  | Expr.Le -> Expr.Ge
+  | Expr.Gt -> Expr.Lt
+  | Expr.Ge -> Expr.Le
+
+(* [col <op> k] for an INT constant [k]: an integer field compares its
+   payload in place, allocating nothing; any other field (NULL, FLOAT
+   widening, a type the checker would have refused) takes the general
+   path, which is the same comparison by [compare_vals]. *)
+let int_cmp op i k =
+  let general = RCmp (op, RCol i, RConst (Value.Int k)) in
+  let slow f = truth_of_value (eval_with record_col f general) = True in
+  (* The payload offset of field [i] if it is an integer, else -1. *)
+  let[@inline] int_at (f : Codec.Fields.t) =
+    if i < f.count then begin
+      let o = f.offs.(f.base + i) in
+      if Bytes.get f.buf o = Value.tag_int then o + 1 else -1
+    end
+    else -1
+  in
+  let get (f : Codec.Fields.t) o = Bytes.get_int64_le f.buf o in
+  match op with
+  | Expr.Eq -> fun f -> let o = int_at f in if o < 0 then slow f else get f o = k
+  | Expr.Neq -> fun f -> let o = int_at f in if o < 0 then slow f else get f o <> k
+  | Expr.Lt -> fun f -> let o = int_at f in if o < 0 then slow f else get f o < k
+  | Expr.Le -> fun f -> let o = int_at f in if o < 0 then slow f else get f o <= k
+  | Expr.Gt -> fun f -> let o = int_at f in if o < 0 then slow f else get f o > k
+  | Expr.Ge -> fun f -> let o = int_at f in if o < 0 then slow f else get f o >= k
+
+let compile_record schema e =
+  match resolve schema e with
+  | RCmp (op, RCol i, RConst (Value.Int k)) -> int_cmp op i k
+  | RCmp (op, RConst (Value.Int k), RCol i) -> int_cmp (flip op) i k
+  | r -> fun f -> truth_of_value (eval_with record_col f r) = True

@@ -28,6 +28,26 @@ val compile : Schema.t -> Expr.t -> compiled
 
 val compile_scalar : Schema.t -> Expr.t -> Tuple.t -> Value.t
 
+(** {1 Record predicates}
+
+    The scan's form of a restriction: it runs on an encoded record whose
+    field offsets a walk has recorded ({!Codec.Fields}), and decodes only
+    the columns it references.  Column [i] of the schema is field [i] of
+    the record, so a predicate compiled against a base table's user
+    schema runs unchanged on its stored records (user columns first,
+    annotations after). *)
+
+type record_pred = Codec.Fields.t -> bool
+
+val compile_record : Schema.t -> Expr.t -> record_pred
+(** The restriction as a record predicate: on the encoding of any tuple
+    [t], it answers what [compile schema e t] answers, and raises
+    [Eval_error] when and only when that raises.  It is the same
+    evaluator reading fields instead of tuple slots, except for the
+    shape [col <cmp> INT-constant] (either side), which compares an
+    integer field's payload in place.  Raises [Eval_error] immediately
+    if a referenced column is missing. *)
+
 (** {1 Building blocks} (shared with {!Simplify}) *)
 
 val compare_values : Value.t -> Value.t -> int

@@ -56,13 +56,13 @@ let run_cell ~seed ~n ~q ~u ~mix =
   let full =
     count_data (fun xmit ->
         ignore
-          (Full_refresh.refresh ~base ~restrict ~project:Fun.id ~xmit () : Full_refresh.report))
+          (Full_refresh.refresh ~base ~restrict:(Annotations.user_pred restrict) ~xmit () : Full_refresh.report))
   in
   (* Differential last: its combined fix-up writes annotations. *)
   let diff =
     count_data (fun xmit ->
         ignore
-          (Differential.refresh ~base ~snaptime ~restrict ~project:Fun.id ~xmit ()
+          (Differential.refresh ~base ~snaptime ~restrict:(Annotations.user_pred restrict) ~xmit ()
             : Differential.report))
   in
   (ideal, diff, full)
@@ -203,7 +203,7 @@ let maintenance_ablation ?(seed = 11) ?(n = 10_000) ?(u = 0.1) () =
     let restrict = Eval.compile Workload.schema (Workload.restrict_fraction 0.25) in
     let msgs = ref 0 in
     let r =
-      Differential.refresh ~base ~snaptime ~restrict ~project:Fun.id
+      Differential.refresh ~base ~snaptime ~restrict:(Annotations.user_pred restrict)
         ~xmit:(fun m -> if Refresh_msg.is_data m then incr msgs)
         ()
     in
@@ -249,7 +249,7 @@ let asap_ablation ?(seed = 13) ?(n = 2_000) ?(ops = 2_000) () =
       let msgs = ref [] in
       ignore
         (Differential.refresh ~base:base_p ~snaptime:(Snapshot_table.snaptime snap_p)
-           ~restrict ~project:Fun.id
+           ~restrict:(Annotations.user_pred restrict)
            ~xmit:(fun m -> msgs := m :: !msgs)
            ()
           : Differential.report);
@@ -349,7 +349,7 @@ let tail_ablation ?(seed = 19) ?(n = 10_000) ?(q = 0.25) () =
     let paper =
       count_data (fun xmit ->
           ignore
-            (Differential.refresh ~base ~snaptime ~restrict ~project:Fun.id ~xmit ()
+            (Differential.refresh ~base ~snaptime ~restrict:(Annotations.user_pred restrict) ~xmit ()
               : Differential.report))
     in
     let base, snaptime, restrict, snap2 = build () in
@@ -359,7 +359,7 @@ let tail_ablation ?(seed = 19) ?(n = 10_000) ?(q = 0.25) () =
           ignore
             (Differential.refresh
                ~tail_suppression:(Some (Snapshot_table.high_water snap2))
-               ~base ~snaptime ~restrict ~project:Fun.id ~xmit ()
+               ~base ~snaptime ~restrict:(Annotations.user_pred restrict) ~xmit ()
               : Differential.report))
     in
     { u_pct_tail = 100.0 *. u; msgs_paper = paper; msgs_suppressed = suppressed }
@@ -515,7 +515,7 @@ let stepwise_ablation ?(seed = 41) ?(n = 2_000) ?(u = 0.10) () =
       script;
     count_stream (fun xmit ->
         ignore
-          (Differential.refresh ~base ~snaptime ~restrict ~project:Fun.id ~xmit ()
+          (Differential.refresh ~base ~snaptime ~restrict:(Annotations.user_pred restrict) ~xmit ()
             : Differential.report))
   in
   [
@@ -551,13 +551,13 @@ let wire_ablation ?(seed = 37) ?(n = 10_000) ?(u = 0.05) () =
   ignore (Workload.update_fraction base ~rng ~u ~mix:Workload.payload_updates_only : int);
   let full_stream = ref [] in
   ignore
-    (Full_refresh.refresh ~base ~restrict ~project:Fun.id
+    (Full_refresh.refresh ~base ~restrict:(Annotations.user_pred restrict)
        ~xmit:(fun m -> full_stream := m :: !full_stream)
        ()
       : Full_refresh.report);
   let diff_stream = ref [] in
   ignore
-    (Differential.refresh ~base ~snaptime ~restrict ~project:Fun.id
+    (Differential.refresh ~base ~snaptime ~restrict:(Annotations.user_pred restrict)
        ~xmit:(fun m -> diff_stream := m :: !diff_stream)
        ()
       : Differential.report);
@@ -709,7 +709,7 @@ let skew_ablation ?(seed = 23) ?(n = 10_000) ?(ops = 5_000) () =
     let diff =
       count_data (fun xmit ->
           ignore
-            (Differential.refresh ~base ~snaptime ~restrict ~project:Fun.id ~xmit ()
+            (Differential.refresh ~base ~snaptime ~restrict:(Annotations.user_pred restrict) ~xmit ()
               : Differential.report))
     in
     { theta; ops_skew = ops; diff_msgs_skew = diff; ideal_msgs_skew = ideal }

@@ -165,4 +165,73 @@ module Cursor = struct
       done;
       t
     end
+
+  (* [value]'s checks without building the value, over the whole tuple
+     in one loop: the same failures in the same order as a decode. *)
+  let walk c offs ~at =
+    let b = c.buf and limit = c.limit in
+    let n = u16 c in
+    let p = ref c.pos in
+    for i = 0 to n - 1 do
+      let q = !p in
+      if q >= limit then failwith "Codec: truncated";
+      offs.(at + i) <- q;
+      p :=
+        (match Bytes.unsafe_get b q with
+         | '\000' -> q + 1
+         | '\001' | '\002' -> q + 9
+         | '\004' -> q + 2
+         | '\003' ->
+           if q + 5 > limit then failwith "Codec: truncated";
+           q + 5 + (Int32.to_int (Bytes.get_int32_le b (q + 1)) land 0xffff_ffff)
+         | _ -> failwith "Value.decode: bad tag");
+      if !p > limit then failwith "Codec: truncated"
+    done;
+    c.pos <- !p;
+    if not (at_end c) then failwith "Tuple.decode_exactly: trailing bytes";
+    n
+end
+
+(* A walked record: field [i]'s tag byte sits at [buf.[offs.(base + i)]].
+   The walk validated every field, so the readers below index the buffer
+   directly. *)
+module Fields = struct
+  type t = {
+    mutable buf : bytes;
+    mutable offs : int array;
+    mutable base : int;
+    mutable count : int;
+  }
+
+  let create () = { buf = Bytes.empty; offs = [||]; base = 0; count = 0 }
+
+  let of_record b =
+    let c = Cursor.create () in
+    Cursor.set c b ~pos:0 ~len:(Bytes.length b);
+    let offs = Array.make (Bytes.length b) 0 in
+    let count = Cursor.walk c offs ~at:0 in
+    { buf = b; offs; base = 0; count }
+
+  let count f = f.count
+
+  let off f i =
+    if i < 0 || i >= f.count then invalid_arg "Codec.Fields: no such field";
+    f.offs.(f.base + i)
+
+  let tag f i = Bytes.get f.buf (off f i)
+
+  let value f i =
+    let b = f.buf and o = off f i in
+    let tag = Bytes.get b o in
+    if tag = Value.tag_null then Value.Null
+    else if tag = Value.tag_int then Value.Int (Bytes.get_int64_le b (o + 1))
+    else if tag = Value.tag_float then
+      Value.Float (Int64.float_of_bits (Bytes.get_int64_le b (o + 1)))
+    else if tag = Value.tag_str then begin
+      let len = Int32.to_int (Bytes.get_int32_le b (o + 1)) land 0xffff_ffff in
+      Value.Str (Bytes.sub_string b (o + 5) len)
+    end
+    else Value.Bool (Bytes.get b (o + 1) <> '\000')
+
+  let tuple f ~n = Array.init n (value f)
 end

@@ -41,6 +41,10 @@ val int : bytes -> int -> int * int
 val string : bytes -> int -> string * int
 val tuple : bytes -> int -> Tuple.t * int
 
+val int_of_i64 : int64 -> int
+(** The range check of {!int}: [Failure "Codec: int out of range"] for an
+    i64 outside OCaml's int range. *)
+
 (** In-place cursor readers: the zero-copy counterpart of the offset-pair
     readers above.  A cursor holds a [(buffer, position, limit)] window
     and each read advances the position, so the decode hot loop allocates
@@ -89,4 +93,47 @@ module Cursor : sig
 
   val tuple : t -> Tuple.t
   (** One self-delimiting tuple ({!Tuple.decode}). *)
+
+  val walk : t -> int array -> at:int -> int
+  (** [walk c offs ~at] steps over one tuple without decoding it: it reads
+      the field count [n], stores the absolute position of field [i]'s tag
+      byte in [offs.(at + i)], skips each payload (a string by its length
+      prefix), and returns [n].  The window must end exactly where the
+      tuple does.  It raises [Failure] exactly where
+      [Tuple.decode_exactly] on the window's bytes would: a bad tag,
+      truncation, or trailing bytes.  [offs] needs [at + len] slots for a
+      window of [len] bytes. *)
+end
+
+(** A walked record: the field offsets {!Cursor.walk} recorded, over the
+    buffer it walked.  Reading a field decodes that field only.  One
+    value is re-pointed from record to record by the scan that owns it
+    (it sets [base] and [count]); {!of_record} walks a standalone
+    record. *)
+module Fields : sig
+  type t = {
+    mutable buf : bytes;
+    mutable offs : int array;
+    mutable base : int;  (** field [i]'s tag byte is at [offs.(base + i)] *)
+    mutable count : int;  (** the record's field count *)
+  }
+
+  val create : unit -> t
+  (** A view of no record (count 0). *)
+
+  val of_record : bytes -> t
+  (** Walk a whole encoded tuple; raises [Failure] where
+      [Tuple.decode_exactly] would. *)
+
+  val count : t -> int
+
+  val tag : t -> int -> char
+  (** Field [i]'s tag byte ({!Value.tag_null} ...).  Every reader raises
+      [Invalid_argument] for [i] outside [0, count). *)
+
+  val value : t -> int -> Value.t
+  (** Field [i], decoded: equal to [(Tuple.decode_exactly record).(i)]. *)
+
+  val tuple : t -> n:int -> Tuple.t
+  (** The first [n] fields, decoded. *)
 end

@@ -142,6 +142,10 @@ let get t addr =
 
 let mem t addr = get t addr <> None
 
+let read_record t addr =
+  Option.join
+    (with_entry t addr (fun _ page slot -> (`Clean, Some (Page.read page slot))))
+
 let update t addr tuple =
   let record = encode_checked t tuple in
   match
@@ -190,13 +194,16 @@ let iter_page t ~page:p f =
     (fun (slot, record) -> f (Addr.make ~page:p ~slot) (Tuple.decode_exactly record))
     (List.rev slots)
 
-let iter_page_arena t ~arena ~page:p f =
+let load_page t ~arena ~page:p f =
   let store = Buffer_pool.store t.pool in
   if p < 1 || p >= Page_store.page_count store then
-    invalid_arg "Heap.iter_page_arena: no such data page";
+    invalid_arg "Heap.load_page: no such data page";
   Buffer_pool.with_page t.pool p (fun page ->
       Decode_arena.load arena page;
-      (`Clean, ()));
+      ((if f page then `Dirty else `Clean), ()))
+
+let iter_page_arena t ~arena ~page:p f =
+  load_page t ~arena ~page:p (fun _ -> false);
   Decode_arena.iter arena (fun slot tuple -> f (Addr.make ~page:p ~slot) tuple)
 
 let iter t f =

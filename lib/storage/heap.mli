@@ -55,6 +55,9 @@ val get : t -> Addr.t -> Tuple.t option
 
 val mem : t -> Addr.t -> bool
 
+val read_record : t -> Addr.t -> bytes option
+(** A copy of the entry's encoded record, undecoded. *)
+
 val update : t -> Addr.t -> Tuple.t -> unit
 (** Replace the entry at [addr], keeping its address.  Raises [Not_found]
     if there is no live entry there; [Tuple_error] if the new tuple cannot
@@ -78,6 +81,14 @@ val iter_page : t -> page:int -> (Addr.t -> Tuple.t -> unit) -> unit
     restricted to page [page] ([1 <= page <= data_pages]).  The page-wise
     scans of the pruned refresh path drive this directly so they can skip
     whole pages without decoding them.  Raises [Invalid_argument] for a
+    page outside the store. *)
+
+val load_page : t -> arena:Decode_arena.t -> page:int -> (Page.t -> bool) -> unit
+(** [load_page t ~arena ~page f] pins data page [page] once, snapshots it
+    into [arena] ({!Decode_arena.load}), then runs [f] on the still-pinned
+    page.  [f] may write the page in place (the scans patch annotation
+    tails with {!Page.overwrite_tail}) and returns whether it did; the
+    frame is then marked dirty once.  Raises [Invalid_argument] for a
     page outside the store. *)
 
 val iter_page_arena :

@@ -226,7 +226,7 @@ let test_model_matches_simulation () =
         (Workload.update_fraction base ~rng ~u ~mix:Workload.payload_updates_only : int);
       let count = ref 0 in
       let r =
-        Differential.refresh ~base ~snaptime ~restrict ~project:Fun.id
+        Differential.refresh ~base ~snaptime ~restrict:(Annotations.user_pred restrict)
           ~xmit:(fun m -> if Refresh_msg.is_data m then incr count)
           ()
       in
@@ -302,8 +302,8 @@ let test_group_model_matches_simulation () =
         (fun i (snap, cache) ->
           {
             Differential.sub_snaptime = Snapshot_table.snaptime snap;
-            sub_restrict = restrict;
-            sub_project = Fun.id;
+            sub_restrict = Annotations.user_pred restrict;
+            sub_project = None;
             sub_tail_suppression = None;
             sub_prune = Some cache;
             sub_xmit = (fun m -> outs.(i) := m :: !(outs.(i)));

@@ -324,8 +324,7 @@ let paper_story () =
 let collect_refresh ?tail_suppression base snaptime =
   let msgs = ref [] in
   let report =
-    Differential.refresh ?tail_suppression ~base ~snaptime ~restrict:sal_lt10
-      ~project:Fun.id
+    Differential.refresh ?tail_suppression ~base ~snaptime ~restrict:(Annotations.user_pred sal_lt10)
       ~xmit:(fun m -> msgs := m :: !msgs)
       ()
   in
@@ -459,7 +458,7 @@ let test_eager_refresh_matches_deferred () =
     let snap = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
     let msgs = ref [] in
     let _ =
-      Differential.refresh ~base ~snaptime:Clock.never ~restrict:sal_lt10 ~project:Fun.id
+      Differential.refresh ~base ~snaptime:Clock.never ~restrict:(Annotations.user_pred sal_lt10)
         ~xmit:(fun m -> msgs := m :: !msgs)
         ()
     in
@@ -481,10 +480,161 @@ let test_refresh_from_never_sends_everything_qualified () =
   checki "5 entries + tail" 6 report.Differential.data_messages;
   checki "six + snaptime" 7 (List.length msgs)
 
+
+(* ------------------------------------------------------------------ *)
+(* The scan's record walk *)
+
+let record_of_page pool addr =
+  Buffer_pool.with_page pool (Addr.page addr) (fun page ->
+      (`Clean, Option.get (Page.read page (Addr.slot addr))))
+
+(* Rows adopted with a tolerated SQL NULL TimeStamp end [tag_int; i64
+   PrevAddr][tag_null]: the annotations take 10 bytes, not 18.  The entry
+   at slot 2 points at slot 1, so the low byte of its PrevAddr — the byte
+   9 from the record's end, where a fixed 18-byte tail would look for
+   the TimeStamp's tag — equals [tag_int].  The walk still reads both
+   fields; the fix-up cannot patch such a row and rewrites it whole. *)
+let test_walk_null_timestamp_tail () =
+  let pool = Buffer_pool.create ~frames:8 (Page_store.in_memory ~page_size:512 ()) in
+  let heap = Heap.on_pool ~fill_factor:0.5 pool (Annotations.extend_schema emp_schema) in
+  let addrs =
+    List.fold_left
+      (fun acc i ->
+        let prev = match acc with a :: _ -> a | [] -> Addr.zero in
+        let user = emp (Printf.sprintf "w%d" i) i in
+        Heap.insert heap (Array.append user [| Value.Int (Int64.of_int prev); Value.Null |])
+        :: acc)
+      [] [ 0; 1; 2 ]
+    |> List.rev
+  in
+  let a1 = List.nth addrs 1 and a2 = List.nth addrs 2 in
+  Heap.flush heap;
+  let record = record_of_page pool a2 in
+  let len = Bytes.length record in
+  checkb "byte 9 from the end is tag_int" true (Bytes.get record (len - 9) = Value.tag_int);
+  checkb "the record ends in tag_null" true (Bytes.get record (len - 1) = Value.tag_null);
+  let f = Codec.Fields.of_record record in
+  checki "PrevAddr read by the walk" a1 (Annotations.record_prev f);
+  checki "NULL TimeStamp read by the walk" Annotations.null (Annotations.record_ts f);
+  checkb "no fixed tail to patch" false (Annotations.record_patchable f);
+  let clock = Clock.create () in
+  let base = Base_table.on_pool ~name:"emp" ~clock pool emp_schema in
+  let fixup_time = Clock.tick clock in
+  let stats = Fixup.run base ~fixup_time in
+  checki "every row restamped" 3 stats.Fixup.writes;
+  let rewritten =
+    List.fold_left
+      (fun acc a -> acc + Bytes.length (record_of_page pool a))
+      0 addrs
+  in
+  checki "each write rewrote its whole row" rewritten stats.Fixup.bytes;
+  List.iteri
+    (fun i a ->
+      let prev = if i = 0 then Addr.zero else List.nth addrs (i - 1) in
+      checkb (Printf.sprintf "row %d annotations" i) true
+        (Base_table.get_annotations base a
+         = Some { Annotations.prev_addr = Some prev; timestamp = Some fixup_time });
+      checkb (Printf.sprintf "row %d now has a fixed tail" i) true
+        (Annotations.record_patchable (Codec.Fields.of_record (record_of_page pool a))))
+    addrs
+
+(* A stored PrevAddr whose bit 63 flipped is outside OCaml's int range:
+   dropping the bit would fold it back to a valid address, so every
+   reader refuses it, the scan's in-place reader first of all. *)
+let test_annotation_bit63_rejected () =
+  let clock = Clock.create () in
+  let base = Base_table.create ~name:"emp" ~clock emp_schema in
+  let addrs = List.init 4 (fun i -> Base_table.insert base (emp (Printf.sprintf "b%d" i) i)) in
+  ignore (run_fixup base : Fixup.stats);
+  let victim = List.nth addrs 2 in
+  Buffer_pool.with_page (Base_table.pool base) (Addr.page victim) (fun page ->
+      let found = ref false in
+      Page.iter_live_spans page (fun slot ~off ~len ->
+          if slot = Addr.slot victim then begin
+            (* The PrevAddr payload's top byte: tail offset 1 + 7. *)
+            let at = off + len - Annotations.tail_bytes + 8 in
+            let b = Page.bytes page in
+            Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x80));
+            found := true
+          end);
+      checkb "victim found" true !found;
+      (`Dirty, ()));
+  let f = Codec.Fields.of_record (record_of_page (Base_table.pool base) victim) in
+  checkb "in-place reader fails" true
+    (match Annotations.record_prev f with _ -> false | exception Failure _ -> true);
+  checkb "decoded-tuple reader fails" true
+    (match Base_table.get_annotations base victim with
+     | _ -> false
+     | exception Failure _ -> true);
+  checkb "a refresh over the page fails" true
+    (match
+       Differential.refresh ~base ~snaptime:Clock.never
+         ~restrict:(Annotations.user_pred sal_lt10) ~xmit:ignore ()
+     with
+     | _ -> false
+     | exception Failure _ -> true)
+
+(* CREATE SNAPSHOT's selectivity, counted with the record predicate (at
+   most [sample_threshold] rows) or sampled over addresses (above it),
+   equals bit for bit the estimate of the former decode of every row:
+   the same rows, and above the threshold the same RNG draws in the same
+   order. *)
+let test_selectivity_estimate_unchanged () =
+  let module W = Snapdiff_workload.Workload in
+  List.iter
+    (fun (n, deletes) ->
+      let clock = Clock.create () in
+      let base = W.make_base ~clock () in
+      let rng = Snapdiff_util.Rng.create (n + deletes) in
+      W.populate base ~rng ~n;
+      List.iteri
+        (fun i (a, _) -> if i mod 7 = 0 && i / 7 < deletes then Base_table.delete base a)
+        (Base_table.to_user_list base);
+      let expr = W.restrict_fraction 0.3 in
+      let seed = 17 in
+      let expected =
+        let restrict = Snapdiff_expr.Eval.compile W.schema expr in
+        let rows = List.map snd (Base_table.to_user_list base) in
+        let count = List.length rows in
+        if count <= 10_000 then
+          float_of_int (List.length (List.filter restrict rows)) /. float_of_int count
+        else begin
+          let sample = 1_000 in
+          let rng = Snapdiff_util.Rng.create seed in
+          let reservoir = Array.make sample (Tuple.make []) in
+          List.iteri
+            (fun seen u ->
+              if seen < sample then reservoir.(seen) <- u
+              else begin
+                let j = Snapdiff_util.Rng.int rng (seen + 1) in
+                if j < sample then reservoir.(j) <- u
+              end)
+            rows;
+          let hits =
+            Array.fold_left (fun acc u -> if restrict u then acc + 1 else acc) 0 reservoir
+          in
+          float_of_int hits /. float_of_int sample
+        end
+      in
+      let m = Manager.create ~seed () in
+      Manager.register_base m base;
+      ignore
+        (Manager.create_snapshot m ~name:"s" ~base:(Base_table.name base) ~restrict:expr
+           ~method_:Manager.Differential ()
+          : Manager.refresh_report);
+      let got = Manager.selectivity_estimate m "s" in
+      checkb
+        (Printf.sprintf "n=%d: estimate %.17g = former %.17g" n got expected)
+        true (Float.equal got expected))
+    [ (3_000, 40); (10_000, 0); (12_000, 300) ]
+
 let suite =
   [
     Alcotest.test_case "annotations schema" `Quick test_annotations_schema;
     Alcotest.test_case "annotations tuples" `Quick test_annotations_tuple_roundtrip;
+    Alcotest.test_case "record walk: NULL TimeStamp tail" `Quick test_walk_null_timestamp_tail;
+    Alcotest.test_case "annotation bit 63 rejected" `Quick test_annotation_bit63_rejected;
+    Alcotest.test_case "selectivity estimate unchanged" `Quick test_selectivity_estimate_unchanged;
     Alcotest.test_case "refresh msg codec" `Quick test_refresh_msg_roundtrip;
     Alcotest.test_case "deferred insert NULLs" `Quick test_deferred_insert_nulls;
     Alcotest.test_case "deferred update NULLs ts" `Quick test_deferred_update_nulls_timestamp;

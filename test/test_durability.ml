@@ -62,8 +62,7 @@ let test_base_table_survives_restart () =
       let msgs = ref [] in
       let report =
         Differential.refresh ~base ~snaptime
-          ~restrict:(fun t -> salary t < 10)
-          ~project:Fun.id
+          ~restrict:(Annotations.user_pred (fun t -> salary t < 10))
           ~xmit:(fun m -> msgs := m :: !msgs)
           ()
       in

@@ -25,8 +25,7 @@ let salary t = match Tuple.get t 1 with Value.Int s -> Int64.to_int s | _ -> -1
 let refresh_diff base snap restrict =
   let msgs = ref [] in
   ignore
-    (Differential.refresh ~base ~snaptime:(Snapshot_table.snaptime snap) ~restrict
-       ~project:Fun.id
+    (Differential.refresh ~base ~snaptime:(Snapshot_table.snaptime snap) ~restrict:(Annotations.user_pred restrict)
        ~xmit:(fun m -> msgs := m :: !msgs)
        ()
       : Differential.report);
@@ -163,8 +162,7 @@ let test_future_snaptime () =
   let count = ref 0 in
   ignore
     (Differential.refresh ~base ~snaptime:1_000_000
-       ~restrict:(fun _ -> true)
-       ~project:Fun.id
+       ~restrict:(Annotations.user_pred (fun _ -> true))
        ~xmit:(fun m ->
          if Refresh_msg.is_data m then incr count)
        ()

@@ -183,6 +183,126 @@ let test_selectivity_measured () =
   let empty = Heap.create schema in
   Alcotest.(check (float 1e-9)) "empty table" 0.0 (Selectivity.measure empty (sal_lt 25))
 
+
+(* ------------------------------------------------------------------ *)
+(* Record predicate = tuple evaluation *)
+
+module Gen = QCheck2.Gen
+
+let int_pool =
+  [ 0L; 1L; -1L; 2L; 7L; 100L; Int64.max_int; Int64.min_int; Int64.(succ min_int);
+    Int64.(pred max_int) ]
+
+let float_pool = [ 0.0; -0.0; 1.0; 1.5; -2.5; 7.0; 1e300; infinity; neg_infinity; Float.nan ]
+
+let string_pool = [ ""; "a"; "ab"; "ba"; "a%b"; "_"; "abc"; "%"; "aab" ]
+
+let gen_value_of_ty ty =
+  match ty with
+  | Value.Tint ->
+    Gen.map
+      (fun i -> Value.Int i)
+      (Gen.oneof [ Gen.oneofl int_pool; Gen.map Int64.of_int (Gen.int_range (-9) 9) ])
+  | Value.Tfloat ->
+    Gen.map
+      (fun f -> Value.Float f)
+      (Gen.oneof [ Gen.oneofl float_pool; Gen.map float_of_int (Gen.int_range (-9) 9) ])
+  | Value.Tstring -> Gen.map (fun s -> Value.Str s) (Gen.oneofl string_pool)
+  | Value.Tbool -> Gen.map (fun b -> Value.Bool b) Gen.bool
+
+let gen_ty = Gen.oneofl [ Value.Tint; Value.Tfloat; Value.Tstring; Value.Tbool ]
+
+let gen_any_value = Gen.(oneof [ return Value.Null; gen_ty >>= gen_value_of_ty ])
+
+(* A schema of 1-5 columns over all four types, some nullable. *)
+let gen_schema =
+  Gen.(
+    list_size (int_range 1 5) (pair gen_ty bool) >|= fun cols ->
+    Schema.make
+      (List.mapi (fun i (ty, nullable) -> Schema.col ~nullable (Printf.sprintf "c%d" i) ty) cols))
+
+let gen_row schema =
+  Gen.flatten_l
+    (List.map
+       (fun c ->
+         if c.Schema.nullable then
+           Gen.(frequency [ (1, return Value.Null); (4, gen_value_of_ty c.Schema.ty) ])
+         else gen_value_of_ty c.Schema.ty)
+       (Schema.columns schema))
+  |> Gen.map Array.of_list
+
+let gen_expr schema =
+  let n = Schema.arity schema in
+  let col = Gen.map (fun i -> Expr.Col (Printf.sprintf "c%d" i)) (Gen.int_bound (n - 1)) in
+  let leaf = Gen.(oneof [ col; map (fun v -> Expr.Const v) gen_any_value ]) in
+  let cmpop = Gen.oneofl Expr.[ Eq; Neq; Lt; Le; Gt; Ge ] in
+  let binop = Gen.oneofl Expr.[ Add; Sub; Mul; Div; Mod ] in
+  Gen.(
+    sized_size (int_bound 4)
+    @@ fix (fun self size ->
+           if size = 0 then leaf
+           else
+             let sub = self (size / 2) in
+             frequency
+               [ (2, leaf);
+                 (3, map3 (fun op a b -> Expr.Cmp (op, a, b)) cmpop sub sub);
+                 (1, map2 (fun a b -> Expr.And (a, b)) sub sub);
+                 (1, map2 (fun a b -> Expr.Or (a, b)) sub sub);
+                 (1, map (fun a -> Expr.Not a) sub);
+                 (1, map (fun a -> Expr.Is_null a) sub);
+                 (2, map3 (fun op a b -> Expr.Arith (op, a, b)) binop sub
+                       (oneof [ sub; return (Expr.int 0) ]));
+                 (1, map (fun a -> Expr.Neg a) sub);
+                 (1, map2 (fun a p -> Expr.Like (a, p)) sub
+                       (oneofl [ "a%"; "%b"; "_"; "a_c"; "%"; ""; "ab" ]));
+                 (1, map2 (fun a vs -> Expr.In_list (a, vs)) sub
+                       (list_size (int_range 0 3) gen_any_value));
+                 (1, map3 (fun a lo hi -> Expr.Between (a, lo, hi)) sub sub sub) ]))
+
+(* The specialised shape: an INT constant against a column, either side. *)
+let gen_int_cmp schema =
+  let n = Schema.arity schema in
+  Gen.(
+    map4
+      (fun op i k flip ->
+        let c = Expr.Col (Printf.sprintf "c%d" i) and k = Expr.Const (Value.Int k) in
+        if flip then Expr.Cmp (op, k, c) else Expr.Cmp (op, c, k))
+      (oneofl Expr.[ Eq; Neq; Lt; Le; Gt; Ge ])
+      (int_bound (n - 1))
+      (oneof [ oneofl int_pool; map Int64.of_int (int_range (-9) 9) ])
+      bool)
+
+let outcome f = match f () with b -> Ok b | exception Eval.Eval_error _ -> Error ()
+
+(* On the stored encoding of a row — its columns, then two integer
+   annotation fields the predicate must ignore — the record predicate
+   answers what [Eval.qualifies] answers on the row, and raises
+   [Eval_error] exactly when it does. *)
+let prop_record_pred_matches_qualifies =
+  QCheck2.Test.make ~name:"record predicate = Eval.qualifies" ~count:3000
+    ~print:(fun (schema, row, e) ->
+      Printf.sprintf "%s | %s | %s"
+        (String.concat ", " (List.map (fun c -> Value.ty_name c.Schema.ty) (Schema.columns schema)))
+        (Tuple.to_string row) (Expr.to_string e))
+    Gen.(
+      gen_schema >>= fun schema ->
+      triple (return schema) (gen_row schema)
+        (frequency [ (1, gen_int_cmp schema); (2, gen_expr schema) ]))
+    (fun (schema, row, e) ->
+      let stored = Array.append row [| Value.int 65537; Value.Int Int64.min_int |] in
+      let f = Codec.Fields.of_record (Tuple.encode_to_bytes stored) in
+      let pred = Eval.compile_record schema e in
+      outcome (fun () -> pred f) = outcome (fun () -> Eval.qualifies schema row e))
+
+let prop_fields_decode_each_value =
+  QCheck2.Test.make ~name:"walked fields = decoded tuple" ~count:1000
+    Gen.(gen_schema >>= gen_row)
+    (fun row ->
+      let b = Tuple.encode_to_bytes row in
+      let f = Codec.Fields.of_record b in
+      Codec.Fields.count f = Array.length row
+      && Tuple.equal (Codec.Fields.tuple f ~n:(Array.length row)) (Tuple.decode_exactly b))
+
 let suite =
   [
     Alcotest.test_case "typecheck accepts" `Quick test_typecheck_accepts;
@@ -198,4 +318,6 @@ let suite =
     Alcotest.test_case "columns + pp" `Quick test_expr_columns_and_pp;
     Alcotest.test_case "selectivity heuristic" `Quick test_selectivity_heuristic;
     Alcotest.test_case "selectivity measured" `Quick test_selectivity_measured;
+    QCheck_alcotest.to_alcotest prop_record_pred_matches_qualifies;
+    QCheck_alcotest.to_alcotest prop_fields_decode_each_value;
   ]

@@ -550,8 +550,7 @@ let test_attach_snapshot_resumes () =
         let msgs = ref [] in
         ignore
           (Differential.refresh ~base ~snaptime:(Snapshot_table.snaptime snap)
-             ~restrict:(fun t -> salary t < 12)
-             ~project:Fun.id
+             ~restrict:(Annotations.user_pred (fun t -> salary t < 12))
              ~xmit:(fun msg -> msgs := msg :: !msgs)
              ()
             : Differential.report);

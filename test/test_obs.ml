@@ -382,6 +382,27 @@ let test_receiver_ledger () =
    Every field is non-negative and sender plus receiver fit inside the
    refresh's wall time; the residual is what is left of the attempt's
    [wall_us], so phases plus residual are exactly [wall_us]. *)
+(* The scan's six sub-phases are non-negative and sum to [scan_us] (the
+   remainder phase is clamped at 0, so up to clock rounding); a scan that
+   read pages spent time in them. *)
+let check_scan_split where r =
+  let s = r.Manager.sender in
+  let parts =
+    [ ("lock_us", s.Manager.lock_us); ("load_us", s.Manager.load_us);
+      ("fixup_us", s.Manager.fixup_us); ("filter_us", s.Manager.filter_us);
+      ("emit_us", s.Manager.emit_us); ("scan_other_us", s.Manager.scan_other_us) ]
+  in
+  List.iter
+    (fun (name, us) -> checkb (Printf.sprintf "%s: %s >= 0" where name) true (us >= 0.0))
+    parts;
+  let sum = List.fold_left (fun acc (_, us) -> acc +. us) 0.0 parts in
+  checkb
+    (Printf.sprintf "%s: sub-phases (%.1f us) sum to scan_us (%.1f us)" where sum s.Manager.scan_us)
+    true
+    (Float.abs (sum -. s.Manager.scan_us) <= 1.0);
+  checkb (where ^ ": the page phases were timed") true
+    (s.Manager.load_us +. s.Manager.fixup_us +. s.Manager.filter_us +. s.Manager.emit_us > 0.0)
+
 let test_sender_ledger () =
   let clock = Clock.create () in
   let base = Base_table.create ~name:"emp" ~clock emp_schema in
@@ -410,6 +431,7 @@ let test_sender_ledger () =
       (fun (name, us) -> checkb (name ^ " is non-negative") true (us >= 0.0))
       [ ("decode_us", p.decode_us); ("stage_us", p.stage_us); ("freeze_us", p.freeze_us);
         ("replay_us", p.replay_us); ("publish_us", p.publish_us) ];
+    check_scan_split (Printf.sprintf "solo round %d" round) r;
     checkb "fixup_bytes is non-negative" true (s.Manager.fixup_bytes >= 0);
     checkb "the ~100 restamped rows were written" true (r.Manager.fixup_writes >= 100);
     checkb "each fix-up write is an 18-byte patch" true
@@ -453,6 +475,16 @@ let test_sender_ledger () =
   in
   checki "one group of two" 2 (List.hd rs).Manager.group_size;
   let r0 = List.hd rs in
+  List.iter (check_scan_split "group") rs;
+  checkb "one split for the group" true
+    (List.for_all
+       (fun r ->
+         let s = r.Manager.sender in
+         s = { r0.Manager.sender with
+               encode_us = s.Manager.encode_us;
+               send_us = s.Manager.send_us;
+               fixup_bytes = s.Manager.fixup_bytes })
+       rs);
   List.iter
     (fun r ->
       checkb "same wall on every member" true (r.Manager.wall_us = r0.Manager.wall_us);
@@ -472,7 +504,27 @@ let test_sender_ledger () =
     (Printf.sprintf "group: scan + members' phases + residual (%.1f) = wall_us (%.1f)"
        (spent +. r0.Manager.residual_us) r0.Manager.wall_us)
     true
-    (Float.abs (spent +. r0.Manager.residual_us -. r0.Manager.wall_us) < 1e-6)
+    (Float.abs (spent +. r0.Manager.residual_us -. r0.Manager.wall_us) < 1e-6);
+  (* A chunked refresh: page locks per chunk and a catch-up under the
+     table lock, split the same way. *)
+  let wal = Snapdiff_wal.Wal.create () in
+  let cbase = Base_table.create ~page_size:256 ~wal ~name:"cemp" ~clock emp_schema in
+  let cm = Manager.create ~chunk_entries:16 () in
+  Manager.register_base cm cbase;
+  for i = 0 to 199 do
+    ignore (Base_table.insert cbase (emp (Printf.sprintf "c%d" i) (i mod 20)) : Addr.t)
+  done;
+  ignore
+    (Manager.create_snapshot cm ~name:"c" ~base:"cemp"
+       ~restrict:Expr.(col "salary" <. int 12)
+       ~method_:Manager.Differential ()
+      : Manager.refresh_report);
+  List.iteri
+    (fun i (a, _) -> if i mod 4 = 0 then Base_table.update cbase a (emp "cu" (i mod 20)))
+    (Base_table.to_user_list cbase);
+  let rc = Manager.refresh cm "c" in
+  checkb "the refresh ran chunked" true (rc.Manager.chunks > 1);
+  check_scan_split "chunked" rc
 
 let suite =
   [

@@ -40,8 +40,7 @@ let test_snapshot_survives_restart () =
         let snap = Snapshot_table.on_pool ~name:"s" ~schema:emp_schema pool in
         let msgs = ref [] in
         ignore
-          (Differential.refresh ~base ~snaptime:(Snapshot_table.snaptime snap) ~restrict
-             ~project:Fun.id
+          (Differential.refresh ~base ~snaptime:(Snapshot_table.snaptime snap) ~restrict:(Annotations.user_pred restrict)
              ~xmit:(fun m -> msgs := m :: !msgs)
              ()
             : Differential.report);
@@ -65,8 +64,7 @@ let test_snapshot_survives_restart () =
       checkb "index rebuilt + valid" true (Snapshot_table.validate snap = Ok ());
       let msgs = ref [] in
       let r =
-        Differential.refresh ~base ~snaptime:(Snapshot_table.snaptime snap) ~restrict
-          ~project:Fun.id
+        Differential.refresh ~base ~snaptime:(Snapshot_table.snaptime snap) ~restrict:(Annotations.user_pred restrict)
           ~xmit:(fun m -> msgs := m :: !msgs)
           ()
       in

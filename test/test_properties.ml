@@ -203,7 +203,7 @@ let prop_quiescent_refresh =
       let run snaptime =
         let count = ref 0 in
         let r =
-          Differential.refresh ~base ~snaptime ~restrict ~project:Fun.id
+          Differential.refresh ~base ~snaptime ~restrict:(Annotations.user_pred restrict)
             ~xmit:(fun m -> if Refresh_msg.is_data m then incr count)
             ()
         in
@@ -265,8 +265,7 @@ let prop_eager_deferred_equivalent =
         let refresh () =
           let msgs = ref [] in
           ignore
-            (Differential.refresh ~base ~snaptime:(Snapshot_table.snaptime snap) ~restrict
-               ~project:Fun.id
+            (Differential.refresh ~base ~snaptime:(Snapshot_table.snaptime snap) ~restrict:(Annotations.user_pred restrict)
                ~xmit:(fun m -> msgs := m :: !msgs)
                ()
               : Differential.report);
@@ -412,7 +411,7 @@ let prop_message_bounds =
       in
       let data = ref 0 in
       ignore
-        (Differential.refresh ~base ~snaptime ~restrict ~project:Fun.id
+        (Differential.refresh ~base ~snaptime ~restrict:(Annotations.user_pred restrict)
            ~xmit:(fun m -> if Refresh_msg.is_data m then incr data)
            ()
           : Differential.report);
@@ -644,7 +643,7 @@ let prop_pruned_eviction_restart =
         let msgs = ref [] in
         ignore
           (Differential.refresh ?prune ~base:!base
-             ~snaptime:(Snapshot_table.snaptime snap) ~restrict ~project:Fun.id
+             ~snaptime:(Snapshot_table.snaptime snap) ~restrict:(Annotations.user_pred restrict)
              ~xmit:(fun m -> msgs := m :: !msgs)
              ()
             : Differential.report);
@@ -704,7 +703,7 @@ let test_prune_insert_reuse_delete () =
     let msgs = ref [] in
     ignore
       (Differential.refresh ~prune:cache ~base ~snaptime:(Snapshot_table.snaptime snap)
-         ~restrict ~project:Fun.id
+         ~restrict:(Annotations.user_pred restrict)
          ~xmit:(fun m -> msgs := m :: !msgs)
          ()
         : Differential.report);
@@ -823,8 +822,8 @@ let prop_group_solo_byte_identity =
             (fun i (snap, prune) ->
               {
                 Differential.sub_snaptime = Snapshot_table.snaptime snap;
-                sub_restrict = restrict_of thresholds.(i);
-                sub_project = Fun.id;
+                sub_restrict = Annotations.user_pred (restrict_of thresholds.(i));
+                sub_project = None;
                 sub_tail_suppression = None;
                 sub_prune = prune;
                 sub_xmit = (fun m -> outs.(i) := m :: !(outs.(i)));
@@ -846,7 +845,7 @@ let prop_group_solo_byte_identity =
             ignore
               (Differential.refresh ?prune ~base:base_s
                  ~snaptime:(Snapshot_table.snaptime snap)
-                 ~restrict:(restrict_of thresholds.(i)) ~project:Fun.id
+                 ~restrict:(Annotations.user_pred (restrict_of thresholds.(i)))
                  ~xmit:(fun m -> out := m :: !out)
                  ()
                 : Differential.report);
@@ -933,8 +932,8 @@ let prop_group_prune_isolation =
             (fun i (snap, cache) ->
               {
                 Differential.sub_snaptime = Snapshot_table.snaptime snap;
-                sub_restrict = restrict_of thresholds.(i);
-                sub_project = Fun.id;
+                sub_restrict = Annotations.user_pred (restrict_of thresholds.(i));
+                sub_project = None;
                 sub_tail_suppression = None;
                 sub_prune = Some cache;
                 sub_xmit = (fun m -> outs.(i) := m :: !(outs.(i)));
@@ -948,7 +947,7 @@ let prop_group_prune_isolation =
             ignore
               (Differential.refresh ~prune:cache ~base:!base_s
                  ~snaptime:(Snapshot_table.snaptime snap)
-                 ~restrict:(restrict_of thresholds.(i)) ~project:Fun.id
+                 ~restrict:(Annotations.user_pred (restrict_of thresholds.(i)))
                  ~xmit:(fun m -> out := m :: !out)
                  ()
                 : Differential.report);
@@ -1444,8 +1443,7 @@ let test_null_annotation_fallback () =
   let sent = ref 0 in
   let r =
     Differential.refresh ~base ~snaptime:Clock.never
-      ~restrict:(fun t -> salary t < 10)
-      ~project:Fun.id
+      ~restrict:(Annotations.user_pred (fun t -> salary t < 10))
       ~xmit:(function Refresh_msg.Entry _ -> incr sent | _ -> ())
       ()
   in

@@ -668,8 +668,7 @@ let test_eviction_policy_refresh_parity () =
       ignore
         (Core.Differential.refresh ~prune:cache ~base
            ~snaptime:(Core.Snapshot_table.snaptime snap)
-           ~restrict:(fun t -> salary t mod 3 = 0)
-           ~project:Fun.id
+           ~restrict:(Core.Annotations.user_pred (fun t -> salary t mod 3 = 0))
            ~xmit:(fun m -> out := m :: !out)
            ()
           : Core.Differential.report);
