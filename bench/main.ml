@@ -1443,9 +1443,8 @@ let mvcc_bench () =
         Schema.col ~nullable:false "tag" Value.Tint ]
   in
   (* A reader alternates between the latest version and the oldest
-     retained epoch (the latter is where copy-on-update and zigzag pay
-     their read amplification), scanning the whole pinned image and
-     checking its tags are uniform. *)
+     retained epoch, scanning the whole pinned image and checking its
+     tags are uniform. *)
   let reader snap stop =
     let reads = ref 0 and torn = ref 0 and intervals = ref [] in
     let k = ref 0 in
@@ -1481,18 +1480,17 @@ let mvcc_bench () =
   in
   let t =
     Text_table.create
-      [ ("strategy", Text_table.Left); ("u", Text_table.Right);
-        ("commit ms", Text_table.Right); ("pages copied", Text_table.Right);
-        ("bytes copied", Text_table.Right); ("indirections", Text_table.Right);
+      [ ("u", Text_table.Right); ("commit ms", Text_table.Right);
+        ("pages copied", Text_table.Right); ("bytes copied", Text_table.Right);
         ("reads", Text_table.Right); ("in-commit", Text_table.Right);
         ("torn", Text_table.Right) ]
   in
   (* u = 1.0 retags every row per round, giving the uniform-tag torn-read
-     oracle; u = 0.1 touches a tenth of the rows, where the strategies'
-     copy costs actually separate (the oracle does not apply - a partial
-     update legitimately leaves two tags in one image). *)
+     oracle; u = 0.1 touches a tenth of the rows, where a freeze merges
+     only the pages written since the last one (the oracle does not apply
+     - a partial update legitimately leaves two tags in one image). *)
   List.iter
-    (fun (strat, u) ->
+    (fun u ->
       let oracle = u >= 1.0 in
       let clock = Clock.create () in
       let base = Base_table.create ~name:"mv" ~clock schema in
@@ -1504,13 +1502,11 @@ let mvcc_bench () =
       Manager.register_base m base;
       ignore
         (Manager.create_snapshot m ~name:"s" ~base:"mv"
-           ~method_:Manager.Differential ~version_strategy:strat
-           ~version_retain:retain ()
+           ~method_:Manager.Differential ~version_retain:retain ()
           : Manager.refresh_report);
       let snap = Manager.snapshot_table m "s" in
       let c0 k = Metrics.counter_value Metrics.global k in
       let pages0 = c0 "mvcc.pages_copied" and bytes0 = c0 "mvcc.copy_bytes" in
-      let indir0 = c0 "mvcc.read_indirections" in
       let stop = Atomic.make false in
       let readers =
         Array.init n_readers (fun _ -> Domain.spawn (fun () -> reader snap stop))
@@ -1548,54 +1544,46 @@ let mvcc_bench () =
                    ivs))
           0 results
       in
-      let name = VS.strategy_name strat in
       if oracle && torn > 0 then
-        violations :=
-          Printf.sprintf "mvcc: %d torn reads under the %s strategy" torn name
-          :: !violations;
+        violations := Printf.sprintf "mvcc: %d torn reads at u=%.1f" torn u :: !violations;
       if reads = 0 then
         violations :=
-          Printf.sprintf "mvcc: readers completed no reads at all (%s)" name
-          :: !violations;
+          Printf.sprintf "mvcc: readers completed no reads at all (u=%.1f)" u :: !violations;
       if (not quick) && in_commit = 0 then
         violations :=
           Printf.sprintf
-            "mvcc: no read completed while a refresh was committing (%s) - \
+            "mvcc: no read completed while a refresh was committing (u=%.1f) - \
              readers were blocked"
-            name
+            u
           :: !violations;
       let pages = c0 "mvcc.pages_copied" - pages0 in
       let bytes = c0 "mvcc.copy_bytes" - bytes0 in
-      let indir = c0 "mvcc.read_indirections" - indir0 in
       Text_table.add_row t
-        [ name; Printf.sprintf "%.1f" u;
+        [ Printf.sprintf "%.1f" u;
           Printf.sprintf "%.1f" (!commit_wall *. 1e3 /. float_of_int rounds);
-          string_of_int pages; string_of_int bytes; string_of_int indir;
-          string_of_int reads; string_of_int in_commit;
+          string_of_int pages; string_of_int bytes; string_of_int reads;
+          string_of_int in_commit;
           (if oracle then string_of_int torn else "-") ];
       emit
         ~params:
-          [ ("strategy", name); ("u", Printf.sprintf "%.1f" u);
+          [ ("u", Printf.sprintf "%.1f" u);
             ("n", string_of_int n);
             ("retain", string_of_int retain); ("rounds", string_of_int rounds);
             ("commit_ms",
              Printf.sprintf "%.3f" (!commit_wall *. 1e3 /. float_of_int rounds));
             ("pages_copied", string_of_int pages);
-            ("read_indirections", string_of_int indir);
             ("reads", string_of_int reads); ("reads_in_commit", string_of_int in_commit);
             ("torn", if oracle then string_of_int torn else "-") ]
         ~entries_scanned:(n * rounds) ~bytes ())
-    [ (VS.Naive, 1.0); (VS.Naive, 0.1); (VS.Copy_on_update, 1.0);
-      (VS.Copy_on_update, 0.1); (VS.Zigzag, 1.0); (VS.Zigzag, 0.1) ];
+    [ 1.0; 0.1 ];
   Text_table.print t;
   print_endline
     "(every base row is retagged per round, so each committed epoch is a\n\
     \ uniform image; 'torn' counts pinned scans that saw two tags at once\n\
     \ and must be zero; 'in-commit' counts reads that completed while a\n\
     \ refresh commit was streaming - the never-blocked demonstration;\n\
-    \ naive rebuilds the pages written since the last commit by merging\n\
-    \ their post-images into shared pages; copy-on-update and zigzag\n\
-    \ shift cost to the 'indirections' read-amplification column)"
+    \ each commit rebuilds the pages written since the last one by\n\
+    \ merging their post-images into shared pages)"
 
 (* ------------------------------------------------------------------ *)
 (* Vacuum: how much version memory and WAL tail a vacuum reclaims as a
@@ -1783,7 +1771,7 @@ let sections : (string * string * (unit -> unit)) list =
     ("wal", "durability - group-commit sweep, recovery replay, fuzzy checkpoint",
      wal_bench);
     ("fleet", "fleet scheduler - 1k-10k snapshots under staleness SLOs", fleet_bench);
-    ("mvcc", "MVCC epoch ring - pinned readers vs streaming commits, 3 strategies",
+    ("mvcc", "MVCC epoch ring - pinned readers vs streaming commits",
      mvcc_bench);
     ("vacuum", "lifecycle - reclaimed version/WAL bytes vs retention window",
      vacuum_bench);

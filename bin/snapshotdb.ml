@@ -256,8 +256,8 @@ let stats_cmd verbose trace json n rounds u =
    [--chunk-entries N] turns on the chunked concurrent protocol: the
    scan runs under a table intention lock as lock-coupled page chunks
    of roughly N entries, with a WAL-tail catch-up phase at the end. *)
-let refresh_cmd verbose trace json all names n rounds u chunk_entries version_strategy
-    version_retain wal_file =
+let refresh_cmd verbose trace json all names n rounds u chunk_entries version_retain
+    wal_file =
   setup_logs verbose trace;
   let module Workload = Snapdiff_workload.Workload in
   let module Manager = Snapdiff_core.Manager in
@@ -281,24 +281,10 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_st
     | None -> Manager.create ()
   in
   Manager.register_base m base;
-  let version_strategy =
-    Option.map
-      (fun name ->
-        match VS.strategy_of_string name with
-        | Some s -> s
-        | None ->
-          Printf.eprintf
-            "snapshotdb: unknown version strategy %S (expected naive, \
-             copy-on-update, cou, or zigzag)\n"
-            name;
-          exit 2)
-      version_strategy
-  in
   let mk name q method_ =
     ignore
       (Manager.create_snapshot m ~name ~base:(Snapdiff_core.Base_table.name base)
-         ~restrict:(Workload.restrict_fraction q) ~method_ ?version_strategy
-         ~version_retain ()
+         ~restrict:(Workload.restrict_fraction q) ~method_ ~version_retain ()
         : Manager.refresh_report)
   in
   mk "d10" 0.10 Manager.Differential;
@@ -341,9 +327,8 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_st
             r.Manager.sender.emit_us r.Manager.sender.scan_other_us r.Manager.sender.encode_us
             r.Manager.sender.send_us r.Manager.sender.fixup_bytes r.Manager.wall_us
             r.Manager.residual_us;
-          if version_retain > 1 || version_strategy <> None then begin
-            Printf.bprintf buf ", \"version_strategy\": \"%s\", \"versions\": ["
-              (VS.strategy_name (Manager.snapshot_version_strategy m name));
+          if version_retain > 1 then begin
+            Buffer.add_string buf ", \"versions\": [";
             List.iteri
               (fun i vi ->
                 if i > 0 then Buffer.add_string buf ", ";
@@ -391,10 +376,10 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_st
             [ name; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "-"; Printexc.to_string e ])
       results;
     Text_table.print t;
-    if version_retain > 1 || version_strategy <> None then begin
+    if version_retain > 1 then begin
       let vt =
         Text_table.create
-          [ ("snapshot", Text_table.Left); ("strategy", Text_table.Left);
+          [ ("snapshot", Text_table.Left);
             ("retained epochs (epoch@snaptime)", Text_table.Left) ]
       in
       List.iter
@@ -404,7 +389,6 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_st
           | Ok _ ->
             Text_table.add_row vt
               [ name;
-                VS.strategy_name (Manager.snapshot_version_strategy m name);
                 String.concat ", "
                   (List.map
                      (fun vi ->
@@ -786,17 +770,6 @@ let refresh_t =
              per fsync), and after the run reopen it from disk and verify it \
              replays identically.")
   in
-  let version_strategy =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "version-strategy" ] ~docv:"STRAT"
-          ~doc:
-            "MVCC materialization strategy for the snapshots' epoch rings: \
-             $(b,naive), $(b,copy-on-update) (alias $(b,cou)), or \
-             $(b,zigzag).  Each committed refresh publishes an immutable \
-             version; readers pin one and never block on a commit.")
-  in
   let version_retain =
     Arg.(
       value
@@ -805,11 +778,13 @@ let refresh_t =
           ~doc:
             "Keep the last $(docv) committed refresh epochs readable \
              through pinned read transactions (default 1 = only the live \
-             head, the pre-MVCC behaviour).")
+             head, the pre-MVCC behaviour).  Each committed refresh \
+             publishes an immutable version; readers pin one and never \
+             block on a commit.")
   in
   Term.(
     const refresh_cmd $ verbose_t $ trace_t $ json $ all $ names $ n $ rounds $ u
-    $ chunk_entries $ version_strategy $ version_retain $ wal_file)
+    $ chunk_entries $ version_retain $ wal_file)
 
 let vacuum_t =
   let json =

@@ -220,6 +220,7 @@ let apply_skip st = function
     st.st_pages_skipped <- st.st_pages_skipped + 1;
     st.skipped <- st.skipped + s.Base_table.sum_live;
     (match page_last_qual with Some l -> st.last_qual <- l | None -> ())
+  (* Both callers route [Decode] pages to the decode path, never here. *)
   | Decode -> assert false
 
 (* The per-page scan body.  Everything stateful (decisions, fix-up,

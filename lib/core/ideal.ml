@@ -15,6 +15,7 @@ let decide ~restrict before after =
     match (before_qual, before, after) with
     | true, Some b, Some a when Snapdiff_storage.Tuple.equal b a -> `Nothing
     | _, _, Some a -> `Upsert a
+    (* [after_qual] holds only for [after = Some _]. *)
     | _, _, None -> assert false
   else if before_qual then `Remove
   else `Nothing

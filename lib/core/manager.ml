@@ -257,8 +257,6 @@ let with_read_txn ?epoch t name f =
 
 let snapshot_versions t name = Snapshot_table.versions (snapshot t name).table
 
-let snapshot_version_strategy t name = Snapshot_table.version_strategy (snapshot t name).table
-
 let snapshot_base t name = (snapshot t name).base_name
 
 let snapshot_method t name = (snapshot t name).spec
@@ -1475,11 +1473,11 @@ let compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
 
 let create_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
     ?(method_ = Auto) ?link ?(tail_suppression = false) ?(prune = true) ?selectivity
-    ?version_strategy ?version_retain () =
+    ?version_retain () =
   let s =
     compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
       ~tail_suppression ~prune ?selectivity (fun schema ->
-        Snapshot_table.create ?version_strategy ?version_retain ~name ~schema ())
+        Snapshot_table.create ?version_retain ~name ~schema ())
   in
   let bst = base_state t base_name in
   (* Change capture must be live before the initial population so that the
@@ -1521,7 +1519,7 @@ let create_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
    per-snapshot failure that leaves the catalog unchanged. *)
 let attach_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
     ?(method_ = Auto) ?link ?(tail_suppression = false) ?(prune = true) ?selectivity
-    ?snaptime ?version_strategy ?version_retain pool =
+    ?snaptime ?version_retain pool =
   if method_ = Ideal then
     (* Change capture installed now would have missed everything between
        the persisted snaptime and this attach. *)
@@ -1530,7 +1528,7 @@ let attach_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
   let s =
     compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
       ~tail_suppression ~prune ?selectivity (fun schema ->
-        Snapshot_table.on_pool ?snaptime ?version_strategy ?version_retain ~name ~schema pool)
+        Snapshot_table.on_pool ?snaptime ?version_retain ~name ~schema pool)
   in
   Hashtbl.replace t.snapshots (key name) s;
   sync_cursor_lease t s;

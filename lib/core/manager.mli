@@ -263,7 +263,6 @@ val create_snapshot :
   ?tail_suppression:bool ->
   ?prune:bool ->
   ?selectivity:float ->
-  ?version_strategy:Snapshot_table.Version_store.strategy ->
   ?version_retain:int ->
   unit ->
   refresh_report
@@ -279,11 +278,10 @@ val create_snapshot :
     restriction, an unknown/hidden projection column, or [Log_based]
     without a WAL; {!Duplicate_name}; {!Unknown_table}.
 
-    [version_strategy] (default [Naive]) and [version_retain] (default 1)
-    configure the snapshot's MVCC epoch ring (see
-    {!Snapshot_table.read_txn} and {!read_txn}): every committed refresh
-    publishes an immutable version, the last [version_retain] of which
-    stay pinned-readable while refreshes keep committing. *)
+    [version_retain] (default 1) configures the snapshot's MVCC epoch
+    ring (see {!Snapshot_table.read_txn} and {!read_txn}): every committed
+    refresh publishes an immutable version, the last [version_retain] of
+    which stay pinned-readable while refreshes keep committing. *)
 
 val attach_snapshot :
   t ->
@@ -297,7 +295,6 @@ val attach_snapshot :
   ?prune:bool ->
   ?selectivity:float ->
   ?snaptime:Clock.ts ->
-  ?version_strategy:Snapshot_table.Version_store.strategy ->
   ?version_retain:int ->
   Snapdiff_storage.Buffer_pool.t ->
   unit
@@ -369,8 +366,6 @@ val with_read_txn :
 
 val snapshot_versions : t -> string -> Snapshot_table.Version_store.version_info list
 (** The named snapshot's retained version ring, newest first. *)
-
-val snapshot_version_strategy : t -> string -> Snapshot_table.Version_store.strategy
 
 val snapshot_base : t -> string -> string
 (** Name of the base table a snapshot is defined over. *)

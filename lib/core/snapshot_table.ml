@@ -104,11 +104,10 @@ let make_live ~user ~heap ~index : Version_store.live =
     live_count = (fun () -> Heap.count heap);
   }
 
-let make_versions ?version_strategy ?version_retain ~user ~heap ~index () =
-  let strategy = Option.value version_strategy ~default:Version_store.Naive in
+let make_versions ?version_retain ~user ~heap ~index () =
   let retain = Option.value version_retain ~default:1 in
   let live = make_live ~user ~heap ~index in
-  Version_store.create ~strategy ~retain ~page_span:version_page_span ~live ()
+  Version_store.create ~retain ~page_span:version_page_span ~live ()
 
 (* The horizon's veto on version reclamation: an unpinned version stays
    as long as a live lease names an epoch at or below its own, or the
@@ -134,7 +133,7 @@ let make_horizon ?version_retain ?retain_duration () =
   let retain_epochs = max 1 (Option.value version_retain ~default:1) in
   Horizon.create ~policy:{ Horizon.retain_epochs; retain_duration } ()
 
-let create ?(page_size = 4096) ?(frames = 128) ?version_strategy ?version_retain
+let create ?(page_size = 4096) ?(frames = 128) ?version_retain
     ?retain_duration ~name ~schema () =
   let stored =
     Schema.extend schema [ Schema.col ~nullable:false baseaddr_col Value.Tint ]
@@ -156,12 +155,12 @@ let create ?(page_size = 4096) ?(frames = 128) ?version_strategy ?version_retain
     last_abort = None;
     committed_epoch = -1;
     last_phases = no_phases;
-    versions = make_versions ?version_strategy ?version_retain ~user:schema ~heap ~index ();
+    versions = make_versions ?version_retain ~user:schema ~heap ~index ();
     horizon = make_horizon ?version_retain ?retain_duration ();
   }
   |> with_guard
 
-let on_pool ?(snaptime = Clock.never) ?version_strategy ?version_retain ?retain_duration
+let on_pool ?(snaptime = Clock.never) ?version_retain ?retain_duration
     ~name ~schema pool =
   let stored =
     Schema.extend schema [ Schema.col ~nullable:false baseaddr_col Value.Tint ]
@@ -191,7 +190,7 @@ let on_pool ?(snaptime = Clock.never) ?version_strategy ?version_retain ?retain_
     last_abort = None;
     committed_epoch = -1;
     last_phases = no_phases;
-    versions = make_versions ?version_strategy ?version_retain ~user:schema ~heap ~index ();
+    versions = make_versions ?version_retain ~user:schema ~heap ~index ();
     horizon = make_horizon ?version_retain ?retain_duration ();
   }
   |> with_guard
@@ -261,12 +260,11 @@ let rewrite_row t base_addr rid stored =
 let probe t lo = Int_btree.find_first t.index ~lo
 
 (* Every mutation funnels through {!Version_store.write}, naming its
-   post-image: when versions are retained or pinned, the store captures
-   the touched page's pre-image, records the post-image for the next Naive
-   freeze, and holds its lock across the mutation so pinned readers never
-   observe a half-applied entry; when the store is inert — the default —
-   the mutation runs directly, one boolean test away from the pre-MVCC
-   code.  [found] is the probe's answer at [base_addr]: the row to
+   post-image: when versions are retained or pinned, the store records
+   the post-image for the next freeze and holds its lock across the
+   mutation so pinned readers never observe a half-applied entry; when
+   the store is inert — the default — the mutation runs directly, one
+   boolean test away from the pre-MVCC code.  [found] is the probe's answer at [base_addr]: the row to
    rewrite when it names [base_addr], an insert otherwise. *)
 let put t base_addr found values =
   let stored = stored_tuple t base_addr values in
@@ -513,7 +511,6 @@ let tuples t = List.rev (fold t ~init:[] ~f:(fun acc _ values -> values :: acc))
 
 type read_txn = { rt_table : t; rt_txn : Version_store.txn; rt_lease : Lease.t }
 
-let version_strategy t = Version_store.strategy t.versions
 let version_retain t = Version_store.retain t.versions
 let versions t = Version_store.versions t.versions
 

@@ -33,7 +33,6 @@ exception Corrupt_snapshot of string
 val create :
   ?page_size:int ->
   ?frames:int ->
-  ?version_strategy:Version_store.strategy ->
   ?version_retain:int ->
   ?retain_duration:Clock.ts ->
   name:string ->
@@ -43,11 +42,11 @@ val create :
 (** [schema] is the (already projected) user schema of the snapshot's
     contents.
 
-    [version_strategy] (default [Naive]) and [version_retain] (default 1)
-    configure the MVCC epoch ring: each committed framed stream publishes
-    an immutable version, the last [version_retain] of which stay readable
-    through {!read_txn}.  The defaults are the inert fast path — commits
-    mutate in place exactly as before versioning existed.
+    [version_retain] (default 1) configures the MVCC epoch ring: each
+    committed framed stream publishes an immutable version, the last
+    [version_retain] of which stay readable through {!read_txn}.  The
+    default is the inert fast path — commits mutate in place exactly as
+    before versioning existed.
 
     [retain_duration] (clock ticks; default none) is the time half of the
     retention policy: versions younger than this against the snapshot's
@@ -56,7 +55,6 @@ val create :
 
 val on_pool :
   ?snaptime:Clock.ts ->
-  ?version_strategy:Version_store.strategy ->
   ?version_retain:int ->
   ?retain_duration:Clock.ts ->
   name:string ->
@@ -258,8 +256,6 @@ val txn_lookup : read_txn -> column:string -> Value.t -> Addr.t list
     ascending.  Secondary indexes track only the live image, so this is
     an index-free scan of the version.  Raises [Invalid_argument] on an
     unknown column (no index required). *)
-
-val version_strategy : t -> Version_store.strategy
 
 val version_retain : t -> int
 

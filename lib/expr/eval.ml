@@ -67,6 +67,7 @@ let apply_arith op a b =
     let f = function
       | Value.Int x -> Int64.to_float x
       | Value.Float x -> x
+      (* The outer match admits only [Int]/[Float] operands. *)
       | _ -> assert false
     in
     let x = f a and y = f b in

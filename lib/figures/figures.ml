@@ -401,6 +401,7 @@ let amortization_ablation ?(seed = 29) ?(n = 5_000) ?(u = 0.1) () =
       List.init k (fun i -> Snapdiff_core.Manager.refresh mgr (Printf.sprintf "s%d" i))
     in
     match reports with
+    (* [run] is only called with k in {1, 2, 4, 8}: at least one report. *)
     | [] -> assert false
     | first :: rest ->
       {

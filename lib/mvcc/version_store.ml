@@ -5,11 +5,9 @@ module Clock = Snapdiff_txn.Clock
 let m_versions_live = Metrics.gauge Metrics.global "mvcc.versions_live"
 let m_copy_bytes = Metrics.counter Metrics.global "mvcc.copy_bytes"
 let m_pages_copied = Metrics.counter Metrics.global "mvcc.pages_copied"
-let m_read_indirections = Metrics.counter Metrics.global "mvcc.read_indirections"
 let m_commits = Metrics.counter Metrics.global "mvcc.commits"
 let m_reclaimed = Metrics.counter Metrics.global "mvcc.versions_reclaimed"
 let m_zombie_reclaimed = Metrics.counter Metrics.global "mvcc.zombies_reclaimed"
-let m_copyouts = Metrics.counter Metrics.global "mvcc.zigzag_copyouts"
 let m_pins = Metrics.counter Metrics.global "mvcc.pins"
 
 exception Epoch_not_retained of { requested : int; live_lo : int; live_hi : int }
@@ -22,20 +20,6 @@ let () =
            live_lo live_hi)
     | _ -> None)
 
-type strategy = Naive | Copy_on_update | Zigzag
-
-let strategy_name = function
-  | Naive -> "naive"
-  | Copy_on_update -> "copy-on-update"
-  | Zigzag -> "zigzag"
-
-let strategy_of_string s =
-  match String.lowercase_ascii s with
-  | "naive" -> Some Naive
-  | "cou" | "copy-on-update" | "copy_on_update" -> Some Copy_on_update
-  | "zigzag" -> Some Zigzag
-  | _ -> None
-
 type page = (Addr.t * Tuple.t) array
 
 type live = {
@@ -45,32 +29,16 @@ type live = {
   live_count : unit -> int;
 }
 
-(* A Naive frozen page: its rows, plus their addresses and encoded sizes
+(* A frozen page: its rows, plus their addresses and encoded sizes
    ([row_bytes]) as flat int arrays and the page's byte total.  A merge
    locates its post-images and moves the total by the delta from these
    alone, never touching the scattered blocks of untouched rows. *)
 type npage = { rows : page; addrs : int array; sizes : int array; bytes : int }
 
-(* One frozen view per strategy:
-
-   - [Frozen_naive]: a complete page table (absent pid = empty).  Pages
-     are immutable and shared with the neighbouring freezes' tables.
-   - [Frozen_cou]: overrides laid over the live table.  Invariant: a pid
-     with no override is untouched since the version froze, so the live
-     page *is* the version's page (the one read indirection).
-   - [Frozen_zz]: a snapshot of the current-slot bitmap plus copy-out
-     overrides; pids never dirtied since store creation have no slot pair
-     and read through to live. *)
-type view =
-  | Live
-  | Frozen_naive of (int, npage) Hashtbl.t
-  | Frozen_cou of (int, page option) Hashtbl.t
-  | Frozen_zz of zz_view
-
-and zz_view = {
-  zv_bits : Bytes.t;  (* current-slot bit per pid at freeze; beyond length = 0 *)
-  zv_over : (int, page option) Hashtbl.t;  (* copy-outs *)
-}
+(* The live head reads through the host; a frozen version owns a
+   complete page table (absent pid = empty) whose pages are immutable and
+   shared with the neighbouring freezes' tables. *)
+type view = Live | Frozen of (int, npage) Hashtbl.t
 
 type version = {
   mutable v_epoch : int;
@@ -81,27 +49,21 @@ type version = {
 }
 
 type t = {
-  strat : strategy;
   keep : int;
   span : int;
   live : live;
   lock : Mutex.t;
   mutable ring : version list;  (* newest first; head is the live image *)
   mutable zombies : version list;
-  (* Zigzag shared state: two page slots per ever-dirtied pid, plus the
-     bit saying which slot the *next* freeze will reference. *)
-  zz_slots : (int, page option array) Hashtbl.t;
-  mutable zz_cur : Bytes.t;
   (* In-flight commit bookkeeping. *)
   mutable committing : bool;
   mutable froze_head : bool;  (* this commit took the freeze (slow) path *)
-  touched : (int, unit) Hashtbl.t;  (* pids captured this commit *)
-  (* Naive incremental freeze: the last freeze's page table, valid while
+  (* Incremental freeze: the last freeze's page table, valid while
      [dirty] holds the post-image of every mutation since, per pid, newest
      first ([None] = deleted).  Dropped when the store goes inert (writes
      then bypass it) and on [`All]; the next freeze then builds from
      scratch. *)
-  mutable nv_base : (int, npage) Hashtbl.t option;
+  mutable freeze_base : (int, npage) Hashtbl.t option;
   dirty : (int, posts ref) Hashtbl.t;
   (* Cached "mutations need interception" flag: one unsynchronized read on
      the write path keeps the inert default at zero overhead. *)
@@ -119,49 +81,23 @@ and posts = (Addr.t * Tuple.t option) list
 type txn = { tx_store : t; tx_version : version; mutable tx_pinned : bool }
 
 (* ------------------------------------------------------------------ *)
-(* Bit vector helpers (grow-on-demand; reads beyond length are 0).     *)
 
-let bit_get b i =
-  let byte = i lsr 3 in
-  if byte >= Bytes.length b then 0
-  else (Char.code (Bytes.unsafe_get b byte) lsr (i land 7)) land 1
-
-let ensure_bits t i =
-  let byte = i lsr 3 in
-  if byte >= Bytes.length t.zz_cur then begin
-    let b = Bytes.make (max (byte + 1) (2 * Bytes.length t.zz_cur + 8)) '\000' in
-    Bytes.blit t.zz_cur 0 b 0 (Bytes.length t.zz_cur);
-    t.zz_cur <- b
-  end
-
-let bit_flip t i =
-  ensure_bits t i;
-  let byte = i lsr 3 in
-  let c = Char.code (Bytes.get t.zz_cur byte) in
-  Bytes.set t.zz_cur byte (Char.chr (c lxor (1 lsl (i land 7))))
-
-(* ------------------------------------------------------------------ *)
-
-let create ?(strategy = Naive) ?(retain = 1) ?(page_span = 64) ~live () =
+let create ?(retain = 1) ?(page_span = 64) ~live () =
   if page_span < 1 then invalid_arg "Version_store.create: page_span < 1";
   let head =
     { v_epoch = -1; v_snaptime = Clock.never; v_pins = 0; v_view = Live; v_dead = false }
   in
   Metrics.shift m_versions_live 1.0;
   {
-    strat = strategy;
     keep = max 1 retain;
     span = page_span;
     live;
     lock = Mutex.create ();
     ring = [ head ];
     zombies = [];
-    zz_slots = Hashtbl.create 16;
-    zz_cur = Bytes.create 0;
     committing = false;
     froze_head = false;
-    touched = Hashtbl.create 16;
-    nv_base = None;
+    freeze_base = None;
     dirty = Hashtbl.create 64;
     is_active = false;
     guard = (fun ~epoch:_ ~snaptime:_ -> true);
@@ -169,7 +105,6 @@ let create ?(strategy = Naive) ?(retain = 1) ?(page_span = 64) ~live () =
 
 let set_reclaim_guard t g = t.guard <- g
 
-let strategy t = t.strat
 let retain t = t.keep
 let page_span t = t.span
 let active t = t.is_active
@@ -179,13 +114,13 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let drop_base t =
-  if t.nv_base <> None then begin
-    t.nv_base <- None;
+  if t.freeze_base <> None then begin
+    t.freeze_base <- None;
     Hashtbl.reset t.dirty
   end
 
 (* Recompute the interception flag; call with the lock held.  An inert
-   store stops seeing writes, so the Naive base goes with it. *)
+   store stops seeing writes, so the freeze base goes with it. *)
 let refresh_active t =
   t.is_active <-
     (match t.ring with
@@ -195,96 +130,16 @@ let refresh_active t =
 
 let row_bytes tup = 8 + Tuple.encoded_size tup
 
-let page_bytes (p : page option) =
-  match p with
-  | None -> 0
-  | Some p -> Array.fold_left (fun acc (_, tup) -> acc + row_bytes tup) 0 p
+let page_bytes (p : page) = Array.fold_left (fun acc (_, tup) -> acc + row_bytes tup) 0 p
 
 let note_bytes n =
   Metrics.incr m_pages_copied;
   Metrics.add m_copy_bytes n
 
-let note_copy p = note_bytes (page_bytes p)
-
-let frozen_versions t =
-  List.filter (fun v -> v.v_view <> Live) t.ring @ t.zombies
-
-(* ------------------------------------------------------------------ *)
-(* Capture: strategy-specific pre-image bookkeeping.  All run with the
-   lock held, *before* the host mutates the page in question, at most
-   once per pid per commit (raw writes re-run, which is idempotent). *)
-
-let capture_cou t pid =
-  let pre = lazy (t.live.live_page pid) in
-  List.iter
-    (fun v ->
-      match v.v_view with
-      | Frozen_cou over when not (Hashtbl.mem over pid) ->
-        let p = Lazy.force pre in
-        note_copy p;
-        Hashtbl.replace over pid p
-      | _ -> ())
-    (frozen_versions t)
-
-(* Zigzag: slot [cur pid] already holds the value every version whose bit
-   points there needs (the post-image written when the bit last flipped),
-   and the pre-image of the current dirtying *is* that value, so touching
-   an already-slotted pid costs nothing here.  First-ever dirty of a pid
-   materializes both slots with the pre-image so every frozen version
-   (whatever its bit) stops reading through to live before live changes. *)
-let capture_zz t pid =
-  if not (Hashtbl.mem t.zz_slots pid) then begin
-    let pre = t.live.live_page pid in
-    note_copy pre;
-    Hashtbl.replace t.zz_slots pid [| pre; pre |]
-  end
-
-(* A raw (non-commit) write under retained zigzag versions demotes the pid
-   to read-through form: every frozen version takes a private copy of the
-   page image it was reading (its slot, or the live page when the pid was
-   never slotted), then the slot pair is dropped — future freezes read the
-   raw-mutated page through live again.  The slot invariant — slot[cur]
-   holds the pid's current live image — only survives mutations the store
-   intercepts, and raw writes have no post-image hook to re-establish it. *)
-let demote_zz t pid =
-  let slots = Hashtbl.find_opt t.zz_slots pid in
-  let pre = lazy (t.live.live_page pid) in
-  List.iter
-    (fun v ->
-      match v.v_view with
-      | Frozen_zz zv when not (Hashtbl.mem zv.zv_over pid) ->
-        let p =
-          match slots with
-          | Some slots -> slots.(bit_get zv.zv_bits pid)
-          | None -> Lazy.force pre
-        in
-        note_copy p;
-        Metrics.incr m_copyouts;
-        Hashtbl.replace zv.zv_over pid p
-      | _ -> ())
-    (frozen_versions t);
-  Hashtbl.remove t.zz_slots pid
-
-let capture_pid t pid =
-  if t.committing then begin
-    if not (Hashtbl.mem t.touched pid) then begin
-      Hashtbl.replace t.touched pid ();
-      match t.strat with
-      | Naive -> ()  (* the freeze already cloned everything *)
-      | Copy_on_update -> capture_cou t pid
-      | Zigzag -> capture_zz t pid
-    end
-  end
-  else
-    (* Legacy raw write: frozen versions must stop depending on live for
-       this pid before it changes under them. *)
-    match t.strat with
-    | Naive -> ()
-    | Copy_on_update -> capture_cou t pid
-    | Zigzag -> demote_zz t pid
-
-(* Naive: remember the mutation's post-image for the next freeze's merge.
-   A clear empties every page at once; the next freeze rebuilds instead. *)
+(* Remember the mutation's post-image for the next freeze's merge.  A
+   clear empties every page at once; the next freeze rebuilds instead.
+   Frozen pages never read through to live, so nothing is captured
+   before the host mutates. *)
 let note_post t target =
   let push addr post =
     let pid = addr / t.span in
@@ -292,7 +147,7 @@ let note_post t target =
     | Some l -> l := (addr, post) :: !l
     | None -> Hashtbl.add t.dirty pid (ref [ (addr, post) ])
   in
-  if t.nv_base <> None then
+  if t.freeze_base <> None then
     match target with
     | `Put (addr, tup) -> push addr (Some tup)
     | `Del addr -> push addr None
@@ -302,9 +157,6 @@ let write t target mutate =
   if not t.is_active then mutate ()
   else
     locked t (fun () ->
-        (match target with
-        | `Put (addr, _) | `Del addr -> capture_pid t (addr / t.span)
-        | `All -> List.iter (capture_pid t) (t.live.live_pids ()));
         match mutate () with
         | v ->
           note_post t target;
@@ -319,7 +171,7 @@ let write t target mutate =
 (* ------------------------------------------------------------------ *)
 (* Commit protocol. *)
 
-(* Naive freeze without a base: every live page, read through the host. *)
+(* Freeze without a base: every live page, read through the host. *)
 let build_pages t =
   let pages = Hashtbl.create 64 in
   List.iter
@@ -415,7 +267,7 @@ let merge_page old (posts : posts) =
     Some { rows = out; addrs = out_addrs; sizes = out_sizes; bytes = !bytes }
   end
 
-(* Naive freeze from a base: share its pages and rebuild only the dirty
+(* Freeze from a base: share its pages and rebuild only the dirty
    pids, each by one merge — no host read, no decode. *)
 let merge_pages t base =
   let pages = Hashtbl.copy base in
@@ -430,31 +282,15 @@ let merge_pages t base =
   pages
 
 let freeze_head t head =
-  (* While no frozen version is retained, writes bypass the store, so the
-     zigzag slot pairs can be stale (slot[cur] no longer the live image).
-     Nothing references them in that state — reset and rebuild from the
-     coming commit's pre-images. *)
-  if t.strat = Zigzag && frozen_versions t = [] then Hashtbl.reset t.zz_slots;
-  let view =
-    match t.strat with
-    | Naive ->
-      let pages =
-        match t.nv_base with Some base -> merge_pages t base | None -> build_pages t
-      in
-      t.nv_base <- Some pages;
-      Hashtbl.reset t.dirty;
-      Frozen_naive pages
-    | Copy_on_update -> Frozen_cou (Hashtbl.create 16)
-    | Zigzag ->
-      Frozen_zz { zv_bits = Bytes.copy t.zz_cur; zv_over = Hashtbl.create 4 }
-  in
-  head.v_view <- view
+  let pages = match t.freeze_base with Some base -> merge_pages t base | None -> build_pages t in
+  t.freeze_base <- Some pages;
+  Hashtbl.reset t.dirty;
+  head.v_view <- Frozen pages
 
 let begin_commit t =
   locked t (fun () ->
       if t.committing then invalid_arg "Version_store.begin_commit: already committing";
       t.committing <- true;
-      Hashtbl.reset t.touched;
       let head = List.hd t.ring in
       (* Inert fast path: nothing retained, nobody watching — the commit
          mutates the live image in place, exactly the un-versioned table. *)
@@ -465,43 +301,15 @@ let begin_commit t =
         refresh_active t
       end)
 
-(* Publish side of zigzag: flip each dirty pid's bit and write the
-   post-image into the newly current slot (the slot the *next* freeze's
-   bitmap will reference).  Retained versions still pointing at that slot
-   take a private copy first. *)
-let zz_publish t =
-  Hashtbl.iter
-    (fun pid () ->
-      match Hashtbl.find_opt t.zz_slots pid with
-      | None -> ()
-      | Some slots ->
-        let o = 1 - bit_get t.zz_cur pid in
-        List.iter
-          (fun v ->
-            match v.v_view with
-            | Frozen_zz zv
-              when bit_get zv.zv_bits pid = o && not (Hashtbl.mem zv.zv_over pid) ->
-              let p = slots.(o) in
-              note_copy p;
-              Metrics.incr m_copyouts;
-              Hashtbl.replace zv.zv_over pid p
-            | _ -> ())
-          (frozen_versions t);
-        let post = t.live.live_page pid in
-        note_copy post;
-        slots.(o) <- post;
-        bit_flip t pid)
-    t.touched
+(* The view a freed version keeps: empty, and never mutated (no frozen
+   table is). *)
+let freed : (int, npage) Hashtbl.t = Hashtbl.create 1
 
 let free_version v =
-  (* Drop the bulk structures eagerly; the record itself is small.  A
-     Naive table may still be the next freeze's base, so it is only
-     unreferenced here. *)
-  (match v.v_view with
-  | Live | Frozen_naive _ -> ()
-  | Frozen_cou over -> Hashtbl.reset over
-  | Frozen_zz zv -> Hashtbl.reset zv.zv_over);
-  v.v_view <- Frozen_cou (Hashtbl.create 1);
+  (* Drop the page table so its pages can go; the record itself is small.
+     The table may still be the next freeze's base, so it is only
+     unreferenced here, never emptied. *)
+  v.v_view <- Frozen freed;
   Metrics.shift m_versions_live (-1.0);
   Metrics.incr m_reclaimed
 
@@ -517,7 +325,6 @@ let end_commit t ~epoch ~snaptime =
         head.v_snaptime <- snaptime
       end
       else begin
-        if t.strat = Zigzag then zz_publish t;
         let head =
           { v_epoch = epoch; v_snaptime = snaptime; v_pins = 0; v_view = Live; v_dead = false }
         in
@@ -546,7 +353,6 @@ let end_commit t ~epoch ~snaptime =
         in
         t.ring <- trim 0 ring
       end;
-      Hashtbl.reset t.touched;
       refresh_active t)
 
 (* ------------------------------------------------------------------ *)
@@ -609,43 +415,13 @@ let check_pinned tx op = if not tx.tx_pinned then invalid_arg ("Version_store." 
 let resolve_page t v pid : page option =
   match v.v_view with
   | Live -> t.live.live_page pid
-  | Frozen_naive pages -> Option.map (fun np -> np.rows) (Hashtbl.find_opt pages pid)
-  | Frozen_cou over -> (
-    match Hashtbl.find_opt over pid with
-    | Some p -> p
-    | None ->
-      Metrics.incr m_read_indirections;
-      t.live.live_page pid)
-  | Frozen_zz zv -> (
-    match Hashtbl.find_opt zv.zv_over pid with
-    | Some p -> p
-    | None -> (
-      match Hashtbl.find_opt t.zz_slots pid with
-      | Some slots ->
-        Metrics.incr m_read_indirections;
-        slots.(bit_get zv.zv_bits pid)
-      | None ->
-        Metrics.incr m_read_indirections;
-        t.live.live_page pid))
+  | Frozen pages -> Option.map (fun np -> np.rows) (Hashtbl.find_opt pages pid)
 
 (* The pids that may be non-empty at the pinned version; lock held. *)
 let candidate_pids t v =
-  let add set pid = if not (Hashtbl.mem set pid) then Hashtbl.replace set pid () in
   match v.v_view with
   | Live -> t.live.live_pids ()
-  | Frozen_naive pages ->
-    List.sort compare (Hashtbl.fold (fun pid _ acc -> pid :: acc) pages [])
-  | Frozen_cou over ->
-    let set = Hashtbl.create 64 in
-    List.iter (add set) (t.live.live_pids ());
-    Hashtbl.iter (fun pid _ -> add set pid) over;
-    List.sort compare (Hashtbl.fold (fun pid () acc -> pid :: acc) set [])
-  | Frozen_zz zv ->
-    let set = Hashtbl.create 64 in
-    List.iter (add set) (t.live.live_pids ());
-    Hashtbl.iter (fun pid _ -> add set pid) t.zz_slots;
-    Hashtbl.iter (fun pid _ -> add set pid) zv.zv_over;
-    List.sort compare (Hashtbl.fold (fun pid () acc -> pid :: acc) set [])
+  | Frozen pages -> List.sort compare (Hashtbl.fold (fun pid _ acc -> pid :: acc) pages [])
 
 let page_table tx =
   check_pinned tx "page_table";
@@ -654,9 +430,9 @@ let page_table tx =
       List.filter_map
         (fun pid ->
           match v.v_view with
-          | Frozen_naive pages ->
+          | Frozen pages ->
             Option.map (fun np -> (pid, np.rows, np.bytes)) (Hashtbl.find_opt pages pid)
-          | _ -> Option.map (fun p -> (pid, p, page_bytes (Some p))) (resolve_page t v pid))
+          | Live -> Option.map (fun p -> (pid, p, page_bytes p)) (t.live.live_page pid))
         (candidate_pids t v))
 
 let find_in_page (p : page) addr =
@@ -687,10 +463,10 @@ let get tx addr =
         | Some p -> find_in_page p addr))
 
 let iter_pages tx f =
-  (* Fetch the pid list and then each page under short lock windows; the
-     per-page capture discipline (pre-images installed before any live
-     mutation) keeps every fetch consistent with the pinned version no
-     matter how a concurrent commit interleaves. *)
+  (* Fetch the pid list and then each page under short lock windows.
+     Frozen pages never change, and a commit freezes a pinned head before
+     it mutates anything, so every fetch is consistent with the pinned
+     version no matter how a concurrent commit interleaves. *)
   let t = tx.tx_store in
   let pids = locked t (fun () -> candidate_pids t tx.tx_version) in
   List.iter
@@ -783,9 +559,7 @@ type vacuum_stats = {
 let version_bytes v =
   match v.v_view with
   | Live -> 0
-  | Frozen_naive pages -> Hashtbl.fold (fun _ np acc -> acc + np.bytes) pages 0
-  | Frozen_cou over -> Hashtbl.fold (fun _ p acc -> acc + page_bytes p) over 0
-  | Frozen_zz zv -> Hashtbl.fold (fun _ p acc -> acc + page_bytes p) zv.zv_over 0
+  | Frozen pages -> Hashtbl.fold (fun _ np acc -> acc + np.bytes) pages 0
 
 let vacuum ?older_than ?(dry_run = false) t =
   locked t (fun () ->

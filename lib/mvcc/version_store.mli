@@ -14,50 +14,35 @@
     (refcount-gated reclamation — evicted-but-pinned versions park on a
     zombie list until released).
 
-    {2 Materialization strategies}
+    {2 Materialization}
 
-    How the image of a superseded epoch is kept is pluggable, following
+    Every frozen epoch owns a complete page table (the Naive strategy of
     {e A Comparative Study of Consistent Snapshot Algorithms for
-    Main-Memory Database Systems}:
-
-    - {b Naive} — every frozen epoch owns a complete page table, so reads
-      have zero amplification.  The store records each mutation's
-      post-image while it is active, and a freeze shares the previous
-      freeze's immutable pages, rebuilding only the pages written since
-      (one merge of the old sorted page with the sorted post-images).
-      Commit cost is O(rows changed since the last freeze) plus one
-      O(pages) table copy.  Only a freeze with no base — the first, the
-      first after the store was inert, or the first after an [`All]
-      write — reads every live page through the host.
-    - {b Copy-on-update} — the commit installs only the epoch's dirty-page
-      pre-images over the shared live base; a read chases at most one
-      indirection (override miss -> live page).  Cheapest commit,
-      read amplification proportional to the untouched fraction.
-    - {b Zigzag} — two page slots per dirtied page plus a current-slot
-      bitmap flipped per epoch: the commit writes the pre-image into the
-      inactive slot and (at publish) the post-image into the newly
-      flipped slot, so retained versions read their slot directly;
-      pages referenced by both slots across > 2 retained epochs fall
-      back to a per-version copy-out.
-
-    All three maintain the identical logical image per epoch (pinned by a
-    qcheck property in the test suite) and differ only in copy cost vs
-    read amplification — measured by [bench mvcc].
+    Main-Memory Database Systems}), so a read never chases an
+    indirection.  The store records each mutation's post-image while it
+    is active, and a freeze shares the previous freeze's immutable pages,
+    rebuilding only the pages written since (one merge of the old sorted
+    page with the sorted post-images).  Commit cost is O(rows changed
+    since the last freeze) plus one O(pages) table copy.  Only a freeze
+    with no base — the first, the first after the store was inert, or the
+    first after an [`All] write — reads every live page through the host.
+    [bench mvcc] measures the commit cost against concurrent pinned
+    readers.
 
     {2 Default-path neutrality}
 
     With [retain = 1], no pinned reader, and no zombie, the store is
     {e inert}: {!write} runs the mutation directly (one boolean check, no
-    lock, no capture), and a commit just relabels the live head — the
+    lock, no post-image), and a commit just relabels the live head — the
     pre-existing in-place apply, byte-identical to the un-versioned
-    table.  Capture engages only once a frozen version exists or a reader
-    pins the head across a commit.
+    table.  Recording engages only once a frozen version exists or a
+    reader pins the head across a commit.
 
     {2 Concurrency}
 
     Version data is immutable once frozen; the ring, the pin counts and
-    the copy-on-update/zigzag override tables are guarded by one mutex
-    with O(page) critical sections.  Writers hold it per single mutation
+    the recorded post-images are guarded by one mutex with O(page)
+    critical sections.  Writers hold it per single mutation
     ({!write}), readers per page fetch — so a reader waits at most one
     entry-level mutation, never a whole commit, and a commit never waits
     for readers at all. *)
@@ -71,18 +56,9 @@ exception Epoch_not_retained of { requested : int; live_lo : int; live_hi : int 
     range (oldest..newest; the head is epoch [-1] before the first
     commit).  Raised by {!pin_exn}; registered with a printer. *)
 
-type strategy = Naive | Copy_on_update | Zigzag
-
-val strategy_name : strategy -> string
-(** ["naive"], ["copy-on-update"], ["zigzag"]. *)
-
-val strategy_of_string : string -> strategy option
-(** Accepts the names above plus the aliases ["cou"] and
-    ["copy_on_update"]. *)
-
 type page = (Addr.t * Tuple.t) array
 (** One logical version page: the entries whose BaseAddr falls in the
-    page's span, sorted ascending.  Immutable once captured. *)
+    page's span, sorted ascending.  Immutable once frozen. *)
 
 (** How the store reads the host table's live image.  All callbacks are
     invoked with the store lock held, so they see a consistent point in
@@ -99,13 +75,12 @@ type t
 type txn
 (** A read transaction pinned to one version. *)
 
-val create : ?strategy:strategy -> ?retain:int -> ?page_span:int -> live:live -> unit -> t
-(** Defaults: [strategy = Naive], [retain = 1] (the inert default path),
+val create : ?retain:int -> ?page_span:int -> live:live -> unit -> t
+(** Defaults: [retain = 1] (the inert default path),
     [page_span = 64] addresses per logical page.  [retain] counts the
     live head, so [retain = k] keeps the last [k] committed epochs
     readable; values below 1 clamp to 1. *)
 
-val strategy : t -> strategy
 val retain : t -> int
 val page_span : t -> int
 
@@ -135,17 +110,16 @@ val set_reclaim_guard : t -> (epoch:int -> snaptime:Clock.ts -> bool) -> unit
     sealed off from them. *)
 
 val write : t -> [ `Put of Addr.t * Tuple.t | `Del of Addr.t | `All ] -> (unit -> 'a) -> 'a
-(** [write t target mutate] captures the pre-image of the page(s) covering
-    [target] (first touch per commit only) according to the strategy, then
-    runs [mutate], all under the store lock — unless the store is inert,
-    in which case [mutate] runs directly.
+(** [write t target mutate] runs [mutate] and records [target]'s
+    post-image for the next freeze, both under the store lock — unless the
+    store is inert, in which case [mutate] runs directly.
 
     [target] names the mutation's post-image: [`Put (addr, row)] leaves
     [row] (the user tuple, which must not be mutated afterwards) at
     [addr]; [`Del addr] leaves nothing there; [`All] empties the table.
-    Naive freezes are built from these post-images, so a host whose
-    [mutate] does anything else corrupts later versions.  If [mutate]
-    raises, the next Naive freeze rebuilds from the live image. *)
+    Freezes are built from these post-images, so a host whose [mutate]
+    does anything else corrupts later versions.  If [mutate] raises, the
+    next freeze rebuilds from the live image. *)
 
 val begin_commit : t -> unit
 (** Freeze the live head into an immutable version (unless the inert fast
@@ -196,9 +170,9 @@ val exists_in_range :
 val page_table : txn -> (int * page * int) list
 (** The pinned version's non-empty logical pages, ascending pid, each with
     its encoded byte total ([8 + Tuple.encoded_size row] per row).  A
-    frozen Naive version returns its own table and the totals it carries,
-    updated by merged deltas; other views resolve and sum on the fly.
-    Exposed for tests. *)
+    frozen version returns its own table and the totals it carries,
+    updated by merged deltas; the live head sums on the fly.  Exposed for
+    tests. *)
 
 type version_info = {
   vi_epoch : int;

@@ -450,6 +450,7 @@ let aggregate_result resolution rows items group_by =
       let gi =
         match List.find_index (fun g -> key g = key full) group_cols with
         | Some i -> i
+        (* [aggregate_result] rejected every bare column not in GROUP BY. *)
         | None -> assert false
       in
       group_key.(gi)

@@ -3,19 +3,20 @@
    Three layers under test:
 
    - Version_store directly, over a toy live table: the inert default
-     path, pin-across-commit per strategy, mid-commit pins landing on the
-     frozen pre-commit image, raw (uncommitted) writes demoting zigzag
-     slots, refcount-gated zombie reclamation, and a qcheck property over
-     random host schedules that also checks the incremental Naive page
-     table against a from-scratch build;
+     path, pin-across-commit, mid-commit pins landing on the frozen
+     pre-commit image, raw (uncommitted) writes sealed off from frozen
+     versions, refcount-gated zombie reclamation, vacuum's byte
+     accounting, and a qcheck property over random host schedules that
+     also checks the incrementally merged page table against a
+     from-scratch build;
    - Snapshot_table / Manager: read transactions pinned across real
      framed-stream refreshes, the iter/fold fast paths, commit-only
      subscriber delivery, and persisted-store adoption (attach_snapshot)
      including the typed Corrupt_snapshot failure;
-   - the qcheck property the interface promises: all three strategies are
-     byte-identical per retained epoch under random refresh methods,
-     fault-induced aborts, prune settings, and grouped scans — and no
-     pinned version is ever reclaimed. *)
+   - the qcheck property the interface promises: every retained epoch
+     reads exactly the image recorded at its commit under random refresh
+     methods, fault-induced aborts, prune settings, and grouped scans —
+     and no pinned version is ever reclaimed. *)
 
 open Snapdiff_storage
 open Snapdiff_txn
@@ -106,9 +107,9 @@ let test_vs_inert_default () =
     checkb "head reads the live image" true (txn_list txn = model tbl);
     VS.release txn
 
-let test_vs_epochs_exact strat () =
+let test_vs_epochs_exact () =
   let tbl = Hashtbl.create 64 in
-  let vs = VS.create ~strategy:strat ~retain:3 ~page_span:span ~live:(mk_live tbl) () in
+  let vs = VS.create ~retain:3 ~page_span:span ~live:(mk_live tbl) () in
   let models = Hashtbl.create 8 in
   for e = 1 to 6 do
     commit_epoch vs tbl e;
@@ -123,10 +124,7 @@ let test_vs_epochs_exact strat () =
       | None -> Alcotest.failf "retained epoch %d not pinnable" vi.VS.vi_epoch
       | Some txn ->
         let m = Hashtbl.find models vi.VS.vi_epoch in
-        checkb
-          (Printf.sprintf "%s epoch %d exact" (VS.strategy_name strat) vi.VS.vi_epoch)
-          true
-          (txn_list txn = m);
+        checkb (Printf.sprintf "epoch %d exact" vi.VS.vi_epoch) true (txn_list txn = m);
         checki "count agrees" (List.length m) (VS.count txn);
         List.iter
           (fun (a, v) -> checkb "get agrees" true (VS.get txn a = Some v))
@@ -170,9 +168,9 @@ let test_vs_epochs_exact strat () =
     checkb "post-commit head reads the new image" true (txn_list txn = model tbl);
     VS.release txn
 
-let test_vs_zombie_reclaim strat () =
+let test_vs_zombie_reclaim () =
   let tbl = Hashtbl.create 64 in
-  let vs = VS.create ~strategy:strat ~retain:2 ~page_span:span ~live:(mk_live tbl) () in
+  let vs = VS.create ~retain:2 ~page_span:span ~live:(mk_live tbl) () in
   commit_epoch vs tbl 1;
   let m1 = model tbl in
   let txn =
@@ -196,11 +194,10 @@ let test_vs_zombie_reclaim strat () =
 
 (* Raw writes (outside any commit) mutate the live head in place and stay
    visible to head pins — the head IS the live image — while frozen
-   versions must stay sealed off; for zigzag that demotes the shared
-   slots to per-version copies. *)
-let test_vs_raw_write_isolation strat () =
+   versions must stay sealed off. *)
+let test_vs_raw_write_isolation () =
   let tbl = Hashtbl.create 64 in
-  let vs = VS.create ~strategy:strat ~retain:3 ~page_span:span ~live:(mk_live tbl) () in
+  let vs = VS.create ~retain:3 ~page_span:span ~live:(mk_live tbl) () in
   commit_epoch vs tbl 1;
   commit_epoch vs tbl 2;
   let t1 = Option.get (VS.pin ~epoch:1 vs) in
@@ -235,14 +232,44 @@ let test_vs_raw_write_isolation strat () =
     checkb "epoch 3 is the post-commit image" true (txn_list t3 = model tbl);
     VS.release t3
 
+(* Vacuum's [vac_bytes] is the encoded size of the versions it frees:
+   the byte totals of their page tables, read before the vacuum.  A dry
+   run reports the same figure and frees nothing. *)
+let test_vs_vacuum_bytes () =
+  let tbl = Hashtbl.create 64 in
+  let vs = VS.create ~retain:4 ~page_span:span ~live:(mk_live tbl) () in
+  for e = 1 to 6 do
+    commit_epoch vs tbl e
+  done;
+  let table_bytes e =
+    let tx = Option.get (VS.pin ~epoch:e vs) in
+    let b = List.fold_left (fun acc (_, _, b) -> acc + b) 0 (VS.page_table tx) in
+    VS.release tx;
+    b
+  in
+  (* Epochs 3 and 4 fall below the cutoff; 5 and the live head 6 stay. *)
+  let freed = table_bytes 3 + table_bytes 4 in
+  checkb "the freed versions hold bytes" true (freed > 0);
+  let epochs () = List.map (fun vi -> vi.VS.vi_epoch) (VS.versions vs) in
+  let ring0 = epochs () in
+  let dry = VS.vacuum ~older_than:50 ~dry_run:true vs in
+  checki "dry run: two versions would go" 2 dry.VS.vac_reclaimed;
+  checki "dry run: vac_bytes = their page tables' bytes" freed dry.VS.vac_bytes;
+  checkb "dry run: ring unchanged" true (epochs () = ring0);
+  let real = VS.vacuum ~older_than:50 vs in
+  checki "vacuum: two versions freed" 2 real.VS.vac_reclaimed;
+  checki "vacuum: vac_bytes = their page tables' bytes" freed real.VS.vac_bytes;
+  checkb "vacuum: ring keeps epochs 6 and 5" true (epochs () = [ 6; 5 ]);
+  checki "vacuum: nothing left to free" 0 (VS.vacuum ~older_than:50 vs).VS.vac_bytes
+
 (* Random host schedules over the toy table: framed commits, raw writes
    between them, [`All] clears, and pins and releases of the head and of
-   older epochs — so the store crosses inert <-> active — under every
-   strategy and retain 1-4.  Every pinned or retained version must read
-   the model image at its freeze (the live image while it is still the
-   head), and its page table must equal a from-scratch build of that
-   image, page for page and byte total for byte total: under Naive this
-   is the incrementally merged table the store carries. *)
+   older epochs — so the store crosses inert <-> active — under retain
+   1-4.  Every pinned or retained version must read the model image at
+   its freeze (the live image while it is still the head), and its page
+   table must equal a from-scratch build of that image, page for page
+   and byte total for byte total: for a frozen version this is the
+   incrementally merged table the store carries. *)
 
 (* [W_torn]: a host mutation that changes the row and then raises, so
    the post-image it named never landed as named. *)
@@ -270,8 +297,6 @@ let vop_gen =
       (1, Gen.map (fun k -> V_pin_old k) Gen.nat);
       (2, Gen.map (fun k -> V_release k) Gen.nat) ]
 
-let strategy_gen = Gen.oneofl [ VS.Naive; VS.Copy_on_update; VS.Zigzag ]
-
 (* The oracle's own page build: group by pid, rows ascending, bytes summed. *)
 let scratch_pages image =
   let by_pid = Hashtbl.create 8 in
@@ -288,9 +313,9 @@ let scratch_pages image =
     by_pid []
   |> List.sort compare
 
-let run_vs_schedule (strat, retain, ops) =
+let run_vs_schedule (retain, ops) =
   let tbl = Hashtbl.create 64 in
-  let vs = VS.create ~strategy:strat ~retain ~page_span:span ~live:(mk_live tbl) () in
+  let vs = VS.create ~retain ~page_span:span ~live:(mk_live tbl) () in
   let frozen = Hashtbl.create 16 in
   let head_epoch = ref (-1) and next = ref 1 and held = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> QCheck2.Test.fail_report s) fmt in
@@ -367,7 +392,7 @@ let run_vs_schedule (strat, retain, ops) =
 
 let prop_vs_schedules =
   QCheck2.Test.make ~name:"version store: random schedules, every version exact" ~count:300
-    Gen.(triple strategy_gen (int_range 1 4) (list_size (int_range 1 30) vop_gen))
+    Gen.(pair (int_range 1 4) (list_size (int_range 1 30) vop_gen))
     run_vs_schedule
 
 (* ------------------------------------------------------------------ *)
@@ -387,7 +412,7 @@ let expected_restricted base threshold =
     (fun (addr, u) -> if salary u < threshold then Some (addr, u) else None)
     (Base_table.to_user_list base)
 
-let setup_mgr ?version_strategy ?version_retain ~threshold () =
+let setup_mgr ?version_retain ~threshold () =
   let clock = Clock.create () in
   let base = Base_table.create ~name:"emp" ~clock emp_schema in
   let m = Manager.create () in
@@ -398,12 +423,12 @@ let setup_mgr ?version_strategy ?version_retain ~threshold () =
   ignore
     (Manager.create_snapshot m ~name:"s" ~base:"emp"
        ~restrict:Expr.(col "salary" <. int threshold)
-       ?version_strategy ?version_retain ()
+       ?version_retain ()
       : Manager.refresh_report);
   (m, base)
 
-let test_read_txn_pins_across_refresh strat () =
-  let m, base = setup_mgr ~version_strategy:strat ~version_retain:4 ~threshold:12 () in
+let test_read_txn_pins_across_refresh () =
+  let m, base = setup_mgr ~version_retain:4 ~threshold:12 () in
   let snap = Manager.snapshot_table m "s" in
   let c0 = Snapshot_table.contents snap in
   let rt = Option.get (Manager.read_txn m "s") in
@@ -436,7 +461,6 @@ let test_read_txn_pins_across_refresh strat () =
   checkb "ring retains both committed epochs" true
     (List.exists (fun vi -> vi.VS.vi_epoch = e0) ring
     && List.exists (fun vi -> vi.VS.vi_epoch = e1) ring);
-  checkb "strategy surfaced" true (Manager.snapshot_version_strategy m "s" = strat);
   let n =
     Manager.with_read_txn m "s" (fun t ->
         Snapshot_table.txn_fold t ~init:0 ~f:(fun acc _ _ -> acc + 1))
@@ -466,8 +490,7 @@ let test_iter_fold_fast_paths () =
   Snapshot_table.release_txn rt
 
 let test_txn_lookup () =
-  let m, base = setup_mgr ~version_strategy:VS.Copy_on_update ~version_retain:3
-      ~threshold:12 () in
+  let m, base = setup_mgr ~version_retain:3 ~threshold:12 () in
   let snap = Manager.snapshot_table m "s" in
   let rt = Option.get (Snapshot_table.read_txn snap) in
   let expect v =
@@ -660,11 +683,13 @@ let test_fleet_pinned_reads () =
   checki "knob off serves no pinned reads" 0 r2.Fleet.tr_pinned_reads
 
 (* ------------------------------------------------------------------ *)
-(* The headline property: the three strategies maintain byte-identical
-   images per retained epoch under random refresh methods, prune
-   settings, grouped scans, and fault-induced aborts —
-   and a pinned version is never reclaimed (its reads stay exact long
-   after eviction). *)
+(* The headline property: every retained epoch of every snapshot reads
+   exactly the image recorded at its commit under random refresh methods,
+   prune settings, grouped scans, and fault-induced aborts — and a pinned
+   version is never reclaimed (its reads stay exact long after eviction).
+   Three sibling snapshots share one base, so a round that faults one
+   snapshot's link exercises it beside clean siblings in the same group
+   refresh. *)
 
 type fop = [ `Ins of int | `Upd of int * int | `Del of int ]
 
@@ -698,11 +723,11 @@ let rounds_gen = Gen.list_size (Gen.int_range 2 5) (Gen.pair script_gen (Gen.int
 
 let retain_k = 4
 
-let strategies = [ ("sn", VS.Naive); ("sc", VS.Copy_on_update); ("sz", VS.Zigzag) ]
+let snapshots = [ "s0"; "s1"; "s2" ]
 
 (* At [batch_size = 1] a garbled link can hit any message of a stream; at
    the default, one garbled Batch frame aborts many messages at once. *)
-let prop_strategies_identical ~batch_size name =
+let prop_epochs_exact ~batch_size name =
   QCheck2.Test.make ~name ~count:30
     Gen.(triple rounds_gen (int_range 1 20) bool)
     (fun (rounds, threshold, prune) ->
@@ -714,23 +739,23 @@ let prop_strategies_identical ~batch_size name =
         ignore (Base_table.insert base (emp (Printf.sprintf "s%d" i) (i * 3 mod 20)) : Addr.t)
       done;
       List.iter
-        (fun (name, strat) ->
+        (fun name ->
           ignore
             (Manager.create_snapshot m ~name ~base:"emp"
                ~restrict:Expr.(col "salary" <. int threshold)
-               ~prune ~version_strategy:strat ~version_retain:retain_k ()
+               ~prune ~version_retain:retain_k ()
               : Manager.refresh_report))
-        strategies;
+        snapshots;
       (* models.(name) : epoch -> expected contents at that commit *)
       let models = Hashtbl.create 16 in
       let record_latest () =
         let expect = expected_restricted base threshold in
         List.iter
-          (fun (name, _) ->
+          (fun name ->
             match Manager.snapshot_versions m name with
             | vi :: _ -> Hashtbl.replace models (name, vi.VS.vi_epoch) expect
             | [] -> ())
-          strategies
+          snapshots
       in
       record_latest ();
       let pinned = ref [] in
@@ -745,12 +770,12 @@ let prop_strategies_identical ~batch_size name =
             | 1 -> Manager.Full
             | _ -> Manager.Differential
           in
-          List.iter (fun (name, _) -> Manager.set_method m name meth) strategies;
-          (* Sometimes garble one strategy's link so its stream aborts and
+          List.iter (fun name -> Manager.set_method m name meth) snapshots;
+          (* Sometimes garble one snapshot's link so its stream aborts and
              retries while frozen versions are live. *)
           let faulted =
             if knob mod 4 = 0 then begin
-              let name, _ = List.nth strategies (knob mod 3) in
+              let name = List.nth snapshots (knob mod 3) in
               let link = Manager.snapshot_link m name in
               Link.inject_faults link ~corrupt_prob:0.3 ~seed:knob ();
               Some link
@@ -771,16 +796,16 @@ let prop_strategies_identical ~batch_size name =
           (* Sometimes pin the freshly committed version and hold it for
              the rest of the run. *)
           if knob mod 5 < 2 then begin
-            let name, _ = List.nth strategies (knob mod 3) in
+            let name = List.nth snapshots (knob mod 3) in
             match Manager.read_txn m name with
             | Some rt ->
               pinned := (name, rt, expected_restricted base threshold) :: !pinned
             | None -> fail "latest version of %s refused a pin" name
           end;
-          (* Every retained epoch of every strategy must read exactly the
+          (* Every retained epoch of every snapshot must read exactly the
              image recorded at its commit. *)
           List.iter
-            (fun (name, _) ->
+            (fun name ->
               List.iter
                 (fun vi ->
                   match Hashtbl.find_opt models (name, vi.VS.vi_epoch) with
@@ -794,7 +819,7 @@ let prop_strategies_identical ~batch_size name =
                           vi.VS.vi_epoch;
                       Snapshot_table.release_txn rt))
                 (Manager.snapshot_versions m name))
-            strategies)
+            snapshots)
         rounds;
       (* Reclaim safety: every long-held pin still reads its exact commit
          image, however far the ring has moved past it. *)
@@ -811,31 +836,15 @@ let prop_strategies_identical ~batch_size name =
 let suite =
   [
     Alcotest.test_case "version store: inert default path" `Quick test_vs_inert_default;
-    Alcotest.test_case "version store: naive epochs exact" `Quick
-      (test_vs_epochs_exact VS.Naive);
-    Alcotest.test_case "version store: copy-on-update epochs exact" `Quick
-      (test_vs_epochs_exact VS.Copy_on_update);
-    Alcotest.test_case "version store: zigzag epochs exact" `Quick
-      (test_vs_epochs_exact VS.Zigzag);
-    Alcotest.test_case "version store: naive zombie reclaim" `Quick
-      (test_vs_zombie_reclaim VS.Naive);
-    Alcotest.test_case "version store: copy-on-update zombie reclaim" `Quick
-      (test_vs_zombie_reclaim VS.Copy_on_update);
-    Alcotest.test_case "version store: zigzag zombie reclaim" `Quick
-      (test_vs_zombie_reclaim VS.Zigzag);
+    Alcotest.test_case "version store: naive epochs exact" `Quick test_vs_epochs_exact;
+    Alcotest.test_case "version store: naive zombie reclaim" `Quick test_vs_zombie_reclaim;
     Alcotest.test_case "version store: raw writes isolated (naive)" `Quick
-      (test_vs_raw_write_isolation VS.Naive);
-    Alcotest.test_case "version store: raw writes isolated (copy-on-update)" `Quick
-      (test_vs_raw_write_isolation VS.Copy_on_update);
-    Alcotest.test_case "version store: raw writes isolated (zigzag)" `Quick
-      (test_vs_raw_write_isolation VS.Zigzag);
+      test_vs_raw_write_isolation;
+    Alcotest.test_case "version store: vacuum bytes = freed page tables" `Quick
+      test_vs_vacuum_bytes;
     QCheck_alcotest.to_alcotest prop_vs_schedules;
     Alcotest.test_case "read txn pins across refresh (naive)" `Quick
-      (test_read_txn_pins_across_refresh VS.Naive);
-    Alcotest.test_case "read txn pins across refresh (copy-on-update)" `Quick
-      (test_read_txn_pins_across_refresh VS.Copy_on_update);
-    Alcotest.test_case "read txn pins across refresh (zigzag)" `Quick
-      (test_read_txn_pins_across_refresh VS.Zigzag);
+      test_read_txn_pins_across_refresh;
     Alcotest.test_case "iter/fold fast paths match contents" `Quick
       test_iter_fold_fast_paths;
     Alcotest.test_case "txn_lookup at the pinned version" `Quick test_txn_lookup;
@@ -848,9 +857,8 @@ let suite =
     Alcotest.test_case "fleet serves reads at pinned pre-refresh versions" `Quick
       test_fleet_pinned_reads;
     QCheck_alcotest.to_alcotest
-      (prop_strategies_identical ~batch_size:1
-         "three strategies byte-identical per retained epoch");
+      (prop_epochs_exact ~batch_size:1 "each retained epoch = its recorded image");
     QCheck_alcotest.to_alcotest
-      (prop_strategies_identical ~batch_size:Manager.default_batch_size
-         "batched strategies identical per epoch");
+      (prop_epochs_exact ~batch_size:Manager.default_batch_size
+         "batched: each retained epoch = its recorded image");
   ]
