@@ -1486,9 +1486,9 @@ let mvcc_bench () =
         ("torn", Text_table.Right) ]
   in
   (* u = 1.0 retags every row per round, giving the uniform-tag torn-read
-     oracle; u = 0.1 touches a tenth of the rows, where a freeze merges
-     only the pages written since the last one (the oracle does not apply
-     - a partial update legitimately leaves two tags in one image). *)
+     oracle; u = 0.1 touches a tenth of the rows, where a commit copies
+     only the pages it writes (the oracle does not apply - a partial
+     update legitimately leaves two tags in one image). *)
   List.iter
     (fun u ->
       let oracle = u >= 1.0 in
@@ -1582,8 +1582,8 @@ let mvcc_bench () =
     \ uniform image; 'torn' counts pinned scans that saw two tags at once\n\
     \ and must be zero; 'in-commit' counts reads that completed while a\n\
     \ refresh commit was streaming - the never-blocked demonstration;\n\
-    \ each commit rebuilds the pages written since the last one by\n\
-    \ merging their post-images into shared pages)"
+    \ each commit copies the pages it writes, once each, and shares\n\
+    \ the rest with the epochs before it)"
 
 (* ------------------------------------------------------------------ *)
 (* Vacuum: how much version memory and WAL tail a vacuum reclaims as a

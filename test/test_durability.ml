@@ -170,9 +170,9 @@ let test_ablations_run_small () =
     | [] -> false)
 
 let test_example_tuple_roundtrip_through_file () =
-  (* Snapshot tables also sit on heaps: check a snapshot's contents after
-     thousands of messages remain decodable and validated. *)
-  let s = Snapshot_table.create ~page_size:512 ~name:"s" ~schema:emp_schema () in
+  (* A snapshot's page table after thousands of messages: count, layout
+     and a spot read. *)
+  let s = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
   for i = 1 to 2_000 do
     Snapshot_table.apply s
       (Refresh_msg.Upsert { addr = i; values = emp (Printf.sprintf "e%04d" i) (i mod 20) })

@@ -1485,13 +1485,13 @@ let test_null_annotation_fallback () =
 (* ---- Stream apply = model --------------------------------------------- *)
 
 (* The receiver applies a stream as one address-ordered merge: one
-   successor probe per Entry on the snapshot's BaseAddr index, gap
+   successor probe per Entry on the snapshot's page directory, gap
    victims deleted as the probe meets them.  Against an assoc-map model of
    Figure 4's semantics, over random images and random streams: Entry with
    gaps, Region, Tail, a Clear now and then, and catch-up Upsert/Remove in
-   any order.  Images of up to 400 rows over 600 addresses give the index
-   (degree 16) up to two dozen leaves under its root, so the stream's
-   inserts and deletes split and merge its nodes between probes.  Each
+   any order.  Images of up to 400 rows over 600 addresses fill ten
+   64-address pages, so the stream's inserts and deletes create, copy
+   and empty pages between probes.  Each
    stream arrives framed one message per frame and batched [k] per frame;
    both must commit the model's image, and the observer must see the
    logical stream either way.  With one frame dropped or garbled, neither
@@ -1626,7 +1626,7 @@ let prop_stream_apply_model =
         if Snapshot_table.contents snap <> expected then
           fail_report (Printf.sprintf "k=%d: image differs from the model" k);
         if Snapshot_table.validate snap <> Ok () then
-          fail_report (Printf.sprintf "k=%d: index and heap disagree" k);
+          fail_report (Printf.sprintf "k=%d: page table fails validate" k);
         if not (List.equal Refresh_msg.equal (List.rev !seen) stream) then
           fail_report (Printf.sprintf "k=%d: observer did not see the logical stream" k)
       in

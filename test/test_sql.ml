@@ -601,6 +601,46 @@ let test_db_as_of_errors () =
   in
   ignore (exec (Printf.sprintf "SELECT * FROM s AS OF EPOCH %d" oldest))
 
+(* A join snapshot's refreshes are framed epochs, so RETAIN keeps them:
+   after two refreshes, AS OF the creation epoch and the first refresh's
+   epoch each return that image.  Creation is epoch 0, and each refresh
+   the next. *)
+let test_db_join_snapshot_retains () =
+  let db = Database.create () in
+  let exec s =
+    match Database.run db s with
+    | r -> r
+    | exception Database.Sql_error m -> Alcotest.failf "%s failed: %s" s m
+  in
+  let render = Database.render_result in
+  ignore (exec "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL)");
+  ignore (exec "CREATE TABLE u (id INT NOT NULL, w INT NOT NULL)");
+  ignore (exec "INSERT INTO t VALUES (1, 10), (2, 20)");
+  ignore (exec "INSERT INTO u VALUES (1, 100), (2, 200), (3, 300)");
+  let images = ref [] in
+  let refresh stmt =
+    match exec stmt with
+    | Database.Refreshed r ->
+      let e = List.length !images in
+      images := (e, r.Manager.new_snaptime, render (exec "SELECT * FROM j")) :: !images
+    | _ -> Alcotest.failf "%s did not refresh" stmt
+  in
+  refresh
+    "CREATE SNAPSHOT j AS SELECT t.id, v, w FROM t, u WHERE t.id = u.id REFRESH FULL RETAIN 3";
+  ignore (exec "INSERT INTO t VALUES (3, 30)");
+  refresh "REFRESH SNAPSHOT j";
+  ignore (exec "DELETE FROM t WHERE id = 1");
+  refresh "REFRESH SNAPSHOT j";
+  checki "three distinct images" 3
+    (List.length (List.sort_uniq compare (List.map (fun (_, _, img) -> img) !images)));
+  List.iter
+    (fun (e, ts, img) ->
+      checkb (Printf.sprintf "AS OF EPOCH %d returns its image" e) true
+        (render (exec (Printf.sprintf "SELECT * FROM j AS OF EPOCH %d" e)) = img);
+      checkb (Printf.sprintf "AS OF TIMESTAMP %d returns epoch %d's image" ts e) true
+        (render (exec (Printf.sprintf "SELECT * FROM j AS OF TIMESTAMP %d" ts)) = img))
+    !images
+
 let test_db_dump_carries_retain () =
   let db = Database.create () in
   let exec s = Database.run db s in
@@ -633,4 +673,6 @@ let suite =
       Alcotest.test_case "db AS OF time travel" `Quick test_db_as_of_time_travel;
       Alcotest.test_case "db AS OF errors" `Quick test_db_as_of_errors;
       Alcotest.test_case "db dump carries RETAIN" `Quick test_db_dump_carries_retain;
+      Alcotest.test_case "db join snapshot keeps RETAIN epochs" `Quick
+        test_db_join_snapshot_retains;
     ]
