@@ -151,7 +151,15 @@ let test_snapshot_apply_pathological () =
   Alcotest.check_raises "bad arity"
     (Invalid_argument "Snapshot_table: tuple dimensions do not match snapshot schema")
     (fun () ->
-      Snapshot_table.apply s (Refresh_msg.Upsert { addr = 2; values = Tuple.make [ Value.int 1 ] }))
+      Snapshot_table.apply s (Refresh_msg.Upsert { addr = 2; values = Tuple.make [ Value.int 1 ] }));
+  (* So is a row whose column types do not match, and nothing is stored. *)
+  checkb "bad column type" true
+    (match
+       Snapshot_table.apply s
+         (Refresh_msg.Upsert { addr = 2; values = Tuple.make [ Value.int 1; Value.str "x" ] })
+     with
+    | () -> false
+    | exception Invalid_argument _ -> Snapshot_table.get s 2 = None)
 
 (* Refreshing with a FUTURE snaptime (clock anomaly) must not send data. *)
 let test_future_snaptime () =

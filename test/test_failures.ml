@@ -230,10 +230,12 @@ let test_malformed_frame_aborts () =
         (Snapshot_table.last_committed_epoch snap))
     bad_rows
 
-(* A snapshot row that grows past its page's free space moves to a new rid
-   instead of failing the replay.  Before, [Heap.update] raised mid-commit:
-   the half-applied epoch was published (the ring named an epoch the
-   snapshot never committed) and every later refresh raised again. *)
+(* A snapshot row that grows far past its old size must not fail the
+   replay.  When the snapshot lived in a heap, [Heap.update] once raised
+   mid-commit on such a row: the half-applied epoch was published (the
+   ring named an epoch the snapshot never committed) and every later
+   refresh raised again.  The page table holds decoded rows, so a grown
+   row is just another put. *)
 let test_grown_row_relocates () =
   let clock = Clock.create () in
   let base = Base_table.create ~name:"emp" ~clock emp_schema in
