@@ -5,6 +5,7 @@ type t = {
   downstream : Snapshot_table.t;
   out : Link.t;
   mutable forwarded : int;
+  mutable stale : bool;  (* a send raised: the child may miss part of the stream *)
 }
 
 let table t = t.downstream
@@ -38,7 +39,7 @@ let attach ~upstream ~name ?(restrict = fun _ -> true) ?projection ?link () =
   in
   let downstream = Snapshot_table.create ~name ~schema () in
   Link.attach out (Snapshot_table.apply_bytes downstream);
-  let t = { downstream; out; forwarded = 0 } in
+  let t = { downstream; out; forwarded = 0; stale = false } in
   let send msg =
     if Refresh_msg.is_data msg then t.forwarded <- t.forwarded + 1;
     Link.send out (Refresh_msg.encode msg)
@@ -85,11 +86,29 @@ let attach ~upstream ~name ?(restrict = fun _ -> true) ?projection ?link () =
     | Snaptime _ -> send msg
     | Register _ | Request _ -> ()  (* control traffic does not cascade *)
   in
-  (* Initial synchronization with the parent's current state. *)
-  List.iter
-    (fun (addr, values) ->
-      if restrict values then send (Refresh_msg.Upsert { addr; values = project values }))
-    (Snapshot_table.contents upstream);
-  send (Refresh_msg.Snaptime (Snapshot_table.snaptime upstream));
-  Snapshot_table.subscribe upstream forward;
+  (* Synchronization with the parent's current state: at attach, and
+     again before the next message once a send has raised.  A raised send
+     leaves the child short of part of a stream the parent applies whole
+     (a one-shot outage loses one message, a downed link all that follow
+     it), so the child is rebuilt from the parent, which still holds its
+     state before the message, and the cascade invariant holds again. *)
+  let sync () =
+    List.iter
+      (fun (addr, values) ->
+        if restrict values then send (Refresh_msg.Upsert { addr; values = project values }))
+      (Snapshot_table.contents upstream);
+    send (Refresh_msg.Snaptime (Snapshot_table.snaptime upstream))
+  in
+  sync ();
+  Snapshot_table.subscribe upstream (fun msg ->
+      try
+        if t.stale then begin
+          send Refresh_msg.Clear;
+          sync ();
+          t.stale <- false
+        end;
+        forward msg
+      with e ->
+        t.stale <- true;
+        raise e);
   t

@@ -18,7 +18,13 @@
       at zero extra base-table cost.
 
     BaseAddrs are shared with the parent (and transitively with the
-    original base table), so the derived snapshot is itself cascadable. *)
+    original base table), so the derived snapshot is itself cascadable.
+
+    A send that raises (the link is down) leaves the derived snapshot
+    short of part of a stream its parent applies whole.  Before the next
+    message it forwards, the cascade then rebuilds the child from the
+    parent ([Clear], the qualifying rows, the parent's SnapTime), so the
+    child equals the restriction of its parent again. *)
 
 open Snapdiff_storage
 module Link = Snapdiff_net.Link

@@ -149,6 +149,59 @@ let test_cascade_of_cascade () =
   Alcotest.(check (list string)) "propagated two levels" [ "'Paul'" ]
     (names_of (Cascade.table level2))
 
+(* The child's link fails part way through a parent's framed commit.  The
+   parent's epoch commits whole, so the child — short of the stream's rest
+   — is rebuilt from the parent before the next message it is sent, and
+   it equals the restriction of its parent again: a row the child got
+   before the outage is removed when its base row goes. *)
+let test_cascade_link_down_mid_commit () =
+  let base, m, parent, casc = cascade_setup () in
+  let link = Cascade.link casc in
+  let find name =
+    fst (List.find (fun (_, u) -> Tuple.get u 0 = Value.str name) (Base_table.to_user_list base))
+  in
+  let restricted () =
+    List.filter_map
+      (fun (a, t) -> if salary t < 8 then Some (a, Tuple.make [ Tuple.get t 0 ]) else None)
+      (Snapshot_table.contents parent)
+  in
+  let agrees what =
+    checkb what true (Snapshot_table.contents (Cascade.table casc) = restricted ())
+  in
+  (* Paul enters the child; the link goes down right after his row is
+     forwarded, and stays down through every retry. *)
+  Base_table.update base (find "Paul") (emp "Paul" 5);
+  let armed = ref true in
+  Snapshot_table.subscribe parent (fun msg ->
+      match msg with
+      | (Refresh_msg.Entry { values; _ } | Refresh_msg.Upsert { values; _ })
+        when !armed && Tuple.get values 0 = Value.str "Paul" ->
+        armed := false;
+        Snapdiff_net.Link.set_up link false
+      | _ -> ());
+  checkb "the parent's refresh reports the child's outage" true
+    (match Manager.refresh m "lowpay" with
+    | _ -> false
+    | exception Manager.Refresh_failed _ -> true);
+  checkb "the outage hit after Paul reached the child" true (not !armed);
+  (* Paul's base row goes while the child still holds him. *)
+  Base_table.delete base (find "Paul");
+  Snapdiff_net.Link.set_up link true;
+  ignore (Manager.refresh m "lowpay" : Manager.refresh_report);
+  Alcotest.(check (list string)) "stray row removed" [ "'Jack'" ] (names_of (Cascade.table casc));
+  agrees "child = restriction of parent after the next refresh";
+  (* A one-shot outage mid-stream: the rest of the stream still reaches
+     the child, which is rebuilt before it. *)
+  Base_table.update base (find "Hamid") (emp "Hamid" 3);
+  Base_table.update base (find "Mohan") (emp "Mohan" 2);
+  Snapdiff_net.Link.inject_faults link ~fail_after:1 ~seed:1 ();
+  ignore (Manager.refresh m "lowpay" : Manager.refresh_report);
+  Snapdiff_net.Link.clear_faults link;
+  Alcotest.(check (list string)) "both entered" [ "'Hamid'"; "'Jack'"; "'Mohan'" ]
+    (List.sort compare (names_of (Cascade.table casc)));
+  agrees "child = restriction of parent after a one-shot outage";
+  checkb "valid" true (Snapshot_table.validate (Cascade.table casc) = Ok ())
+
 let test_cascade_property_faithful =
   QCheck2.Test.make ~name:"cascade = restriction of parent" ~count:100
     QCheck2.Gen.(
@@ -353,6 +406,8 @@ let suite =
     Alcotest.test_case "cascade initial sync" `Quick test_cascade_initial_sync;
     Alcotest.test_case "cascade tracks parent" `Quick test_cascade_tracks_parent_refreshes;
     Alcotest.test_case "cascade of cascade" `Quick test_cascade_of_cascade;
+    Alcotest.test_case "cascade survives its link failing mid-commit" `Quick
+      test_cascade_link_down_mid_commit;
     QCheck_alcotest.to_alcotest test_cascade_property_faithful;
     Alcotest.test_case "sql join" `Quick test_sql_join;
     Alcotest.test_case "sql join ambiguity" `Quick test_sql_join_ambiguity;
