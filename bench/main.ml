@@ -451,7 +451,7 @@ let wire () =
   print_endline
     "(each frame pays one header + checksum; batching coalesces data\n\
     \ messages while the logical stream -- and the receiver's atomic\n\
-    \ staging -- is unchanged)"
+    \ epoch -- is unchanged)"
 
 let faults () =
   header "Ablation: fault-injecting links -- retry tax and atomic apply (q=25%)";

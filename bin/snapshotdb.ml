@@ -310,7 +310,7 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_re
             "  {\"snapshot\": \"%s\", \"ok\": true, \"method\": \"%s\", \
              \"group_size\": %d, \"pages_decoded\": %d, \"data_messages\": %d, \
              \"link_bytes\": %d, \"attempts\": %d, \"chunks\": %d, \
-             \"catchup_records\": %d, \"decode_us\": %.1f, \"stage_us\": %.1f, \
+             \"catchup_records\": %d, \"decode_us\": %.1f, \
              \"freeze_us\": %.1f, \"replay_us\": %.1f, \"publish_us\": %.1f, \
              \"scan_us\": %.1f, \"lock_us\": %.1f, \"load_us\": %.1f, \
              \"fixup_us\": %.1f, \"filter_us\": %.1f, \"emit_us\": %.1f, \
@@ -320,7 +320,7 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_re
             (Manager.method_name r.Manager.method_used)
             r.Manager.group_size r.Manager.pages_decoded r.Manager.data_messages
             r.Manager.link_bytes r.Manager.attempts r.Manager.chunks
-            r.Manager.catchup_records r.Manager.receiver.decode_us r.Manager.receiver.stage_us
+            r.Manager.catchup_records r.Manager.receiver.decode_us
             r.Manager.receiver.freeze_us r.Manager.receiver.replay_us
             r.Manager.receiver.publish_us r.Manager.sender.scan_us r.Manager.sender.lock_us
             r.Manager.sender.load_us r.Manager.sender.fixup_us r.Manager.sender.filter_us

@@ -4,8 +4,9 @@
    A refresh stream is only meaningful as a whole — the paper transmits
    the new SnapTime LAST so that an interrupted refresh keeps the old
    SnapTime and the retry re-covers the whole window.  This example shows
-   the receiving half of that story: epoch-framed streams are staged and
-   applied atomically at the Snaptime commit marker, so a cut, thinned,
+   the receiving half of that story: an epoch-framed stream is applied
+   inside an open epoch that only its Snaptime commit marker publishes,
+   so a cut, thinned,
    or corrupted stream leaves the snapshot exactly on its previous
    consistent image, and the manager retries with backoff (escalating to
    a full refresh when the differential stream keeps dying).

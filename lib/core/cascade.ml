@@ -1,11 +1,14 @@
 open Snapdiff_storage
 module Link = Snapdiff_net.Link
+module Version_store = Snapshot_table.Version_store
 
 type t = {
   downstream : Snapshot_table.t;
   out : Link.t;
   mutable forwarded : int;
-  mutable stale : bool;  (* a send raised: the child may miss part of the stream *)
+  mutable epoch : int option;  (* the parent epoch being forwarded; [None] raw *)
+  mutable seq : int;  (* the next frame's sequence number in [epoch] *)
+  mutable stale : bool;  (* the child may lack part of the parent's stream *)
 }
 
 let table t = t.downstream
@@ -39,37 +42,43 @@ let attach ~upstream ~name ?(restrict = fun _ -> true) ?projection ?link () =
   in
   let downstream = Snapshot_table.create ~name ~schema () in
   Link.attach out (Snapshot_table.apply_bytes downstream);
-  let t = { downstream; out; forwarded = 0; stale = false } in
+  let t = { downstream; out; forwarded = 0; epoch = None; seq = 0; stale = false } in
+  (* Framed under the parent's open epoch, raw when the parent applies
+     raw.  A send that raises only marks the child stale. *)
   let send msg =
-    if Refresh_msg.is_data msg then t.forwarded <- t.forwarded + 1;
-    Link.send out (Refresh_msg.encode msg)
+    match
+      match t.epoch with
+      | Some epoch ->
+        Link.send out (Refresh_msg.encode_framed ~epoch ~seq:t.seq msg);
+        t.seq <- t.seq + 1
+      | None -> Link.send out (Refresh_msg.encode msg)
+    with
+    | () -> if Refresh_msg.is_data msg then t.forwarded <- t.forwarded + 1
+    | exception _ -> t.stale <- true
   in
   (* The subscription fires BEFORE the parent applies the message, so the
-     parent still holds the previous state: the transformer can decide —
-     like the ideal algorithm, from old and new values — whether the child
-     is affected at all.  Soundness rests on the cascade invariant
-     (child = restriction+projection of parent), so "no parent entry in
-     the range used to qualify for the child" implies the child holds
-     nothing there. *)
+     parent's open root still holds the previous state: the transformer
+     can decide — like the ideal algorithm, from old and new values —
+     whether the child is affected at all.  Soundness rests on the
+     cascade invariant (child = restriction+projection of parent), so "no
+     parent entry in the range used to qualify for the child" implies the
+     child holds nothing there. *)
+  let parent () = Snapshot_table.open_image upstream in
   let child_had addr =
-    match Snapshot_table.get upstream addr with
+    match Version_store.find (parent ()) addr with
     | Some old -> restrict old
     | None -> false
   in
-  let child_has_range lo hi =
-    lo <= hi && Snapshot_table.exists_in_range upstream ~lo ~hi ~f:restrict ()
+  let child_has_range ?(hi = max_int) lo =
+    lo <= hi && Version_store.exists_in_range (parent ()) ~lo ~hi ~f:restrict ()
   in
-  let rec forward (msg : Refresh_msg.t) =
+  let forward (msg : Refresh_msg.t) =
     match msg with
-    | Batch ms ->
-      (* Parents unbatch before notifying observers, so this is defensive:
-         forward the logical stream, never the transport framing. *)
-      List.iter forward ms
     | Upsert { addr; values } ->
       if restrict values then send (Upsert { addr; values = project values })
       else if child_had addr then send (Remove { addr })
     | Entry { addr; prev_qual; values } ->
-      let range_matters = child_has_range (prev_qual + 1) (addr - 1) in
+      let range_matters = child_has_range (prev_qual + 1) ~hi:(addr - 1) in
       if restrict values then
         if range_matters then
           send (Entry { addr; prev_qual; values = project values })
@@ -78,37 +87,45 @@ let attach ~upstream ~name ?(restrict = fun _ -> true) ?projection ?link () =
         (* The entry's range-delete span plus the entry itself. *)
         send (Region { lo = prev_qual + 1; hi = addr })
     | Remove { addr } -> if child_had addr then send msg
-    | Region { lo; hi } -> if child_has_range lo hi then send msg
-    | Tail { last_qual } ->
-      if Snapshot_table.exists_in_range upstream ~lo:(last_qual + 1) ~f:restrict () then
-        send msg
-    | Clear -> if Snapshot_table.count t.downstream > 0 then send msg
-    | Snaptime _ -> send msg
+    | Region { lo; hi } -> if child_has_range lo ~hi then send msg
+    | Tail { last_qual } -> if child_has_range (last_qual + 1) then send msg
+    | Clear | Snaptime _ -> send msg
     | Register _ | Request _ -> ()  (* control traffic does not cascade *)
+    | Batch _ -> ()  (* observers hear a batch's members, never the batch *)
   in
-  (* Synchronization with the parent's current state: at attach, and
-     again before the next message once a send has raised.  A raised send
-     leaves the child short of part of a stream the parent applies whole
-     (a one-shot outage loses one message, a downed link all that follow
-     it), so the child is rebuilt from the parent, which still holds its
-     state before the message, and the cascade invariant holds again. *)
-  let sync () =
-    List.iter
-      (fun (addr, values) ->
-        if restrict values then send (Refresh_msg.Upsert { addr; values = project values }))
-      (Snapshot_table.contents upstream);
-    send (Refresh_msg.Snaptime (Snapshot_table.snaptime upstream))
+  (* The child's whole image as one stream: [Clear], the qualifying rows
+     [rows] visits, then [ts]; it stops at the first failed send. *)
+  let sync rows ts =
+    t.stale <- false;
+    send Refresh_msg.Clear;
+    rows (fun addr values ->
+        if (not t.stale) && restrict values then
+          send (Refresh_msg.Upsert { addr; values = project values }));
+    if not t.stale then send (Refresh_msg.Snaptime ts)
   in
-  sync ();
+  (* The initial sync: the parent's committed image, under its last
+     committed epoch (raw before its first).  Inside an epoch the child
+     has missed its first frames, so it waits for that epoch's image. *)
+  if Snapshot_table.last_committed_epoch upstream >= 0 then
+    t.epoch <- Some (Snapshot_table.last_committed_epoch upstream);
+  sync (Snapshot_table.iter upstream) (Snapshot_table.snaptime upstream);
+  if Snapshot_table.open_epoch upstream <> None then t.stale <- true;
   Snapshot_table.subscribe upstream (fun msg ->
-      try
-        if t.stale then begin
-          send Refresh_msg.Clear;
-          sync ();
-          t.stale <- false
-        end;
-        forward msg
-      with e ->
-        t.stale <- true;
-        raise e);
+      let epoch = Snapshot_table.open_epoch upstream in
+      if epoch <> t.epoch then begin
+        t.epoch <- epoch;
+        t.seq <- 0;
+        (* At a new parent epoch, a child whose last commit is not the
+           parent's lost a frame of an earlier one: it gets the image.
+           Raw bytes would abort a child epoch its parent aborted. *)
+        if epoch = None then
+          Snapshot_table.abort_stream downstream ~reason:"the parent applies raw messages"
+        else if Snapshot_table.last_committed_epoch downstream
+                <> Snapshot_table.last_committed_epoch upstream
+        then t.stale <- true
+      end;
+      match msg with
+      | Refresh_msg.Snaptime ts when t.stale && epoch <> None ->
+        sync (Version_store.iter (parent ())) ts
+      | _ -> if not t.stale then forward msg);
   t

@@ -20,11 +20,13 @@
     BaseAddrs are shared with the parent (and transitively with the
     original base table), so the derived snapshot is itself cascadable.
 
-    A send that raises (the link is down) leaves the derived snapshot
-    short of part of a stream its parent applies whole.  Before the next
-    message it forwards, the cascade then rebuilds the child from the
-    parent ([Clear], the qualifying rows, the parent's SnapTime), so the
-    child equals the restriction of its parent again. *)
+    Messages travel framed under the parent's open epoch (raw only when
+    the parent applies raw), so the child commits exactly the parent's
+    epochs.  The child's link never fails the parent.  A child whose send
+    raised, or whose last committed epoch is not the parent's at a new
+    parent epoch's first message, gets that epoch's image instead of its
+    deltas — [Clear], the qualifying rows, the Snaptime, as {!attach}'s
+    initial sync — and keeps its last committed image until then. *)
 
 open Snapdiff_storage
 module Link = Snapdiff_net.Link

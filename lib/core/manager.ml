@@ -1148,8 +1148,7 @@ let attempt t b members =
         then begin
           let receiver = Snapshot_table.last_commit_phases m.snap.table in
           let received =
-            receiver.decode_us +. receiver.stage_us +. receiver.freeze_us +. receiver.replay_us
-            +. receiver.publish_us
+            receiver.decode_us +. receiver.freeze_us +. receiver.replay_us +. receiver.publish_us
           in
           let send_us = Float.max 0.0 (m.xmit_us -. m.encode_us -. received) in
           Some (receiver, send_us, m.encode_us +. send_us +. received)
@@ -1221,7 +1220,7 @@ let backoff_delay t ~failures =
   else capped *. (1.0 -. (p.jitter /. 2.0) +. Snapdiff_util.Rng.float t.rng p.jitter)
 
 (* The one settle function.  A committed member runs its commit hook and
-   is recorded; a failed one discards its staged stream (the receiver
+   is recorded; a failed one aborts its open epoch at the receiver (which
    keeps its previous consistent image) and, unless the failure is final,
    backs off — simulated time charged to the link, with jitter — and
    re-enters the attempt function as a group of one. *)
@@ -1247,7 +1246,7 @@ let rec settle t b m outcome =
           report.data_messages report.link_bytes report.fixup_writes report.new_snaptime);
     Ok report
   | Error (reason, fatal) ->
-    Snapshot_table.discard_stage s.table ~reason;
+    Snapshot_table.abort_stream s.table ~reason;
     Metrics.incr m_aborted_streams;
     Log.info (fun f ->
         f "refresh %s attempt %d/%d failed: %s" s.snap_name m.attempt t.retry.max_attempts

@@ -123,7 +123,7 @@ type refresh_report = {
           its hold being the whole refresh duration) *)
   receiver : Snapshot_table.commit_phases;
       (** the receiver half of the refresh's cost: how long the snapshot
-          site spent staging, freezing, replaying and publishing the
+          site spent decoding, freezing, replaying and publishing the
           committed stream ({!Snapshot_table.last_commit_phases}); all
           zero for a refresh that did not commit a framed stream *)
   sender : sender_phases;
@@ -137,7 +137,7 @@ type refresh_report = {
   residual_us : float;
       (** the part of [wall_us] no phase explains: [wall_us] minus
           [sender.scan_us] minus, over every member of the group that
-          committed, its [encode_us], [send_us] and five receiver phases.
+          committed, its [encode_us], [send_us] and four receiver phases.
           The same for every member of one group; for a solo refresh it is
           the wall time minus that refresh's own phases.  It holds request
           sends, stream set-up and a failed sibling's time on its link,
@@ -192,7 +192,7 @@ val create :
     coalesced into one
     {!Refresh_msg.Batch} frame — one link header, one sequence number, one
     checksum — cutting physical message count up to [batch_size]-fold
-    while the logical stream (and the receiver's atomic staging) is
+    while the logical stream (and the receiver's atomic epoch) is
     unchanged.  Control messages flush the buffer and travel alone.
     [batch_size = 1] frames every message by itself.
 

@@ -25,30 +25,30 @@ type secondary = {
   entries : (Addr.t, unit) Hashtbl.t Value_btree.t;
 }
 
-(* An in-flight framed refresh stream.  Messages are staged here and only
-   touch the table when the stream's commit marker (Snaptime) arrives with
-   no gap, truncation, or corruption; a bad stream is discarded wholesale,
-   leaving the previous consistent image intact. *)
-type stage = {
-  mutable stage_epoch : int;  (* -1 until a well-formed frame names it *)
-  mutable expected_seq : int;
-  mutable staged : Refresh_msg.t list;  (* newest first *)
-  mutable staged_logical : int;  (* protocol messages in [staged], batches unpacked *)
-  mutable poison : string option;
-  mutable stage_time_us : float;  (* time spent validating and queueing frames *)
-  mutable decode_time_us : float;  (* time spent checksumming and decoding frames *)
+(* An open epoch: the page table's open commit, into which each frame
+   replays as it arrives.  Its Snaptime publishes the root; any fault
+   aborts it back to the root sealed at its first frame. *)
+type epoch = {
+  epoch : int;
+  mutable next_seq : int;
+  mutable decode_us : float;  (* checksum and decode of its frames *)
+  freeze_us : float;  (* the seal at its first frame *)
+  mutable replay_us : float;  (* check and replay of its frames *)
 }
+
+type stream =
+  | Idle
+  | Open of epoch
+  | Dropping of int  (* an aborted epoch, [-1] if unknown: its frames go nowhere *)
 
 type commit_phases = {
   decode_us : float;
-  stage_us : float;
   freeze_us : float;
   replay_us : float;
   publish_us : float;
 }
 
-let no_phases =
-  { decode_us = 0.0; stage_us = 0.0; freeze_us = 0.0; replay_us = 0.0; publish_us = 0.0 }
+let no_phases = { decode_us = 0.0; freeze_us = 0.0; replay_us = 0.0; publish_us = 0.0 }
 
 type t = {
   snap_name : string;
@@ -58,7 +58,7 @@ type t = {
   secondaries : (string, secondary) Hashtbl.t;  (* lowercased column name *)
   mutable observers : (Refresh_msg.t -> unit) list;
   mutable time : Clock.ts;
-  mutable stage : stage option;
+  mutable stream : stream;
   mutable commits : int;
   mutable aborts : int;
   mutable last_abort : string option;
@@ -94,7 +94,7 @@ let make ?version_retain ?retain_duration ~name ~schema ~time store =
       secondaries = Hashtbl.create 4;
       observers = [];
       time;
-      stage = None;
+      stream = Idle;
       commits = 0;
       aborts = 0;
       last_abort = None;
@@ -151,14 +151,20 @@ let on_pool ?(snaptime = Clock.never) ?version_retain ?retain_duration ~name ~sc
       | _ -> corrupt "corrupt %s column in persisted store" baseaddr_col);
   t
 
+(* The open root, which the Figure 4 replay edits and the secondary
+   indexes follow; and the last committed image, which every public read
+   sees.  They differ only while an epoch is open. *)
 let head t = Version_store.head t.versions
+let image t = Version_store.committed t.versions
 
-let flush t = Option.iter (fun write -> write (head t)) t.store
+let open_image = head
+
+let flush t = Option.iter (fun write -> write (image t)) t.store
 
 let name t = t.snap_name
 let schema t = t.user
 let snaptime t = t.time
-let count t = Version_store.count (head t)
+let count t = Version_store.count (image t)
 
 (* Secondary index maintenance. *)
 let index_row sec base_addr values =
@@ -176,7 +182,7 @@ let index_row sec base_addr values =
 let sec_add t base_addr values =
   Hashtbl.iter (fun _ sec -> index_row sec base_addr values) t.secondaries
 
-(* Rebuild one index from the current image. *)
+(* Rebuild one index from the open root. *)
 let backfill t sec =
   Value_btree.clear sec.entries;
   Version_store.iter (head t) (index_row sec)
@@ -194,7 +200,7 @@ let sec_remove t base_addr values =
 
 (* Every mutation is one page-table edit; the secondary indexes follow
    from the old row the edit returns.  Rows arrive checked: a raw message
-   by [apply], a framed one by [malformed] at staging. *)
+   by [apply], a framed one by [malformed] before its replay. *)
 let put t base_addr values =
   Option.iter (sec_remove t base_addr) (Version_store.put t.versions base_addr values);
   sec_add t base_addr values
@@ -219,22 +225,18 @@ let clear t =
 
 let subscribe t f = t.observers <- t.observers @ [ f ]
 
-(* Observer delivery is a distinct step from the state change so that the
-   commit-only delivery contract is structural: a framed stream reaches
-   [replay], and so its observers, only inside its commit branch — a
-   staged message of an epoch that aborts (sequence gap, truncation,
-   corruption, supersession) is never delivered to subscribers.  Delivery
-   stays per-message and pre-apply: {!Cascade}'s transformer reads the
-   parent's previous state to decide what the child needs. *)
+(* Observers hear each message just before it is applied: {!Cascade}'s
+   transformer reads the parent's previous state to decide what the
+   child needs. *)
 let notify t msg = List.iter (fun f -> f msg) t.observers
 
 (* Figure 4 for one message, on rows already checked against the schema. *)
-let rec replay t ~notify (msg : Refresh_msg.t) =
+let rec replay t (msg : Refresh_msg.t) =
   (* Unbatch before notifying: observers (cascades, message meters) see
      the logical stream, never the transport coalescing. *)
-  (match msg with Batch _ -> () | _ -> notify msg);
+  (match msg with Batch _ -> () | _ -> notify t msg);
   match msg with
-  | Batch ms -> List.iter (replay t ~notify) ms
+  | Batch ms -> List.iter (replay t) ms
   | Entry { addr; prev_qual; values } ->
     (* Everything strictly between the previous qualified entry and this
        one is gone from the base table's qualified set. *)
@@ -252,8 +254,9 @@ let rec replay t ~notify (msg : Refresh_msg.t) =
     ()
 
 (* A row the snapshot cannot hold (wrong arity, wrong type, NULL in a NOT
-   NULL column), or [None].  A framed stream is checked at staging, so it
-   aborts whole instead of raising half way through its replay. *)
+   NULL column), or [None].  A framed row is checked before its frame
+   replays, so a malformed frame aborts its epoch instead of raising half
+   way through a message. *)
 let rec malformed t (msg : Refresh_msg.t) =
   match msg with
   | Entry { values; _ } | Upsert { values; _ } ->
@@ -263,163 +266,125 @@ let rec malformed t (msg : Refresh_msg.t) =
   | Batch ms -> List.find_map (malformed t) ms
   | Tail _ | Region _ | Remove _ | Clear | Snaptime _ | Register _ | Request _ -> None
 
-let apply t msg =
-  match malformed t msg with
-  | Some e -> invalid_arg ("Snapshot_table: " ^ e)
-  | None -> replay t ~notify:(notify t) msg
-
 (* ------------------------------------------------------------------ *)
-(* Atomic application of framed streams. *)
+(* Framed streams, applied as they arrive. *)
 
-let fresh_stage epoch =
-  { stage_epoch = epoch; expected_seq = 0; staged = []; staged_logical = 0; poison = None;
-    stage_time_us = 0.0; decode_time_us = 0.0 }
-
-let discard_stage t ~reason =
-  match t.stage with
-  | None -> ()
-  | Some _ ->
-    t.stage <- None;
+(* Abort the open epoch: the page table returns to the root sealed at its
+   start, the indexes are rebuilt from it, and the epoch's later frames
+   are dropped.  Bytes that are no frame at all may be a frame whose
+   header was garbled, so with no epoch open the next frame past
+   sequence 0 is dropped as the garbled one's. *)
+let abort t reason =
+  match t.stream with
+  | Dropping _ -> ()
+  | (Idle | Open _) as s ->
+    t.stream <-
+      Dropping
+        (match s with
+        | Open o ->
+          Version_store.abort_commit t.versions;
+          Hashtbl.iter (fun _ sec -> backfill t sec) t.secondaries;
+          o.epoch
+        | _ -> -1);
     t.aborts <- t.aborts + 1;
     t.last_abort <- Some reason;
     Metrics.incr m_stream_aborts;
-    Trace.event "refresh.discard"
-      ~attrs:[ ("snapshot", t.snap_name); ("reason", reason) ]
+    Trace.event "refresh.discard" ~attrs:[ ("snapshot", t.snap_name); ("reason", reason) ]
 
-(* Mark the in-flight stream bad; it will be discarded at its commit
-   marker (or when the next epoch supersedes it).  Corruption can garble
-   the frame header itself, so with no stream in flight we open an
-   anonymous stage that the next well-formed frame adopts. *)
-let poison_stage t reason =
-  match t.stage with
-  | Some st -> if st.poison = None then st.poison <- Some reason
-  | None -> t.stage <- Some { (fresh_stage (-1)) with poison = Some reason }
+let abort_stream t ~reason =
+  (match t.stream with Open _ -> abort t reason | Idle | Dropping _ -> ());
+  t.stream <- Idle
+
+let commit t o ts =
+  let t0 = Trace.now_us () in
+  Version_store.end_commit t.versions ~epoch:o.epoch ~snaptime:ts;
+  t.stream <- Idle;
+  t.last_phases <-
+    { decode_us = o.decode_us; freeze_us = o.freeze_us; replay_us = o.replay_us;
+      publish_us = Trace.now_us () -. t0 };
+  t.commits <- t.commits + 1;
+  t.committed_epoch <- o.epoch;
+  Metrics.incr m_stream_commits
 
 (* [decode_us] is the time [apply_bytes] spent checksumming and decoding
-   this frame, and [decoded_at] when it finished: staging is timed from
-   there, so the two phases share one clock read. *)
-let stage_frame t ~decode_us ~decoded_at { Refresh_msg.epoch; seq; msg } =
-  let st =
-    match t.stage with
-    | Some st when st.stage_epoch = epoch -> st
-    | Some st when st.stage_epoch = -1 ->
-      st.stage_epoch <- epoch;
-      st
-    | Some st ->
-      (* A frame from a different epoch means the previous stream was
-         truncated before its commit marker: discard it wholesale. *)
-      discard_stage t
-        ~reason:
-          (Printf.sprintf "epoch %d truncated (superseded by epoch %d)" st.stage_epoch epoch);
-      let st = fresh_stage epoch in
-      t.stage <- Some st;
-      st
-    | None ->
-      let st = fresh_stage epoch in
-      t.stage <- Some st;
-      st
-  in
-  if seq <> st.expected_seq && st.poison = None then
-    st.poison <-
-      Some (Printf.sprintf "sequence gap in epoch %d: expected %d, got %d" epoch st.expected_seq seq);
-  st.expected_seq <- seq + 1;
-  st.decode_time_us <- st.decode_time_us +. decode_us;
-  match msg with
-  | Refresh_msg.Snaptime _ -> (
-    (* The commit marker: apply everything or nothing. *)
-    match st.poison with
-    | Some reason -> discard_stage t ~reason
-    | None ->
-      t.stage <- None;
-      let commit_ts = match msg with Refresh_msg.Snaptime ts -> ts | _ -> t.time in
-      (* Seal the pre-commit image before any staged message edits the
-         table, and publish the new epoch afterwards: readers pinned
-         across this replay keep a consistent version throughout.  An
-         observer has seen each message by the time it is applied, so an
-         observer that raises does not stop the replay: the epoch commits
-         whole, and the first such exception is raised after it. *)
-      let failed = ref None in
-      let notify msg =
-        List.iter
-          (fun f ->
-            try f msg
-            with e -> if !failed = None then failed := Some (e, Printexc.get_raw_backtrace ()))
-          t.observers
-      in
-      let t0 = Trace.now_us () in
-      Version_store.begin_commit t.versions;
-      let t1 = Trace.now_us () in
-      (match
-         Trace.with_span "refresh.apply"
-           ~attrs:[ ("snapshot", t.snap_name); ("epoch", string_of_int epoch) ]
-           (fun () ->
-             List.iter (replay t ~notify) (List.rev st.staged);
-             replay t ~notify msg)
-       with
-      | () -> ()
-      | exception e ->
-        (* The table's own edits of a stream that passed [malformed] do
-           not raise; should one, the epoch publishes nothing and the
-           table goes back to the pre-commit image, its secondary indexes
-           with it. *)
-        let bt = Printexc.get_raw_backtrace () in
-        Version_store.abort_commit t.versions;
-        Hashtbl.iter (fun _ sec -> backfill t sec) t.secondaries;
-        Printexc.raise_with_backtrace e bt);
-      let t2 = Trace.now_us () in
-      Version_store.end_commit t.versions ~epoch ~snaptime:commit_ts;
-      t.last_phases <-
-        { decode_us = st.decode_time_us; stage_us = st.stage_time_us; freeze_us = t1 -. t0;
-          replay_us = t2 -. t1; publish_us = Trace.now_us () -. t2 };
-      t.commits <- t.commits + 1;
-      t.committed_epoch <- epoch;
-      Metrics.incr m_stream_commits;
-      Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failed)
-  | _ ->
-    (if st.poison = None then
-       match malformed t msg with
-       | Some e -> st.poison <- Some (Printf.sprintf "malformed frame in epoch %d: %s" epoch e)
-       | None -> ());
-    st.staged <- msg :: st.staged;
-    st.staged_logical <- st.staged_logical + Refresh_msg.logical_count msg;
-    st.stage_time_us <- st.stage_time_us +. (Trace.now_us () -. decoded_at)
+   this frame. *)
+let rec receive t ~decode_us ({ Refresh_msg.epoch; seq; msg } as frame) =
+  match t.stream with
+  | Dropping d when d = epoch || (d = -1 && seq > 0) ->
+    t.stream <- (match msg with Refresh_msg.Snaptime _ -> Idle | _ -> Dropping epoch)
+  | Open o when o.epoch <> epoch ->
+    (* The open epoch was truncated before its commit marker. *)
+    abort t (Printf.sprintf "epoch %d truncated (superseded by epoch %d)" o.epoch epoch);
+    receive t ~decode_us frame
+  | Idle | Dropping _ ->
+    let t0 = Trace.now_us () in
+    Version_store.begin_commit t.versions;
+    t.stream <-
+      Open { epoch; next_seq = 0; decode_us = 0.0; freeze_us = Trace.now_us () -. t0; replay_us = 0.0 };
+    receive t ~decode_us frame
+  | Open o -> (
+    let t0 = Trace.now_us () in
+    o.decode_us <- o.decode_us +. decode_us;
+    let drop reason =
+      abort t reason;
+      receive t ~decode_us:0.0 frame
+    in
+    if seq <> o.next_seq then
+      drop (Printf.sprintf "sequence gap in epoch %d: expected %d, got %d" epoch o.next_seq seq)
+    else
+      match malformed t msg with
+      | Some e -> drop (Printf.sprintf "malformed frame in epoch %d: %s" epoch e)
+      | None -> (
+        o.next_seq <- seq + 1;
+        (try
+           Trace.with_span "refresh.apply"
+             ~attrs:[ ("snapshot", t.snap_name); ("epoch", string_of_int epoch) ]
+             (fun () -> replay t msg)
+         with e ->
+           (* A raise from the replay or an observer surfaces at its frame. *)
+           let bt = Printexc.get_raw_backtrace () in
+           drop (Printf.sprintf "replay of epoch %d raised: %s" epoch (Printexc.to_string e));
+           Printexc.raise_with_backtrace e bt);
+        o.replay_us <- o.replay_us +. (Trace.now_us () -. t0);
+        match msg with Refresh_msg.Snaptime ts -> commit t o ts | _ -> ()))
 
-let apply_framed t frame = stage_frame t ~decode_us:0.0 ~decoded_at:(Trace.now_us ()) frame
+(* A raw message is the same replay outside any epoch; it aborts an open
+   one first. *)
+let apply t msg =
+  (match t.stream with
+  | Open o -> abort t (Printf.sprintf "raw message inside epoch %d" o.epoch)
+  | Idle | Dropping _ -> ());
+  match malformed t msg with
+  | Some e -> invalid_arg ("Snapshot_table: " ^ e)
+  | None -> replay t msg
 
 let apply_bytes t b =
   if Refresh_msg.is_framed b then begin
     let t0 = Trace.now_us () in
     match Refresh_msg.decode_framed b with
-    | frame ->
-      let decoded_at = Trace.now_us () in
-      stage_frame t ~decode_us:(decoded_at -. t0) ~decoded_at frame
-    | exception Refresh_msg.Corrupt reason -> poison_stage t ("corrupt frame: " ^ reason)
+    | frame -> receive t ~decode_us:(Trace.now_us () -. t0) frame
+    | exception Refresh_msg.Corrupt reason -> abort t ("corrupt frame: " ^ reason)
   end
   else
     match Refresh_msg.decode b with
-    | msg ->
-      if t.stage <> None then
-        (* Raw bytes mid-stream can only be a frame whose tag byte was
-           garbled in flight. *)
-        poison_stage t "unframed bytes inside a framed stream"
-      else apply t msg
-    | exception Failure reason -> poison_stage t ("undecodable message: " ^ reason)
+    | msg when t.stream = Idle -> apply t msg
+    | _ -> abort t "unframed bytes inside a framed stream"
+    | exception Failure reason -> abort t ("undecodable message: " ^ reason)
 
 let epochs_committed t = t.commits
 let epochs_aborted t = t.aborts
 let last_abort t = t.last_abort
 let last_committed_epoch t = t.committed_epoch
 let last_commit_phases t = t.last_phases
-let stream_pending t = t.stage <> None
-let staged_depth t = match t.stage with None -> 0 | Some st -> st.staged_logical
+let open_epoch t = match t.stream with Open o -> Some o.epoch | Idle | Dropping _ -> None
 
-let get t base_addr = Version_store.find (head t) base_addr
+let get t base_addr = Version_store.find (image t) base_addr
 
 (* Traversals with no result list: the hot read paths — fleet readers,
    the bench, and [tuples] below — go through these instead of
    materializing [contents]' O(n) assoc list per read. *)
-let iter t f = Version_store.iter (head t) f
-let fold t ~init ~f = Version_store.fold (head t) ~init ~f
+let iter t f = Version_store.iter (image t) f
+let fold t ~init ~f = Version_store.fold (image t) ~init ~f
 
 let contents t =
   List.rev (fold t ~init:[] ~f:(fun acc base_addr values -> (base_addr, values) :: acc))
@@ -467,21 +432,22 @@ let txn_count rt = Version_store.count (txn_image rt)
 let txn_iter rt f = Version_store.iter (txn_image rt) f
 let txn_fold rt ~init ~f = Version_store.fold (txn_image rt) ~init ~f
 
-let txn_exists_in_range rt ?lo ?hi ~f () =
-  Version_store.exists_in_range (txn_image rt) ?lo ?hi ~f ()
-
 let txn_contents rt =
   List.rev (txn_fold rt ~init:[] ~f:(fun acc addr values -> (addr, values) :: acc))
 
+(* The ascending addresses of [img]'s rows whose column [i] passes [keep]:
+   an index-free scan. *)
+let scan_matching img i keep =
+  List.rev
+    (Version_store.fold img ~init:[] ~f:(fun acc addr values ->
+         if keep values.(i) then addr :: acc else acc))
+
 let txn_lookup rt ~column value =
-  (* Secondary indexes track only the live image; at a pinned version the
+  (* Secondary indexes track only the open root; at a pinned version the
      lookup is an index-free scan of the version's pages. *)
   match Schema.index_of rt.rt_table.user column with
   | None -> invalid_arg (Printf.sprintf "Snapshot_table.txn_lookup: unknown column %s" column)
-  | Some i ->
-    List.rev
-      (txn_fold rt ~init:[] ~f:(fun acc addr values ->
-           if Value.equal values.(i) value then addr :: acc else acc))
+  | Some i -> scan_matching (txn_image rt) i (Value.equal value)
 
 let create_index t ~column =
   match Schema.index_of t.user column with
@@ -504,32 +470,29 @@ let has_index t ~column = Hashtbl.mem t.secondaries (String.lowercase_ascii colu
 
 let addrs_of_set set = Hashtbl.fold (fun addr () acc -> addr :: acc) set []
 
-let lookup t ~column value =
+(* The addresses whose [column] lies in [lo..hi], ascending.  While an
+   epoch is open the index follows its replay, so the committed image is
+   scanned instead. *)
+let indexed fn t ~column ?lo ?hi () =
   match Hashtbl.find_opt t.secondaries (String.lowercase_ascii column) with
-  | None -> invalid_arg (Printf.sprintf "Snapshot_table.lookup: no index on %s" column)
-  | Some sec ->
-    let addrs =
-      match Value_btree.find sec.entries value with
-      | Some set -> addrs_of_set set
-      | None -> []
-    in
-    List.sort Addr.compare addrs
-
-let lookup_range t ~column ?lo ?hi () =
-  match Hashtbl.find_opt t.secondaries (String.lowercase_ascii column) with
-  | None -> invalid_arg (Printf.sprintf "Snapshot_table.lookup_range: no index on %s" column)
-  | Some sec ->
+  | None -> invalid_arg (Printf.sprintf "Snapshot_table.%s: no index on %s" fn column)
+  | Some sec when open_epoch t = None ->
     let acc = ref [] in
     Value_btree.iter_range sec.entries ?lo ?hi (fun _ set -> acc := addrs_of_set set @ !acc);
     List.sort Addr.compare !acc
+  | Some sec ->
+    let within b ok v = match b with Some b -> ok (Value.compare v b) | None -> true in
+    scan_matching (image t) sec.sec_column (fun v ->
+        within lo (fun c -> c >= 0) v && within hi (fun c -> c <= 0) v)
 
-let high_water t = Option.value (Version_store.last (head t)) ~default:Addr.zero
+let lookup t ~column value = indexed "lookup" t ~column ~lo:value ~hi:value ()
+let lookup_range = indexed "lookup_range"
 
-let exists_in_range t ?lo ?hi ~f () = Version_store.exists_in_range (head t) ?lo ?hi ~f ()
+let high_water t = Option.value (Version_store.last (image t)) ~default:Addr.zero
 
 (* The page table's own layout check, then each secondary index against
-   a scan of the image: every row is indexed under its value, and the
-   index holds nothing else. *)
+   a scan of the open root it follows: every row is indexed under its
+   value, and the index holds nothing else. *)
 let validate t =
   match Version_store.validate t.versions with
   | Error e -> Error e
@@ -538,9 +501,10 @@ let validate t =
     let check _ sec =
       let name = (Schema.column t.user sec.sec_column).Schema.name in
       let held = Value_btree.fold sec.entries ~init:0 ~f:(fun n _ set -> n + Hashtbl.length set) in
-      if held <> count t then
-        raise (Bad (Printf.sprintf "index on %s holds %d entries, the table %d rows" name held (count t)));
-      iter t (fun a values ->
+      let rows = Version_store.count (head t) in
+      if held <> rows then
+        raise (Bad (Printf.sprintf "index on %s holds %d entries, the table %d rows" name held rows));
+      Version_store.iter (head t) (fun a values ->
           match Value_btree.find sec.entries values.(sec.sec_column) with
           | Some set when Hashtbl.mem set a -> ()
           | _ -> raise (Bad (Printf.sprintf "index on %s misses row %d" name a)))

@@ -87,32 +87,46 @@ val snaptime : t -> Clock.ts
 val count : t -> int
 
 val apply : t -> Refresh_msg.t -> unit
-(** Immediate (legacy) application of a raw message.  A row that does
-    not match the schema raises [Invalid_argument], and nothing of the
-    message is stored.  An observer that raises stops the message before
-    it is applied. *)
+(** Immediate application of a raw message, outside any epoch; an open
+    epoch is aborted first.  A row that does not match the schema raises
+    [Invalid_argument], and nothing of the message is stored.  An
+    observer that raises stops the message before it is applied. *)
 
 val apply_bytes : t -> bytes -> unit
-(** The receiver installed on the network link.  Raw messages are decoded
-    and applied immediately; framed messages go through the atomic staging
-    path ({!apply_framed}).  Undecodable bytes never raise — they poison
-    the in-flight stream (or open a poisoned one), so the corruption is
-    detected at the stream's commit marker. *)
+(** The receiver installed on the network link.  A raw message is decoded
+    and applied ({!apply}); a frame joins its epoch (below).  Bytes that
+    decode to no frame never raise: inside an epoch they abort it, and
+    with none open they abort the epoch whose frames come next.  A raise
+    from a frame's replay or from an observer aborts the epoch and
+    surfaces here. *)
 
 (** {1 Atomic stream application}
 
-    Messages of a framed refresh stream are staged per epoch and applied
-    only when the stream's {!Refresh_msg.Snaptime} commit marker arrives
-    with no sequence gap, truncation, or corruption.  A bad stream is
-    discarded wholesale — the previous consistent image stays intact.
-    A data frame whose row does not validate against the snapshot
-    schema (arity, column types, NOT NULL) poisons its stream at
-    staging, so it too aborts whole. *)
+    A framed refresh stream is applied as it arrives, inside the page
+    table's open commit: its first well-formed frame seals the committed
+    image ({!Version_store.begin_commit}), each frame is checked
+    (sequence number, then each row against the schema: arity, column
+    types, NOT NULL) and replayed into the open root at once, and the
+    {!Refresh_msg.Snaptime} marker publishes the epoch.  A sequence gap,
+    a bad checksum, undecodable bytes, a malformed row, a frame of
+    another epoch, raw bytes inside the stream, {!abort_stream}, or a
+    raise from a replay or an observer aborts the epoch at once: the
+    table returns to the sealed image, the secondary indexes are rebuilt
+    from it, and the epoch's remaining frames are dropped.  Until the
+    marker every public read — {!get}, {!contents}, {!tuples}, {!count},
+    {!iter}, {!fold}, {!high_water}, {!lookup}, {!lookup_range},
+    {!flush} — sees the last committed image. *)
 
-val apply_framed : t -> Refresh_msg.frame -> unit
+val abort_stream : t -> reason:string -> unit
+(** Abort the open epoch, if any (the sender saw its stream fail). *)
 
-val discard_stage : t -> reason:string -> unit
-(** Abort the in-flight stream, if any (the sender saw its link die). *)
+val open_epoch : t -> int option
+(** The epoch whose frames are being applied, if one is open. *)
+
+val open_image : t -> Version_store.image
+(** The open root: inside an epoch, the committed image with the frames
+    applied so far.  Only the Figure 4 replay and {!Cascade}, from an
+    observer, read it. *)
 
 val epochs_committed : t -> int
 
@@ -124,19 +138,15 @@ val last_committed_epoch : t -> int
 (** Epoch of the most recently committed framed stream; [-1] before any. *)
 
 (** Where the receiver's time went in its last framed commit, in
-    microseconds.  The five phases are disjoint: [decode_us] sums
-    {!apply_bytes}' checksum and decode of the epoch's frames (0 for
-    frames handed to {!apply_framed} already decoded); [stage_us] sums the
-    staging of the epoch's data frames (validation and queueing, one
-    call per frame); [freeze_us] is {!Version_store.begin_commit}
-    sealing the pre-commit image; [replay_us] applies the staged
-    messages to the page table (copying each page the first time the
-    commit touches it); [publish_us] is {!Version_store.end_commit}
-    publishing the epoch.  A replay that raises publishes nothing: the
-    table returns to the pre-commit image. *)
+    microseconds.  The four phases are disjoint: [decode_us] sums
+    {!apply_bytes}' checksum and decode of the epoch's frames; [freeze_us] is
+    {!Version_store.begin_commit} sealing the committed image at the
+    first frame; [replay_us] sums each frame's check and its replay into
+    the page table (copying each page the first time the epoch touches
+    it); [publish_us] is {!Version_store.end_commit} publishing the
+    epoch. *)
 type commit_phases = {
   decode_us : float;
-  stage_us : float;
   freeze_us : float;
   replay_us : float;
   publish_us : float;
@@ -147,13 +157,6 @@ val no_phases : commit_phases
 
 val last_commit_phases : t -> commit_phases
 (** {!no_phases} before the first framed commit. *)
-
-val stream_pending : t -> bool
-
-val staged_depth : t -> int
-(** Protocol messages currently staged for the in-flight stream: a staged
-    {!Refresh_msg.Batch} frame counts its members
-    ({!Refresh_msg.logical_count}), not 1. *)
 
 val get : t -> Addr.t -> Tuple.t option
 (** Lookup by base address. *)
@@ -174,12 +177,6 @@ val high_water : t -> Addr.t
 (** Largest BaseAddr held, {!Addr.zero} if empty (input to the
     tail-suppression optimization). *)
 
-val exists_in_range :
-  t -> ?lo:Addr.t -> ?hi:Addr.t -> f:(Tuple.t -> bool) -> unit -> bool
-(** Does any entry with BaseAddr in the (inclusive) range satisfy [f]?
-    Early-exiting page walk; used by {!Cascade} to decide whether a
-    deletion-covering message matters downstream. *)
-
 (** {1 Secondary indexes}
 
     "Indices can be defined on a snapshot to accelerate access to its
@@ -195,7 +192,9 @@ val has_index : t -> column:string -> bool
 
 val lookup : t -> column:string -> Value.t -> Addr.t list
 (** BaseAddrs of entries whose column equals the value, ascending.
-    Raises [Invalid_argument] if the column has no index. *)
+    Raises [Invalid_argument] if the column has no index.  While an epoch
+    is open the index follows its replay, so the lookup scans the
+    committed image instead, as {!txn_lookup} does. *)
 
 val lookup_range :
   t -> column:string -> ?lo:Value.t -> ?hi:Value.t -> unit -> Addr.t list
@@ -208,15 +207,13 @@ val lookup_range :
     derived snapshot. *)
 
 val subscribe : t -> (Refresh_msg.t -> unit) -> unit
-(** The callback observes every {e applied} message, immediately before
-    its state change lands (pre-apply: {!Cascade} decides from the
-    previous state what its child needs).  Framed streams deliver only at
-    their commit marker — a staged epoch that aborts (sequence gap,
-    truncation, corruption, supersession) is never delivered, so cascade
-    observers cannot act on an epoch that never committed.  An observer
-    that raises during a framed commit does not cut the epoch short: the
-    replay goes on, every observer hears every message of it, the epoch
-    commits, and the first exception is raised after the commit. *)
+(** The callback hears each message just before it is applied, raw or
+    framed (pre-apply: {!Cascade} decides from {!open_image} what its
+    child needs), with batches unpacked.  A framed message is heard as
+    its frame arrives, so an observer may hear part of an epoch that
+    later aborts; an aborted epoch's Snaptime never reaches it, and
+    {!open_epoch} names the epoch being heard.  An observer that raises
+    aborts the epoch, and the exception surfaces at that frame. *)
 
 (** {1 Versioned reads}
 
@@ -269,12 +266,9 @@ val txn_fold : read_txn -> init:'a -> f:('a -> Addr.t -> Tuple.t -> 'a) -> 'a
 
 val txn_contents : read_txn -> (Addr.t * Tuple.t) list
 
-val txn_exists_in_range :
-  read_txn -> ?lo:Addr.t -> ?hi:Addr.t -> f:(Tuple.t -> bool) -> unit -> bool
-
 val txn_lookup : read_txn -> column:string -> Value.t -> Addr.t list
 (** Addresses whose column equals the value at the pinned version,
-    ascending.  Secondary indexes track only the live image, so this is
+    ascending.  Secondary indexes track only the open root, so this is
     an index-free scan of the version.  Raises [Invalid_argument] on an
     unknown column (no index required). *)
 
@@ -307,4 +301,4 @@ val vacuum :
 
 val validate : t -> (unit, string) result
 (** {!Version_store.validate} on the page table, then each secondary
-    index against a scan of the image, in O(rows). *)
+    index against a scan of the open root it follows, in O(rows). *)

@@ -760,10 +760,16 @@ let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
         : Manager.refresh_report);
     let link = Manager.snapshot_link mgr "s" in
     Link.reset_stats link;
+    (* A cascade child of [s]; its link runs the same plan on another seed. *)
+    let even_qual t = match t.(2) with Snapdiff_storage.Value.Int q -> Int64.rem q 2L = 0L | _ -> false in
+    let child =
+      Cascade.attach ~upstream:(Manager.snapshot_table mgr "s") ~name:"c" ~restrict:even_qual ()
+    in
     let attempts = ref 0 and aborted = ref 0 and escal = ref 0 and failed = ref 0 in
     for round = 1 to rounds do
       ignore (Workload.update_fraction base ~rng ~u:0.02 ~mix:Workload.churn : int);
-      arm link ~batch:fault_batch ~round;
+      arm link ~seed ~batch:fault_batch ~round;
+      arm (Cascade.link child) ~seed:(seed + 1000) ~batch:1 ~round;
       match Manager.refresh mgr "s" with
       | r ->
         attempts := !attempts + r.Manager.attempts;
@@ -782,6 +788,7 @@ let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
     (* SnapTime only advances on commit, so one refresh on a clean line
        converges no matter how many rounds failed. *)
     Link.clear_faults link;
+    Link.clear_faults (Cascade.link child);
     ignore (Manager.refresh mgr "s" : Manager.refresh_report);
     let restrict = Eval.compile Workload.schema (Workload.restrict_fraction q) in
     let expected = List.filter (fun (_, u) -> restrict u) (Base_table.to_user_list base) in
@@ -798,33 +805,37 @@ let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
       wire_messages;
       faults_hit;
       converged =
-        Snapshot_table.contents snap = expected && Snapshot_table.validate snap = Ok ();
+        Snapshot_table.contents snap = expected
+        && Snapshot_table.validate snap = Ok ()
+        && Snapshot_table.contents (Cascade.table child) = List.filter (fun (_, t) -> even_qual t) expected
+        && Snapshot_table.last_committed_epoch (Cascade.table child) = Snapshot_table.last_committed_epoch snap;
     }
   in
   let per_frame p ~batch = 1.0 -. ((1.0 -. p) ** float_of_int batch) in
   let plans =
     [
-      ("clean line", false, fun _ ~batch:_ ~round:_ -> ());
+      ("clean line", false, fun _ ~seed:_ ~batch:_ ~round:_ -> ());
       ( "drop 5%",
         true,
-        fun l ~batch ~round ->
+        fun l ~seed ~batch ~round ->
           Link.inject_faults l ~drop_prob:(per_frame 0.05 ~batch) ~seed:(seed + round) () );
       ( "drop 5%, burst to first loss",
         true,
-        fun l ~batch ~round ->
+        fun l ~seed ~batch ~round ->
           if round = 1 then Link.inject_faults l ~drop_prob:(per_frame 0.05 ~batch) ~seed ()
           else if (Link.stats l).Link.injected_drops > 0 then Link.clear_faults l );
       ( "corrupt 5%",
         true,
-        fun l ~batch ~round ->
+        fun l ~seed ~batch ~round ->
           Link.inject_faults l ~corrupt_prob:(per_frame 0.05 ~batch) ~seed:(seed + round) () );
       ( "crash after 3 msgs",
         true,
-        fun l ~batch ~round -> Link.inject_faults l ~fail_after:(3 / batch) ~seed:(seed + round) ()
+        fun l ~seed ~batch ~round ->
+          Link.inject_faults l ~fail_after:(3 / batch) ~seed:(seed + round) ()
       );
       ( "partition, sends 4-12",
         true,
-        fun l ~batch:_ ~round ->
+        fun l ~seed ~batch:_ ~round ->
           if round = 1 then Link.inject_faults l ~partitions:[ (4, 12) ] ~seed () );
     ]
   in

@@ -109,6 +109,10 @@ let locked t f =
 
 let head t = { dir = t.open_dir; rows = t.open_rows; span = t.span }
 
+(* During a commit the head version's root is the pre-commit image sealed
+   at its start; outside one it is the open root. *)
+let committed t = if t.committing then (List.hd t.ring).v_root else head t
+
 (* Start a new generation: every page made so far is now shared. *)
 let seal t = t.cur_gen <- t.cur_gen + 1
 
@@ -513,7 +517,6 @@ let version_bytes v =
 
 let vacuum ?older_than ?(dry_run = false) t =
   locked t (fun () ->
-      if t.committing then invalid_arg "Version_store.vacuum: commit in flight";
       let expired v =
         match older_than with Some ts -> v.v_snaptime < ts | None -> false
       in

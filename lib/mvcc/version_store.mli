@@ -86,6 +86,11 @@ val head : t -> image
 (** The open root.  Only the writer may read it, and only until its next
     edit. *)
 
+val committed : t -> image
+(** The last committed image: between {!begin_commit} and its end, the
+    pre-commit root it sealed; otherwise the open root, raw edits
+    included.  Like {!head}, for the writer's own reads. *)
+
 val put : t -> Addr.t -> Tuple.t -> Tuple.t option
 (** Store the row at the address and return the row it replaced.  The
     row must not be mutated afterwards. *)
@@ -207,5 +212,5 @@ val vacuum : ?older_than:Clock.ts -> ?dry_run:bool -> t -> vacuum_stats
     byte-identical image; the final {!release} reclaims them); unpinned
     candidates are freed unless the reclaim guard vetoes.  [dry_run]
     (default false) reports what would happen without changing anything.
-    Raises [Invalid_argument] if called between {!begin_commit} and
-    {!end_commit}. *)
+    It may run during a commit: the head it never touches is then the
+    pre-commit image. *)

@@ -536,8 +536,8 @@ let evaluate_query_snapshot t qs =
 let populate_query_snapshot t qs =
   let rows = evaluate_query_snapshot t qs in
   let before = Link.stats qs.qs_link in
-  (* One framed epoch per refresh: the receiver stages it and commits it
-     whole at the Snaptime marker, so each refresh is atomic and lands in
+  (* One framed epoch per refresh: the receiver applies it as it arrives
+     and publishes it at the Snaptime marker, so each refresh is atomic and lands in
      the snapshot's epoch ring.  Rows travel in batches, as the manager's
      streams do. *)
   let name = Snapshot_table.name qs.qs_table in
@@ -566,9 +566,9 @@ let populate_query_snapshot t qs =
    with
   | () -> ()
   | exception e ->
-    (* A stream cut short never commits: drop what the receiver staged. *)
+    (* A stream cut short never commits: abort the receiver's epoch. *)
     if Snapshot_table.last_committed_epoch qs.qs_table <> epoch then
-      Snapshot_table.discard_stage qs.qs_table
+      Snapshot_table.abort_stream qs.qs_table
         ~reason:(Printf.sprintf "epoch %d cut short: %s" epoch (Printexc.to_string e));
     raise e);
   if Snapshot_table.last_committed_epoch qs.qs_table <> epoch then

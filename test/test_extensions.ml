@@ -149,13 +149,16 @@ let test_cascade_of_cascade () =
   Alcotest.(check (list string)) "propagated two levels" [ "'Paul'" ]
     (names_of (Cascade.table level2))
 
-(* The child's link fails part way through a parent's framed commit.  The
-   parent's epoch commits whole, so the child — short of the stream's rest
-   — is rebuilt from the parent before the next message it is sent, and
-   it equals the restriction of its parent again: a row the child got
-   before the outage is removed when its base row goes. *)
+(* The child's link fails part way through a parent's framed epoch.  The
+   child's outage never fails the parent: each parent refresh commits at
+   its first attempt while the child keeps its last committed image.
+   Once the link is back, the cascade sees the child's last commit lag
+   the parent's and sends it the parent's image at the next epoch's
+   Snaptime, so the child equals the restriction of its parent again: a
+   row the child got inside the aborted epoch is gone. *)
 let test_cascade_link_down_mid_commit () =
   let base, m, parent, casc = cascade_setup () in
+  let child = Cascade.table casc in
   let link = Cascade.link casc in
   let find name =
     fst (List.find (fun (_, u) -> Tuple.get u 0 = Value.str name) (Base_table.to_user_list base))
@@ -166,10 +169,19 @@ let test_cascade_link_down_mid_commit () =
       (Snapshot_table.contents parent)
   in
   let agrees what =
-    checkb what true (Snapshot_table.contents (Cascade.table casc) = restricted ())
+    checkb what true (Snapshot_table.contents child = restricted ());
+    checki (what ^ ": same last epoch") (Snapshot_table.last_committed_epoch parent)
+      (Snapshot_table.last_committed_epoch child)
+  in
+  (* One parent refresh: it commits at its first attempt, one epoch on. *)
+  let refresh () =
+    let e = Snapshot_table.last_committed_epoch parent in
+    let r = Manager.refresh m "lowpay" in
+    checki "the parent commits at its first attempt" 1 r.Manager.attempts;
+    checki "the parent's epoch advances by one" (e + 1) (Snapshot_table.last_committed_epoch parent)
   in
   (* Paul enters the child; the link goes down right after his row is
-     forwarded, and stays down through every retry. *)
+     forwarded, and stays down through two refreshes. *)
   Base_table.update base (find "Paul") (emp "Paul" 5);
   let armed = ref true in
   Snapshot_table.subscribe parent (fun msg ->
@@ -179,35 +191,48 @@ let test_cascade_link_down_mid_commit () =
         armed := false;
         Snapdiff_net.Link.set_up link false
       | _ -> ());
-  checkb "the parent's refresh reports the child's outage" true
-    (match Manager.refresh m "lowpay" with
-    | _ -> false
-    | exception Manager.Refresh_failed _ -> true);
+  let image0 = Snapshot_table.contents child and time0 = Snapshot_table.snaptime child in
+  refresh ();
   checkb "the outage hit after Paul reached the child" true (not !armed);
-  (* Paul's base row goes while the child still holds him. *)
+  Base_table.update base (find "Jack") (emp "Jack" 7);
+  refresh ();
+  checkb "the child keeps its committed image" true (Snapshot_table.contents child = image0);
+  checki "and its SnapTime" time0 (Snapshot_table.snaptime child);
+  (* Paul's base row goes while the child's open epoch still holds him. *)
   Base_table.delete base (find "Paul");
   Snapdiff_net.Link.set_up link true;
-  ignore (Manager.refresh m "lowpay" : Manager.refresh_report);
-  Alcotest.(check (list string)) "stray row removed" [ "'Jack'" ] (names_of (Cascade.table casc));
-  agrees "child = restriction of parent after the next refresh";
-  (* A one-shot outage mid-stream: the rest of the stream still reaches
-     the child, which is rebuilt before it. *)
+  refresh ();
+  Alcotest.(check (list string)) "stray row removed" [ "'Jack'" ] (names_of child);
+  agrees "child = restriction of parent after the link is back";
+  (* A one-shot outage mid-stream: the cascade stops sending deltas and
+     sends the image at the same epoch's Snaptime. *)
   Base_table.update base (find "Hamid") (emp "Hamid" 3);
   Base_table.update base (find "Mohan") (emp "Mohan" 2);
   Snapdiff_net.Link.inject_faults link ~fail_after:1 ~seed:1 ();
-  ignore (Manager.refresh m "lowpay" : Manager.refresh_report);
+  refresh ();
+  checki "the outage hit" 1 (Snapdiff_net.Link.stats link).Snapdiff_net.Link.injected_failures;
   Snapdiff_net.Link.clear_faults link;
   Alcotest.(check (list string)) "both entered" [ "'Hamid'"; "'Jack'"; "'Mohan'" ]
-    (List.sort compare (names_of (Cascade.table casc)));
+    (List.sort compare (names_of child));
   agrees "child = restriction of parent after a one-shot outage";
-  checkb "valid" true (Snapshot_table.validate (Cascade.table casc) = Ok ())
+  refresh ();
+  agrees "and after the next refresh";
+  checkb "valid" true (Snapshot_table.validate child = Ok ())
 
+(* Random base edits and parent refreshes, with faults armed on either
+   link of a two-level cascade (parent -> child -> level 2) for the next
+   parent refresh: a one-shot outage, loss, corruption, or a downed link.
+   After a refresh on clean links each level equals the restriction of
+   the level above, at the same last epoch; after a faulted one each
+   level holds either its previous committed image or that restriction,
+   and nothing else. *)
 let test_cascade_property_faithful =
+  let module Link = Snapdiff_net.Link in
   QCheck2.Test.make ~name:"cascade = restriction of parent" ~count:100
     QCheck2.Gen.(
       pair
         (list_size (int_range 0 40)
-           (pair (int_range 0 3) (pair (int_range 0 1000) (int_range 0 19))))
+           (pair (int_range 0 4) (pair (int_range 0 1000) (int_range 0 19))))
         (int_range 0 20))
     (fun (script, threshold) ->
       let clock = Clock.create () in
@@ -222,34 +247,72 @@ let test_cascade_property_faithful =
            ~restrict:Expr.(col "salary" <. int 14)
            ~method_:Manager.Differential ()
           : Manager.refresh_report);
-      let casc =
-        Cascade.attach
-          ~upstream:(Manager.snapshot_table m "parent")
-          ~name:"child"
-          ~restrict:(fun t -> salary t < threshold)
-          ()
+      let parent = Manager.snapshot_table m "parent" in
+      let below t = salary t < threshold and even t = salary t mod 2 = 0 in
+      let casc = Cascade.attach ~upstream:parent ~name:"child" ~restrict:below () in
+      let level2 = Cascade.attach ~upstream:(Cascade.table casc) ~name:"level2" ~restrict:even () in
+      let levels =
+        [ (parent, Cascade.table casc, below); (Cascade.table casc, Cascade.table level2, even) ]
+      in
+      let restriction f up = List.filter (fun (_, t) -> f t) (Snapshot_table.contents up) in
+      let faithful (up, down, f) =
+        Snapshot_table.contents down = restriction f up
+        && Snapshot_table.last_committed_epoch down = Snapshot_table.last_committed_epoch up
+      in
+      let armed = ref [] in
+      let refresh () =
+        let before = List.map (fun (_, down, _) -> Snapshot_table.contents down) levels in
+        ignore (Manager.refresh m "parent" : Manager.refresh_report);
+        let ok =
+          if !armed = [] then List.for_all faithful levels
+          else
+            List.for_all2
+              (fun (up, down, f) prev ->
+                let now = Snapshot_table.contents down in
+                now = prev || now = restriction f up)
+              levels before
+        in
+        List.iter
+          (fun l ->
+            Link.clear_faults l;
+            Link.set_up l true)
+          !armed;
+        armed := [];
+        ok
       in
       let n = ref 0 in
-      List.iter
-        (fun (op, (pick, sal)) ->
-          incr n;
-          let live = Base_table.to_user_list base in
-          match op with
-          | 0 -> ignore (Base_table.insert base (emp (Printf.sprintf "x%d" !n) sal) : Addr.t)
-          | 1 when live <> [] ->
-            let addr = fst (List.nth live (pick mod List.length live)) in
-            Base_table.update base addr (emp (Printf.sprintf "u%d" !n) sal)
-          | 2 when live <> [] ->
-            let addr = fst (List.nth live (pick mod List.length live)) in
-            Base_table.delete base addr
-          | _ -> ignore (Manager.refresh m "parent" : Manager.refresh_report))
-        script;
-      ignore (Manager.refresh m "parent" : Manager.refresh_report);
-      let parent = Manager.snapshot_table m "parent" in
-      let expected =
-        List.filter (fun (_, t) -> salary t < threshold) (Snapshot_table.contents parent)
+      let ok =
+        List.for_all
+          (fun (op, (pick, sal)) ->
+            incr n;
+            let live = Base_table.to_user_list base in
+            match op with
+            | 0 ->
+              ignore (Base_table.insert base (emp (Printf.sprintf "x%d" !n) sal) : Addr.t);
+              true
+            | 1 when live <> [] ->
+              let addr = fst (List.nth live (pick mod List.length live)) in
+              Base_table.update base addr (emp (Printf.sprintf "u%d" !n) sal);
+              true
+            | 2 when live <> [] ->
+              let addr = fst (List.nth live (pick mod List.length live)) in
+              Base_table.delete base addr;
+              true
+            | 4 ->
+              let l = Cascade.link (if pick mod 2 = 0 then casc else level2) in
+              armed := l :: !armed;
+              (match pick / 2 mod 4 with
+              | 0 -> Link.inject_faults l ~fail_after:(sal mod 6) ~seed:pick ()
+              | 1 -> Link.inject_faults l ~drop_prob:0.3 ~seed:pick ()
+              | 2 -> Link.inject_faults l ~corrupt_prob:0.3 ~seed:pick ()
+              | _ -> Link.set_up l false);
+              true
+            | _ -> refresh ())
+          script
       in
-      Snapshot_table.contents (Cascade.table casc) = expected)
+      (* The last refresh may be faulted; the one after it is clean. *)
+      let last = refresh () in
+      ok && last && refresh ())
 
 (* ------------------------------------------------------------------ *)
 (* SQL: joins, query snapshots, cascades, CREATE INDEX *)

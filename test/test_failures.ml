@@ -6,8 +6,8 @@
    SnapTime and the retry re-covers the whole window, and the messages are
    idempotent — but eager application on the receiver still exposes a
    partially-applied stream: neither the old image nor the new one.  The
-   epoch-framed transport stages each stream and applies it atomically at
-   its Snaptime commit marker, and the manager retries aborted streams
+   epoch-framed transport applies each stream inside an open epoch that
+   only its Snaptime commit marker publishes, and the manager retries aborted streams
    with backoff (escalating to full refresh when differential keeps
    dying).  These tests drive all of that through the fault-injecting
    links. *)
@@ -133,15 +133,14 @@ let test_partial_stream_neither_image () =
   let got = Snapshot_table.contents legacy in
   checkb "legacy partial apply is neither old nor new image" true
     (got <> old_image && got <> new_image);
-  (* Framed, the same truncated prefix only stages: the old image
-     survives intact. *)
+  (* Framed, the same truncated prefix applies inside its open epoch:
+     every read still sees the old image. *)
   let framed = mk_snap () in
   Snapshot_table.apply_bytes framed
     (Refresh_msg.encode_framed ~epoch:1 ~seq:0 (List.hd stream));
   checkb "framed partial stream leaves the old image" true
     (Snapshot_table.contents framed = old_image);
-  checkb "stream pending" true (Snapshot_table.stream_pending framed);
-  checki "one message staged" 1 (Snapshot_table.staged_depth framed);
+  checkb "epoch 1 open" true (Snapshot_table.open_epoch framed = Some 1);
   (* The retry arrives as a fresh epoch: it supersedes (aborts) the
      truncated stream and commits atomically at its marker. *)
   List.iteri
@@ -156,7 +155,7 @@ let test_partial_stream_neither_image () =
   checkb "abort reason recorded" true (Snapshot_table.last_abort framed <> None)
 
 let test_gap_and_corruption_detected () =
-  (* A silently lost frame (sequence gap) poisons the stream. *)
+  (* A silently lost frame (sequence gap) aborts the epoch. *)
   let snap = mk_snap () in
   let old_image = Snapshot_table.contents snap in
   Snapshot_table.apply_bytes snap
@@ -168,8 +167,8 @@ let test_gap_and_corruption_detected () =
     (Snapshot_table.contents snap = old_image
     && Snapshot_table.epochs_aborted snap = 1
     && Snapshot_table.epochs_committed snap = 0);
-  (* A garbled frame (any byte) fails the checksum and poisons the
-     stream; the marker then discards it. *)
+  (* A garbled frame (any byte) fails the checksum and aborts the
+     epoch; its later frames are dropped. *)
   let snap = mk_snap () in
   let garbled = Refresh_msg.encode_framed ~epoch:1 ~seq:0 (List.nth stream 0) in
   let i = Bytes.length garbled - 1 in
@@ -186,9 +185,9 @@ let test_gap_and_corruption_detected () =
     && Snapshot_table.epochs_committed snap = 0)
 
 (* A checksum-valid frame whose row the snapshot cannot hold — wrong
-   arity, wrong column type, even buried in a Batch — poisons its stream
-   at staging: the epoch aborts whole instead of raising half way through
-   its replay, and the next clean epoch commits. *)
+   arity, wrong column type, even buried in a Batch — is checked before
+   its replay: the epoch aborts whole instead of raising half way through
+   a message, and the next clean epoch commits. *)
 let test_malformed_frame_aborts () =
   let bad_rows =
     [ ("arity", Refresh_msg.Upsert { addr = a3; values = Tuple.make [ Value.str "short" ] });
@@ -543,33 +542,12 @@ let test_no_receiver_in_group () =
       | Error e -> raise e)
     [ ("a", 10); ("c", 20) ]
 
-(* [staged_depth] counts protocol messages: a staged Batch frame of [k]
-   members is [k] of them, not one frame. *)
-let test_staged_depth_counts_batch_members () =
-  let snap = mk_snap () in
-  let k = 5 in
-  let members =
-    List.init k (fun i -> Refresh_msg.Upsert { addr = a3 + i; values = emp "m" i })
-  in
-  Snapshot_table.apply_bytes snap
-    (Refresh_msg.encode_framed ~epoch:1 ~seq:0 (Refresh_msg.Batch members));
-  checki "a batch frame stages its members" k (Snapshot_table.staged_depth snap);
-  Snapshot_table.apply_bytes snap
-    (Refresh_msg.encode_framed ~epoch:1 ~seq:1 (Refresh_msg.Remove { addr = a1 }));
-  checki "a lone frame adds one" (k + 1) (Snapshot_table.staged_depth snap);
-  Snapshot_table.apply_bytes snap
-    (Refresh_msg.encode_framed ~epoch:1 ~seq:2 (Refresh_msg.Snaptime 30));
-  checki "nothing staged after the commit" 0 (Snapshot_table.staged_depth snap);
-  checki "every member applied" (2 - 1 + k) (Snapshot_table.count snap)
-
 let batched = Manager.default_batch_size
 
 let suite =
   [
     Alcotest.test_case "partial stream is neither image (legacy) vs old image (framed)"
       `Quick test_partial_stream_neither_image;
-    Alcotest.test_case "staged depth counts a batch's members" `Quick
-      test_staged_depth_counts_batch_members;
     Alcotest.test_case "gap and corruption poison the stream" `Quick
       test_gap_and_corruption_detected;
     Alcotest.test_case "malformed frame aborts its stream at staging" `Quick

@@ -8,8 +8,9 @@
      pins of the head, refcount-gated zombie reclamation, and vacuum's
      byte accounting;
    - Snapshot_table / Manager: read transactions pinned across real
-     framed-stream refreshes, the iter/fold fast paths, commit-only
-     subscriber delivery, and persisted-store adoption (attach_snapshot)
+     framed-stream refreshes, the iter/fold fast paths, subscriber
+     delivery as frames apply, an observer's raise aborting its epoch, a
+     vacuum inside an open epoch, and persisted-store adoption (attach_snapshot)
      including the typed Corrupt_snapshot failures;
    - the qcheck properties: every retained epoch reads exactly the image
      recorded at its commit under random refresh methods, fault-induced
@@ -380,71 +381,112 @@ let test_txn_lookup () =
     (Snapshot_table.txn_lookup rt ~column:"salary" (Value.int 9) = before);
   Snapshot_table.release_txn rt
 
-(* Subscribers hear a framed stream only at its commit marker; an epoch
-   that aborts is never delivered at all. *)
+(* Subscribers hear each framed message as its frame applies, while
+   reads still see the committed image; an aborted epoch's Snaptime never
+   reaches them. *)
 let a1 = Addr.make ~page:1 ~slot:0
 let a2 = Addr.make ~page:1 ~slot:1
 
-let test_subscribe_commit_only_delivery () =
+let test_subscribe_as_applied () =
   let snap = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
   let seen = ref [] in
   Snapshot_table.subscribe snap (fun msg -> seen := msg :: !seen);
-  (* Epoch 1 aborts on a sequence gap: nothing may reach the observer. *)
-  Snapshot_table.apply_framed snap
-    { Refresh_msg.epoch = 1; seq = 0; msg = Refresh_msg.Upsert { addr = a1; values = emp "a" 1 } };
-  checki "nothing delivered while staged" 0 (List.length !seen);
-  Snapshot_table.apply_framed snap
-    { Refresh_msg.epoch = 1; seq = 2; msg = Refresh_msg.Snaptime 10 };
-  checki "aborted epoch delivered nothing" 0 (List.length !seen);
+  let frame epoch seq msg =
+    Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch ~seq msg)
+  in
+  (* Epoch 1 aborts on a sequence gap at its marker. *)
+  frame 1 0 (Refresh_msg.Upsert { addr = a1; values = emp "a" 1 });
+  checki "the upsert was heard as it applied" 1 (List.length !seen);
+  checkb "epoch 1 is open" true (Snapshot_table.open_epoch snap = Some 1);
+  checki "reads see the committed image" 0 (Snapshot_table.count snap);
+  frame 1 2 (Refresh_msg.Snaptime 10);
+  checki "the aborted epoch's Snaptime was not heard" 1 (List.length !seen);
   checki "epoch aborted" 1 (Snapshot_table.epochs_aborted snap);
   checki "no contents from the aborted epoch" 0 (Snapshot_table.count snap);
-  (* Epoch 2 commits: the full stream arrives, in order, at the marker. *)
-  Snapshot_table.apply_framed snap
-    { Refresh_msg.epoch = 2; seq = 0; msg = Refresh_msg.Upsert { addr = a1; values = emp "a" 1 } };
-  Snapshot_table.apply_framed snap
-    { Refresh_msg.epoch = 2; seq = 1; msg = Refresh_msg.Upsert { addr = a2; values = emp "b" 2 } };
-  checki "still nothing before the marker" 0 (List.length !seen);
-  Snapshot_table.apply_framed snap
-    { Refresh_msg.epoch = 2; seq = 2; msg = Refresh_msg.Snaptime 20 };
-  checki "committed epoch delivered whole" 3 (List.length !seen);
-  checkb "delivered in stream order" true
+  (* Epoch 2 commits: each message is heard as it arrives, in order. *)
+  seen := [];
+  frame 2 0 (Refresh_msg.Upsert { addr = a1; values = emp "a" 1 });
+  frame 2 1 (Refresh_msg.Upsert { addr = a2; values = emp "b" 2 });
+  checki "both upserts heard before the marker" 2 (List.length !seen);
+  checki "nothing committed before the marker" 0 (Snapshot_table.count snap);
+  frame 2 2 (Refresh_msg.Snaptime 20);
+  checkb "heard in stream order" true
     (match List.rev !seen with
     | [ Refresh_msg.Upsert { addr = x; _ }; Refresh_msg.Upsert { addr = y; _ };
         Refresh_msg.Snaptime 20 ] -> x = a1 && y = a2
     | _ -> false);
   checki "contents committed" 2 (Snapshot_table.count snap)
 
-(* An observer that raises does not cut the replay short: it has seen
-   each message by the time that message is applied, so the epoch commits
-   whole — every observer hears every message of it — and the first
-   exception surfaces after the commit. *)
-let test_observer_raise_commits () =
+(* An observer that raises aborts the epoch: the table keeps its
+   pre-epoch image and indexes, the exception surfaces at the frame that
+   raised, the epoch's later frames are dropped, and the next epoch
+   commits. *)
+let test_observer_raise_aborts () =
   let snap = Snapshot_table.create ~version_retain:2 ~name:"s" ~schema:emp_schema () in
   Snapshot_table.create_index snap ~column:"salary";
-  let frame epoch seq msg = Snapshot_table.apply_framed snap { Refresh_msg.epoch; seq; msg } in
+  let frame epoch seq msg =
+    Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch ~seq msg)
+  in
   frame 1 0 (Refresh_msg.Upsert { addr = a1; values = emp "a" 1 });
   frame 1 1 (Refresh_msg.Snaptime 10);
-  let raised = ref 0 and seen = ref [] in
+  let armed = ref true and seen = ref [] in
   Snapshot_table.subscribe snap (function
-    | Refresh_msg.Upsert _ ->
-      incr raised;
-      failwith (Printf.sprintf "observer failed %d" !raised)
+    | Refresh_msg.Upsert { addr; _ } when !armed && addr = a2 ->
+      armed := false;
+      failwith "observer failed"
     | _ -> ());
   Snapshot_table.subscribe snap (fun msg -> seen := msg :: !seen);
-  frame 2 0 (Refresh_msg.Upsert { addr = a2; values = emp "b" 2 });
-  frame 2 1 (Refresh_msg.Upsert { addr = a1; values = emp "a" 5 });
-  frame 2 2 (Refresh_msg.Remove { addr = a2 });
-  checkb "the first observer exception surfaces" true
-    (match frame 2 3 (Refresh_msg.Snaptime 20) with
+  frame 2 0 (Refresh_msg.Upsert { addr = a1; values = emp "a" 5 });
+  checkb "the exception surfaces at the frame that raised" true
+    (match frame 2 1 (Refresh_msg.Upsert { addr = a2; values = emp "b" 2 }) with
     | () -> false
-    | exception Failure m -> m = "observer failed 1");
-  checki "the raising observer heard every upsert" 2 !raised;
-  checki "the other observer heard the whole epoch" 4 (List.length !seen);
-  checki "epoch 2 committed" 2 (Snapshot_table.last_committed_epoch snap);
-  checki "snaptime advanced" 20 (Snapshot_table.snaptime snap);
-  checkb "with its image" true (Snapshot_table.contents snap = [ (a1, emp "a" 5) ]);
+    | exception Failure m -> m = "observer failed");
+  frame 2 2 (Refresh_msg.Snaptime 20);
+  checki "epoch 2 aborted" 1 (Snapshot_table.epochs_aborted snap);
+  checki "epoch 1 stays committed" 1 (Snapshot_table.last_committed_epoch snap);
+  checki "snaptime kept" 10 (Snapshot_table.snaptime snap);
+  checkb "the pre-epoch image" true (Snapshot_table.contents snap = [ (a1, emp "a" 1) ]);
   let lookup v = Snapshot_table.lookup snap ~column:"salary" (Value.int v) in
-  checkb "secondary index follows" true (lookup 1 = [] && lookup 2 = [] && lookup 5 = [ a1 ]);
+  checkb "the pre-epoch index" true (lookup 1 = [ a1 ] && lookup 2 = [] && lookup 5 = []);
+  checkb "valid after the abort" true (Snapshot_table.validate snap = Ok ());
+  checki "the dropped frames reached no observer" 1 (List.length !seen);
+  frame 3 0 (Refresh_msg.Upsert { addr = a1; values = emp "a" 5 });
+  frame 3 1 (Refresh_msg.Upsert { addr = a2; values = emp "b" 2 });
+  frame 3 2 (Refresh_msg.Snaptime 30);
+  checki "epoch 3 committed" 3 (Snapshot_table.last_committed_epoch snap);
+  checkb "with its image" true
+    (Snapshot_table.contents snap = [ (a1, emp "a" 5); (a2, emp "b" 2) ]);
+  checkb "the index follows" true (lookup 1 = [] && lookup 2 = [ a2 ] && lookup 5 = [ a1 ]);
+  checkb "valid" true (Snapshot_table.validate snap = Ok ())
+
+(* A vacuum between two frames of an open epoch reclaims old versions and
+   never touches the head, which is then the pre-commit image; the epoch
+   then commits onto a correct ring. *)
+let test_vacuum_mid_epoch () =
+  let snap = Snapshot_table.create ~version_retain:3 ~name:"s" ~schema:emp_schema () in
+  let frame epoch seq msg =
+    Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch ~seq msg)
+  in
+  let epochs () = List.map (fun vi -> vi.VS.vi_epoch) (Snapshot_table.versions snap) in
+  for e = 1 to 3 do
+    frame e 0 (Refresh_msg.Upsert { addr = a1; values = emp "a" e });
+    frame e 1 (Refresh_msg.Snaptime (10 * e))
+  done;
+  frame 4 0 (Refresh_msg.Upsert { addr = a2; values = emp "b" 4 });
+  let st = Snapshot_table.vacuum ~older_than:30 snap in
+  checki "epochs 1 and 2 reclaimed" 2 st.VS.vac_reclaimed;
+  Alcotest.(check (list int)) "the head survives" [ 3 ] (epochs ());
+  checkb "reads still see epoch 3" true (Snapshot_table.contents snap = [ (a1, emp "a" 3) ]);
+  frame 4 1 (Refresh_msg.Snaptime 40);
+  checki "epoch 4 committed" 4 (Snapshot_table.last_committed_epoch snap);
+  Alcotest.(check (list int)) "the ring" [ 4; 3 ] (epochs ());
+  let at e =
+    let rt = Snapshot_table.read_txn_exn ~epoch:e snap in
+    Fun.protect ~finally:(fun () -> Snapshot_table.release_txn rt) (fun () ->
+        Snapshot_table.txn_contents rt)
+  in
+  checkb "epoch 3 reads its image" true (at 3 = [ (a1, emp "a" 3) ]);
+  checkb "epoch 4 reads its image" true (at 4 = [ (a1, emp "a" 3); (a2, emp "b" 4) ]);
   checkb "valid" true (Snapshot_table.validate snap = Ok ())
 
 (* ------------------------------------------------------------------ *)
@@ -1005,10 +1047,9 @@ let run_rx_schedule (retain, ops) =
         else begin
           if Snapshot_table.last_committed_epoch !snap <> before then
             fail "faulted epoch %d committed" epoch;
-          (* The sender saw its stream fail: a stage the fault left open
-             (a garbled header opens an anonymous one) must not swallow
-             the next epoch. *)
-          Snapshot_table.discard_stage !snap ~reason:"faulted stream"
+          (* The sender saw its stream fail: an epoch the fault left open
+             (a lost marker) must not swallow the next raw message. *)
+          Snapshot_table.abort_stream !snap ~reason:"faulted stream"
         end
       | Rx_raw msg ->
         Snapshot_table.apply !snap msg;
@@ -1078,10 +1119,12 @@ let suite =
     Alcotest.test_case "iter/fold fast paths match contents" `Quick
       test_iter_fold_fast_paths;
     Alcotest.test_case "txn_lookup at the pinned version" `Quick test_txn_lookup;
-    Alcotest.test_case "subscribers hear framed streams only at commit" `Quick
-      test_subscribe_commit_only_delivery;
-    Alcotest.test_case "an observer that raises does not cut its epoch short" `Quick
-      test_observer_raise_commits;
+    Alcotest.test_case "subscribers hear each framed message as it applies" `Quick
+      test_subscribe_as_applied;
+    Alcotest.test_case "an observer that raises aborts the epoch" `Quick
+      test_observer_raise_aborts;
+    Alcotest.test_case "vacuum between two frames of an open epoch" `Quick
+      test_vacuum_mid_epoch;
     Alcotest.test_case "attach_snapshot adopts and resumes differentially" `Quick
       test_attach_snapshot_resumes;
     Alcotest.test_case "attach_snapshot surfaces Corrupt_snapshot typed" `Quick

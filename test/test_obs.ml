@@ -336,8 +336,8 @@ let test_histogram_single_sample_bucket () =
     [ 0.0; 0.5; 0.95; 0.99; 1.0 ]
 
 (* The receiver half of the refresh ledger: a committed refresh reports
-   how long the snapshot site spent decoding, staging, freezing,
-   replaying and publishing its stream.  The phases are disjoint slices of the refresh,
+   how long the snapshot site spent decoding, freezing, replaying and
+   publishing its stream.  The phases are disjoint slices of the refresh,
    so each is non-negative and together they fit inside its wall time. *)
 let test_receiver_ledger () =
   let clock = Clock.create () in
@@ -362,8 +362,8 @@ let test_receiver_ledger () =
     let wall = Trace.now_us () -. t0 in
     let p = r.Manager.receiver in
     let phases =
-      [ ("decode", p.decode_us); ("stage", p.stage_us); ("freeze", p.freeze_us);
-        ("replay", p.replay_us); ("publish", p.publish_us) ]
+      [ ("decode", p.decode_us); ("freeze", p.freeze_us); ("replay", p.replay_us);
+        ("publish", p.publish_us) ]
     in
     List.iter (fun (name, us) -> checkb (name ^ " phase is non-negative") true (us >= 0.0)) phases;
     let sum = List.fold_left (fun acc (_, us) -> acc +. us) 0.0 phases in
@@ -429,8 +429,8 @@ let test_sender_ledger () =
     checkb "send_us is non-negative" true (s.Manager.send_us >= 0.0);
     List.iter
       (fun (name, us) -> checkb (name ^ " is non-negative") true (us >= 0.0))
-      [ ("decode_us", p.decode_us); ("stage_us", p.stage_us); ("freeze_us", p.freeze_us);
-        ("replay_us", p.replay_us); ("publish_us", p.publish_us) ];
+      [ ("decode_us", p.decode_us); ("freeze_us", p.freeze_us); ("replay_us", p.replay_us);
+        ("publish_us", p.publish_us) ];
     check_scan_split (Printf.sprintf "solo round %d" round) r;
     checkb "fixup_bytes is non-negative" true (s.Manager.fixup_bytes >= 0);
     checkb "the ~100 restamped rows were written" true (r.Manager.fixup_writes >= 100);
@@ -438,7 +438,7 @@ let test_sender_ledger () =
       (s.Manager.fixup_bytes = 18 * r.Manager.fixup_writes);
     let sum =
       s.Manager.scan_us +. s.Manager.encode_us +. s.Manager.send_us +. p.decode_us
-      +. p.stage_us +. p.freeze_us +. p.replay_us +. p.publish_us
+      +. p.freeze_us +. p.replay_us +. p.publish_us
     in
     checkb
       (Printf.sprintf "round %d: sender + receiver (%.0f us) fit in the refresh (%.0f us)" round
@@ -495,8 +495,8 @@ let test_sender_ledger () =
     List.fold_left
       (fun acc r ->
         let s = r.Manager.sender and p = r.Manager.receiver in
-        acc +. s.Manager.encode_us +. s.Manager.send_us +. p.decode_us +. p.stage_us
-        +. p.freeze_us +. p.replay_us +. p.publish_us)
+        acc +. s.Manager.encode_us +. s.Manager.send_us +. p.decode_us +. p.freeze_us
+        +. p.replay_us +. p.publish_us)
       r0.Manager.sender.scan_us rs
   in
   checkb "group residual >= 0" true (r0.Manager.residual_us >= -1.0);

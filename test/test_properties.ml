@@ -1616,11 +1616,36 @@ let prop_stream_apply_model =
         IntMap.bindings
           (List.fold_left model_apply (IntMap.of_seq (List.to_seq image)) stream)
       in
+      (* Until the marker every read sees the pre-commit image: contents,
+         count, an index lookup, and a pin of the head. *)
+      let check_unchanged ~k ~frame snap before =
+        let fail what = fail_report (Printf.sprintf "k=%d: after frame %d, %s" k frame what) in
+        if Snapshot_table.contents snap <> before then fail "contents left the pre-commit image";
+        if Snapshot_table.count snap <> List.length before then fail "count left the pre-commit image";
+        let probe = match List.nth_opt before frame with Some (_, row) -> row.(1) | None -> Value.int 0 in
+        List.iter
+          (fun v ->
+            let scan = List.filter_map (fun (a, row) -> if Value.equal row.(1) v then Some a else None) before in
+            if Snapshot_table.lookup snap ~column:"salary" v <> scan then
+              fail "an index lookup left the pre-commit image")
+          [ probe; Value.int (frame * 7 mod 100) ];
+        let rt = Snapshot_table.read_txn_exn snap in
+        if Snapshot_table.txn_contents rt <> before then fail "a head pin left the pre-commit image";
+        Snapshot_table.release_txn rt
+      in
       let check_committed k =
         let snap = load () in
+        Snapshot_table.create_index snap ~column:"salary";
+        let before = Snapshot_table.contents snap in
         let seen = ref [] in
         Snapshot_table.subscribe snap (fun m -> seen := m :: !seen);
-        send_frames snap ~epoch:2 (frames_of ~k stream);
+        let frames = frames_of ~k stream in
+        let last = List.length frames - 1 in
+        List.iteri
+          (fun seq m ->
+            Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch:2 ~seq m);
+            if seq < last then check_unchanged ~k ~frame:seq snap before)
+          frames;
         if Snapshot_table.last_committed_epoch snap <> 2 then
           fail_report (Printf.sprintf "k=%d: epoch 2 not committed" k);
         if Snapshot_table.contents snap <> expected then
@@ -1665,7 +1690,15 @@ let prop_stream_apply_model =
             if Snapshot_table.last_committed_epoch snap <> 1 then
               fail_report (Printf.sprintf "k=%d: a faulted stream committed" k);
             if Snapshot_table.contents snap <> before then
-              fail_report (Printf.sprintf "k=%d: a faulted stream changed the image" k))
+              fail_report (Printf.sprintf "k=%d: a faulted stream changed the image" k);
+            (* The retry commits on top of the pre-fault image. *)
+            send_frames snap ~epoch:3 (frames_of ~k stream);
+            if Snapshot_table.last_committed_epoch snap <> 3 then
+              fail_report (Printf.sprintf "k=%d: the retry after a fault did not commit" k);
+            if Snapshot_table.contents snap <> expected then
+              fail_report (Printf.sprintf "k=%d: the retry after a fault differs from the model" k);
+            if Snapshot_table.validate snap <> Ok () then
+              fail_report (Printf.sprintf "k=%d: the retry after a fault fails validate" k))
           [ 1; k ]);
       true)
 

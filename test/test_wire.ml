@@ -246,9 +246,9 @@ let snap_schema =
 
 let row name salary = Tuple.make [ Value.str name; Value.int salary ]
 
-(* A damaged frame inside an otherwise valid stream poisons it: at the
-   commit marker the stream is discarded and the committed image is what
-   it was.  The stream's first frame is a valid upsert (so the stream is
+(* A damaged frame inside an otherwise valid stream aborts it: the
+   epoch's later frames are dropped and the committed image is what it
+   was.  The stream's first frame is a valid upsert (so the stream is
    open when the damaged frame arrives, and a wrongful commit would show
    in the image); the damaged frame is the generated message at seq 1. *)
 let prop_damaged_frame_keeps_committed_image =
