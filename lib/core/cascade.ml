@@ -93,11 +93,12 @@ let attach ~upstream ~name ?(restrict = fun _ -> true) ?projection ?link () =
     | Register _ | Request _ -> ()  (* control traffic does not cascade *)
     | Batch _ -> ()  (* observers hear a batch's members, never the batch *)
   in
-  (* The child's whole image as one stream: [Clear], the qualifying rows
-     [rows] visits, then [ts]; it stops at the first failed send. *)
-  let sync rows ts =
+  (* The child's whole image as one stream: [Clear] (unless the child is
+     still empty), the qualifying rows [rows] visits, then [ts]; it stops
+     at the first failed send. *)
+  let sync ~clear rows ts =
     t.stale <- false;
-    send Refresh_msg.Clear;
+    if clear then send Refresh_msg.Clear;
     rows (fun addr values ->
         if (not t.stale) && restrict values then
           send (Refresh_msg.Upsert { addr; values = project values }));
@@ -108,7 +109,7 @@ let attach ~upstream ~name ?(restrict = fun _ -> true) ?projection ?link () =
      has missed its first frames, so it waits for that epoch's image. *)
   if Snapshot_table.last_committed_epoch upstream >= 0 then
     t.epoch <- Some (Snapshot_table.last_committed_epoch upstream);
-  sync (Snapshot_table.iter upstream) (Snapshot_table.snaptime upstream);
+  sync ~clear:false (Snapshot_table.iter upstream) (Snapshot_table.snaptime upstream);
   if Snapshot_table.open_epoch upstream <> None then t.stale <- true;
   Snapshot_table.subscribe upstream (fun msg ->
       let epoch = Snapshot_table.open_epoch upstream in
@@ -126,6 +127,6 @@ let attach ~upstream ~name ?(restrict = fun _ -> true) ?projection ?link () =
       end;
       match msg with
       | Refresh_msg.Snaptime ts when t.stale && epoch <> None ->
-        sync (Version_store.iter (parent ())) ts
+        sync ~clear:true (Version_store.iter (parent ())) ts
       | _ -> if not t.stale then forward msg);
   t

@@ -26,7 +26,8 @@
     raised, or whose last committed epoch is not the parent's at a new
     parent epoch's first message, gets that epoch's image instead of its
     deltas — [Clear], the qualifying rows, the Snaptime, as {!attach}'s
-    initial sync — and keeps its last committed image until then. *)
+    initial sync sends them, less the [Clear] to its new, empty child —
+    and keeps its last committed image until then. *)
 
 open Snapdiff_storage
 module Link = Snapdiff_net.Link

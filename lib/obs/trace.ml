@@ -12,7 +12,6 @@ type sink = Memory | Stderr | Jsonl of string
 
 type state = {
   mutable enabled : bool;
-  mutable configured : bool;  (* a sink is set up; [resume] may re-enable *)
   mutable ring : record option array;
   mutable head : int;  (* next write slot *)
   mutable stored : int;
@@ -25,7 +24,6 @@ type state = {
 let state =
   {
     enabled = false;
-    configured = false;
     ring = [||];
     head = 0;
     stored = 0;
@@ -64,20 +62,11 @@ let enable ?(capacity = 4096) sink =
   state.t0 <- now_us ();
   state.to_stderr <- sink = Stderr;
   (match sink with Jsonl path -> state.channel <- Some (open_out path) | Memory | Stderr -> ());
-  state.configured <- true;
   state.enabled <- true
 
 let disable () =
   close_channel ();
-  state.configured <- false;
   state.enabled <- false
-
-(* Pause/resume recording without tearing the sink down — unlike
-   [disable]/[enable], a paused Jsonl sink keeps its channel (and its
-   already-written records) intact. *)
-let pause () = state.enabled <- false
-
-let resume () = if state.configured then state.enabled <- true
 
 let flush () = match state.channel with Some oc -> flush oc | None -> ()
 

@@ -38,14 +38,6 @@ val disable : unit -> unit
 
 val enabled : unit -> bool
 
-val pause : unit -> unit
-(** Stop recording but keep the sink (and an open Jsonl channel) intact;
-    {!resume} picks up where recording left off.  Used to take an
-    instrumentation-off baseline mid-run. *)
-
-val resume : unit -> unit
-(** Undo {!pause}.  A no-op unless {!enable} is in effect. *)
-
 val now_us : unit -> float
 (** The monotonic clock used for span timing ([Unix.gettimeofday] clamped
     to be non-decreasing).  Usable whether or not tracing is enabled —

@@ -4,7 +4,8 @@
    ran.  These tests drive updaters at the chunk boundaries (the protocol's
    interleave points) and check that
 
-   - updaters are never blocked on pages the cursor has released,
+   - updaters are never blocked on pages the cursor has released, and a
+     monolithic refresh grants none until it returns,
    - the committed snapshot equals the base restriction/projection as of
      the commit Snaptime, whatever interleaved,
    - a WAL truncated past the scan's catch-up LSN escalates the refresh to
@@ -110,14 +111,30 @@ let locked_insert m base tuple =
 
 (* ------------------------------------------------------------------ *)
 (* Updaters interleave at chunk boundaries and the catch-up phase folds
-   their changes into the committed image. *)
+   their changes into the committed image.  At every boundary an updater
+   is tried on one live row of every page: it is granted there unless the
+   cursor holds the page, and a page held at one boundary is released by
+   the next.  A monolithic refresh of the same base grants no updater
+   until it returns. *)
+
+(* The first live row of each page, in page order. *)
+let row_per_page base =
+  List.fold_left
+    (fun acc (addr, _) ->
+      match acc with
+      | (p, _) :: _ when p = Addr.page addr -> acc
+      | _ -> (Addr.page addr, addr) :: acc)
+    [] (Base_table.to_user_list base)
+  |> List.rev
 
 let run_interleaved_refresh ~mode () =
   let threshold = 10 in
   let m, base, _wal = setup ~mode ~chunk_entries:4 ~threshold () in
   let lm = Txn.lock_table (Manager.txn_manager m) in
   let hook_calls = ref 0 in
-  let applied = ref 0 in
+  let granted = ref 0 in
+  let refused = ref [] in  (* pages the previous boundary found held *)
+  let regranted = ref 0 in
   Manager.set_chunk_hook m
     (Some
        (fun () ->
@@ -132,30 +149,59 @@ let run_interleaved_refresh ~mode () =
                checkb "table lock is intention mode" true
                  (held = Lock.IS || held = Lock.IX))
              holders);
-         if !hook_calls <= 3 then begin
-           (* Page 1 is behind the cursor from the first boundary on: an
-              updater targeting it must get its locks immediately. *)
-           match
-             List.find_opt
-               (fun (a, _) -> Addr.page a = 1)
-               (Base_table.to_user_list base)
-           with
-           | Some (addr, _) ->
-             checkb "updater not blocked behind the cursor" true
-               (locked_update m base ~addr (emp "upd" (!hook_calls + threshold)));
-             checkb "insert not blocked" true
-               (locked_insert m base (emp "new" !hook_calls));
-             incr applied
-           | None -> ()
-         end));
+         let was_refused = !refused in
+         refused := [];
+         List.iter
+           (fun (p, addr) ->
+             let ok = locked_update m base ~addr (emp "upd" (!hook_calls + threshold)) in
+             let held = Lock.holders lm (Base_table.page_lock_resource base p) <> [] in
+             if held then begin
+               checkb "updater on a page the cursor holds is refused" false ok;
+               if List.mem p was_refused then
+                 Alcotest.failf "page %d still held at the next boundary" p;
+               refused := p :: !refused
+             end
+             else begin
+               checkb "updater on a released page granted at the boundary" true ok;
+               incr granted;
+               if List.mem p was_refused then incr regranted
+             end)
+           (row_per_page base);
+         if !hook_calls <= 3 then
+           checkb "insert not blocked" true (locked_insert m base (emp "new" !hook_calls))));
   let r = Manager.refresh m "s" in
   Manager.set_chunk_hook m None;
   checkb "scan ran in several chunks" true (r.Manager.chunks > 1);
-  checkb "updaters ran at the boundaries" true (!applied > 0);
+  checkb "updaters were granted at the boundaries" true (!granted > 0);
+  checkb "a refused updater was granted at the next boundary" true (!regranted > 0);
+  checkb "the last boundary holds no page" true (!refused = []);
   checkb "catch-up replayed the interleaved changes" true
     (r.Manager.catchup_records > 0);
   checkb "committed image = restriction at commit" true (faithful m "s" base threshold);
   checki "lock table drained" 0 (Lock.lock_count lm);
+  ignore (Manager.refresh m "s" : Manager.refresh_report);
+  checkb "and after one quiescent refresh" true (faithful m "s" base threshold);
+  (* The same base refreshed monolithically: the snapshot hears each
+     message inside the refresh, and an updater tried there is refused. *)
+  let mono, mbase, _wal = setup ~mode ~chunk_entries:max_int ~threshold () in
+  List.iter
+    (fun (p, addr) -> Base_table.update mbase addr (emp "pre" (p mod threshold)))
+    (row_per_page mbase);
+  let tries = ref 0 and mono_granted = ref 0 in
+  Snapshot_table.subscribe (Manager.snapshot_table mono "s") (fun _ ->
+      List.iter
+        (fun (_, addr) ->
+          incr tries;
+          if locked_update mono mbase ~addr (emp "mid" threshold) then incr mono_granted)
+        (row_per_page mbase));
+  let rm = Manager.refresh mono "s" in
+  checki "monolithic refresh ran in one chunk" 0 rm.Manager.chunks;
+  checkb "updaters were tried inside the monolithic refresh" true (!tries > 0);
+  checki "the monolithic refresh granted none" 0 !mono_granted;
+  (match row_per_page mbase with
+  | (_, addr) :: _ ->
+    checkb "granted once it returns" true (locked_update mono mbase ~addr (emp "post" 1))
+  | [] -> Alcotest.fail "empty base");
   r
 
 let test_chunked_deferred_interleaves () =

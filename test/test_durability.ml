@@ -420,6 +420,7 @@ let test_fuzzy_checkpoint_crash_redo () =
           checkb "checkpoint flushed pages" true (cp.Manager.cp_pages_flushed > 0);
           checkb "checkpoint wrote bytes" true (cp.Manager.cp_bytes_written > 0);
           checkb "log was truncated" true (cp.Manager.cp_truncated_to > 0);
+          checkb "log bytes reclaimed" true (cp.Manager.cp_log_bytes_reclaimed > 0);
           checkb "ungated" true (cp.Manager.cp_gated = []);
           (* Restart: durable page image + reopened, truncated segment. *)
           let rlog = Wal.open_file wal_path in
@@ -428,7 +429,9 @@ let test_fuzzy_checkpoint_crash_redo () =
           let store = Page_store.open_file store_path in
           let pool = Buffer_pool.create ~frames:64 store in
           let heap = Heap.on_pool pool (Annotations.extend_schema emp_schema) in
+          let image = Heap.to_list heap in
           Recovery.redo rlog (function "emp" -> Some heap | _ -> None);
+          checkb "redo replayed the post-checkpoint work" true (Heap.to_list heap <> image);
           let recovered =
             List.map
               (fun (addr, stored) -> (addr, Annotations.user_part stored))

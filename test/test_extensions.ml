@@ -108,6 +108,10 @@ let names_of table =
 let test_cascade_initial_sync () =
   let _, _, _, casc = cascade_setup () in
   Alcotest.(check (list string)) "initial" [ "'Jack'" ] (names_of (Cascade.table casc));
+  (* The new child is empty: the sync sends its one row and the Snaptime,
+     and no Clear. *)
+  checki "one row and the Snaptime" 2
+    (Snapdiff_net.Link.stats (Cascade.link casc)).Snapdiff_net.Link.messages;
   checkb "projected to one column" true
     (List.for_all (fun t -> Array.length t = 1) (Snapshot_table.tuples (Cascade.table casc)))
 

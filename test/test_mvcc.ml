@@ -490,6 +490,108 @@ let test_vacuum_mid_epoch () =
   checkb "valid" true (Snapshot_table.validate snap = Ok ())
 
 (* ------------------------------------------------------------------ *)
+(* Reader domains against a committing writer.  Every round retags every
+   row, so each committed epoch holds one tag, and a pinned scan that sees
+   two is a torn read.  Two reader domains pin the head, then the oldest
+   retained epoch, and scan each, for as long as the writer runs.  An
+   observer stops the writer halfway through each epoch, with half the
+   rows retagged in the open root, until every reader has finished a pair
+   of scans it pinned after the stop: reads overlap an open epoch every
+   round, whatever the scheduling, also on one CPU. *)
+
+let tag_schema =
+  Schema.make
+    [ Schema.col ~nullable:false "id" Value.Tint; Schema.col ~nullable:false "tag" Value.Tint ]
+
+let test_reader_domains_never_tear () =
+  let n = 2_000 and rounds = 4 and n_readers = 2 in
+  let base = Base_table.create ~name:"mv" ~clock:(Clock.create ()) tag_schema in
+  let addrs =
+    Array.init n (fun i -> Base_table.insert base (Tuple.make [ Value.int i; Value.int 0 ]))
+  in
+  let m = Manager.create () in
+  Manager.register_base m base;
+  ignore
+    (Manager.create_snapshot m ~name:"s" ~base:"mv" ~method_:Manager.Differential
+       ~version_retain:4 ()
+      : Manager.refresh_report);
+  let snap = Manager.snapshot_table m "s" in
+  let one_tag tuples =
+    match tuples with
+    | [] -> true
+    | t :: rest -> List.for_all (fun u -> Tuple.get u 1 = Tuple.get t 1) rest
+  in
+  let stop = Atomic.make false in
+  let stops_posted = Atomic.make 0 in
+  (* Per reader: the value of [stops_posted] when its last finished pair
+     of scans began. *)
+  let served = Array.init n_readers (fun _ -> Atomic.make 0) in
+  let reader i () =
+    let reads = ref 0 and torn = ref 0 in
+    let scan = function
+      | None -> ()  (* the oldest epoch left the ring between list and pin *)
+      | Some rt ->
+        let tuples =
+          Fun.protect
+            ~finally:(fun () -> Snapshot_table.release_txn rt)
+            (fun () -> Snapshot_table.txn_fold rt ~init:[] ~f:(fun acc _ v -> v :: acc))
+        in
+        incr reads;
+        if not (one_tag tuples) then incr torn
+    in
+    Fun.protect
+      ~finally:(fun () -> Atomic.set served.(i) max_int)
+      (fun () ->
+        while not (Atomic.get stop) do
+          let seen = Atomic.get stops_posted in
+          scan (Snapshot_table.read_txn snap);
+          scan
+            (match List.rev (Snapshot_table.versions snap) with
+            | vi :: _ -> Snapshot_table.read_txn ~epoch:vi.VS.vi_epoch snap
+            | [] -> None);
+          Atomic.set served.(i) seen
+        done);
+    (!reads, !torn)
+  in
+  let heard = ref 0 and stops = ref 0 in
+  Snapshot_table.subscribe snap (function
+    | Refresh_msg.Snaptime _ -> heard := 0
+    | _ ->
+      incr heard;
+      if !heard = n / 2 then begin
+        checkb "the stop falls inside an open epoch" true
+          (Snapshot_table.open_epoch snap <> None);
+        let k = 1 + Atomic.fetch_and_add stops_posted 1 in
+        while Array.exists (fun s -> Atomic.get s < k) served do
+          Domain.cpu_relax ()
+        done;
+        incr stops
+      end);
+  let readers = Array.init n_readers (fun i -> Domain.spawn (reader i)) in
+  Fun.protect
+    ~finally:(fun () -> Atomic.set stop true)
+    (fun () ->
+      for r = 1 to rounds do
+        Array.iteri
+          (fun i a -> Base_table.update base a (Tuple.make [ Value.int i; Value.int r ]))
+          addrs;
+        ignore (Manager.refresh m "s" : Manager.refresh_report)
+      done);
+  let results = Array.map Domain.join readers in
+  checki "no torn read" 0 (Array.fold_left (fun acc (_, t) -> acc + t) 0 results);
+  checkb "the readers read" true (Array.for_all (fun (r, _) -> r > 0) results);
+  checki "every epoch stopped for the readers" rounds !stops;
+  checkb "the head holds the last round's tag" true
+    (List.for_all (fun t -> Tuple.get t 1 = Value.int rounds) (Snapshot_table.tuples snap));
+  List.iter
+    (fun vi ->
+      let rt = Snapshot_table.read_txn_exn ~epoch:vi.VS.vi_epoch snap in
+      checkb "each retained epoch holds one tag" true
+        (one_tag (List.map snd (Snapshot_table.txn_contents rt)));
+      Snapshot_table.release_txn rt)
+    (Snapshot_table.versions snap)
+
+(* ------------------------------------------------------------------ *)
 (* Persisted-store adoption through the Manager. *)
 
 let with_tmp_file f =
@@ -1125,6 +1227,8 @@ let suite =
       test_observer_raise_aborts;
     Alcotest.test_case "vacuum between two frames of an open epoch" `Quick
       test_vacuum_mid_epoch;
+    Alcotest.test_case "reader domains never see a torn epoch" `Quick
+      test_reader_domains_never_tear;
     Alcotest.test_case "attach_snapshot adopts and resumes differentially" `Quick
       test_attach_snapshot_resumes;
     Alcotest.test_case "attach_snapshot surfaces Corrupt_snapshot typed" `Quick

@@ -106,7 +106,7 @@ let test_trace_ring () =
   Trace.disable ();
   checkb "ring survives disable" true (Trace.record_count () = 4)
 
-let test_trace_spans_and_pause () =
+let test_trace_spans () =
   Trace.enable Trace.Memory;
   let r =
     Trace.with_span "outer" (fun () ->
@@ -122,14 +122,6 @@ let test_trace_spans_and_pause () =
     checkb "spans have kind Span" true (inner.Trace.kind = Trace.Span);
     checkb "parent spans the child" true (outer.Trace.dur_us >= inner.Trace.dur_us)
   | _ -> Alcotest.fail "two records expected");
-  (* Pause keeps the sink; resume picks recording back up. *)
-  Trace.pause ();
-  checkb "paused" true (not (Trace.enabled ()));
-  Trace.event "invisible";
-  checki "paused events not recorded" 2 (Trace.record_count ());
-  Trace.resume ();
-  Trace.event "visible";
-  checki "resumed events recorded" 3 (Trace.record_count ());
   (* An exception inside a span is recorded, tagged, and re-raised. *)
   (match Trace.with_span "boom" (fun () -> failwith "kaput") with
   | exception Failure _ -> ()
@@ -138,10 +130,7 @@ let test_trace_spans_and_pause () =
   | last :: _ ->
     checkb "error attr recorded" true (List.mem_assoc "error" last.Trace.attrs)
   | [] -> Alcotest.fail "span expected");
-  Trace.disable ();
-  checkb "resume after disable is a no-op" true
-    (Trace.resume ();
-     not (Trace.enabled ()))
+  Trace.disable ()
 
 let test_trace_disabled_is_passthrough () =
   Trace.disable ();
@@ -536,7 +525,7 @@ let suite =
       test_histogram_single_sample_bucket;
     Alcotest.test_case "metrics dump_json" `Quick test_metrics_dump_json;
     Alcotest.test_case "trace ring" `Quick test_trace_ring;
-    Alcotest.test_case "trace spans + pause/resume" `Quick test_trace_spans_and_pause;
+    Alcotest.test_case "trace spans" `Quick test_trace_spans;
     Alcotest.test_case "trace disabled passthrough" `Quick test_trace_disabled_is_passthrough;
     Alcotest.test_case "subsystem coverage" `Quick test_subsystem_coverage;
     Alcotest.test_case "receiver ledger phases fit the refresh" `Quick test_receiver_ledger;
