@@ -7,7 +7,7 @@ type t = {
   out : Link.t;
   mutable forwarded : int;
   mutable epoch : int option;  (* the parent epoch being forwarded; [None] raw *)
-  mutable seq : int;  (* the next frame's sequence number in [epoch] *)
+  mutable stream : Refresh_msg.writer option;  (* [epoch]'s framed stream *)
   mutable stale : bool;  (* the child may lack part of the parent's stream *)
 }
 
@@ -42,15 +42,17 @@ let attach ~upstream ~name ?(restrict = fun _ -> true) ?projection ?link () =
   in
   let downstream = Snapshot_table.create ~name ~schema () in
   Link.attach out (Snapshot_table.apply_bytes downstream);
-  let t = { downstream; out; forwarded = 0; epoch = None; seq = 0; stale = false } in
-  (* Framed under the parent's open epoch, raw when the parent applies
-     raw.  A send that raises only marks the child stale. *)
+  let t = { downstream; out; forwarded = 0; epoch = None; stream = None; stale = false } in
+  let forward_epoch epoch =
+    t.epoch <- epoch;
+    t.stream <- Option.map (fun epoch -> Refresh_msg.writer ~epoch out) epoch
+  in
+  (* Framed and batched under the parent's open epoch, raw when the
+     parent applies raw.  A send that raises only marks the child stale. *)
   let send msg =
     match
-      match t.epoch with
-      | Some epoch ->
-        Link.send out (Refresh_msg.encode_framed ~epoch ~seq:t.seq msg);
-        t.seq <- t.seq + 1
+      match t.stream with
+      | Some w -> Refresh_msg.write w msg
       | None -> Link.send out (Refresh_msg.encode msg)
     with
     | () -> if Refresh_msg.is_data msg then t.forwarded <- t.forwarded + 1
@@ -108,14 +110,13 @@ let attach ~upstream ~name ?(restrict = fun _ -> true) ?projection ?link () =
      committed epoch (raw before its first).  Inside an epoch the child
      has missed its first frames, so it waits for that epoch's image. *)
   if Snapshot_table.last_committed_epoch upstream >= 0 then
-    t.epoch <- Some (Snapshot_table.last_committed_epoch upstream);
+    forward_epoch (Some (Snapshot_table.last_committed_epoch upstream));
   sync ~clear:false (Snapshot_table.iter upstream) (Snapshot_table.snaptime upstream);
   if Snapshot_table.open_epoch upstream <> None then t.stale <- true;
   Snapshot_table.subscribe upstream (fun msg ->
       let epoch = Snapshot_table.open_epoch upstream in
       if epoch <> t.epoch then begin
-        t.epoch <- epoch;
-        t.seq <- 0;
+        forward_epoch epoch;
         (* At a new parent epoch, a child whose last commit is not the
            parent's lost a frame of an earlier one: it gets the image.
            Raw bytes would abort a child epoch its parent aborted. *)
@@ -126,7 +127,11 @@ let attach ~upstream ~name ?(restrict = fun _ -> true) ?projection ?link () =
         then t.stale <- true
       end;
       match msg with
-      | Refresh_msg.Snaptime ts when t.stale && epoch <> None ->
-        sync ~clear:true (Version_store.iter (parent ())) ts
+      | Refresh_msg.Snaptime ts when epoch <> None ->
+        (* A send that fails here — the epoch's last batch of deltas or
+           the marker itself — still leaves this Snaptime to send the
+           image at. *)
+        if not t.stale then send msg;
+        if t.stale then sync ~clear:true (Version_store.iter (parent ())) ts
       | _ -> if not t.stale then forward msg);
   t

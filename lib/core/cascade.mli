@@ -22,7 +22,9 @@
 
     Messages travel framed under the parent's open epoch (raw only when
     the parent applies raw), so the child commits exactly the parent's
-    epochs.  The child's link never fails the parent.  A child whose send
+    epochs; one {!Refresh_msg.writer} per parent epoch batches their data
+    messages as a manager refresh stream does, at
+    {!Refresh_msg.default_batch_size}.  The child's link never fails the parent.  A child whose send
     raised, or whose last committed epoch is not the parent's at a new
     parent epoch's first message, gets that epoch's image instead of its
     deltas — [Clear], the qualifying rows, the Snaptime, as {!attach}'s
@@ -55,4 +57,4 @@ val table : t -> Snapshot_table.t
 val link : t -> Link.t
 
 val messages_forwarded : t -> int
-(** Data messages sent downstream since attach. *)
+(** Data messages handed to the child's stream since attach. *)

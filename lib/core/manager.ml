@@ -162,7 +162,7 @@ type t = {
   snapshots : (string, snapshot) Hashtbl.t;
   txns : Txn.manager;
   mutable retry : retry_policy;
-  mutable batch : int;  (* data messages per Batch frame; 1 = one frame each *)
+  batch : int;  (* data messages per Batch frame; 1 = one frame each *)
   mutable chunk_entries : int;  (* scan chunk size; max_int = monolithic *)
   mutable on_chunk : (unit -> unit) option;  (* interleave point between chunks *)
   rng : Snapdiff_util.Rng.t;  (* backoff jitter, selectivity sampling *)
@@ -176,9 +176,8 @@ type t = {
 
 let key = String.lowercase_ascii
 
-let default_batch_size = 64
-
-let create ?(retry = default_retry_policy) ?(seed = 0x5EED) ?(batch_size = default_batch_size)
+let create ?(retry = default_retry_policy) ?(seed = 0x5EED)
+    ?(batch_size = Refresh_msg.default_batch_size)
     ?(chunk_entries = max_int) () =
   {
     bases = Hashtbl.create 8;
@@ -194,15 +193,7 @@ let create ?(retry = default_retry_policy) ?(seed = 0x5EED) ?(batch_size = defau
 
 let txn_manager t = t.txns
 
-let retry_policy t = t.retry
-
 let set_retry_policy t p = t.retry <- p
-
-let batch_size t = t.batch
-
-let set_batch_size t n = t.batch <- max 1 n
-
-let chunk_entries t = t.chunk_entries
 
 let set_chunk_entries t n = t.chunk_entries <- max 1 n
 
@@ -298,14 +289,10 @@ let mutations_since_refresh t name =
 
 (* Observed distinct-update activity is approximated by the operation count
    since the snapshot's last refresh, capped at 1. *)
-let observed_update_fraction t name =
-  Model.observed_update_fraction ~mutations:(mutations_since_refresh t name)
-    ~n:(Base_table.count (base t (snapshot t name).base_name))
-
 let estimate_refresh_messages t name =
   let s = snapshot t name in
   let n = Base_table.count (base t s.base_name) and q = s.selectivity in
-  let u = observed_update_fraction t name in
+  let u = Model.observed_update_fraction ~mutations:(mutations_since_refresh t name) ~n in
   (`Full (Model.full_messages ~n ~q), `Differential (Model.differential_messages ~n ~q ~u ()))
 
 (* --- Chunked concurrent refresh ------------------------------------------ *)
@@ -706,9 +693,14 @@ let vacuum ?older_than ?(dry_run = false) t =
 
 (* --- The refresh pipeline ------------------------------------------------- *)
 
-let report_of s method_used ~new_snaptime ~entries_scanned ~data_messages =
+(* The one constructor of a [refresh_report]: the counts given, the
+   traffic [link] carried since its stats read [since], and one clean
+   attempt with no ledger — the attempt function stamps its retries,
+   scan figures and phases on a manager refresh's report. *)
+let make_report ~snapshot method_used ~new_snaptime ~entries_scanned ~data_messages ~link ~since =
+  let now = Link.stats link in
   {
-    snapshot = s.snap_name;
+    snapshot;
     method_used;
     new_snaptime;
     entries_scanned;
@@ -716,9 +708,9 @@ let report_of s method_used ~new_snaptime ~entries_scanned ~data_messages =
     pages_decoded = 0;
     fixup_writes = 0;
     data_messages;
-    link_messages = 0;
-    link_logical_messages = 0;
-    link_bytes = 0;
+    link_messages = now.Link.messages - since.Link.messages;
+    link_logical_messages = now.Link.logical_messages - since.Link.logical_messages;
+    link_bytes = now.Link.bytes - since.Link.bytes;
     tail_suppressed = false;
     log_records_scanned = 0;
     attempts = 1;
@@ -733,18 +725,6 @@ let report_of s method_used ~new_snaptime ~entries_scanned ~data_messages =
     sender = no_sender;
     wall_us = 0.0;
     residual_us = 0.0;
-  }
-
-let report_of_sub s (r : Differential.report) =
-  {
-    (report_of s Used_differential ~new_snaptime:r.new_snaptime
-       ~entries_scanned:r.entries_scanned ~data_messages:r.data_messages)
-    with
-    entries_skipped = r.entries_skipped;
-    pages_decoded = r.pages_decoded;
-    fixup_writes = r.fixup_writes;
-    tail_suppressed = r.tail_suppressed;
-    sender = { no_sender with fixup_bytes = r.fixup_bytes };
   }
 
 (* The differential scan trusts the annotation state to be current as of
@@ -796,13 +776,28 @@ type member = {
   mutable before : Link.stats;
   mutable failure : (string * bool) option;
   mutable xmit_us : float;  (* this attempt's time inside the stream's xmit *)
-  mutable encode_us : float;  (* the part of [xmit_us] spent encoding frames *)
 }
 
 let member ?(populate = false) s =
   { snap = s; populate; started = Trace.now_us (); attempt = 1; backoff = 0.0;
-    forced_full = false; epoch = 0; before = Link.stats s.link; failure = None; xmit_us = 0.0;
-    encode_us = 0.0 }
+    forced_full = false; epoch = 0; before = Link.stats s.link; failure = None; xmit_us = 0.0 }
+
+(* A member's report of the attempt under way: what its link carried
+   since the attempt began. *)
+let report_of m method_used =
+  make_report ~snapshot:m.snap.snap_name method_used ~link:m.snap.link ~since:m.before
+
+let report_of_sub m (r : Differential.report) =
+  {
+    (report_of m Used_differential ~new_snaptime:r.new_snaptime
+       ~entries_scanned:r.entries_scanned ~data_messages:r.data_messages)
+    with
+    entries_skipped = r.entries_skipped;
+    pages_decoded = r.pages_decoded;
+    fixup_writes = r.fixup_writes;
+    tail_suppressed = r.tail_suppressed;
+    sender = { no_sender with fixup_bytes = r.fixup_bytes };
+  }
 
 (* After [escalate_after] consecutive failures the method degrades to a
    full refresh — the stream that needs the least shared state to
@@ -840,7 +835,8 @@ let method_for t b m =
    differential method later.  The fix-up is idempotent (safe to re-run on
    a retried attempt). *)
 let open_source t b used members xmits () =
-  let s = members.(0).snap in
+  let m0 = members.(0) in
+  let s = m0.snap in
   let unpaged close =
     { sc_pages = 0; sc_scan_to = (fun ~last_page:_ -> ()); sc_close = close; sc_fixup_time = None;
       sc_timing = (fun () -> []) }
@@ -890,7 +886,7 @@ let open_source t b used members xmits () =
           Differential.emit_tails c;
           overlay nets;
           let g = Differential.finish c in
-          Array.mapi (fun i m -> (report_of_sub m.snap g.Differential.sub_reports.(i), ignore)) members);
+          Array.mapi (fun i m -> (report_of_sub m g.Differential.sub_reports.(i), ignore)) members);
       sc_fixup_time =
         (if Base_table.mode b = Base_table.Deferred then Some (Differential.fixup_time c) else None);
       sc_timing = (fun () -> [ Differential.timing c ]);
@@ -920,7 +916,7 @@ let open_source t b used members xmits () =
           overlay nets;
           let r = Full_refresh.finish c in
           [| ( {
-                 (report_of s Used_full ~new_snaptime:r.Full_refresh.new_snaptime
+                 (report_of m0 Used_full ~new_snaptime:r.Full_refresh.new_snaptime
                     ~entries_scanned:r.Full_refresh.entries_scanned
                     ~data_messages:r.Full_refresh.data_messages)
                  with
@@ -953,7 +949,7 @@ let open_source t b used members xmits () =
           let floor = min (min_ideal_cursor t s.base_name) r.Ideal.new_cursor in
           if floor < max_int then Change_log.truncate_below log floor
         in
-        [| ( report_of s Used_ideal ~new_snaptime:r.Ideal.new_snaptime
+        [| ( report_of m0 Used_ideal ~new_snaptime:r.Ideal.new_snaptime
                ~entries_scanned:r.Ideal.net_changes ~data_messages:r.Ideal.data_messages,
              on_commit ) |])
   | Used_log_based ->
@@ -964,51 +960,13 @@ let open_source t b used members xmits () =
             ~project:s.project ~xmit:xmits.(0) ()
         in
         [| ( {
-               (report_of s Used_log_based ~new_snaptime:r.Log_based.new_snaptime
+               (report_of m0 Used_log_based ~new_snaptime:r.Log_based.new_snaptime
                   ~entries_scanned:r.Log_based.data_messages
                   ~data_messages:r.Log_based.data_messages)
                with
                log_records_scanned = r.Log_based.log_records_scanned;
              },
              fun () -> set_cursor_lsn s r.Log_based.new_cursor ) |])
-
-(* Batched transport: buffer batchable (data) messages and frame up to
-   [t.batch] of them as one Batch under a single header, sequence number
-   and checksum.  Control messages flush the buffer first and travel
-   alone — Snaptime is among them, so the stream's trailing batch is
-   always on the wire before the commit marker.  One such closure per
-   stream: it owns the epoch's sequence-number counter.  [on_encode] is
-   charged the time each frame took to encode. *)
-let make_stream_xmit t ~epoch ~link ~on_encode =
-  let seq = ref 0 in
-  let buffered = ref [] in  (* newest first *)
-  let buffered_n = ref 0 in
-  let send_framed msg =
-    let logical = Refresh_msg.logical_count msg in
-    let t0 = Trace.now_us () in
-    let framed = Refresh_msg.encode_framed ~epoch ~seq:!seq msg in
-    on_encode (Trace.now_us () -. t0);
-    incr seq;
-    Link.send link ~logical framed
-  in
-  let flush () =
-    match !buffered with
-    | [] -> ()
-    | ms ->
-      buffered := [];
-      buffered_n := 0;
-      send_framed (match ms with [ m ] -> m | ms -> Refresh_msg.Batch (List.rev ms))
-  in
-  fun msg ->
-    if t.batch > 1 && Refresh_msg.batchable msg then begin
-      buffered := msg :: !buffered;
-      incr buffered_n;
-      if !buffered_n >= t.batch then flush ()
-    end
-    else begin
-      flush ();
-      send_framed msg
-    end
 
 exception Abandoned
 (* Internal: every member's stream has failed, so no one is left to feed;
@@ -1056,7 +1014,6 @@ let attempt t b members =
       m.before <- Link.stats s.link;
       m.failure <- None;
       m.xmit_us <- 0.0;
-      m.encode_us <- 0.0;
       (* "The refresh algorithm is initiated by sending the last snapshot
          refresh time (SnapTime) ... to the base table." *)
       if not m.populate then
@@ -1067,18 +1024,18 @@ let attempt t b members =
                    (Refresh_msg.Request { snaptime = Snapshot_table.snaptime s.table })))
         with e -> mark m e)
     members;
+  let writers =
+    Array.map (fun m -> Refresh_msg.writer ~batch_size:t.batch ~epoch:m.epoch m.snap.link) members
+  in
   let xmits =
-    Array.map
-      (fun m ->
-        let xmit =
-          make_stream_xmit t ~epoch:m.epoch ~link:m.snap.link ~on_encode:(fun us ->
-              m.encode_us <- m.encode_us +. us)
-        in
+    Array.mapi
+      (fun i m ->
+        let w = writers.(i) in
         fun msg ->
           if m.failure = None then begin
             let t0 = Trace.now_us () in
             let charge () = m.xmit_us <- m.xmit_us +. (Trace.now_us () -. t0) in
-            match xmit msg with
+            match Refresh_msg.write w msg with
             | () -> charge ()
             | exception e ->
               charge ();
@@ -1141,8 +1098,8 @@ let attempt t b members =
      xmit).  A member that did not commit has no ledger; its xmit time
      stays in the residual. *)
   let ledgers =
-    Array.map
-      (fun m ->
+    Array.mapi
+      (fun i m ->
         if outs <> None && m.failure = None
            && Snapshot_table.last_committed_epoch m.snap.table = m.epoch
         then begin
@@ -1150,8 +1107,9 @@ let attempt t b members =
           let received =
             receiver.decode_us +. receiver.freeze_us +. receiver.replay_us +. receiver.publish_us
           in
-          let send_us = Float.max 0.0 (m.xmit_us -. m.encode_us -. received) in
-          Some (receiver, send_us, m.encode_us +. send_us +. received)
+          let encode_us = Refresh_msg.encode_us writers.(i) in
+          let send_us = Float.max 0.0 (m.xmit_us -. encode_us -. received) in
+          Some (receiver, encode_us, send_us, encode_us +. send_us +. received)
         end
         else None)
       members
@@ -1159,23 +1117,18 @@ let attempt t b members =
   let wall_us = Trace.now_us () -. started in
   let residual_us =
     Array.fold_left
-      (fun acc -> function Some (_, _, spent) -> acc -. spent | None -> acc)
+      (fun acc -> function Some (_, _, _, spent) -> acc -. spent | None -> acc)
       (wall_us -. scan_us) ledgers
   in
   Array.mapi
     (fun i m ->
       let s = m.snap in
       match (outs, m.failure, ledgers.(i)) with
-      | Some outs, None, Some (receiver, send_us, _) ->
+      | Some outs, None, Some (receiver, encode_us, send_us, _) ->
         let report, on_commit = outs.(i) in
-        let after = Link.stats s.link in
         Ok
           ( {
               report with
-              link_messages = after.Link.messages - m.before.Link.messages;
-              link_logical_messages =
-                after.Link.logical_messages - m.before.Link.logical_messages;
-              link_bytes = after.Link.bytes - m.before.Link.bytes;
               group_size = n;
               (* CREATE SNAPSHOT's pass, like R* adding the funny fields, is
                  not charged to the report. *)
@@ -1189,7 +1142,7 @@ let attempt t b members =
                      Float.max 0.0
                        (scan_us -. p.lock_us -. p.load_us -. p.fixup_us -. p.filter_us
                       -. p.emit_us);
-                   encode_us = m.encode_us;
+                   encode_us;
                    send_us;
                    fixup_bytes = (if m.populate then 0 else p.fixup_bytes) });
               wall_us;

@@ -60,7 +60,8 @@ val method_name : method_used -> string
     refresh reads no pages: its scan is locks and other.
 
     [encode_us] is this member's time inside
-    {!Refresh_msg.encode_framed} (encode, frame, checksum).  [send_us] is
+    {!Refresh_msg.encode_framed} (encode, frame, checksum), as its stream
+    {!Refresh_msg.writer} measured it.  [send_us] is
     the rest of its time inside the transmit function — the link and its
     accounting — net of [encode_us] and of the receiver's phases
     (including its frame decode), which run synchronously inside it.
@@ -80,9 +81,6 @@ type sender_phases = {
   fixup_bytes : int;
 }
 
-val no_sender : sender_phases
-(** All zero. *)
-
 type refresh_report = {
   snapshot : string;
   method_used : method_used;
@@ -100,7 +98,7 @@ type refresh_report = {
   link_messages : int;  (** physical frames on the wire, incl. bracketing *)
   link_logical_messages : int;
       (** protocol messages those frames carried — the paper's metric;
-          equals [link_messages] only at [batch_size = 1] *)
+          equals [link_messages] only when no frame is a batch *)
   link_bytes : int;
   tail_suppressed : bool;
   log_records_scanned : int;  (** log-based method only *)
@@ -127,7 +125,7 @@ type refresh_report = {
           committed stream ({!Snapshot_table.last_commit_phases}); all
           zero for a refresh that did not commit a framed stream *)
   sender : sender_phases;
-      (** the sender half: scan, send and fix-up bytes; {!no_sender} for a
+      (** the sender half: scan, send and fix-up bytes; all zero for a
           report not produced by a refresh attempt *)
   wall_us : float;
       (** the committing attempt's wall time, from its start to its
@@ -143,6 +141,20 @@ type refresh_report = {
           sends, stream set-up and a failed sibling's time on its link,
           and is [>= 0] up to clock rounding. *)
 }
+
+val make_report :
+  snapshot:string ->
+  method_used ->
+  new_snaptime:Clock.ts ->
+  entries_scanned:int ->
+  data_messages:int ->
+  link:Link.t ->
+  since:Link.stats ->
+  refresh_report
+(** The one constructor of a {!refresh_report}: the counts given, the
+    [link_*] fields from what [link] carried since its stats read [since],
+    and every other field as for one clean attempt with no ledger.  A
+    manager refresh stamps its scan figures, retries and phases on top. *)
 
 (** {1 Retry policy}
 
@@ -175,9 +187,6 @@ exception Bad_definition of string
 
 type t
 
-val default_batch_size : int
-(** 64: {!create}'s [batch_size] when none is given. *)
-
 val create :
   ?retry:retry_policy ->
   ?seed:int ->
@@ -187,7 +196,8 @@ val create :
   t
 (** [seed] feeds the manager's private RNG (backoff jitter, selectivity
     sampling), keeping runs reproducible.  [batch_size] (default
-    {!default_batch_size}) is the batched-transport flush threshold: up to
+    {!Refresh_msg.default_batch_size}) is the batched-transport flush
+    threshold of every refresh stream's {!Refresh_msg.writer}: up to
     [batch_size] consecutive data messages of a refresh stream are
     coalesced into one
     {!Refresh_msg.Batch} frame — one link header, one sequence number, one
@@ -214,16 +224,7 @@ val txn_manager : t -> Snapdiff_txn.Txn.manager
     table-IX/page-IX/entry-X locks contend with the refresh scan's locks
     in the one shared lock table. *)
 
-val retry_policy : t -> retry_policy
-
 val set_retry_policy : t -> retry_policy -> unit
-
-val batch_size : t -> int
-
-val set_batch_size : t -> int -> unit
-(** Takes effect from the next refresh stream; values below 1 clamp to 1. *)
-
-val chunk_entries : t -> int
 
 val set_chunk_entries : t -> int -> unit
 (** Takes effect from the next refresh; values below 1 clamp to 1.
@@ -407,11 +408,8 @@ val set_method : t -> string -> method_spec -> unit
 val mutations_since_refresh : t -> string -> int
 (** Base-table operations observed since the snapshot's last committed
     refresh — the raw churn count behind
-    {!Snapdiff_analysis.Model.observed_update_fraction}. *)
-
-val observed_update_fraction : t -> string -> float
-(** The distinct-update fraction the [Auto] method choice uses: mutations
-    since last refresh over live entries, clamped to [\[0,1\]]. *)
+    {!Snapdiff_analysis.Model.observed_update_fraction}, the
+    distinct-update fraction the [Auto] method choice uses. *)
 
 val estimate_refresh_messages : t -> string -> [ `Full of float ] * [ `Differential of float ]
 (** The cost model's prediction for the next refresh, given observed

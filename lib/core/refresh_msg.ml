@@ -214,6 +214,53 @@ let decode_framed b =
     { epoch; seq; msg = read_exactly c }
   with Failure reason | Invalid_argument reason -> raise (Corrupt reason)
 
+(* The one stream writer (see the interface).  A frame's sequence number
+   counts the frames the link accepted before it. *)
+let default_batch_size = 64
+
+type writer = {
+  w_link : Snapdiff_net.Link.t;
+  w_epoch : int;
+  w_batch : int;
+  mutable w_seq : int;
+  mutable w_buffered : t list;  (* newest first *)
+  mutable w_buffered_n : int;
+  mutable w_encode_us : float;
+}
+
+let writer ?(batch_size = default_batch_size) ~epoch link =
+  { w_link = link; w_epoch = epoch; w_batch = max 1 batch_size; w_seq = 0; w_buffered = [];
+    w_buffered_n = 0; w_encode_us = 0.0 }
+
+let send_frame w msg =
+  let logical = logical_count msg in
+  let t0 = Snapdiff_obs.Trace.now_us () in
+  let framed = encode_framed ~epoch:w.w_epoch ~seq:w.w_seq msg in
+  w.w_encode_us <- w.w_encode_us +. (Snapdiff_obs.Trace.now_us () -. t0);
+  Snapdiff_net.Link.send w.w_link ~logical framed;
+  w.w_seq <- w.w_seq + 1
+
+let flush w =
+  match w.w_buffered with
+  | [] -> ()
+  | ms ->
+    w.w_buffered <- [];
+    w.w_buffered_n <- 0;
+    send_frame w (match ms with [ m ] -> m | ms -> Batch (List.rev ms))
+
+let write w msg =
+  if w.w_batch > 1 && batchable msg then begin
+    w.w_buffered <- msg :: w.w_buffered;
+    w.w_buffered_n <- w.w_buffered_n + 1;
+    if w.w_buffered_n >= w.w_batch then flush w
+  end
+  else begin
+    flush w;
+    send_frame w msg
+  end
+
+let encode_us w = w.w_encode_us
+
 let rec equal a b =
   match (a, b) with
   | Entry x, Entry y ->

@@ -91,3 +91,33 @@ val is_framed : bytes -> bool
 val decode_framed : bytes -> frame
 (** Raises {!Corrupt} on a checksum mismatch, an undecodable payload, or
     a truncated frame. *)
+
+(** {1 The stream writer}
+
+    Every framed refresh stream — a manager refresh, a cascade's
+    forwarding, a query snapshot's re-evaluation — is sent through one
+    {!writer}, which owns the stream's sequence numbers, its batching and
+    its encode time. *)
+
+val default_batch_size : int
+(** 64: a {!writer}'s [batch_size] when none is given. *)
+
+type writer
+
+val writer : ?batch_size:int -> epoch:int -> Snapdiff_net.Link.t -> writer
+(** A writer for one stream, framed under [epoch], onto the link. *)
+
+val write : writer -> t -> unit
+(** Up to [batch_size] consecutive {!batchable} messages travel as one
+    {!Batch} frame, a lone buffered one unwrapped; any other message
+    first flushes the buffer, then travels alone — so a stream's
+    trailing data reaches the link before its {!Snaptime}.  At
+    [batch_size = 1] every message is its own frame.  Each frame is
+    sent with [Link.send ~logical] and numbered by the frames the link
+    has accepted in this stream, so a stream can go on after a send that
+    raised without leaving a sequence gap.  Raises what [Link.send]
+    raises; the frame's messages are then gone from the buffer. *)
+
+val encode_us : writer -> float
+(** Time spent in {!encode_framed} so far, for the refresh ledger's
+    [sender.encode_us]. *)

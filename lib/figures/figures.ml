@@ -760,7 +760,9 @@ let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
         : Manager.refresh_report);
     let link = Manager.snapshot_link mgr "s" in
     Link.reset_stats link;
-    (* A cascade child of [s]; its link runs the same plan on another seed. *)
+    (* A cascade child of [s]; its link runs the same plan on another
+       seed, translated at the child's own framing: a cascade batches at
+       the default size whatever its parent's. *)
     let even_qual t = match t.(2) with Snapdiff_storage.Value.Int q -> Int64.rem q 2L = 0L | _ -> false in
     let child =
       Cascade.attach ~upstream:(Manager.snapshot_table mgr "s") ~name:"c" ~restrict:even_qual ()
@@ -769,7 +771,7 @@ let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
     for round = 1 to rounds do
       ignore (Workload.update_fraction base ~rng ~u:0.02 ~mix:Workload.churn : int);
       arm link ~seed ~batch:fault_batch ~round;
-      arm (Cascade.link child) ~seed:(seed + 1000) ~batch:1 ~round;
+      arm (Cascade.link child) ~seed:(seed + 1000) ~batch:Refresh_msg.default_batch_size ~round;
       match Manager.refresh mgr "s" with
       | r ->
         attempts := !attempts + r.Manager.attempts;
@@ -839,7 +841,7 @@ let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
           if round = 1 then Link.inject_faults l ~partitions:[ (4, 12) ] ~seed () );
     ]
   in
-  List.concat_map (fun batch -> List.map (run batch) plans) [ 1; Manager.default_batch_size ]
+  List.concat_map (fun batch -> List.map (run batch) plans) [ 1; Refresh_msg.default_batch_size ]
 
 type prune_row = {
   prune_page_size : int;

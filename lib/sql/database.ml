@@ -90,6 +90,16 @@ let find_snapshot t name =
 
 let name_exists t name = find_table t name <> None || find_snapshot t name <> None
 
+let snapshot_link t name =
+  if is_manager_snapshot t name then Manager.snapshot_link t.mgr name
+  else
+    match Hashtbl.find_opt t.query_snaps (key name) with
+    | Some qs -> qs.qs_link
+    | None -> (
+      match Hashtbl.find_opt t.cascades (key name) with
+      | Some cs -> Cascade.link cs.cs_cascade
+      | None -> err "unknown snapshot %s" name)
+
 let get_table t name =
   match find_table t name with
   | Some b -> b
@@ -541,67 +551,29 @@ let populate_query_snapshot t qs =
      the snapshot's epoch ring.  Rows travel in batches, as the manager's
      streams do. *)
   let name = Snapshot_table.name qs.qs_table in
-  let epoch = qs.qs_next_epoch and seq = ref 0 in
+  let epoch = qs.qs_next_epoch in
   qs.qs_next_epoch <- epoch + 1;
-  let send m =
-    Link.send qs.qs_link ~logical:(Refresh_msg.logical_count m)
-      (Refresh_msg.encode_framed ~epoch ~seq:!seq m);
-    incr seq
-  in
+  let w = Refresh_msg.writer ~epoch qs.qs_link in
   let now = Clock.tick t.db_clock in
   (match
-     send Refresh_msg.Clear;
-     let batch = ref [] in
-     let flush () =
-       if !batch <> [] then send (Refresh_msg.Batch (List.rev !batch));
-       batch := []
-     in
+     Refresh_msg.write w Refresh_msg.Clear;
      List.iteri
-       (fun i values ->
-         batch := Refresh_msg.Upsert { addr = i + 1; values } :: !batch;
-         if (i + 1) mod Manager.default_batch_size = 0 then flush ())
+       (fun i values -> Refresh_msg.write w (Refresh_msg.Upsert { addr = i + 1; values }))
        rows;
-     flush ();
-     send (Refresh_msg.Snaptime now)
+     Refresh_msg.write w (Refresh_msg.Snaptime now)
    with
   | () -> ()
-  | exception e ->
+  | exception ((Link.Link_down _ | Link.No_receiver _) as e) ->
     (* A stream cut short never commits: abort the receiver's epoch. *)
-    if Snapshot_table.last_committed_epoch qs.qs_table <> epoch then
-      Snapshot_table.abort_stream qs.qs_table
-        ~reason:(Printf.sprintf "epoch %d cut short: %s" epoch (Printexc.to_string e));
-    raise e);
+    let reason = Printf.sprintf "epoch %d cut short: %s" epoch (Printexc.to_string e) in
+    Snapshot_table.abort_stream qs.qs_table ~reason;
+    err "refresh of %s failed: %s" name reason);
   if Snapshot_table.last_committed_epoch qs.qs_table <> epoch then
     err "refresh of %s not committed: %s" name
       (Option.value (Snapshot_table.last_abort qs.qs_table) ~default:"stream incomplete");
-  let after = Link.stats qs.qs_link in
-  {
-    Manager.snapshot = name;
-    method_used = Manager.Used_full;
-    new_snaptime = now;
-    entries_scanned = List.length rows;
-    entries_skipped = 0;
-    pages_decoded = 0;
-    fixup_writes = 0;
-    data_messages = List.length rows;
-    link_messages = after.Link.messages - before.Link.messages;
-    link_logical_messages = after.Link.logical_messages - before.Link.logical_messages;
-    link_bytes = after.Link.bytes - before.Link.bytes;
-    tail_suppressed = false;
-    log_records_scanned = 0;
-    attempts = 1;
-    aborts = 0;
-    escalated = false;
-    backoff_us = 0.0;
-    group_size = 1;
-    chunks = 0;
-    catchup_records = 0;
-    max_lock_hold_us = 0.0;
-    receiver = Snapshot_table.no_phases;
-    sender = Manager.no_sender;
-    wall_us = 0.0;
-    residual_us = 0.0;
-  }
+  let n = List.length rows in
+  Manager.make_report ~snapshot:name Manager.Used_full ~new_snaptime:now ~entries_scanned:n
+    ~data_messages:n ~link:qs.qs_link ~since:before
 
 (* ------------------------------------------------------------------ *)
 
@@ -661,16 +633,15 @@ let rec refresh_by_name t name =
       match Hashtbl.find_opt t.cascades (key name) with
       | Some cs ->
         (* Cascades update with their parent: refresh the chain's root and
-           report what crossed this snapshot's own link. *)
-        let before = Link.stats (Cascade.link cs.cs_cascade) in
+           report what this snapshot's own stream carried.  It scans
+           nothing. *)
+        let c = cs.cs_cascade and table = Cascade.table cs.cs_cascade in
+        let since = Link.stats (Cascade.link c) and forwarded = Cascade.messages_forwarded c in
         let root_report = refresh_by_name t (cascade_root t name) in
-        let after = Link.stats (Cascade.link cs.cs_cascade) in
-        {
-          root_report with
-          Manager.snapshot = name;
-          link_messages = after.Link.messages - before.Link.messages;
-          link_bytes = after.Link.bytes - before.Link.bytes;
-        }
+        Manager.make_report ~snapshot:(Snapshot_table.name table) root_report.Manager.method_used
+          ~new_snaptime:(Snapshot_table.snaptime table) ~entries_scanned:0
+          ~data_messages:(Cascade.messages_forwarded c - forwarded)
+          ~link:(Cascade.link c) ~since
       | None -> err "unknown snapshot %s" name)
 
 let execute t (stmt : Ast.stmt) =
@@ -846,35 +817,12 @@ let execute t (stmt : Ast.stmt) =
       | cascade ->
         Hashtbl.replace t.cascades (key snapshot)
           { cs_parent = s; cs_cascade = cascade; cs_columns = columns; cs_where = where };
-        let stats = Link.stats (Cascade.link cascade) in
         Refreshed
-          {
-            Manager.snapshot;
-            method_used = Manager.Used_full;
-            new_snaptime = Snapshot_table.snaptime (Cascade.table cascade);
-            entries_scanned = Snapshot_table.count parent;
-            entries_skipped = 0;
-            pages_decoded = 0;
-            fixup_writes = 0;
-            data_messages = Cascade.messages_forwarded cascade;
-            link_messages = stats.Link.messages;
-            link_logical_messages = stats.Link.logical_messages;
-            link_bytes = stats.Link.bytes;
-            tail_suppressed = false;
-            log_records_scanned = 0;
-            attempts = 1;
-            aborts = 0;
-            escalated = false;
-            backoff_us = 0.0;
-            group_size = 1;
-            chunks = 0;
-            catchup_records = 0;
-            max_lock_hold_us = 0.0;
-            receiver = Snapshot_table.no_phases;
-            sender = Manager.no_sender;
-            wall_us = 0.0;
-            residual_us = 0.0;
-          }
+          (Manager.make_report ~snapshot Manager.Used_full
+             ~new_snaptime:(Snapshot_table.snaptime (Cascade.table cascade))
+             ~entries_scanned:(Snapshot_table.count parent)
+             ~data_messages:(Cascade.messages_forwarded cascade)
+             ~link:(Cascade.link cascade) ~since:Link.zero_stats)
       | exception Invalid_argument m -> err "%s" m)
     | [ b ] -> err "unknown table %s" b
     | many ->

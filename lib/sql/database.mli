@@ -44,6 +44,12 @@ val run_script : t -> string -> (Ast.stmt * result) list
 val render_result : result -> string
 (** Human-readable rendering (aligned tables for [Rows]). *)
 
+val snapshot_link : t -> string -> Snapdiff_net.Link.t
+(** The link a snapshot's refresh streams arrive on — a manager
+    snapshot's, a query snapshot's or a cascade's own — for reading its
+    traffic or arming its faults.  Raises {!Sql_error} for an unknown
+    snapshot. *)
+
 val index_scans : t -> int
 (** How many SELECTs were answered through a snapshot's secondary index
     (the equality fast path), for tests and EXPLAIN-style introspection. *)

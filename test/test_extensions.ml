@@ -134,7 +134,25 @@ let test_cascade_tracks_parent_refreshes () =
   Alcotest.(check (list string)) "cascade state" [ "'Paul'" ] (names_of (Cascade.table casc));
   checki "snaptime inherited" (Snapshot_table.snaptime parent)
     (Snapshot_table.snaptime (Cascade.table casc));
-  checkb "valid" true (Snapshot_table.validate (Cascade.table casc) = Ok ())
+  checkb "valid" true (Snapshot_table.validate (Cascade.table casc) = Ok ());
+  (* A parent epoch that forwards k > 64 data messages reaches the child
+     in ceil(k/64) batch frames and its Snaptime, as the parent's own
+     stream is framed. *)
+  let module Link = Snapdiff_net.Link in
+  let link = Cascade.link casc in
+  let before = Link.stats link and forwarded = Cascade.messages_forwarded casc in
+  for i = 1 to 100 do
+    ignore (Base_table.insert base (emp (Printf.sprintf "n%d" i) 1) : Addr.t)
+  done;
+  ignore (Manager.refresh m "lowpay" : Manager.refresh_report);
+  let after = Link.stats link and k = Cascade.messages_forwarded casc - forwarded in
+  checkb "more than one batch forwarded" true (k > Refresh_msg.default_batch_size);
+  checki "ceil(k/64) data frames and the Snaptime"
+    (((k + Refresh_msg.default_batch_size - 1) / Refresh_msg.default_batch_size) + 1)
+    (after.Link.messages - before.Link.messages);
+  checki "every forwarded message counted" (k + 1)
+    (after.Link.logical_messages - before.Link.logical_messages);
+  checki "all arrived" 101 (Snapshot_table.count (Cascade.table casc))
 
 let test_cascade_of_cascade () =
   let base, m, _, casc = cascade_setup () in
@@ -184,8 +202,10 @@ let test_cascade_link_down_mid_commit () =
     checki "the parent commits at its first attempt" 1 r.Manager.attempts;
     checki "the parent's epoch advances by one" (e + 1) (Snapshot_table.last_committed_epoch parent)
   in
-  (* Paul enters the child; the link goes down right after his row is
-     forwarded, and stays down through two refreshes. *)
+  (* Paul enters the child; once his row is forwarded, the link fails
+     every send after the next one, through two refreshes.  His row waits
+     in the cascade's batch until the epoch's Snaptime flushes it, so that
+     next send is the frame that carries him. *)
   Base_table.update base (find "Paul") (emp "Paul" 5);
   let armed = ref true in
   Snapshot_table.subscribe parent (fun msg ->
@@ -193,28 +213,32 @@ let test_cascade_link_down_mid_commit () =
       | (Refresh_msg.Entry { values; _ } | Refresh_msg.Upsert { values; _ })
         when !armed && Tuple.get values 0 = Value.str "Paul" ->
         armed := false;
-        Snapdiff_net.Link.set_up link false
+        Snapdiff_net.Link.inject_faults link ~partitions:[ (2, max_int) ] ~seed:0 ()
       | _ -> ());
   let image0 = Snapshot_table.contents child and time0 = Snapshot_table.snaptime child in
   refresh ();
-  checkb "the outage hit after Paul reached the child" true (not !armed);
+  checkb "the outage hit after Paul reached the child" true
+    ((not !armed) && Snapshot_table.open_epoch child <> None);
   Base_table.update base (find "Jack") (emp "Jack" 7);
   refresh ();
   checkb "the child keeps its committed image" true (Snapshot_table.contents child = image0);
   checki "and its SnapTime" time0 (Snapshot_table.snaptime child);
   (* Paul's base row goes while the child's open epoch still holds him. *)
   Base_table.delete base (find "Paul");
-  Snapdiff_net.Link.set_up link true;
+  Snapdiff_net.Link.clear_faults link;
   refresh ();
   Alcotest.(check (list string)) "stray row removed" [ "'Jack'" ] (names_of child);
   agrees "child = restriction of parent after the link is back";
-  (* A one-shot outage mid-stream: the cascade stops sending deltas and
-     sends the image at the same epoch's Snaptime. *)
+  (* A one-shot outage mid-stream: the two deltas' batch gets through,
+     the Snaptime fails, and the cascade sends the image at that same
+     Snaptime. *)
   Base_table.update base (find "Hamid") (emp "Hamid" 3);
   Base_table.update base (find "Mohan") (emp "Mohan" 2);
+  let failures () = (Snapdiff_net.Link.stats link).Snapdiff_net.Link.injected_failures in
+  let failed = failures () in
   Snapdiff_net.Link.inject_faults link ~fail_after:1 ~seed:1 ();
   refresh ();
-  checki "the outage hit" 1 (Snapdiff_net.Link.stats link).Snapdiff_net.Link.injected_failures;
+  checki "the outage hit" (failed + 1) (failures ());
   Snapdiff_net.Link.clear_faults link;
   Alcotest.(check (list string)) "both entered" [ "'Hamid'"; "'Jack'"; "'Mohan'" ]
     (List.sort compare (names_of child));
@@ -418,6 +442,72 @@ let test_sql_cascade () =
   | Database.Dropped _ -> ()
   | _ -> Alcotest.fail "drop after child gone"
 
+(* REFRESH SNAPSHOT on a cascade reports its own stream: what it
+   forwarded and what crossed its link, and no scan — not its root's
+   counts under its name. *)
+let test_sql_cascade_report () =
+  let db, exec = setup_db () in
+  ignore (exec "CREATE SNAPSHOT p AS SELECT * FROM emp REFRESH DIFFERENTIAL");
+  ignore (exec "CREATE SNAPSHOT c AS SELECT name FROM p WHERE salary < 7");
+  let link = Database.snapshot_link db "c" in
+  let refresh () =
+    let before = Snapdiff_net.Link.stats link in
+    match exec "REFRESH SNAPSHOT c" with
+    | Database.Refreshed r ->
+      let after = Snapdiff_net.Link.stats link in
+      checkb "named for the cascade" true (r.Manager.snapshot = "c");
+      checki "its own link's frames" (after.messages - before.messages) r.Manager.link_messages;
+      checki "its own link's bytes" (after.bytes - before.bytes) r.Manager.link_bytes;
+      checki "no fix-ups" 0 r.Manager.fixup_writes;
+      checki "no pages decoded" 0 r.Manager.pages_decoded;
+      checki "nothing scanned" 0 r.Manager.entries_scanned;
+      r
+    | _ -> Alcotest.fail "REFRESH SNAPSHOT c did not refresh"
+  in
+  (* Two updates touch only rows c does not hold: its stream is the
+     Snaptime alone. *)
+  ignore (exec "UPDATE emp SET salary = 8 WHERE name = 'Hamid'");
+  ignore (exec "UPDATE emp SET salary = 20 WHERE name = 'Paul'");
+  let r = refresh () in
+  checki "no data forwarded" 0 r.Manager.data_messages;
+  checki "one frame, the Snaptime" 1 r.Manager.link_messages;
+  checki "one logical message" 1 r.Manager.link_logical_messages;
+  (* Hamid enters c. *)
+  ignore (exec "UPDATE emp SET salary = 3 WHERE name = 'Hamid'");
+  let r = refresh () in
+  checki "one row forwarded" 1 r.Manager.data_messages;
+  checki "the row and the Snaptime" 2 r.Manager.link_logical_messages;
+  Alcotest.(check (list string)) "c holds Laura and Hamid" [ "'Hamid'"; "'Laura'" ]
+    (List.sort compare
+       (List.map (fun r -> Value.to_string (Tuple.get r 0)) (rows_of (exec "SELECT * FROM c"))))
+
+(* A query snapshot's refresh stream cut short by a link outage fails
+   with [Sql_error] and leaves the snapshot on its previous image and
+   SnapTime; the next refresh, on the healed link, commits. *)
+let test_sql_query_snapshot_cut_short () =
+  let db, exec = setup_db () in
+  ignore
+    (exec
+       "CREATE SNAPSHOT roster AS SELECT name, floor FROM emp, dept \
+        WHERE dept = dname AND salary < 10");
+  let image () = List.sort compare (rows_of (exec "SELECT * FROM roster")) in
+  let listing () = Database.render_result (exec "SHOW SNAPSHOTS") in
+  let image0 = image () and listing0 = listing () in
+  ignore (exec "UPDATE emp SET salary = 5 WHERE name = 'Bruce'");
+  (* Clear gets through, the rows' batch frame does not. *)
+  let link = Database.snapshot_link db "roster" in
+  Snapdiff_net.Link.inject_faults link ~fail_after:1 ~seed:1 ();
+  (match Database.run db "REFRESH SNAPSHOT roster" with
+  | exception Database.Sql_error _ -> ()
+  | _ -> Alcotest.fail "a cut-short refresh reported success");
+  checki "the outage hit" 1 (Snapdiff_net.Link.stats link).Snapdiff_net.Link.injected_failures;
+  checkb "previous image kept" true (image () = image0);
+  Alcotest.(check string) "previous row count and SnapTime kept" listing0 (listing ());
+  (match exec "REFRESH SNAPSHOT roster" with
+  | Database.Refreshed r -> checki "four rows shipped" 4 r.Manager.data_messages
+  | _ -> Alcotest.fail "refresh on the healed link");
+  checki "Bruce is in" 4 (List.length (image ()))
+
 let test_sql_create_index_and_fast_path () =
   let db, exec = setup_db () in
   ignore (exec "CREATE SNAPSHOT s AS SELECT * FROM emp REFRESH DIFFERENTIAL");
@@ -480,6 +570,8 @@ let suite =
     Alcotest.test_case "sql join ambiguity" `Quick test_sql_join_ambiguity;
     Alcotest.test_case "sql query snapshot" `Quick test_sql_query_snapshot;
     Alcotest.test_case "sql cascade" `Quick test_sql_cascade;
+    Alcotest.test_case "sql cascade reports its own stream" `Quick test_sql_cascade_report;
+    Alcotest.test_case "sql query snapshot cut short" `Quick test_sql_query_snapshot_cut_short;
     Alcotest.test_case "sql index fast path" `Quick test_sql_create_index_and_fast_path;
     Alcotest.test_case "sql show/explain extended" `Quick test_sql_show_explain_extended;
   ]

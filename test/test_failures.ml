@@ -62,7 +62,7 @@ let apply_script base script =
 (* [batch_size] defaults to 1 here, not to the manager's default: link
    faults are decided once per frame, so one message per frame lets a
    fault plan land at every message position of the stream.  The
-   properties below also run at {!Manager.default_batch_size}. *)
+   properties below also run at {!Refresh_msg.default_batch_size}. *)
 let setup ~method_ ?retry ?(batch_size = 1) (script, threshold) =
   let clock = Clock.create () in
   let base = Base_table.create ~name:"emp" ~clock emp_schema in
@@ -542,7 +542,7 @@ let test_no_receiver_in_group () =
       | Error e -> raise e)
     [ ("a", 10); ("c", 20) ]
 
-let batched = Manager.default_batch_size
+let batched = Refresh_msg.default_batch_size
 
 let suite =
   [

@@ -1240,7 +1240,7 @@ let suite =
     QCheck_alcotest.to_alcotest
       (prop_epochs_exact ~batch_size:1 "each retained epoch = its recorded image");
     QCheck_alcotest.to_alcotest
-      (prop_epochs_exact ~batch_size:Manager.default_batch_size
+      (prop_epochs_exact ~batch_size:Refresh_msg.default_batch_size
          "batched: each retained epoch = its recorded image");
     QCheck_alcotest.to_alcotest prop_rx_schedules;
   ]
