@@ -41,7 +41,8 @@ let () =
   (* Initial population. *)
   List.iter
     (fun (addr, u) ->
-      if restrict u then Snapshot_table.apply snap (Refresh_msg.Upsert { addr; values = u }))
+      if restrict u then Snapshot_table.apply snap
+        (Refresh_msg.Upsert { addr; row = Row.of_tuple u }))
     (Base_table.to_user_list base);
   Snapshot_table.apply snap (Refresh_msg.Snaptime (Clock.now clock));
   Printf.printf "before: snapshot has %d rows (snaptime %d)\n\n" (Snapshot_table.count snap)

@@ -61,7 +61,8 @@ let part1_simple_dense () =
   let snap = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
   List.iter
     (fun (addr, t) ->
-      if restrict t then Snapshot_table.apply snap (Refresh_msg.Upsert { addr; values = t }))
+      if restrict t then Snapshot_table.apply snap
+        (Refresh_msg.Upsert { addr; row = Row.of_tuple t }))
     (Dense.entries d);
   Snapshot_table.apply snap (Refresh_msg.Snaptime 330);
   print_snapshot "snapshot table BEFORE refresh (SnapTime = 330)" snap;
@@ -126,7 +127,8 @@ let part2_deferred () =
   let snap = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
   List.iter
     (fun (addr, t) ->
-      if restrict t then Snapshot_table.apply snap (Refresh_msg.Upsert { addr; values = t }))
+      if restrict t then Snapshot_table.apply snap
+        (Refresh_msg.Upsert { addr; row = Row.of_tuple t }))
     (Base_table.to_user_list base);
   Snapshot_table.apply snap (Refresh_msg.Snaptime snaptime);
 

@@ -44,7 +44,8 @@ let attach ~base ~link ~restrict ~project ?(policy = Buffer) () =
            | Change_log.Update (addr, old, v) -> (addr, Some old, Some v)
          in
          match Ideal.decide ~restrict before after with
-         | `Upsert v -> push t (Refresh_msg.Upsert { addr; values = project v })
+         | `Upsert v -> push t
+           (Refresh_msg.Upsert { addr; row = Snapdiff_storage.Row.of_tuple (project v) })
          | `Remove -> push t (Refresh_msg.Remove { addr })
          | `Nothing -> ())
       : Base_table.subscription);

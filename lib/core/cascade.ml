@@ -33,7 +33,7 @@ let attach ~upstream ~name ?(restrict = fun _ -> true) ?projection ?link () =
            | None -> invalid_arg (Printf.sprintf "Cascade.attach: unknown column %s" c))
          projection)
   in
-  let project values = Tuple.project_idx values idx in
+  let project values = Row.of_tuple (Tuple.project_idx values idx) in
   let schema = Schema.project parent_schema projection in
   let out =
     match link with
@@ -76,15 +76,17 @@ let attach ~upstream ~name ?(restrict = fun _ -> true) ?projection ?link () =
   in
   let forward (msg : Refresh_msg.t) =
     match msg with
-    | Upsert { addr; values } ->
-      if restrict values then send (Upsert { addr; values = project values })
+    | Upsert { addr; row } ->
+      let values = Row.to_tuple row in
+      if restrict values then send (Upsert { addr; row = project values })
       else if child_had addr then send (Remove { addr })
-    | Entry { addr; prev_qual; values } ->
+    | Entry { addr; prev_qual; row } ->
+      let values = Row.to_tuple row in
       let range_matters = child_has_range (prev_qual + 1) ~hi:(addr - 1) in
       if restrict values then
         if range_matters then
-          send (Entry { addr; prev_qual; values = project values })
-        else send (Upsert { addr; values = project values })
+          send (Entry { addr; prev_qual; row = project values })
+        else send (Upsert { addr; row = project values })
       else if range_matters || child_had addr then
         (* The entry's range-delete span plus the entry itself. *)
         send (Region { lo = prev_qual + 1; hi = addr })
@@ -103,7 +105,7 @@ let attach ~upstream ~name ?(restrict = fun _ -> true) ?projection ?link () =
     if clear then send Refresh_msg.Clear;
     rows (fun addr values ->
         if (not t.stale) && restrict values then
-          send (Refresh_msg.Upsert { addr; values = project values }));
+          send (Refresh_msg.Upsert { addr; row = project values }));
     if not t.stale then send (Refresh_msg.Snaptime ts)
   in
   (* The initial sync: the parent's committed image, under its last

@@ -77,7 +77,7 @@ let refresh t ~snaptime ~restrict ~project ~xmit =
          SnapRestrict, only the element address and "empty" status are
          transmitted." *)
       match c.value with
-      | Some v when restrict v -> send (Refresh_msg.Upsert { addr; values = project v })
+      | Some v when restrict v -> send (Refresh_msg.Upsert { addr; row = Row.of_tuple (project v) })
       | Some _ | None -> send (Refresh_msg.Remove { addr })
     end
   done;

@@ -12,14 +12,28 @@ let m_group_scans = Metrics.counter Metrics.global "refresh.group_scans"
 let m_group_subscribers = Metrics.counter Metrics.global "refresh.group_subscribers"
 let m_group_decodes_saved = Metrics.counter Metrics.global "refresh.group_decodes_saved"
 
+(* Page-indexed: page [p]'s token (0: no entry, since tokens start at 1)
+   and last qualifying address ([Addr.zero]: none qualifies, since no
+   entry has address 0). *)
 module Prune_cache = struct
-  type entry = { token : int; page_last_qual : Addr.t option }
+  type t = { mutable tokens : int array; mutable last_quals : Addr.t array }
 
-  type t = (int, entry) Hashtbl.t
+  let create () = { tokens = Array.make 64 0; last_quals = Array.make 64 Addr.zero }
 
-  let create () : t = Hashtbl.create 64
+  let token t page = if page < Array.length t.tokens then t.tokens.(page) else 0
 
-  let size = Hashtbl.length
+  let set t page ~token ~last_qual =
+    let n = Array.length t.tokens in
+    if page >= n then begin
+      let cap = max (page + 1) (2 * n) in
+      let grow a = Array.init cap (fun i -> if i < n then a.(i) else 0) in
+      t.tokens <- grow t.tokens;
+      t.last_quals <- grow t.last_quals
+    end;
+    t.tokens.(page) <- token;
+    t.last_quals.(page) <- last_qual
+
+  let remove t page = if page < Array.length t.tokens then t.tokens.(page) <- 0
 end
 
 type report = {
@@ -73,8 +87,7 @@ type sub_state = {
 type page_decision =
   | Decode
   | Skip_empty  (* summary proves the page holds no live entries *)
-  | Skip_cached of Base_table.page_summary * Addr.t option
-      (* summary + cached last qualifying address prove the decode moot *)
+  | Skip_cached  (* summary + cached last qualifying address prove the decode moot *)
 
 (* The scan as a resumable state machine: [start] ticks the clocks and
    snapshots the page count, [scan_to] advances the cursor page by page
@@ -102,12 +115,8 @@ type cursor = {
   mutable next_page : int;
   mutable tails_sent : bool;
   ps : Fixup.page_scan;  (* the scan's one page scratch, reused page to page *)
-  (* The column cache of the entry being emitted: column [i] was decoded
-     for entry [entry_seq] iff [col_entry.(i) = entry_seq], so subscribers
-     sending the same entry share one decode per column. *)
-  mutable col_vals : Value.t array;
-  mutable col_entry : int array;
-  mutable entry_seq : int;
+  pruned : bool;  (* some subscriber has a prune cache: read page summaries *)
+  decisions : page_decision array;  (* per subscriber, for the current page *)
 }
 
 let start ~base subs =
@@ -142,9 +151,8 @@ let start ~base subs =
     next_page = 1;
     tails_sent = false;
     ps = Fixup.page_scan ();
-    col_vals = [||];
-    col_entry = [||];
-    entry_seq = 0;
+    pruned = Array.exists (fun sub -> sub.sub_prune <> None) subs;
+    decisions = Array.make n_subs Decode;
   }
 
 let pages c = c.pages
@@ -165,63 +173,36 @@ let push st m =
   st.out.(st.n_out) <- m;
   st.n_out <- st.n_out + 1
 
-let column c f i =
-  if c.col_entry.(i) = c.entry_seq then c.col_vals.(i)
-  else begin
-    let v = Codec.Fields.value f i in
-    c.col_vals.(i) <- v;
-    c.col_entry.(i) <- c.entry_seq;
-    v
-  end
-
-(* The sent entry's user columns ([None]: all of them), each decoded at
-   most once per entry across the group. *)
-let project c f cols =
-  let n = Codec.Fields.count f in
-  if n > Array.length c.col_vals then begin
-    c.col_vals <- Array.make n Value.Null;
-    c.col_entry <- Array.make n (-1)
-  end;
-  match cols with
-  | None -> Array.init (n - 2) (column c f)
-  | Some idx -> Array.map (column c f) idx
-
 (* A subscriber may skip a page under exactly the solo conditions: the
-   summary proves nothing on the page is newer than its SnapTime, the
-   (shared) chain state shows no anomaly pending at the boundary, and its
-   own qualification cache supplies the page's last qualifying address.
-   The page is decoded iff any subscriber cannot skip it. *)
-let decide c st page =
-  match st.sub.sub_prune with
-  | None -> Decode
-  | Some cache -> (
-    match Base_table.page_summary c.base page with
-    | None -> Decode
-    | Some s ->
-      if s.Base_table.sum_live = 0 then Skip_empty
-      else if s.Base_table.sum_max_ts > st.sub.sub_snaptime then Decode
-      else if
-        c.deferred
-        && not
-             (c.chain.expect_prev = c.chain.last_addr
-             && s.Base_table.sum_first_prev = c.chain.expect_prev)
-      then Decode
-      else (
-        match Hashtbl.find_opt cache page with
-        | Some { Prune_cache.token; page_last_qual }
-          when token = s.Base_table.sum_token
-               && not (st.deletion && page_last_qual <> None) ->
-          Skip_cached (s, page_last_qual)
-        | _ -> Decode))
-
-let apply_skip st = function
-  | Skip_empty -> st.st_pages_skipped <- st.st_pages_skipped + 1
-  | Skip_cached (s, page_last_qual) ->
-    st.st_pages_skipped <- st.st_pages_skipped + 1;
-    st.skipped <- st.skipped + s.Base_table.sum_live;
-    (match page_last_qual with Some l -> st.last_qual <- l | None -> ())
-  (* Both callers route [Decode] pages to the decode path, never here. *)
-  | Decode -> assert false
+   page's summary [s] proves nothing on the page is newer than its
+   SnapTime, the (shared) chain state shows no anomaly pending at the
+   boundary, and its own qualification cache supplies the page's last
+   qualifying address.  A skip advances the subscriber's state at once;
+   the page is decoded iff any subscriber cannot skip it. *)
+let decide c st page (s : Base_table.page_summary option) =
+  match (st.sub.sub_prune, s) with
+  | None, _ | _, None -> Decode
+  | Some cache, Some s ->
+    if s.sum_live = 0 then begin
+      st.st_pages_skipped <- st.st_pages_skipped + 1;
+      Skip_empty
+    end
+    else if s.sum_max_ts > st.sub.sub_snaptime then Decode
+    else if
+      c.deferred
+      && not (c.chain.expect_prev = c.chain.last_addr && s.sum_first_prev = c.chain.expect_prev)
+    then Decode
+    else if Prune_cache.token cache page <> s.sum_token then Decode
+    else begin
+      let last_qual = cache.Prune_cache.last_quals.(page) in
+      if st.deletion && last_qual <> Addr.zero then Decode
+      else begin
+        st.st_pages_skipped <- st.st_pages_skipped + 1;
+        st.skipped <- st.skipped + s.sum_live;
+        if last_qual <> Addr.zero then st.last_qual <- last_qual;
+        Skip_cached
+      end
+    end
 
 (* The per-page scan body.  Everything stateful (decisions, fix-up,
    LastQual/Deletion, summaries, prune caches) happens here, in address
@@ -230,40 +211,38 @@ let scan_page c page =
   let base = c.base in
   let deferred = c.deferred in
   let states = c.states in
-  let decisions = Array.map (fun st -> decide c st page) states in
-  let need_decode =
-    Array.exists (function Decode -> true | _ -> false) decisions
-  in
-  if not need_decode then begin
-    (* Nobody needs the page decoded; advance every subscriber's state by
-       its own skip rule and the shared chain state once from the summary
-       (all cached skips saw the same summary). *)
-    Array.iteri (fun i st -> apply_skip st decisions.(i)) states;
-    (* All skip decisions on one page agree on the summary (it is shared
-       state): either the page is provably empty — chain untouched — or
-       every subscriber saw the same cached-skip summary, whose last live
-       address is where an actual decode would have left the chain. *)
-    if deferred then
-      match
-        Array.find_opt (function Skip_cached _ -> true | _ -> false) decisions
-      with
-      | Some (Skip_cached (s, _)) ->
-        c.chain.expect_prev <- s.Base_table.sum_last_live;
-        c.chain.last_addr <- s.Base_table.sum_last_live
-      | _ -> ()
+  let decisions = c.decisions in
+  let summary = if c.pruned then Base_table.page_summary base page else None in
+  let need_decode = ref false in
+  for i = 0 to Array.length states - 1 do
+    let d = decide c states.(i) page summary in
+    decisions.(i) <- d;
+    if d = Decode then need_decode := true
+  done;
+  if not !need_decode then begin
+    (* Nobody needs the page decoded: every subscriber advanced by its own
+       skip rule, and the shared chain state advances once from the
+       summary.  All skip decisions on one page saw the same summary:
+       either the page is provably empty — chain untouched — or its last
+       live address is where an actual decode would have left the
+       chain. *)
+    match summary with
+    | Some s when deferred && Array.exists (fun d -> d = Skip_cached) decisions ->
+      c.chain.expect_prev <- s.sum_last_live;
+      c.chain.last_addr <- s.sum_last_live
+    | _ -> ()
   end
   else begin
     (* Decode once; feed the entries to exactly the subscribers that need
-       them, while the skippers advance by their fast path. *)
+       them, while the skippers have advanced by their fast path. *)
     c.pages_decoded <- c.pages_decoded + 1;
-    Array.iteri
-      (fun i st ->
-        match decisions.(i) with
-        | Decode ->
-          st.st_pages_decoded <- st.st_pages_decoded + 1;
-          st.page_qualified <- false
-        | d -> apply_skip st d)
-      states;
+    for i = 0 to Array.length states - 1 do
+      if decisions.(i) = Decode then begin
+        let st = states.(i) in
+        st.st_pages_decoded <- st.st_pages_decoded + 1;
+        st.page_qualified <- false
+      end
+    done;
     let ps = c.ps in
     Fixup.load_page ps base ~page (if deferred then Fixup.Fix c.chain else Fixup.Read);
     let n = Fixup.entries ps in
@@ -288,11 +267,10 @@ let scan_page c page =
     let max_ts = ref Clock.never in
     let any_null = ref false in
     (* Per entry, in address order, on the corrected annotations: the
-       Figure 3 state machine of each decoding subscriber.  An entry is
-       decoded only if it is sent, and then only its projected columns. *)
+       Figure 3 state machine of each decoding subscriber.  A sent entry's
+       projected columns are copied as bytes; nothing is decoded. *)
     for k = 0 to n - 1 do
       let addr = ps.Fixup.addrs.(k) and prev = ps.Fixup.prevs.(k) and ts = ps.Fixup.tss.(k) in
-      c.entry_seq <- c.entry_seq + 1;
       if !live = 0 then begin
         first_live := addr;
         first_prev := if prev = null then Addr.zero else prev
@@ -313,8 +291,7 @@ let scan_page c page =
             if changed || st.deletion then
               push st
                 (Refresh_msg.Entry
-                   { addr; prev_qual = st.last_qual;
-                     values = project c (Fixup.fields ps k) st.sub.sub_project });
+                   { addr; prev_qual = st.last_qual; row = Fixup.row ps k st.sub.sub_project });
             st.last_qual <- addr;
             st.page_qualified <- true;
             st.deletion <- false
@@ -346,9 +323,8 @@ let scan_page c page =
         (fun i st ->
           match (decisions.(i), st.sub.sub_prune) with
           | Decode, Some cache ->
-            Hashtbl.replace cache page
-              { Prune_cache.token;
-                page_last_qual = (if st.page_qualified then Some st.last_qual else None) }
+            Prune_cache.set cache page ~token
+              ~last_qual:(if st.page_qualified then st.last_qual else Addr.zero)
           | _ -> ())
         states
     end
@@ -356,7 +332,7 @@ let scan_page c page =
       Array.iteri
         (fun i st ->
           match (decisions.(i), st.sub.sub_prune) with
-          | Decode, Some cache -> Hashtbl.remove cache page
+          | Decode, Some cache -> Prune_cache.remove cache page
           | _ -> ())
         states
   end

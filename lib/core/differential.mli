@@ -23,20 +23,17 @@ open Snapdiff_txn
 
 (** Per-snapshot page-qualification cache, the companion of the base
     table's page summaries: for each page last seen clean it remembers the
-    last {e qualifying} address on the page (or that there is none), keyed
-    by the summary token it was recorded against.  A token mismatch — the
+    last {e qualifying} address on the page (or that there is none) and
+    the summary token it was recorded against, in arrays indexed by page
+    number.  A token mismatch — the
     page changed, or its summary was rebuilt — silently invalidates the
     entry and the page is decoded again.  The cache is bound to one
     snapshot's restriction: never share a cache between snapshots with
     different [restrict] predicates. *)
 module Prune_cache : sig
-  type entry = { token : int; page_last_qual : Addr.t option }
-
-  type t = (int, entry) Hashtbl.t
+  type t
 
   val create : unit -> t
-
-  val size : t -> int
 end
 
 type report = {
@@ -63,7 +60,7 @@ type subscriber = {
           closure goes through {!Annotations.user_pred}. *)
   sub_project : int array option;
       (** the user columns an [Entry] carries, in order ([None]: all of
-          them); only these fields of a sent entry are decoded *)
+          them); a sent entry's row is these fields' bytes, copied *)
   sub_tail_suppression : Addr.t option;
       (** the snapshot's high-water [BaseAddr]; [None] disables *)
   sub_prune : Prune_cache.t option;
@@ -93,7 +90,7 @@ type cursor
     updaters interleave) and later resume exactly where it left off.
     Each cursor owns its scratch — one {!Fixup.page_scan} (page copy,
     field offsets, corrected annotations), the per-subscriber restriction
-    bitmaps and the column cache — reused from page to page; the
+    bitmaps and page decisions — reused from page to page; the
     subscribers' compiled definitions hold none of it.
 
     {b A page in two phases.}  Phase 1 is {!Fixup.load_page}: under the
@@ -102,8 +99,8 @@ type cursor
     place, patching changed tails in the pinned frame.  Phase 2 runs
     unpinned over the copy: each decoding subscriber's restriction over
     the page into a bitmap, then the address-order Figure 3 pass, which
-    decodes an entry's projected columns only if it is sent (each column
-    at most once per entry, however many subscribers send it).  The
+    copies a sent entry's projected fields' bytes into its row
+    ({!Fixup.row}) and decodes nothing.  The
     page's messages go out after its phases, so {!timing}'s filter and
     emit phases hold no transmit time. *)
 

@@ -100,6 +100,14 @@ let entries ps = Decode_arena.length ps.arena
 
 let fields ps k = Decode_arena.fields ps.arena k
 
+(* The record's user columns precede its two annotation fields, so all of
+   them are one contiguous byte range. *)
+let row ps k cols =
+  let f = fields ps k in
+  match cols with
+  | None -> Row.of_prefix f (Codec.Fields.count f - 2)
+  | Some idx -> Row.of_fields f idx
+
 (* Phase 1 of a page: while the page is pinned, copy it, walk each record
    and, under [Fix], run the Figure 7 step on the two raw fields and patch
    a changed tail straight into the frame.  A record whose annotations are

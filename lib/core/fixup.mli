@@ -111,7 +111,7 @@ type timing = {
   mutable load_us : float;  (** pin, pool miss, page copy *)
   mutable fixup_us : float;  (** record walk, Figure 7 step, patches *)
   mutable filter_us : float;  (** restrictions (charged by the refresh scans) *)
-  mutable emit_us : float;  (** decode and projection of sent rows *)
+  mutable emit_us : float;  (** the Figure 3 pass and the copy of sent rows *)
 }
 (** Where a scan spent its time, summed over its pages; each phase is
     timed per page, never per entry. *)
@@ -153,6 +153,11 @@ val entries : page_scan -> int
 val fields : page_scan -> int -> Snapdiff_storage.Codec.Fields.t
 (** The [k]-th entry's walked record, over the arena copy (one view,
     re-pointed per call). *)
+
+val row : page_scan -> int -> int array option -> Snapdiff_storage.Row.t
+(** The [k]-th entry's user columns [cols] ([None]: all of them), in
+    order, as a row: their bytes copied out of the walked record, none
+    decoded. *)
 
 val timing : cursor -> timing
 (** Where the standalone pass spent its time ([load_us], [fixup_us]). *)

@@ -32,13 +32,8 @@ let pages c = c.pages
 
 let timing c = c.ps.Fixup.timing
 
-let user_values project f =
-  match project with
-  | None -> Codec.Fields.tuple f ~n:(Codec.Fields.count f - 2)
-  | Some idx -> Array.map (Codec.Fields.value f) idx
-
 (* Per page: load and walk (no annotations read), the restriction over
-   the page into a bitmap, then the qualified rows decoded straight into
+   the page into a bitmap, then the qualified rows copied straight into
    their messages; the messages are sent once the page's phases are
    timed, so no phase includes transmit time. *)
 let scan_to c ~last_page =
@@ -54,8 +49,8 @@ let scan_to c ~last_page =
     let out = ref [] in
     for k = n - 1 downto 0 do
       if Bytes.get c.qualified k <> '\000' then begin
-        let values = user_values c.project (Fixup.fields ps k) in
-        out := Refresh_msg.Upsert { addr = ps.Fixup.addrs.(k); values } :: !out
+        let row = Fixup.row ps k c.project in
+        out := Refresh_msg.Upsert { addr = ps.Fixup.addrs.(k); row } :: !out
       end
     done;
     let t2 = Trace.now_us () in

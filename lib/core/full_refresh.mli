@@ -25,8 +25,8 @@ val refresh :
 (** [restrict] runs on each stored record (user columns first, then the
     two annotations; {!Annotations.user_pred} adapts a tuple predicate).
     [project] lists the user columns each [Upsert] carries (default: all
-    of them, in order); only those fields of a qualified row are
-    decoded, and nothing of a row that does not qualify. *)
+    of them, in order); a qualified row's [Upsert] carries those fields'
+    bytes, copied, and nothing of a row is decoded. *)
 
 (** {1 Resumable form}
 

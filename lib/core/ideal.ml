@@ -29,7 +29,7 @@ let refresh ~base ~log ~cursor ~restrict ~project ~xmit () =
       match decide ~restrict before after with
       | `Upsert v ->
         incr data;
-        xmit (Refresh_msg.Upsert { addr; values = project v })
+        xmit (Refresh_msg.Upsert { addr; row = Snapdiff_storage.Row.of_tuple (project v) })
       | `Remove ->
         incr data;
         xmit (Refresh_msg.Remove { addr })

@@ -23,7 +23,7 @@ let refresh ~base ~wal ~cursor ~restrict ~project ~xmit () =
       match Ideal.decide ~restrict (user before) (user after) with
       | `Upsert v ->
         incr data;
-        xmit (Refresh_msg.Upsert { addr; values = project v })
+        xmit (Refresh_msg.Upsert { addr; row = Snapdiff_storage.Row.of_tuple (project v) })
       | `Remove ->
         incr data;
         xmit (Refresh_msg.Remove { addr })

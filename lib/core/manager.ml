@@ -855,7 +855,7 @@ let open_source t b used members xmits () =
             xmits.(i)
               (match Option.map Annotations.user_part net.Recovery.after with
               | Some user when snap.restrict user ->
-                Refresh_msg.Upsert { addr; values = snap.project user }
+                Refresh_msg.Upsert { addr; row = Row.of_tuple (snap.project user) }
               | _ -> Refresh_msg.Remove { addr }))
           nets)
       members

@@ -38,7 +38,7 @@ val method_name : method_used -> string
 (** The sender half of a refresh's cost, in microseconds and bytes.
 
     [scan_us] is the locked scan's wall time (locks, page loads, fix-up,
-    restriction, decode and projection, catch-up, stream close) minus the
+    restriction, the copy of sent rows, catch-up, stream close) minus the
     time every member of its group spent inside its stream's transmit
     function; it is the same for all members of one group scan, and so
     is its split into six sub-phases, which sum to it:
@@ -50,17 +50,18 @@ val method_name : method_used -> string
       catch-up's fix-up pass when one runs);
     - [filter_us]: the restrictions, run page by page on the walked
       records;
-    - [emit_us]: the Figure 3 pass and the decode and projection of the
-      rows sent, net of transmit (a page's messages are sent after its
-      phases are timed);
-    - [scan_other_us]: the rest — summaries and prune caches, lock
+    - [emit_us]: the Figure 3 pass and the copy of the rows sent (their
+      projected fields' bytes), net of transmit (a page's messages are
+      sent after its phases are timed);
+    - [scan_other_us]: the rest — page decisions, summaries and prune
+      caches, lock
       release, the catch-up's log scan and overlay, tails and commit
       markers — [scan_us] minus the other five, clamped at 0.
     Each phase is timed per page, never per entry.  A log-based or ideal
     refresh reads no pages: its scan is locks and other.
 
     [encode_us] is this member's time inside
-    {!Refresh_msg.encode_framed} (encode, frame, checksum), as its stream
+    {!Refresh_msg.encode_framed} (frame, row blits, checksum), as its stream
     {!Refresh_msg.writer} measured it.  [send_us] is
     the rest of its time inside the transmit function — the link and its
     accounting — net of [encode_us] and of the receiver's phases

@@ -1,10 +1,10 @@
 open Snapdiff_storage
 
 type t =
-  | Entry of { addr : Addr.t; prev_qual : Addr.t; values : Tuple.t }
+  | Entry of { addr : Addr.t; prev_qual : Addr.t; row : Row.t }
   | Tail of { last_qual : Addr.t }
   | Region of { lo : Addr.t; hi : Addr.t }
-  | Upsert of { addr : Addr.t; values : Tuple.t }
+  | Upsert of { addr : Addr.t; row : Row.t }
   | Remove of { addr : Addr.t }
   | Clear
   | Snaptime of Snapdiff_txn.Clock.ts
@@ -29,11 +29,11 @@ let rec logical_count = function
   | _ -> 1
 
 let rec pp ppf = function
-  | Entry { addr; prev_qual; values } ->
-    Format.fprintf ppf "entry %a (prev %a) %a" Addr.pp addr Addr.pp prev_qual Tuple.pp values
+  | Entry { addr; prev_qual; row } ->
+    Format.fprintf ppf "entry %a (prev %a) %a" Addr.pp addr Addr.pp prev_qual Row.pp row
   | Tail { last_qual } -> Format.fprintf ppf "tail (last %a)" Addr.pp last_qual
   | Region { lo; hi } -> Format.fprintf ppf "region [%a, %a]" Addr.pp lo Addr.pp hi
-  | Upsert { addr; values } -> Format.fprintf ppf "upsert %a %a" Addr.pp addr Tuple.pp values
+  | Upsert { addr; row } -> Format.fprintf ppf "upsert %a %a" Addr.pp addr Row.pp row
   | Remove { addr } -> Format.fprintf ppf "remove %a" Addr.pp addr
   | Clear -> Format.pp_print_string ppf "clear"
   | Snaptime ts -> Format.fprintf ppf "snaptime %d" ts
@@ -49,10 +49,11 @@ let rec pp ppf = function
 (* The one writer.  [size] is the exact encoded length, so every encoding
    is one allocation of the right size written front to back; a batch
    member's u32 length prefix is back-patched once the member is written,
-   so member sizes are not computed twice. *)
+   so member sizes are not computed twice.  A row is already its bytes:
+   its size is its length and writing it is one blit. *)
 let rec size = function
-  | Entry { values; _ } -> 17 + Tuple.encoded_size values
-  | Upsert { values; _ } -> 9 + Tuple.encoded_size values
+  | Entry { row; _ } -> 17 + Row.length row
+  | Upsert { row; _ } -> 9 + Row.length row
   | Tail _ | Remove _ | Snaptime _ | Request _ -> 9
   | Region _ -> 17
   | Clear -> 1
@@ -64,20 +65,20 @@ let rec size = function
 
 let rec write b off msg =
   match msg with
-  | Entry { addr; prev_qual; values } ->
+  | Entry { addr; prev_qual; row } ->
     let off = Codec.write_u8 b off 1 in
     let off = Codec.write_int b off addr in
     let off = Codec.write_int b off prev_qual in
-    Codec.write_tuple b off values
+    Row.write b off row
   | Tail { last_qual } -> Codec.write_int b (Codec.write_u8 b off 2) last_qual
   | Region { lo; hi } ->
     let off = Codec.write_u8 b off 3 in
     let off = Codec.write_int b off lo in
     Codec.write_int b off hi
-  | Upsert { addr; values } ->
+  | Upsert { addr; row } ->
     let off = Codec.write_u8 b off 4 in
     let off = Codec.write_int b off addr in
-    Codec.write_tuple b off values
+    Row.write b off row
   | Remove { addr } -> Codec.write_int b (Codec.write_u8 b off 5) addr
   | Clear -> Codec.write_u8 b off 6
   | Snaptime ts -> Codec.write_int b (Codec.write_u8 b off 7) ts
@@ -104,21 +105,22 @@ let encode msg =
 
 (* The one reader: straight from the received bytes through a cursor; a
    batch member is read inside its length-prefixed window, not copied
-   out. *)
+   out.  A row is checked and copied, not decoded: the receiver decodes
+   it once, when it replays the message. *)
 let rec read c =
   let module C = Codec.Cursor in
   match C.u8 c with
   | 1 ->
     let addr = C.int c in
     let prev_qual = C.int c in
-    Entry { addr; prev_qual; values = C.tuple c }
+    Entry { addr; prev_qual; row = Row.read c }
   | 2 -> Tail { last_qual = C.int c }
   | 3 ->
     let lo = C.int c in
     Region { lo; hi = C.int c }
   | 4 ->
     let addr = C.int c in
-    Upsert { addr; values = C.tuple c }
+    Upsert { addr; row = Row.read c }
   | 5 -> Remove { addr = C.int c }
   | 6 -> Clear
   | 7 -> Snaptime (C.int c)
@@ -177,10 +179,7 @@ let fnv h byte = (h lxor byte) * 0x01000193 land 0xFFFFFFFF
    so a frame whose header was garbled fails the check even if the
    payload survived. *)
 let checksum ~epoch ~seq b ~pos ~len =
-  let h = ref 0x811C9DC5 in
-  for i = pos to pos + len - 1 do
-    h := fnv !h (Char.code (Bytes.get b i))
-  done;
+  let h = ref (Codec.fnv1a b ~pos ~len) in
   for k = 0 to 7 do
     h := fnv (fnv !h ((epoch lsr (8 * k)) land 0xFF)) ((seq lsr (8 * k)) land 0xFF)
   done;
@@ -264,10 +263,10 @@ let encode_us w = w.w_encode_us
 let rec equal a b =
   match (a, b) with
   | Entry x, Entry y ->
-    x.addr = y.addr && x.prev_qual = y.prev_qual && Tuple.equal x.values y.values
+    x.addr = y.addr && x.prev_qual = y.prev_qual && Row.equal x.row y.row
   | Tail x, Tail y -> x.last_qual = y.last_qual
   | Region x, Region y -> x.lo = y.lo && x.hi = y.hi
-  | Upsert x, Upsert y -> x.addr = y.addr && Tuple.equal x.values y.values
+  | Upsert x, Upsert y -> x.addr = y.addr && Row.equal x.row y.row
   | Remove x, Remove y -> x.addr = y.addr
   | Clear, Clear -> true
   | Snaptime x, Snaptime y -> x = y

@@ -19,16 +19,19 @@
     - {!Snaptime} closes every refresh: "the current (base table) time is
       sent to the snapshot to become the new SnapTime".
 
-    Values carried are already restricted and projected: "this allows each
-    (remote) snapshot to extract only needed data from the base table". *)
+    Rows carried are already restricted and projected: "this allows each
+    (remote) snapshot to extract only needed data from the base table".
+    A row travels as its encoded bytes ({!Snapdiff_storage.Row}): the
+    scans copy it out of the base record, the writer copies it into the
+    frame, and the receiver decodes it once, when it replays it. *)
 
 open Snapdiff_storage
 
 type t =
-  | Entry of { addr : Addr.t; prev_qual : Addr.t; values : Tuple.t }
+  | Entry of { addr : Addr.t; prev_qual : Addr.t; row : Row.t }
   | Tail of { last_qual : Addr.t }
   | Region of { lo : Addr.t; hi : Addr.t }  (** inclusive bounds *)
-  | Upsert of { addr : Addr.t; values : Tuple.t }
+  | Upsert of { addr : Addr.t; row : Row.t }
   | Remove of { addr : Addr.t }
   | Clear
   | Snaptime of Snapdiff_txn.Clock.ts

@@ -193,7 +193,7 @@ let refresh t ~snaptime ~restrict ~project ~xmit =
           (* A qualified entry ends any pending deletable run. *)
           flush ();
           if e.ts > snaptime then
-            send (Refresh_msg.Upsert { addr = pos; values = project e.value })
+            send (Refresh_msg.Upsert { addr = pos; row = Row.of_tuple (project e.value) })
         end
         else
           (* Unqualified entries are absorbed: "empty regions which are

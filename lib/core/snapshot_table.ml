@@ -31,9 +31,9 @@ type secondary = {
 type epoch = {
   epoch : int;
   mutable next_seq : int;
-  mutable decode_us : float;  (* checksum and decode of its frames *)
+  mutable decode_us : float;  (* checksum and decode of its frames, rows left as bytes *)
   freeze_us : float;  (* the seal at its first frame *)
-  mutable replay_us : float;  (* check and replay of its frames *)
+  mutable replay_us : float;  (* check, row decode and replay of its frames *)
 }
 
 type stream =
@@ -230,21 +230,22 @@ let subscribe t f = t.observers <- t.observers @ [ f ]
    child needs. *)
 let notify t msg = List.iter (fun f -> f msg) t.observers
 
-(* Figure 4 for one message, on rows already checked against the schema. *)
+(* Figure 4 for one message, on rows already checked against the schema;
+   each row is decoded here, once. *)
 let rec replay t (msg : Refresh_msg.t) =
   (* Unbatch before notifying: observers (cascades, message meters) see
      the logical stream, never the transport coalescing. *)
   (match msg with Batch _ -> () | _ -> notify t msg);
   match msg with
   | Batch ms -> List.iter (replay t) ms
-  | Entry { addr; prev_qual; values } ->
+  | Entry { addr; prev_qual; row } ->
     (* Everything strictly between the previous qualified entry and this
        one is gone from the base table's qualified set. *)
     drop_range t ~lo:(prev_qual + 1) ~hi:(addr - 1);
-    put t addr values
+    put t addr (Row.to_tuple row)
   | Tail { last_qual } -> drop_range t ~lo:(last_qual + 1) ~hi:max_int
   | Region { lo; hi } -> drop_range t ~lo ~hi
-  | Upsert { addr; values } -> put t addr values
+  | Upsert { addr; row } -> put t addr (Row.to_tuple row)
   | Remove { addr } -> delete t addr
   | Clear -> clear t
   | Snaptime ts -> t.time <- ts
@@ -254,15 +255,15 @@ let rec replay t (msg : Refresh_msg.t) =
     ()
 
 (* A row the snapshot cannot hold (wrong arity, wrong type, NULL in a NOT
-   NULL column), or [None].  A framed row is checked before its frame
-   replays, so a malformed frame aborts its epoch instead of raising half
-   way through a message. *)
+   NULL column), or [None], read from its tag bytes.  A framed row is
+   checked before its frame replays, so a malformed frame aborts its
+   epoch instead of raising half way through a message. *)
 let rec malformed t (msg : Refresh_msg.t) =
   match msg with
-  | Entry { values; _ } | Upsert { values; _ } ->
-    if Array.length values <> Schema.arity t.user then
+  | Entry { row; _ } | Upsert { row; _ } ->
+    if Row.arity row <> Schema.arity t.user then
       Some "tuple dimensions do not match snapshot schema"
-    else (match Schema.validate_tuple t.user values with Ok () -> None | Error e -> Some e)
+    else (match Row.validate t.user row with Ok () -> None | Error e -> Some e)
   | Batch ms -> List.find_map (malformed t) ms
   | Tail _ | Region _ | Remove _ | Clear | Snaptime _ | Register _ | Request _ -> None
 

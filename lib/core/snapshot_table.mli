@@ -139,12 +139,13 @@ val last_committed_epoch : t -> int
 
 (** Where the receiver's time went in its last framed commit, in
     microseconds.  The four phases are disjoint: [decode_us] sums
-    {!apply_bytes}' checksum and decode of the epoch's frames; [freeze_us] is
+    {!apply_bytes}' checksum and decode of the epoch's frames, whose rows
+    are checked and copied but not decoded; [freeze_us] is
     {!Version_store.begin_commit} sealing the committed image at the
-    first frame; [replay_us] sums each frame's check and its replay into
-    the page table (copying each page the first time the epoch touches
-    it); [publish_us] is {!Version_store.end_commit} publishing the
-    epoch. *)
+    first frame; [replay_us] sums each frame's check, the decode of its
+    rows and its replay into the page table (copying each page the first
+    time the epoch touches it); [publish_us] is
+    {!Version_store.end_commit} publishing the epoch. *)
 type commit_phases = {
   decode_us : float;
   freeze_us : float;

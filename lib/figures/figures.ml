@@ -340,7 +340,8 @@ let tail_ablation ?(seed = 19) ?(n = 10_000) ?(q = 0.25) () =
       List.iter
         (fun (addr, user) ->
           if restrict user then
-            Snapshot_table.apply snap (Refresh_msg.Upsert { addr; values = user }))
+            Snapshot_table.apply snap
+              (Refresh_msg.Upsert { addr; row = Snapdiff_storage.Row.of_tuple user }))
         (Base_table.to_user_list base);
       ignore (Workload.update_fraction base ~rng ~u ~mix:Workload.payload_updates_only : int);
       (base, snaptime, restrict, snap)
@@ -871,7 +872,8 @@ let prune_ablation ?(seed = 43) ?(n = 20_000) ?(u_list = [ 0.001; 0.01; 0.05; 0.
     List.iter
       (fun (addr, values) ->
         Buffer.add_bytes buf
-          (Refresh_msg.encode (Refresh_msg.Upsert { addr; values })))
+          (Refresh_msg.encode
+             (Refresh_msg.Upsert { addr; row = Snapdiff_storage.Row.of_tuple values })))
       (Snapshot_table.contents snap);
     Buffer.contents buf
   in

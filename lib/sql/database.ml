@@ -558,7 +558,8 @@ let populate_query_snapshot t qs =
   (match
      Refresh_msg.write w Refresh_msg.Clear;
      List.iteri
-       (fun i values -> Refresh_msg.write w (Refresh_msg.Upsert { addr = i + 1; values }))
+       (fun i values -> Refresh_msg.write w
+         (Refresh_msg.Upsert { addr = i + 1; row = Row.of_tuple values }))
        rows;
      Refresh_msg.write w (Refresh_msg.Snaptime now)
    with

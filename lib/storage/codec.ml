@@ -71,6 +71,39 @@ let string b off =
 
 let tuple = Tuple.decode
 
+(* A tag-byte value's checks without building the value: the position
+   just past the field whose tag byte is at [q], failing as its decode
+   would.  Inlined: the walk steps over every field of every record a
+   scan reads. *)
+let[@inline] field_end b q ~limit =
+  if q >= limit then failwith "Codec: truncated";
+  let p =
+    match Bytes.unsafe_get b q with
+    | '\000' -> q + 1
+    | '\001' | '\002' -> q + 9
+    | '\004' -> q + 2
+    | '\003' ->
+      if q + 5 > limit then failwith "Codec: truncated";
+      q + 5 + (Int32.to_int (Bytes.get_int32_le b (q + 1)) land 0xffff_ffff)
+    | _ -> failwith "Value.decode: bad tag"
+  in
+  if p > limit then failwith "Codec: truncated";
+  p
+
+(* The value whose tag byte is at [b.[o]], on bytes [field_end] already
+   stepped over: no check beyond the bounds checks of the reads. *)
+let[@inline] value_at b o =
+  let tag = Bytes.get b o in
+  if tag = Value.tag_null then Value.Null
+  else if tag = Value.tag_int then Value.Int (Bytes.get_int64_le b (o + 1))
+  else if tag = Value.tag_float then
+    Value.Float (Int64.float_of_bits (Bytes.get_int64_le b (o + 1)))
+  else if tag = Value.tag_str then begin
+    let len = Int32.to_int (Bytes.get_int32_le b (o + 1)) land 0xffff_ffff in
+    Value.Str (Bytes.sub_string b (o + 5) len)
+  end
+  else Value.Bool (Bytes.get b (o + 1) <> '\000')
+
 (* In-place readers over a byte window.  The offset-pair readers above
    allocate a (value, offset) tuple per field and force callers to
    Bytes.sub each record out of its page first; a cursor reads straight
@@ -143,15 +176,9 @@ module Cursor = struct
     s
 
   let value c =
-    need c 1;
-    let tag = Bytes.get c.buf c.pos in
-    c.pos <- c.pos + 1;
-    if tag = Value.tag_null then Value.Null
-    else if tag = Value.tag_int then Value.Int (i64 c)
-    else if tag = Value.tag_float then Value.Float (Int64.float_of_bits (i64 c))
-    else if tag = Value.tag_str then Value.Str (string c)
-    else if tag = Value.tag_bool then Value.Bool (u8 c <> 0)
-    else failwith "Value.decode: bad tag"
+    let q = c.pos in
+    c.pos <- field_end c.buf q ~limit:c.limit;
+    value_at c.buf q
 
   let tuple c =
     let n = u16 c in
@@ -166,30 +193,29 @@ module Cursor = struct
       t
     end
 
-  (* [value]'s checks without building the value, over the whole tuple
-     in one loop: the same failures in the same order as a decode. *)
+  (* Over the whole tuple in one loop: the same failures in the same
+     order as a decode. *)
   let walk c offs ~at =
     let b = c.buf and limit = c.limit in
     let n = u16 c in
     let p = ref c.pos in
     for i = 0 to n - 1 do
-      let q = !p in
-      if q >= limit then failwith "Codec: truncated";
-      offs.(at + i) <- q;
-      p :=
-        (match Bytes.unsafe_get b q with
-         | '\000' -> q + 1
-         | '\001' | '\002' -> q + 9
-         | '\004' -> q + 2
-         | '\003' ->
-           if q + 5 > limit then failwith "Codec: truncated";
-           q + 5 + (Int32.to_int (Bytes.get_int32_le b (q + 1)) land 0xffff_ffff)
-         | _ -> failwith "Value.decode: bad tag");
-      if !p > limit then failwith "Codec: truncated"
+      offs.(at + i) <- !p;
+      p := field_end b !p ~limit
     done;
     c.pos <- !p;
     if not (at_end c) then failwith "Tuple.decode_exactly: trailing bytes";
     n
+
+  let tuple_string c =
+    let start = c.pos in
+    let n = u16 c in
+    let p = ref c.pos in
+    for _ = 1 to n do
+      p := field_end c.buf !p ~limit:c.limit
+    done;
+    c.pos <- !p;
+    Bytes.sub_string c.buf start (!p - start)
 end
 
 (* A walked record: field [i]'s tag byte sits at [buf.[offs.(base + i)]].
@@ -220,18 +246,22 @@ module Fields = struct
 
   let tag f i = Bytes.get f.buf (off f i)
 
-  let value f i =
-    let b = f.buf and o = off f i in
-    let tag = Bytes.get b o in
-    if tag = Value.tag_null then Value.Null
-    else if tag = Value.tag_int then Value.Int (Bytes.get_int64_le b (o + 1))
-    else if tag = Value.tag_float then
-      Value.Float (Int64.float_of_bits (Bytes.get_int64_le b (o + 1)))
-    else if tag = Value.tag_str then begin
-      let len = Int32.to_int (Bytes.get_int32_le b (o + 1)) land 0xffff_ffff in
-      Value.Str (Bytes.sub_string b (o + 5) len)
-    end
-    else Value.Bool (Bytes.get b (o + 1) <> '\000')
+  let stop f i = field_end f.buf (off f i) ~limit:(Bytes.length f.buf)
+
+  let value f i = value_at f.buf (off f i)
 
   let tuple f ~n = Array.init n (value f)
 end
+
+(* FNV-1a, 32-bit.  The low 32 bits of [(h lxor byte) * prime] depend
+   only on the low 32 bits of [h], so the product is masked once, after
+   the loop, with the same result as masking every step.  The loop runs
+   on an unboxed [int64], which spares each step the tagged-int
+   arithmetic's extra instructions on its dependency chain. *)
+let fnv1a b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Codec.fnv1a";
+  let h = ref 0x811C9DC5L in
+  for i = pos to pos + len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)))) 0x01000193L
+  done;
+  Int64.to_int !h land 0xFFFFFFFF

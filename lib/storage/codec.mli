@@ -45,6 +45,12 @@ val int_of_i64 : int64 -> int
 (** The range check of {!int}: [Failure "Codec: int out of range"] for an
     i64 outside OCaml's int range. *)
 
+val field_end : bytes -> int -> limit:int -> int
+(** [field_end b q ~limit]: the offset just past the tag-byte value whose
+    tag is at [b.[q]], with no byte of it at or past [limit].  It decodes
+    nothing and raises [Failure] where {!Cursor.value} would: a bad tag
+    or truncation. *)
+
 (** In-place cursor readers: the zero-copy counterpart of the offset-pair
     readers above.  A cursor holds a [(buffer, position, limit)] window
     and each read advances the position, so the decode hot loop allocates
@@ -103,6 +109,11 @@ module Cursor : sig
       [Tuple.decode_exactly] on the window's bytes would: a bad tag,
       truncation, or trailing bytes.  [offs] needs [at + len] slots for a
       window of [len] bytes. *)
+
+  val tuple_string : t -> string
+  (** The next tuple's exact bytes, stepped over with {!walk}'s checks
+      (without its trailing-bytes check): it raises [Failure] where
+      {!tuple} would, and otherwise decodes nothing. *)
 end
 
 (** A walked record: the field offsets {!Cursor.walk} recorded, over the
@@ -131,9 +142,21 @@ module Fields : sig
   (** Field [i]'s tag byte ({!Value.tag_null} ...).  Every reader raises
       [Invalid_argument] for [i] outside [0, count). *)
 
+  val off : t -> int -> int
+  (** Field [i]'s offset in [buf]: where its tag byte is. *)
+
+  val stop : t -> int -> int
+  (** The offset just past field [i]: the field's bytes are
+      [buf.[off f i, stop f i)]. *)
+
   val value : t -> int -> Value.t
   (** Field [i], decoded: equal to [(Tuple.decode_exactly record).(i)]. *)
 
   val tuple : t -> n:int -> Tuple.t
   (** The first [n] fields, decoded. *)
 end
+
+val fnv1a : bytes -> pos:int -> len:int -> int
+(** The 32-bit FNV-1a hash of [b.[pos, pos+len)], for the WAL's and the
+    refresh frames' checksums.  Raises [Invalid_argument] for a range
+    outside [b]. *)

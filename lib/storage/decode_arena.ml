@@ -4,16 +4,16 @@
    [Bytes.sub] per record plus a [(value, offset)] pair per field.  The
    arena path instead copies the pinned page image once into a reused
    scratch buffer and records the live-record spans in reused int arrays.
-   [iter] then decodes each record in place with a {!Codec.Cursor}; the
-   scans use [walk] instead, which records each field's offset without
-   decoding anything, so a reader pays only for the fields it reads.
+   The scans then [walk] each record, which records each field's offset
+   without decoding anything, so a reader pays only for the fields it
+   reads, and a sent row is a copy of its fields' bytes.
 
    An arena is single-domain scratch: each scan cursor owns one and
    reuses it across every page it reads.  [load] must run while the
    page is pinned; after it returns the arena holds a private snapshot,
-   so [iter], [walk] and [fields] need no pin and are immune to
-   concurrent page mutation (matching [Heap.iter_page]'s
-   snapshot-then-decode contract). *)
+   so [walk] and [fields] need no pin and are immune to concurrent page
+   mutation (matching [Heap.iter_page]'s snapshot-then-decode
+   contract). *)
 
 type t = {
   mutable scratch : bytes;  (* page image copy; reused, grown as needed *)
@@ -74,15 +74,6 @@ let load t page =
 let length t = t.n
 
 let slot t k = t.slots.(k)
-
-let iter t f =
-  for k = 0 to t.n - 1 do
-    Codec.Cursor.set t.cur t.scratch ~pos:t.offs.(k) ~len:t.lens.(k);
-    let tuple = Codec.Cursor.tuple t.cur in
-    if not (Codec.Cursor.at_end t.cur) then
-      failwith "Tuple.decode_exactly: trailing bytes";
-    f t.slots.(k) tuple
-  done
 
 let walk t k =
   let at = if k = 0 then 0 else t.field_base.(k - 1) + t.field_count.(k - 1) in

@@ -2,13 +2,10 @@
 
     {!load} snapshots a pinned page's image into the arena's scratch
     buffer (one [blit], no per-record copies) together with its live
-    record spans.  Two readers follow.  {!iter} decodes each record in
-    place with a {!Codec.Cursor}, yielding exactly what [Heap.iter_page]
-    would have yielded for the same page state but without the
-    per-record [Bytes.sub] and per-field offset-pair allocations.
-    {!walk} records each field's offset instead ({!Codec.Cursor.walk}),
-    and {!fields} reads a walked record field by field: the scans' path,
-    which decodes only the fields it needs.
+    record spans.  {!walk} records each field's offset
+    ({!Codec.Cursor.walk}) and {!fields} reads a walked record field by
+    field: the scans' path, which decodes only the fields a restriction
+    reads and copies a sent row's fields as bytes.
 
     An arena is {e not} domain-safe: each scan cursor owns one and reuses
     it across pages.  Because [load] copies, the readers run without a
@@ -28,12 +25,6 @@ val length : t -> int
 
 val slot : t -> int -> int
 (** [slot t k]: the slot of the [k]-th captured record (ascending). *)
-
-val iter : t -> (int -> Tuple.t -> unit) -> unit
-(** [iter t f] decodes the records captured by the last {!load} in
-    ascending slot order and calls [f slot tuple] for each.  Raises
-    [Failure] exactly where [Tuple.decode_exactly] would (corrupt tag,
-    truncation, trailing bytes). *)
 
 val walk : t -> int -> unit
 (** [walk t k] records the field offsets of the [k]-th captured record.

@@ -202,10 +202,6 @@ let load_page t ~arena ~page:p f =
       Decode_arena.load arena page;
       ((if f page then `Dirty else `Clean), ()))
 
-let iter_page_arena t ~arena ~page:p f =
-  load_page t ~arena ~page:p (fun _ -> false);
-  Decode_arena.iter arena (fun slot tuple -> f (Addr.make ~page:p ~slot) tuple)
-
 let iter t f =
   let store = Buffer_pool.store t.pool in
   for p = 1 to Page_store.page_count store - 1 do

@@ -91,14 +91,6 @@ val load_page : t -> arena:Decode_arena.t -> page:int -> (Page.t -> bool) -> uni
     frame is then marked dirty once.  Raises [Invalid_argument] for a
     page outside the store. *)
 
-val iter_page_arena :
-  t -> arena:Decode_arena.t -> page:int -> (Addr.t -> Tuple.t -> unit) -> unit
-(** {!iter_page} through a {!Decode_arena}: the page image is snapshotted
-    into the arena under the pin and decoded in place, yielding the same
-    (address, tuple) sequence with far fewer allocations.  The
-    differential scan's decode path.  Same mutation contract as
-    {!iter_page}: the callback sees the pre-callback page state. *)
-
 val fold : t -> init:'a -> f:('a -> Addr.t -> Tuple.t -> 'a) -> 'a
 
 val to_list : t -> (Addr.t * Tuple.t) list

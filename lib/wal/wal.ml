@@ -52,10 +52,7 @@ let start_lsn = 0
 
 let default_group_commit_window = 8
 
-let fnv1a s =
-  let h = ref 0x811C9DC5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) s;
-  !h
+let fnv1a s = Snapdiff_storage.Codec.fnv1a (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 let really_write fd b =
   let len = Bytes.length b in

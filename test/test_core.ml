@@ -56,10 +56,10 @@ let test_annotations_tuple_roundtrip () =
 let test_refresh_msg_roundtrip () =
   let msgs =
     [
-      Refresh_msg.Entry { addr = 65538; prev_qual = 0; values = emp "Laura" 6 };
+      Refresh_msg.Entry { addr = 65538; prev_qual = 0; row = Row.of_tuple (emp "Laura" 6) };
       Refresh_msg.Tail { last_qual = 131072 };
       Refresh_msg.Region { lo = 3; hi = 900 };
-      Refresh_msg.Upsert { addr = 5; values = emp "Mohan" 9 };
+      Refresh_msg.Upsert { addr = 5; row = Row.of_tuple (emp "Mohan" 9) };
       Refresh_msg.Remove { addr = 7 };
       Refresh_msg.Clear;
       Refresh_msg.Snaptime 430;
@@ -343,8 +343,9 @@ let test_paper_example_messages () =
   (* Figure 5/6: messages (Laura, prev 0), (Mohan, prev Laura), tail. *)
   Alcotest.check (Alcotest.list msg) "exactly the paper's messages"
     [
-      Refresh_msg.Entry { addr = a_laura; prev_qual = Addr.zero; values = emp "Laura" 6 };
-      Refresh_msg.Entry { addr = a_mohan; prev_qual = a_laura; values = emp "Mohan" 9 };
+      Refresh_msg.Entry { addr = a_laura; prev_qual = Addr.zero;
+          row = Row.of_tuple (emp "Laura" 6) };
+      Refresh_msg.Entry { addr = a_mohan; prev_qual = a_laura; row = Row.of_tuple (emp "Mohan" 9) };
       Refresh_msg.Tail { last_qual = a_paul };
       Refresh_msg.Snaptime report.Differential.new_snaptime;
     ]
@@ -357,7 +358,8 @@ let test_paper_example_snapshot_state () =
   let snap = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
   List.iter
     (fun (addr, user) ->
-      if sal_lt10 user then Snapshot_table.apply snap (Refresh_msg.Upsert { addr; values = user }))
+      if sal_lt10 user then Snapshot_table.apply snap
+        (Refresh_msg.Upsert { addr; row = Row.of_tuple user }))
     (Base_table.to_user_list base);
   let snaptime = Clock.now (Base_table.clock base) in
   Snapshot_table.apply snap (Refresh_msg.Snaptime snaptime);

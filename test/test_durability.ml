@@ -72,7 +72,7 @@ let test_base_table_survives_restart () =
       checkb "Paul retransmitted" true
         (List.exists
            (function
-             | Refresh_msg.Entry { values; _ } -> Tuple.equal values (emp "Paul" 8)
+             | Refresh_msg.Entry { row; _ } -> Tuple.equal (Row.to_tuple row) (emp "Paul" 8)
              | _ -> false)
            !msgs);
       Page_store.close store)
@@ -175,7 +175,8 @@ let test_example_tuple_roundtrip_through_file () =
   let s = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
   for i = 1 to 2_000 do
     Snapshot_table.apply s
-      (Refresh_msg.Upsert { addr = i; values = emp (Printf.sprintf "e%04d" i) (i mod 20) })
+      (Refresh_msg.Upsert { addr = i;
+          row = Row.of_tuple (emp (Printf.sprintf "e%04d" i) (i mod 20)) })
   done;
   for i = 1 to 2_000 do
     if i mod 3 = 0 then Snapshot_table.apply s (Refresh_msg.Remove { addr = i })

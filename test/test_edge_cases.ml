@@ -142,7 +142,8 @@ let test_snapshot_apply_pathological () =
   let s = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
   Snapshot_table.apply s (Refresh_msg.Region { lo = 10; hi = 5 });  (* inverted: no-op *)
   Snapshot_table.apply s (Refresh_msg.Tail { last_qual = 0 });  (* empty: no-op *)
-  Snapshot_table.apply s (Refresh_msg.Entry { addr = 1; prev_qual = 1; values = emp "x" 1 });
+  Snapshot_table.apply s
+    (Refresh_msg.Entry { addr = 1; prev_qual = 1; row = Row.of_tuple (emp "x" 1) });
   (* prev_qual = addr: empty delete range, plain upsert. *)
   checki "one entry" 1 (Snapshot_table.count s);
   Snapshot_table.apply s (Refresh_msg.Snaptime 0);
@@ -151,12 +152,14 @@ let test_snapshot_apply_pathological () =
   Alcotest.check_raises "bad arity"
     (Invalid_argument "Snapshot_table: tuple dimensions do not match snapshot schema")
     (fun () ->
-      Snapshot_table.apply s (Refresh_msg.Upsert { addr = 2; values = Tuple.make [ Value.int 1 ] }));
+      Snapshot_table.apply s
+        (Refresh_msg.Upsert { addr = 2; row = Row.of_tuple (Tuple.make [ Value.int 1 ]) }));
   (* So is a row whose column types do not match, and nothing is stored. *)
   checkb "bad column type" true
     (match
        Snapshot_table.apply s
-         (Refresh_msg.Upsert { addr = 2; values = Tuple.make [ Value.int 1; Value.str "x" ] })
+         (Refresh_msg.Upsert { addr = 2;
+             row = Row.of_tuple (Tuple.make [ Value.int 1; Value.str "x" ]) })
      with
     | () -> false
     | exception Invalid_argument _ -> Snapshot_table.get s 2 = None)

@@ -27,7 +27,7 @@ let filled_snapshot () =
   let s = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
   List.iteri
     (fun i (n, sal) ->
-      Snapshot_table.apply s (Refresh_msg.Upsert { addr = i + 1; values = emp n sal }))
+      Snapshot_table.apply s (Refresh_msg.Upsert { addr = i + 1; row = Row.of_tuple (emp n sal) }))
     [ ("a", 5); ("b", 9); ("c", 5); ("d", 7); ("e", 9) ];
   s
 
@@ -47,13 +47,14 @@ let test_index_maintained_through_apply () =
   let s = filled_snapshot () in
   Snapshot_table.create_index s ~column:"salary";
   (* Update: entry 1 moves from salary 5 to 9. *)
-  Snapshot_table.apply s (Refresh_msg.Upsert { addr = 1; values = emp "a" 9 });
+  Snapshot_table.apply s (Refresh_msg.Upsert { addr = 1; row = Row.of_tuple (emp "a" 9) });
   Alcotest.(check (list int)) "5 bucket shrank" [ 3 ]
     (Snapshot_table.lookup s ~column:"salary" (Value.int 5));
   Alcotest.(check (list int)) "9 bucket grew" [ 1; 2; 5 ]
     (Snapshot_table.lookup s ~column:"salary" (Value.int 9));
   (* Range deletion via an Entry message. *)
-  Snapshot_table.apply s (Refresh_msg.Entry { addr = 4; prev_qual = 1; values = emp "d" 7 });
+  Snapshot_table.apply s
+    (Refresh_msg.Entry { addr = 4; prev_qual = 1; row = Row.of_tuple (emp "d" 7) });
   Alcotest.(check (list int)) "2,3 deleted from buckets" [ 1; 5 ]
     (Snapshot_table.lookup s ~column:"salary" (Value.int 9));
   (* Clear wipes the index too. *)
@@ -210,8 +211,8 @@ let test_cascade_link_down_mid_commit () =
   let armed = ref true in
   Snapshot_table.subscribe parent (fun msg ->
       match msg with
-      | (Refresh_msg.Entry { values; _ } | Refresh_msg.Upsert { values; _ })
-        when !armed && Tuple.get values 0 = Value.str "Paul" ->
+      | (Refresh_msg.Entry { row; _ } | Refresh_msg.Upsert { row; _ })
+        when !armed && Tuple.get (Row.to_tuple row) 0 = Value.str "Paul" ->
         armed := false;
         Snapdiff_net.Link.inject_faults link ~partitions:[ (2, max_int) ] ~seed:0 ()
       | _ -> ());

@@ -108,14 +108,14 @@ let a3 = Addr.make ~page:1 ~slot:2
 
 let mk_snap () =
   let snap = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
-  Snapshot_table.apply snap (Refresh_msg.Upsert { addr = a1; values = emp "a" 1 });
-  Snapshot_table.apply snap (Refresh_msg.Upsert { addr = a2; values = emp "b" 2 });
+  Snapshot_table.apply snap (Refresh_msg.Upsert { addr = a1; row = Row.of_tuple (emp "a" 1) });
+  Snapshot_table.apply snap (Refresh_msg.Upsert { addr = a2; row = Row.of_tuple (emp "b" 2) });
   Snapshot_table.apply snap (Refresh_msg.Snaptime 10);
   snap
 
 let stream =
   [ Refresh_msg.Remove { addr = a1 };
-    Refresh_msg.Upsert { addr = a3; values = emp "c" 3 };
+    Refresh_msg.Upsert { addr = a3; row = Row.of_tuple (emp "c" 3) };
     Refresh_msg.Snaptime 20 ]
 
 let test_partial_stream_neither_image () =
@@ -190,13 +190,16 @@ let test_gap_and_corruption_detected () =
    a message, and the next clean epoch commits. *)
 let test_malformed_frame_aborts () =
   let bad_rows =
-    [ ("arity", Refresh_msg.Upsert { addr = a3; values = Tuple.make [ Value.str "short" ] });
-      ("type", Refresh_msg.Upsert { addr = a3; values = Tuple.make [ Value.int 1; Value.int 2 ] });
+    [ ("arity", Refresh_msg.Upsert { addr = a3;
+        row = Row.of_tuple (Tuple.make [ Value.str "short" ]) });
+      ("type", Refresh_msg.Upsert { addr = a3;
+          row = Row.of_tuple (Tuple.make [ Value.int 1; Value.int 2 ]) });
       ( "batched arity",
         Refresh_msg.Batch
-          [ Refresh_msg.Upsert { addr = a3; values = emp "c" 3 };
+          [ Refresh_msg.Upsert { addr = a3; row = Row.of_tuple (emp "c" 3) };
             Refresh_msg.Entry
-              { addr = a3 + 1; prev_qual = a3; values = Tuple.make [ Value.str "x"; Value.int 1; Value.int 2 ] }
+              { addr = a3 + 1; prev_qual = a3;
+                  row = Row.of_tuple (Tuple.make [ Value.str "x"; Value.int 1; Value.int 2 ]) }
           ] ) ]
   in
   List.iteri

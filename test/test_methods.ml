@@ -26,9 +26,9 @@ let restrict_lt10 = Expr.(col "salary" <. int 10)
 
 let test_snapshot_table_upsert_remove () =
   let s = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
-  Snapshot_table.apply s (Refresh_msg.Upsert { addr = 5; values = emp "a" 1 });
-  Snapshot_table.apply s (Refresh_msg.Upsert { addr = 3; values = emp "b" 2 });
-  Snapshot_table.apply s (Refresh_msg.Upsert { addr = 5; values = emp "a2" 3 });
+  Snapshot_table.apply s (Refresh_msg.Upsert { addr = 5; row = Row.of_tuple (emp "a" 1) });
+  Snapshot_table.apply s (Refresh_msg.Upsert { addr = 3; row = Row.of_tuple (emp "b" 2) });
+  Snapshot_table.apply s (Refresh_msg.Upsert { addr = 5; row = Row.of_tuple (emp "a2" 3) });
   checki "two entries" 2 (Snapshot_table.count s);
   Alcotest.check (Alcotest.option tuple) "upsert replaced" (Some (emp "a2" 3))
     (Snapshot_table.get s 5);
@@ -41,10 +41,12 @@ let test_snapshot_table_upsert_remove () =
 let test_snapshot_table_entry_range_delete () =
   let s = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
   List.iter
-    (fun a -> Snapshot_table.apply s (Refresh_msg.Upsert { addr = a; values = emp "x" a }))
+    (fun a -> Snapshot_table.apply s
+      (Refresh_msg.Upsert { addr = a; row = Row.of_tuple (emp "x" a) }))
     [ 1; 2; 3; 4; 5; 6 ];
   (* Entry at 6 with prev_qual 2: everything strictly between dies. *)
-  Snapshot_table.apply s (Refresh_msg.Entry { addr = 6; prev_qual = 2; values = emp "y" 6 });
+  Snapshot_table.apply s
+    (Refresh_msg.Entry { addr = 6; prev_qual = 2; row = Row.of_tuple (emp "y" 6) });
   Alcotest.(check (list int)) "3,4,5 deleted" [ 1; 2; 6 ]
     (List.map fst (Snapshot_table.contents s));
   Alcotest.check (Alcotest.option tuple) "6 upserted" (Some (emp "y" 6)) (Snapshot_table.get s 6)
@@ -52,7 +54,8 @@ let test_snapshot_table_entry_range_delete () =
 let test_snapshot_table_tail_and_region () =
   let s = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
   List.iter
-    (fun a -> Snapshot_table.apply s (Refresh_msg.Upsert { addr = a; values = emp "x" a }))
+    (fun a -> Snapshot_table.apply s
+      (Refresh_msg.Upsert { addr = a; row = Row.of_tuple (emp "x" a) }))
     [ 1; 3; 5; 7; 9 ];
   Snapshot_table.apply s (Refresh_msg.Region { lo = 3; hi = 7 });
   Alcotest.(check (list int)) "region deletes inclusive" [ 1; 9 ]

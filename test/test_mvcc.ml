@@ -395,7 +395,7 @@ let test_subscribe_as_applied () =
     Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch ~seq msg)
   in
   (* Epoch 1 aborts on a sequence gap at its marker. *)
-  frame 1 0 (Refresh_msg.Upsert { addr = a1; values = emp "a" 1 });
+  frame 1 0 (Refresh_msg.Upsert { addr = a1; row = Row.of_tuple (emp "a" 1) });
   checki "the upsert was heard as it applied" 1 (List.length !seen);
   checkb "epoch 1 is open" true (Snapshot_table.open_epoch snap = Some 1);
   checki "reads see the committed image" 0 (Snapshot_table.count snap);
@@ -405,8 +405,8 @@ let test_subscribe_as_applied () =
   checki "no contents from the aborted epoch" 0 (Snapshot_table.count snap);
   (* Epoch 2 commits: each message is heard as it arrives, in order. *)
   seen := [];
-  frame 2 0 (Refresh_msg.Upsert { addr = a1; values = emp "a" 1 });
-  frame 2 1 (Refresh_msg.Upsert { addr = a2; values = emp "b" 2 });
+  frame 2 0 (Refresh_msg.Upsert { addr = a1; row = Row.of_tuple (emp "a" 1) });
+  frame 2 1 (Refresh_msg.Upsert { addr = a2; row = Row.of_tuple (emp "b" 2) });
   checki "both upserts heard before the marker" 2 (List.length !seen);
   checki "nothing committed before the marker" 0 (Snapshot_table.count snap);
   frame 2 2 (Refresh_msg.Snaptime 20);
@@ -427,7 +427,7 @@ let test_observer_raise_aborts () =
   let frame epoch seq msg =
     Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch ~seq msg)
   in
-  frame 1 0 (Refresh_msg.Upsert { addr = a1; values = emp "a" 1 });
+  frame 1 0 (Refresh_msg.Upsert { addr = a1; row = Row.of_tuple (emp "a" 1) });
   frame 1 1 (Refresh_msg.Snaptime 10);
   let armed = ref true and seen = ref [] in
   Snapshot_table.subscribe snap (function
@@ -436,9 +436,9 @@ let test_observer_raise_aborts () =
       failwith "observer failed"
     | _ -> ());
   Snapshot_table.subscribe snap (fun msg -> seen := msg :: !seen);
-  frame 2 0 (Refresh_msg.Upsert { addr = a1; values = emp "a" 5 });
+  frame 2 0 (Refresh_msg.Upsert { addr = a1; row = Row.of_tuple (emp "a" 5) });
   checkb "the exception surfaces at the frame that raised" true
-    (match frame 2 1 (Refresh_msg.Upsert { addr = a2; values = emp "b" 2 }) with
+    (match frame 2 1 (Refresh_msg.Upsert { addr = a2; row = Row.of_tuple (emp "b" 2) }) with
     | () -> false
     | exception Failure m -> m = "observer failed");
   frame 2 2 (Refresh_msg.Snaptime 20);
@@ -450,8 +450,8 @@ let test_observer_raise_aborts () =
   checkb "the pre-epoch index" true (lookup 1 = [ a1 ] && lookup 2 = [] && lookup 5 = []);
   checkb "valid after the abort" true (Snapshot_table.validate snap = Ok ());
   checki "the dropped frames reached no observer" 1 (List.length !seen);
-  frame 3 0 (Refresh_msg.Upsert { addr = a1; values = emp "a" 5 });
-  frame 3 1 (Refresh_msg.Upsert { addr = a2; values = emp "b" 2 });
+  frame 3 0 (Refresh_msg.Upsert { addr = a1; row = Row.of_tuple (emp "a" 5) });
+  frame 3 1 (Refresh_msg.Upsert { addr = a2; row = Row.of_tuple (emp "b" 2) });
   frame 3 2 (Refresh_msg.Snaptime 30);
   checki "epoch 3 committed" 3 (Snapshot_table.last_committed_epoch snap);
   checkb "with its image" true
@@ -469,10 +469,10 @@ let test_vacuum_mid_epoch () =
   in
   let epochs () = List.map (fun vi -> vi.VS.vi_epoch) (Snapshot_table.versions snap) in
   for e = 1 to 3 do
-    frame e 0 (Refresh_msg.Upsert { addr = a1; values = emp "a" e });
+    frame e 0 (Refresh_msg.Upsert { addr = a1; row = Row.of_tuple (emp "a" e) });
     frame e 1 (Refresh_msg.Snaptime (10 * e))
   done;
-  frame 4 0 (Refresh_msg.Upsert { addr = a2; values = emp "b" 4 });
+  frame 4 0 (Refresh_msg.Upsert { addr = a2; row = Row.of_tuple (emp "b" 4) });
   let st = Snapshot_table.vacuum ~older_than:30 snap in
   checki "epochs 1 and 2 reclaimed" 2 st.VS.vac_reclaimed;
   Alcotest.(check (list int)) "the head survives" [ 3 ] (epochs ());
@@ -932,11 +932,13 @@ let rx_row_gen = Gen.map (fun v -> emp (Printf.sprintf "r%d" v) v) (Gen.int_rang
 let rx_data_gen =
   Gen.(
     frequency
-      [ (3, map3 (fun addr back values -> Refresh_msg.Entry { addr; prev_qual = addr - 1 - back; values })
+      [ (3, map3 (fun addr back values -> Refresh_msg.Entry { addr; prev_qual = addr - 1 - back;
+          row = Row.of_tuple values })
               rx_addr (int_range (-2) 30) rx_row_gen);
         (1, map2 (fun lo len -> Refresh_msg.Region { lo; hi = lo + len }) rx_addr (int_range (-1) 30));
         (1, map (fun last_qual -> Refresh_msg.Tail { last_qual }) rx_addr);
-        (3, map2 (fun addr values -> Refresh_msg.Upsert { addr; values }) rx_addr rx_row_gen);
+        (3, map2 (fun addr values -> Refresh_msg.Upsert { addr;
+            row = Row.of_tuple values }) rx_addr rx_row_gen);
         (2, map (fun addr -> Refresh_msg.Remove { addr }) rx_addr) ])
 
 let rx_raw_gen =
@@ -960,7 +962,8 @@ let rx_stream_gen =
   let* catchup =
     list_size (int_range 0 5)
       (oneof
-         [ map2 (fun addr values -> Refresh_msg.Upsert { addr; values }) rx_addr rx_row_gen;
+         [ map2 (fun addr values -> Refresh_msg.Upsert { addr;
+             row = Row.of_tuple values }) rx_addr rx_row_gen;
            map (fun addr -> Refresh_msg.Remove { addr }) rx_addr ])
   in
   let prev = ref (-1) in
@@ -970,7 +973,8 @@ let rx_stream_gen =
         let from = !prev in
         prev := addr;
         let within = r mod (addr - from) in
-        if kind < 7 then Refresh_msg.Entry { addr; prev_qual = from + within; values }
+        if kind < 7 then Refresh_msg.Entry { addr; prev_qual = from + within;
+            row = Row.of_tuple values }
         else Refresh_msg.Region { lo = from + 1 + within; hi = addr })
       addrs picks
   in

@@ -746,11 +746,12 @@ let msg_gen =
   Gen.oneof
     [
       Gen.map2
-        (fun a t -> Refresh_msg.Entry { addr = abs a; prev_qual = abs a / 2; values = t })
+        (fun a t -> Refresh_msg.Entry { addr = abs a; prev_qual = abs a / 2; row = Row.of_tuple t })
         Gen.int tuple_gen;
       Gen.map (fun a -> Refresh_msg.Tail { last_qual = abs a }) Gen.int;
       Gen.map2 (fun a b -> Refresh_msg.Region { lo = min (abs a) (abs b); hi = max (abs a) (abs b) }) Gen.int Gen.int;
-      Gen.map2 (fun a t -> Refresh_msg.Upsert { addr = abs a; values = t }) Gen.int tuple_gen;
+      Gen.map2 (fun a t -> Refresh_msg.Upsert { addr = abs a;
+          row = Row.of_tuple t }) Gen.int tuple_gen;
       Gen.map (fun a -> Refresh_msg.Remove { addr = abs a }) Gen.int;
       Gen.pure Refresh_msg.Clear;
       Gen.map (fun ts -> Refresh_msg.Snaptime (abs ts)) Gen.int;
@@ -1528,7 +1529,7 @@ let stream_gen =
   let* catchup =
     list_size (int_range 0 20)
       (oneof
-         [ map2 (fun addr values -> Refresh_msg.Upsert { addr; values })
+         [ map2 (fun addr values -> Refresh_msg.Upsert { addr; row = Row.of_tuple values })
              (int_range 0 (stream_span - 1)) row_gen;
            map (fun addr -> Refresh_msg.Remove { addr }) (int_range 0 (stream_span - 1)) ])
   in
@@ -1540,7 +1541,8 @@ let stream_gen =
         let from = !prev in
         prev := addr;
         let within = r mod (addr - from) in
-        if kind < 7 then Refresh_msg.Entry { addr; prev_qual = from + within; values }
+        if kind < 7 then Refresh_msg.Entry { addr; prev_qual = from + within;
+            row = Row.of_tuple values }
         else Refresh_msg.Region { lo = from + 1 + within; hi = addr })
       addrs picks
   in
@@ -1550,11 +1552,11 @@ let stream_gen =
     @ ordered @ Option.to_list tail @ catchup)
 
 let model_apply m = function
-  | Refresh_msg.Entry { addr; prev_qual; values } ->
-    IntMap.add addr values (IntMap.filter (fun a _ -> a <= prev_qual || a >= addr) m)
+  | Refresh_msg.Entry { addr; prev_qual; row } ->
+    IntMap.add addr (Row.to_tuple row) (IntMap.filter (fun a _ -> a <= prev_qual || a >= addr) m)
   | Refresh_msg.Region { lo; hi } -> IntMap.filter (fun a _ -> a < lo || a > hi) m
   | Refresh_msg.Tail { last_qual } -> IntMap.filter (fun a _ -> a <= last_qual) m
-  | Refresh_msg.Upsert { addr; values } -> IntMap.add addr values m
+  | Refresh_msg.Upsert { addr; row } -> IntMap.add addr (Row.to_tuple row) m
   | Refresh_msg.Remove { addr } -> IntMap.remove addr m
   | Refresh_msg.Clear -> IntMap.empty
   | _ -> m
@@ -1617,7 +1619,8 @@ let prop_stream_apply_model =
         let snap = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
         send_frames snap ~epoch:1
           (frames_of ~k:64
-             (List.map (fun (addr, values) -> Refresh_msg.Upsert { addr; values }) image
+             (List.map (fun (addr, values) -> Refresh_msg.Upsert { addr;
+                 row = Row.of_tuple values }) image
              @ [ Refresh_msg.Snaptime 1 ]));
         snap
       in

@@ -76,7 +76,7 @@ let test_dense_figure1_messages () =
      (4, empty), (7, empty). *)
   Alcotest.check (Alcotest.list msg) "figure 1 messages"
     [
-      Refresh_msg.Upsert { addr = 2; values = emp "Laura" 6 };
+      Refresh_msg.Upsert { addr = 2; row = Row.of_tuple (emp "Laura" 6) };
       Refresh_msg.Remove { addr = 3 };
       Refresh_msg.Remove { addr = 4 };
       Refresh_msg.Remove { addr = 7 };
@@ -91,7 +91,7 @@ let test_dense_figure2_snapshot_states () =
   let snap = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
   (* Figure 2 "before": as of SnapTime 330. *)
   List.iter
-    (fun (addr, t) -> Snapshot_table.apply snap (Refresh_msg.Upsert { addr; values = t }))
+    (fun (addr, t) -> Snapshot_table.apply snap (Refresh_msg.Upsert { addr; row = Row.of_tuple t }))
     [ (3, emp "Hamid" 9); (4, emp "Jack" 6); (5, emp "Mohan" 9); (6, emp "Paul" 8);
       (7, emp "Bob" 7) ];
   Snapshot_table.apply snap (Refresh_msg.Snaptime 330);
@@ -223,7 +223,7 @@ let test_regions_refresh_combines () =
      region [7,7].  Laura (addr 2) is upserted. *)
   Alcotest.check (Alcotest.list msg) "combined messages"
     [
-      Refresh_msg.Upsert { addr = 2; values = emp "Laura" 6 };
+      Refresh_msg.Upsert { addr = 2; row = Row.of_tuple (emp "Laura" 6) };
       Refresh_msg.Region { lo = 3; hi = 4 };
       Refresh_msg.Region { lo = 7; hi = 7 };
       Refresh_msg.Snaptime report.Regions.new_snaptime;
@@ -235,7 +235,7 @@ let test_regions_refresh_faithful () =
   let r, _ = figure_1_regions () in
   let snap = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
   List.iter
-    (fun (addr, t) -> Snapshot_table.apply snap (Refresh_msg.Upsert { addr; values = t }))
+    (fun (addr, t) -> Snapshot_table.apply snap (Refresh_msg.Upsert { addr; row = Row.of_tuple t }))
     [ (3, emp "Hamid" 9); (4, emp "Jack" 6); (5, emp "Mohan" 9); (6, emp "Paul" 8);
       (7, emp "Bob" 7) ];
   let msgs = ref [] in

@@ -1100,10 +1100,18 @@ let pages_via iter h =
 
 let plain_iter h ~page f = Heap.iter_page h ~page f
 
-(* One arena reused across every page, as a scan cursor reuses its own. *)
+(* One arena reused across every page, as a scan cursor reuses its own:
+   each slot's record loaded, walked and read through [Decode_arena.fields]. *)
 let arena_iter () =
   let arena = Decode_arena.create () in
-  fun h ~page f -> Heap.iter_page_arena h ~arena ~page f
+  fun h ~page f ->
+    Heap.load_page h ~arena ~page (fun _ -> false);
+    for k = 0 to Decode_arena.length arena - 1 do
+      Decode_arena.walk arena k;
+      let fields = Decode_arena.fields arena k in
+      f (Addr.make ~page ~slot:(Decode_arena.slot arena k))
+        (Codec.Fields.tuple fields ~n:(Codec.Fields.count fields))
+    done
 
 let prop_arena_matches_plain =
   QCheck2.Test.make ~name:"arena page decode = plain page decode" ~count:100

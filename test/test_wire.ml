@@ -61,11 +61,11 @@ let ref_tuple buf t =
 let rec ref_msg (m : Refresh_msg.t) =
   let buf = Buffer.create 64 in
   (match m with
-  | Entry { addr; prev_qual; values } ->
+  | Entry { addr; prev_qual; row } ->
     ref_u8 buf 1;
     ref_int buf addr;
     ref_int buf prev_qual;
-    ref_tuple buf values
+    ref_tuple buf (Row.to_tuple row)
   | Tail { last_qual } ->
     ref_u8 buf 2;
     ref_int buf last_qual
@@ -73,10 +73,10 @@ let rec ref_msg (m : Refresh_msg.t) =
     ref_u8 buf 3;
     ref_int buf lo;
     ref_int buf hi
-  | Upsert { addr; values } ->
+  | Upsert { addr; row } ->
     ref_u8 buf 4;
     ref_int buf addr;
-    ref_tuple buf values
+    ref_tuple buf (Row.to_tuple row)
   | Remove { addr } ->
     ref_u8 buf 5;
     ref_int buf addr
@@ -151,11 +151,12 @@ let name_gen = Gen.string_size (Gen.int_range 0 10)
 let leaf_gen =
   let open Refresh_msg in
   Gen.oneof
-    [ Gen.map3 (fun addr prev_qual values -> Entry { addr; prev_qual; values }) Gen.int Gen.int
-        tuple_gen;
+    [ Gen.map3
+        (fun addr prev_qual values -> Entry { addr; prev_qual; row = Row.of_tuple values })
+        Gen.int Gen.int tuple_gen;
       Gen.map (fun last_qual -> Tail { last_qual }) Gen.int;
       Gen.map2 (fun lo hi -> Region { lo; hi }) Gen.int Gen.int;
-      Gen.map2 (fun addr values -> Upsert { addr; values }) Gen.int tuple_gen;
+      Gen.map2 (fun addr values -> Upsert { addr; row = Row.of_tuple values }) Gen.int tuple_gen;
       Gen.map (fun addr -> Remove { addr }) Gen.int;
       Gen.pure Clear;
       Gen.map (fun ts -> Snaptime ts) Gen.int;
@@ -244,7 +245,9 @@ let snap_schema =
     [ Schema.col ~nullable:false "name" Value.Tstring;
       Schema.col ~nullable:false "salary" Value.Tint ]
 
-let row name salary = Tuple.make [ Value.str name; Value.int salary ]
+let tuple name salary = Tuple.make [ Value.str name; Value.int salary ]
+
+let row name salary = Row.of_tuple (tuple name salary)
 
 (* A damaged frame inside an otherwise valid stream aborts it: the
    epoch's later frames are dropped and the committed image is what it
@@ -262,7 +265,7 @@ let prop_damaged_frame_keeps_committed_image =
       List.iteri
         (fun seq msg ->
           Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch:0 ~seq msg))
-        [ Refresh_msg.Upsert { addr = a1; values = row "a" 1 }; Refresh_msg.Snaptime 10 ];
+        [ Refresh_msg.Upsert { addr = a1; row = row "a" 1 }; Refresh_msg.Snaptime 10 ];
       let image = Snapshot_table.contents snap in
       let epoch = ref 0 in
       List.iter
@@ -271,7 +274,7 @@ let prop_damaged_frame_keeps_committed_image =
           let epoch = !epoch in
           Snapshot_table.apply_bytes snap
             (Refresh_msg.encode_framed ~epoch ~seq:0
-               (Refresh_msg.Upsert { addr = a2; values = row "b" epoch }));
+               (Refresh_msg.Upsert { addr = a2; row = row "b" epoch }));
           Snapshot_table.apply_bytes snap bad;
           Snapshot_table.apply_bytes snap
             (Refresh_msg.encode_framed ~epoch ~seq:2 (Refresh_msg.Snaptime (10 + epoch)));
@@ -285,11 +288,138 @@ let prop_damaged_frame_keeps_committed_image =
       List.iteri
         (fun seq msg ->
           Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch:!epoch ~seq msg))
-        [ Refresh_msg.Upsert { addr = a2; values = row "b" 0 }; Refresh_msg.Snaptime 99 ];
+        [ Refresh_msg.Upsert { addr = a2; row = row "b" 0 }; Refresh_msg.Snaptime 99 ];
       Snapshot_table.last_committed_epoch snap = !epoch
-      && Snapshot_table.get snap a2 = Some (row "b" 0))
+      && Snapshot_table.get snap a2 = Some (tuple "b" 0))
+
+(* ---- Rows as bytes ----------------------------------------------------- *)
+
+(* A schema of 1-6 columns of any type, each nullable or not, and values
+   of a column's type (NULL only where it is nullable). *)
+let ty_gen = Gen.oneofl [ Value.Tint; Value.Tfloat; Value.Tstring; Value.Tbool ]
+
+let schema_gen =
+  Gen.map
+    (fun cols ->
+      Schema.make
+        (List.mapi (fun i (ty, nullable) -> Schema.col ~nullable (Printf.sprintf "c%d" i) ty) cols))
+    (Gen.list_size (Gen.int_range 1 6) (Gen.pair ty_gen Gen.bool))
+
+let typed_value_gen (c : Schema.column) =
+  let value =
+    match c.ty with
+    | Value.Tint ->
+      Gen.map (fun i -> Value.Int i)
+        (Gen.oneof
+           [ Gen.oneofl [ Int64.min_int; Int64.max_int; 0L ]; Gen.map Int64.of_int Gen.int ])
+    | Value.Tfloat ->
+      Gen.map (fun f -> Value.Float f)
+          (Gen.oneof [ Gen.oneofl [ Float.nan; -0.0; infinity ]; Gen.float ])
+    | Value.Tstring ->
+      Gen.map (fun s -> Value.Str s)
+          (Gen.oneof [ Gen.pure ""; Gen.string_size (Gen.int_range 1 12) ])
+    | Value.Tbool -> Gen.map (fun b -> Value.Bool b) Gen.bool
+  in
+  if c.nullable then Gen.oneof [ Gen.pure Value.Null; value ] else value
+
+let conforming_gen schema =
+  Gen.map Array.of_list (Gen.flatten_l (List.map typed_value_gen (Schema.columns schema)))
+
+(* Any subset of the columns, in any order, repeats allowed. *)
+let projection_gen arity =
+  Gen.oneof
+    [ Gen.pure None;
+      Gen.map (fun l -> Some (Array.of_list l))
+        (Gen.list_size (Gen.int_range 0 (arity + 2)) (Gen.int_range 0 (arity - 1))) ]
+
+let print_rows (schema, rows, proj) =
+  Format.asprintf "%a rows=[%s] project=%s" Schema.pp schema
+    (String.concat "; " (List.map Tuple.to_string rows))
+    (match proj with
+    | None -> "all"
+    | Some idx -> String.concat "," (Array.to_list (Array.map string_of_int idx)))
+
+(* The scans' copy path on real pages: a base table holds the rows (the
+   two annotation fields after them), every page is loaded and walked as
+   the scans do, and each record's row copied by [Fixup.row] must be the
+   bytes [Row.of_tuple] writes for the decoded projection. *)
+let prop_copied_row_is_encoded_projection =
+  QCheck2.Test.make ~name:"row copied from a walked record = Row.of_tuple of its projection"
+    ~count:300 ~print:print_rows
+    Gen.(
+      schema_gen >>= fun schema ->
+      triple (pure schema)
+        (list_size (int_range 1 60) (conforming_gen schema))
+        (projection_gen (Schema.arity schema)))
+    (fun (schema, rows, proj) ->
+      let base =
+        Base_table.create ~page_size:512 ~name:"b" ~clock:(Snapdiff_txn.Clock.create ()) schema
+      in
+      List.iter (fun r -> ignore (Base_table.insert base r : Addr.t)) rows;
+      let users = Hashtbl.create 64 in
+      List.iter (fun (a, u) -> Hashtbl.replace users a u) (Base_table.to_user_list base);
+      let ps = Fixup.page_scan () in
+      let copied = ref 0 in
+      for page = 1 to Base_table.data_pages base do
+        Fixup.load_page ps base ~page Fixup.Read;
+        for k = 0 to Fixup.entries ps - 1 do
+          let user = Hashtbl.find users ps.Fixup.addrs.(k) in
+          let want =
+            Row.of_tuple (match proj with None -> user | Some idx -> Tuple.project_idx user idx)
+          in
+          let got = Fixup.row ps k proj in
+          if not (Row.equal got want) then
+            QCheck2.Test.fail_reportf "row %a: copied %a, encoded %a" Tuple.pp user Row.pp got
+              Row.pp want;
+          if not (Tuple.equal (Row.to_tuple got) (Row.to_tuple want)) then
+            QCheck2.Test.fail_report "rows decode differently";
+          incr copied
+        done
+      done;
+      !copied = List.length rows)
+
+(* A row that breaks [schema]: one field too many or too few, a value of
+   another type, or NULL in a NOT NULL column (when the schema has one). *)
+let breaking_gen schema =
+  let n = Schema.arity schema in
+  Gen.(
+    conforming_gen schema >>= fun t ->
+    int_range 0 3 >>= fun kind ->
+    int_range 0 (n - 1) >>= fun i ->
+    value_gen >>= fun v ->
+    pure
+      (match kind with
+      | 0 -> Array.append t [| v |]
+      | 1 -> Array.sub t 0 (n - 1)
+      | 2 -> t.(i) <- v; t
+      | _ -> t.(i) <- Value.Null; t))
+
+let prop_row_check_is_validate_tuple =
+  QCheck2.Test.make ~name:"receiver's tag check = Schema.validate_tuple on the decoded row"
+    ~count:500
+    ~print:(fun (schema, t) -> Format.asprintf "%a %a" Schema.pp schema Tuple.pp t)
+    Gen.(
+      schema_gen >>= fun schema ->
+      pair (pure schema) (oneof [ conforming_gen schema; breaking_gen schema ]))
+    (fun (schema, t) ->
+      let row = Row.of_tuple t in
+      let verdict = Schema.validate_tuple schema t in
+      if Row.validate schema row <> verdict then
+        QCheck2.Test.fail_reportf "Row.validate disagrees with validate_tuple (%s)"
+          (match verdict with Ok () -> "ok" | Error e -> e);
+      (* The receiver commits the row's epoch iff the row fits. *)
+      let snap = Snapshot_table.create ~name:"s" ~schema () in
+      List.iteri
+        (fun seq msg -> Snapshot_table.apply_bytes snap
+          (Refresh_msg.encode_framed ~epoch:1 ~seq msg))
+        [ Refresh_msg.Upsert { addr = 1; row }; Refresh_msg.Snaptime 5 ];
+      let committed = Snapshot_table.last_committed_epoch snap = 1 in
+      committed = Result.is_ok verdict
+      && ((not committed) || Option.fold ~none:false ~some:(Tuple.equal t)
+          (Snapshot_table.get snap 1)))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_encoders_match_reference; prop_damaged_frames_are_corrupt;
-      prop_damaged_frame_keeps_committed_image ]
+      prop_damaged_frame_keeps_committed_image; prop_copied_row_is_encoded_projection;
+      prop_row_check_is_validate_tuple ]
