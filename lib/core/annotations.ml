@@ -50,9 +50,10 @@ let value_of_raw r = if r = null then Value.Int null_sentinel else Value.int r
 
 let raw_of_opt = Option.value ~default:null
 
-(* Range-checked like [Codec.int]: an i64 outside OCaml's int range was
-   not written here, and [Int64.to_int] would drop its bit 63 (a flipped
-   top bit of a stored PrevAddr would fold back to a valid address). *)
+(* Range-checked like [Codec.Cursor.int]: an i64 outside OCaml's int
+   range was not written here, and [Int64.to_int] would drop its bit 63
+   (a flipped top bit of a stored PrevAddr would fold back to a valid
+   address). *)
 let raw_of_i64 i = if Int64.equal i null_sentinel then null else Codec.int_of_i64 i
 
 let raw_of_value ~what = function
@@ -78,11 +79,14 @@ let opt_of_raw r = if r = null then None else Some r
 (* The same two readers over a walked record.  The annotation fields are
    located by the walk, as fields n-2 and n-1, not at a fixed distance
    from the record's end: that distance holds only while both fields are
-   integers, and a tolerated SQL NULL field is 1 byte long. *)
+   integers, and a tolerated SQL NULL field is 1 byte long.  An INT field
+   is read here in place rather than through [Codec.Fields.value]: the
+   scans read two of them per record, and a call into [Codec] would box
+   the value and its i64. *)
 let record_field ~what (f : Codec.Fields.t) i =
   let o = f.offs.(f.base + i) in
   let tag = Bytes.get f.buf o in
-  if tag = Value.tag_int then begin
+  if tag = Codec.tag_int then begin
     (* [raw_of_i64], kept in line so the i64 is never boxed. *)
     let v = Bytes.get_int64_le f.buf (o + 1) in
     if Int64.equal v null_sentinel then null
@@ -92,7 +96,7 @@ let record_field ~what (f : Codec.Fields.t) i =
       r
     end
   end
-  else if tag = Value.tag_null then null
+  else if tag = Codec.tag_null then null
   else raw_of_value ~what (Codec.Fields.value f i)
 
 let record_arity what (f : Codec.Fields.t) =
@@ -106,7 +110,7 @@ let record_ts f = record_field ~what:timestamp_col f (record_arity "record_ts" f
 
 let record_patchable (f : Codec.Fields.t) =
   let n = f.count in
-  n >= 2 && Codec.Fields.tag f (n - 2) = Value.tag_int && Codec.Fields.tag f (n - 1) = Value.tag_int
+  n >= 2 && Codec.Fields.tag f (n - 2) = Codec.tag_int && Codec.Fields.tag f (n - 1) = Codec.tag_int
 
 let user_pred p f = p (Codec.Fields.tuple f ~n:(record_arity "user_pred" f - 2))
 
@@ -117,9 +121,12 @@ let patchable stored =
   n >= 2
   && (match stored.(n - 2), stored.(n - 1) with Value.Int _, Value.Int _ -> true | _ -> false)
 
+(* Two INT fields written in place rather than through
+   [Codec.write_value]: a fix-up patches every changed record's tail, and
+   a [Value.Int] per field would box the value and its i64. *)
 let write_tail b ~prev ~ts =
   let field off r =
-    Bytes.set b off Value.tag_int;
+    Bytes.set b off Codec.tag_int;
     Bytes.set_int64_le b (off + 1) (if r = null then null_sentinel else Int64.of_int r)
   in
   field 0 prev;

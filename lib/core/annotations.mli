@@ -118,7 +118,7 @@ val patchable : Tuple.t -> bool
 
 val encode_tail : prev:int -> ts:int -> bytes
 (** The {!tail_bytes}-byte encoding of the two raw fields: exactly the
-    last bytes of [Tuple.encode_to_bytes (with_raw stored ~prev ~ts)]. *)
+    last bytes of [Codec.tuple_bytes (with_raw stored ~prev ~ts)]. *)
 
 val write_tail : bytes -> prev:int -> ts:int -> unit
 (** {!encode_tail} into the first {!tail_bytes} bytes of a buffer the

@@ -144,7 +144,7 @@ val page_scan : unit -> page_scan
 val load_page : page_scan -> Base_table.t -> page:int -> annotations -> unit
 (** Phase 1 of data page [page]: fills [addrs], [prevs] and [tss] for its
     {!entries} live entries.  Raises [Failure] where
-    [Tuple.decode_exactly] would on a record, after the earlier records'
+    [Codec.tuple_of_bytes] would on a record, after the earlier records'
     patches, which stay written. *)
 
 val entries : page_scan -> int

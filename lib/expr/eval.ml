@@ -220,11 +220,14 @@ let flip = function
 let int_cmp op i k =
   let general = RCmp (op, RCol i, RConst (Value.Int k)) in
   let slow f = truth_of_value (eval_with record_col f general) = True in
-  (* The payload offset of field [i] if it is an integer, else -1. *)
+  (* The payload offset of field [i] if it is an integer, else -1.  Read
+     in place rather than through [Codec.Fields.value]: the predicate runs
+     on every record a scan reads, and a call into [Codec] would box the
+     value and its i64. *)
   let[@inline] int_at (f : Codec.Fields.t) =
     if i < f.count then begin
       let o = f.offs.(f.base + i) in
-      if Bytes.get f.buf o = Value.tag_int then o + 1 else -1
+      if Bytes.get f.buf o = Codec.tag_int then o + 1 else -1
     end
     else -1
   in

@@ -1,22 +1,25 @@
-let add_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
+(* The one byte layout.  A value is a tag byte then its payload: nothing
+   for NULL, an i64 for INT, the i64 bits of a FLOAT, a u32 length then
+   the bytes for STRING, one byte for BOOL.  A tuple is a u16 field count
+   then its values.  Every integer is little-endian. *)
 
-let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
+let tag_null = '\000'
+let tag_int = '\001'
+let tag_float = '\002'
+let tag_str = '\003'
+let tag_bool = '\004'
 
-let add_i64 = Buffer.add_int64_le
-
-let add_int buf i = add_i64 buf (Int64.of_int i)
-
-let add_string buf s =
-  add_u32 buf (String.length s);
-  Buffer.add_string buf s
-
-let add_tuple = Tuple.encode
-
-(* In-place writers into a buffer the caller sized exactly (fixed widths,
-   [string_size], [Tuple.encoded_size]); each returns the offset just past
-   what it wrote. *)
+(* ---- Writers: an exact size, then in place ------------------------ *)
 
 let string_size s = 4 + String.length s
+
+let value_size = function
+  | Value.Null -> 1
+  | Value.Int _ | Value.Float _ -> 9
+  | Value.Bool _ -> 2
+  | Value.Str s -> 1 + string_size s
+
+let tuple_size t = Array.fold_left (fun acc v -> acc + value_size v) 2 t
 
 let write_u8 b off v =
   Bytes.set b off (Char.chr (v land 0xff));
@@ -36,45 +39,54 @@ let write_string b off s =
   Bytes.blit_string s 0 b off len;
   off + len
 
-let write_tuple = Tuple.write
+let write_value b off = function
+  | Value.Null ->
+    Bytes.set b off tag_null;
+    off + 1
+  | Value.Int i ->
+    Bytes.set b off tag_int;
+    Bytes.set_int64_le b (off + 1) i;
+    off + 9
+  | Value.Float f ->
+    Bytes.set b off tag_float;
+    Bytes.set_int64_le b (off + 1) (Int64.bits_of_float f);
+    off + 9
+  | Value.Str s ->
+    Bytes.set b off tag_str;
+    write_string b (off + 1) s
+  | Value.Bool x ->
+    Bytes.set b off tag_bool;
+    Bytes.set b (off + 1) (if x then '\001' else '\000');
+    off + 2
 
-let need b off n = if off + n > Bytes.length b then failwith "Codec: truncated"
+let write_tuple b off t =
+  let n = Array.length t in
+  if n > 0xffff then invalid_arg "Codec.write_tuple: too many fields";
+  Bytes.set_uint16_le b off n;
+  let off = ref (off + 2) in
+  for i = 0 to n - 1 do
+    off := write_value b !off t.(i)
+  done;
+  !off
 
-let u8 b off =
-  need b off 1;
-  (Char.code (Bytes.get b off), off + 1)
+let tuple_bytes t =
+  let b = Bytes.create (tuple_size t) in
+  ignore (write_tuple b 0 t : int);
+  b
 
-let u32 b off =
-  need b off 4;
-  (Int32.to_int (Bytes.get_int32_le b off) land 0xffff_ffff, off + 4)
-
-let i64 b off =
-  need b off 8;
-  (Bytes.get_int64_le b off, off + 8)
+(* ---- The reader ---------------------------------------------------- *)
 
 (* An OCaml int is 63 bits: an i64 outside that range was not written by
-   [add_int]/[write_int], and [Int64.to_int] would silently drop its top
-   bit (so a flipped bit 63 would decode to the original value). *)
+   [write_int], and [Int64.to_int] would silently drop its top bit (so a
+   flipped bit 63 would decode to the original value). *)
 let int_of_i64 v =
   let i = Int64.to_int v in
   if Int64.of_int i <> v then failwith "Codec: int out of range";
   i
 
-let int b off =
-  let v, off = i64 b off in
-  (int_of_i64 v, off)
-
-let string b off =
-  let len, off = u32 b off in
-  need b off len;
-  (Bytes.sub_string b off len, off + len)
-
-let tuple = Tuple.decode
-
-(* A tag-byte value's checks without building the value: the position
-   just past the field whose tag byte is at [q], failing as its decode
-   would.  Inlined: the walk steps over every field of every record a
-   scan reads. *)
+(* A value's checks without building it: the position just past the
+   value whose tag byte is at [q], failing as its decode would.  Inlined:
+   the walk steps over every field of every record a scan reads. *)
 let[@inline] field_end b q ~limit =
   if q >= limit then failwith "Codec: truncated";
   let p =
@@ -85,31 +97,49 @@ let[@inline] field_end b q ~limit =
     | '\003' ->
       if q + 5 > limit then failwith "Codec: truncated";
       q + 5 + (Int32.to_int (Bytes.get_int32_le b (q + 1)) land 0xffff_ffff)
-    | _ -> failwith "Value.decode: bad tag"
+    | _ -> failwith "Codec: bad tag"
   in
   if p > limit then failwith "Codec: truncated";
   p
 
-(* The value whose tag byte is at [b.[o]], on bytes [field_end] already
-   stepped over: no check beyond the bounds checks of the reads. *)
-let[@inline] value_at b o =
-  let tag = Bytes.get b o in
-  if tag = Value.tag_null then Value.Null
-  else if tag = Value.tag_int then Value.Int (Bytes.get_int64_le b (o + 1))
-  else if tag = Value.tag_float then
-    Value.Float (Int64.float_of_bits (Bytes.get_int64_le b (o + 1)))
-  else if tag = Value.tag_str then begin
-    let len = Int32.to_int (Bytes.get_int32_le b (o + 1)) land 0xffff_ffff in
-    Value.Str (Bytes.sub_string b (o + 5) len)
-  end
-  else Value.Bool (Bytes.get b (o + 1) <> '\000')
+(* The values of [t] (all NULL on entry), in field order, from [b.[q]]
+   on: one dispatch per value both checks it against [limit] and decodes
+   it.  Returns the position just past the last.  The loop over a
+   tuple's fields stays here, so a tuple read is one call across the
+   module boundary. *)
+let fill b q ~limit t =
+  let p = ref q in
+  for i = 0 to Array.length t - 1 do
+    let q = !p in
+    if q >= limit then failwith "Codec: truncated";
+    match Bytes.unsafe_get b q with
+    | '\000' -> p := q + 1
+    | '\001' ->
+      p := q + 9;
+      if !p > limit then failwith "Codec: truncated";
+      t.(i) <- Value.Int (Bytes.get_int64_le b (q + 1))
+    | '\002' ->
+      p := q + 9;
+      if !p > limit then failwith "Codec: truncated";
+      t.(i) <- Value.Float (Int64.float_of_bits (Bytes.get_int64_le b (q + 1)))
+    | '\003' ->
+      if q + 5 > limit then failwith "Codec: truncated";
+      let len = Int32.to_int (Bytes.get_int32_le b (q + 1)) land 0xffff_ffff in
+      p := q + 5 + len;
+      if !p > limit then failwith "Codec: truncated";
+      t.(i) <- Value.Str (Bytes.sub_string b (q + 5) len)
+    | '\004' ->
+      p := q + 2;
+      if !p > limit then failwith "Codec: truncated";
+      t.(i) <- Value.Bool (Bytes.get b (q + 1) <> '\000')
+    | _ -> failwith "Codec: bad tag"
+  done;
+  !p
 
-(* In-place readers over a byte window.  The offset-pair readers above
-   allocate a (value, offset) tuple per field and force callers to
-   Bytes.sub each record out of its page first; a cursor reads straight
-   from the shared page (or arena) image and advances a mutable position,
-   so the decode hot loop allocates only the values themselves.  A cursor
-   is meant to be created once and re-pointed with [set] per record. *)
+(* A cursor reads straight from the shared image (a page copy, a log, a
+   received frame) and advances a mutable position, so a decode allocates
+   only the values themselves.  It is meant to be created once and
+   re-pointed with [set] per record. *)
 module Cursor = struct
   type t = { mutable buf : bytes; mutable pos : int; mutable limit : int }
 
@@ -122,16 +152,16 @@ module Cursor = struct
     c.pos <- pos;
     c.limit <- pos + len
 
+  let over b =
+    let c = create () in
+    set c b ~pos:0 ~len:(Bytes.length b);
+    c
+
   let pos c = c.pos
 
   let at_end c = c.pos >= c.limit
 
   let need c n = if c.pos + n > c.limit then failwith "Codec: truncated"
-
-  let skip c n =
-    if n < 0 then invalid_arg "Codec.Cursor.skip: negative";
-    need c n;
-    c.pos <- c.pos + n
 
   let within c len f =
     if len < 0 then invalid_arg "Codec.Cursor.within: negative";
@@ -176,22 +206,14 @@ module Cursor = struct
     s
 
   let value c =
-    let q = c.pos in
-    c.pos <- field_end c.buf q ~limit:c.limit;
-    value_at c.buf q
+    let t = [| Value.Null |] in
+    c.pos <- fill c.buf c.pos ~limit:c.limit t;
+    t.(0)
 
   let tuple c =
-    let n = u16 c in
-    if n = 0 then [||]
-    else begin
-      let t = Array.make n Value.Null in
-      (* Explicit loop: the decode is stateful, so evaluation order must
-         be the field order. *)
-      for i = 0 to n - 1 do
-        t.(i) <- value c
-      done;
-      t
-    end
+    let t = Array.make (u16 c) Value.Null in
+    c.pos <- fill c.buf c.pos ~limit:c.limit t;
+    t
 
   (* Over the whole tuple in one loop: the same failures in the same
      order as a decode. *)
@@ -204,7 +226,7 @@ module Cursor = struct
       p := field_end b !p ~limit
     done;
     c.pos <- !p;
-    if not (at_end c) then failwith "Tuple.decode_exactly: trailing bytes";
+    if not (at_end c) then failwith "Codec: trailing bytes";
     n
 
   let tuple_string c =
@@ -217,6 +239,36 @@ module Cursor = struct
     c.pos <- !p;
     Bytes.sub_string c.buf start (!p - start)
 end
+
+(* [Cursor.tuple] over the whole of [b] and its end check, without a
+   cursor: every heap read and every replayed row comes through here. *)
+let tuple_of_bytes b =
+  let limit = Bytes.length b in
+  if limit < 2 then failwith "Codec: truncated";
+  let t = Array.make (Bytes.get_uint16_le b 0) Value.Null in
+  if fill b 2 ~limit t <> limit then failwith "Codec: trailing bytes";
+  t
+
+(* [Schema.validate_tuple]'s checks on the tag bytes: each field's tag
+   must be its column's type, or NULL where the column is nullable, and
+   gives the field's width.  The bytes are one tuple a writer wrote. *)
+let conforms schema b =
+  let n = Bytes.get_uint16_le b 0 in
+  let rec fits i q =
+    i = n
+    ||
+    let c = Schema.column schema i in
+    match Bytes.get b q with
+    | '\000' -> c.nullable && fits (i + 1) (q + 1)
+    | '\001' -> c.ty = Value.Tint && fits (i + 1) (q + 9)
+    | '\002' -> c.ty = Value.Tfloat && fits (i + 1) (q + 9)
+    | '\003' ->
+      c.ty = Value.Tstring
+      && fits (i + 1) (q + 5 + (Int32.to_int (Bytes.get_int32_le b (q + 1)) land 0xffff_ffff))
+    | '\004' -> c.ty = Value.Tbool && fits (i + 1) (q + 2)
+    | _ -> false
+  in
+  n = Schema.arity schema && fits 0 2
 
 (* A walked record: field [i]'s tag byte sits at [buf.[offs.(base + i)]].
    The walk validated every field, so the readers below index the buffer
@@ -232,8 +284,7 @@ module Fields = struct
   let create () = { buf = Bytes.empty; offs = [||]; base = 0; count = 0 }
 
   let of_record b =
-    let c = Cursor.create () in
-    Cursor.set c b ~pos:0 ~len:(Bytes.length b);
+    let c = Cursor.over b in
     let offs = Array.make (Bytes.length b) 0 in
     let count = Cursor.walk c offs ~at:0 in
     { buf = b; offs; base = 0; count }
@@ -248,9 +299,44 @@ module Fields = struct
 
   let stop f i = field_end f.buf (off f i) ~limit:(Bytes.length f.buf)
 
-  let value f i = value_at f.buf (off f i)
+  let value f i =
+    let t = [| Value.Null |] in
+    ignore (fill f.buf (off f i) ~limit:(Bytes.length f.buf) t : int);
+    t.(0)
 
-  let tuple f ~n = Array.init n (value f)
+  (* A field's bytes in a walked record are the bytes [write_value]
+     writes for its value, so a u16 count followed by fields' byte ranges
+     is the tuple [write_tuple] would write for their values. *)
+  let prefix f n =
+    let o = if n = 0 then 0 else off f 0 in
+    let len = if n = 0 then 0 else stop f (n - 1) - o in
+    let b = Bytes.create (2 + len) in
+    Bytes.set_uint16_le b 0 n;
+    Bytes.blit f.buf o b 2 len;
+    b
+
+  let pick f cols =
+    let len = ref 2 in
+    for j = 0 to Array.length cols - 1 do
+      len := !len + stop f cols.(j) - off f cols.(j)
+    done;
+    let b = Bytes.create !len in
+    Bytes.set_uint16_le b 0 (Array.length cols);
+    let p = ref 2 in
+    for j = 0 to Array.length cols - 1 do
+      let o = off f cols.(j) in
+      let l = stop f cols.(j) - o in
+      Bytes.blit f.buf o b !p l;
+      p := !p + l
+    done;
+    b
+
+  (* A record's fields lie back to back, so its first [n] are one read. *)
+  let tuple f ~n =
+    if n < 0 || n > f.count then invalid_arg "Codec.Fields: no such field";
+    let t = Array.make n Value.Null in
+    if n > 0 then ignore (fill f.buf (off f 0) ~limit:(Bytes.length f.buf) t : int);
+    t
 end
 
 (* FNV-1a, 32-bit.  The low 32 bits of [(h lxor byte) * prime] depend

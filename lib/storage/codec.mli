@@ -1,24 +1,39 @@
-(** Little-endian binary encoding helpers shared by the WAL record format
-    and the network message format. *)
+(** The byte layout of every format the engine stores or sends: heap
+    records, write-ahead log records and refresh frames.  Each format has
+    one writer and one reader.  The writer is an exact size (the format's
+    [size] function, built from {!string_size} and {!tuple_size}) and the
+    in-place [write_*] functions below over a buffer of that size.  The
+    reader is a {!Cursor} over the bytes where they lie.
 
-val add_u8 : Buffer.t -> int -> unit
-val add_u32 : Buffer.t -> int -> unit
-val add_i64 : Buffer.t -> int64 -> unit
+    A value is one tag byte then a type-dependent payload: nothing for
+    NULL, an i64 for INT, the i64 bits of a FLOAT, a u32 length then the
+    bytes for STRING, one byte (0 or 1) for BOOL.  A tuple is a u16 field
+    count then its values, so it is self-delimiting.  Every integer is
+    little-endian. *)
 
-val add_int : Buffer.t -> int -> unit
-(** OCaml int as i64. *)
+(** {1 Value tags}
 
-val add_string : Buffer.t -> string -> unit
-(** u32 length + bytes. *)
+    Exposed for the per-record code outside this module that reads or
+    patches an INT field in place, allocating nothing: compiled
+    predicates and the annotation fields. *)
 
-val add_tuple : Buffer.t -> Tuple.t -> unit
+val tag_null : char
+val tag_int : char
+val tag_float : char
+val tag_str : char
+val tag_bool : char
 
-(** In-place writers: the same bytes as the [add_] appenders, written at
-    an offset of a buffer the caller sized; each returns the offset just
-    past what it wrote (raising [Invalid_argument] if it does not fit). *)
+(** {1 Writers}
+
+    Each writes at an offset of a buffer the caller sized and returns the
+    offset just past what it wrote (raising [Invalid_argument] if it does
+    not fit). *)
 
 val string_size : string -> int
 (** Encoded size of a string: its u32 length + bytes. *)
+
+val tuple_size : Value.t array -> int
+(** Encoded size of a tuple: what {!write_tuple} writes. *)
 
 val write_u8 : bytes -> int -> int -> int
 val write_u32 : bytes -> int -> int -> int
@@ -27,37 +42,26 @@ val write_int : bytes -> int -> int -> int
 (** OCaml int as i64. *)
 
 val write_string : bytes -> int -> string -> int
-val write_tuple : bytes -> int -> Tuple.t -> int
 
-(** Readers take [bytes] and an offset and return the value with the offset
-    just past it; they raise [Failure _] on truncation.  {!int} (and
-    {!Cursor.int}) also raise [Failure _] on an i64 outside OCaml's int
-    range, which no writer produces. *)
+val write_tuple : bytes -> int -> Value.t array -> int
+(** Raises [Invalid_argument] on more than 65535 fields. *)
 
-val u8 : bytes -> int -> int * int
-val u32 : bytes -> int -> int * int
-val i64 : bytes -> int -> int64 * int
-val int : bytes -> int -> int * int
-val string : bytes -> int -> string * int
-val tuple : bytes -> int -> Tuple.t * int
+val tuple_bytes : Value.t array -> bytes
+(** {!write_tuple} into one buffer of exactly {!tuple_size} bytes: a heap
+    record. *)
+
+(** {1 The reader} *)
 
 val int_of_i64 : int64 -> int
-(** The range check of {!int}: [Failure "Codec: int out of range"] for an
-    i64 outside OCaml's int range. *)
+(** [Failure "Codec: int out of range"] for an i64 outside OCaml's int
+    range, which no writer produces; {!Cursor.int} applies it. *)
 
-val field_end : bytes -> int -> limit:int -> int
-(** [field_end b q ~limit]: the offset just past the tag-byte value whose
-    tag is at [b.[q]], with no byte of it at or past [limit].  It decodes
-    nothing and raises [Failure] where {!Cursor.value} would: a bad tag
-    or truncation. *)
-
-(** In-place cursor readers: the zero-copy counterpart of the offset-pair
-    readers above.  A cursor holds a [(buffer, position, limit)] window
-    and each read advances the position, so the decode hot loop allocates
-    nothing per field beyond the decoded values themselves (no
-    [(value, offset)] pairs, no per-record [Bytes.sub]).  Create one
+(** In-place readers.  A cursor holds a [(buffer, position, limit)]
+    window and each read advances the position, so a decode allocates
+    nothing per field beyond the decoded values themselves.  Create one
     cursor per decoding context and re-point it with {!Cursor.set} for
-    each record. *)
+    each record.  Every read raises [Failure] on truncation (the window
+    edge), a bad tag, or an out-of-range int, and nothing else. *)
 module Cursor : sig
   type t
 
@@ -67,18 +71,17 @@ module Cursor : sig
   val set : t -> bytes -> pos:int -> len:int -> unit
   (** Re-point the cursor at the window [\[pos, pos+len)] of [b].  Raises
       [Invalid_argument] if the window falls outside [b].  Reads past the
-      window raise [Failure "Codec: truncated"] — the window edge is the
-      truncation boundary, exactly like the buffer edge for the
-      offset-pair readers. *)
+      window raise [Failure "Codec: truncated"]: the window edge is the
+      truncation boundary even where the buffer goes on. *)
+
+  val over : bytes -> t
+  (** A fresh cursor over the whole of [b]. *)
 
   val pos : t -> int
   (** Current absolute position in the underlying buffer. *)
 
   val at_end : t -> bool
-  (** Whether the window is fully consumed — the cursor analogue of
-      [Tuple.decode_exactly]'s trailing-bytes check. *)
-
-  val skip : t -> int -> unit
+  (** Whether the window is fully consumed. *)
 
   val within : t -> int -> (t -> 'a) -> 'a
   (** [within c len f] runs [f c] with the window narrowed to the next
@@ -95,26 +98,36 @@ module Cursor : sig
   val string : t -> string
 
   val value : t -> Value.t
-  (** One {!Value.t} in the tag-byte codec ({!Value.decode}). *)
+  (** One tag-byte value. *)
 
-  val tuple : t -> Tuple.t
-  (** One self-delimiting tuple ({!Tuple.decode}). *)
+  val tuple : t -> Value.t array
+  (** One self-delimiting tuple. *)
 
   val walk : t -> int array -> at:int -> int
   (** [walk c offs ~at] steps over one tuple without decoding it: it reads
       the field count [n], stores the absolute position of field [i]'s tag
       byte in [offs.(at + i)], skips each payload (a string by its length
       prefix), and returns [n].  The window must end exactly where the
-      tuple does.  It raises [Failure] exactly where
-      [Tuple.decode_exactly] on the window's bytes would: a bad tag,
-      truncation, or trailing bytes.  [offs] needs [at + len] slots for a
-      window of [len] bytes. *)
+      tuple does.  It raises [Failure] exactly where {!tuple_of_bytes} on
+      the window's bytes would: a bad tag, truncation, or trailing bytes.
+      [offs] needs [at + len] slots for a window of [len] bytes. *)
 
   val tuple_string : t -> string
   (** The next tuple's exact bytes, stepped over with {!walk}'s checks
       (without its trailing-bytes check): it raises [Failure] where
       {!tuple} would, and otherwise decodes nothing. *)
 end
+
+val tuple_of_bytes : bytes -> Value.t array
+(** The tuple that fills [b] exactly, read with {!Cursor.tuple}; raises
+    [Failure] on a bad tag, truncation or trailing bytes. *)
+
+val conforms : Schema.t -> bytes -> bool
+(** [conforms schema b]: whether the tuple that fills [b] (one
+    {!write_tuple} wrote) has the schema's arity and each field's tag is
+    its column's type, or NULL where the column is nullable: the verdict
+    of [Schema.validate_tuple schema (tuple_of_bytes b)], read from the
+    tag bytes without decoding a value. *)
 
 (** A walked record: the field offsets {!Cursor.walk} recorded, over the
     buffer it walked.  Reading a field decodes that field only.  One
@@ -134,12 +147,12 @@ module Fields : sig
 
   val of_record : bytes -> t
   (** Walk a whole encoded tuple; raises [Failure] where
-      [Tuple.decode_exactly] would. *)
+      {!tuple_of_bytes} would. *)
 
   val count : t -> int
 
   val tag : t -> int -> char
-  (** Field [i]'s tag byte ({!Value.tag_null} ...).  Every reader raises
+  (** Field [i]'s tag byte ({!tag_null} ...).  Every reader raises
       [Invalid_argument] for [i] outside [0, count). *)
 
   val off : t -> int -> int
@@ -150,10 +163,21 @@ module Fields : sig
       [buf.[off f i, stop f i)]. *)
 
   val value : t -> int -> Value.t
-  (** Field [i], decoded: equal to [(Tuple.decode_exactly record).(i)]. *)
+  (** Field [i], decoded: equal to [(tuple_of_bytes record).(i)]. *)
 
-  val tuple : t -> n:int -> Tuple.t
-  (** The first [n] fields, decoded. *)
+  val prefix : t -> int -> bytes
+  (** [prefix f n]: the tuple of the record's first [n] fields, as
+      {!write_tuple} would write their values; one copy of their
+      contiguous bytes. *)
+
+  val pick : t -> int array -> bytes
+  (** [pick f cols]: the tuple of fields [cols.(0)], [cols.(1)], ..., as
+      {!write_tuple} would write their values; each field's bytes
+      copied. *)
+
+  val tuple : t -> n:int -> Value.t array
+  (** The first [n] fields, decoded in one read (they lie back to back).
+      Raises [Invalid_argument] for [n] outside [0, count]. *)
 end
 
 val fnv1a : bytes -> pos:int -> len:int -> int

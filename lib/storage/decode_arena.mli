@@ -30,7 +30,7 @@ val walk : t -> int -> unit
 (** [walk t k] records the field offsets of the [k]-th captured record.
     Walk records in order [0, 1, ...]: record [k]'s offsets are stored
     after record [k-1]'s.  Raises [Failure] exactly where
-    [Tuple.decode_exactly] on the record would. *)
+    [Codec.tuple_of_bytes] on the record would. *)
 
 val fields : t -> int -> Codec.Fields.t
 (** The walked record [k].  The arena owns one view and re-points it on

@@ -53,7 +53,7 @@ let encode_checked t tuple =
   (match Schema.validate_tuple t.schema tuple with
   | Ok () -> ()
   | Error e -> raise (Tuple_error e));
-  let record = Tuple.encode_to_bytes tuple in
+  let record = Codec.tuple_bytes tuple in
   let store = Buffer_pool.store t.pool in
   if Bytes.length record > Page_store.page_size store - 16 then
     raise (Tuple_error "tuple too large for a page");
@@ -134,7 +134,7 @@ let get t addr =
   match
     with_entry t addr (fun _ page slot ->
         match Page.read page slot with
-        | Some record -> (`Clean, Some (Tuple.decode_exactly record))
+        | Some record -> (`Clean, Some (Codec.tuple_of_bytes record))
         | None -> (`Clean, None))
   with
   | Some tuple -> Some tuple
@@ -191,7 +191,7 @@ let iter_page t ~page:p f =
         (`Clean, Page.fold_live page ~init:[] ~f:(fun acc slot record -> (slot, record) :: acc)))
   in
   List.iter
-    (fun (slot, record) -> f (Addr.make ~page:p ~slot) (Tuple.decode_exactly record))
+    (fun (slot, record) -> f (Addr.make ~page:p ~slot) (Codec.tuple_of_bytes record))
     (List.rev slots)
 
 let load_page t ~arena ~page:p f =
@@ -236,7 +236,7 @@ let validate t =
            (match Page.validate page with
            | Ok () ->
              Page.iter_live page (fun slot record ->
-                 match Tuple.decode_exactly record with
+                 match Codec.tuple_of_bytes record with
                  | (_ : Tuple.t) -> ()
                  | exception Failure e ->
                    problem := Some (Printf.sprintf "page %d slot %d: %s" p slot e))

@@ -1,12 +1,12 @@
 (** A row as the refresh stream carries it: the exact bytes
-    {!Tuple.write} writes for its values (a u16 field count, then each
-    value's tag byte and payload).
+    {!Codec.write_tuple} writes for its values (a u16 field count, then
+    each value's tag byte and payload).
 
     The scans copy a sent row's projected fields out of the walked base
     record ({!of_prefix}, {!of_fields}) instead of decoding them and
     encoding them again: a field's bytes on the base page are the bytes
-    {!Tuple.write} writes for its value.  Every constructor yields a row
-    that decodes: {!of_tuple} encodes, the copies take fields a walk
+    {!Codec.write_tuple} writes for its value.  Every constructor yields a
+    row that decodes: {!of_tuple} encodes, the copies take fields a walk
     validated, and {!read} checks what it reads. *)
 
 type t
@@ -20,7 +20,7 @@ val equal : t -> t -> bool
 (** Byte equality. *)
 
 val length : t -> int
-(** Encoded size in bytes: [Tuple.encoded_size (to_tuple r)]. *)
+(** Encoded size in bytes: [Codec.tuple_size (to_tuple r)]. *)
 
 val arity : t -> int
 
@@ -44,4 +44,5 @@ val of_fields : Codec.Fields.t -> int array -> t
 
 val validate : Schema.t -> t -> (unit, string) result
 (** {!Schema.validate_tuple} of [to_tuple r], with the same verdict and
-    message, checked on the tag bytes without decoding the row. *)
+    message, checked on the tag bytes ({!Codec.conforms}) without
+    decoding the row. *)

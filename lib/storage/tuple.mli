@@ -1,9 +1,10 @@
 (** Tuples: flat arrays of {!Value.t}, positionally matching a {!Schema.t}.
 
     Tuples are immutable from the storage layer's point of view: updates
-    produce a fresh array.  The codec is self-delimiting (a field count
-    followed by each value) so tuples can be embedded in pages, log records
-    and network messages without an external length. *)
+    produce a fresh array.  A tuple's bytes are laid out by {!Codec}: a
+    field count followed by each value, self-delimiting, so tuples embed
+    in pages, log records and network messages without an external
+    length. *)
 
 type t = Value.t array
 
@@ -32,19 +33,4 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val encoded_size : t -> int
-
-val write : bytes -> int -> t -> int
-(** [write b off t] writes [t]'s encoding (exactly {!encoded_size}[ t]
-    bytes) at [off] and returns the offset just past it.  The caller
-    sizes [b].  The one tuple writer: the functions below use it. *)
-
-val encode : Buffer.t -> t -> unit
-(** Append {!encode_to_bytes}[ t]. *)
-
-val decode : bytes -> int -> t * int
-
-val encode_to_bytes : t -> bytes
-(** {!write} into one exact-size buffer. *)
-
-val decode_exactly : bytes -> t
-(** Decode and require that the whole buffer is consumed. *)
+(** Encoded size in bytes: {!Codec.tuple_size}. *)

@@ -47,85 +47,63 @@ let pp ppf = function
       active
   | End_checkpoint { begin_lsn } -> Format.fprintf ppf "END_CHECKPOINT(%d)" begin_lsn
 
-let tag = function
-  | Begin _ -> 1
-  | Commit _ -> 2
-  | Abort _ -> 3
-  | Insert _ -> 4
-  | Delete _ -> 5
-  | Update _ -> 6
-  | Checkpoint _ -> 7
-  | Begin_checkpoint _ -> 8
-  | End_checkpoint _ -> 9
+(* The one writer: [size] is the exact encoded length, [write] writes a
+   record in place.  A record is a tag byte then its fields: ints as i64,
+   the table name as a string, tuples self-delimiting, a checkpoint's
+   active list as a u32 count then its ids. *)
+let size = function
+  | Begin _ | Commit _ | Abort _ | End_checkpoint _ -> 9
+  | Insert { table; tuple; _ } | Delete { table; old_tuple = tuple; _ } ->
+    17 + Codec.string_size table + Codec.tuple_size tuple
+  | Update { table; old_tuple; new_tuple; _ } ->
+    17 + Codec.string_size table + Codec.tuple_size old_tuple + Codec.tuple_size new_tuple
+  | Checkpoint { active } | Begin_checkpoint { active } -> 5 + (8 * List.length active)
 
-let encode buf r =
-  Codec.add_u8 buf (tag r);
+let write b off r =
+  let int tag i = Codec.write_int b (Codec.write_u8 b off tag) i in
+  let change tag ~txn ~table ~addr =
+    Codec.write_int b (Codec.write_string b (int tag txn) table) addr
+  in
+  let active_list tag active =
+    let off = Codec.write_u32 b (Codec.write_u8 b off tag) (List.length active) in
+    List.fold_left (Codec.write_int b) off active
+  in
   match r with
-  | Begin { txn } | Commit { txn } | Abort { txn } -> Codec.add_int buf txn
+  | Begin { txn } -> int 1 txn
+  | Commit { txn } -> int 2 txn
+  | Abort { txn } -> int 3 txn
   | Insert { txn; table; addr; tuple } ->
-    Codec.add_int buf txn;
-    Codec.add_string buf table;
-    Codec.add_int buf addr;
-    Codec.add_tuple buf tuple
+    Codec.write_tuple b (change 4 ~txn ~table ~addr) tuple
   | Delete { txn; table; addr; old_tuple } ->
-    Codec.add_int buf txn;
-    Codec.add_string buf table;
-    Codec.add_int buf addr;
-    Codec.add_tuple buf old_tuple
+    Codec.write_tuple b (change 5 ~txn ~table ~addr) old_tuple
   | Update { txn; table; addr; old_tuple; new_tuple } ->
-    Codec.add_int buf txn;
-    Codec.add_string buf table;
-    Codec.add_int buf addr;
-    Codec.add_tuple buf old_tuple;
-    Codec.add_tuple buf new_tuple
-  | Checkpoint { active } | Begin_checkpoint { active } ->
-    Codec.add_u32 buf (List.length active);
-    List.iter (Codec.add_int buf) active
-  | End_checkpoint { begin_lsn } -> Codec.add_int buf begin_lsn
+    Codec.write_tuple b (Codec.write_tuple b (change 6 ~txn ~table ~addr) old_tuple) new_tuple
+  | Checkpoint { active } -> active_list 7 active
+  | Begin_checkpoint { active } -> active_list 8 active
+  | End_checkpoint { begin_lsn } -> int 9 begin_lsn
 
-let decode b off =
-  let t, off = Codec.u8 b off in
-  match t with
-  | 1 | 2 | 3 ->
-    let txn, off = Codec.int b off in
-    let r =
-      if t = 1 then Begin { txn } else if t = 2 then Commit { txn } else Abort { txn }
-    in
-    (r, off)
-  | 4 | 5 ->
-    let txn, off = Codec.int b off in
-    let table, off = Codec.string b off in
-    let addr, off = Codec.int b off in
-    let tuple, off = Codec.tuple b off in
-    let r =
-      if t = 4 then Insert { txn; table; addr; tuple }
-      else Delete { txn; table; addr; old_tuple = tuple }
-    in
-    (r, off)
-  | 6 ->
-    let txn, off = Codec.int b off in
-    let table, off = Codec.string b off in
-    let addr, off = Codec.int b off in
-    let old_tuple, off = Codec.tuple b off in
-    let new_tuple, off = Codec.tuple b off in
-    (Update { txn; table; addr; old_tuple; new_tuple }, off)
-  | 7 | 8 ->
-    let n, off = Codec.u32 b off in
+(* The one reader, through a cursor over the log image where it lies. *)
+let read c =
+  let module C = Codec.Cursor in
+  match C.u8 c with
+  | 1 -> Begin { txn = C.int c }
+  | 2 -> Commit { txn = C.int c }
+  | 3 -> Abort { txn = C.int c }
+  | (4 | 5 | 6) as t ->
+    let txn = C.int c in
+    let table = C.string c in
+    let addr = C.int c in
+    let tuple = C.tuple c in
+    if t = 4 then Insert { txn; table; addr; tuple }
+    else if t = 5 then Delete { txn; table; addr; old_tuple = tuple }
+    else Update { txn; table; addr; old_tuple = tuple; new_tuple = C.tuple c }
+  | (7 | 8) as t ->
+    let n = C.u32 c in
     let active = ref [] in
-    let off = ref off in
     for _ = 1 to n do
-      let txn, off' = Codec.int b !off in
-      active := txn :: !active;
-      off := off'
+      active := C.int c :: !active
     done;
     let active = List.rev !active in
-    ((if t = 7 then Checkpoint { active } else Begin_checkpoint { active }), !off)
-  | 9 ->
-    let begin_lsn, off = Codec.int b off in
-    (End_checkpoint { begin_lsn }, off)
-  | _ -> failwith "Wal.Record.decode: bad tag"
-
-let encoded_size r =
-  let buf = Buffer.create 64 in
-  encode buf r;
-  Buffer.length buf
+    if t = 7 then Checkpoint { active } else Begin_checkpoint { active }
+  | 9 -> End_checkpoint { begin_lsn = C.int c }
+  | _ -> failwith "Wal.Record.read: bad tag"

@@ -38,9 +38,13 @@ val table_of : t -> string option
 
 val pp : Format.formatter -> t -> unit
 
-val encode : Buffer.t -> t -> unit
+val size : t -> int
+(** The exact number of bytes {!write} writes. *)
 
-val decode : bytes -> int -> t * int
+val write : bytes -> int -> t -> int
+(** [write b off r] writes [r] at [off] of a buffer the caller sized
+    ({!size}) and returns the offset just past it. *)
 
-val encoded_size : t -> int
-(** Exact size {!encode} will produce. *)
+val read : Snapdiff_storage.Codec.Cursor.t -> t
+(** The record at the cursor.  Raises [Failure] on a bad tag or
+    truncation, and nothing else. *)

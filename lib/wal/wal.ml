@@ -1,3 +1,4 @@
+module Codec = Snapdiff_storage.Codec
 module Metrics = Snapdiff_obs.Metrics
 module Trace = Snapdiff_obs.Trace
 
@@ -21,7 +22,7 @@ type backend = Memory | File of string
    v}
 
    Each frame is [u32 payload length | u32 FNV-1a checksum | payload],
-   little-endian, where the payload is exactly one {!Record.encode} image.
+   little-endian, where the payload is exactly one {!Record.write} image.
    LSNs remain byte offsets into the {e unframed} logical log (the
    in-memory image), so framing overhead never shifts an LSN; they are
    recomputed on {!open_file} by re-accumulating payload lengths. *)
@@ -40,8 +41,13 @@ type file_state = {
   mutable durable_lsn : lsn;  (* end_lsn as of the last fsync *)
 }
 
+(* The retained log is one growable byte image: records are written into
+   it in place and every reader decodes from it through a cursor.  A
+   truncation moves the retained suffix into a fresh image, so a cursor
+   over the old one stays valid. *)
 type t = {
-  mutable buf : Buffer.t;
+  mutable img : bytes;  (* the retained records are [img.[0, len)] *)
+  mutable len : int;
   mutable count : int;
   mutable base : lsn;  (* LSN of the first retained byte *)
   per_table : (string, lsn) Hashtbl.t;  (* table -> LSN of its latest record *)
@@ -52,7 +58,7 @@ let start_lsn = 0
 
 let default_group_commit_window = 8
 
-let fnv1a s = Snapdiff_storage.Codec.fnv1a (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
+let end_lsn t = t.base + t.len
 
 let really_write fd b =
   let len = Bytes.length b in
@@ -64,19 +70,17 @@ let really_write fd b =
   in
   go 0
 
-let segment_header base =
-  let b = Bytes.make segment_header_size '\000' in
-  Bytes.blit_string segment_magic 0 b 0 8;
-  Bytes.set_int64_le b 8 (Int64.of_int base);
-  b
+let write_segment_header b base =
+  Bytes.blit_string segment_magic 0 b 0 (String.length segment_magic);
+  Codec.write_int b (String.length segment_magic) base
 
-let frame_of_payload payload =
-  let len = String.length payload in
-  let b = Bytes.create (frame_header_size + len) in
-  Bytes.set_int32_le b 0 (Int32.of_int len);
-  Bytes.set_int32_le b 4 (Int32.of_int (fnv1a payload));
-  Bytes.blit_string payload 0 b frame_header_size len;
-  b
+(* The frame of the record at [img.[pos, pos+len)], written at [off] of
+   [dst]; returns the offset just past it. *)
+let write_frame dst off img ~pos ~len =
+  let off = Codec.write_u32 dst off len in
+  let off = Codec.write_u32 dst off (Codec.fnv1a img ~pos ~len) in
+  Bytes.blit img pos dst off len;
+  off + len
 
 let tmp_path path = path ^ ".tmp"
 
@@ -98,14 +102,19 @@ let mark_synced t fs =
     Metrics.observe h_group_batch (float_of_int fs.pending_commits);
   fs.pending_commits <- 0;
   fs.unsynced <- false;
-  fs.durable_lsn <- t.base + Buffer.length t.buf
+  fs.durable_lsn <- end_lsn t
 
 let do_fsync t fs =
   Trace.with_span "wal.fsync" (fun () -> Unix.fsync fs.fd);
   mark_synced t fs
 
 let mk ?file () =
-  { buf = Buffer.create 4096; count = 0; base = 0; per_table = Hashtbl.create 8; file }
+  { img = Bytes.create 4096; len = 0; count = 0; base = 0; per_table = Hashtbl.create 8; file }
+
+let fresh_segment () =
+  let b = Bytes.create segment_header_size in
+  ignore (write_segment_header b 0 : int);
+  b
 
 let create ?(backend = Memory) ?group_commit_window () =
   let window = Option.value group_commit_window ~default:default_group_commit_window in
@@ -115,7 +124,7 @@ let create ?(backend = Memory) ?group_commit_window () =
   | File path ->
     (try Sys.remove (tmp_path path) with Sys_error _ -> ());
     let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-    really_write fd (segment_header 0);
+    really_write fd (fresh_segment ());
     mk
       ~file:
         { fd; path; window; pending_commits = 0; unsynced = true; fsync_count = 0;
@@ -130,7 +139,7 @@ let fsyncs t = match t.file with None -> 0 | Some fs -> fs.fsync_count
 
 let durable_end_lsn t =
   match t.file with
-  | None -> t.base + Buffer.length t.buf
+  | None -> end_lsn t
   | Some fs -> fs.durable_lsn
 
 let sync t =
@@ -145,19 +154,33 @@ let close t =
     sync t;
     Unix.close fs.fd
 
-let append t r =
-  let at = t.base + Buffer.length t.buf in
-  let start = Buffer.length t.buf in
-  Record.encode t.buf r;
+(* The record's table, if any, now last appears at [at]. *)
+let note t at r =
   t.count <- t.count + 1;
-  (match Record.table_of r with
+  match Record.table_of r with
   | Some table -> Hashtbl.replace t.per_table table at
-  | None -> ());
+  | None -> ()
+
+let reserve t n =
+  if t.len + n > Bytes.length t.img then begin
+    let img = Bytes.create (max (t.len + n) (2 * Bytes.length t.img)) in
+    Bytes.blit t.img 0 img 0 t.len;
+    t.img <- img
+  end
+
+let append t r =
+  let at = end_lsn t in
+  let pos = t.len in
+  reserve t (Record.size r);
+  t.len <- Record.write t.img pos r;
+  note t at r;
   (match t.file with
   | None -> ()
   | Some fs ->
-    let payload = Buffer.sub t.buf start (Buffer.length t.buf - start) in
-    really_write fs.fd (frame_of_payload payload);
+    let len = t.len - pos in
+    let frame = Bytes.create (frame_header_size + len) in
+    ignore (write_frame frame 0 t.img ~pos ~len : int);
+    really_write fs.fd frame;
     fs.unsynced <- true;
     (* Group commit: Commit records share one fsync per [window] commits;
        everything else rides along un-synced until the next window flush
@@ -168,39 +191,36 @@ let append t r =
       if fs.pending_commits >= fs.window then do_fsync t fs
     | _ -> ()));
   Metrics.incr m_appends;
-  Metrics.add m_append_bytes (t.base + Buffer.length t.buf - at);
+  Metrics.add m_append_bytes (t.len - pos);
   at
 
 let last_lsn_for t ~table = Hashtbl.find_opt t.per_table table
-
-let end_lsn t = t.base + Buffer.length t.buf
 
 let oldest_retained t = t.base
 
 let record_count t = t.count
 
-let byte_size t = Buffer.length t.buf
+let byte_size t = t.len
 
-let image t = Buffer.to_bytes t.buf
+(* A cursor over the retained records from [lsn] on. *)
+let cursor t lsn =
+  let c = Codec.Cursor.create () in
+  Codec.Cursor.set c t.img ~pos:(lsn - t.base) ~len:(end_lsn t - lsn);
+  c
 
 let read t lsn =
-  let b = image t in
-  if lsn < t.base || lsn >= t.base + Bytes.length b then failwith "Wal.read: bad LSN";
-  let r, off = Record.decode b (lsn - t.base) in
-  (r, off + t.base)
+  if lsn < t.base || lsn >= end_lsn t then failwith "Wal.read: bad LSN";
+  let c = cursor t lsn in
+  let r = Record.read c in
+  (r, t.base + Codec.Cursor.pos c)
 
 let iter_from t lsn f =
-  let b = image t in
-  let len = Bytes.length b in
-  if lsn < t.base || lsn > t.base + len then failwith "Wal.iter_from: bad LSN";
-  let rec go off =
-    if off < len then begin
-      let r, off' = Record.decode b off in
-      f (off + t.base) r;
-      go off'
-    end
-  in
-  go (lsn - t.base)
+  if lsn < t.base || lsn > end_lsn t then failwith "Wal.iter_from: bad LSN";
+  let base = t.base and c = cursor t lsn in
+  while not (Codec.Cursor.at_end c) do
+    let at = base + Codec.Cursor.pos c in
+    f at (Record.read c)
+  done
 
 (* Rewrite the whole segment from the retained in-memory image: fresh
    header carrying the new base, then one frame per retained record.
@@ -217,22 +237,18 @@ let iter_from t lsn f =
    complete old segment (plus an ignorable temp file) or the complete new
    one, never a hybrid. *)
 let rewrite_file t fs =
-  let out = Buffer.create (segment_header_size + Buffer.length t.buf) in
-  Buffer.add_bytes out (segment_header t.base);
-  let b = image t in
-  let len = Bytes.length b in
-  let rec go off =
-    if off < len then begin
-      let _, off' = Record.decode b off in
-      Buffer.add_bytes out (frame_of_payload (Bytes.sub_string b off (off' - off)));
-      go off'
-    end
-  in
-  go 0;
+  let out = Bytes.create (segment_header_size + (frame_header_size * t.count) + t.len) in
+  let off = ref (write_segment_header out t.base) in
+  let c = cursor t t.base in
+  while not (Codec.Cursor.at_end c) do
+    let pos = Codec.Cursor.pos c in
+    ignore (Record.read c : Record.t);
+    off := write_frame out !off t.img ~pos ~len:(Codec.Cursor.pos c - pos)
+  done;
   let tmp = tmp_path fs.path in
   let tmp_fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   (try
-     really_write tmp_fd (Buffer.to_bytes out);
+     really_write tmp_fd out;
      Trace.with_span "wal.fsync" (fun () -> Unix.fsync tmp_fd);
      Unix.close tmp_fd
    with e ->
@@ -254,21 +270,21 @@ let rewrite_file t fs =
 let truncate_before t lsn =
   if lsn < t.base || lsn > end_lsn t then failwith "Wal.truncate_before: bad LSN";
   if lsn > t.base then begin
-    let b = image t in
+    let cut = lsn - t.base in
     (* Count the discarded records and verify the boundary by decoding. *)
-    let rec skip off dropped =
-      if off < lsn - t.base then begin
-        let _, off' = Record.decode b off in
-        skip off' (dropped + 1)
-      end
-      else if off = lsn - t.base then dropped
-      else failwith "Wal.truncate_before: LSN is not a record boundary"
-    in
-    let dropped = skip 0 0 in
-    let fresh = Buffer.create (max 4096 (Bytes.length b - (lsn - t.base))) in
-    Buffer.add_subbytes fresh b (lsn - t.base) (Bytes.length b - (lsn - t.base));
-    t.buf <- fresh;
-    t.count <- t.count - dropped;
+    let c = cursor t t.base and dropped = ref 0 in
+    while Codec.Cursor.pos c < cut do
+      ignore (Record.read c : Record.t);
+      incr dropped
+    done;
+    if Codec.Cursor.pos c <> cut then
+      failwith "Wal.truncate_before: LSN is not a record boundary";
+    let keep = t.len - cut in
+    let img = Bytes.create (max 4096 keep) in
+    Bytes.blit t.img cut img 0 keep;
+    t.img <- img;
+    t.len <- keep;
+    t.count <- t.count - !dropped;
     t.base <- lsn;
     (* Clamp per-table latest-LSN entries that now point below the log:
        [last_lsn_for] must always return a scannable LSN (>= base), and
@@ -291,53 +307,6 @@ let fold_from t lsn ~init ~f =
 let to_list t =
   List.rev (fold_from t t.base ~init:[] ~f:(fun acc l r -> (l, r) :: acc))
 
-let save t path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "WALLOG01";
-      let base = Bytes.create 8 in
-      Bytes.set_int64_le base 0 (Int64.of_int t.base);
-      output_bytes oc base;
-      output_bytes oc (image t);
-      flush oc;
-      (* [flush] only drains the userspace buffer; the fsync makes the
-         image durable and the metric honest. *)
-      Unix.fsync (Unix.descr_of_out_channel oc);
-      Metrics.incr m_fsyncs)
-
-let load path =
-  let ic = open_in_bin path in
-  let b =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  if String.length b < 16 || String.sub b 0 8 <> "WALLOG01" then
-    failwith "Wal.load: bad log image";
-  let base = Int64.to_int (Bytes.get_int64_le (Bytes.of_string b) 8) in
-  let b = String.sub b 16 (String.length b - 16) in
-  let t = mk () in
-  t.base <- base;
-  Buffer.add_string t.buf b;
-  (* Rebuild the record count and the per-table latest-LSN map by decoding
-     the image; this also validates it. *)
-  let bb = Buffer.to_bytes t.buf in
-  let len = Bytes.length bb in
-  let rec go off =
-    if off < len then begin
-      let r, off' = Record.decode bb off in
-      (match Record.table_of r with
-      | Some table -> Hashtbl.replace t.per_table table (t.base + off)
-      | None -> ());
-      t.count <- t.count + 1;
-      go off'
-    end
-  in
-  go 0;
-  t
-
 let open_file ?group_commit_window path =
   let window = Option.value group_commit_window ~default:default_group_commit_window in
   if window < 1 then invalid_arg "Wal.open_file: group_commit_window < 1";
@@ -355,7 +324,7 @@ let open_file ?group_commit_window path =
     (* Nothing durable (a crash before the header landed): start fresh. *)
     Unix.ftruncate fd 0;
     ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-    really_write fd (segment_header 0);
+    really_write fd (fresh_segment ());
     fs.unsynced <- true;
     if size > 0 then Metrics.incr m_torn_tails;
     mk ~file:fs ()
@@ -379,40 +348,40 @@ let open_file ?group_commit_window path =
     t.base <- Int64.to_int (Bytes.get_int64_le img 8);
     (* Decode frames until the first short, corrupt, or undecodable one —
        a torn tail from a crash mid-append — then truncate the file there:
-       the valid prefix is exactly the durable log. *)
-    let valid_end = ref segment_header_size in
-    let torn = ref false in
-    let off = ref segment_header_size in
-    while (not !torn) && !off + frame_header_size <= size do
-      let len = Int32.to_int (Bytes.get_int32_le img !off) in
-      let cksum = Int32.to_int (Bytes.get_int32_le img (!off + 4)) land 0xFFFFFFFF in
-      if len <= 0 || !off + frame_header_size + len > size then torn := true
+       the valid prefix is exactly the durable log.  Each payload is
+       checksummed and decoded where it lies, then moved down over the
+       frame headers before it, so the file image becomes the log image. *)
+    t.img <- img;
+    let c = Codec.Cursor.create () in
+    let rec scan off =
+      if off + frame_header_size > size then off
       else begin
-        let payload = Bytes.sub_string img (!off + frame_header_size) len in
-        if fnv1a payload <> cksum then torn := true
+        Codec.Cursor.set c img ~pos:off ~len:frame_header_size;
+        let len = Codec.Cursor.u32 c in
+        let sum = Codec.Cursor.u32 c in
+        let pos = off + frame_header_size in
+        if len = 0 || len > size - pos || Codec.fnv1a img ~pos ~len <> sum then off
         else begin
-          match Record.decode (Bytes.of_string payload) 0 with
-          | exception Failure _ -> torn := true
-          | r, consumed when consumed = len ->
-            let at = t.base + Buffer.length t.buf in
-            Buffer.add_string t.buf payload;
-            t.count <- t.count + 1;
-            (match Record.table_of r with
-            | Some table -> Hashtbl.replace t.per_table table at
-            | None -> ());
-            off := !off + frame_header_size + len;
-            valid_end := !off
-          | _ -> torn := true
+          Codec.Cursor.set c img ~pos ~len;
+          match Record.read c with
+          | exception Failure _ -> off
+          | r when Codec.Cursor.at_end c ->
+            note t (end_lsn t) r;
+            Bytes.blit img pos img t.len len;
+            t.len <- t.len + len;
+            scan (pos + len)
+          | _ -> off
         end
       end
-    done;
-    if !valid_end < size then begin
-      Unix.ftruncate fd !valid_end;
+    in
+    let valid_end = scan segment_header_size in
+    if valid_end < size then begin
+      Unix.ftruncate fd valid_end;
       Metrics.incr m_torn_tails
     end;
-    ignore (Unix.lseek fd !valid_end Unix.SEEK_SET);
+    ignore (Unix.lseek fd valid_end Unix.SEEK_SET);
     (* Everything recovered was read back from the file: it is the
        durable horizon until the next append. *)
-    fs.durable_lsn <- t.base + Buffer.length t.buf;
+    fs.durable_lsn <- end_lsn t;
     t
   end

@@ -15,7 +15,7 @@ type t
 type lsn = int
 
 type backend =
-  | Memory  (** process-memory only; durability via {!save}/{!load} *)
+  | Memory  (** process-memory only: no durability *)
   | File of string  (** segment file at this path; durable appends *)
 
 val start_lsn : lsn
@@ -55,8 +55,7 @@ val close : t -> unit
 
 val fsyncs : t -> int
 (** Real fsyncs issued on this log's segment (0 for [Memory]).  The
-    process-wide [wal.fsyncs] metric aggregates across logs and includes
-    {!save}. *)
+    process-wide [wal.fsyncs] metric aggregates across logs. *)
 
 val durable_end_lsn : t -> lsn
 (** One past the last byte known to have reached stable storage —
@@ -68,7 +67,7 @@ val durable_end_lsn : t -> lsn
     per-commit durability compares the commit's LSN against this (or just
     calls {!sync}).  For [Memory] logs it equals {!end_lsn} trivially —
     there is no segment to lag behind — but a memory log has no crash
-    durability at all short of {!save}. *)
+    durability at all. *)
 
 val append : t -> Record.t -> lsn
 (** Returns the LSN assigned to this record.  On a file-backed log the
@@ -84,7 +83,7 @@ val end_lsn : t -> lsn
 val last_lsn_for : t -> table:string -> lsn option
 (** LSN of the latest Insert/Delete/Update record naming [table], or
     [None] if the table never appeared in the log.  Maintained on append
-    (and rebuilt by {!load}/{!open_file}).  {!truncate_before} clamps
+    (and rebuilt by {!open_file}).  {!truncate_before} clamps
     stale entries up to the new {!oldest_retained}, so the returned LSN is
     always scannable ({!iter_from} never raises on it) and
     [last_lsn_for t ~table < Some lsn] remains a sound "no changes to
@@ -127,10 +126,3 @@ val iter_from : t -> lsn -> (lsn -> Record.t -> unit) -> unit
 val fold_from : t -> lsn -> init:'a -> f:('a -> lsn -> Record.t -> 'a) -> 'a
 
 val to_list : t -> (lsn * Record.t) list
-
-val save : t -> string -> unit
-(** Write the log image to a file (whole-image snapshot format, distinct
-    from the segment format) and fsync it. *)
-
-val load : string -> t
-(** Load a {!save} image.  Raises [Failure] on a corrupt image. *)

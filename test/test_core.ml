@@ -513,8 +513,8 @@ let test_walk_null_timestamp_tail () =
   Heap.flush heap;
   let record = record_of_page pool a2 in
   let len = Bytes.length record in
-  checkb "byte 9 from the end is tag_int" true (Bytes.get record (len - 9) = Value.tag_int);
-  checkb "the record ends in tag_null" true (Bytes.get record (len - 1) = Value.tag_null);
+  checkb "byte 9 from the end is tag_int" true (Bytes.get record (len - 9) = Codec.tag_int);
+  checkb "the record ends in tag_null" true (Bytes.get record (len - 1) = Codec.tag_null);
   let f = Codec.Fields.of_record record in
   checki "PrevAddr read by the walk" a1 (Annotations.record_prev f);
   checki "NULL TimeStamp read by the walk" Annotations.null (Annotations.record_ts f);

@@ -117,8 +117,8 @@ let prop_value_decode_total =
   QCheck2.Test.make ~name:"value decode total on garbage" ~count:500
     Gen.(string_size (int_range 0 64))
     (fun s ->
-      match Value.decode (Bytes.of_string s) 0 with
-      | (_ : Value.t * int) -> true
+      match Codec.Cursor.value (Codec.Cursor.over (Bytes.of_string s)) with
+      | (_ : Value.t) -> true
       | exception Failure _ -> true)
 
 let prop_msg_decode_total =
@@ -133,8 +133,8 @@ let prop_wal_decode_total =
   QCheck2.Test.make ~name:"wal record decode total on garbage" ~count:500
     Gen.(string_size (int_range 0 64))
     (fun s ->
-      match Snapdiff_wal.Record.decode (Bytes.of_string s) 0 with
-      | (_ : Snapdiff_wal.Record.t * int) -> true
+      match Snapdiff_wal.Record.read (Codec.Cursor.over (Bytes.of_string s)) with
+      | (_ : Snapdiff_wal.Record.t) -> true
       | exception Failure _ -> true)
 
 (* Snapshot apply must tolerate pathological-but-wellformed messages. *)

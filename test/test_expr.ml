@@ -290,7 +290,7 @@ let prop_record_pred_matches_qualifies =
         (frequency [ (1, gen_int_cmp schema); (2, gen_expr schema) ]))
     (fun (schema, row, e) ->
       let stored = Array.append row [| Value.int 65537; Value.Int Int64.min_int |] in
-      let f = Codec.Fields.of_record (Tuple.encode_to_bytes stored) in
+      let f = Codec.Fields.of_record (Codec.tuple_bytes stored) in
       let pred = Eval.compile_record schema e in
       outcome (fun () -> pred f) = outcome (fun () -> Eval.qualifies schema row e))
 
@@ -298,10 +298,10 @@ let prop_fields_decode_each_value =
   QCheck2.Test.make ~name:"walked fields = decoded tuple" ~count:1000
     Gen.(gen_schema >>= gen_row)
     (fun row ->
-      let b = Tuple.encode_to_bytes row in
+      let b = Codec.tuple_bytes row in
       let f = Codec.Fields.of_record b in
       Codec.Fields.count f = Array.length row
-      && Tuple.equal (Codec.Fields.tuple f ~n:(Array.length row)) (Tuple.decode_exactly b))
+      && Tuple.equal (Codec.Fields.tuple f ~n:(Array.length row)) (Codec.tuple_of_bytes b))
 
 let suite =
   [

@@ -3,6 +3,7 @@ let () =
     [
       ("util", Test_util.suite);
       ("storage", Test_storage.suite);
+      ("codec", Test_codec.suite);
       ("index", Test_index.suite);
       ("txn", Test_txn.suite);
       ("obs", Test_obs.suite);

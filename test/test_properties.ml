@@ -1318,7 +1318,7 @@ let stored_rows base =
 (* The bytes a whole-row rewrite of [old] with the entry's current
    annotations would have stored. *)
 let rewrite_of base addr old =
-  Tuple.encode_to_bytes
+  Codec.tuple_bytes
     (Annotations.with_annotations old (Option.get (Base_table.get_annotations base addr)))
 
 (* Over random histories on Deferred and Eager bases: after every
@@ -1411,7 +1411,7 @@ let prop_tail_patch_is_rewrite =
             let ann = Option.get (Base_table.get_annotations base addr) in
             if not
                  (Bytes.equal (record_bytes base addr)
-                    (Tuple.encode_to_bytes (Annotations.annotate user ann)))
+                    (Codec.tuple_bytes (Annotations.annotate user ann)))
             then fail_report (where ^ ": inserted record differs from its encoding")
           | Upd (i, s) -> (
             match pick_live base i with

@@ -33,18 +33,20 @@ let sample_values =
 let test_value_roundtrip () =
   List.iter
     (fun v ->
-      let b = Bytes.create (Value.encoded_size v) in
-      checki "encoded_size exact" (Bytes.length b) (Value.write b 0 v);
-      let v', off = Value.decode b 0 in
-      Alcotest.check value "roundtrip" v v';
-      checki "consumed all" (Bytes.length b) off)
+      let b = Codec.tuple_bytes [| v |] in
+      checki "tuple_size exact" (Bytes.length b) (Codec.tuple_size [| v |]);
+      let c = Codec.Cursor.over b in
+      checki "one field" 1 (Codec.Cursor.u16 c);
+      Alcotest.check value "roundtrip" v (Codec.Cursor.value c);
+      checkb "consumed all" true (Codec.Cursor.at_end c))
     sample_values
 
 let test_value_decode_garbage () =
-  Alcotest.check_raises "bad tag" (Failure "Value.decode: bad tag") (fun () ->
-      ignore (Value.decode (Bytes.of_string "\255") 0));
-  Alcotest.check_raises "truncated" (Failure "Value.decode: truncated") (fun () ->
-      ignore (Value.decode (Bytes.of_string "\001\000") 0))
+  let value_of s = Codec.Cursor.value (Codec.Cursor.over (Bytes.of_string s)) in
+  Alcotest.check_raises "bad tag" (Failure "Codec: bad tag") (fun () ->
+      ignore (value_of "\255"));
+  Alcotest.check_raises "truncated" (Failure "Codec: truncated") (fun () ->
+      ignore (value_of "\001\000"))
 
 let test_value_compare_order () =
   checkb "null first" true (Value.compare Value.Null (Value.Int 0L) < 0);
@@ -96,8 +98,8 @@ let test_schema_validate_tuple () =
 
 let test_tuple_roundtrip () =
   let t = Tuple.make [ Value.str "Bruce"; Value.int 15; Value.Null; Value.Bool false ] in
-  let b = Tuple.encode_to_bytes t in
-  Alcotest.check tuple "roundtrip" t (Tuple.decode_exactly b);
+  let b = Codec.tuple_bytes t in
+  Alcotest.check tuple "roundtrip" t (Codec.tuple_of_bytes b);
   checki "size exact" (Tuple.encoded_size t) (Bytes.length b)
 
 let test_tuple_ops () =
@@ -786,34 +788,19 @@ let suite =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Codec boundaries and the zero-copy cursor readers: extreme values
-   roundtrip through both reader families, every strict prefix of every
-   encoding raises, and on random tuples the cursor agrees with the
-   offset-pair readers byte for byte. *)
+(* Codec boundaries and the cursor reader: extreme values roundtrip
+   through the in-place writers and the cursor, every strict prefix of
+   every encoding raises, and random tuples read back as written. *)
 
 let test_codec_boundary_values () =
-  let buf = Buffer.create 64 in
-  Codec.add_u32 buf 0xFFFF_FFFF;
-  Codec.add_i64 buf Int64.min_int;
-  Codec.add_i64 buf (-1L);
-  Codec.add_string buf "";
-  Buffer.add_uint16_le buf 0xFFFF;
-  Codec.add_u8 buf 0xFF;
-  let b = Buffer.to_bytes buf in
-  let v, off = Codec.u32 b 0 in
-  checki "u32 max" 0xFFFF_FFFF v;
-  let v64, off = Codec.i64 b off in
-  checkb "i64 min" true (v64 = Int64.min_int);
-  let v64, off = Codec.i64 b off in
-  checkb "i64 -1" true (v64 = -1L);
-  let s, off = Codec.string b off in
-  checks "empty string" "" s;
-  let off = off + 2 (* the u16: read by the cursor below *) in
-  let v, off = Codec.u8 b off in
-  checki "u8 max" 0xFF v;
-  checki "offset readers consumed exactly" (Bytes.length b) off;
-  let c = Codec.Cursor.create () in
-  Codec.Cursor.set c b ~pos:0 ~len:(Bytes.length b);
+  let b = Bytes.create 27 in
+  let off = Codec.write_u32 b 0 0xFFFF_FFFF in
+  Bytes.set_int64_le b off Int64.min_int;
+  Bytes.set_int64_le b (off + 8) (-1L);
+  let off = Codec.write_string b (off + 16) "" in
+  Bytes.set_uint16_le b off 0xFFFF;
+  checki "writers filled the buffer exactly" (Bytes.length b) (Codec.write_u8 b (off + 2) 0xFF);
+  let c = Codec.Cursor.over b in
   checki "cursor u32 max" 0xFFFF_FFFF (Codec.Cursor.u32 c);
   checkb "cursor i64 min" true (Codec.Cursor.i64 c = Int64.min_int);
   checkb "cursor i64 -1" true (Codec.Cursor.i64 c = -1L);
@@ -823,65 +810,45 @@ let test_codec_boundary_values () =
   checkb "cursor at_end" true (Codec.Cursor.at_end c)
 
 let test_codec_truncation_raises () =
+  let written size write =
+    let b = Bytes.create size in
+    checki "writer filled its size" size (write b);
+    b
+  in
   let cases =
-    [ ( "u8",
-        (fun buf -> Codec.add_u8 buf 0xAB),
-        Some (fun b -> ignore (Codec.u8 b 0 : int * int)),
-        fun c -> ignore (Codec.Cursor.u8 c : int) );
+    [ ("u8", written 1 (fun b -> Codec.write_u8 b 0 0xAB), fun c -> ignore (Codec.Cursor.u8 c : int));
       ( "u16",
-        (fun buf -> Buffer.add_uint16_le buf 0xBEEF),
-        (* u16 has only the cursor reader *)
-        None,
+        written 2 (fun b -> Bytes.set_uint16_le b 0 0xBEEF; 2),
         fun c -> ignore (Codec.Cursor.u16 c : int) );
       ( "u32",
-        (fun buf -> Codec.add_u32 buf 0xFFFF_FFFF),
-        Some (fun b -> ignore (Codec.u32 b 0 : int * int)),
+        written 4 (fun b -> Codec.write_u32 b 0 0xFFFF_FFFF),
         fun c -> ignore (Codec.Cursor.u32 c : int) );
       ( "i64",
-        (fun buf -> Codec.add_i64 buf (-1L)),
-        Some (fun b -> ignore (Codec.i64 b 0 : int64 * int)),
+        written 8 (fun b -> Bytes.set_int64_le b 0 (-1L); 8),
         fun c -> ignore (Codec.Cursor.i64 c : int64) );
-      ( "int",
-        (fun buf -> Codec.add_int buf (-7)),
-        Some (fun b -> ignore (Codec.int b 0 : int * int)),
-        fun c -> ignore (Codec.Cursor.int c : int) );
+      ("int", written 8 (fun b -> Codec.write_int b 0 (-7)), fun c -> ignore (Codec.Cursor.int c : int));
       ( "string",
-        (fun buf -> Codec.add_string buf "xyz"),
-        Some (fun b -> ignore (Codec.string b 0 : string * int)),
+        written (Codec.string_size "xyz") (fun b -> Codec.write_string b 0 "xyz"),
         fun c -> ignore (Codec.Cursor.string c : string) );
       ( "tuple",
-        (fun buf ->
-          Codec.add_tuple buf (Tuple.make [ Value.int (-5); Value.str "s"; Value.Null ])),
-        Some (fun b -> ignore (Codec.tuple b 0 : Tuple.t * int)),
+        Codec.tuple_bytes (Tuple.make [ Value.int (-5); Value.str "s"; Value.Null ]),
         fun c -> ignore (Codec.Cursor.tuple c : Tuple.t) );
     ]
   in
   List.iter
-    (fun (name, enc, read_off, read_cur) ->
-      let buf = Buffer.create 32 in
-      enc buf;
-      let b = Buffer.to_bytes buf in
+    (fun (name, b, read_cur) ->
       let full = Bytes.length b in
-      Option.iter (fun read -> read b) read_off;
       let c = Codec.Cursor.create () in
       Codec.Cursor.set c b ~pos:0 ~len:full;
       read_cur c;
       checkb (name ^ ": full read consumes the window") true (Codec.Cursor.at_end c);
       for cut = 0 to full - 1 do
-        let short = Bytes.sub b 0 cut in
-        Option.iter
-          (fun read ->
-            match read short with
-            | () ->
-              Alcotest.failf "%s: offset reader accepted a %d/%d-byte prefix" name cut full
-            | exception Failure _ -> ())
-          read_off;
         (* The cursor window edge is the truncation boundary even when the
            underlying buffer holds the remaining bytes. *)
         Codec.Cursor.set c b ~pos:0 ~len:cut;
-        (match read_cur c with
+        match read_cur c with
         | () -> Alcotest.failf "%s: cursor accepted a %d/%d-byte window" name cut full
-        | exception Failure _ -> ())
+        | exception Failure _ -> ()
       done)
     cases
 
@@ -894,20 +861,19 @@ let cursor_value_gen =
         map (fun s -> Value.Str s) (string_size (int_range 0 40));
         map (fun b -> Value.Bool b) bool ])
 
-let prop_cursor_matches_offset_readers =
-  QCheck2.Test.make ~name:"cursor decode = offset-pair decode" ~count:300
+let prop_cursor_reads_written_tuple =
+  QCheck2.Test.make ~name:"cursor decode = written tuple" ~count:300
     QCheck2.Gen.(list_size (int_range 0 8) cursor_value_gen)
     (fun vs ->
       let t = Tuple.make vs in
-      let buf = Buffer.create 64 in
-      Codec.add_tuple buf t;
-      let b = Buffer.to_bytes buf in
-      let t_off, consumed = Codec.tuple b 0 in
+      let b = Bytes.create (Codec.tuple_size t + 3) in
+      let stop = Codec.write_tuple b 3 t in
       let c = Codec.Cursor.create () in
-      Codec.Cursor.set c b ~pos:0 ~len:(Bytes.length b);
+      Codec.Cursor.set c b ~pos:3 ~len:(Bytes.length b - 3);
       let t_cur = Codec.Cursor.tuple c in
-      Tuple.equal t_off t_cur
-      && Codec.Cursor.pos c = consumed
+      stop = Bytes.length b
+      && Tuple.equal t t_cur
+      && Codec.Cursor.pos c = stop
       && Codec.Cursor.at_end c)
 
 let suite =
@@ -916,7 +882,7 @@ let suite =
       Alcotest.test_case "codec boundary values" `Quick test_codec_boundary_values;
       Alcotest.test_case "codec truncation raises per reader" `Quick
         test_codec_truncation_raises;
-      QCheck_alcotest.to_alcotest prop_cursor_matches_offset_readers;
+      QCheck_alcotest.to_alcotest prop_cursor_reads_written_tuple;
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -31,11 +31,11 @@ let sample_records =
 let test_record_roundtrip () =
   List.iter
     (fun r ->
-      let buf = Buffer.create 64 in
-      Record.encode buf r;
-      let r', consumed = Record.decode (Buffer.to_bytes buf) 0 in
-      checki "consumed" (Buffer.length buf) consumed;
-      checkb "roundtrip" true (r = r'))
+      let b = Bytes.create (Record.size r) in
+      checki "size exact" (Bytes.length b) (Record.write b 0 r);
+      let c = Codec.Cursor.over b in
+      checkb "roundtrip" true (r = Record.read c);
+      checkb "consumed" true (Codec.Cursor.at_end c))
     sample_records
 
 let test_record_metadata () =
@@ -70,17 +70,11 @@ let test_wal_read_exact () =
   Alcotest.check_raises "bad lsn" (Failure "Wal.read: bad LSN") (fun () ->
       ignore (Wal.read log 999_999))
 
-let test_wal_save_load () =
-  let path = Filename.temp_file "snapdiff_wal" ".log" in
+let with_tmp_wal f =
+  let path = Filename.temp_file "snapdiff_walseg" ".wal" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let log = Wal.create () in
-      List.iter (fun r -> ignore (Wal.append log r)) sample_records;
-      Wal.save log path;
-      let log2 = Wal.load path in
-      checki "count" (Wal.record_count log) (Wal.record_count log2);
-      checkb "contents" true (Wal.to_list log = Wal.to_list log2))
+    (fun () -> f path)
 
 let schema =
   Schema.make [ Schema.col ~nullable:false "name" Value.Tstring; Schema.col "salary" Value.Tint ]
@@ -213,7 +207,8 @@ let test_net_changes_clamped_after_truncation () =
   checkb "never negative" true (stats2.Recovery.bytes_scanned >= 0)
 
 let test_truncation () =
-  let log = Wal.create () in
+  with_tmp_wal @@ fun path ->
+  let log = Wal.create ~backend:(Wal.File path) () in
   let lsns = List.map (Wal.append log) sample_records in
   let cut = List.nth lsns 3 in
   Wal.truncate_before log cut;
@@ -231,17 +226,15 @@ let test_truncation () =
   (* Truncating at a non-boundary fails. *)
   Alcotest.check_raises "mid-record" (Failure "Wal.truncate_before: LSN is not a record boundary")
     (fun () -> Wal.truncate_before log (cut + 1));
-  (* Appending continues with monotone LSNs; save/load keeps the base. *)
+  (* Appending continues with monotone LSNs; reopening the segment keeps
+     the base. *)
   let next = Wal.append log (Record.Begin { txn = 99 }) in
   checkb "monotone" true (next > cut);
-  let path = Filename.temp_file "snapdiff_wal" ".log" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Wal.save log path;
-      let log2 = Wal.load path in
-      checki "base persisted" cut (Wal.oldest_retained log2);
-      checkb "contents persisted" true (Wal.to_list log = Wal.to_list log2))
+  Wal.close log;
+  let log2 = Wal.open_file path in
+  checki "base persisted" cut (Wal.oldest_retained log2);
+  checkb "contents persisted" true (Wal.to_list log = Wal.to_list log2);
+  Wal.close log2
 
 let test_redo_after_truncation_replays_suffix () =
   let log = scripted_log () in
@@ -267,12 +260,6 @@ let test_redo_after_truncation_replays_suffix () =
 (* ---- file backend: segment framing, torn tails, group commit -------- *)
 
 module Gen = QCheck2.Gen
-
-let with_tmp_wal f =
-  let path = Filename.temp_file "snapdiff_walseg" ".wal" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
 
 (* Keep only the first [keep] bytes of a file — the crash scissors. *)
 let shear_file path keep =
@@ -493,23 +480,6 @@ let test_durable_end_lsn_tracks_group_commit () =
         (Wal.durable_end_lsn log2);
       Wal.close log2)
 
-(* Satellite regression: [save] must issue a real fsync (and only then
-   count it). *)
-let test_save_counts_real_fsync () =
-  let module Metrics = Snapdiff_obs.Metrics in
-  let path = Filename.temp_file "snapdiff_wal" ".log" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let before = Metrics.counter_value Metrics.global "wal.fsyncs" in
-      let log = Wal.create () in
-      ignore (Wal.append log (Record.Begin { txn = 1 }) : Wal.lsn);
-      Wal.save log path;
-      checki "save fsyncs once" (before + 1)
-        (Metrics.counter_value Metrics.global "wal.fsyncs");
-      (* The image is still loadable (fsync happens before close). *)
-      checki "image intact" 1 (Wal.record_count (Wal.load path)))
-
 (* Property: the file backend is byte-for-byte equivalent to the in-memory
    WAL — same appends give the same log, net changes, and redo result,
    including across truncation and close/reopen. *)
@@ -632,14 +602,12 @@ let suite =
     Alcotest.test_case "corrupt frame truncates" `Quick test_corrupt_frame_truncates;
     Alcotest.test_case "group commit batches commits" `Quick test_group_commit_batches_commits;
     Alcotest.test_case "truncate clamps last_lsn_for" `Quick test_truncate_then_last_lsn_for;
-    Alcotest.test_case "save counts real fsync" `Quick test_save_counts_real_fsync;
     Alcotest.test_case "record roundtrip" `Quick test_record_roundtrip;
     Alcotest.test_case "wal truncation" `Quick test_truncation;
     Alcotest.test_case "redo after truncation" `Quick test_redo_after_truncation_replays_suffix;
     Alcotest.test_case "record metadata" `Quick test_record_metadata;
     Alcotest.test_case "wal append/iter" `Quick test_wal_append_iter;
     Alcotest.test_case "wal read exact" `Quick test_wal_read_exact;
-    Alcotest.test_case "wal save/load" `Quick test_wal_save_load;
     Alcotest.test_case "redo committed state" `Quick test_redo_rebuilds_committed_state;
     Alcotest.test_case "redo unresolved tables" `Quick test_redo_skips_unresolved_tables;
     Alcotest.test_case "net changes full window" `Quick test_net_changes_full_window;
