@@ -1,35 +1,26 @@
 (** Cascaded snapshots: a snapshot derived from another snapshot.
 
     The paper: "snapshots can serve as base tables for other snapshots."
-    Rather than annotating the upstream snapshot (it is read-only), we
-    exploit a fact about the refresh protocol itself: {e the message stream
-    applied to a snapshot is a complete change feed over its contents}.  A
-    derived snapshot with its own restriction and projection is maintained
-    by transforming each upstream message:
+    The parent is read-only, so it carries no annotations; instead its
+    page table keeps every committed image it publishes immutable, and a
+    page no commit touched is shared by all the images since.  So a
+    child refreshes the way the paper's refresh does, by comparing what
+    it last saw with the table now, in address order, and sending what
+    changed:
 
-    - [Upsert]/[Entry] whose value satisfies the derived restriction pass
-      through (projected); one whose value does not becomes the
-      corresponding deletion ([Remove], or a [Region] covering the entry's
-      range-delete span);
-    - [Remove]/[Region]/[Tail]/[Clear] pass through unchanged — deletions
-      upstream are deletions downstream;
-    - [Snaptime] passes through: the derived snapshot is exactly as fresh
-      as its parent, and updates in lock-step with the parent's refreshes
-      at zero extra base-table cost.
+    - the child holds one pinned parent image, its {e held epoch}: a
+      {!Snapshot_table.read_txn} whose lease names [cascade:<child>];
+    - {!refresh} pins the parent's current committed image and diffs the
+      two ({!Version_store.diff}): it skips every page the two images
+      share and merges the rest by BaseAddr;
+    - each address whose restricted and projected row changed becomes an
+      [Upsert] or a [Remove], sent through one {!Refresh_msg.writer}
+      under a fresh epoch of the child's own, closed by the parent
+      image's [Snaptime].
 
     BaseAddrs are shared with the parent (and transitively with the
     original base table), so the derived snapshot is itself cascadable.
-
-    Messages travel framed under the parent's open epoch (raw only when
-    the parent applies raw), so the child commits exactly the parent's
-    epochs; one {!Refresh_msg.writer} per parent epoch batches their data
-    messages as a manager refresh stream does, at
-    {!Refresh_msg.default_batch_size}.  The child's link never fails the parent.  A child whose send
-    raised, or whose last committed epoch is not the parent's at a new
-    parent epoch's first message, gets that epoch's image instead of its
-    deltas — [Clear], the qualifying rows, the Snaptime, as {!attach}'s
-    initial sync sends them, less the [Clear] to its new, empty child —
-    and keeps its last committed image until then. *)
+    The parent's refresh does no work for its children. *)
 
 open Snapdiff_storage
 module Link = Snapdiff_net.Link
@@ -44,17 +35,31 @@ val attach :
   ?link:Link.t ->
   unit ->
   t
-(** Create the derived snapshot, initially synchronized with the parent's
-    current contents, and subscribe it to the parent's message stream;
-    from then on every parent refresh propagates through [link] (fresh
-    in-process link by default).  [restrict] and [projection] apply to the
-    {e parent's} (already projected) schema.  Raises [Invalid_argument] on
-    unknown projection columns. *)
+(** Create the derived snapshot, empty and holding no parent epoch, on
+    [link] (fresh in-process link by default).  Its first {!refresh} is
+    the same diff, against the empty image: it sends every qualifying
+    row.  [restrict] and [projection] apply to the {e parent's} (already
+    projected) schema.  Raises [Invalid_argument] on unknown projection
+    columns. *)
+
+val refresh : t -> Manager.refresh_report
+(** Bring the child to the parent's current committed image, in a
+    [refresh] trace span of its own.  Once the child commits, the new
+    image is the held epoch and the old pin is released.  A stream that
+    fails (the link goes down, a frame is lost or garbled) leaves the
+    child on its image and its held epoch, so the next refresh diffs
+    again from there; the report then counts one abort.
+    [entries_scanned] is the rows the diff compared, [data_messages] the
+    child rows it changed. *)
+
+val detach : t -> unit
+(** Release the held epoch's pin and lease, as when the child is
+    dropped.  A later {!refresh} diffs against the empty image. *)
+
+val held_epoch : t -> int
+(** The parent epoch the child holds; [-1] while it holds none. *)
 
 val table : t -> Snapshot_table.t
 (** The derived snapshot's table (queryable, indexable, cascadable). *)
 
 val link : t -> Link.t
-
-val messages_forwarded : t -> int
-(** Data messages handed to the child's stream since attach. *)

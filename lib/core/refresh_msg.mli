@@ -97,10 +97,10 @@ val decode_framed : bytes -> frame
 
 (** {1 The stream writer}
 
-    Every framed refresh stream — a manager refresh, a cascade's
-    forwarding, a query snapshot's re-evaluation — is sent through one
-    {!writer}, which owns the stream's sequence numbers, its batching and
-    its encode time. *)
+    Every framed refresh stream — a manager refresh, a cascade's diff
+    of its parent's epochs, a query snapshot's re-evaluation — is sent
+    through one {!writer}, which owns the stream's sequence numbers, its
+    batching and its encode time. *)
 
 val default_batch_size : int
 (** 64: a {!writer}'s [batch_size] when none is given. *)

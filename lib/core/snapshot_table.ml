@@ -56,7 +56,6 @@ type t = {
   (* An adopted snapshot's persisted records: writes an image over them. *)
   store : (Version_store.image -> unit) option;
   secondaries : (string, secondary) Hashtbl.t;  (* lowercased column name *)
-  mutable observers : (Refresh_msg.t -> unit) list;
   mutable time : Clock.ts;
   mutable stream : stream;
   mutable commits : int;
@@ -92,7 +91,6 @@ let make ?version_retain ?retain_duration ~name ~schema ~time store =
       user = schema;
       store;
       secondaries = Hashtbl.create 4;
-      observers = [];
       time;
       stream = Idle;
       commits = 0;
@@ -156,8 +154,6 @@ let on_pool ?(snaptime = Clock.never) ?version_retain ?retain_duration ~name ~sc
    sees.  They differ only while an epoch is open. *)
 let head t = Version_store.head t.versions
 let image t = Version_store.committed t.versions
-
-let open_image = head
 
 let flush t = Option.iter (fun write -> write (image t)) t.store
 
@@ -223,19 +219,9 @@ let clear t =
   Version_store.clear t.versions;
   Hashtbl.iter (fun _ sec -> Value_btree.clear sec.entries) t.secondaries
 
-let subscribe t f = t.observers <- t.observers @ [ f ]
-
-(* Observers hear each message just before it is applied: {!Cascade}'s
-   transformer reads the parent's previous state to decide what the
-   child needs. *)
-let notify t msg = List.iter (fun f -> f msg) t.observers
-
 (* Figure 4 for one message, on rows already checked against the schema;
    each row is decoded here, once. *)
 let rec replay t (msg : Refresh_msg.t) =
-  (* Unbatch before notifying: observers (cascades, message meters) see
-     the logical stream, never the transport coalescing. *)
-  (match msg with Batch _ -> () | _ -> notify t msg);
   match msg with
   | Batch ms -> List.iter (replay t) ms
   | Entry { addr; prev_qual; row } ->
@@ -337,15 +323,9 @@ let rec receive t ~decode_us ({ Refresh_msg.epoch; seq; msg } as frame) =
       | Some e -> drop (Printf.sprintf "malformed frame in epoch %d: %s" epoch e)
       | None -> (
         o.next_seq <- seq + 1;
-        (try
-           Trace.with_span "refresh.apply"
-             ~attrs:[ ("snapshot", t.snap_name); ("epoch", string_of_int epoch) ]
-             (fun () -> replay t msg)
-         with e ->
-           (* A raise from the replay or an observer surfaces at its frame. *)
-           let bt = Printexc.get_raw_backtrace () in
-           drop (Printf.sprintf "replay of epoch %d raised: %s" epoch (Printexc.to_string e));
-           Printexc.raise_with_backtrace e bt);
+        Trace.with_span "refresh.apply"
+          ~attrs:[ ("snapshot", t.snap_name); ("epoch", string_of_int epoch) ]
+          (fun () -> replay t msg);
         o.replay_us <- o.replay_us +. (Trace.now_us () -. t0);
         match msg with Refresh_msg.Snaptime ts -> commit t o ts | _ -> ()))
 
@@ -381,10 +361,9 @@ let open_epoch t = match t.stream with Open o -> Some o.epoch | Idle | Dropping 
 
 let get t base_addr = Version_store.find (image t) base_addr
 
-(* Traversals with no result list: the hot read paths — fleet readers,
-   the bench, and [tuples] below — go through these instead of
+(* A traversal with no result list: the hot read paths — fleet readers,
+   the bench, and [tuples] below — go through it instead of
    materializing [contents]' O(n) assoc list per read. *)
-let iter t f = Version_store.iter (image t) f
 let fold t ~init ~f = Version_store.fold (image t) ~init ~f
 
 let contents t =
@@ -408,16 +387,18 @@ let set_retention_policy t p = Horizon.set_policy t.horizon p
    for its lifetime, so the epoch floor reflects open readers — the
    fleet's [set_pinned_reads] transactions come through here and are
    lease-holders for free. *)
-let lease_txn t tx =
+let lease_txn ?holder t tx =
   let lease =
-    Horizon.acquire t.horizon ~kind:Lease.Pinned_read ~holder:t.snap_name
+    Horizon.acquire t.horizon ~kind:Lease.Pinned_read
+      ~holder:(Option.value holder ~default:t.snap_name)
       ~epoch:(Version_store.txn_epoch tx) ()
   in
   { rt_table = t; rt_txn = tx; rt_lease = lease }
 
-let read_txn ?epoch t = Option.map (lease_txn t) (Version_store.pin ?epoch t.versions)
+let read_txn ?epoch ?holder t =
+  Option.map (lease_txn ?holder t) (Version_store.pin ?epoch t.versions)
 
-let read_txn_exn ?epoch t = lease_txn t (Version_store.pin_exn ?epoch t.versions)
+let read_txn_exn ?epoch ?holder t = lease_txn ?holder t (Version_store.pin_exn ?epoch t.versions)
 
 let release_txn rt =
   Version_store.release rt.rt_txn;

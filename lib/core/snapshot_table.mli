@@ -89,16 +89,13 @@ val count : t -> int
 val apply : t -> Refresh_msg.t -> unit
 (** Immediate application of a raw message, outside any epoch; an open
     epoch is aborted first.  A row that does not match the schema raises
-    [Invalid_argument], and nothing of the message is stored.  An
-    observer that raises stops the message before it is applied. *)
+    [Invalid_argument], and nothing of the message is stored. *)
 
 val apply_bytes : t -> bytes -> unit
 (** The receiver installed on the network link.  A raw message is decoded
     and applied ({!apply}); a frame joins its epoch (below).  Bytes that
     decode to no frame never raise: inside an epoch they abort it, and
-    with none open they abort the epoch whose frames come next.  A raise
-    from a frame's replay or from an observer aborts the epoch and
-    surfaces here. *)
+    with none open they abort the epoch whose frames come next. *)
 
 (** {1 Atomic stream application}
 
@@ -109,12 +106,12 @@ val apply_bytes : t -> bytes -> unit
     types, NOT NULL) and replayed into the open root at once, and the
     {!Refresh_msg.Snaptime} marker publishes the epoch.  A sequence gap,
     a bad checksum, undecodable bytes, a malformed row, a frame of
-    another epoch, raw bytes inside the stream, {!abort_stream}, or a
-    raise from a replay or an observer aborts the epoch at once: the
+    another epoch, raw bytes inside the stream or {!abort_stream} aborts
+    the epoch at once: the
     table returns to the sealed image, the secondary indexes are rebuilt
     from it, and the epoch's remaining frames are dropped.  Until the
     marker every public read — {!get}, {!contents}, {!tuples}, {!count},
-    {!iter}, {!fold}, {!high_water}, {!lookup}, {!lookup_range},
+    {!fold}, {!high_water}, {!lookup}, {!lookup_range},
     {!flush} — sees the last committed image. *)
 
 val abort_stream : t -> reason:string -> unit
@@ -122,11 +119,6 @@ val abort_stream : t -> reason:string -> unit
 
 val open_epoch : t -> int option
 (** The epoch whose frames are being applied, if one is open. *)
-
-val open_image : t -> Version_store.image
-(** The open root: inside an epoch, the committed image with the frames
-    applied so far.  Only the Figure 4 replay and {!Cascade}, from an
-    observer, read it. *)
 
 val epochs_committed : t -> int
 
@@ -164,15 +156,13 @@ val get : t -> Addr.t -> Tuple.t option
 
 val contents : t -> (Addr.t * Tuple.t) list
 (** (BaseAddr, tuple) in BaseAddr order.  Materializes an O(n) list;
-    prefer {!iter}/{!fold} on hot paths. *)
+    prefer {!fold} on hot paths. *)
 
 val tuples : t -> Tuple.t list
 
-val iter : t -> (Addr.t -> Tuple.t -> unit) -> unit
-(** BaseAddr-ascending traversal with no result allocation.  The callback
-    must not mutate the table. *)
-
 val fold : t -> init:'a -> f:('a -> Addr.t -> Tuple.t -> 'a) -> 'a
+(** BaseAddr-ascending traversal with no result list.  The callback must
+    not mutate the table. *)
 
 val high_water : t -> Addr.t
 (** Largest BaseAddr held, {!Addr.zero} if empty (input to the
@@ -200,22 +190,6 @@ val lookup : t -> column:string -> Value.t -> Addr.t list
 val lookup_range :
   t -> column:string -> ?lo:Value.t -> ?hi:Value.t -> unit -> Addr.t list
 
-(** {1 Message-stream subscription}
-
-    "[Snapshots] can serve as base tables for other snapshots": the applied
-    message stream of this snapshot is exactly a change feed over its
-    contents, which {!Cascade} transforms into the refresh stream of a
-    derived snapshot. *)
-
-val subscribe : t -> (Refresh_msg.t -> unit) -> unit
-(** The callback hears each message just before it is applied, raw or
-    framed (pre-apply: {!Cascade} decides from {!open_image} what its
-    child needs), with batches unpacked.  A framed message is heard as
-    its frame arrives, so an observer may hear part of an epoch that
-    later aborts; an aborted epoch's Snaptime never reaches it, and
-    {!open_epoch} names the epoch being heard.  An observer that raises
-    aborts the epoch, and the exception surfaces at that frame. *)
-
 (** {1 Versioned reads}
 
     Each committed framed stream publishes an immutable version of the
@@ -227,16 +201,17 @@ val subscribe : t -> (Refresh_msg.t -> unit) -> unit
 
 type read_txn
 
-val read_txn : ?epoch:int -> t -> read_txn option
+val read_txn : ?epoch:int -> ?holder:string -> t -> read_txn option
 (** Pin the given retained epoch (default: the latest version).  A pin
     reads the image of its pin time: raw {!apply} calls after it do not
     reach it, and a pin taken during a commit reads the pre-commit image.
     [None] if that epoch is not retained.  Release with {!release_txn}.  The
     transaction holds a {!Lease.Pinned_read} lease on the snapshot's
     {!horizon} for its lifetime, so vacuum and ring eviction see every
-    open reader. *)
+    open reader; [holder] (default: the snapshot's name) names the
+    reader on that lease. *)
 
-val read_txn_exn : ?epoch:int -> t -> read_txn
+val read_txn_exn : ?epoch:int -> ?holder:string -> t -> read_txn
 (** {!read_txn}, but a miss raises {!Version_store.Epoch_not_retained}
     with the requested epoch and the retained range — the surface the
     SQL [AS OF] path reports as a clean error. *)

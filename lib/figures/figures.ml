@@ -593,14 +593,16 @@ let wire_ablation ?(seed = 37) ?(n = 10_000) ?(u = 0.05) () =
 type cascade_row = {
   fanout : int;  (** cascaded children per parent *)
   parent_msgs : int;  (** parent refresh data messages *)
-  cascade_msgs_total : int;  (** forwarded to all children *)
+  cascade_msgs_total : int;  (** sent to all children *)
   independent_msgs_total : int;
       (** the same children defined directly on the base table instead *)
+  children_faithful : bool;
+      (** each child = the restriction of its parent's committed image *)
 }
 
 (* Cascading children off a parent snapshot versus defining each child as
-   its own snapshot on the base table: the cascade forwards a (filtered)
-   copy of the parent's stream and costs the base table nothing extra. *)
+   its own snapshot on the base table: each child diffs two images of the
+   parent and costs the base table nothing extra. *)
 let cascade_ablation ?(seed = 31) ?(n = 5_000) ?(u = 0.1) () =
   let module Manager = Snapdiff_core.Manager in
   let module Cascade = Snapdiff_core.Cascade in
@@ -623,20 +625,26 @@ let cascade_ablation ?(seed = 31) ?(n = 5_000) ?(u = 0.1) () =
       (Manager.create_snapshot mgr ~name:"parent" ~base:"emp"
          ~restrict:(Workload.restrict_fraction 0.5) ~method_:Manager.Differential ()
         : Manager.refresh_report);
+    let parent = Manager.snapshot_table mgr "parent" in
     let children =
       List.init fanout (fun i ->
-          Cascade.attach
-            ~upstream:(Manager.snapshot_table mgr "parent")
-            ~name:(Printf.sprintf "c%d" i) ~restrict:(child_restrict i) ())
+          Cascade.attach ~upstream:parent ~name:(Printf.sprintf "c%d" i)
+            ~restrict:(child_restrict i) ())
     in
-    let forwarded_before =
-      List.fold_left (fun acc c -> acc + Cascade.messages_forwarded c) 0 children
+    let refresh_children () =
+      List.fold_left (fun acc c -> acc + (Cascade.refresh c).Manager.data_messages) 0 children
     in
+    ignore (refresh_children () : int);
     ignore (Workload.update_fraction base ~rng ~u ~mix:Workload.payload_updates_only : int);
     let parent_report = Manager.refresh mgr "parent" in
-    let cascade_msgs_total =
-      List.fold_left (fun acc c -> acc + Cascade.messages_forwarded c) 0 children
-      - forwarded_before
+    let cascade_msgs_total = refresh_children () in
+    let children_faithful =
+      List.for_all
+        (fun (i, c) ->
+          Snapshot_table.contents (Cascade.table c)
+          = List.filter (fun (_, t) -> child_restrict i t) (Snapshot_table.contents parent)
+          && Cascade.held_epoch c = Snapshot_table.last_committed_epoch parent)
+        (List.mapi (fun i c -> (i, c)) children)
     in
     (* Independent setup: same children directly on the base. *)
     let clock2 = Clock.create () in
@@ -675,6 +683,7 @@ let cascade_ablation ?(seed = 31) ?(n = 5_000) ?(u = 0.1) () =
       parent_msgs = parent_report.Manager.data_messages;
       cascade_msgs_total;
       independent_msgs_total;
+      children_faithful;
     }
   in
   List.map run [ 1; 2; 4; 8 ]
@@ -761,19 +770,21 @@ let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
         : Manager.refresh_report);
     let link = Manager.snapshot_link mgr "s" in
     Link.reset_stats link;
-    (* A cascade child of [s]; its link runs the same plan on another
-       seed, translated at the child's own framing: a cascade batches at
-       the default size whatever its parent's. *)
+    (* A cascade child of [s], refreshed after each round's parent
+       refresh; its link runs the same plan on another seed, translated
+       at the child's own framing: a cascade batches at the default size
+       whatever its parent's. *)
     let even_qual t = match t.(2) with Snapdiff_storage.Value.Int q -> Int64.rem q 2L = 0L | _ -> false in
     let child =
       Cascade.attach ~upstream:(Manager.snapshot_table mgr "s") ~name:"c" ~restrict:even_qual ()
     in
+    ignore (Cascade.refresh child : Manager.refresh_report);
     let attempts = ref 0 and aborted = ref 0 and escal = ref 0 and failed = ref 0 in
     for round = 1 to rounds do
       ignore (Workload.update_fraction base ~rng ~u:0.02 ~mix:Workload.churn : int);
       arm link ~seed ~batch:fault_batch ~round;
       arm (Cascade.link child) ~seed:(seed + 1000) ~batch:Refresh_msg.default_batch_size ~round;
-      match Manager.refresh mgr "s" with
+      (match Manager.refresh mgr "s" with
       | r ->
         attempts := !attempts + r.Manager.attempts;
         aborted := !aborted + r.Manager.aborts;
@@ -781,7 +792,8 @@ let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
       | exception Manager.Refresh_failed { attempts = a; _ } ->
         attempts := !attempts + a;
         aborted := !aborted + a;
-        incr failed
+        incr failed);
+      ignore (Cascade.refresh child : Manager.refresh_report)
     done;
     let st = Link.stats link in
     let wire_messages = st.Link.messages in
@@ -793,6 +805,7 @@ let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
     Link.clear_faults link;
     Link.clear_faults (Cascade.link child);
     ignore (Manager.refresh mgr "s" : Manager.refresh_report);
+    ignore (Cascade.refresh child : Manager.refresh_report);
     let restrict = Eval.compile Workload.schema (Workload.restrict_fraction q) in
     let expected = List.filter (fun (_, u) -> restrict u) (Base_table.to_user_list base) in
     let snap = Manager.snapshot_table mgr "s" in
@@ -811,7 +824,7 @@ let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
         Snapshot_table.contents snap = expected
         && Snapshot_table.validate snap = Ok ()
         && Snapshot_table.contents (Cascade.table child) = List.filter (fun (_, t) -> even_qual t) expected
-        && Snapshot_table.last_committed_epoch (Cascade.table child) = Snapshot_table.last_committed_epoch snap;
+        && Cascade.held_epoch child = Snapshot_table.last_committed_epoch snap;
     }
   in
   let per_frame p ~batch = 1.0 -. ((1.0 -. p) ** float_of_int batch) in

@@ -128,14 +128,19 @@ val wire_ablation : ?seed:int -> ?n:int -> ?u:float -> unit -> wire_row list
 type cascade_row = {
   fanout : int;
   parent_msgs : int;
-  cascade_msgs_total : int;
+  cascade_msgs_total : int;  (** data messages the children's refreshes sent *)
   independent_msgs_total : int;
+  children_faithful : bool;
+      (** each child equals the restriction of its parent's committed
+          image, at the parent's last epoch *)
 }
 
 val cascade_ablation : ?seed:int -> ?n:int -> ?u:float -> unit -> cascade_row list
 (** Cascading N children off one parent snapshot vs defining each child
     directly on the base table: the cascade costs one base-table scan
-    total (the parent's), while independent children each pay their own. *)
+    total (the parent's), while independent children each pay their own.
+    Each child refreshes by diffing the parent's image before and after
+    the parent's refresh. *)
 
 type skew_row = {
   theta : float;
@@ -162,7 +167,10 @@ type faults_row = {
   faults_hit : int;
       (** frames the plan actually dropped, garbled or failed; an armed
           plan with none tested nothing *)
-  converged : bool;  (** faithful image after one refresh on a healed line *)
+  converged : bool;
+      (** faithful image after one refresh on a healed line, and the
+          cascade child's held parent epoch is the parent's last
+          committed epoch *)
 }
 
 val faults_ablation :

@@ -79,6 +79,10 @@ type txn = { tx_store : t; tx_version : version; tx_root : image; mutable tx_pin
 
 let empty_dir gen = { dgen = gen; n = 0; pids = [||]; pages = [||] }
 
+let no_page = { gen = -1; len = 0; addrs = [||]; rows = [||] }
+
+let empty = { dir = empty_dir (-1); rows = 0; span = 64 }
+
 let create ?(retain = 1) ?(page_span = 64) () =
   if page_span < 1 then invalid_arg "Version_store.create: page_span < 1";
   let empty = { dir = empty_dir (-1); rows = 0; span = page_span } in
@@ -177,16 +181,26 @@ let fold (r : image) ~init ~f =
   iter r (fun a tup -> acc := f !acc a tup);
   !acc
 
-let exists_in_range (r : image) ?(lo = min_int) ?(hi = max_int) ~f () =
-  let d = r.dir in
-  let rec pages i =
-    i < d.n
-    &&
-    let pg = d.pages.(i) in
-    let rec rows j = j < pg.len && pg.addrs.(j) <= hi && (f pg.rows.(j) || rows (j + 1)) in
-    pg.addrs.(0) <= hi && (rows (lower_bound pg.addrs pg.len lo) || pages (i + 1))
+(* The first [na] and [nb] keys of two ascending arrays, merged: [on i j]
+   for each key, [i] and [j] its slots, [-1] on the side that lacks it. *)
+let merge ka na kb nb on =
+  let rec go i j =
+    if i < na && (j >= nb || ka.(i) < kb.(j)) then (on i (-1); go (i + 1) j)
+    else if j < nb && (i >= na || kb.(j) < ka.(i)) then (on (-1) j; go i (j + 1))
+    else if i < na then (on i j; go (i + 1) (j + 1))
   in
-  pages (lower_bound d.pids d.n (pid_of r.span lo))
+  go 0 0
+
+(* The directories merged by pid, then each page that the roots do not
+   share merged by address. *)
+let diff (a : image) (b : image) f =
+  let page (r : image) i = if i < 0 then no_page else r.dir.pages.(i) in
+  let row (pg : pg) k = if k < 0 then None else Some pg.rows.(k) in
+  merge a.dir.pids a.dir.n b.dir.pids b.dir.n (fun i j ->
+      let pa = page a i and pb = page b j in
+      if pa != pb then
+        merge pa.addrs pa.len pb.addrs pb.len (fun k l ->
+            f (if k < 0 then pb.addrs.(l) else pa.addrs.(k)) (row pa k) (row pb l)))
 
 (* A page's encoded size, [8 + Tuple.encoded_size row] per row: computed
    on demand, so an edit never reads the row it replaces. *)
@@ -256,8 +270,6 @@ let insert a n i x =
 let remove a n i fill =
   Array.blit a (i + 1) a i (n - i - 1);
   a.(n - 1) <- fill
-
-let no_page = { gen = -1; len = 0; addrs = [||]; rows = [||] }
 
 (* Edits outside a commit can race a pin of the head, which seals the
    open root, so they hold the lock.  Inside a commit a pin lands on the

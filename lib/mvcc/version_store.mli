@@ -138,9 +138,16 @@ val iter : image -> (Addr.t -> Tuple.t -> unit) -> unit
 
 val fold : image -> init:'a -> f:('a -> Addr.t -> Tuple.t -> 'a) -> 'a
 
-val exists_in_range : image -> ?lo:Addr.t -> ?hi:Addr.t -> f:(Tuple.t -> bool) -> unit -> bool
-(** Does any row with BaseAddr in the (inclusive) range satisfy [f]?
-    Early-exiting. *)
+val empty : image
+(** The root of no rows. *)
+
+val diff : image -> image -> (Addr.t -> Tuple.t option -> Tuple.t option -> unit) -> unit
+(** [diff a b f] walks the two roots' page directories in pid order and
+    skips each page they share physically (a page no commit between them
+    copied).  On every other page it merges the two sides' rows by
+    address and calls [f addr in_a in_b] for each address either holds,
+    ascending, with [None] on the side that lacks it.  [diff empty b]
+    visits every row of [b]. *)
 
 val page_table : image -> (int * page * int) list
 (** The non-empty pages, ascending pid, each with its encoded size

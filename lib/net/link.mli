@@ -32,8 +32,6 @@ type stats = {
   injected_failures : int;  (** fault plan: outages surfaced as {!Link_down} *)
 }
 
-val zero_stats : stats
-
 val add_stats : stats -> stats -> stats
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -625,25 +625,28 @@ let cascade_children t name =
       else acc)
     t.cascades []
 
-let rec refresh_by_name t name =
-  if is_manager_snapshot t name then Manager.refresh t.mgr name
-  else
-    match Hashtbl.find_opt t.query_snaps (key name) with
-    | Some qs -> populate_query_snapshot t qs
-    | None -> (
-      match Hashtbl.find_opt t.cascades (key name) with
-      | Some cs ->
-        (* Cascades update with their parent: refresh the chain's root and
-           report what this snapshot's own stream carried.  It scans
-           nothing. *)
-        let c = cs.cs_cascade and table = Cascade.table cs.cs_cascade in
-        let since = Link.stats (Cascade.link c) and forwarded = Cascade.messages_forwarded c in
-        let root_report = refresh_by_name t (cascade_root t name) in
-        Manager.make_report ~snapshot:(Snapshot_table.name table) root_report.Manager.method_used
-          ~new_snaptime:(Snapshot_table.snaptime table) ~entries_scanned:0
-          ~data_messages:(Cascade.messages_forwarded c - forwarded)
-          ~link:(Cascade.link c) ~since
-      | None -> err "unknown snapshot %s" name)
+(* Refresh [name], then its cascade descendants, parents first: their
+   reports in that order. *)
+let rec refresh_tree t name =
+  let report =
+    if is_manager_snapshot t name then Manager.refresh t.mgr name
+    else
+      match Hashtbl.find_opt t.query_snaps (key name) with
+      | Some qs -> populate_query_snapshot t qs
+      | None -> (
+        match Hashtbl.find_opt t.cascades (key name) with
+        | Some cs -> Cascade.refresh cs.cs_cascade
+        | None -> err "unknown snapshot %s" name)
+  in
+  report :: List.concat_map (refresh_tree t) (cascade_children t name)
+
+(* Cascaded snapshots refresh with their parent: refreshing one refreshes
+   its chain's root and everything below it, and reports its own
+   stream. *)
+let refresh_by_name t name =
+  List.find
+    (fun r -> key r.Manager.snapshot = key name)
+    (refresh_tree t (cascade_root t name))
 
 let execute t (stmt : Ast.stmt) =
   match stmt with
@@ -798,8 +801,8 @@ let execute t (stmt : Ast.stmt) =
       | exception Manager.Duplicate_name n -> err "%s already exists" n
       | exception Manager.Bad_definition m -> err "%s" m)
     | [ s ] when find_snapshot t s <> None -> (
-      (* Snapshot over a snapshot: cascade off the parent's message
-         stream. *)
+      (* Snapshot over a snapshot: a cascade, refreshed by diffing the
+         parent's epochs. *)
       if method_ <> Ast.Auto then
         err "cascaded snapshots refresh with their parent; omit the REFRESH clause";
       if retain <> None then err "RETAIN is not supported on cascaded snapshots";
@@ -818,12 +821,7 @@ let execute t (stmt : Ast.stmt) =
       | cascade ->
         Hashtbl.replace t.cascades (key snapshot)
           { cs_parent = s; cs_cascade = cascade; cs_columns = columns; cs_where = where };
-        Refreshed
-          (Manager.make_report ~snapshot Manager.Used_full
-             ~new_snaptime:(Snapshot_table.snaptime (Cascade.table cascade))
-             ~entries_scanned:(Snapshot_table.count parent)
-             ~data_messages:(Cascade.messages_forwarded cascade)
-             ~link:(Cascade.link cascade) ~since:Link.zero_stats)
+        Refreshed (Cascade.refresh cascade)
       | exception Invalid_argument m -> err "%s" m)
     | [ b ] -> err "unknown table %s" b
     | many ->
@@ -871,11 +869,13 @@ let execute t (stmt : Ast.stmt) =
     if is_manager_snapshot t snapshot then Manager.drop_snapshot t.mgr snapshot
     else if Hashtbl.mem t.query_snaps (key snapshot) then
       Hashtbl.remove t.query_snaps (key snapshot)
-    else if Hashtbl.mem t.cascades (key snapshot) then
-      (* The parent keeps a dead observer; its messages go to a dropped
-         table, which is harmless in this in-process setting. *)
-      Hashtbl.remove t.cascades (key snapshot)
-    else err "unknown snapshot %s" snapshot;
+    else (
+      match Hashtbl.find_opt t.cascades (key snapshot) with
+      | Some cs ->
+        (* Its held parent epoch goes with it. *)
+        Cascade.detach cs.cs_cascade;
+        Hashtbl.remove t.cascades (key snapshot)
+      | None -> err "unknown snapshot %s" snapshot);
     Dropped snapshot
   | Ast.Show_tables ->
     let names =
@@ -1087,11 +1087,11 @@ let execute t (stmt : Ast.stmt) =
               Printf.sprintf "snapshot:     %s" snapshot;
               Printf.sprintf "cascaded from: %s (root %s)" cs.cs_parent
                 (cascade_root t snapshot);
-              "method:       message-stream transformation; refreshes with its parent";
+              "method:       diff of the parent's epochs; refreshes with its parent";
               Printf.sprintf "rows:         %d" (Snapshot_table.count tbl);
               Printf.sprintf "snaptime:     %d" (Snapshot_table.snaptime tbl);
-              Printf.sprintf "forwarded:    %d data msgs since attach"
-                (Cascade.messages_forwarded cs.cs_cascade);
+              Printf.sprintf "held epoch:   %d of %s" (Cascade.held_epoch cs.cs_cascade)
+                cs.cs_parent;
             ]
         | None -> err "unknown snapshot %s" snapshot))
 

@@ -181,19 +181,21 @@ let run_interleaved_refresh ~mode () =
   checki "lock table drained" 0 (Lock.lock_count lm);
   ignore (Manager.refresh m "s" : Manager.refresh_report);
   checkb "and after one quiescent refresh" true (faithful m "s" base threshold);
-  (* The same base refreshed monolithically: the snapshot hears each
-     message inside the refresh, and an updater tried there is refused. *)
+  (* The same base refreshed monolithically: the snapshot's link hears
+     each frame inside the refresh, and an updater tried there is
+     refused. *)
   let mono, mbase, _wal = setup ~mode ~chunk_entries:max_int ~threshold () in
   List.iter
     (fun (p, addr) -> Base_table.update mbase addr (emp "pre" (p mod threshold)))
     (row_per_page mbase);
   let tries = ref 0 and mono_granted = ref 0 in
-  Snapshot_table.subscribe (Manager.snapshot_table mono "s") (fun _ ->
+  Snapdiff_net.Link.attach (Manager.snapshot_link mono "s") (fun frame ->
       List.iter
         (fun (_, addr) ->
           incr tries;
           if locked_update mono mbase ~addr (emp "mid" threshold) then incr mono_granted)
-        (row_per_page mbase));
+        (row_per_page mbase);
+      Snapshot_table.apply_bytes (Manager.snapshot_table mono "s") frame);
   let rm = Manager.refresh mono "s" in
   checki "monolithic refresh ran in one chunk" 0 rm.Manager.chunks;
   checkb "updaters were tried inside the monolithic refresh" true (!tries > 0);

@@ -101,59 +101,110 @@ let cascade_setup () =
       ~restrict:(fun t -> salary t < 8)
       ~projection:[ "name" ] ()
   in
+  ignore (Cascade.refresh casc : Manager.refresh_report);
   (base, m, parent, casc)
 
 let names_of table =
   List.map (fun t -> Value.to_string (Tuple.get t 0)) (Snapshot_table.tuples table)
 
+let find_emp base name =
+  fst (List.find (fun (_, u) -> Tuple.get u 0 = Value.str name) (Base_table.to_user_list base))
+
+(* The child equals the restriction and projection of its parent's
+   committed image, and holds the parent's last epoch. *)
+let check_faithful what parent casc =
+  let restricted =
+    List.filter_map
+      (fun (a, t) -> if salary t < 8 then Some (a, Tuple.make [ Tuple.get t 0 ]) else None)
+      (Snapshot_table.contents parent)
+  in
+  checkb what true (Snapshot_table.contents (Cascade.table casc) = restricted);
+  checki (what ^ ": holds the parent's last epoch") (Snapshot_table.last_committed_epoch parent)
+    (Cascade.held_epoch casc)
+
 let test_cascade_initial_sync () =
-  let _, _, _, casc = cascade_setup () in
+  let _, _, parent, casc = cascade_setup () in
   Alcotest.(check (list string)) "initial" [ "'Jack'" ] (names_of (Cascade.table casc));
-  (* The new child is empty: the sync sends its one row and the Snaptime,
-     and no Clear. *)
+  (* The new child is empty: the diff against the empty image sends its
+     one row and the Snaptime, and no Clear. *)
   checki "one row and the Snaptime" 2
     (Snapdiff_net.Link.stats (Cascade.link casc)).Snapdiff_net.Link.messages;
   checkb "projected to one column" true
-    (List.for_all (fun t -> Array.length t = 1) (Snapshot_table.tuples (Cascade.table casc)))
+    (List.for_all (fun t -> Array.length t = 1) (Snapshot_table.tuples (Cascade.table casc)));
+  check_faithful "synchronized" parent casc
 
 let test_cascade_tracks_parent_refreshes () =
   let base, m, parent, casc = cascade_setup () in
-  let find name =
-    fst (List.find (fun (_, u) -> Tuple.get u 0 = Value.str name) (Base_table.to_user_list base))
-  in
   (* Paul drops to 5 (enters cascade), Jack rises to 9 (leaves cascade but
      stays in parent), Mohan leaves both. *)
-  Base_table.update base (find "Paul") (emp "Paul" 5);
-  Base_table.update base (find "Jack") (emp "Jack" 9);
-  Base_table.update base (find "Mohan") (emp "Mohan" 20);
-  (* Cascade updates in lock-step with the PARENT's refresh. *)
-  Alcotest.(check (list string)) "stale before parent refresh" [ "'Jack'" ]
-    (names_of (Cascade.table casc));
+  Base_table.update base (find_emp base "Paul") (emp "Paul" 5);
+  Base_table.update base (find_emp base "Jack") (emp "Jack" 9);
+  Base_table.update base (find_emp base "Mohan") (emp "Mohan" 20);
   ignore (Manager.refresh m "lowpay" : Manager.refresh_report);
   Alcotest.(check (list string)) "parent state" [ "'Hamid'"; "'Jack'"; "'Paul'" ]
     (List.sort compare (names_of parent));
+  (* The parent's refresh does no work for the child: it stays on its
+     held epoch until its own refresh. *)
+  Alcotest.(check (list string)) "unchanged until its own refresh" [ "'Jack'" ]
+    (names_of (Cascade.table casc));
+  let r = Cascade.refresh casc in
   Alcotest.(check (list string)) "cascade state" [ "'Paul'" ] (names_of (Cascade.table casc));
+  checki "Jack's Remove and Paul's Upsert" 2 r.Manager.data_messages;
+  checkb "the diff compared the parent's copied page" true
+    (r.Manager.entries_scanned > 0 && r.Manager.entries_scanned <= 2 * 64);
   checki "snaptime inherited" (Snapshot_table.snaptime parent)
     (Snapshot_table.snaptime (Cascade.table casc));
   checkb "valid" true (Snapshot_table.validate (Cascade.table casc) = Ok ());
-  (* A parent epoch that forwards k > 64 data messages reaches the child
-     in ceil(k/64) batch frames and its Snaptime, as the parent's own
+  check_faithful "after the refresh" parent casc;
+  (* A refresh that sends k > 64 data messages reaches the child in
+     ceil(k/64) batch frames and its Snaptime, as a manager refresh's
      stream is framed. *)
   let module Link = Snapdiff_net.Link in
-  let link = Cascade.link casc in
-  let before = Link.stats link and forwarded = Cascade.messages_forwarded casc in
   for i = 1 to 100 do
     ignore (Base_table.insert base (emp (Printf.sprintf "n%d" i) 1) : Addr.t)
   done;
   ignore (Manager.refresh m "lowpay" : Manager.refresh_report);
-  let after = Link.stats link and k = Cascade.messages_forwarded casc - forwarded in
-  checkb "more than one batch forwarded" true (k > Refresh_msg.default_batch_size);
+  let r = Cascade.refresh casc and k = 100 in
+  checki "one message per new row" k r.Manager.data_messages;
   checki "ceil(k/64) data frames and the Snaptime"
     (((k + Refresh_msg.default_batch_size - 1) / Refresh_msg.default_batch_size) + 1)
-    (after.Link.messages - before.Link.messages);
-  checki "every forwarded message counted" (k + 1)
-    (after.Link.logical_messages - before.Link.logical_messages);
+    r.Manager.link_messages;
+  checki "every sent message counted" (k + 1) r.Manager.link_logical_messages;
   checki "all arrived" 101 (Snapshot_table.count (Cascade.table casc))
+
+(* One update in a 5,000-row parent: the diff skips every page the two
+   images share, so it compares the rows of the one copied page, and
+   sends one message only if the child's row changed. *)
+let test_cascade_diff_reads_copied_pages () =
+  let clock = Clock.create () in
+  let base = Base_table.create ~name:"emp" ~clock emp_schema in
+  let m = Manager.create () in
+  Manager.register_base m base;
+  let addrs =
+    Array.init 5_000 (fun i -> Base_table.insert base (emp (Printf.sprintf "e%d" i) (i mod 10)))
+  in
+  ignore
+    (Manager.create_snapshot m ~name:"all" ~base:"emp" ~method_:Manager.Differential ()
+      : Manager.refresh_report);
+  let parent = Manager.snapshot_table m "all" in
+  let casc = Cascade.attach ~upstream:parent ~name:"low" ~restrict:(fun t -> salary t < 5) () in
+  let r = Cascade.refresh casc in
+  checki "attach compares every parent row" 5_000 r.Manager.entries_scanned;
+  checki "and sends each child row" 2_500 r.Manager.data_messages;
+  let step what addr row ~sent =
+    Base_table.update base addr row;
+    ignore (Manager.refresh m "all" : Manager.refresh_report);
+    let r = Cascade.refresh casc in
+    checkb (what ^ ": the rows of the copied page only") true
+      (r.Manager.entries_scanned > 0 && r.Manager.entries_scanned <= 2 * 64);
+    checki (what ^ ": the child-visible changes") sent r.Manager.data_messages;
+    checkb (what ^ ": child = restriction of parent") true
+      (Snapshot_table.contents (Cascade.table casc)
+      = List.filter (fun (_, t) -> salary t < 5) (Snapshot_table.contents parent))
+  in
+  step "a child row changes" addrs.(1_234) (emp "moved" 3) ~sent:1;
+  step "a row the child does not hold" addrs.(1_239) (emp "hidden" 9) ~sent:0;
+  step "a row leaves the child" addrs.(4_001) (emp "gone" 7) ~sent:1
 
 let test_cascade_of_cascade () =
   let base, m, _, casc = cascade_setup () in
@@ -162,99 +213,123 @@ let test_cascade_of_cascade () =
       ~restrict:(fun t -> Tuple.get t 0 <> Value.str "Jack")
       ()
   in
+  ignore (Cascade.refresh level2 : Manager.refresh_report);
   checki "initially empty (only Jack qualified upstream)" 0
     (Snapshot_table.count (Cascade.table level2));
-  let find name =
-    fst (List.find (fun (_, u) -> Tuple.get u 0 = Value.str name) (Base_table.to_user_list base))
-  in
-  Base_table.update base (find "Paul") (emp "Paul" 3);
+  Base_table.update base (find_emp base "Paul") (emp "Paul" 3);
   ignore (Manager.refresh m "lowpay" : Manager.refresh_report);
+  ignore (Cascade.refresh casc : Manager.refresh_report);
+  ignore (Cascade.refresh level2 : Manager.refresh_report);
   Alcotest.(check (list string)) "propagated two levels" [ "'Paul'" ]
-    (names_of (Cascade.table level2))
+    (names_of (Cascade.table level2));
+  checki "level 2 holds its parent's last epoch"
+    (Snapshot_table.last_committed_epoch (Cascade.table casc))
+    (Cascade.held_epoch level2)
 
-(* The child's link fails part way through a parent's framed epoch.  The
-   child's outage never fails the parent: each parent refresh commits at
-   its first attempt while the child keeps its last committed image.
-   Once the link is back, the cascade sees the child's last commit lag
-   the parent's and sends it the parent's image at the next epoch's
-   Snaptime, so the child equals the restriction of its parent again: a
-   row the child got inside the aborted epoch is gone. *)
+(* The child's link fails part way through its stream.  The child keeps
+   its committed image and its held parent epoch, and the parent's
+   refreshes go on committing; once the link is back, the next refresh
+   diffs from the held epoch and sends exactly the rows that changed
+   since, not the parent's whole image. *)
 let test_cascade_link_down_mid_commit () =
   let base, m, parent, casc = cascade_setup () in
   let child = Cascade.table casc in
   let link = Cascade.link casc in
-  let find name =
-    fst (List.find (fun (_, u) -> Tuple.get u 0 = Value.str name) (Base_table.to_user_list base))
-  in
-  let restricted () =
-    List.filter_map
-      (fun (a, t) -> if salary t < 8 then Some (a, Tuple.make [ Tuple.get t 0 ]) else None)
-      (Snapshot_table.contents parent)
-  in
-  let agrees what =
-    checkb what true (Snapshot_table.contents child = restricted ());
-    checki (what ^ ": same last epoch") (Snapshot_table.last_committed_epoch parent)
-      (Snapshot_table.last_committed_epoch child)
-  in
-  (* One parent refresh: it commits at its first attempt, one epoch on. *)
-  let refresh () =
+  let module Link = Snapdiff_net.Link in
+  let refresh_parent () =
     let e = Snapshot_table.last_committed_epoch parent in
     let r = Manager.refresh m "lowpay" in
     checki "the parent commits at its first attempt" 1 r.Manager.attempts;
     checki "the parent's epoch advances by one" (e + 1) (Snapshot_table.last_committed_epoch parent)
   in
-  (* Paul enters the child; once his row is forwarded, the link fails
-     every send after the next one, through two refreshes.  His row waits
-     in the cascade's batch until the epoch's Snaptime flushes it, so that
-     next send is the frame that carries him. *)
-  Base_table.update base (find "Paul") (emp "Paul" 5);
-  let armed = ref true in
-  Snapshot_table.subscribe parent (fun msg ->
-      match msg with
-      | (Refresh_msg.Entry { row; _ } | Refresh_msg.Upsert { row; _ })
-        when !armed && Tuple.get (Row.to_tuple row) 0 = Value.str "Paul" ->
-        armed := false;
-        Snapdiff_net.Link.inject_faults link ~partitions:[ (2, max_int) ] ~seed:0 ()
-      | _ -> ());
   let image0 = Snapshot_table.contents child and time0 = Snapshot_table.snaptime child in
-  refresh ();
-  checkb "the outage hit after Paul reached the child" true
-    ((not !armed) && Snapshot_table.open_epoch child <> None);
-  Base_table.update base (find "Jack") (emp "Jack" 7);
-  refresh ();
-  checkb "the child keeps its committed image" true (Snapshot_table.contents child = image0);
-  checki "and its SnapTime" time0 (Snapshot_table.snaptime child);
-  (* Paul's base row goes while the child's open epoch still holds him. *)
-  Base_table.delete base (find "Paul");
-  Snapdiff_net.Link.clear_faults link;
-  refresh ();
-  Alcotest.(check (list string)) "stray row removed" [ "'Jack'" ] (names_of child);
-  agrees "child = restriction of parent after the link is back";
-  (* A one-shot outage mid-stream: the two deltas' batch gets through,
-     the Snaptime fails, and the cascade sends the image at that same
-     Snaptime. *)
-  Base_table.update base (find "Hamid") (emp "Hamid" 3);
-  Base_table.update base (find "Mohan") (emp "Mohan" 2);
-  let failures () = (Snapdiff_net.Link.stats link).Snapdiff_net.Link.injected_failures in
-  let failed = failures () in
-  Snapdiff_net.Link.inject_faults link ~fail_after:1 ~seed:1 ();
-  refresh ();
-  checki "the outage hit" (failed + 1) (failures ());
-  Snapdiff_net.Link.clear_faults link;
-  Alcotest.(check (list string)) "both entered" [ "'Hamid'"; "'Jack'"; "'Mohan'" ]
+  let held0 = Cascade.held_epoch casc in
+  let kept what r =
+    checki (what ^ ": one abort") 1 r.Manager.aborts;
+    checkb (what ^ ": the child keeps its committed image") true
+      (Snapshot_table.contents child = image0);
+    checki (what ^ ": and its SnapTime") time0 (Snapshot_table.snaptime child);
+    checkb (what ^ ": no epoch left open") true (Snapshot_table.open_epoch child = None);
+    checki (what ^ ": and its held epoch") held0 (Cascade.held_epoch casc)
+  in
+  (* Paul enters the child; his row's frame gets through and the
+     Snaptime's send fails. *)
+  Base_table.update base (find_emp base "Paul") (emp "Paul" 5);
+  refresh_parent ();
+  Link.inject_faults link ~fail_after:1 ~seed:0 ();
+  kept "cut at the Snaptime" (Cascade.refresh casc);
+  (* Hamid enters too, while the link is down. *)
+  Link.clear_faults link;
+  Link.set_up link false;
+  Base_table.update base (find_emp base "Hamid") (emp "Hamid" 3);
+  refresh_parent ();
+  kept "link down" (Cascade.refresh casc);
+  (* Back up: the diff from the held epoch sends Paul and Hamid. *)
+  Link.set_up link true;
+  refresh_parent ();
+  let r = Cascade.refresh casc in
+  checki "commits" 0 r.Manager.aborts;
+  checki "the rows changed since the held epoch" 2 r.Manager.data_messages;
+  checkb "not the parent's whole image" true
+    (r.Manager.data_messages < Snapshot_table.count parent);
+  Alcotest.(check (list string)) "both entered" [ "'Hamid'"; "'Jack'"; "'Paul'" ]
     (List.sort compare (names_of child));
-  agrees "child = restriction of parent after a one-shot outage";
-  refresh ();
-  agrees "and after the next refresh";
+  check_faithful "child = restriction of parent after the link is back" parent casc;
+  (* A one-shot outage: the next refresh alone sends the change. *)
+  Base_table.update base (find_emp base "Mohan") (emp "Mohan" 2);
+  refresh_parent ();
+  Link.inject_faults link ~fail_after:0 ~seed:1 ();
+  checki "the outage aborts the refresh" 1 (Cascade.refresh casc).Manager.aborts;
+  let r = Cascade.refresh casc in
+  checki "the retry sends Mohan alone" 1 r.Manager.data_messages;
+  check_faithful "child = restriction of parent after a one-shot outage" parent casc;
   checkb "valid" true (Snapshot_table.validate child = Ok ())
 
-(* Random base edits and parent refreshes, with faults armed on either
-   link of a two-level cascade (parent -> child -> level 2) for the next
-   parent refresh: a one-shot outage, loss, corruption, or a downed link.
-   After a refresh on clean links each level equals the restriction of
-   the level above, at the same last epoch; after a faulted one each
-   level holds either its previous committed image or that restriction,
-   and nothing else. *)
+(* The held epoch is a read transaction on the parent whose lease names
+   the child, and a child's refresh is its own [refresh] span, outside
+   the parent's [refresh.apply] spans. *)
+let test_cascade_lease_and_span () =
+  let module Trace = Snapdiff_obs.Trace in
+  let module Lease = Snapdiff_lifecycle.Lease in
+  let module Horizon = Snapdiff_lifecycle.Horizon in
+  let base, m, parent, casc = cascade_setup () in
+  let leases () =
+    List.filter_map
+      (fun l -> if Lease.holder l = "cascade:verylow" then Lease.epoch l else None)
+      (Horizon.live_leases (Snapshot_table.horizon parent))
+  in
+  Alcotest.(check (list int)) "one lease, at the held epoch" [ Cascade.held_epoch casc ] (leases ());
+  Trace.enable Trace.Memory;
+  Fun.protect ~finally:Trace.disable (fun () ->
+      Base_table.update base (find_emp base "Paul") (emp "Paul" 5);
+      ignore (Manager.refresh m "lowpay" : Manager.refresh_report);
+      ignore (Cascade.refresh casc : Manager.refresh_report));
+  Alcotest.(check (list int)) "moved to the new epoch"
+    [ Snapshot_table.last_committed_epoch parent ] (leases ());
+  let spans name snapshot =
+    List.filter
+      (fun r -> r.Trace.name = name && List.assoc_opt "snapshot" r.Trace.attrs = Some snapshot)
+      (Trace.recent ())
+  in
+  let inside (r : Trace.record) (outer : Trace.record) =
+    r.start_us >= outer.start_us && r.start_us +. r.dur_us <= outer.start_us +. outer.dur_us
+  in
+  match spans "refresh" "verylow" with
+  | [ own ] ->
+    checkb "the parent's replay spans do not hold it" true
+      (List.for_all (fun apply -> not (inside own apply)) (spans "refresh.apply" "lowpay"));
+    checkb "the child's replay runs inside it" true
+      (List.exists (fun apply -> inside apply own) (spans "refresh.apply" "verylow"))
+  | spans -> Alcotest.failf "%d refresh spans for the child" (List.length spans)
+
+(* Random base edits and refreshes of a two-level cascade (parent ->
+   child -> level 2), with faults armed on either cascade link for the
+   next round: a one-shot outage, loss, corruption, or a downed link.
+   Each round refreshes the parent, then the child, then level 2.  A
+   cascade refresh that commits leaves its level equal to the
+   restriction of the image it pinned above, holding that level's last
+   epoch; one that fails leaves its level's image as it was.  On clean
+   links every refresh commits. *)
 let test_cascade_property_faithful =
   let module Link = Snapdiff_net.Link in
   QCheck2.Test.make ~name:"cascade = restriction of parent" ~count:100
@@ -280,27 +355,20 @@ let test_cascade_property_faithful =
       let below t = salary t < threshold and even t = salary t mod 2 = 0 in
       let casc = Cascade.attach ~upstream:parent ~name:"child" ~restrict:below () in
       let level2 = Cascade.attach ~upstream:(Cascade.table casc) ~name:"level2" ~restrict:even () in
-      let levels =
-        [ (parent, Cascade.table casc, below); (Cascade.table casc, Cascade.table level2, even) ]
-      in
-      let restriction f up = List.filter (fun (_, t) -> f t) (Snapshot_table.contents up) in
-      let faithful (up, down, f) =
-        Snapshot_table.contents down = restriction f up
-        && Snapshot_table.last_committed_epoch down = Snapshot_table.last_committed_epoch up
-      in
+      let levels = [ (parent, casc, below); (Cascade.table casc, level2, even) ] in
       let armed = ref [] in
+      let refresh_level (up, c, f) =
+        let prev = Snapshot_table.contents (Cascade.table c) in
+        let r = Cascade.refresh c in
+        let now = Snapshot_table.contents (Cascade.table c) in
+        if r.Manager.aborts = 0 then
+          now = List.filter (fun (_, t) -> f t) (Snapshot_table.contents up)
+          && Cascade.held_epoch c = Snapshot_table.last_committed_epoch up
+        else !armed <> [] && now = prev
+      in
       let refresh () =
-        let before = List.map (fun (_, down, _) -> Snapshot_table.contents down) levels in
         ignore (Manager.refresh m "parent" : Manager.refresh_report);
-        let ok =
-          if !armed = [] then List.for_all faithful levels
-          else
-            List.for_all2
-              (fun (up, down, f) prev ->
-                let now = Snapshot_table.contents down in
-                now = prev || now = restriction f up)
-              levels before
-        in
+        let ok = List.for_all refresh_level levels in
         List.iter
           (fun l ->
             Link.clear_faults l;
@@ -443,14 +511,15 @@ let test_sql_cascade () =
   | Database.Dropped _ -> ()
   | _ -> Alcotest.fail "drop after child gone"
 
-(* REFRESH SNAPSHOT on a cascade reports its own stream: what it
-   forwarded and what crossed its link, and no scan — not its root's
-   counts under its name. *)
+(* REFRESH SNAPSHOT on a cascade reports its own stream: what it sent,
+   what crossed its link, and the parent rows its diff compared — not
+   its root's counts under its name. *)
 let test_sql_cascade_report () =
   let db, exec = setup_db () in
   ignore (exec "CREATE SNAPSHOT p AS SELECT * FROM emp REFRESH DIFFERENTIAL");
   ignore (exec "CREATE SNAPSHOT c AS SELECT name FROM p WHERE salary < 7");
   let link = Database.snapshot_link db "c" in
+  let parent = Manager.snapshot_table (Database.manager db) "p" in
   let refresh () =
     let before = Snapdiff_net.Link.stats link in
     match exec "REFRESH SNAPSHOT c" with
@@ -461,7 +530,8 @@ let test_sql_cascade_report () =
       checki "its own link's bytes" (after.bytes - before.bytes) r.Manager.link_bytes;
       checki "no fix-ups" 0 r.Manager.fixup_writes;
       checki "no pages decoded" 0 r.Manager.pages_decoded;
-      checki "nothing scanned" 0 r.Manager.entries_scanned;
+      checki "the diff compared the parent's one copied page" (Snapshot_table.count parent)
+        r.Manager.entries_scanned;
       r
     | _ -> Alcotest.fail "REFRESH SNAPSHOT c did not refresh"
   in
@@ -470,17 +540,38 @@ let test_sql_cascade_report () =
   ignore (exec "UPDATE emp SET salary = 8 WHERE name = 'Hamid'");
   ignore (exec "UPDATE emp SET salary = 20 WHERE name = 'Paul'");
   let r = refresh () in
-  checki "no data forwarded" 0 r.Manager.data_messages;
+  checki "no data sent" 0 r.Manager.data_messages;
   checki "one frame, the Snaptime" 1 r.Manager.link_messages;
   checki "one logical message" 1 r.Manager.link_logical_messages;
   (* Hamid enters c. *)
   ignore (exec "UPDATE emp SET salary = 3 WHERE name = 'Hamid'");
   let r = refresh () in
-  checki "one row forwarded" 1 r.Manager.data_messages;
+  checki "one row sent" 1 r.Manager.data_messages;
   checki "the row and the Snaptime" 2 r.Manager.link_logical_messages;
   Alcotest.(check (list string)) "c holds Laura and Hamid" [ "'Hamid'"; "'Laura'" ]
     (List.sort compare
        (List.map (fun r -> Value.to_string (Tuple.get r 0)) (rows_of (exec "SELECT * FROM c"))))
+
+(* DROP SNAPSHOT on a cascade releases its held parent epoch: the
+   parent's horizon holds no lease for it, and a parent refresh sends
+   nothing on its link. *)
+let test_sql_drop_cascade_releases_parent () =
+  let db, exec = setup_db () in
+  ignore (exec "CREATE SNAPSHOT p AS SELECT * FROM emp REFRESH DIFFERENTIAL");
+  ignore (exec "CREATE SNAPSHOT c AS SELECT name FROM p WHERE salary < 7");
+  let link = Database.snapshot_link db "c" in
+  let horizon = Snapshot_table.horizon (Manager.snapshot_table (Database.manager db) "p") in
+  let holders () =
+    List.map Snapdiff_lifecycle.Lease.holder (Snapdiff_lifecycle.Horizon.live_leases horizon)
+  in
+  Alcotest.(check (list string)) "c holds a parent epoch" [ "cascade:c" ] (holders ());
+  ignore (exec "DROP SNAPSHOT c");
+  Alcotest.(check (list string)) "no lease once dropped" [] (holders ());
+  let before = Snapdiff_net.Link.stats link in
+  ignore (exec "UPDATE emp SET salary = 3 WHERE name = 'Hamid'");
+  ignore (exec "REFRESH SNAPSHOT p");
+  checki "nothing sent to the dropped child" before.Snapdiff_net.Link.messages
+    (Snapdiff_net.Link.stats link).Snapdiff_net.Link.messages
 
 (* A query snapshot's refresh stream cut short by a link outage fails
    with [Sql_error] and leaves the snapshot on its previous image and
@@ -563,15 +654,21 @@ let suite =
     Alcotest.test_case "index backfill + errors" `Quick test_index_backfill_and_errors;
     Alcotest.test_case "cascade initial sync" `Quick test_cascade_initial_sync;
     Alcotest.test_case "cascade tracks parent" `Quick test_cascade_tracks_parent_refreshes;
+    Alcotest.test_case "cascade diff reads only copied pages" `Quick
+      test_cascade_diff_reads_copied_pages;
     Alcotest.test_case "cascade of cascade" `Quick test_cascade_of_cascade;
     Alcotest.test_case "cascade survives its link failing mid-commit" `Quick
       test_cascade_link_down_mid_commit;
+    Alcotest.test_case "cascade lease names the child; own refresh span" `Quick
+      test_cascade_lease_and_span;
     QCheck_alcotest.to_alcotest test_cascade_property_faithful;
     Alcotest.test_case "sql join" `Quick test_sql_join;
     Alcotest.test_case "sql join ambiguity" `Quick test_sql_join_ambiguity;
     Alcotest.test_case "sql query snapshot" `Quick test_sql_query_snapshot;
     Alcotest.test_case "sql cascade" `Quick test_sql_cascade;
     Alcotest.test_case "sql cascade reports its own stream" `Quick test_sql_cascade_report;
+    Alcotest.test_case "sql drop cascade releases its parent epoch" `Quick
+      test_sql_drop_cascade_releases_parent;
     Alcotest.test_case "sql query snapshot cut short" `Quick test_sql_query_snapshot_cut_short;
     Alcotest.test_case "sql index fast path" `Quick test_sql_create_index_and_fast_path;
     Alcotest.test_case "sql show/explain extended" `Quick test_sql_show_explain_extended;

@@ -8,9 +8,8 @@
      pins of the head, refcount-gated zombie reclamation, and vacuum's
      byte accounting;
    - Snapshot_table / Manager: read transactions pinned across real
-     framed-stream refreshes, the iter/fold fast paths, subscriber
-     delivery as frames apply, an observer's raise aborting its epoch, a
-     vacuum inside an open epoch, and persisted-store adoption (attach_snapshot)
+     framed-stream refreshes, the iter/fold fast paths, a vacuum inside
+     an open epoch, and persisted-store adoption (attach_snapshot)
      including the typed Corrupt_snapshot failures;
    - the qcheck properties: every retained epoch reads exactly the image
      recorded at its commit under random refresh methods, fault-induced
@@ -110,7 +109,6 @@ let test_vs_epochs_exact () =
         checki "count agrees" (List.length m) (VS.count img);
         List.iter (fun (a, v) -> checkb "get agrees" true (VS.find img a = Some v)) m;
         checkb "absent addr" true (VS.find img 999 = None);
-        checkb "exists_in_range" (m <> []) (VS.exists_in_range img ~f:(fun _ -> true) ());
         VS.release txn)
     ring;
   checkb "evicted epoch unpinnable" true (VS.pin ~epoch:2 vs = None);
@@ -340,9 +338,6 @@ let test_iter_fold_fast_paths () =
   let m, _base = setup_mgr ~threshold:12 () in
   let snap = Manager.snapshot_table m "s" in
   let c = Snapshot_table.contents snap in
-  let via_iter = ref [] in
-  Snapshot_table.iter snap (fun a v -> via_iter := (a, v) :: !via_iter);
-  checkb "iter = contents" true (List.rev !via_iter = c);
   let via_fold =
     Snapshot_table.fold snap ~init:[] ~f:(fun acc a v -> (a, v) :: acc)
   in
@@ -381,83 +376,8 @@ let test_txn_lookup () =
     (Snapshot_table.txn_lookup rt ~column:"salary" (Value.int 9) = before);
   Snapshot_table.release_txn rt
 
-(* Subscribers hear each framed message as its frame applies, while
-   reads still see the committed image; an aborted epoch's Snaptime never
-   reaches them. *)
 let a1 = Addr.make ~page:1 ~slot:0
 let a2 = Addr.make ~page:1 ~slot:1
-
-let test_subscribe_as_applied () =
-  let snap = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
-  let seen = ref [] in
-  Snapshot_table.subscribe snap (fun msg -> seen := msg :: !seen);
-  let frame epoch seq msg =
-    Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch ~seq msg)
-  in
-  (* Epoch 1 aborts on a sequence gap at its marker. *)
-  frame 1 0 (Refresh_msg.Upsert { addr = a1; row = Row.of_tuple (emp "a" 1) });
-  checki "the upsert was heard as it applied" 1 (List.length !seen);
-  checkb "epoch 1 is open" true (Snapshot_table.open_epoch snap = Some 1);
-  checki "reads see the committed image" 0 (Snapshot_table.count snap);
-  frame 1 2 (Refresh_msg.Snaptime 10);
-  checki "the aborted epoch's Snaptime was not heard" 1 (List.length !seen);
-  checki "epoch aborted" 1 (Snapshot_table.epochs_aborted snap);
-  checki "no contents from the aborted epoch" 0 (Snapshot_table.count snap);
-  (* Epoch 2 commits: each message is heard as it arrives, in order. *)
-  seen := [];
-  frame 2 0 (Refresh_msg.Upsert { addr = a1; row = Row.of_tuple (emp "a" 1) });
-  frame 2 1 (Refresh_msg.Upsert { addr = a2; row = Row.of_tuple (emp "b" 2) });
-  checki "both upserts heard before the marker" 2 (List.length !seen);
-  checki "nothing committed before the marker" 0 (Snapshot_table.count snap);
-  frame 2 2 (Refresh_msg.Snaptime 20);
-  checkb "heard in stream order" true
-    (match List.rev !seen with
-    | [ Refresh_msg.Upsert { addr = x; _ }; Refresh_msg.Upsert { addr = y; _ };
-        Refresh_msg.Snaptime 20 ] -> x = a1 && y = a2
-    | _ -> false);
-  checki "contents committed" 2 (Snapshot_table.count snap)
-
-(* An observer that raises aborts the epoch: the table keeps its
-   pre-epoch image and indexes, the exception surfaces at the frame that
-   raised, the epoch's later frames are dropped, and the next epoch
-   commits. *)
-let test_observer_raise_aborts () =
-  let snap = Snapshot_table.create ~version_retain:2 ~name:"s" ~schema:emp_schema () in
-  Snapshot_table.create_index snap ~column:"salary";
-  let frame epoch seq msg =
-    Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch ~seq msg)
-  in
-  frame 1 0 (Refresh_msg.Upsert { addr = a1; row = Row.of_tuple (emp "a" 1) });
-  frame 1 1 (Refresh_msg.Snaptime 10);
-  let armed = ref true and seen = ref [] in
-  Snapshot_table.subscribe snap (function
-    | Refresh_msg.Upsert { addr; _ } when !armed && addr = a2 ->
-      armed := false;
-      failwith "observer failed"
-    | _ -> ());
-  Snapshot_table.subscribe snap (fun msg -> seen := msg :: !seen);
-  frame 2 0 (Refresh_msg.Upsert { addr = a1; row = Row.of_tuple (emp "a" 5) });
-  checkb "the exception surfaces at the frame that raised" true
-    (match frame 2 1 (Refresh_msg.Upsert { addr = a2; row = Row.of_tuple (emp "b" 2) }) with
-    | () -> false
-    | exception Failure m -> m = "observer failed");
-  frame 2 2 (Refresh_msg.Snaptime 20);
-  checki "epoch 2 aborted" 1 (Snapshot_table.epochs_aborted snap);
-  checki "epoch 1 stays committed" 1 (Snapshot_table.last_committed_epoch snap);
-  checki "snaptime kept" 10 (Snapshot_table.snaptime snap);
-  checkb "the pre-epoch image" true (Snapshot_table.contents snap = [ (a1, emp "a" 1) ]);
-  let lookup v = Snapshot_table.lookup snap ~column:"salary" (Value.int v) in
-  checkb "the pre-epoch index" true (lookup 1 = [ a1 ] && lookup 2 = [] && lookup 5 = []);
-  checkb "valid after the abort" true (Snapshot_table.validate snap = Ok ());
-  checki "the dropped frames reached no observer" 1 (List.length !seen);
-  frame 3 0 (Refresh_msg.Upsert { addr = a1; row = Row.of_tuple (emp "a" 5) });
-  frame 3 1 (Refresh_msg.Upsert { addr = a2; row = Row.of_tuple (emp "b" 2) });
-  frame 3 2 (Refresh_msg.Snaptime 30);
-  checki "epoch 3 committed" 3 (Snapshot_table.last_committed_epoch snap);
-  checkb "with its image" true
-    (Snapshot_table.contents snap = [ (a1, emp "a" 5); (a2, emp "b" 2) ]);
-  checkb "the index follows" true (lookup 1 = [] && lookup 2 = [ a2 ] && lookup 5 = [ a1 ]);
-  checkb "valid" true (Snapshot_table.validate snap = Ok ())
 
 (* A vacuum between two frames of an open epoch reclaims old versions and
    never touches the head, which is then the pre-commit image; the epoch
@@ -493,11 +413,11 @@ let test_vacuum_mid_epoch () =
 (* Reader domains against a committing writer.  Every round retags every
    row, so each committed epoch holds one tag, and a pinned scan that sees
    two is a torn read.  Two reader domains pin the head, then the oldest
-   retained epoch, and scan each, for as long as the writer runs.  An
-   observer stops the writer halfway through each epoch, with half the
-   rows retagged in the open root, until every reader has finished a pair
-   of scans it pinned after the stop: reads overlap an open epoch every
-   round, whatever the scheduling, also on one CPU. *)
+   retained epoch, and scan each, for as long as the writer runs.  A hook
+   on the snapshot's link stops the writer halfway through each epoch,
+   with half the rows retagged in the open root, until every reader has
+   finished a pair of scans it pinned after the stop: reads overlap an
+   open epoch every round, whatever the scheduling, also on one CPU. *)
 
 let tag_schema =
   Schema.make
@@ -553,20 +473,24 @@ let test_reader_domains_never_tear () =
         done);
     (!reads, !torn)
   in
+  (* Each round's epoch is [n / 64] batch frames and its Snaptime: the
+     stop comes before its middle frame applies. *)
   let heard = ref 0 and stops = ref 0 in
-  Snapshot_table.subscribe snap (function
-    | Refresh_msg.Snaptime _ -> heard := 0
-    | _ ->
-      incr heard;
-      if !heard = n / 2 then begin
-        checkb "the stop falls inside an open epoch" true
-          (Snapshot_table.open_epoch snap <> None);
-        let k = 1 + Atomic.fetch_and_add stops_posted 1 in
-        while Array.exists (fun s -> Atomic.get s < k) served do
-          Domain.cpu_relax ()
-        done;
-        incr stops
-      end);
+  Snapdiff_net.Link.attach (Manager.snapshot_link m "s") (fun frame ->
+      (match (Refresh_msg.decode_framed frame).Refresh_msg.msg with
+      | Refresh_msg.Snaptime _ -> heard := 0
+      | _ ->
+        incr heard;
+        if !heard = n / Refresh_msg.default_batch_size / 2 then begin
+          checkb "the stop falls inside an open epoch" true
+            (Snapshot_table.open_epoch snap <> None);
+          let k = 1 + Atomic.fetch_and_add stops_posted 1 in
+          while Array.exists (fun s -> Atomic.get s < k) served do
+            Domain.cpu_relax ()
+          done;
+          incr stops
+        end);
+      Snapshot_table.apply_bytes snap frame);
   let readers = Array.init n_readers (fun i -> Domain.spawn (reader i)) in
   Fun.protect
     ~finally:(fun () -> Atomic.set stop true)
@@ -1225,10 +1149,6 @@ let suite =
     Alcotest.test_case "iter/fold fast paths match contents" `Quick
       test_iter_fold_fast_paths;
     Alcotest.test_case "txn_lookup at the pinned version" `Quick test_txn_lookup;
-    Alcotest.test_case "subscribers hear each framed message as it applies" `Quick
-      test_subscribe_as_applied;
-    Alcotest.test_case "an observer that raises aborts the epoch" `Quick
-      test_observer_raise_aborts;
     Alcotest.test_case "vacuum between two frames of an open epoch" `Quick
       test_vacuum_mid_epoch;
     Alcotest.test_case "reader domains never see a torn epoch" `Quick

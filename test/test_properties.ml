@@ -1502,11 +1502,10 @@ let test_null_annotation_fallback () =
    gaps, Region, Tail, a Clear now and then, and catch-up Upsert/Remove in
    any order.  Images of up to 400 rows over 600 addresses fill ten
    64-address pages, so the stream's inserts and deletes create, copy
-   and empty pages between probes.  Each
-   stream arrives framed one message per frame and batched [k] per frame;
-   both must commit the model's image, and the observer must see the
-   logical stream either way.  With one frame dropped or garbled, neither
-   the image nor the committed epoch may move. *)
+   and empty pages between probes.  Each stream arrives framed one
+   message per frame and batched [k] per frame; both must commit the
+   model's image.  With one frame dropped or garbled, neither the image
+   nor the committed epoch may move. *)
 module IntMap = Map.Make (Int)
 
 let stream_span = 600
@@ -1650,8 +1649,6 @@ let prop_stream_apply_model =
         let snap = load () in
         Snapshot_table.create_index snap ~column:"salary";
         let before = Snapshot_table.contents snap in
-        let seen = ref [] in
-        Snapshot_table.subscribe snap (fun m -> seen := m :: !seen);
         let frames = frames_of ~k stream in
         let last = List.length frames - 1 in
         List.iteri
@@ -1664,9 +1661,7 @@ let prop_stream_apply_model =
         if Snapshot_table.contents snap <> expected then
           fail_report (Printf.sprintf "k=%d: image differs from the model" k);
         if Snapshot_table.validate snap <> Ok () then
-          fail_report (Printf.sprintf "k=%d: page table fails validate" k);
-        if not (List.equal Refresh_msg.equal (List.rev !seen) stream) then
-          fail_report (Printf.sprintf "k=%d: observer did not see the logical stream" k)
+          fail_report (Printf.sprintf "k=%d: page table fails validate" k)
       in
       check_committed 1;
       check_committed k;
