@@ -603,9 +603,13 @@ let vacuum_cmd verbose trace json n rounds retain older_than dry_run =
         if i > 0 then Buffer.add_string b ", ";
         Printf.bprintf b
           "{\"snapshot\": \"%s\", \"examined\": %d, \"reclaimed\": %d, \"zombied\": %d, \
-           \"kept\": %d, \"bytes\": %d}"
+           \"kept\": %d, \"bytes\": %d, \"leases\": [%s]}"
           sv.Manager.sv_snapshot sv.Manager.sv_examined sv.Manager.sv_reclaimed
-          sv.Manager.sv_zombied sv.Manager.sv_kept sv.Manager.sv_bytes)
+          sv.Manager.sv_zombied sv.Manager.sv_kept sv.Manager.sv_bytes
+          (String.concat ", "
+             (List.map
+                (fun (holder, epoch) -> Printf.sprintf "{\"holder\": \"%s\", \"epoch\": %d}" holder epoch)
+                sv.Manager.sv_leases)))
       report.Manager.vac_snapshots;
     Buffer.add_string b "], \"wals\": [";
     List.iteri
@@ -645,6 +649,13 @@ let vacuum_cmd verbose trace json n rounds retain older_than dry_run =
             string_of_int sv.Manager.sv_kept; string_of_int sv.Manager.sv_bytes ])
       report.Manager.vac_snapshots;
     Text_table.print t;
+    List.iter
+      (fun sv ->
+        Printf.printf "%s: epoch leases: %s\n" sv.Manager.sv_snapshot
+          (match sv.Manager.sv_leases with
+          | [] -> "none"
+          | ls -> String.concat ", " (List.map (fun (h, e) -> Printf.sprintf "%s@%d" h e) ls)))
+      report.Manager.vac_snapshots;
     List.iter
       (fun wv ->
         Printf.printf "wal [%s]: truncated to LSN %d, %d log bytes reclaimed%s\n"

@@ -162,7 +162,7 @@ type t = {
   snapshots : (string, snapshot) Hashtbl.t;
   txns : Txn.manager;
   mutable retry : retry_policy;
-  batch : int;  (* data messages per Batch frame; 1 = one frame each *)
+  batch : int;  (* data messages per frame; 1 = one frame each *)
   mutable chunk_entries : int;  (* scan chunk size; max_int = monolithic *)
   mutable on_chunk : (unit -> unit) option;  (* interleave point between chunks *)
   rng : Snapdiff_util.Rng.t;  (* backoff jitter, selectivity sampling *)
@@ -602,6 +602,7 @@ type snapshot_vacuum = {
   sv_zombied : int;
   sv_kept : int;
   sv_bytes : int;
+  sv_leases : (string * int) list;
 }
 
 type wal_vacuum = {
@@ -640,6 +641,10 @@ let vacuum ?older_than ?(dry_run = false) t =
           sv_zombied = st.Version_store.vac_zombied;
           sv_kept = st.Version_store.vac_kept;
           sv_bytes = st.Version_store.vac_bytes;
+          sv_leases =
+            List.filter_map
+              (fun l -> Option.map (fun e -> (Lease.holder l, e)) (Lease.epoch l))
+              (Horizon.live_leases (Snapshot_table.horizon s.table));
         })
       snaps
   in
@@ -1093,10 +1098,11 @@ let attempt t b members =
   let scan_us =
     Float.max 0.0 (Array.fold_left (fun acc m -> acc -. m.xmit_us) !scan_wall members)
   in
-  (* Each committed member's ledger: its receiver phases, and its send
-     time net of encoding and of those phases (all of which run inside its
-     xmit).  A member that did not commit has no ledger; its xmit time
-     stays in the residual. *)
+  (* Each committed member's ledger: its receiver phases; its send time,
+     the writer's time inside the link net of those phases (which run
+     inside it); and its encode time, the rest of its xmit.  A member
+     that did not commit has no ledger; its xmit time stays in the
+     residual. *)
   let ledgers =
     Array.mapi
       (fun i m ->
@@ -1107,8 +1113,9 @@ let attempt t b members =
           let received =
             receiver.decode_us +. receiver.freeze_us +. receiver.replay_us +. receiver.publish_us
           in
-          let encode_us = Refresh_msg.encode_us writers.(i) in
-          let send_us = Float.max 0.0 (m.xmit_us -. encode_us -. received) in
+          let link_us = Refresh_msg.link_us writers.(i) in
+          let encode_us = Float.max 0.0 (m.xmit_us -. link_us) in
+          let send_us = Float.max 0.0 (link_us -. received) in
           Some (receiver, encode_us, send_us, encode_us +. send_us +. received)
         end
         else None)
@@ -1387,7 +1394,7 @@ let compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
   let request_link = Link.create ~name:(Printf.sprintf "%s->%s" name base_name) () in
   (* The base site consumes control messages; it already holds the compiled
      definition, so receipt is just accounted. *)
-  Link.attach request_link (fun (_ : bytes) -> ());
+  Link.attach request_link (fun _ _ -> ());
   Link.attach link (Snapshot_table.apply_bytes table);
   (* CREATE SNAPSHOT ships the definition to the base site once. *)
   Link.send request_link

@@ -60,12 +60,12 @@ val method_name : method_used -> string
     Each phase is timed per page, never per entry.  A log-based or ideal
     refresh reads no pages: its scan is locks and other.
 
-    [encode_us] is this member's time inside
-    {!Refresh_msg.encode_framed} (frame, row blits, checksum), as its stream
-    {!Refresh_msg.writer} measured it.  [send_us] is
-    the rest of its time inside the transmit function — the link and its
-    accounting — net of [encode_us] and of the receiver's phases
-    (including its frame decode), which run synchronously inside it.
+    [encode_us] is this member's time inside the transmit function
+    outside the link: its stream {!Refresh_msg.writer} writing each
+    message into the frame buffer, and each frame's header and checksum.
+    [send_us] is its time inside the link ({!Refresh_msg.link_us}) — the
+    link's accounting — net of the receiver's phases (including its
+    frame check), which run synchronously inside it.
     [fixup_bytes] is the record bytes the scan's fix-up writes stored (18
     per in-place patch), charged like [fixup_writes].  [scan_us] and
     [send_us] are clamped at 0 against clock rounding. *)
@@ -99,7 +99,7 @@ type refresh_report = {
   link_messages : int;  (** physical frames on the wire, incl. bracketing *)
   link_logical_messages : int;
       (** protocol messages those frames carried — the paper's metric;
-          equals [link_messages] only when no frame is a batch *)
+          equals [link_messages] only when every frame carries one *)
   link_bytes : int;
   tail_suppressed : bool;
   log_records_scanned : int;  (** log-based method only *)
@@ -122,7 +122,9 @@ type refresh_report = {
           its hold being the whole refresh duration) *)
   receiver : Snapshot_table.commit_phases;
       (** the receiver half of the refresh's cost: how long the snapshot
-          site spent decoding, freezing, replaying and publishing the
+          site spent checking frame headers and checksums ([decode_us]),
+          freezing, walking each frame's messages in place — read, row
+          check and decode, replay ([replay_us]) — and publishing the
           committed stream ({!Snapshot_table.last_commit_phases}); all
           zero for a refresh that did not commit a framed stream *)
   sender : sender_phases;
@@ -199,12 +201,11 @@ val create :
     sampling), keeping runs reproducible.  [batch_size] (default
     {!Refresh_msg.default_batch_size}) is the batched-transport flush
     threshold of every refresh stream's {!Refresh_msg.writer}: up to
-    [batch_size] consecutive data messages of a refresh stream are
-    coalesced into one
-    {!Refresh_msg.Batch} frame — one link header, one sequence number, one
-    checksum — cutting physical message count up to [batch_size]-fold
-    while the logical stream (and the receiver's atomic epoch) is
-    unchanged.  Control messages flush the buffer and travel alone.
+    [batch_size] consecutive data messages of a refresh stream travel as
+    one frame — one link header, one sequence number, one checksum —
+    cutting physical message count up to [batch_size]-fold while the
+    logical stream (and the receiver's atomic epoch) is unchanged.
+    Control messages send the frame in progress and travel alone.
     [batch_size = 1] frames every message by itself.
 
     [chunk_entries] (default [max_int] = off) enables the chunked
@@ -469,6 +470,10 @@ type snapshot_vacuum = {
   sv_zombied : int;  (** pinned candidates parked on the zombie list *)
   sv_kept : int;  (** unpinned candidates the horizon guard protected *)
   sv_bytes : int;  (** encoded bytes the freed versions held *)
+  sv_leases : (string * int) list;
+      (** who holds the snapshot's epochs: each live epoch lease's holder
+          and epoch, in acquisition order — a pinned reader, or
+          [cascade:<child>] for a cascade child's held image *)
 }
 
 type wal_vacuum = {

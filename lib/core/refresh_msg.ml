@@ -10,25 +10,12 @@ type t =
   | Snaptime of Snapdiff_txn.Clock.ts
   | Register of { restrict : string; projection : string list }
   | Request of { snaptime : Snapdiff_txn.Clock.ts }
-  | Batch of t list
 
-let rec is_data = function
+let is_data = function
   | Entry _ | Tail _ | Region _ | Upsert _ | Remove _ -> true
   | Clear | Snaptime _ | Register _ | Request _ -> false
-  | Batch ms -> List.exists is_data ms
 
-(* Only the per-entry data messages are worth coalescing; the bracketing
-   control messages are rare and, in the case of Snaptime, must stand
-   alone so a trailing batch is always flushed before the commit marker. *)
-let batchable = function
-  | Entry _ | Tail _ | Region _ | Upsert _ | Remove _ -> true
-  | Clear | Snaptime _ | Register _ | Request _ | Batch _ -> false
-
-let rec logical_count = function
-  | Batch ms -> List.fold_left (fun acc m -> acc + logical_count m) 0 ms
-  | _ -> 1
-
-let rec pp ppf = function
+let pp ppf = function
   | Entry { addr; prev_qual; row } ->
     Format.fprintf ppf "entry %a (prev %a) %a" Addr.pp addr Addr.pp prev_qual Row.pp row
   | Tail { last_qual } -> Format.fprintf ppf "tail (last %a)" Addr.pp last_qual
@@ -41,17 +28,12 @@ let rec pp ppf = function
     Format.fprintf ppf "register restrict=%s project=(%s)" restrict
       (String.concat ", " projection)
   | Request { snaptime } -> Format.fprintf ppf "request snaptime=%d" snaptime
-  | Batch ms ->
-    Format.fprintf ppf "batch[%d](%a)" (List.length ms)
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ") pp)
-      ms
 
-(* The one writer.  [size] is the exact encoded length, so every encoding
-   is one allocation of the right size written front to back; a batch
-   member's u32 length prefix is back-patched once the member is written,
-   so member sizes are not computed twice.  A row is already its bytes:
-   its size is its length and writing it is one blit. *)
-let rec size = function
+(* The one writer.  [size] is the exact encoded length, so a message is
+   written front to back into room already made for it.  A row is
+   already its bytes: its size is its length and writing it is one
+   blit. *)
+let size = function
   | Entry { row; _ } -> 17 + Row.length row
   | Upsert { row; _ } -> 9 + Row.length row
   | Tail _ | Remove _ | Snaptime _ | Request _ -> 9
@@ -61,9 +43,8 @@ let rec size = function
     List.fold_left
       (fun acc s -> acc + Codec.string_size s)
       (5 + Codec.string_size restrict) projection
-  | Batch ms -> List.fold_left (fun acc m -> acc + 4 + size m) 5 ms
 
-let rec write b off msg =
+let write b off msg =
   match msg with
   | Entry { addr; prev_qual; row } ->
     let off = Codec.write_u8 b off 1 in
@@ -88,26 +69,16 @@ let rec write b off msg =
     let off = Codec.write_u32 b off (List.length projection) in
     List.fold_left (Codec.write_string b) off projection
   | Request { snaptime } -> Codec.write_int b (Codec.write_u8 b off 9) snaptime
-  | Batch ms ->
-    let off = Codec.write_u8 b off 10 in
-    let off = Codec.write_u32 b off (List.length ms) in
-    List.fold_left
-      (fun off m ->
-        let stop = write b (off + 4) m in
-        ignore (Codec.write_u32 b off (stop - off - 4) : int);
-        stop)
-      off ms
 
 let encode msg =
   let b = Bytes.create (size msg) in
   ignore (write b 0 msg : int);
   b
 
-(* The one reader: straight from the received bytes through a cursor; a
-   batch member is read inside its length-prefixed window, not copied
-   out.  A row is checked and copied, not decoded: the receiver decodes
-   it once, when it replays the message. *)
-let rec read c =
+(* The one reader: straight from the received bytes through a cursor.  A
+   row is checked and copied, not decoded: the receiver decodes it once,
+   when it replays the message. *)
+let read c =
   let module C = Codec.Cursor in
   match C.u8 c with
   | 1 ->
@@ -133,45 +104,27 @@ let rec read c =
     done;
     Register { restrict; projection = List.rev !projection }
   | 9 -> Request { snaptime = C.int c }
-  | 10 ->
-    let n = C.u32 c in
-    let ms = ref [] in
-    for _ = 1 to n do
-      let len = C.u32 c in
-      ms := C.within c len read_exactly :: !ms
-    done;
-    Batch (List.rev !ms)
   | _ -> failwith "Refresh_msg.decode: bad tag"
 
-and read_exactly c =
+let read_exactly c =
   let msg = read c in
   if not (Codec.Cursor.at_end c) then failwith "Refresh_msg.decode: trailing bytes";
   msg
 
-let decode b =
+let decode ?len b =
   let c = Codec.Cursor.create () in
-  Codec.Cursor.set c b ~pos:0 ~len:(Bytes.length b);
+  Codec.Cursor.set c b ~pos:0 ~len:(Option.value len ~default:(Bytes.length b));
   read_exactly c
 
 (* ------------------------------------------------------------------ *)
-(* Epoch framing.
-
-   A refresh stream is a sequence of messages that is only meaningful as a
-   whole: applying a prefix (link crash), a subsequence (silent loss), or
-   a garbled member (corruption) yields a snapshot state that is neither
-   the old nor the new consistent image.  Each framed message therefore
-   carries the stream's epoch, its position in the stream, and a checksum
-   over the payload; the stream commits with its final Snaptime marker.
-   The frame tag byte is disjoint from every raw message tag, so framed
-   and legacy raw encodings coexist on the same links. *)
-
-type frame = { epoch : int; seq : int; msg : t }
+(* Frames: their layout is the interface's. *)
 
 exception Corrupt of string
 
 let frame_tag = 0xF7
-
+let run_tag = 10
 let header_size = 21  (* tag, epoch, seq, checksum *)
+let members = header_size + 5  (* past the run's tag and count *)
 
 let fnv h byte = (h lxor byte) * 0x01000193 land 0xFFFFFFFF
 
@@ -185,33 +138,37 @@ let checksum ~epoch ~seq b ~pos ~len =
   done;
   !h
 
-let encode_framed ~epoch ~seq msg =
-  if epoch < 0 || seq < 0 then invalid_arg "Refresh_msg.encode_framed: negative header";
+(* A frame in the making: messages written in place as a run from
+   [members] on.  [seal] writes the run's header, or shifts a lone
+   message over it, then the frame header and checksum; [pos] is then
+   the frame's length. *)
+type frame_buf = { mutable buf : bytes; mutable pos : int; mutable count : int }
+
+let frame_buf () = { buf = Bytes.create 256; pos = members; count = 0 }
+
+let add f msg =
   let len = size msg in
-  let b = Bytes.create (header_size + len) in
+  if f.pos + 4 + len > Bytes.length f.buf then begin
+    let b = Bytes.create (max (f.pos + 4 + len) (2 * Bytes.length f.buf)) in
+    Bytes.blit f.buf 0 b 0 f.pos;
+    f.buf <- b
+  end;
+  ignore (Codec.write_u32 f.buf f.pos len : int);
+  f.pos <- write f.buf (f.pos + 4) msg;
+  f.count <- f.count + 1
+
+let seal f ~epoch ~seq =
+  if epoch < 0 || seq < 0 then invalid_arg "Refresh_msg: negative frame header";
+  let b = f.buf in
+  if f.count = 1 then begin
+    Bytes.blit b (members + 4) b header_size (f.pos - members - 4);
+    f.pos <- f.pos - 9
+  end
+  else ignore (Codec.write_u32 b (Codec.write_u8 b header_size run_tag) f.count : int);
   let off = Codec.write_u8 b 0 frame_tag in
   let off = Codec.write_int b off epoch in
   let off = Codec.write_int b off seq in
-  ignore (write b header_size msg : int);
-  ignore (Codec.write_u32 b off (checksum ~epoch ~seq b ~pos:header_size ~len) : int);
-  b
-
-let is_framed b = Bytes.length b > 0 && Char.code (Bytes.get b 0) = frame_tag
-
-let decode_framed b =
-  try
-    let c = Codec.Cursor.create () in
-    Codec.Cursor.set c b ~pos:0 ~len:(Bytes.length b);
-    if Codec.Cursor.u8 c <> frame_tag then failwith "not a framed message";
-    let epoch = Codec.Cursor.int c in
-    let seq = Codec.Cursor.int c in
-    let sum = Codec.Cursor.u32 c in
-    if epoch < 0 || seq < 0 then failwith "negative frame header";
-    let pos = Codec.Cursor.pos c in
-    if checksum ~epoch ~seq b ~pos ~len:(Bytes.length b - pos) <> sum then
-      failwith "checksum mismatch";
-    { epoch; seq; msg = read_exactly c }
-  with Failure reason | Invalid_argument reason -> raise (Corrupt reason)
+  ignore (Codec.write_u32 b off (checksum ~epoch ~seq b ~pos:header_size ~len:(f.pos - header_size)) : int)
 
 (* The one stream writer (see the interface).  A frame's sequence number
    counts the frames the link accepted before it. *)
@@ -221,46 +178,93 @@ type writer = {
   w_link : Snapdiff_net.Link.t;
   w_epoch : int;
   w_batch : int;
+  w_frame : frame_buf;
   mutable w_seq : int;
-  mutable w_buffered : t list;  (* newest first *)
-  mutable w_buffered_n : int;
-  mutable w_encode_us : float;
+  mutable w_link_us : float;
 }
 
 let writer ?(batch_size = default_batch_size) ~epoch link =
-  { w_link = link; w_epoch = epoch; w_batch = max 1 batch_size; w_seq = 0; w_buffered = [];
-    w_buffered_n = 0; w_encode_us = 0.0 }
-
-let send_frame w msg =
-  let logical = logical_count msg in
-  let t0 = Snapdiff_obs.Trace.now_us () in
-  let framed = encode_framed ~epoch:w.w_epoch ~seq:w.w_seq msg in
-  w.w_encode_us <- w.w_encode_us +. (Snapdiff_obs.Trace.now_us () -. t0);
-  Snapdiff_net.Link.send w.w_link ~logical framed;
-  w.w_seq <- w.w_seq + 1
+  { w_link = link; w_epoch = epoch; w_batch = max 1 batch_size; w_frame = frame_buf ();
+    w_seq = 0; w_link_us = 0.0 }
 
 let flush w =
-  match w.w_buffered with
-  | [] -> ()
-  | ms ->
-    w.w_buffered <- [];
-    w.w_buffered_n <- 0;
-    send_frame w (match ms with [ m ] -> m | ms -> Batch (List.rev ms))
+  let f = w.w_frame in
+  if f.count > 0 then begin
+    seal f ~epoch:w.w_epoch ~seq:w.w_seq;
+    let len = f.pos and logical = f.count in
+    f.pos <- members;
+    f.count <- 0;
+    let t0 = Snapdiff_obs.Trace.now_us () in
+    Snapdiff_net.Link.send w.w_link ~logical ~len f.buf;
+    w.w_link_us <- w.w_link_us +. (Snapdiff_obs.Trace.now_us () -. t0);
+    w.w_seq <- w.w_seq + 1
+  end
 
 let write w msg =
-  if w.w_batch > 1 && batchable msg then begin
-    w.w_buffered <- msg :: w.w_buffered;
-    w.w_buffered_n <- w.w_buffered_n + 1;
-    if w.w_buffered_n >= w.w_batch then flush w
-  end
-  else begin
-    flush w;
-    send_frame w msg
-  end
+  let data = is_data msg in
+  if not data then flush w;
+  add w.w_frame msg;
+  if w.w_frame.count >= w.w_batch || not data then flush w
 
-let encode_us w = w.w_encode_us
+let link_us w = w.w_link_us
 
-let rec equal a b =
+(* The one frame reader: a frame's header and checksum once, then its
+   messages one at a time from the frame's own bytes. *)
+type frame = { epoch : int; seq : int; marker : bool }
+
+type reader = { cur : Codec.Cursor.t; mutable left : int; mutable run : bool }
+
+let reader () = { cur = Codec.Cursor.create (); left = 0; run = false }
+
+let open_frame r b len =
+  let module C = Codec.Cursor in
+  let c = r.cur in
+  r.left <- 0;
+  if len = 0 || Char.code (Bytes.get b 0) <> frame_tag then None
+  else
+    try
+      C.set c b ~pos:1 ~len:(len - 1);
+      let epoch = C.int c in
+      let seq = C.int c in
+      let sum = C.u32 c in
+      if epoch < 0 || seq < 0 then failwith "negative frame header";
+      if checksum ~epoch ~seq b ~pos:header_size ~len:(len - header_size) <> sum then
+        failwith "checksum mismatch";
+      let tag = C.u8 c in
+      r.run <- tag = run_tag;
+      r.left <- (if r.run then C.u32 c else 1);
+      if not r.run then C.set c b ~pos:header_size ~len:(len - header_size);
+      Some { epoch; seq; marker = tag = 7 }
+    with Failure reason | Invalid_argument reason -> raise (Corrupt reason)
+
+let next r =
+  let module C = Codec.Cursor in
+  let c = r.cur in
+  try
+    if r.left = 0 then
+      if C.at_end c then None else failwith "Refresh_msg.decode: trailing bytes"
+    else begin
+      r.left <- r.left - 1;
+      Some (if r.run then C.within c (C.u32 c) read_exactly else read c)
+    end
+  with Failure reason | Invalid_argument reason ->
+    r.left <- 0;
+    raise (Corrupt reason)
+
+let encode_framed ~epoch ~seq msgs =
+  let f = frame_buf () in
+  List.iter (add f) msgs;
+  seal f ~epoch ~seq;
+  Bytes.sub f.buf 0 f.pos
+
+let decode_framed b =
+  let r = reader () in
+  let rec go acc = match next r with Some m -> go (m :: acc) | None -> List.rev acc in
+  match open_frame r b (Bytes.length b) with
+  | Some frame -> (frame, go [])
+  | None -> raise (Corrupt "not a framed message")
+
+let equal a b =
   match (a, b) with
   | Entry x, Entry y ->
     x.addr = y.addr && x.prev_qual = y.prev_qual && Row.equal x.row y.row
@@ -272,8 +276,7 @@ let rec equal a b =
   | Snaptime x, Snaptime y -> x = y
   | Register x, Register y -> x.restrict = y.restrict && x.projection = y.projection
   | Request x, Request y -> x.snaptime = y.snaptime
-  | Batch x, Batch y -> List.length x = List.length y && List.for_all2 equal x y
   | ( ( Entry _ | Tail _ | Region _ | Upsert _ | Remove _ | Clear | Snaptime _
-      | Register _ | Request _ | Batch _ ),
+      | Register _ | Request _ ),
       _ ) ->
     false

@@ -42,85 +42,90 @@ type t =
       (** control, snapshot->base: "the simple differential refresh
           algorithm is initiated by sending the last snapshot refresh time
           (SnapTime) ... to the base table" *)
-  | Batch of t list
-      (** transport coalescing: many data messages under one link header
-          and checksum.  The receiver unbatches before applying, so batch
-          boundaries never have protocol meaning; the commit-marking
-          {!Snaptime} is never batched. *)
 
 val is_data : t -> bool
-(** Messages counted by the paper's evaluation metric (everything except
-    the fixed {!Clear}/{!Snaptime} bracketing).  A {!Batch} is data iff it
-    carries any data message. *)
-
-val batchable : t -> bool
-(** Messages a sender may coalesce into a {!Batch}: exactly the per-entry
-    data messages.  Control messages — in particular the commit-marking
-    {!Snaptime} — always travel alone, which guarantees any buffered
-    batch is flushed before the stream can commit. *)
-
-val logical_count : t -> int
-(** Number of protocol messages this value represents: the batch size for
-    a {!Batch} (recursively), 1 otherwise. *)
+(** Messages counted by the paper's evaluation metric: everything except
+    the {!Clear}/{!Snaptime} bracketing and the control messages. *)
 
 val pp : Format.formatter -> t -> unit
 
 val encode : t -> bytes
 
-val decode : bytes -> t
-(** Raises [Failure] on a corrupt image. *)
+val decode : ?len:int -> bytes -> t
+(** The message that fills the first [len] bytes (default: all).  Raises
+    [Failure] on a corrupt image. *)
 
 val equal : t -> t -> bool
 
-(** {1 Epoch framing}
+(** {1 Frames}
 
     A refresh stream is only meaningful as a whole: applying a prefix
-    (link crash), a subsequence (silent loss), or a garbled member
+    (link crash), a subsequence (silent loss), or a garbled message
     (corruption) leaves the snapshot in a state that is neither the old
-    nor the new consistent image.  Framed messages carry the stream's
-    epoch, a sequence number, and a payload checksum so the receiver can
-    detect all three and apply the stream atomically at its {!Snaptime}
-    commit marker.  The frame tag byte is disjoint from every raw message
-    tag, so framed and legacy raw encodings coexist on the same links. *)
+    nor the new consistent image.  Each frame carries the stream's epoch,
+    a sequence number and a payload checksum, so the receiver can detect
+    all three and apply the stream atomically at its commit marker, a
+    frame of one {!Snaptime}.
 
-type frame = { epoch : int; seq : int; msg : t }
+    The {!writer} owns the layout: tag [0xF7], epoch and seq as i64, the
+    u32 FNV-1a checksum of the payload folded with epoch and seq, then
+    the payload — a lone message, or a run of any other number of
+    messages: tag [10], a u32 count, then each message behind its u32
+    length.  Both tags are disjoint from every message tag, so framed and
+    raw encodings coexist on the same links. *)
 
 exception Corrupt of string
-
-val encode_framed : epoch:int -> seq:int -> t -> bytes
-
-val is_framed : bytes -> bool
-
-val decode_framed : bytes -> frame
-(** Raises {!Corrupt} on a checksum mismatch, an undecodable payload, or
-    a truncated frame. *)
-
-(** {1 The stream writer}
-
-    Every framed refresh stream — a manager refresh, a cascade's diff
-    of its parent's epochs, a query snapshot's re-evaluation — is sent
-    through one {!writer}, which owns the stream's sequence numbers, its
-    batching and its encode time. *)
 
 val default_batch_size : int
 (** 64: a {!writer}'s [batch_size] when none is given. *)
 
 type writer
+(** Every framed refresh stream — a manager refresh, a cascade's diff of
+    its parent's epochs, a query snapshot's re-evaluation — is sent
+    through one writer, which owns its sequence numbers, its batching,
+    and one frame buffer that each message is written into as it
+    arrives. *)
 
 val writer : ?batch_size:int -> epoch:int -> Snapdiff_net.Link.t -> writer
 (** A writer for one stream, framed under [epoch], onto the link. *)
 
 val write : writer -> t -> unit
-(** Up to [batch_size] consecutive {!batchable} messages travel as one
-    {!Batch} frame, a lone buffered one unwrapped; any other message
-    first flushes the buffer, then travels alone — so a stream's
-    trailing data reaches the link before its {!Snaptime}.  At
-    [batch_size = 1] every message is its own frame.  Each frame is
-    sent with [Link.send ~logical] and numbered by the frames the link
-    has accepted in this stream, so a stream can go on after a send that
-    raised without leaving a sequence gap.  Raises what [Link.send]
-    raises; the frame's messages are then gone from the buffer. *)
+(** Up to [batch_size] consecutive {!is_data} messages travel as one
+    frame; any other message first sends the frame in progress, then
+    travels alone, so a stream's trailing data reaches the link before
+    its {!Snaptime}.  Each frame goes to [Link.send ~logical ~len] in the
+    writer's buffer, borrowed for the call, numbered by the frames the
+    link has accepted in this stream, so a stream can go on after a send
+    that raised without a sequence gap.  Raises what [Link.send] raises;
+    the frame's messages are then gone, and so is a control message
+    whose write sent the frame before it. *)
 
-val encode_us : writer -> float
-(** Time spent in {!encode_framed} so far, for the refresh ledger's
-    [sender.encode_us]. *)
+val link_us : writer -> float
+(** Time spent inside [Link.send] so far, the synchronous receiver
+    included; the refresh ledger charges the rest of the stream's
+    transmit time to encoding. *)
+
+type frame = { epoch : int; seq : int; marker : bool  (** one {!Snaptime} *) }
+
+type reader
+(** A cursor over one received frame, re-pointed per frame. *)
+
+val reader : unit -> reader
+
+val open_frame : reader -> bytes -> int -> frame option
+(** Check the header and checksum of the frame in the first [len] bytes
+    of [b], and point the reader at its first message, read in place:
+    [b] must not change until the last {!next}.  [None] if the bytes do
+    not start with the frame tag; raises {!Corrupt} on a checksum
+    mismatch or a truncated frame. *)
+
+val next : reader -> t option
+(** The frame's next message, or [None] past its last.  Raises
+    {!Corrupt} on an undecodable message or trailing bytes. *)
+
+val encode_framed : epoch:int -> seq:int -> t list -> bytes
+(** The frame a {!writer} sends carrying these messages, in a buffer of
+    its exact length. *)
+
+val decode_framed : bytes -> frame * t list
+(** {!open_frame}, then every {!next}. *)

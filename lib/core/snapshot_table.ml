@@ -63,6 +63,7 @@ type t = {
   mutable last_abort : string option;
   mutable committed_epoch : int;  (* -1 before any framed commit *)
   mutable last_phases : commit_phases;  (* of the last framed commit *)
+  reader : Refresh_msg.reader;  (* over the frame being received *)
   versions : Version_store.t;  (* the rows, and the retained epochs *)
   horizon : Horizon.t;  (* epoch leases + retention policy for this snapshot *)
 }
@@ -98,6 +99,7 @@ let make ?version_retain ?retain_duration ~name ~schema ~time store =
       last_abort = None;
       committed_epoch = -1;
       last_phases = no_phases;
+      reader = Refresh_msg.reader ();
       versions = Version_store.create ~retain ~page_span:version_page_span ();
       horizon =
         Horizon.create
@@ -195,8 +197,7 @@ let sec_remove t base_addr values =
     t.secondaries
 
 (* Every mutation is one page-table edit; the secondary indexes follow
-   from the old row the edit returns.  Rows arrive checked: a raw message
-   by [apply], a framed one by [malformed] before its replay. *)
+   from the old row the edit returns.  Rows arrive checked by [replay]. *)
 let put t base_addr values =
   Option.iter (sec_remove t base_addr) (Version_store.put t.versions base_addr values);
   sec_add t base_addr values
@@ -219,19 +220,29 @@ let clear t =
   Version_store.clear t.versions;
   Hashtbl.iter (fun _ sec -> Value_btree.clear sec.entries) t.secondaries
 
-(* Figure 4 for one message, on rows already checked against the schema;
-   each row is decoded here, once. *)
-let rec replay t (msg : Refresh_msg.t) =
+exception Malformed of string
+
+(* A row the snapshot cannot hold (wrong arity, wrong type, NULL in a NOT
+   NULL column) raises [Malformed], read from its tag bytes before the
+   message changes anything. *)
+let decode t row =
+  if Row.arity row <> Schema.arity t.user then
+    raise (Malformed "tuple dimensions do not match snapshot schema");
+  (match Row.validate t.user row with Ok () -> () | Error e -> raise (Malformed e));
+  Row.to_tuple row
+
+(* Figure 4 for one message; each row is checked and decoded here, once. *)
+let replay t (msg : Refresh_msg.t) =
   match msg with
-  | Batch ms -> List.iter (replay t) ms
   | Entry { addr; prev_qual; row } ->
+    let values = decode t row in
     (* Everything strictly between the previous qualified entry and this
        one is gone from the base table's qualified set. *)
     drop_range t ~lo:(prev_qual + 1) ~hi:(addr - 1);
-    put t addr (Row.to_tuple row)
+    put t addr values
   | Tail { last_qual } -> drop_range t ~lo:(last_qual + 1) ~hi:max_int
   | Region { lo; hi } -> drop_range t ~lo ~hi
-  | Upsert { addr; row } -> put t addr (Row.to_tuple row)
+  | Upsert { addr; row } -> put t addr (decode t row)
   | Remove { addr } -> delete t addr
   | Clear -> clear t
   | Snaptime ts -> t.time <- ts
@@ -239,19 +250,6 @@ let rec replay t (msg : Refresh_msg.t) =
     (* Control messages flow the other way (snapshot -> base); receiving
        one here is harmless and means a loopback link. *)
     ()
-
-(* A row the snapshot cannot hold (wrong arity, wrong type, NULL in a NOT
-   NULL column), or [None], read from its tag bytes.  A framed row is
-   checked before its frame replays, so a malformed frame aborts its
-   epoch instead of raising half way through a message. *)
-let rec malformed t (msg : Refresh_msg.t) =
-  match msg with
-  | Entry { row; _ } | Upsert { row; _ } ->
-    if Row.arity row <> Schema.arity t.user then
-      Some "tuple dimensions do not match snapshot schema"
-    else (match Row.validate t.user row with Ok () -> None | Error e -> Some e)
-  | Batch ms -> List.find_map (malformed t) ms
-  | Tail _ | Region _ | Remove _ | Clear | Snaptime _ | Register _ | Request _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Framed streams, applied as they arrive. *)
@@ -293,12 +291,19 @@ let commit t o ts =
   t.committed_epoch <- o.epoch;
   Metrics.incr m_stream_commits
 
-(* [decode_us] is the time [apply_bytes] spent checksumming and decoding
-   this frame. *)
-let rec receive t ~decode_us ({ Refresh_msg.epoch; seq; msg } as frame) =
+let rec replay_frame t =
+  match Refresh_msg.next t.reader with
+  | Some msg ->
+    replay t msg;
+    replay_frame t
+  | None -> ()
+
+(* The frame [apply_bytes] opened; [decode_us] is the time it spent on
+   its header and checksum. *)
+let rec receive t ~decode_us ({ Refresh_msg.epoch; seq; marker } as frame) =
   match t.stream with
   | Dropping d when d = epoch || (d = -1 && seq > 0) ->
-    t.stream <- (match msg with Refresh_msg.Snaptime _ -> Idle | _ -> Dropping epoch)
+    t.stream <- (if marker then Idle else Dropping epoch)
   | Open o when o.epoch <> epoch ->
     (* The open epoch was truncated before its commit marker. *)
     abort t (Printf.sprintf "epoch %d truncated (superseded by epoch %d)" o.epoch epoch);
@@ -312,22 +317,24 @@ let rec receive t ~decode_us ({ Refresh_msg.epoch; seq; msg } as frame) =
   | Open o -> (
     let t0 = Trace.now_us () in
     o.decode_us <- o.decode_us +. decode_us;
-    let drop reason =
-      abort t reason;
+    if seq <> o.next_seq then begin
+      abort t (Printf.sprintf "sequence gap in epoch %d: expected %d, got %d" epoch o.next_seq seq);
       receive t ~decode_us:0.0 frame
-    in
-    if seq <> o.next_seq then
-      drop (Printf.sprintf "sequence gap in epoch %d: expected %d, got %d" epoch o.next_seq seq)
+    end
     else
-      match malformed t msg with
-      | Some e -> drop (Printf.sprintf "malformed frame in epoch %d: %s" epoch e)
-      | None -> (
+      (* A message that fails part-way through aborts the epoch, whose
+         sealed root discards what the frame replayed before it. *)
+      match
         o.next_seq <- seq + 1;
         Trace.with_span "refresh.apply"
           ~attrs:[ ("snapshot", t.snap_name); ("epoch", string_of_int epoch) ]
-          (fun () -> replay t msg);
+          (fun () -> replay_frame t)
+      with
+      | () ->
         o.replay_us <- o.replay_us +. (Trace.now_us () -. t0);
-        match msg with Refresh_msg.Snaptime ts -> commit t o ts | _ -> ()))
+        if marker then commit t o t.time
+      | exception Malformed e -> abort t (Printf.sprintf "malformed frame in epoch %d: %s" epoch e)
+      | exception Refresh_msg.Corrupt reason -> abort t ("corrupt frame: " ^ reason))
 
 (* A raw message is the same replay outside any epoch; it aborts an open
    one first. *)
@@ -335,22 +342,19 @@ let apply t msg =
   (match t.stream with
   | Open o -> abort t (Printf.sprintf "raw message inside epoch %d" o.epoch)
   | Idle | Dropping _ -> ());
-  match malformed t msg with
-  | Some e -> invalid_arg ("Snapshot_table: " ^ e)
-  | None -> replay t msg
+  try replay t msg with Malformed e -> invalid_arg ("Snapshot_table: " ^ e)
 
-let apply_bytes t b =
-  if Refresh_msg.is_framed b then begin
-    let t0 = Trace.now_us () in
-    match Refresh_msg.decode_framed b with
-    | frame -> receive t ~decode_us:(Trace.now_us () -. t0) frame
-    | exception Refresh_msg.Corrupt reason -> abort t ("corrupt frame: " ^ reason)
-  end
-  else
-    match Refresh_msg.decode b with
-    | msg when t.stream = Idle -> apply t msg
+let apply_bytes t b len =
+  let t0 = Trace.now_us () in
+  match Refresh_msg.open_frame t.reader b len with
+  | Some frame -> receive t ~decode_us:(Trace.now_us () -. t0) frame
+  | exception Refresh_msg.Corrupt reason -> abort t ("corrupt frame: " ^ reason)
+  | None -> (
+    match Refresh_msg.decode ~len b with
+    | msg when t.stream = Idle -> (
+      try replay t msg with Malformed e -> abort t ("malformed message: " ^ e))
     | _ -> abort t "unframed bytes inside a framed stream"
-    | exception Failure reason -> abort t ("undecodable message: " ^ reason)
+    | exception Failure reason -> abort t ("undecodable message: " ^ reason))
 
 let epochs_committed t = t.commits
 let epochs_aborted t = t.aborts
@@ -380,8 +384,6 @@ let version_retain t = Version_store.retain t.versions
 let versions t = Version_store.versions t.versions
 
 let horizon t = t.horizon
-let retention_policy t = Horizon.policy t.horizon
-let set_retention_policy t p = Horizon.set_policy t.horizon p
 
 (* Every pinned read holds a Pinned_read lease on the snapshot's horizon
    for its lifetime, so the epoch floor reflects open readers — the

@@ -91,20 +91,25 @@ val apply : t -> Refresh_msg.t -> unit
     epoch is aborted first.  A row that does not match the schema raises
     [Invalid_argument], and nothing of the message is stored. *)
 
-val apply_bytes : t -> bytes -> unit
-(** The receiver installed on the network link.  A raw message is decoded
-    and applied ({!apply}); a frame joins its epoch (below).  Bytes that
-    decode to no frame never raise: inside an epoch they abort it, and
-    with none open they abort the epoch whose frames come next. *)
+val apply_bytes : t -> bytes -> int -> unit
+(** The receiver installed on the network link, over the first [len]
+    bytes of the buffer it lends.  A raw message is decoded and applied
+    like {!apply}; a frame joins its epoch (below).  Bytes that decode
+    to no frame, or to a raw message with a malformed row, never raise:
+    inside an epoch they abort it, and with none open they abort the
+    epoch whose frames come next. *)
 
 (** {1 Atomic stream application}
 
     A framed refresh stream is applied as it arrives, inside the page
     table's open commit: its first well-formed frame seals the committed
-    image ({!Version_store.begin_commit}), each frame is checked
-    (sequence number, then each row against the schema: arity, column
-    types, NOT NULL) and replayed into the open root at once, and the
-    {!Refresh_msg.Snaptime} marker publishes the epoch.  A sequence gap,
+    image ({!Version_store.begin_commit}), each frame's sequence number
+    is checked, then its messages are read one at a time from the
+    frame's bytes, each row checked against the schema (arity, column
+    types, NOT NULL) and replayed into the open root, and the marker — a
+    frame of one {!Refresh_msg.Snaptime} — publishes the epoch.  A
+    message that fails part-way through a frame aborts the epoch, whose
+    sealed image discards what the frame replayed.  A sequence gap,
     a bad checksum, undecodable bytes, a malformed row, a frame of
     another epoch, raw bytes inside the stream or {!abort_stream} aborts
     the epoch at once: the
@@ -131,12 +136,12 @@ val last_committed_epoch : t -> int
 
 (** Where the receiver's time went in its last framed commit, in
     microseconds.  The four phases are disjoint: [decode_us] sums
-    {!apply_bytes}' checksum and decode of the epoch's frames, whose rows
-    are checked and copied but not decoded; [freeze_us] is
-    {!Version_store.begin_commit} sealing the committed image at the
-    first frame; [replay_us] sums each frame's check, the decode of its
-    rows and its replay into the page table (copying each page the first
-    time the epoch touches it); [publish_us] is
+    {!apply_bytes}' check of the epoch's frame headers and checksums;
+    [freeze_us] is {!Version_store.begin_commit} sealing the committed
+    image at the first frame; [replay_us] sums the walk of each frame's
+    messages in place — reading each, checking and decoding its row, and
+    replaying it into the page table (copying each page the first time
+    the epoch touches it); [publish_us] is
     {!Version_store.end_commit} publishing the epoch. *)
 type commit_phases = {
   decode_us : float;
@@ -261,13 +266,6 @@ val versions : t -> Version_store.version_info list
     consults it — nothing else holds versions alive. *)
 
 val horizon : t -> Horizon.t
-
-val retention_policy : t -> Horizon.policy
-
-val set_retention_policy : t -> Horizon.policy -> unit
-(** Takes effect at the next eviction/vacuum decision.  Note
-    [retain_epochs] does not resize the already-created version ring; it
-    is the vacuum-facing half of the policy. *)
 
 val vacuum :
   ?older_than:Clock.ts -> ?dry_run:bool -> t -> Version_store.vacuum_stats

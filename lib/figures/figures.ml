@@ -577,7 +577,7 @@ let wire_ablation ?(seed = 37) ?(n = 10_000) ?(u = 0.05) () =
     (fun (wire_name, bytes_per_sec, latency_us) ->
       let replay stream =
         let link = Link.create ~bytes_per_sec ~latency_us () in
-        Link.attach link (fun (_ : bytes) -> ());
+        Link.attach link (fun _ _ -> ());
         List.iter (fun m -> Link.send link (Refresh_msg.encode m)) (List.rev stream);
         Link.simulated_time_us link /. 1e6
       in
@@ -943,7 +943,7 @@ type wire_batch_row = {
   batch_bytes : int;
 }
 
-(* Batched transport at full selectivity and low churn: the per-message
+(* Many messages per frame at full selectivity and low churn: the per-message
    framing overhead (link header + epoch/seq/checksum) dominates short
    streams, and coalescing k data messages per frame divides the physical
    message count by up to k without touching the logical stream. *)

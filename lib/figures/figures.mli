@@ -216,6 +216,6 @@ type wire_batch_row = {
 
 val wire_batching_ablation :
   ?seed:int -> ?n:int -> ?u_list:float list -> unit -> wire_batch_row list
-(** Batched refresh transport at 100% selectivity and low churn: physical
+(** Many refresh messages per frame at 100% selectivity and low churn: physical
     frame count falls up to [batch_threshold]-fold while the logical
     data-message count is unchanged. *)

@@ -36,18 +36,6 @@ let zero_stats =
     injected_failures = 0;
   }
 
-let add_stats a b =
-  {
-    messages = a.messages + b.messages;
-    logical_messages = a.logical_messages + b.logical_messages;
-    bytes = a.bytes + b.bytes;
-    payload_bytes = a.payload_bytes + b.payload_bytes;
-    dropped = a.dropped + b.dropped;
-    injected_drops = a.injected_drops + b.injected_drops;
-    injected_corruptions = a.injected_corruptions + b.injected_corruptions;
-    injected_failures = a.injected_failures + b.injected_failures;
-  }
-
 let pp_stats ppf s =
   Format.fprintf ppf "%d msgs (%d logical), %d bytes (%d payload), %d dropped" s.messages
     s.logical_messages s.bytes s.payload_bytes s.dropped;
@@ -76,7 +64,7 @@ type t = {
   header_bytes : int;
   latency_us : float;
   bytes_per_sec : float;
-  mutable receiver : (bytes -> unit) option;
+  mutable receiver : (bytes -> int -> unit) option;
   mutable up : bool;
   mutable stats : stats;
   mutable simulated_us : float;
@@ -100,8 +88,6 @@ let create ?(name = "link") ?(header_bytes = 32) ?(latency_us = 0.0)
 let simulated_time_us t = t.simulated_us
 
 let advance_time t us = if us > 0.0 then t.simulated_us <- t.simulated_us +. us
-
-let name t = t.link_name
 
 let attach t f = t.receiver <- Some f
 
@@ -130,8 +116,6 @@ let inject_faults t ?(drop_prob = 0.0) ?(corrupt_prob = 0.0) ?fail_after
       }
 
 let clear_faults t = t.faults <- None
-
-let faults_active t = t.faults <> None
 
 let count_drop t =
   t.stats <- { t.stats with dropped = t.stats.dropped + 1 };
@@ -178,7 +162,9 @@ let account t ~logical n =
     t.simulated_us +. t.latency_us
     +. (1_000_000.0 *. float_of_int (t.header_bytes + n) /. t.bytes_per_sec)
 
-let send t ?(logical = 1) payload =
+let send t ?(logical = 1) ?len payload =
+  let len = Option.value len ~default:(Bytes.length payload) in
+  if len < 0 || len > Bytes.length payload then invalid_arg "Link.send: len";
   if not t.up then begin
     count_drop t;
     raise (Link_down t.link_name)
@@ -195,26 +181,27 @@ let send t ?(logical = 1) payload =
       raise (Link_down t.link_name)
     | `Lose ->
       (* The message occupied the wire but never arrived. *)
-      account t ~logical (Bytes.length payload);
+      account t ~logical len;
       count_drop t;
       t.stats <- { t.stats with injected_drops = t.stats.injected_drops + 1 };
       Metrics.incr m_fault_drops;
       Trace.event "link.fault" ~attrs:[ ("link", t.link_name); ("kind", "drop") ]
     | `Corrupt salt ->
-      account t ~logical (Bytes.length payload);
+      account t ~logical len;
       t.stats <- { t.stats with injected_corruptions = t.stats.injected_corruptions + 1 };
       Metrics.incr m_fault_corruptions;
       Trace.event "link.fault" ~attrs:[ ("link", t.link_name); ("kind", "corrupt") ];
-      let garbled = Bytes.copy payload in
-      if Bytes.length garbled > 0 then begin
-        let i = salt mod Bytes.length garbled in
+      (* The sender's buffer is only borrowed: garble a copy. *)
+      let garbled = Bytes.sub payload 0 len in
+      if len > 0 then begin
+        let i = salt mod len in
         Bytes.set garbled i
           (Char.chr (Char.code (Bytes.get garbled i) lxor (1 + (salt lsr 8) mod 255)))
       end;
-      f garbled
+      f garbled len
     | `Deliver ->
-      account t ~logical (Bytes.length payload);
-      f payload)
+      account t ~logical len;
+      f payload len)
 
 let try_send t ?logical payload =
   match send t ?logical payload with

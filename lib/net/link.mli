@@ -23,7 +23,7 @@ type stats = {
   messages : int;  (** physical frames put on the wire *)
   logical_messages : int;
       (** refresh-protocol messages carried by those frames; equals
-          [messages] unless senders batch (see {!Snapdiff_core.Refresh_msg.Batch}) *)
+          [messages] unless senders batch several into one frame *)
   bytes : int;  (** includes per-message header overhead *)
   payload_bytes : int;
   dropped : int;  (** sends that did not reach the receiver, any cause *)
@@ -31,8 +31,6 @@ type stats = {
   injected_corruptions : int;  (** fault plan: payload bytes garbled in flight *)
   injected_failures : int;  (** fault plan: outages surfaced as {!Link_down} *)
 }
-
-val add_stats : stats -> stats -> stats
 
 val pp_stats : Format.formatter -> stats -> unit
 
@@ -59,19 +57,23 @@ val advance_time : t -> float -> unit
 (** Add [us] microseconds of non-transfer time (e.g. retry backoff) to the
     simulated clock.  Negative values are ignored. *)
 
-val name : t -> string
-
-val attach : t -> (bytes -> unit) -> unit
-(** Install the receiving end.  Replaces any previous receiver. *)
+val attach : t -> (bytes -> int -> unit) -> unit
+(** Install the receiving end, which is called with each delivered
+    payload [(b, len)]: the payload is [b]'s first [len] bytes.  [b] is
+    borrowed for the call: the sender may write its next frame into it
+    once the receiver returns, so a receiver that keeps a payload must
+    copy it.  Replaces any previous receiver. *)
 
 val detach : t -> unit
 (** Remove the receiver; subsequent {!send}s raise {!No_receiver}. *)
 
-val send : t -> ?logical:int -> bytes -> unit
-(** Deliver synchronously.  Raises {!Link_down} (after counting the drop)
-    if the link is down or an injected outage fires; raises {!No_receiver} if
-    no receiver is attached.  Under an armed fault plan the message may
-    also be silently lost or delivered corrupted — the sender cannot
+val send : t -> ?logical:int -> ?len:int -> bytes -> unit
+(** Deliver the first [len] bytes of the payload (default: all of it)
+    synchronously, lending the buffer to the receiver for the call.
+    Raises {!Link_down} (after counting the drop) if the link is down or
+    an injected outage fires; raises {!No_receiver} if no receiver is
+    attached.  Under an armed fault plan the message may also be silently
+    lost or delivered corrupted (a garbled copy) — the sender cannot
     tell, which is the point.  [logical] (default 1) is the number of
     protocol messages this frame carries, for the paper's message-count
     metric when frames are batched. *)
@@ -101,8 +103,6 @@ val inject_faults :
     {!Link_down}. *)
 
 val clear_faults : t -> unit
-
-val faults_active : t -> bool
 
 val stats : t -> stats
 

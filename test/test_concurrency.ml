@@ -189,13 +189,13 @@ let run_interleaved_refresh ~mode () =
     (fun (p, addr) -> Base_table.update mbase addr (emp "pre" (p mod threshold)))
     (row_per_page mbase);
   let tries = ref 0 and mono_granted = ref 0 in
-  Snapdiff_net.Link.attach (Manager.snapshot_link mono "s") (fun frame ->
+  Snapdiff_net.Link.attach (Manager.snapshot_link mono "s") (fun frame len ->
       List.iter
         (fun (_, addr) ->
           incr tries;
           if locked_update mono mbase ~addr (emp "mid" threshold) then incr mono_granted)
         (row_per_page mbase);
-      Snapshot_table.apply_bytes (Manager.snapshot_table mono "s") frame);
+      Snapshot_table.apply_bytes (Manager.snapshot_table mono "s") frame len);
   let rm = Manager.refresh mono "s" in
   checki "monolithic refresh ran in one chunk" 0 rm.Manager.chunks;
   checkb "updaters were tried inside the monolithic refresh" true (!tries > 0);
@@ -333,9 +333,9 @@ let capture_refresh ~chunk_entries =
   let link = Manager.snapshot_link m "s" in
   let table = Manager.snapshot_table m "s" in
   let buf = Buffer.create 1024 in
-  Link.attach link (fun b ->
-      Buffer.add_bytes buf b;
-      Snapshot_table.apply_bytes table b);
+  Link.attach link (fun b len ->
+      Buffer.add_subbytes buf b 0 len;
+      Snapshot_table.apply_bytes table b len);
   let r = Manager.refresh m "s" in
   (Buffer.contents buf, r)
 

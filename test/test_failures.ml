@@ -106,6 +106,11 @@ let a1 = Addr.make ~page:1 ~slot:0
 let a2 = Addr.make ~page:1 ~slot:1
 let a3 = Addr.make ~page:1 ~slot:2
 
+(* What a link does with a frame of [msgs]: lend its bytes to the
+   receiver. *)
+let deliver snap b = Snapshot_table.apply_bytes snap b (Bytes.length b)
+let send_frame snap ~epoch ~seq msgs = deliver snap (Refresh_msg.encode_framed ~epoch ~seq msgs)
+
 let mk_snap () =
   let snap = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
   Snapshot_table.apply snap (Refresh_msg.Upsert { addr = a1; row = Row.of_tuple (emp "a" 1) });
@@ -136,17 +141,13 @@ let test_partial_stream_neither_image () =
   (* Framed, the same truncated prefix applies inside its open epoch:
      every read still sees the old image. *)
   let framed = mk_snap () in
-  Snapshot_table.apply_bytes framed
-    (Refresh_msg.encode_framed ~epoch:1 ~seq:0 (List.hd stream));
+  send_frame framed ~epoch:1 ~seq:0 [ List.hd stream ];
   checkb "framed partial stream leaves the old image" true
     (Snapshot_table.contents framed = old_image);
   checkb "epoch 1 open" true (Snapshot_table.open_epoch framed = Some 1);
   (* The retry arrives as a fresh epoch: it supersedes (aborts) the
      truncated stream and commits atomically at its marker. *)
-  List.iteri
-    (fun i msg ->
-      Snapshot_table.apply_bytes framed (Refresh_msg.encode_framed ~epoch:2 ~seq:i msg))
-    stream;
+  List.iteri (fun i msg -> send_frame framed ~epoch:2 ~seq:i [ msg ]) stream;
   checkb "retried epoch commits the new image" true
     (Snapshot_table.contents framed = new_image);
   checki "one abort" 1 (Snapshot_table.epochs_aborted framed);
@@ -158,11 +159,9 @@ let test_gap_and_corruption_detected () =
   (* A silently lost frame (sequence gap) aborts the epoch. *)
   let snap = mk_snap () in
   let old_image = Snapshot_table.contents snap in
-  Snapshot_table.apply_bytes snap
-    (Refresh_msg.encode_framed ~epoch:1 ~seq:0 (List.nth stream 0));
+  send_frame snap ~epoch:1 ~seq:0 [ List.nth stream 0 ];
   (* seq 1 lost in flight *)
-  Snapshot_table.apply_bytes snap
-    (Refresh_msg.encode_framed ~epoch:1 ~seq:2 (List.nth stream 2));
+  send_frame snap ~epoch:1 ~seq:2 [ List.nth stream 2 ];
   checkb "gapped stream aborted at its marker" true
     (Snapshot_table.contents snap = old_image
     && Snapshot_table.epochs_aborted snap = 1
@@ -170,49 +169,40 @@ let test_gap_and_corruption_detected () =
   (* A garbled frame (any byte) fails the checksum and aborts the
      epoch; its later frames are dropped. *)
   let snap = mk_snap () in
-  let garbled = Refresh_msg.encode_framed ~epoch:1 ~seq:0 (List.nth stream 0) in
+  let garbled = Refresh_msg.encode_framed ~epoch:1 ~seq:0 [ List.nth stream 0 ] in
   let i = Bytes.length garbled - 1 in
   Bytes.set garbled i (Char.chr (Char.code (Bytes.get garbled i) lxor 0x40));
-  Snapshot_table.apply_bytes snap garbled;
-  List.iteri
-    (fun i msg ->
-      if i > 0 then
-        Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch:1 ~seq:i msg))
-    stream;
+  deliver snap garbled;
+  List.iteri (fun i msg -> if i > 0 then send_frame snap ~epoch:1 ~seq:i [ msg ]) stream;
   checkb "corrupted stream aborted, old image kept" true
     (Snapshot_table.contents snap = old_image
     && Snapshot_table.epochs_aborted snap = 1
     && Snapshot_table.epochs_committed snap = 0)
 
 (* A checksum-valid frame whose row the snapshot cannot hold — wrong
-   arity, wrong column type, even buried in a Batch — is checked before
-   its replay: the epoch aborts whole instead of raising half way through
-   a message, and the next clean epoch commits. *)
+   arity, wrong column type, even behind a good message of the same
+   frame — is checked before its replay: the epoch aborts whole instead
+   of raising half way through a message, and the next clean epoch
+   commits. *)
 let test_malformed_frame_aborts () =
   let bad_rows =
-    [ ("arity", Refresh_msg.Upsert { addr = a3;
-        row = Row.of_tuple (Tuple.make [ Value.str "short" ]) });
-      ("type", Refresh_msg.Upsert { addr = a3;
-          row = Row.of_tuple (Tuple.make [ Value.int 1; Value.int 2 ]) });
-      ( "batched arity",
-        Refresh_msg.Batch
-          [ Refresh_msg.Upsert { addr = a3; row = Row.of_tuple (emp "c" 3) };
-            Refresh_msg.Entry
-              { addr = a3 + 1; prev_qual = a3;
-                  row = Row.of_tuple (Tuple.make [ Value.str "x"; Value.int 1; Value.int 2 ]) }
-          ] ) ]
+    [ ("arity", [ Refresh_msg.Upsert { addr = a3;
+        row = Row.of_tuple (Tuple.make [ Value.str "short" ]) } ]);
+      ("type", [ Refresh_msg.Upsert { addr = a3;
+          row = Row.of_tuple (Tuple.make [ Value.int 1; Value.int 2 ]) } ]);
+      ( "arity after a good message",
+        [ Refresh_msg.Upsert { addr = a3; row = Row.of_tuple (emp "c" 3) };
+          Refresh_msg.Entry
+            { addr = a3 + 1; prev_qual = a3;
+                row = Row.of_tuple (Tuple.make [ Value.str "x"; Value.int 1; Value.int 2 ]) }
+        ] ) ]
   in
   List.iteri
     (fun k (what, bad) ->
       let snap = mk_snap () in
       let old_image = Snapshot_table.contents snap in
-      let frames = [ Refresh_msg.Remove { addr = a1 }; bad; Refresh_msg.Snaptime 20 ] in
-      (match
-         List.iteri
-           (fun i msg ->
-             Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch:(k + 1) ~seq:i msg))
-           frames
-       with
+      let frames = [ [ Refresh_msg.Remove { addr = a1 } ]; bad; [ Refresh_msg.Snaptime 20 ] ] in
+      (match List.iteri (fun i msgs -> send_frame snap ~epoch:(k + 1) ~seq:i msgs) frames with
       | () -> ()
       | exception e -> Alcotest.failf "%s: malformed frame raised %s" what (Printexc.to_string e));
       checkb (what ^ ": stream aborted, old image kept") true
@@ -224,13 +214,32 @@ let test_malformed_frame_aborts () =
         (match Snapshot_table.last_abort snap with
         | Some r -> String.length r >= 15 && String.sub r 0 15 = "malformed frame"
         | None -> false);
-      List.iteri
-        (fun i msg ->
-          Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch:(k + 10) ~seq:i msg))
-        stream;
+      List.iteri (fun i msg -> send_frame snap ~epoch:(k + 10) ~seq:i [ msg ]) stream;
       checki (what ^ ": the next clean epoch commits") (k + 10)
         (Snapshot_table.last_committed_epoch snap))
     bad_rows
+
+(* The same row sent raw over a link, outside any epoch: the receiver
+   refuses it with a recorded abort and raises nothing into the sender. *)
+let test_malformed_raw_over_link () =
+  let snap = mk_snap () in
+  let old_image = Snapshot_table.contents snap in
+  let link = Link.create ~name:"raw" () in
+  Link.attach link (Snapshot_table.apply_bytes snap);
+  let bad =
+    Refresh_msg.Upsert { addr = a3; row = Row.of_tuple (Tuple.make [ Value.str "short" ]) }
+  in
+  (match Link.send link (Refresh_msg.encode bad) with
+  | () -> ()
+  | exception e -> Alcotest.failf "a malformed raw message raised %s" (Printexc.to_string e));
+  checkb "the try_send path raises nothing either" true
+    (Link.try_send link (Refresh_msg.encode bad));
+  checkb "abort recorded" true
+    (match Snapshot_table.last_abort snap with
+    | Some r -> String.length r >= 17 && String.sub r 0 17 = "malformed message"
+    | None -> false);
+  checkb "image unchanged" true (Snapshot_table.contents snap = old_image);
+  checkb "valid" true (Snapshot_table.validate snap = Ok ())
 
 (* A snapshot row that grows far past its old size must not fail the
    replay.  When the snapshot lived in a heap, [Heap.update] once raised
@@ -355,7 +364,8 @@ let test_corruption_exhausts_then_recovers () =
 
 (* A single transient outage: the retry loop always converges.  The
    outage fires at frame [k + 1]; a batched stream of these scripts is a
-   Batch frame and a Snaptime frame, so [max_k] is smaller there. *)
+   frame of data messages and a Snaptime frame, so [max_k] is smaller
+   there. *)
 let prop_transient_outage ?batch_size ?(max_k = 5) ~method_ name =
   QCheck2.Test.make ~name ~count:60
     (Gen.quad script_gen threshold_gen (Gen.int_range 0 max_k) seed_gen)
@@ -555,6 +565,8 @@ let suite =
       test_gap_and_corruption_detected;
     Alcotest.test_case "malformed frame aborts its stream at staging" `Quick
       test_malformed_frame_aborts;
+    Alcotest.test_case "malformed raw message over a link raises nothing" `Quick
+      test_malformed_raw_over_link;
     Alcotest.test_case "grown snapshot row relocates instead of wedging" `Quick
       test_grown_row_relocates;
     Alcotest.test_case "outage keeps old image, retry recovers" `Quick

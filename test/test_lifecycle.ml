@@ -160,11 +160,16 @@ let test_vacuum_spares_pinned_epoch () =
     | vi :: _ -> vi
     | [] -> Alcotest.fail "no retained versions"
   in
-  let rt = Option.get (Manager.read_txn ~epoch:oldest.VS.vi_epoch m "s") in
+  let rt =
+    Snapshot_table.read_txn_exn ~epoch:oldest.VS.vi_epoch ~holder:"nightly-report"
+      (Manager.snapshot_table m "s")
+  in
   let image0 = Snapshot_table.txn_contents rt in
   let zr0 = Metrics.counter_value Metrics.global "mvcc.zombies_reclaimed" in
   let rep = Manager.vacuum ~older_than:(Clock.now clock) m in
   let sv = List.hd rep.Manager.vac_snapshots in
+  Alcotest.(check (list (pair string int))) "the pinned reader is named"
+    [ ("nightly-report", oldest.VS.vi_epoch) ] sv.Manager.sv_leases;
   checki "the pinned candidate was zombied, not freed" 1 sv.Manager.sv_zombied;
   checkb "its lease also shields newer expired versions" true (sv.Manager.sv_kept > 0);
   checki "so nothing was freed outright" 0 sv.Manager.sv_reclaimed;
@@ -184,6 +189,22 @@ let test_vacuum_spares_pinned_epoch () =
   let sv2 = List.hd rep2.Manager.vac_snapshots in
   checkb "release unblocked reclamation" true (sv2.Manager.sv_reclaimed > 0);
   checki "nothing left shielded" 0 sv2.Manager.sv_kept
+
+(* A cascade child whose link is down keeps its parent epoch: the
+   parent's dry run names it as the holder. *)
+let test_vacuum_names_cascade_holder () =
+  let m, base, _, clock = mk_workload ~retain:3 () in
+  let child = Cascade.attach ~upstream:(Manager.snapshot_table m "s") ~name:"c" () in
+  ignore (Cascade.refresh child : Manager.refresh_report);
+  let held = Cascade.held_epoch child in
+  Snapdiff_net.Link.set_up (Cascade.link child) false;
+  ignore (Workload.update_fraction base ~rng:(Rng.create 0xB0B) ~u:0.2 ~mix:Workload.churn : int);
+  ignore (Manager.refresh m "s" : Manager.refresh_report);
+  checki "the child's refresh aborts" 1 (Cascade.refresh child).Manager.aborts;
+  checki "the child keeps its epoch" held (Cascade.held_epoch child);
+  let rep = Manager.vacuum ~older_than:(Clock.now clock) ~dry_run:true m in
+  Alcotest.(check (list (pair string int))) "the parent's dry run names the child"
+    [ ("cascade:c", held) ] (List.hd rep.Manager.vac_snapshots).Manager.sv_leases
 
 let test_vacuum_gated_by_live_scan () =
   let clock = Clock.create () in
@@ -366,6 +387,8 @@ let suite =
       test_vacuum_reclaims_and_truncates;
     Alcotest.test_case "vacuum: pinned epoch survives as a zombie" `Quick
       test_vacuum_spares_pinned_epoch;
+    Alcotest.test_case "vacuum: dry run names a cascade child's held epoch" `Quick
+      test_vacuum_names_cascade_holder;
     Alcotest.test_case "vacuum: gated by a live chunked scan" `Quick
       test_vacuum_gated_by_live_scan;
     Alcotest.test_case "fleet pinned reads survive interleaved vacuums" `Quick

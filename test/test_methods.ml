@@ -69,7 +69,8 @@ let test_snapshot_table_tail_and_region () =
 let test_snapshot_table_snaptime_and_bytes () =
   let s = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
   checki "initial snaptime" Clock.never (Snapshot_table.snaptime s);
-  Snapshot_table.apply_bytes s (Refresh_msg.encode (Refresh_msg.Snaptime 42));
+  let b = Refresh_msg.encode (Refresh_msg.Snaptime 42) in
+  Snapshot_table.apply_bytes s b (Bytes.length b);
   checki "snaptime applied" 42 (Snapshot_table.snaptime s)
 
 (* ------------------------------------------------------------------ *)
@@ -457,14 +458,14 @@ let suite = suite @ [ Alcotest.test_case "request protocol" `Quick test_request_
 (* Appended: link timing simulation. *)
 let test_link_simulated_time () =
   let link = Link.create ~header_bytes:0 ~latency_us:100.0 ~bytes_per_sec:1000.0 () in
-  Link.attach link (fun (_ : bytes) -> ());
+  Link.attach link (fun _ _ -> ());
   Link.send link (Bytes.create 500);  (* 100us + 500/1000 s = 100us + 500_000us *)
   Alcotest.(check (float 1.0)) "one send" 500_100.0 (Link.simulated_time_us link);
   Link.send link (Bytes.create 500);
   Alcotest.(check (float 1.0)) "accumulates" 1_000_200.0 (Link.simulated_time_us link);
   (* Default link has no simulated cost. *)
   let free = Link.create () in
-  Link.attach free (fun (_ : bytes) -> ());
+  Link.attach free (fun _ _ -> ());
   Link.send free (Bytes.create 500);
   Alcotest.(check (float 1e-9)) "free link" 0.0 (Link.simulated_time_us free)
 

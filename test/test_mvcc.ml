@@ -384,9 +384,7 @@ let a2 = Addr.make ~page:1 ~slot:1
    then commits onto a correct ring. *)
 let test_vacuum_mid_epoch () =
   let snap = Snapshot_table.create ~version_retain:3 ~name:"s" ~schema:emp_schema () in
-  let frame epoch seq msg =
-    Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch ~seq msg)
-  in
+  let frame epoch seq msg = Test_properties.deliver snap (Refresh_msg.encode_framed ~epoch ~seq [ msg ]) in
   let epochs () = List.map (fun vi -> vi.VS.vi_epoch) (Snapshot_table.versions snap) in
   for e = 1 to 3 do
     frame e 0 (Refresh_msg.Upsert { addr = a1; row = Row.of_tuple (emp "a" e) });
@@ -476,9 +474,9 @@ let test_reader_domains_never_tear () =
   (* Each round's epoch is [n / 64] batch frames and its Snaptime: the
      stop comes before its middle frame applies. *)
   let heard = ref 0 and stops = ref 0 in
-  Snapdiff_net.Link.attach (Manager.snapshot_link m "s") (fun frame ->
-      (match (Refresh_msg.decode_framed frame).Refresh_msg.msg with
-      | Refresh_msg.Snaptime _ -> heard := 0
+  Snapdiff_net.Link.attach (Manager.snapshot_link m "s") (fun frame len ->
+      (match Refresh_msg.decode_framed (Bytes.sub frame 0 len) with
+      | _, [ Refresh_msg.Snaptime _ ] -> heard := 0
       | _ ->
         incr heard;
         if !heard = n / Refresh_msg.default_batch_size / 2 then begin
@@ -490,7 +488,7 @@ let test_reader_domains_never_tear () =
           done;
           incr stops
         end);
-      Snapshot_table.apply_bytes snap frame);
+      Snapshot_table.apply_bytes snap frame len);
   let readers = Array.init n_readers (fun i -> Domain.spawn (reader i)) in
   Fun.protect
     ~finally:(fun () -> Atomic.set stop true)
@@ -727,7 +725,7 @@ let retain_k = 4
 let snapshots = [ "s0"; "s1"; "s2" ]
 
 (* At [batch_size = 1] a garbled link can hit any message of a stream; at
-   the default, one garbled Batch frame aborts many messages at once. *)
+   the default, one garbled frame aborts many messages at once. *)
 let prop_epochs_exact ~batch_size name =
   QCheck2.Test.make ~name ~count:30
     Gen.(triple rounds_gen (int_range 1 20) bool)
@@ -865,15 +863,16 @@ let rx_data_gen =
             row = Row.of_tuple values }) rx_addr rx_row_gen);
         (2, map (fun addr -> Refresh_msg.Remove { addr }) rx_addr) ])
 
+(* One raw message, or a run of 1-4 data messages applied back to back. *)
 let rx_raw_gen =
   Gen.(
     frequency
-      [ (8, rx_data_gen);
-        (1, pure Refresh_msg.Clear);
-        (1, map (fun ts -> Refresh_msg.Snaptime ts) (int_range 1 1000));
-        (1, pure (Refresh_msg.Register { restrict = "true"; projection = [ "name" ] }));
-        (1, map (fun snaptime -> Refresh_msg.Request { snaptime }) nat);
-        (2, map (fun ms -> Refresh_msg.Batch ms) (list_size (int_range 1 4) rx_data_gen)) ])
+      [ (8, map (fun m -> [ m ]) rx_data_gen);
+        (1, pure [ Refresh_msg.Clear ]);
+        (1, map (fun ts -> [ Refresh_msg.Snaptime ts ]) (int_range 1 1000));
+        (1, pure [ Refresh_msg.Register { restrict = "true"; projection = [ "name" ] } ]);
+        (1, map (fun snaptime -> [ Refresh_msg.Request { snaptime } ]) nat);
+        (2, list_size (int_range 1 4) rx_data_gen) ])
 
 (* A differential-shaped stream: an optional Clear, Entry/Region steps in
    address order, an optional Tail, then catch-up Upsert/Remove. *)
@@ -909,7 +908,7 @@ type rx_fault = Rx_clean | Rx_drop of int | Rx_garble of int * int * int  (* fra
 
 type rx_op =
   | Rx_commit of Refresh_msg.t list * int * rx_fault  (* stream, frame batch size, fault *)
-  | Rx_raw of Refresh_msg.t
+  | Rx_raw of Refresh_msg.t list
   | Rx_pin_head
   | Rx_pin_old of int
   | Rx_release of int
@@ -941,7 +940,7 @@ let print_rx_op = function
       | Rx_drop i -> Printf.sprintf "drop %d" i
       | Rx_garble (i, b, x) -> Printf.sprintf "garble %d:%d^%d" i b x)
       (String.concat "; " (List.map (Format.asprintf "%a" Refresh_msg.pp) s))
-  | Rx_raw m -> Format.asprintf "raw %a" Refresh_msg.pp m
+  | Rx_raw ms -> String.concat "; " (List.map (Format.asprintf "raw %a" Refresh_msg.pp) ms)
   | Rx_pin_head -> "pin head"
   | Rx_pin_old k -> Printf.sprintf "pin old %d" k
   | Rx_release k -> Printf.sprintf "release %d" k
@@ -968,10 +967,6 @@ let scratch_pages image =
       (pid, Array.of_list rows, bytes) :: acc)
     by_pid []
   |> List.sort compare
-
-let rec rx_model m = function
-  | Refresh_msg.Batch ms -> List.fold_left rx_model m ms
-  | msg -> Test_properties.model_apply m msg
 
 let run_rx_schedule (retain, ops) =
   let fail fmt = Printf.ksprintf (fun s -> QCheck2.Test.fail_report s) fmt in
@@ -1067,11 +1062,11 @@ let run_rx_schedule (retain, ops) =
         in
         let before = Snapshot_table.last_committed_epoch !snap in
         if fault = Rx_clean then Hashtbl.replace frozen !head_epoch (image ());
-        List.iter (Snapshot_table.apply_bytes !snap) frames;
+        List.iter (Test_properties.deliver !snap) frames;
         if fault = Rx_clean then begin
           if Snapshot_table.last_committed_epoch !snap <> epoch then
             fail "clean epoch %d did not commit" epoch;
-          model := List.fold_left rx_model !model stream;
+          model := List.fold_left Test_properties.model_apply !model stream;
           head_epoch := epoch
         end
         else begin
@@ -1081,9 +1076,9 @@ let run_rx_schedule (retain, ops) =
              (a lost marker) must not swallow the next raw message. *)
           Snapshot_table.abort_stream !snap ~reason:"faulted stream"
         end
-      | Rx_raw msg ->
-        Snapshot_table.apply !snap msg;
-        model := rx_model !model msg
+      | Rx_raw msgs ->
+        List.iter (Snapshot_table.apply !snap) msgs;
+        model := List.fold_left Test_properties.model_apply !model msgs
       | Rx_pin_head -> pin_head ()
       | Rx_pin_old k -> (
         let ring = Snapshot_table.versions !snap in

@@ -188,9 +188,9 @@ let run_scenario (script, threshold) =
       : Manager.refresh_report);
   let wire = Buffer.create 256 in
   let st = Manager.snapshot_table m "s" in
-  Snapdiff_net.Link.attach link (fun b ->
-      Buffer.add_bytes wire b;
-      Snapshot_table.apply_bytes st b);
+  Snapdiff_net.Link.attach link (fun b len ->
+      Buffer.add_subbytes wire b 0 len;
+      Snapshot_table.apply_bytes st b len);
   let n = ref 0 in
   List.iter
     (fun op ->
@@ -253,7 +253,7 @@ let test_subsystem_coverage () =
   let d =
     counter_delta "link.frames" (fun () ->
         let l = Snapdiff_net.Link.create ~name:"obs-test" () in
-        Snapdiff_net.Link.attach l (fun _ -> ());
+        Snapdiff_net.Link.attach l (fun _ _ -> ());
         Snapdiff_net.Link.send l (Bytes.of_string "x"))
   in
   checkb "link.frames counted" true (d > 0);

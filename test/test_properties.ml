@@ -757,16 +757,15 @@ let msg_gen =
       Gen.map (fun ts -> Refresh_msg.Snaptime (abs ts)) Gen.int;
     ]
 
-(* Batch frames nest one level in practice (the manager never batches a
-   batch), but the codec handles arbitrary members. *)
-let msg_gen_with_batch =
-  Gen.frequency
-    [ (4, msg_gen);
-      (1, Gen.map (fun ms -> Refresh_msg.Batch ms) (Gen.list_size (Gen.int_range 0 6) msg_gen)) ]
-
+(* Each message raw, and all of them as one frame: a frame carries any
+   number of messages, a lone one unwrapped. *)
 let prop_msg_roundtrip =
-  QCheck2.Test.make ~name:"refresh message codec roundtrip" ~count:500 msg_gen_with_batch
-    (fun m -> Refresh_msg.equal m (Refresh_msg.decode (Refresh_msg.encode m)))
+  QCheck2.Test.make ~name:"refresh message codec roundtrip" ~count:500
+    (Gen.list_size (Gen.int_range 0 6) msg_gen)
+    (fun ms ->
+      let _, got = Refresh_msg.decode_framed (Refresh_msg.encode_framed ~epoch:1 ~seq:0 ms) in
+      List.for_all (fun m -> Refresh_msg.equal m (Refresh_msg.decode (Refresh_msg.encode m))) ms
+      && List.equal Refresh_msg.equal ms got)
 
 (* ---- Group refresh ----------------------------------------------------- *)
 
@@ -1019,10 +1018,7 @@ let prop_group_prune_isolation =
    retries tick the clock), their contents faithful every round, and the
    faulty member must either converge or hold a consistent image — its
    failures must never leak into the others' streams. *)
-let rec normalize_msg = function
-  | Refresh_msg.Snaptime _ -> Refresh_msg.Snaptime 0
-  | Refresh_msg.Batch ms -> Refresh_msg.Batch (List.map normalize_msg ms)
-  | m -> m
+let normalize_msg = function Refresh_msg.Snaptime _ -> Refresh_msg.Snaptime 0 | m -> m
 
 let group_fault_gen =
   Gen.triple scenario_gen (Gen.oneofl [ 1; 4; 32 ]) (Gen.int_range 0 1000)
@@ -1053,7 +1049,7 @@ let prop_group_fault_isolation =
                  ~method_:Manager.Differential ~link:links.(i) ()
                 : Manager.refresh_report))
           names;
-        (* Tap the healthy links: record each frame's logical message and
+        (* Tap the healthy links: record each frame's logical messages and
            forward it to the receiver unchanged. *)
         let taps =
           Array.map
@@ -1061,11 +1057,11 @@ let prop_group_fault_isolation =
               let table = Manager.snapshot_table m name in
               let acc = ref [] in
               let link = Manager.snapshot_link m name in
-              Snapdiff_net.Link.attach link (fun b ->
-                  (match Refresh_msg.decode_framed b with
-                  | f -> acc := f.Refresh_msg.msg :: !acc
+              Snapdiff_net.Link.attach link (fun b len ->
+                  (match Refresh_msg.decode_framed (Bytes.sub b 0 len) with
+                  | _, msgs -> acc := List.rev_append msgs !acc
                   | exception Refresh_msg.Corrupt _ -> ());
-                  Snapshot_table.apply_bytes table b);
+                  Snapshot_table.apply_bytes table b len);
               acc)
             names
         in
@@ -1560,37 +1556,24 @@ let model_apply m = function
   | Refresh_msg.Clear -> IntMap.empty
   | _ -> m
 
-(* The sender's framing: consecutive batchable messages coalesce up to
-   [k] per Batch frame; anything else flushes and travels alone. *)
+(* The writer's framing, each frame as the messages it carries: runs of
+   up to [k] data messages share a frame; any other message ends the run
+   and travels alone. *)
 let frames_of ~k msgs =
-  let out = ref [] and buf = ref [] and n = ref 0 in
-  let flush () =
-    (match !buf with
-    | [] -> ()
-    | [ m ] -> out := m :: !out
-    | ms -> out := Refresh_msg.Batch (List.rev ms) :: !out);
-    buf := [];
-    n := 0
+  let close run acc = if run = [] then acc else List.rev run :: acc in
+  let rec go acc run n = function
+    | [] -> List.rev (close run acc)
+    | m :: rest when Refresh_msg.is_data m ->
+      if n + 1 >= k then go (close (m :: run) acc) [] 0 rest else go acc (m :: run) (n + 1) rest
+    | m :: rest -> go ([ m ] :: close run acc) [] 0 rest
   in
-  List.iter
-    (fun m ->
-      if k > 1 && Refresh_msg.batchable m then begin
-        buf := m :: !buf;
-        incr n;
-        if !n >= k then flush ()
-      end
-      else begin
-        flush ();
-        out := m :: !out
-      end)
-    msgs;
-  flush ();
-  List.rev !out
+  go [] [] 0 msgs
+
+(* What a link does with a frame: lend its bytes to the receiver. *)
+let deliver snap b = Snapshot_table.apply_bytes snap b (Bytes.length b)
 
 let send_frames snap ~epoch frames =
-  List.iteri
-    (fun seq m -> Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch ~seq m))
-    frames
+  List.iteri (fun seq ms -> deliver snap (Refresh_msg.encode_framed ~epoch ~seq ms)) frames
 
 type stream_fault = No_fault | Drop of int | Garble of int * int * int  (* frame, byte, mask *)
 
@@ -1652,8 +1635,8 @@ let prop_stream_apply_model =
         let frames = frames_of ~k stream in
         let last = List.length frames - 1 in
         List.iteri
-          (fun seq m ->
-            Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch:2 ~seq m);
+          (fun seq ms ->
+            deliver snap (Refresh_msg.encode_framed ~epoch:2 ~seq ms);
             if seq < last then check_unchanged ~k ~frame:seq snap before)
           frames;
         if Snapshot_table.last_committed_epoch snap <> 2 then
@@ -1674,7 +1657,7 @@ let prop_stream_apply_model =
             let before = Snapshot_table.contents snap in
             let frames =
               List.mapi
-                (fun seq m -> Refresh_msg.encode_framed ~epoch:2 ~seq m)
+                (fun seq ms -> Refresh_msg.encode_framed ~epoch:2 ~seq ms)
                 (frames_of ~k stream)
             in
             let nf = List.length frames in
@@ -1694,7 +1677,7 @@ let prop_stream_apply_model =
                   frames
               | No_fault -> frames
             in
-            List.iter (Snapshot_table.apply_bytes snap) frames;
+            List.iter (deliver snap) frames;
             if Snapshot_table.last_committed_epoch snap <> 1 then
               fail_report (Printf.sprintf "k=%d: a faulted stream committed" k);
             if Snapshot_table.contents snap <> before then

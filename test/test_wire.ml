@@ -3,12 +3,13 @@
    The reference encoder below is written from the documented layout, not
    from the library: a message is a tag byte then its fields — addresses,
    timestamps and counts as little-endian i64 (OCaml ints) or u32 (string
-   lengths, list and batch member counts), tuples as a u16 field count
-   then tag-byte values, batch members each behind a u32 length.  A frame
-   is tag 0xF7, epoch and seq as i64, the u32 FNV-1a checksum of the
-   payload folded with epoch and seq, then the payload.  The library's
-   encoders must produce exactly these bytes, and its decoders must
-   reject every truncation and every single-byte flip of a frame as
+   lengths, list and run counts), tuples as a u16 field count then
+   tag-byte values.  A frame is tag 0xF7, epoch and seq as i64, the u32
+   FNV-1a checksum of the payload folded with epoch and seq, then the
+   payload: a lone message, or tag 10, a u32 count and each message
+   behind a u32 length.  The library's encoders and stream writer must
+   produce exactly these bytes, and its decoders must reject every
+   truncation and every single-byte flip of a frame as
    [Refresh_msg.Corrupt] — leaving a snapshot's committed image alone. *)
 
 open Snapdiff_storage
@@ -58,7 +59,7 @@ let ref_tuple buf t =
   ref_u16 buf (Array.length t);
   Array.iter (ref_value buf) t
 
-let rec ref_msg (m : Refresh_msg.t) =
+let ref_msg (m : Refresh_msg.t) =
   let buf = Buffer.create 64 in
   (match m with
   | Entry { addr; prev_qual; row } ->
@@ -91,8 +92,13 @@ let rec ref_msg (m : Refresh_msg.t) =
     List.iter (ref_string buf) projection
   | Request { snaptime } ->
     ref_u8 buf 9;
-    ref_int buf snaptime
-  | Batch ms ->
+    ref_int buf snaptime);
+  Buffer.contents buf
+
+let ref_payload = function
+  | [ m ] -> ref_msg m
+  | ms ->
+    let buf = Buffer.create 256 in
     ref_u8 buf 10;
     ref_u32 buf (List.length ms);
     List.iter
@@ -100,8 +106,8 @@ let rec ref_msg (m : Refresh_msg.t) =
         let s = ref_msg m in
         ref_u32 buf (String.length s);
         Buffer.add_string buf s)
-      ms);
-  Buffer.contents buf
+      ms;
+    Buffer.contents buf
 
 let ref_checksum ~epoch ~seq payload =
   let h = ref 0x811C9DC5 in
@@ -113,8 +119,8 @@ let ref_checksum ~epoch ~seq payload =
   done;
   !h
 
-let ref_framed ~epoch ~seq m =
-  let payload = ref_msg m in
+let ref_framed ~epoch ~seq ms =
+  let payload = ref_payload ms in
   let buf = Buffer.create (String.length payload + 21) in
   ref_u8 buf 0xF7;
   ref_int buf epoch;
@@ -166,48 +172,45 @@ let leaf_gen =
         (Gen.list_size (Gen.int_range 0 4) name_gen);
       Gen.map (fun snaptime -> Request { snaptime }) Gen.int ]
 
-(* Batches nest up to two deep: deeper than the manager ever sends, so
-   the member-window reader is exercised inside another member. *)
-let msg_gen =
-  let rec go depth =
-    if depth = 0 then leaf_gen
-    else
-      Gen.frequency
-        [ (5, leaf_gen);
-          (2, Gen.map (fun ms -> Refresh_msg.Batch ms)
-                (Gen.list_size (Gen.int_range 0 4) (go (depth - 1)))) ]
-  in
-  go 2
+(* A frame's messages: any of them, in any order, mostly one or a few. *)
+let frame_gen = Gen.list_size (Gen.frequency [ (3, Gen.pure 1); (2, Gen.int_range 2 6) ]) leaf_gen
 
 let header_gen = Gen.oneof [ Gen.int_range 0 1000; Gen.map (fun i -> i land max_int) Gen.int ]
 
-let case_gen = Gen.triple msg_gen header_gen header_gen
+let case_gen = Gen.triple frame_gen header_gen header_gen
 
-let print_case (m, epoch, seq) =
-  Format.asprintf "epoch=%d seq=%d %a" epoch seq Refresh_msg.pp m
+let print_msgs ms = String.concat "; " (List.map (Format.asprintf "%a" Refresh_msg.pp) ms)
+
+let print_case (ms, epoch, seq) = Printf.sprintf "epoch=%d seq=%d [%s]" epoch seq (print_msgs ms)
 
 (* ---- Properties ------------------------------------------------------- *)
 
 let prop_encoders_match_reference =
   QCheck2.Test.make ~name:"wire: encode/encode_framed = reference layout, byte for byte"
-    ~count:500 ~print:print_case case_gen (fun (m, epoch, seq) ->
-      let raw = Refresh_msg.encode m in
-      let framed = Refresh_msg.encode_framed ~epoch ~seq m in
-      if Bytes.to_string raw <> ref_msg m then
-        QCheck2.Test.fail_reportf "encode differs from the reference (%d vs %d bytes)"
-          (Bytes.length raw) (String.length (ref_msg m));
-      if Bytes.to_string framed <> ref_framed ~epoch ~seq m then
+    ~count:500 ~print:print_case case_gen (fun (ms, epoch, seq) ->
+      List.iter
+        (fun m ->
+          let raw = Refresh_msg.encode m in
+          if Bytes.to_string raw <> ref_msg m then
+            QCheck2.Test.fail_reportf "encode differs from the reference (%d vs %d bytes)"
+              (Bytes.length raw) (String.length (ref_msg m));
+          if not (Refresh_msg.equal m (Refresh_msg.decode raw)) then
+            QCheck2.Test.fail_report "decode . encode is not the identity")
+        ms;
+      let framed = Refresh_msg.encode_framed ~epoch ~seq ms in
+      if Bytes.to_string framed <> ref_framed ~epoch ~seq ms then
         QCheck2.Test.fail_report "encode_framed differs from the reference";
-      let f = Refresh_msg.decode_framed framed in
-      Refresh_msg.equal m (Refresh_msg.decode raw)
-      && f.Refresh_msg.epoch = epoch && f.Refresh_msg.seq = seq
-      && Refresh_msg.equal m f.Refresh_msg.msg)
+      let f, got = Refresh_msg.decode_framed framed in
+      f.Refresh_msg.epoch = epoch && f.Refresh_msg.seq = seq
+      && f.Refresh_msg.marker = (match ms with [ Refresh_msg.Snaptime _ ] -> true | _ -> false)
+      && List.equal Refresh_msg.equal ms got)
 
 (* [decode_framed] of a damaged frame must raise [Corrupt] and nothing
    else: no other exception, no silent success. *)
 let expect_corrupt what b =
   match Refresh_msg.decode_framed b with
-  | (_ : Refresh_msg.frame) -> QCheck2.Test.fail_reportf "%s decoded without error" what
+  | (_ : Refresh_msg.frame * Refresh_msg.t list) ->
+    QCheck2.Test.fail_reportf "%s decoded without error" what
   | exception Refresh_msg.Corrupt _ -> ()
   | exception e ->
     QCheck2.Test.fail_reportf "%s raised %s, not Corrupt" what (Printexc.to_string e)
@@ -227,17 +230,20 @@ let prop_damaged_frames_are_corrupt =
     ~count:300
     ~print:(fun (c, mask) -> Printf.sprintf "%s mask=0x%02x" (print_case c) mask)
     (Gen.pair case_gen (Gen.int_range 1 255))
-    (fun ((m, epoch, seq), mask) ->
-      let raw = Refresh_msg.encode m in
-      for cut = 0 to Bytes.length raw - 1 do
-        match Refresh_msg.decode (Bytes.sub raw 0 cut) with
-        | (_ : Refresh_msg.t) ->
-          QCheck2.Test.fail_reportf "raw %d/%d-byte prefix decoded" cut (Bytes.length raw)
-        | exception Failure _ -> ()
-      done;
+    (fun ((ms, epoch, seq), mask) ->
+      List.iter
+        (fun m ->
+          let raw = Refresh_msg.encode m in
+          for cut = 0 to Bytes.length raw - 1 do
+            match Refresh_msg.decode ~len:cut raw with
+            | (_ : Refresh_msg.t) ->
+              QCheck2.Test.fail_reportf "raw %d/%d-byte prefix decoded" cut (Bytes.length raw)
+            | exception Failure _ -> ()
+          done)
+        ms;
       List.iter
         (fun (what, b) -> expect_corrupt what b)
-        (damaged (Refresh_msg.encode_framed ~epoch ~seq m) mask);
+        (damaged (Refresh_msg.encode_framed ~epoch ~seq ms) mask);
       true)
 
 let snap_schema =
@@ -253,18 +259,19 @@ let row name salary = Row.of_tuple (tuple name salary)
    epoch's later frames are dropped and the committed image is what it
    was.  The stream's first frame is a valid upsert (so the stream is
    open when the damaged frame arrives, and a wrongful commit would show
-   in the image); the damaged frame is the generated message at seq 1. *)
+   in the image); the damaged frame is the generated one at seq 1. *)
 let prop_damaged_frame_keeps_committed_image =
   QCheck2.Test.make ~name:"wire: a damaged frame leaves the committed image unchanged"
     ~count:150
     ~print:(fun (c, mask) -> Printf.sprintf "%s mask=0x%02x" (print_case c) mask)
     (Gen.pair case_gen (Gen.int_range 1 255))
-    (fun ((m, _, _), mask) ->
+    (fun ((ms, _, _), mask) ->
       let snap = Snapshot_table.create ~name:"s" ~schema:snap_schema () in
       let a1 = Addr.make ~page:1 ~slot:0 and a2 = Addr.make ~page:1 ~slot:1 in
+      let deliver = Test_properties.deliver snap in
+      let send ~epoch ~seq msg = deliver (Refresh_msg.encode_framed ~epoch ~seq [ msg ]) in
       List.iteri
-        (fun seq msg ->
-          Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch:0 ~seq msg))
+        (fun seq msg -> send ~epoch:0 ~seq msg)
         [ Refresh_msg.Upsert { addr = a1; row = row "a" 1 }; Refresh_msg.Snaptime 10 ];
       let image = Snapshot_table.contents snap in
       let epoch = ref 0 in
@@ -272,25 +279,107 @@ let prop_damaged_frame_keeps_committed_image =
         (fun (what, bad) ->
           incr epoch;
           let epoch = !epoch in
-          Snapshot_table.apply_bytes snap
-            (Refresh_msg.encode_framed ~epoch ~seq:0
-               (Refresh_msg.Upsert { addr = a2; row = row "b" epoch }));
-          Snapshot_table.apply_bytes snap bad;
-          Snapshot_table.apply_bytes snap
-            (Refresh_msg.encode_framed ~epoch ~seq:2 (Refresh_msg.Snaptime (10 + epoch)));
+          send ~epoch ~seq:0 (Refresh_msg.Upsert { addr = a2; row = row "b" epoch });
+          deliver bad;
+          send ~epoch ~seq:2 (Refresh_msg.Snaptime (10 + epoch));
           if Snapshot_table.contents snap <> image || Snapshot_table.snaptime snap <> 10 then
             QCheck2.Test.fail_reportf "%s: the committed image changed" what;
           if Snapshot_table.last_committed_epoch snap <> 0 then
             QCheck2.Test.fail_reportf "%s: epoch %d committed" what epoch)
-        (damaged (Refresh_msg.encode_framed ~epoch:0 ~seq:1 m) mask);
+        (damaged (Refresh_msg.encode_framed ~epoch:0 ~seq:1 ms) mask);
       (* The same stream undamaged does commit. *)
       incr epoch;
       List.iteri
-        (fun seq msg ->
-          Snapshot_table.apply_bytes snap (Refresh_msg.encode_framed ~epoch:!epoch ~seq msg))
+        (fun seq msg -> send ~epoch:!epoch ~seq msg)
         [ Refresh_msg.Upsert { addr = a2; row = row "b" 0 }; Refresh_msg.Snaptime 99 ];
       Snapshot_table.last_committed_epoch snap = !epoch
       && Snapshot_table.get snap a2 = Some (tuple "b" 0))
+
+(* ---- The writer's one frame buffer ------------------------------------- *)
+
+type plan = Lossy of float | Garbling of float | Outage_at of int
+
+let print_plan = function
+  | Lossy p -> Printf.sprintf "drop %.2f" p
+  | Garbling p -> Printf.sprintf "corrupt %.2f" p
+  | Outage_at n -> Printf.sprintf "outage at send %d" (n + 1)
+
+let plan_gen =
+  Gen.oneof
+    [ Gen.map (fun p -> Lossy p) (Gen.float_range 0.05 0.5);
+      Gen.map (fun p -> Garbling p) (Gen.float_range 0.05 0.5);
+      Gen.map (fun n -> Outage_at n) (Gen.int_range 0 12) ]
+
+(* The writer writes each frame over the bytes of the one before.  Every
+   frame it hands the link must still be the reference frame of the
+   messages it carries: under loss (the frame never arrives), under
+   corruption (the link garbles a copy, so what arrives differs from the
+   reference in exactly one byte), and after an outage raised part-way
+   through a run of data messages (the run is gone, and the stream goes
+   on under the next sequence number).  The link's receiver copies each
+   frame it hears, with the number of frames the link had accepted. *)
+let prop_reused_buffer_leaks_nothing =
+  QCheck2.Test.make ~name:"wire: every frame from the reused buffer = reference, under faults"
+    ~count:200
+    ~print:(fun (msgs, k, plan, seed) ->
+      Printf.sprintf "k=%d %s seed=%d [%s]" k (print_plan plan) seed (print_msgs msgs))
+    Gen.(
+      quad
+        (list_size (int_range 1 150) (frequency [ (6, leaf_gen); (1, pure Refresh_msg.Clear) ]))
+        (oneofl [ 1; Refresh_msg.default_batch_size ])
+        plan_gen nat)
+    (fun (msgs, k, plan, seed) ->
+      let module Link = Snapdiff_net.Link in
+      let msgs = msgs @ [ Refresh_msg.Snaptime 1 ] in
+      let link = Link.create () in
+      let heard = ref [] in
+      Link.attach link (fun b len ->
+          heard := ((Link.stats link).Link.messages - 1, Bytes.sub b 0 len) :: !heard);
+      (match plan with
+      | Lossy p -> Link.inject_faults link ~drop_prob:p ~seed ()
+      | Garbling p -> Link.inject_faults link ~corrupt_prob:p ~seed ()
+      | Outage_at n -> Link.inject_faults link ~fail_after:n ~seed ());
+      let w = Refresh_msg.writer ~batch_size:k ~epoch:7 link in
+      let outages = ref 0 in
+      List.iter
+        (fun m -> try Refresh_msg.write w m with Link.Link_down _ -> incr outages)
+        msgs;
+      let frames = Test_properties.frames_of ~k msgs in
+      (* A control message's write first sends the run before it: if that
+         send raises, the control message goes with the run. *)
+      let accepted =
+        match plan with
+        | Outage_at n when n < List.length frames ->
+          let run = List.nth frames n in
+          let last = if Refresh_msg.is_data (List.hd run) && List.length run < k then n + 1 else n in
+          List.filteri (fun j _ -> j < n || j > last) frames
+        | _ -> frames
+      in
+      let accepted = Array.of_list accepted in
+      if !outages <> min 1 (List.length frames - Array.length accepted) then
+        QCheck2.Test.fail_reportf "%d outages raised" !outages;
+      let stats = Link.stats link in
+      if List.length !heard + stats.Link.injected_drops <> Array.length accepted then
+        QCheck2.Test.fail_reportf "%d frames heard, %d lost, of %d" (List.length !heard)
+          stats.Link.injected_drops (Array.length accepted);
+      let garbled =
+        List.fold_left
+          (fun garbled (seq, got) ->
+            let want = ref_framed ~epoch:7 ~seq accepted.(seq) in
+            let got = Bytes.to_string got in
+            if got = want then garbled
+            else begin
+              let diff = ref 0 in
+              if String.length got = String.length want then
+                String.iteri (fun i c -> if c <> want.[i] then incr diff) got;
+              if !diff <> 1 then
+                QCheck2.Test.fail_reportf "frame %d differs from the reference (%d vs %d bytes)"
+                  seq (String.length got) (String.length want);
+              garbled + 1
+            end)
+          0 !heard
+      in
+      garbled = stats.Link.injected_corruptions)
 
 (* ---- Rows as bytes ----------------------------------------------------- *)
 
@@ -409,10 +498,8 @@ let prop_row_check_is_validate_tuple =
           (match verdict with Ok () -> "ok" | Error e -> e);
       (* The receiver commits the row's epoch iff the row fits. *)
       let snap = Snapshot_table.create ~name:"s" ~schema () in
-      List.iteri
-        (fun seq msg -> Snapshot_table.apply_bytes snap
-          (Refresh_msg.encode_framed ~epoch:1 ~seq msg))
-        [ Refresh_msg.Upsert { addr = 1; row }; Refresh_msg.Snaptime 5 ];
+      Test_properties.send_frames snap ~epoch:1
+        [ [ Refresh_msg.Upsert { addr = 1; row } ]; [ Refresh_msg.Snaptime 5 ] ];
       let committed = Snapshot_table.last_committed_epoch snap = 1 in
       committed = Result.is_ok verdict
       && ((not committed) || Option.fold ~none:false ~some:(Tuple.equal t)
@@ -421,5 +508,5 @@ let prop_row_check_is_validate_tuple =
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_encoders_match_reference; prop_damaged_frames_are_corrupt;
-      prop_damaged_frame_keeps_committed_image; prop_copied_row_is_encoded_projection;
+      prop_damaged_frame_keeps_committed_image; prop_reused_buffer_leaks_nothing; prop_copied_row_is_encoded_projection;
       prop_row_check_is_validate_tuple ]
