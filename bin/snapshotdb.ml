@@ -315,7 +315,8 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_re
              \"scan_us\": %.1f, \"lock_us\": %.1f, \"load_us\": %.1f, \
              \"fixup_us\": %.1f, \"filter_us\": %.1f, \"emit_us\": %.1f, \
              \"scan_other_us\": %.1f, \"encode_us\": %.1f, \"send_us\": %.1f, \
-             \"fixup_bytes\": %d, \"wall_us\": %.1f, \"residual_us\": %.1f"
+             \"fixup_bytes\": %d, \"wall_us\": %.1f, \"residual_us\": %.1f, \
+             \"alloc_words\": %d"
             name
             (Manager.method_name r.Manager.method_used)
             r.Manager.group_size r.Manager.pages_decoded r.Manager.data_messages
@@ -326,7 +327,7 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_re
             r.Manager.sender.load_us r.Manager.sender.fixup_us r.Manager.sender.filter_us
             r.Manager.sender.emit_us r.Manager.sender.scan_other_us r.Manager.sender.encode_us
             r.Manager.sender.send_us r.Manager.sender.fixup_bytes r.Manager.wall_us
-            r.Manager.residual_us;
+            r.Manager.residual_us r.Manager.alloc_words;
           if version_retain > 1 then begin
             Buffer.add_string buf ", \"versions\": [";
             List.iteri

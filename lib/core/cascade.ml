@@ -52,7 +52,9 @@ let detach t =
 
 (* The held image diffed against [now], as one stream under [epoch]: an
    [Upsert] or [Remove] for each address whose child row changed, then
-   [now]'s Snaptime.  Counts the rows compared and the messages sent. *)
+   [now]'s Snaptime.  Counts the rows compared and the messages sent.  A
+   parent row that kept its bytes keeps its child row, so only rows that
+   differ are decoded to run the restriction. *)
 let stream t now ~epoch ~compared ~sent =
   let w = Refresh_msg.writer ~epoch t.out in
   let held =
@@ -62,12 +64,13 @@ let stream t now ~epoch ~compared ~sent =
     incr sent;
     Refresh_msg.write w msg
   in
+  let child = function Some r -> t.view (Row.to_tuple r) | None -> None in
   Version_store.diff held (Snapshot_table.txn_image now) (fun addr was is ->
       incr compared;
       match (was, is) with
-      | Some a, Some b when a == b -> ()  (* a row its copied page kept *)
+      | Some a, Some b when Row.equal a b -> ()
       | _ -> (
-        match (Option.bind was t.view, Option.bind is t.view) with
+        match (child was, child is) with
         | Some a, Some b when Tuple.equal a b -> ()
         | _, Some row -> send (Refresh_msg.Upsert { addr; row = Row.of_tuple row })
         | Some _, None -> send (Refresh_msg.Remove { addr })

@@ -92,6 +92,7 @@ type refresh_report = {
   sender : sender_phases;
   wall_us : float;  (* the committing attempt's wall time *)
   residual_us : float;  (* [wall_us] not covered by any member's phases *)
+  alloc_words : int;  (* minor words the committing attempt allocated *)
 }
 
 (* Retry discipline for refresh streams.  Backoff is simulated time
@@ -477,9 +478,12 @@ let locked_scan t b ~write ~chunked open_scan =
           let t0 = Trace.now_us () in
           page_locks lo hi (fun r -> lock r final);
           release_chunk prev;
-          Trace.with_span "refresh.chunk"
-            ~attrs:[ ("table", Base_table.name b); ("pages", Printf.sprintf "%d-%d" lo hi) ]
-            (fun () -> sc.sc_scan_to ~last_page:hi);
+          (* The span's attributes are built only when tracing is on. *)
+          if Trace.enabled () then
+            Trace.with_span "refresh.chunk"
+              ~attrs:[ ("table", Base_table.name b); ("pages", Printf.sprintf "%d-%d" lo hi) ]
+              (fun () -> sc.sc_scan_to ~last_page:hi)
+          else sc.sc_scan_to ~last_page:hi;
           walk (Some (lo, hi, t0)) (hi + 1) (chunks + 1)
         end
       in
@@ -730,6 +734,7 @@ let make_report ~snapshot method_used ~new_snaptime ~entries_scanned ~data_messa
     sender = no_sender;
     wall_us = 0.0;
     residual_us = 0.0;
+    alloc_words = 0;
   }
 
 (* The differential scan trusts the annotation state to be current as of
@@ -991,7 +996,7 @@ exception Abandoned
    stream would silently lose the changes between the old and new cursor
    on retry — or its failure. *)
 let attempt t b members =
-  let started = Trace.now_us () in
+  let started = Trace.now_us () and words0 = Gc.minor_words () in
   let n = Array.length members in
   let used = method_for t b members.(0) in
   let live = ref n in
@@ -1122,6 +1127,7 @@ let attempt t b members =
       members
   in
   let wall_us = Trace.now_us () -. started in
+  let alloc_words = int_of_float (Gc.minor_words () -. words0) in
   let residual_us =
     Array.fold_left
       (fun acc -> function Some (_, _, _, spent) -> acc -. spent | None -> acc)
@@ -1154,6 +1160,7 @@ let attempt t b members =
                    fixup_bytes = (if m.populate then 0 else p.fixup_bytes) });
               wall_us;
               residual_us;
+              alloc_words;
             },
             fun () ->
               on_commit ();

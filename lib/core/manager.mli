@@ -124,7 +124,7 @@ type refresh_report = {
       (** the receiver half of the refresh's cost: how long the snapshot
           site spent checking frame headers and checksums ([decode_us]),
           freezing, walking each frame's messages in place — read, row
-          check and decode, replay ([replay_us]) — and publishing the
+          check, replay ([replay_us]) — and publishing the
           committed stream ({!Snapshot_table.last_commit_phases}); all
           zero for a refresh that did not commit a framed stream *)
   sender : sender_phases;
@@ -143,6 +143,12 @@ type refresh_report = {
           the wall time minus that refresh's own phases.  It holds request
           sends, stream set-up and a failed sibling's time on its link,
           and is [>= 0] up to clock rounding. *)
+  alloc_words : int;
+      (** words the committing attempt allocated on the refreshing domain
+          ([Gc.minor_words] over [wall_us]: sender and receivers together,
+          since the link delivers in the sender's call); 0 for a report
+          not produced by a refresh attempt.  The same for every member of
+          one group scan. *)
 }
 
 val make_report :

@@ -33,7 +33,7 @@ type epoch = {
   mutable next_seq : int;
   mutable decode_us : float;  (* checksum and decode of its frames, rows left as bytes *)
   freeze_us : float;  (* the seal at its first frame *)
-  mutable replay_us : float;  (* check, row decode and replay of its frames *)
+  mutable replay_us : float;  (* read, row check and replay of its frames *)
 }
 
 type stream =
@@ -116,9 +116,9 @@ let create ?version_retain ?retain_duration ~name ~schema () =
   make ?version_retain ?retain_duration ~name ~schema ~time:Clock.never None
 
 (* The persisted form: one heap record per row, the user columns plus
-   [__baseaddr].  Adoption puts each record into the page table; a record
-   whose [__baseaddr] is not an int, or repeats one already adopted, is
-   corruption.  A write inserts the new image's records and makes them
+   [__baseaddr].  Adoption puts each record's user columns into the page
+   table as a row of bytes; a record whose [__baseaddr] is not an int,
+   or repeats one already adopted, is corruption.  A write inserts the new image's records and makes them
    durable before it deletes the old ones, so a write cut short leaves
    every row of the old image or the new in the store (most often both,
    which adoption reports as duplicates), never neither. *)
@@ -131,8 +131,8 @@ let on_pool ?(snaptime = Clock.never) ?version_retain ?retain_duration ~name ~sc
   let write image =
     let old = !persisted in
     persisted :=
-      Version_store.fold image ~init:[] ~f:(fun rids a values ->
-          Heap.insert heap (Array.append values [| Value.int a |]) :: rids);
+      Version_store.fold image ~init:[] ~f:(fun rids a row ->
+          Heap.insert heap (Array.append (Row.to_tuple row) [| Value.int a |]) :: rids);
     Heap.flush heap;
     List.iter (Heap.delete heap) old;
     Heap.flush heap
@@ -146,7 +146,7 @@ let on_pool ?(snaptime = Clock.never) ?version_retain ?retain_duration ~name ~sc
       match stored.(arity) with
       | Value.Int b ->
         let a = Int64.to_int b in
-        if Version_store.put t.versions a (Array.sub stored 0 arity) <> None then
+        if Version_store.put t.versions a (Row.of_tuple (Array.sub stored 0 arity)) <> None then
           corrupt "duplicate %s %d in persisted store" baseaddr_col a
       | _ -> corrupt "corrupt %s column in persisted store" baseaddr_col);
   t
@@ -164,9 +164,10 @@ let schema t = t.user
 let snaptime t = t.time
 let count t = Version_store.count (image t)
 
-(* Secondary index maintenance. *)
-let index_row sec base_addr values =
-  let key = values.(sec.sec_column) in
+(* Secondary index maintenance: a row's key column is the one field
+   decoded. *)
+let index_row sec base_addr row =
+  let key = Row.field row sec.sec_column in
   let set =
     match Value_btree.find sec.entries key with
     | Some set -> set
@@ -177,18 +178,17 @@ let index_row sec base_addr values =
   in
   Hashtbl.replace set base_addr ()
 
-let sec_add t base_addr values =
-  Hashtbl.iter (fun _ sec -> index_row sec base_addr values) t.secondaries
+let sec_add t base_addr row = Hashtbl.iter (fun _ sec -> index_row sec base_addr row) t.secondaries
 
 (* Rebuild one index from the open root. *)
 let backfill t sec =
   Value_btree.clear sec.entries;
   Version_store.iter (head t) (index_row sec)
 
-let sec_remove t base_addr values =
+let sec_remove t base_addr row =
   Hashtbl.iter
     (fun _ sec ->
-      let key = values.(sec.sec_column) in
+      let key = Row.field row sec.sec_column in
       match Value_btree.find sec.entries key with
       | Some set ->
         Hashtbl.remove set base_addr;
@@ -198,23 +198,27 @@ let sec_remove t base_addr values =
 
 (* Every mutation is one page-table edit; the secondary indexes follow
    from the old row the edit returns.  Rows arrive checked by [replay]. *)
-let put t base_addr values =
-  Option.iter (sec_remove t base_addr) (Version_store.put t.versions base_addr values);
-  sec_add t base_addr values
+let put t base_addr row =
+  Option.iter (sec_remove t base_addr) (Version_store.put t.versions base_addr row);
+  sec_add t base_addr row
 
 let delete t base_addr =
   Option.iter (sec_remove t base_addr) (Version_store.delete t.versions base_addr)
 
 (* Delete every entry with [lo <= BaseAddr <= hi]: the merge step of
-   Figure 4.  Each successor probe at or below [hi] is a gap victim; an
-   empty gap — the common case in a differential stream — costs the one
-   probe. *)
+   Figure 4.  Each successor probe at or below [hi] is a gap victim.  An
+   empty range — an entry whose predecessor qualified, the common case
+   in a dense differential stream — costs nothing, and a gap with no
+   victim costs the one probe.  The probe returns [max_int] for "none":
+   under [hi = max_int] that is one [delete] of whatever row is there. *)
 let rec drop_range t ~lo ~hi =
-  match Version_store.succ (head t) lo with
-  | Some (a, _) when a <= hi ->
-    delete t a;
-    drop_range t ~lo:(a + 1) ~hi
-  | _ -> ()
+  if lo <= hi then begin
+    let a = Version_store.succ (head t) lo in
+    if a <= hi then begin
+      delete t a;
+      if a < hi then drop_range t ~lo:(a + 1) ~hi
+    end
+  end
 
 let clear t =
   Version_store.clear t.versions;
@@ -225,24 +229,26 @@ exception Malformed of string
 (* A row the snapshot cannot hold (wrong arity, wrong type, NULL in a NOT
    NULL column) raises [Malformed], read from its tag bytes before the
    message changes anything. *)
-let decode t row =
+let check t row =
   if Row.arity row <> Schema.arity t.user then
     raise (Malformed "tuple dimensions do not match snapshot schema");
-  (match Row.validate t.user row with Ok () -> () | Error e -> raise (Malformed e));
-  Row.to_tuple row
+  match Row.validate t.user row with Ok () -> () | Error e -> raise (Malformed e)
 
-(* Figure 4 for one message; each row is checked and decoded here, once. *)
+(* Figure 4 for one message.  Each row is checked here and stored as it
+   came: the page table holds the bytes, and a read decodes them. *)
 let replay t (msg : Refresh_msg.t) =
   match msg with
   | Entry { addr; prev_qual; row } ->
-    let values = decode t row in
+    check t row;
     (* Everything strictly between the previous qualified entry and this
        one is gone from the base table's qualified set. *)
     drop_range t ~lo:(prev_qual + 1) ~hi:(addr - 1);
-    put t addr values
+    put t addr row
   | Tail { last_qual } -> drop_range t ~lo:(last_qual + 1) ~hi:max_int
   | Region { lo; hi } -> drop_range t ~lo ~hi
-  | Upsert { addr; row } -> put t addr (decode t row)
+  | Upsert { addr; row } ->
+    check t row;
+    put t addr row
   | Remove { addr } -> delete t addr
   | Clear -> clear t
   | Snaptime ts -> t.time <- ts
@@ -326,9 +332,12 @@ let rec receive t ~decode_us ({ Refresh_msg.epoch; seq; marker } as frame) =
          sealed root discards what the frame replayed before it. *)
       match
         o.next_seq <- seq + 1;
-        Trace.with_span "refresh.apply"
-          ~attrs:[ ("snapshot", t.snap_name); ("epoch", string_of_int epoch) ]
-          (fun () -> replay_frame t)
+        (* The span's attributes are built only when tracing is on. *)
+        if Trace.enabled () then
+          Trace.with_span "refresh.apply"
+            ~attrs:[ ("snapshot", t.snap_name); ("epoch", string_of_int epoch) ]
+            (fun () -> replay_frame t)
+        else replay_frame t
       with
       | () ->
         o.replay_us <- o.replay_us +. (Trace.now_us () -. t0);
@@ -363,12 +372,19 @@ let last_committed_epoch t = t.committed_epoch
 let last_commit_phases t = t.last_phases
 let open_epoch t = match t.stream with Open o -> Some o.epoch | Idle | Dropping _ -> None
 
-let get t base_addr = Version_store.find (image t) base_addr
+(* The page table holds rows as bytes; every public read decodes the rows
+   it hands out, here at the edge. *)
+let find img addr = Option.map Row.to_tuple (Version_store.find img addr)
+
+let fold_image img ~init ~f =
+  Version_store.fold img ~init ~f:(fun acc a row -> f acc a (Row.to_tuple row))
+
+let get t base_addr = find (image t) base_addr
 
 (* A traversal with no result list: the hot read paths — fleet readers,
    the bench, and [tuples] below — go through it instead of
    materializing [contents]' O(n) assoc list per read. *)
-let fold t ~init ~f = Version_store.fold (image t) ~init ~f
+let fold t ~init ~f = fold_image (image t) ~init ~f
 
 let contents t =
   List.rev (fold t ~init:[] ~f:(fun acc base_addr values -> (base_addr, values) :: acc))
@@ -411,20 +427,20 @@ let txn_pinned rt = Version_store.txn_pinned rt.rt_txn
 let txn_epoch rt = Version_store.txn_epoch rt.rt_txn
 let txn_snaptime rt = Version_store.txn_snaptime rt.rt_txn
 let txn_image rt = Version_store.txn_image rt.rt_txn
-let txn_get rt addr = Version_store.find (txn_image rt) addr
+let txn_get rt addr = find (txn_image rt) addr
 let txn_count rt = Version_store.count (txn_image rt)
-let txn_iter rt f = Version_store.iter (txn_image rt) f
-let txn_fold rt ~init ~f = Version_store.fold (txn_image rt) ~init ~f
+let txn_iter rt f = Version_store.iter (txn_image rt) (fun a row -> f a (Row.to_tuple row))
+let txn_fold rt ~init ~f = fold_image (txn_image rt) ~init ~f
 
 let txn_contents rt =
   List.rev (txn_fold rt ~init:[] ~f:(fun acc addr values -> (addr, values) :: acc))
 
 (* The ascending addresses of [img]'s rows whose column [i] passes [keep]:
-   an index-free scan. *)
+   an index-free scan that decodes that column only. *)
 let scan_matching img i keep =
   List.rev
-    (Version_store.fold img ~init:[] ~f:(fun acc addr values ->
-         if keep values.(i) then addr :: acc else acc))
+    (Version_store.fold img ~init:[] ~f:(fun acc addr row ->
+         if keep (Row.field row i) then addr :: acc else acc))
 
 let txn_lookup rt ~column value =
   (* Secondary indexes track only the open root; at a pinned version the
@@ -488,8 +504,8 @@ let validate t =
       let rows = Version_store.count (head t) in
       if held <> rows then
         raise (Bad (Printf.sprintf "index on %s holds %d entries, the table %d rows" name held rows));
-      Version_store.iter (head t) (fun a values ->
-          match Value_btree.find sec.entries values.(sec.sec_column) with
+      Version_store.iter (head t) (fun a row ->
+          match Value_btree.find sec.entries (Row.field row sec.sec_column) with
           | Some set when Hashtbl.mem set a -> ()
           | _ -> raise (Bad (Printf.sprintf "index on %s misses row %d" name a)))
     in

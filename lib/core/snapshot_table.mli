@@ -6,8 +6,11 @@
     Here the rows live in a {!Version_store} page table clustered on
     BaseAddr — "clearly, a snapshot index on BaseAddr will accelerate
     snapshot refresh processing" — whose page directory drives every
-    lookup and range deletion.  The persisted form ({!on_pool},
-    {!flush}) keeps BaseAddr as a hidden [__baseaddr] column.
+    lookup and range deletion.  A row is held as the encoded bytes its
+    message carried ({!Row.t}), never decoded on the receive path; every
+    read below returns tuples, decoding the rows it hands out.  The
+    persisted form ({!on_pool}, {!flush}) keeps BaseAddr as a hidden
+    [__baseaddr] column.
 
     {!apply} implements the snapshot side of each refresh method
     (Figure 4 for the differential messages):
@@ -106,7 +109,8 @@ val apply_bytes : t -> bytes -> int -> unit
     image ({!Version_store.begin_commit}), each frame's sequence number
     is checked, then its messages are read one at a time from the
     frame's bytes, each row checked against the schema (arity, column
-    types, NOT NULL) and replayed into the open root, and the marker — a
+    types, NOT NULL) on its tag bytes and stored into the open root
+    without a decode, and the marker — a
     frame of one {!Refresh_msg.Snaptime} — publishes the epoch.  A
     message that fails part-way through a frame aborts the epoch, whose
     sealed image discards what the frame replayed.  A sequence gap,
@@ -139,9 +143,10 @@ val last_committed_epoch : t -> int
     {!apply_bytes}' check of the epoch's frame headers and checksums;
     [freeze_us] is {!Version_store.begin_commit} sealing the committed
     image at the first frame; [replay_us] sums the walk of each frame's
-    messages in place — reading each, checking and decoding its row, and
-    replaying it into the page table (copying each page the first time
-    the epoch touches it); [publish_us] is
+    messages in place — reading each, checking its row's tag bytes, and
+    replaying it into the page table, the row stored as its bytes
+    (copying each page the first time the epoch touches it);
+    [publish_us] is
     {!Version_store.end_commit} publishing the epoch. *)
 type commit_phases = {
   decode_us : float;

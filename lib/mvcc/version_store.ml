@@ -20,11 +20,12 @@ let () =
            live_lo live_hi)
     | _ -> None)
 
-type page = (Addr.t * Tuple.t) array
+type page = (Addr.t * Row.t) array
 
 (* One page of a root: the rows whose BaseAddr falls in one pid's span,
    ascending, in the first [len] slots of two parallel arrays (address,
-   row).  [gen] is the generation the
+   row).  A row is its encoded bytes, the one copy the receiver read out
+   of its frame; a read decodes it.  [gen] is the generation the
    page was made in: the writer edits it in place only while that is the
    store's current generation, because only then can no published or
    pinned root reach it. *)
@@ -32,7 +33,7 @@ type pg = {
   gen : int;
   mutable len : int;
   mutable addrs : int array;
-  mutable rows : Tuple.t array;
+  mutable rows : Row.t array;
 }
 
 (* The page directory: the non-empty pages in pid order, in the first [n]
@@ -78,6 +79,9 @@ type txn = { tx_store : t; tx_version : version; tx_root : image; mutable tx_pin
 (* ------------------------------------------------------------------ *)
 
 let empty_dir gen = { dgen = gen; n = 0; pids = [||]; pages = [||] }
+
+(* What an unused row slot holds. *)
+let no_row = Row.of_tuple [||]
 
 let no_page = { gen = -1; len = 0; addrs = [||]; rows = [||] }
 
@@ -148,15 +152,13 @@ let find (r : image) addr =
 let succ (r : image) lo =
   let d = r.dir in
   let i = lower_bound d.pids d.n (pid_of r.span lo) in
-  if i = d.n then None
+  if i = d.n then max_int
   else
     let pg = d.pages.(i) in
     let j = lower_bound pg.addrs pg.len lo in
-    if j < pg.len then Some (pg.addrs.(j), pg.rows.(j))
-    else if i + 1 < d.n then
-      let pg = d.pages.(i + 1) in
-      Some (pg.addrs.(0), pg.rows.(0))
-    else None
+    if j < pg.len then pg.addrs.(j)
+    else if i + 1 < d.n then d.pages.(i + 1).addrs.(0)
+    else max_int
 
 let last (r : image) =
   let d = r.dir in
@@ -202,12 +204,12 @@ let diff (a : image) (b : image) f =
         merge pa.addrs pa.len pb.addrs pb.len (fun k l ->
             f (if k < 0 then pb.addrs.(l) else pa.addrs.(k)) (row pa k) (row pb l)))
 
-(* A page's encoded size, [8 + Tuple.encoded_size row] per row: computed
-   on demand, so an edit never reads the row it replaces. *)
+(* A page's encoded size, [8 + Row.length row] per row: computed on
+   demand, so an edit never reads the row it replaces. *)
 let page_bytes pg =
   let b = ref 0 in
   for j = 0 to pg.len - 1 do
-    b := !b + 8 + Tuple.encoded_size pg.rows.(j)
+    b := !b + 8 + Row.length pg.rows.(j)
   done;
   !b
 
@@ -302,7 +304,7 @@ let put t addr row =
         end
         else begin
           pg.addrs <- room pg.addrs pg.len ~cap:t.span 0;
-          pg.rows <- room pg.rows pg.len ~cap:t.span [||];
+          pg.rows <- room pg.rows pg.len ~cap:t.span no_row;
           insert pg.addrs pg.len j addr;
           insert pg.rows pg.len j row;
           pg.len <- pg.len + 1;
@@ -332,7 +334,7 @@ let delete t addr =
           else begin
             let pg = private_page t i in
             remove pg.addrs pg.len j 0;
-            remove pg.rows pg.len j [||];
+            remove pg.rows pg.len j no_row;
             pg.len <- pg.len - 1
           end;
           Some old

@@ -8,9 +8,10 @@
     A root is an ordered, persistent directory from pid to page.  A page
     holds the rows whose BaseAddr falls in one span of [page_span]
     addresses (64 by default), ascending; an empty page leaves the
-    directory.  The paper asks only that the
-    snapshot is indexed on BaseAddr: here it is clustered on it, and the
-    directory is that index.
+    directory.  A row is a {!Row.t}, its encoded bytes: the store keeps
+    the one copy it is given and never decodes it.  The paper asks only
+    that the snapshot is indexed on BaseAddr: here it is clustered on it,
+    and the directory is that index.
 
     The {e open root} is the head, edited by the one writer through
     {!put}, {!delete} and {!clear}, and read by it through {!head}.  The
@@ -51,7 +52,7 @@ exception Epoch_not_retained of { requested : int; live_lo : int; live_hi : int 
     range (oldest..newest; the head is epoch [-1] before the first
     commit).  Raised by {!pin_exn}; registered with a printer. *)
 
-type page = (Addr.t * Tuple.t) array
+type page = (Addr.t * Row.t) array
 (** One page's rows, ascending BaseAddr (the {!page_table} view). *)
 
 type t
@@ -91,11 +92,10 @@ val committed : t -> image
     pre-commit root it sealed; otherwise the open root, raw edits
     included.  Like {!head}, for the writer's own reads. *)
 
-val put : t -> Addr.t -> Tuple.t -> Tuple.t option
-(** Store the row at the address and return the row it replaced.  The
-    row must not be mutated afterwards. *)
+val put : t -> Addr.t -> Row.t -> Row.t option
+(** Store the row at the address and return the row it replaced. *)
 
-val delete : t -> Addr.t -> Tuple.t option
+val delete : t -> Addr.t -> Row.t option
 (** Remove the row at the address and return it. *)
 
 val clear : t -> unit
@@ -122,26 +122,27 @@ val abort_commit : t -> unit
 
 (** {1 Reading an image} *)
 
-val find : image -> Addr.t -> Tuple.t option
+val find : image -> Addr.t -> Row.t option
 
-val succ : image -> Addr.t -> (Addr.t * Tuple.t) option
-(** The row at the first address at or above the bound: the receiver's
-    successor probe. *)
+val succ : image -> Addr.t -> Addr.t
+(** The first address held at or above the bound, or [max_int] if there
+    is none: the receiver's successor probe, which allocates nothing.  A
+    row held at [max_int] reads the same as none. *)
 
 val last : image -> Addr.t option
 (** The largest address held. *)
 
 val count : image -> int
 
-val iter : image -> (Addr.t -> Tuple.t -> unit) -> unit
+val iter : image -> (Addr.t -> Row.t -> unit) -> unit
 (** BaseAddr-ascending. *)
 
-val fold : image -> init:'a -> f:('a -> Addr.t -> Tuple.t -> 'a) -> 'a
+val fold : image -> init:'a -> f:('a -> Addr.t -> Row.t -> 'a) -> 'a
 
 val empty : image
 (** The root of no rows. *)
 
-val diff : image -> image -> (Addr.t -> Tuple.t option -> Tuple.t option -> unit) -> unit
+val diff : image -> image -> (Addr.t -> Row.t option -> Row.t option -> unit) -> unit
 (** [diff a b f] walks the two roots' page directories in pid order and
     skips each page they share physically (a page no commit between them
     copied).  On every other page it merges the two sides' rows by
@@ -151,8 +152,8 @@ val diff : image -> image -> (Addr.t -> Tuple.t option -> Tuple.t option -> unit
 
 val page_table : image -> (int * page * int) list
 (** The non-empty pages, ascending pid, each with its encoded size
-    ([8 + Tuple.encoded_size row] per row, summed on demand).  Exposed
-    for tests. *)
+    ([8 + Row.length row] per row, summed on demand).  Exposed for
+    tests. *)
 
 (** {1 Read transactions} *)
 

@@ -270,6 +270,19 @@ let conforms schema b =
   in
   n = Schema.arity schema && fits 0 2
 
+(* Field [i] of the tuple that fills [b]: the fields before it stepped
+   over as [Cursor.walk] steps, then the one decoded. *)
+let field b i =
+  let limit = Bytes.length b in
+  if limit < 2 || i < 0 || i >= Bytes.get_uint16_le b 0 then invalid_arg "Codec.field: no such field";
+  let q = ref 2 in
+  for _ = 1 to i do
+    q := field_end b !q ~limit
+  done;
+  let t = [| Value.Null |] in
+  ignore (fill b !q ~limit t : int);
+  t.(0)
+
 (* A walked record: field [i]'s tag byte sits at [buf.[offs.(base + i)]].
    The walk validated every field, so the readers below index the buffer
    directly. *)

@@ -129,6 +129,13 @@ val conforms : Schema.t -> bytes -> bool
     of [Schema.validate_tuple schema (tuple_of_bytes b)], read from the
     tag bytes without decoding a value. *)
 
+val field : bytes -> int -> Value.t
+(** [field b i]: field [i] of the tuple that fills [b], equal to
+    [(tuple_of_bytes b).(i)].  It steps over the fields before [i]
+    without decoding them and decodes field [i] only.  Raises
+    [Invalid_argument] for [i] outside the tuple's fields and [Failure]
+    where {!tuple_of_bytes} would on the bytes it reads. *)
+
 (** A walked record: the field offsets {!Cursor.walk} recorded, over the
     buffer it walked.  Reading a field decodes that field only.  One
     value is re-pointed from record to record by the scan that owns it

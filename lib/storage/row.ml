@@ -12,6 +12,8 @@ let arity r = String.get_uint16_le r 0
    record or stepped over by [read], so it is exactly one tuple. *)
 let to_tuple r = Codec.tuple_of_bytes (Bytes.unsafe_of_string r)
 
+let field r i = Codec.field (Bytes.unsafe_of_string r) i
+
 let write b off r =
   let len = String.length r in
   Bytes.blit_string r 0 b off len;

@@ -16,6 +16,11 @@ val of_tuple : Tuple.t -> t
 val to_tuple : t -> Tuple.t
 (** The row's values: [to_tuple (of_tuple t)] equals [t]. *)
 
+val field : t -> int -> Value.t
+(** [field r i] is [(to_tuple r).(i)], decoding field [i] only: the
+    fields before it are stepped over.  Raises [Invalid_argument] for [i]
+    outside [0, arity r). *)
+
 val equal : t -> t -> bool
 (** Byte equality. *)
 

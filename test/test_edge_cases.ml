@@ -164,6 +164,84 @@ let test_snapshot_apply_pathological () =
     | () -> false
     | exception Invalid_argument _ -> Snapshot_table.get s 2 = None)
 
+(* The Figure 4 merge at its edges.  An [Entry] whose gap is empty
+   ([prev_qual = addr - 1]) deletes nothing, not even its neighbours; a
+   gap of one address deletes exactly the row there; a [Tail] still
+   truncates everything past [last_qual], the row at [max_int] included. *)
+let test_drop_range_edges () =
+  let s = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
+  let up addr = Snapshot_table.apply s (Refresh_msg.Upsert { addr; row = Row.of_tuple (emp "r" addr) }) in
+  let entry addr prev_qual =
+    Snapshot_table.apply s
+      (Refresh_msg.Entry { addr; prev_qual; row = Row.of_tuple (emp "e" addr) })
+  in
+  let addrs () = List.map fst (Snapshot_table.contents s) in
+  List.iter up [ 3; 4; 5; 6; 7 ];
+  entry 5 4;
+  checkb "empty gap keeps both neighbours" true (addrs () = [ 3; 4; 5; 6; 7 ]);
+  checkb "empty gap still stores the row" true (Snapshot_table.get s 5 = Some (emp "e" 5));
+  entry 7 5;
+  checkb "a gap of one deletes exactly that row" true (addrs () = [ 3; 4; 5; 7 ]);
+  entry 8 3;
+  checkb "a wider gap deletes every row in it" true (addrs () = [ 3; 8 ]);
+  up 20;
+  up max_int;
+  Snapshot_table.apply s (Refresh_msg.Tail { last_qual = 8 });
+  checkb "Tail truncates past last_qual" true (addrs () = [ 3; 8 ]);
+  Snapshot_table.apply s (Refresh_msg.Tail { last_qual = 8 });
+  checkb "Tail over nothing is a no-op" true (addrs () = [ 3; 8 ]);
+  Snapshot_table.apply s (Refresh_msg.Tail { last_qual = 0 });
+  checkb "Tail 0 empties the table" true (addrs () = []);
+  checkb "valid" true (Snapshot_table.validate s = Ok ())
+
+(* After a framed refresh every row the image holds is the row that was
+   sent, byte for byte: NULLs, -0.0, NaN and the int64 extremes included. *)
+let test_stored_rows_are_sent_bytes () =
+  let schema =
+    Schema.make
+      [ Schema.col "i" Value.Tint; Schema.col "f" Value.Tfloat; Schema.col "s" Value.Tstring;
+        Schema.col "b" Value.Tbool ]
+  in
+  let rows =
+    List.mapi
+      (fun k t -> ((k * 3) + 1, Row.of_tuple (Array.of_list t)))
+      Value.
+        [ [ Null; Float (-0.0); Str ""; Bool false ];
+          [ Int Int64.min_int; Float Float.nan; Null; Bool true ];
+          [ Int Int64.max_int; Null; Str "x"; Null ];
+          [ Int 0L; Float infinity; Str (String.make 300 'y'); Bool true ] ]
+  in
+  let snap = Snapshot_table.create ~name:"s" ~schema () in
+  Snapshot_table.create_index snap ~column:"f";
+  let deliver b = Snapshot_table.apply_bytes snap b (Bytes.length b) in
+  let entries =
+    List.mapi
+      (fun k (addr, row) ->
+        Refresh_msg.Entry { addr; prev_qual = (if k = 0 then 0 else fst (List.nth rows (k - 1))); row })
+      rows
+  in
+  deliver (Refresh_msg.encode_framed ~epoch:0 ~seq:0 entries);
+  deliver (Refresh_msg.encode_framed ~epoch:0 ~seq:1 [ Refresh_msg.Snaptime 5 ]);
+  checki "the epoch committed" 0 (Snapshot_table.last_committed_epoch snap);
+  let rt = Option.get (Snapshot_table.read_txn snap) in
+  let img = Snapshot_table.txn_image rt in
+  checki "every row held" (List.length rows) (Snapdiff_mvcc.Version_store.count img);
+  List.iter
+    (fun (addr, sent) ->
+      match Snapdiff_mvcc.Version_store.find img addr with
+      | Some held -> checkb (Printf.sprintf "row %d is the sent bytes" addr) true (Row.equal held sent)
+      | None -> Alcotest.failf "row %d missing" addr)
+    rows;
+  List.iter
+    (fun (addr, sent) ->
+      match Snapshot_table.txn_get rt addr with
+      | Some t -> checkb (Printf.sprintf "row %d decodes to the sent values" addr) true
+                    (Row.equal (Row.of_tuple t) sent)
+      | None -> Alcotest.failf "row %d not read" addr)
+    rows;
+  Snapshot_table.release_txn rt;
+  checkb "index on the float column valid" true (Snapshot_table.validate snap = Ok ())
+
 (* Refreshing with a FUTURE snaptime (clock anomaly) must not send data. *)
 let test_future_snaptime () =
   let clock = Clock.create () in
@@ -202,6 +280,9 @@ let suite =
     Alcotest.test_case "page giant record" `Quick test_page_single_giant_record;
     Alcotest.test_case "heap tuple too large" `Quick test_heap_tuple_too_large;
     Alcotest.test_case "snapshot apply pathological" `Quick test_snapshot_apply_pathological;
+    Alcotest.test_case "receiver: gap edges of the Figure 4 merge" `Quick test_drop_range_edges;
+    Alcotest.test_case "receiver: stored rows are the sent bytes" `Quick
+      test_stored_rows_are_sent_bytes;
     Alcotest.test_case "future snaptime" `Quick test_future_snaptime;
     Alcotest.test_case "restriction boundaries" `Quick test_mixed_restriction_boundaries;
     QCheck_alcotest.to_alcotest prop_value_decode_total;

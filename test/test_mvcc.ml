@@ -45,15 +45,18 @@ let model tbl =
     (fun (a, _) (b, _) -> compare a b)
     (Hashtbl.fold (fun a v acc -> (a, v) :: acc) tbl [])
 
-let txn_list txn =
-  List.rev (VS.fold (VS.txn_image txn) ~init:[] ~f:(fun acc a v -> (a, v) :: acc))
+(* The store holds rows as bytes; the model holds the tuples they encode. *)
+let image_list img =
+  List.rev (VS.fold img ~init:[] ~f:(fun acc a r -> (a, Row.to_tuple r) :: acc))
+
+let txn_list txn = image_list (VS.txn_image txn)
 
 let put vs tbl a v =
-  ignore (VS.put vs a v : Tuple.t option);
+  ignore (VS.put vs a (Row.of_tuple v) : Row.t option);
   Hashtbl.replace tbl a v
 
 let del vs tbl a =
-  ignore (VS.delete vs a : Tuple.t option);
+  ignore (VS.delete vs a : Row.t option);
   Hashtbl.remove tbl a
 
 (* One deterministic committed epoch: a handful of upserts and deletes. *)
@@ -107,7 +110,9 @@ let test_vs_epochs_exact () =
         let img = VS.txn_image txn in
         checkb (Printf.sprintf "epoch %d exact" vi.VS.vi_epoch) true (txn_list txn = m);
         checki "count agrees" (List.length m) (VS.count img);
-        List.iter (fun (a, v) -> checkb "get agrees" true (VS.find img a = Some v)) m;
+        List.iter
+          (fun (a, v) -> checkb "get agrees" true (Option.map Row.to_tuple (VS.find img a) = Some v))
+          m;
         checkb "absent addr" true (VS.find img 999 = None);
         VS.release txn)
     ring;
@@ -211,13 +216,13 @@ let test_vs_abort_commit () =
   VS.begin_commit vs;
   for i = 0 to 19 do
     let a = 1 + ((i * 5) mod 60) in
-    if i mod 3 = 0 then ignore (VS.delete vs a : Tuple.t option)
-    else ignore (VS.put vs a (row 98 i) : Tuple.t option)
+    if i mod 3 = 0 then ignore (VS.delete vs a : Row.t option)
+    else ignore (VS.put vs a (Row.of_tuple (row 98 i)) : Row.t option)
   done;
   let mid = Option.get (VS.pin vs) in
-  ignore (VS.put vs 7 (row 98 99) : Tuple.t option);
+  ignore (VS.put vs 7 (Row.of_tuple (row 98 99)) : Row.t option);
   VS.abort_commit vs;
-  let head = List.rev (VS.fold (VS.head vs) ~init:[] ~f:(fun acc a v -> (a, v) :: acc)) in
+  let head = image_list (VS.head vs) in
   checkb "open root is epoch 1's image" true (head = m1);
   checkb "mid-commit pin reads the pre-commit image" true (txn_list mid = m1);
   VS.release mid;
@@ -951,7 +956,8 @@ let print_rx_op = function
   | Rx_index c -> "index " ^ c
   | Rx_readopt -> "flush + readopt"
 
-(* The oracle's own page build: group by pid, rows ascending, bytes summed. *)
+(* The oracle's own page build: group by pid, rows ascending and encoded,
+   bytes summed from the tuples. *)
 let scratch_pages image =
   let span = 64 in
   let by_pid = Hashtbl.create 8 in
@@ -964,7 +970,7 @@ let scratch_pages image =
     (fun pid rows acc ->
       let rows = List.rev rows in
       let bytes = List.fold_left (fun b (_, v) -> b + 8 + Tuple.encoded_size v) 0 rows in
-      (pid, Array.of_list rows, bytes) :: acc)
+      (pid, Array.of_list (List.map (fun (a, v) -> (a, Row.of_tuple v)) rows), bytes) :: acc)
     by_pid []
   |> List.sort compare
 

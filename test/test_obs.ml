@@ -392,6 +392,40 @@ let check_scan_split where r =
   checkb (where ^ ": the page phases were timed") true
     (s.Manager.load_us +. s.Manager.fixup_us +. s.Manager.filter_us +. s.Manager.emit_us > 0.0)
 
+(* The allocation ledger: a refresh that sends rows reports the minor
+   words its attempt allocated, one figure for every member of a group,
+   and a report built outside a refresh attempt reports none. *)
+let test_alloc_ledger () =
+  let clock = Clock.create () in
+  let base = Base_table.create ~name:"emp" ~clock emp_schema in
+  let m = Manager.create () in
+  Manager.register_base m base;
+  for i = 0 to 199 do
+    ignore (Base_table.insert base (emp (Printf.sprintf "a%d" i) (i mod 20)) : Addr.t)
+  done;
+  List.iter
+    (fun (name, restrict) ->
+      ignore
+        (Manager.create_snapshot m ~name ~base:"emp" ~restrict ~method_:Manager.Differential ()
+          : Manager.refresh_report))
+    [ ("lo", Expr.(col "salary" <. int 12)); ("hi", Expr.(col "salary" >=. int 8)) ];
+  List.iteri
+    (fun i (a, _) -> if i mod 2 = 0 then Base_table.update base a (emp "b" (i mod 20)))
+    (Base_table.to_user_list base);
+  let rs = List.map (fun (_, res) -> Result.get_ok res) (Manager.refresh_all m) in
+  let r0 = List.hd rs in
+  checkb "the refresh sent rows" true (List.for_all (fun r -> r.Manager.data_messages > 0) rs);
+  checkb (Printf.sprintf "alloc_words %d > 0" r0.Manager.alloc_words) true
+    (r0.Manager.alloc_words > 0);
+  checkb "one figure for the group" true
+    (List.for_all (fun r -> r.Manager.alloc_words = r0.Manager.alloc_words) rs);
+  let link = Snapdiff_net.Link.create ~name:"l" () in
+  let r =
+    Manager.make_report ~snapshot:"x" Manager.Used_full ~new_snaptime:0 ~entries_scanned:0
+      ~data_messages:0 ~link ~since:(Snapdiff_net.Link.stats link)
+  in
+  checki "make_report: no attempt, no words" 0 r.Manager.alloc_words
+
 let test_sender_ledger () =
   let clock = Clock.create () in
   let base = Base_table.create ~name:"emp" ~clock emp_schema in
@@ -530,5 +564,6 @@ let suite =
     Alcotest.test_case "subsystem coverage" `Quick test_subsystem_coverage;
     Alcotest.test_case "receiver ledger phases fit the refresh" `Quick test_receiver_ledger;
     Alcotest.test_case "sender ledger fits the refresh" `Quick test_sender_ledger;
+    Alcotest.test_case "allocation ledger: words per refresh attempt" `Quick test_alloc_ledger;
     QCheck_alcotest.to_alcotest prop_stream_identical_traced;
   ]

@@ -467,6 +467,26 @@ let prop_copied_row_is_encoded_projection =
       done;
       !copied = List.length rows)
 
+(* [Row.field] decodes one field in place: field [i] of a row is field [i]
+   of its decoded tuple, compared as bytes so that NaN, -0.0 and the
+   int64 extremes count exactly; a field past the row is refused. *)
+let prop_row_field_is_decoded_field =
+  QCheck2.Test.make ~name:"Row.field r i = (Row.to_tuple r).(i)" ~count:500
+    ~print:(fun (schema, t) -> Format.asprintf "%a row=%a" Schema.pp schema Tuple.pp t)
+    Gen.(schema_gen >>= fun schema -> pair (pure schema) (conforming_gen schema))
+    (fun (_, t) ->
+      let r = Row.of_tuple t in
+      let decoded = Row.to_tuple r in
+      let same a b = Row.equal (Row.of_tuple [| a |]) (Row.of_tuple [| b |]) in
+      Array.iteri
+        (fun i v ->
+          if not (same (Row.field r i) v) then
+            QCheck2.Test.fail_reportf "field %d: %a, decoded %a" i Value.pp (Row.field r i) Value.pp v)
+        decoded;
+      List.for_all
+        (fun i -> match Row.field r i with _ -> false | exception Invalid_argument _ -> true)
+        [ -1; Array.length t ])
+
 (* A row that breaks [schema]: one field too many or too few, a value of
    another type, or NULL in a NOT NULL column (when the schema has one). *)
 let breaking_gen schema =
@@ -509,4 +529,4 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_encoders_match_reference; prop_damaged_frames_are_corrupt;
       prop_damaged_frame_keeps_committed_image; prop_reused_buffer_leaks_nothing; prop_copied_row_is_encoded_projection;
-      prop_row_check_is_validate_tuple ]
+      prop_row_check_is_validate_tuple; prop_row_field_is_decoded_field ]
