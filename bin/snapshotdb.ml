@@ -522,8 +522,8 @@ let fleet_cmd verbose trace json tenants snaps_per ticks seed =
    epochs, proves every retained epoch is readable through SQL time
    travel (SELECT ... AS OF, compared byte-for-byte against the MVCC
    read-transaction oracle), then runs [Manager.vacuum]: expired
-   versions are reclaimed and the shared WAL is truncated to the lease
-   horizon in one step.  The oracle check runs again afterwards — the
+   versions are reclaimed and the shared WAL is truncated to its lease
+   floor in one step.  The oracle check runs again afterwards — the
    epochs vacuum kept must still read back identically.  Exit 3 if any
    AS OF result diverges from the oracle. *)
 let vacuum_cmd verbose trace json n rounds retain older_than dry_run =
@@ -604,9 +604,9 @@ let vacuum_cmd verbose trace json n rounds retain older_than dry_run =
         if i > 0 then Buffer.add_string b ", ";
         Printf.bprintf b
           "{\"snapshot\": \"%s\", \"examined\": %d, \"reclaimed\": %d, \"zombied\": %d, \
-           \"kept\": %d, \"bytes\": %d, \"leases\": [%s]}"
+           \"bytes\": %d, \"leases\": [%s]}"
           sv.Manager.sv_snapshot sv.Manager.sv_examined sv.Manager.sv_reclaimed
-          sv.Manager.sv_zombied sv.Manager.sv_kept sv.Manager.sv_bytes
+          sv.Manager.sv_zombied sv.Manager.sv_bytes
           (String.concat ", "
              (List.map
                 (fun (holder, epoch) -> Printf.sprintf "{\"holder\": \"%s\", \"epoch\": %d}" holder epoch)
@@ -640,14 +640,14 @@ let vacuum_cmd verbose trace json n rounds retain older_than dry_run =
       Text_table.create
         [ ("snapshot", Text_table.Left); ("examined", Text_table.Right);
           ("reclaimed", Text_table.Right); ("zombied", Text_table.Right);
-          ("kept (leased)", Text_table.Right); ("bytes", Text_table.Right) ]
+          ("bytes", Text_table.Right) ]
     in
     List.iter
       (fun sv ->
         Text_table.add_row t
           [ sv.Manager.sv_snapshot; string_of_int sv.Manager.sv_examined;
             string_of_int sv.Manager.sv_reclaimed; string_of_int sv.Manager.sv_zombied;
-            string_of_int sv.Manager.sv_kept; string_of_int sv.Manager.sv_bytes ])
+            string_of_int sv.Manager.sv_bytes ])
       report.Manager.vac_snapshots;
     Text_table.print t;
     List.iter
@@ -824,7 +824,7 @@ let vacuum_t =
       & info [ "older-than" ] ~docv:"AGE"
           ~doc:
             "Also reclaim retained versions whose SnapTime is more than \
-             $(docv) clock ticks old (the head and leased epochs always \
+             $(docv) clock ticks old (the head and pinned epochs always \
              survive).  Default: the RETAIN count alone decides.")
   in
   let dry_run =

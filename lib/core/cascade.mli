@@ -9,7 +9,7 @@
     changed:
 
     - the child holds one pinned parent image, its {e held epoch}: a
-      {!Snapshot_table.read_txn} whose lease names [cascade:<child>];
+      {!Snapshot_table.read_txn} whose pin names [cascade:<child>];
     - {!refresh} pins the parent's current committed image and diffs the
       two ({!Version_store.diff}): it skips every page the two images
       share and merges the rest by BaseAddr;
@@ -53,8 +53,8 @@ val refresh : t -> Manager.refresh_report
     child rows it changed. *)
 
 val detach : t -> unit
-(** Release the held epoch's pin and lease, as when the child is
-    dropped.  A later {!refresh} diffs against the empty image. *)
+(** Release the held epoch's pin, as when the child is dropped.  A later
+    {!refresh} diffs against the empty image. *)
 
 val held_epoch : t -> int
 (** The parent epoch the child holds; [-1] while it holds none. *)

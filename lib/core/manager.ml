@@ -604,7 +604,6 @@ type snapshot_vacuum = {
   sv_examined : int;
   sv_reclaimed : int;
   sv_zombied : int;
-  sv_kept : int;
   sv_bytes : int;
   sv_leases : (string * int) list;
 }
@@ -622,13 +621,13 @@ type vacuum_report = {
   vac_wals : wal_vacuum list;
 }
 
-(* Reclaim everything the retention horizon no longer needs, in one pass:
-   expired snapshot versions first, then the WAL.  Bases sharing one
-   physical log are checkpointed as a group — the log is truncated once,
-   to the minimum checkpoint begin LSN over the group (each base's redo
-   start), lowered by whatever leases are live.  Both halves consult the
-   same horizon, so a pinned read, live scan or log cursor holds back the
-   vacuum exactly as it holds back a checkpoint. *)
+(* Reclaim everything no longer held, in one pass: expired snapshot
+   versions first (a pin holds a version back), then the WAL.  Bases
+   sharing one physical log are checkpointed as a group — the log is
+   truncated once, to the minimum checkpoint begin LSN over the group
+   (each base's redo start), lowered by whatever leases are live, so a
+   live scan or log cursor holds back the vacuum exactly as it holds back
+   a checkpoint. *)
 let vacuum ?older_than ?(dry_run = false) t =
   let snaps =
     Hashtbl.fold (fun _ s acc -> s :: acc) t.snapshots []
@@ -643,12 +642,8 @@ let vacuum ?older_than ?(dry_run = false) t =
           sv_examined = st.Version_store.vac_examined;
           sv_reclaimed = st.Version_store.vac_reclaimed;
           sv_zombied = st.Version_store.vac_zombied;
-          sv_kept = st.Version_store.vac_kept;
           sv_bytes = st.Version_store.vac_bytes;
-          sv_leases =
-            List.filter_map
-              (fun l -> Option.map (fun e -> (Lease.holder l, e)) (Lease.epoch l))
-              (Horizon.live_leases (Snapshot_table.horizon s.table));
+          sv_leases = Snapshot_table.holders s.table;
         })
       snaps
   in

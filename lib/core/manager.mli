@@ -359,8 +359,8 @@ val snapshot_table : t -> string -> Snapshot_table.t
 val read_txn : ?epoch:int -> t -> string -> Snapshot_table.read_txn option
 (** Pin a retained epoch of the named snapshot (default: latest).
     [None] if [epoch] is not retained.  Raises {!Unknown_snapshot}.
-    The transaction holds a [Pinned_read] lease on the snapshot's
-    retention horizon until {!Snapshot_table.release_txn}. *)
+    The transaction's pin, named for the snapshot, keeps its epoch
+    until {!Snapshot_table.release_txn}. *)
 
 val read_txn_exn : ?epoch:int -> t -> string -> Snapshot_table.read_txn
 (** {!read_txn}, but a miss raises
@@ -463,23 +463,25 @@ val checkpoint : t -> string -> checkpoint_report
 
 (** {1 Vacuum}
 
-    Horizon-driven reclamation: expired snapshot versions and the WAL
-    tail, in one pass.  Both consult the same {!Snapdiff_lifecycle}
-    leases, so a pinned read, a live scan or a log cursor holds back the
-    vacuum exactly as it holds back a checkpoint — vacuum never reclaims
-    a leased epoch and never truncates below a leased LSN. *)
+    Reclamation of expired snapshot versions and the WAL tail, in one
+    pass.  A version stays while the ring or a pin holds it: vacuum parks
+    a pinned version on the zombie list and frees any other.  The WAL
+    half consults the same {!Snapdiff_lifecycle} leases as a checkpoint,
+    so a live scan or a log cursor holds back the vacuum exactly as it
+    holds back a checkpoint — vacuum never truncates below a leased
+    LSN. *)
 
 type snapshot_vacuum = {
   sv_snapshot : string;
   sv_examined : int;  (** eviction candidates considered *)
   sv_reclaimed : int;  (** versions freed (or would be, on a dry run) *)
   sv_zombied : int;  (** pinned candidates parked on the zombie list *)
-  sv_kept : int;  (** unpinned candidates the horizon guard protected *)
   sv_bytes : int;  (** encoded bytes the freed versions held *)
   sv_leases : (string * int) list;
-      (** who holds the snapshot's epochs: each live epoch lease's holder
-          and epoch, in acquisition order — a pinned reader, or
-          [cascade:<child>] for a cascade child's held image *)
+      (** who holds the snapshot's epochs: each live pin's holder and
+          epoch ({!Snapshot_table.holders}), ascending by epoch, then
+          holder — a pinned reader, or [cascade:<child>] for a cascade
+          child's held image *)
 }
 
 type wal_vacuum = {
@@ -496,12 +498,13 @@ type vacuum_report = {
 }
 
 val vacuum : ?older_than:Clock.ts -> ?dry_run:bool -> t -> vacuum_report
-(** Reclaim retained snapshot versions the horizon no longer needs
+(** Reclaim snapshot versions the ring has let go
     ({!Snapshot_table.vacuum} per snapshot; [older_than] vacuums any
     non-head version with an older snaptime, overriding the retained
-    count), then checkpoint every WAL-backed base and truncate each
-    physical log once, to the minimum checkpoint begin LSN over the bases
-    sharing it, lowered by live leases.  [dry_run] (default false)
+    count; a pinned one parks on the zombie list), then checkpoint every
+    WAL-backed base and truncate each physical log once, to the minimum
+    checkpoint begin LSN over the bases sharing it, lowered by live
+    leases.  [dry_run] (default false)
     reports what would be reclaimed without changing anything — the WAL
     half then reports the reclaimable byte span against the log's
     current end. *)

@@ -3,8 +3,6 @@ open Snapdiff_txn
 module Metrics = Snapdiff_obs.Metrics
 module Trace = Snapdiff_obs.Trace
 module Version_store = Snapdiff_mvcc.Version_store
-module Lease = Snapdiff_lifecycle.Lease
-module Horizon = Snapdiff_lifecycle.Horizon
 
 exception Corrupt_snapshot of string
 
@@ -65,55 +63,29 @@ type t = {
   mutable last_phases : commit_phases;  (* of the last framed commit *)
   reader : Refresh_msg.reader;  (* over the frame being received *)
   versions : Version_store.t;  (* the rows, and the retained epochs *)
-  horizon : Horizon.t;  (* epoch leases + retention policy for this snapshot *)
 }
 
 let version_page_span = 64  (* BaseAddrs per page *)
 
-(* The horizon's veto on version reclamation: an unpinned version stays
-   as long as a live lease names an epoch at or below its own, or the
-   retention policy's time window (against the snapshot's current
-   SnapTime) has not yet passed it.  Runs with the version-store lock
-   held; touches only the horizon (its own mutex) and [t.time]. *)
-let reclaim_guard t ~epoch ~snaptime =
-  (match Horizon.epoch_floor t.horizon with
-  | Some floor -> epoch < floor
-  | None -> true)
-  &&
-  match (Horizon.policy t.horizon).Horizon.retain_duration with
-  | Some d -> snaptime + d < t.time
-  | None -> true
+let make ?(version_retain = 1) ~name ~schema ~time store =
+  {
+    snap_name = name;
+    user = schema;
+    store;
+    secondaries = Hashtbl.create 4;
+    time;
+    stream = Idle;
+    commits = 0;
+    aborts = 0;
+    last_abort = None;
+    committed_epoch = -1;
+    last_phases = no_phases;
+    reader = Refresh_msg.reader ();
+    versions = Version_store.create ~retain:version_retain ~page_span:version_page_span ();
+  }
 
-let make ?version_retain ?retain_duration ~name ~schema ~time store =
-  let retain = Option.value version_retain ~default:1 in
-  let t =
-    {
-      snap_name = name;
-      user = schema;
-      store;
-      secondaries = Hashtbl.create 4;
-      time;
-      stream = Idle;
-      commits = 0;
-      aborts = 0;
-      last_abort = None;
-      committed_epoch = -1;
-      last_phases = no_phases;
-      reader = Refresh_msg.reader ();
-      versions = Version_store.create ~retain ~page_span:version_page_span ();
-      horizon =
-        Horizon.create
-          ~policy:{ Horizon.retain_epochs = max 1 retain; retain_duration }
-          ();
-    }
-  in
-  (* Wire the guard after construction (the closure needs the record). *)
-  Version_store.set_reclaim_guard t.versions (fun ~epoch ~snaptime ->
-      reclaim_guard t ~epoch ~snaptime);
-  t
-
-let create ?version_retain ?retain_duration ~name ~schema () =
-  make ?version_retain ?retain_duration ~name ~schema ~time:Clock.never None
+let create ?version_retain ~name ~schema () =
+  make ?version_retain ~name ~schema ~time:Clock.never None
 
 (* The persisted form: one heap record per row, the user columns plus
    [__baseaddr].  Adoption puts each record's user columns into the page
@@ -122,7 +94,7 @@ let create ?version_retain ?retain_duration ~name ~schema () =
    durable before it deletes the old ones, so a write cut short leaves
    every row of the old image or the new in the store (most often both,
    which adoption reports as duplicates), never neither. *)
-let on_pool ?(snaptime = Clock.never) ?version_retain ?retain_duration ~name ~schema pool =
+let on_pool ?(snaptime = Clock.never) ?version_retain ~name ~schema pool =
   let arity = Schema.arity schema in
   let heap =
     Heap.on_pool pool (Schema.extend schema [ Schema.col ~nullable:false baseaddr_col Value.Tint ])
@@ -137,7 +109,7 @@ let on_pool ?(snaptime = Clock.never) ?version_retain ?retain_duration ~name ~sc
     List.iter (Heap.delete heap) old;
     Heap.flush heap
   in
-  let t = make ?version_retain ?retain_duration ~name ~schema ~time:snaptime (Some write) in
+  let t = make ?version_retain ~name ~schema ~time:snaptime (Some write) in
   let corrupt fmt =
     Printf.ksprintf (fun s -> raise (Corrupt_snapshot (Printf.sprintf "snapshot %s: %s" name s))) fmt
   in
@@ -394,33 +366,24 @@ let tuples t = List.rev (fold t ~init:[] ~f:(fun acc _ values -> values :: acc))
 (* ------------------------------------------------------------------ *)
 (* Versioned reads: transactions pinned to a retained refresh epoch. *)
 
-type read_txn = { rt_table : t; rt_txn : Version_store.txn; rt_lease : Lease.t }
+type read_txn = { rt_table : t; rt_txn : Version_store.txn }
 
 let version_retain t = Version_store.retain t.versions
 let versions t = Version_store.versions t.versions
+let holders t = Version_store.holders t.versions
+let zombie_count t = Version_store.zombie_count t.versions
 
-let horizon t = t.horizon
-
-(* Every pinned read holds a Pinned_read lease on the snapshot's horizon
-   for its lifetime, so the epoch floor reflects open readers — the
-   fleet's [set_pinned_reads] transactions come through here and are
-   lease-holders for free. *)
-let lease_txn ?holder t tx =
-  let lease =
-    Horizon.acquire t.horizon ~kind:Lease.Pinned_read
-      ~holder:(Option.value holder ~default:t.snap_name)
-      ~epoch:(Version_store.txn_epoch tx) ()
-  in
-  { rt_table = t; rt_txn = tx; rt_lease = lease }
+let pin_holder t holder = Option.value holder ~default:t.snap_name
 
 let read_txn ?epoch ?holder t =
-  Option.map (lease_txn ?holder t) (Version_store.pin ?epoch t.versions)
+  Option.map
+    (fun tx -> { rt_table = t; rt_txn = tx })
+    (Version_store.pin ?epoch ~holder:(pin_holder t holder) t.versions)
 
-let read_txn_exn ?epoch ?holder t = lease_txn ?holder t (Version_store.pin_exn ?epoch t.versions)
+let read_txn_exn ?epoch ?holder t =
+  { rt_table = t; rt_txn = Version_store.pin_exn ?epoch ~holder:(pin_holder t holder) t.versions }
 
-let release_txn rt =
-  Version_store.release rt.rt_txn;
-  Lease.release rt.rt_lease
+let release_txn rt = Version_store.release rt.rt_txn
 
 let vacuum ?older_than ?dry_run t = Version_store.vacuum ?older_than ?dry_run t.versions
 let txn_pinned rt = Version_store.txn_pinned rt.rt_txn

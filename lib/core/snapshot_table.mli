@@ -15,7 +15,7 @@
     {!apply} implements the snapshot side of each refresh method
     (Figure 4 for the differential messages):
 
-    - [Entry {addr; prev_qual; values}]: delete every snapshot entry with
+    - [Entry {addr; prev_qual; row}]: delete every snapshot entry with
       [prev_qual < BaseAddr < addr], then upsert [addr];
     - [Tail {last_qual}]: delete everything with [BaseAddr > last_qual];
     - [Region {lo; hi}]: delete [lo <= BaseAddr <= hi];
@@ -26,8 +26,6 @@
 open Snapdiff_storage
 open Snapdiff_txn
 module Version_store = Snapdiff_mvcc.Version_store
-module Lease = Snapdiff_lifecycle.Lease
-module Horizon = Snapdiff_lifecycle.Horizon
 
 type t
 
@@ -35,13 +33,7 @@ exception Corrupt_snapshot of string
 (** A persisted snapshot store failed integrity checks on adoption
     ({!on_pool}); the message names the snapshot and the damage. *)
 
-val create :
-  ?version_retain:int ->
-  ?retain_duration:Clock.ts ->
-  name:string ->
-  schema:Schema.t ->
-  unit ->
-  t
+val create : ?version_retain:int -> name:string -> schema:Schema.t -> unit -> t
 (** [schema] is the (already projected) user schema of the snapshot's
     contents.
 
@@ -49,17 +41,11 @@ val create :
     committed framed stream publishes an immutable version, the last
     [version_retain] of which stay readable through {!read_txn}.  At the
     default a commit still copies the pages it touches, since a reader
-    may pin the pre-commit image while it replays.
-
-    [retain_duration] (clock ticks; default none) is the time half of the
-    retention policy: versions younger than this against the snapshot's
-    own SnapTime are protected from {!vacuum} even once the ring would
-    let them go. *)
+    may pin the pre-commit image while it replays. *)
 
 val on_pool :
   ?snaptime:Clock.ts ->
   ?version_retain:int ->
-  ?retain_duration:Clock.ts ->
   name:string ->
   schema:Schema.t ->
   Snapdiff_storage.Buffer_pool.t ->
@@ -215,11 +201,11 @@ val read_txn : ?epoch:int -> ?holder:string -> t -> read_txn option
 (** Pin the given retained epoch (default: the latest version).  A pin
     reads the image of its pin time: raw {!apply} calls after it do not
     reach it, and a pin taken during a commit reads the pre-commit image.
-    [None] if that epoch is not retained.  Release with {!release_txn}.  The
-    transaction holds a {!Lease.Pinned_read} lease on the snapshot's
-    {!horizon} for its lifetime, so vacuum and ring eviction see every
-    open reader; [holder] (default: the snapshot's name) names the
-    reader on that lease. *)
+    [None] if that epoch is not retained.  Release with {!release_txn}.
+    The pin alone keeps the epoch: ring eviction and {!vacuum} park a
+    pinned version on the zombie list until its last release.  [holder]
+    (default: the snapshot's name) names the reader on the pin, as
+    {!holders} lists it. *)
 
 val read_txn_exn : ?epoch:int -> ?holder:string -> t -> read_txn
 (** {!read_txn}, but a miss raises {!Version_store.Epoch_not_retained}
@@ -227,7 +213,7 @@ val read_txn_exn : ?epoch:int -> ?holder:string -> t -> read_txn
     SQL [AS OF] path reports as a clean error. *)
 
 val release_txn : read_txn -> unit
-(** Idempotent.  Releases the version pin and the lease. *)
+(** Idempotent.  Releases the version pin. *)
 
 val txn_pinned : read_txn -> bool
 
@@ -265,17 +251,21 @@ val versions : t -> Version_store.version_info list
 
 (** {1 Lifecycle}
 
-    The snapshot's retention horizon: epoch leases (one per open
-    {!read_txn}) plus the retention policy
-    [{retain_epochs; retain_duration}].  The version store's reclamation
-    consults it — nothing else holds versions alive. *)
+    A retained version lives while the ring of [version_retain] epochs
+    or a pin ({!read_txn}) holds it, and no longer: nothing else holds
+    versions alive. *)
 
-val horizon : t -> Horizon.t
+val holders : t -> (string * int) list
+(** [(holder, epoch)] of every open {!read_txn}, ascending by epoch,
+    then holder (see {!Version_store.holders}). *)
+
+val zombie_count : t -> int
+(** Versions the ring has let go that a pin still holds. *)
 
 val vacuum :
   ?older_than:Clock.ts -> ?dry_run:bool -> t -> Version_store.vacuum_stats
-(** Reclaim retained versions the horizon no longer needs (see
-    {!Version_store.vacuum}); the per-snapshot half of
+(** Evict retained versions the ring has let go or [older_than] expires
+    (see {!Version_store.vacuum}); the per-snapshot half of
     [Manager.vacuum]. *)
 
 val validate : t -> (unit, string) result

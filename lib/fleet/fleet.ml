@@ -434,9 +434,8 @@ let tick t ~now_us =
   (* Pin the pre-refresh version of every member about to be refreshed:
      readers served from these transactions keep observing the old
      consistent image while (and after) the refresh commits, without
-     blocking it.  Each [read_txn] also holds a [Pinned_read] lease on
-     the snapshot's retention horizon, so a concurrent [Manager.vacuum]
-     parks these versions on the zombie list instead of freeing them.
+     blocking it.  The pin alone keeps each version: a concurrent
+     [Manager.vacuum] parks it on the zombie list instead of freeing it.
      Served and released after the dispatch below. *)
   let pins =
     if t.pinned_reads = 0 then []

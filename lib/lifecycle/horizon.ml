@@ -1,29 +1,16 @@
-type policy = { retain_epochs : int; retain_duration : int option }
+type t = { lock : Mutex.t; mutable next_id : int; leases : (int, Lease.t) Hashtbl.t }
 
-let default_policy = { retain_epochs = 1; retain_duration = None }
-
-type t = {
-  lock : Mutex.t;
-  mutable next_id : int;
-  leases : (int, Lease.t) Hashtbl.t;
-  mutable pol : policy;
-}
-
-let create ?(policy = default_policy) () =
-  { lock = Mutex.create (); next_id = 0; leases = Hashtbl.create 8; pol = policy }
+let create () = { lock = Mutex.create (); next_id = 0; leases = Hashtbl.create 8 }
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let policy t = locked t (fun () -> t.pol)
-let set_policy t p = locked t (fun () -> t.pol <- p)
-
-let acquire t ~kind ?(holder = "?") ?lsn ?epoch () =
+let acquire t ~kind ?(holder = "?") ~lsn () =
   locked t (fun () ->
       let id = t.next_id in
       t.next_id <- id + 1;
-      let l = Lease.make ~id ~kind ~holder ?lsn ?epoch () in
+      let l = Lease.make ~kind ~holder ~lsn in
       (* The release hook re-enters this horizon's lock; Lease.release is
          only ever called outside of it (no horizon call runs user code
          under the lock), so the order is always lease -> horizon. *)
@@ -32,14 +19,9 @@ let acquire t ~kind ?(holder = "?") ?lsn ?epoch () =
       Hashtbl.replace t.leases id l;
       l)
 
-let with_lease t ~kind ?holder ?lsn ?epoch f =
-  let l = acquire t ~kind ?holder ?lsn ?epoch () in
+let with_lease t ~kind ?holder ~lsn f =
+  let l = acquire t ~kind ?holder ~lsn () in
   Fun.protect ~finally:(fun () -> Lease.release l) (fun () -> f l)
-
-let live_leases t =
-  locked t (fun () ->
-      Hashtbl.fold (fun _ l acc -> l :: acc) t.leases []
-      |> List.sort (fun a b -> compare (Lease.id a) (Lease.id b)))
 
 let lease_count t = locked t (fun () -> Hashtbl.length t.leases)
 
@@ -48,10 +30,8 @@ let lsn_floor t ~ceiling =
     locked t (fun () ->
         Hashtbl.fold
           (fun _ l ((floor, gating) as acc) ->
-            match Lease.lsn l with
-            | Some lsn when lsn < ceiling ->
-              (min lsn floor, Lease.gating_of l ~lsn :: gating)
-            | Some _ | None -> acc)
+            let lsn = Lease.lsn l in
+            if lsn < ceiling then (min lsn floor, Lease.gating_of l :: gating) else acc)
           t.leases (ceiling, []))
   in
   ( floor,
@@ -59,13 +39,3 @@ let lsn_floor t ~ceiling =
       (fun a b ->
         compare (a.Lease.g_lsn, a.Lease.g_holder) (b.Lease.g_lsn, b.Lease.g_holder))
       gating )
-
-let epoch_floor t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun _ l acc ->
-          match (Lease.epoch l, acc) with
-          | Some e, Some m -> Some (min e m)
-          | Some e, None -> Some e
-          | None, _ -> acc)
-        t.leases None)

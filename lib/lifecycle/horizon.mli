@@ -1,54 +1,30 @@
-(** The retention horizon: the single source of truncation and
-    reclamation floors.
+(** A WAL's retention horizon: the single source of its truncation floor.
 
-    One horizon guards one reclaimable resource — a WAL (floors are
-    LSNs) or a snapshot's MVCC epoch ring (floors are epochs).  Every
-    consumer of historical state registers a {!Lease.t} here; the floor
-    any reclaimer may advance to is the minimum over live leases,
-    composed with the per-snapshot retention {!policy}.  Nothing else in
-    the system is allowed to hold reclamation back: if a component needs
-    old state, it holds a lease, and if it holds a lease, the state
-    stays.
+    Every consumer of the log's history — a chunked scan's catch-up
+    window, a log-based snapshot's cursor, a running checkpoint —
+    registers a {!Lease.t} here; the floor truncation may advance to is
+    the minimum LSN over live leases.  Nothing else holds truncation
+    back: if a component needs old log records, it holds a lease, and if
+    it holds a lease, the records stay.
 
-    Thread-safe: leases are acquired and released from reader domains
-    concurrently with refresh commits and checkpoints. *)
+    Snapshot versions have no horizon: a version lives while the epoch
+    ring or a pin holds it ({!Snapdiff_mvcc.Version_store}).
 
-(** Per-snapshot retention policy, composed with the lease floor:
-    [retain_epochs] committed epochs stay readable (the MVCC ring size),
-    and versions younger than [retain_duration] clock ticks (against the
-    snapshot's own SnapTime) are not vacuumed even when the ring would
-    let them go. *)
-type policy = { retain_epochs : int; retain_duration : int option }
-
-val default_policy : policy
-(** [{ retain_epochs = 1; retain_duration = None }] — the inert default:
-    only the live head, no time-based window. *)
+    Thread-safe: leases are acquired and released from any domain
+    concurrently with checkpoints. *)
 
 type t
 
-val create : ?policy:policy -> unit -> t
+val create : unit -> t
 
-val policy : t -> policy
-val set_policy : t -> policy -> unit
-
-val acquire :
-  t -> kind:Lease.kind -> ?holder:string -> ?lsn:int -> ?epoch:int -> unit -> Lease.t
-(** Register a lease.  [holder] is a diagnostic label (defaults to
-    ["?"]); [lsn]/[epoch] name the oldest WAL LSN / epoch the consumer
-    needs (either, or both).  Release with {!Lease.release}. *)
+val acquire : t -> kind:Lease.kind -> ?holder:string -> lsn:int -> unit -> Lease.t
+(** Register a lease on [lsn], the oldest WAL LSN the consumer needs.
+    [holder] is a diagnostic label (defaults to ["?"]).  Release with
+    {!Lease.release}. *)
 
 val with_lease :
-  t ->
-  kind:Lease.kind ->
-  ?holder:string ->
-  ?lsn:int ->
-  ?epoch:int ->
-  (Lease.t -> 'a) ->
-  'a
+  t -> kind:Lease.kind -> ?holder:string -> lsn:int -> (Lease.t -> 'a) -> 'a
 (** [acquire], run the function, release — also on exceptions. *)
-
-val live_leases : t -> Lease.t list
-(** Acquisition order. *)
 
 val lease_count : t -> int
 
@@ -57,7 +33,3 @@ val lsn_floor : t -> ceiling:int -> int * Lease.gating list
     reclaimer's own bound, e.g. a checkpoint's begin LSN), lowered to the
     oldest leased LSN.  The gating list names every live lease whose LSN
     is below the ceiling — what held the floor down — sorted by LSN. *)
-
-val epoch_floor : t -> int option
-(** The oldest leased epoch, or [None] when no live lease names one.
-    Versions at or above the floor must not be reclaimed. *)

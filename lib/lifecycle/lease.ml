@@ -4,44 +4,35 @@ let m_acquired = Metrics.counter Metrics.global "lifecycle.leases_acquired"
 let m_released = Metrics.counter Metrics.global "lifecycle.leases_released"
 let m_live = Metrics.gauge Metrics.global "lifecycle.leases_live"
 
-type kind = Scan | Log_cursor | Checkpoint | Pinned_read
+type kind = Scan | Log_cursor | Checkpoint
 
 let kind_name = function
   | Scan -> "scan"
   | Log_cursor -> "log-cursor"
   | Checkpoint -> "checkpoint"
-  | Pinned_read -> "pinned-read"
 
 type t = {
-  lease_id : int;
   lease_kind : kind;
   lease_holder : string;
-  mutable lease_lsn : int option;
-  mutable lease_epoch : int option;
+  mutable lease_lsn : int;
   mutable lease_live : bool;
   mutable on_release : unit -> unit;  (* installed by the owning horizon *)
 }
 
-let make ~id ~kind ~holder ?lsn ?epoch () =
+let make ~kind ~holder ~lsn =
   Metrics.incr m_acquired;
   Metrics.shift m_live 1.0;
   {
-    lease_id = id;
     lease_kind = kind;
     lease_holder = holder;
     lease_lsn = lsn;
-    lease_epoch = epoch;
     lease_live = true;
     on_release = ignore;
   }
 
 let set_on_release l f = l.on_release <- f
 
-let id l = l.lease_id
-let kind l = l.lease_kind
-let holder l = l.lease_holder
 let lsn l = l.lease_lsn
-let epoch l = l.lease_epoch
 let live l = l.lease_live
 
 let release l =
@@ -54,15 +45,14 @@ let release l =
     f ()
   end
 
-(* Moves update the resource the lease protects; a released lease is a
-   tombstone and silently ignores them (the idempotent-release contract
+(* A move updates the LSN the lease protects; a released lease is a
+   tombstone and silently ignores it (the idempotent-release contract
    would otherwise force every cursor-advance site to re-check). *)
-let move_lsn l lsn = if l.lease_live then l.lease_lsn <- Some lsn
-let move_epoch l e = if l.lease_live then l.lease_epoch <- Some e
+let move_lsn l lsn = if l.lease_live then l.lease_lsn <- lsn
 
 type gating = { g_kind : kind; g_holder : string; g_lsn : int }
 
-let gating_of l ~lsn = { g_kind = l.lease_kind; g_holder = l.lease_holder; g_lsn = lsn }
+let gating_of l = { g_kind = l.lease_kind; g_holder = l.lease_holder; g_lsn = l.lease_lsn }
 
 let gating_to_string g =
   Printf.sprintf "%s:%s@%d" (kind_name g.g_kind) g.g_holder g.g_lsn

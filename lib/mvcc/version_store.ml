@@ -47,7 +47,7 @@ type image = { dir : dir; rows : int; span : int }
 type version = {
   mutable v_epoch : int;
   mutable v_snaptime : Clock.ts;
-  mutable v_pins : int;
+  mutable v_holders : string list;  (* one entry per live pin *)
   mutable v_root : image;
   mutable v_dead : bool;  (* evicted from the ring; freed when pins drain *)
 }
@@ -66,15 +66,15 @@ type t = {
   mutable ring : version list;  (* newest first *)
   mutable zombies : version list;
   mutable committing : bool;
-  (* The retention horizon's veto: [guard ~epoch ~snaptime] is false when
-     some live lease or the retention policy still needs that version, in
-     which case eviction keeps it in the ring instead of freeing or
-     zombifying it.  Consulted by ring trimming and {!vacuum}; the default
-     (always reclaimable) is the pre-lifecycle refcount-only behaviour. *)
-  mutable guard : epoch:int -> snaptime:Clock.ts -> bool;
 }
 
-type txn = { tx_store : t; tx_version : version; tx_root : image; mutable tx_pinned : bool }
+type txn = {
+  tx_store : t;
+  tx_version : version;
+  tx_root : image;
+  tx_holder : string;
+  mutable tx_pinned : bool;
+}
 
 (* ------------------------------------------------------------------ *)
 
@@ -85,13 +85,22 @@ let no_row = Row.of_tuple [||]
 
 let no_page = { gen = -1; len = 0; addrs = [||]; rows = [||] }
 
-let empty = { dir = empty_dir (-1); rows = 0; span = 64 }
+(* The root of no rows: a new store's head, and what a freed version
+   keeps. *)
+let empty_root span = { dir = empty_dir (-1); rows = 0; span }
+
+let empty = empty_root 64
 
 let create ?(retain = 1) ?(page_span = 64) () =
   if page_span < 1 then invalid_arg "Version_store.create: page_span < 1";
-  let empty = { dir = empty_dir (-1); rows = 0; span = page_span } in
   let head =
-    { v_epoch = -1; v_snaptime = Clock.never; v_pins = 0; v_root = empty; v_dead = false }
+    {
+      v_epoch = -1;
+      v_snaptime = Clock.never;
+      v_holders = [];
+      v_root = empty_root page_span;
+      v_dead = false;
+    }
   in
   Metrics.shift m_versions_live 1.0;
   {
@@ -104,10 +113,7 @@ let create ?(retain = 1) ?(page_span = 64) () =
     ring = [ head ];
     zombies = [];
     committing = false;
-    guard = (fun ~epoch:_ ~snaptime:_ -> true);
   }
-
-let set_reclaim_guard t g = t.guard <- g
 
 let retain t = t.keep
 
@@ -387,51 +393,58 @@ let abort_commit t =
       t.open_dir <- r.dir;
       t.open_rows <- r.rows)
 
-(* The view a freed version keeps. *)
-let freed span = { dir = empty_dir (-1); rows = 0; span }
-
 let free_version t v =
   (* Drop the root so its pages can go; the record itself is small. *)
-  v.v_root <- freed t.span;
+  v.v_root <- empty_root t.span;
   Metrics.shift m_versions_live (-1.0);
   Metrics.incr m_reclaimed
+
+(* The one eviction walk; lock held.  Beyond the head, a version goes
+   when it has fallen past the retained count or, given [older_than], its
+   snaptime is strictly below it (the cutoff overrides the count).  A
+   pinned one parks on the zombie list, where its readers keep their
+   image and the last release frees it; any other is freed.  Returns the
+   number zombied and the roots of the versions freed, or that would be
+   on a [dry_run], which changes nothing. *)
+let evict ?older_than ?(dry_run = false) t =
+  let expired v = match older_than with Some ts -> v.v_snaptime < ts | None -> false in
+  let zombied = ref 0 and freed = ref [] in
+  let rec walk i = function
+    | [] -> []
+    | v :: rest when i = 0 || not (i >= t.keep || expired v) -> v :: walk (i + 1) rest
+    | v :: rest ->
+      if v.v_holders <> [] then begin
+        incr zombied;
+        if not dry_run then begin
+          v.v_dead <- true;
+          t.zombies <- v :: t.zombies
+        end
+      end
+      else begin
+        freed := v.v_root :: !freed;
+        if not dry_run then free_version t v
+      end;
+      if dry_run then v :: walk (i + 1) rest else walk (i + 1) rest
+  in
+  let ring = walk 0 t.ring in
+  if not dry_run then t.ring <- ring;
+  (!zombied, !freed)
 
 let end_commit t ~epoch ~snaptime =
   locked t (fun () ->
       if not t.committing then invalid_arg "Version_store.end_commit: no commit in flight";
       t.committing <- false;
       Metrics.incr m_commits;
-      let published =
-        { v_epoch = epoch; v_snaptime = snaptime; v_pins = 0; v_root = head t; v_dead = false }
-      in
+      t.ring <-
+        { v_epoch = epoch; v_snaptime = snaptime; v_holders = []; v_root = head t; v_dead = false }
+        :: t.ring;
       Metrics.shift m_versions_live 1.0;
-      let rec trim i = function
-        | [] -> []
-        | v :: rest when i >= t.keep ->
-          if v.v_pins > 0 then begin
-            (* Evicted but pinned: survives as a zombie until the pins
-               (and their leases) drain — never reclaimed while held. *)
-            v.v_dead <- true;
-            t.zombies <- v :: t.zombies;
-            trim (i + 1) rest
-          end
-          else if not (t.guard ~epoch:v.v_epoch ~snaptime:v.v_snaptime) then
-            (* The retention horizon (a lease, or the retention policy's
-               time window) still needs this unpinned epoch: it stays in
-               the ring — pinnable later, vacuumable once released. *)
-            v :: trim (i + 1) rest
-          else begin
-            free_version t v;
-            trim (i + 1) rest
-          end
-        | v :: rest -> v :: trim (i + 1) rest
-      in
-      t.ring <- trim 0 (published :: t.ring))
+      ignore (evict t : int * image list))
 
 (* ------------------------------------------------------------------ *)
 (* Read transactions. *)
 
-let pin ?epoch t =
+let pin ?epoch ?(holder = "?") t =
   locked t (fun () ->
       let top = List.hd t.ring in
       let v =
@@ -449,9 +462,10 @@ let pin ?epoch t =
           seal t;
           top.v_root <- head t
         end;
-        v.v_pins <- v.v_pins + 1;
+        v.v_holders <- holder :: v.v_holders;
         Metrics.incr m_pins;
-        Some { tx_store = t; tx_version = v; tx_root = v.v_root; tx_pinned = true })
+        Some
+          { tx_store = t; tx_version = v; tx_root = v.v_root; tx_holder = holder; tx_pinned = true })
 
 let release tx =
   if tx.tx_pinned then begin
@@ -459,8 +473,12 @@ let release tx =
     let t = tx.tx_store in
     locked t (fun () ->
         let v = tx.tx_version in
-        v.v_pins <- v.v_pins - 1;
-        if v.v_dead && v.v_pins = 0 then begin
+        let rec drop = function
+          | [] -> []
+          | h :: tl -> if String.equal h tx.tx_holder then tl else h :: drop tl
+        in
+        v.v_holders <- drop v.v_holders;
+        if v.v_dead && v.v_holders = [] then begin
           t.zombies <- List.filter (fun z -> z != v) t.zombies;
           free_version t v;
           Metrics.incr m_zombie_reclaimed
@@ -476,8 +494,8 @@ let live_range_locked t =
 
 let live_range t = locked t (fun () -> live_range_locked t)
 
-let pin_exn ?epoch t =
-  match pin ?epoch t with
+let pin_exn ?epoch ?holder t =
+  match pin ?epoch ?holder t with
   | Some tx -> tx
   | None ->
     let live_lo, live_hi = live_range t in
@@ -505,75 +523,46 @@ let versions t =
   locked t (fun () ->
       List.mapi
         (fun i v ->
-          { vi_epoch = v.v_epoch; vi_snaptime = v.v_snaptime; vi_pins = v.v_pins; vi_frozen = i > 0 })
+          {
+            vi_epoch = v.v_epoch;
+            vi_snaptime = v.v_snaptime;
+            vi_pins = List.length v.v_holders;
+            vi_frozen = i > 0;
+          })
         t.ring)
 
 let zombie_count t = locked t (fun () -> List.length t.zombies)
 
+let holders t =
+  locked t (fun () ->
+      List.concat_map (fun v -> List.map (fun h -> (h, v.v_epoch)) v.v_holders) (t.ring @ t.zombies)
+      |> List.sort (fun (h, e) (h', e') -> compare (e, h) (e', h')))
+
 (* ------------------------------------------------------------------ *)
-(* Vacuum: horizon-driven reclamation of retained versions. *)
+(* Vacuum: the eviction walk on demand, counted. *)
 
 type vacuum_stats = {
   vac_examined : int;  (* eviction candidates considered *)
   vac_reclaimed : int;  (* versions freed (or would be, on a dry run) *)
   vac_zombied : int;  (* pinned candidates parked on the zombie list *)
-  vac_kept : int;  (* unpinned candidates the horizon guard protected *)
   vac_bytes : int;  (* encoded bytes the freed versions held *)
 }
 
-let version_bytes v =
-  let d = v.v_root.dir in
+let image_bytes (r : image) =
+  let d = r.dir in
   let b = ref 0 in
   for i = 0 to d.n - 1 do
     b := !b + page_bytes d.pages.(i)
   done;
   !b
 
-let vacuum ?older_than ?(dry_run = false) t =
+let vacuum ?older_than ?dry_run t =
   locked t (fun () ->
-      let expired v =
-        match older_than with Some ts -> v.v_snaptime < ts | None -> false
-      in
-      let stats =
-        ref { vac_examined = 0; vac_reclaimed = 0; vac_zombied = 0; vac_kept = 0; vac_bytes = 0 }
-      in
-      let bump f = stats := f !stats in
-      (* The head (position 0) is never a candidate; beyond it a version
-         goes when it has fallen past the retained count (ring overage the
-         guard kept alive earlier) or is explicitly older than the cutoff,
-         which overrides the count.  Pinned candidates are evicted to the
-         zombie list — their readers keep a byte-identical image and the
-         final release reclaims them — and unpinned ones are freed unless
-         the horizon guard (a live lease, or the retention policy's time
-         window) still needs them. *)
-      let rec walk i = function
-        | [] -> []
-        | v :: rest when i = 0 || not (i >= t.keep || expired v) -> v :: walk (i + 1) rest
-        | v :: rest ->
-          bump (fun s -> { s with vac_examined = s.vac_examined + 1 });
-          if v.v_pins > 0 then begin
-            bump (fun s -> { s with vac_zombied = s.vac_zombied + 1 });
-            if dry_run then v :: walk (i + 1) rest
-            else begin
-              v.v_dead <- true;
-              t.zombies <- v :: t.zombies;
-              walk (i + 1) rest
-            end
-          end
-          else if not (t.guard ~epoch:v.v_epoch ~snaptime:v.v_snaptime) then begin
-            bump (fun s -> { s with vac_kept = s.vac_kept + 1 });
-            v :: walk (i + 1) rest
-          end
-          else begin
-            bump (fun s ->
-                { s with vac_reclaimed = s.vac_reclaimed + 1; vac_bytes = s.vac_bytes + version_bytes v });
-            if dry_run then v :: walk (i + 1) rest
-            else begin
-              free_version t v;
-              walk (i + 1) rest
-            end
-          end
-      in
-      let ring' = walk 0 t.ring in
-      if not dry_run then t.ring <- ring';
-      !stats)
+      let zombied, freed = evict ?older_than ?dry_run t in
+      let reclaimed = List.length freed in
+      {
+        vac_examined = zombied + reclaimed;
+        vac_reclaimed = reclaimed;
+        vac_zombied = zombied;
+        vac_bytes = List.fold_left (fun b r -> b + image_bytes r) 0 freed;
+      })

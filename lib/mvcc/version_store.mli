@@ -29,17 +29,19 @@
     A framed commit ({!begin_commit} .. {!end_commit}) replays its stream
     into the open root and publishes the result as the new head version
     of a ring of the [retain] most recent epochs.  A {!txn} pins one
-    version and reads its root for as long as it likes; a version leaves
-    memory only when it has fallen off the ring {e and} its pin count is
-    zero (evicted-but-pinned versions park on a zombie list until
-    released).  A pin of the head reads the image of its pin time: later
-    raw writes (edits outside a commit) go to pages it cannot reach.  A
-    pin taken during a commit lands on the pre-commit image.
+    version and reads its root for as long as it likes.  The ring and the
+    pins are all that keep a version: it leaves memory as soon as it has
+    fallen off the ring {e and} no pin holds it (evicted-but-pinned
+    versions park on a zombie list until released).  Each pin names its
+    holder, so {!holders} can say who keeps which epoch.  A pin of the
+    head reads the image of its pin time: later raw writes (edits outside
+    a commit) go to pages it cannot reach.  A pin taken during a commit
+    lands on the pre-commit image.
 
     {2 Concurrency}
 
     A sealed root is immutable, so a reader needs no lock to read it.  One
-    mutex guards the ring, the pin counts and the seal; a commit holds it
+    mutex guards the ring, the pins and the seal; a commit holds it
     only at its start and its end.  Edits outside a commit hold it too,
     since a pin of the head may seal the open root at any time. *)
 
@@ -69,17 +71,6 @@ val create : ?retain:int -> ?page_span:int -> unit -> t
     [k] committed epochs readable; values below 1 clamp to 1. *)
 
 val retain : t -> int
-
-val set_reclaim_guard : t -> (epoch:int -> snaptime:Clock.ts -> bool) -> unit
-(** Install the retention horizon's veto: [guard ~epoch ~snaptime] must
-    return [false] while some live lease or the retention policy still
-    needs that version, in which case eviction (ring trimming at commit,
-    {!vacuum}) keeps the version in the ring instead of freeing it.
-    Pinned versions are never freed regardless (they park on the zombie
-    list until released) — the guard extends that protection to unpinned
-    state the {!Snapdiff_lifecycle.Horizon} knows is still wanted.  The
-    default guard always allows reclamation.  Called with the store lock
-    held; the guard must not re-enter the store. *)
 
 (** {1 The writer's open root} *)
 
@@ -114,7 +105,9 @@ val begin_commit : t -> unit
 
 val end_commit : t -> epoch:int -> snaptime:Clock.ts -> unit
 (** Publish the open root as the new head version and evict beyond
-    [retain]; evicted-but-pinned versions become zombies. *)
+    [retain]: the same walk as {!vacuum} without a cutoff, so an
+    evicted-but-pinned version becomes a zombie and any other is
+    freed. *)
 
 val abort_commit : t -> unit
 (** Restore the open root to the head's image sealed by {!begin_commit}:
@@ -157,18 +150,20 @@ val page_table : image -> (int * page * int) list
 
 (** {1 Read transactions} *)
 
-val pin : ?epoch:int -> t -> txn option
+val pin : ?epoch:int -> ?holder:string -> t -> txn option
 (** Pin the named retained epoch, or the head when [epoch] is omitted.
     [None] if that epoch is not in the ring (never committed, or already
-    evicted).  Before the first commit the head carries epoch [-1]. *)
+    evicted).  Before the first commit the head carries epoch [-1].
+    [holder] (default ["?"]) names who holds the pin, for {!holders}. *)
 
-val pin_exn : ?epoch:int -> t -> txn
+val pin_exn : ?epoch:int -> ?holder:string -> t -> txn
 (** {!pin}, but a miss raises {!Epoch_not_retained} with the requested
     epoch and the live range instead of returning [None] — the typed
     surface the SQL [AS OF] path reports cleanly. *)
 
 val release : txn -> unit
-(** Idempotent.  Dropping the last pin of a zombie reclaims it. *)
+(** Idempotent: removes this pin's one holder entry.  Dropping the last
+    pin of a zombie reclaims it. *)
 
 val txn_epoch : txn -> int
 val txn_snaptime : txn -> Clock.ts
@@ -185,7 +180,7 @@ val txn_image : txn -> image
 type version_info = {
   vi_epoch : int;
   vi_snaptime : Clock.ts;
-  vi_pins : int;
+  vi_pins : int;  (** live pins, one per {!holders} entry *)
   vi_frozen : bool;  (** false only for the head *)
 }
 
@@ -195,30 +190,33 @@ val versions : t -> version_info list
 val zombie_count : t -> int
 (** Evicted versions kept alive only by open pins. *)
 
+val holders : t -> (string * int) list
+(** [(holder, epoch)] for every live pin, on the ring and on the zombie
+    list, ascending by epoch, then holder.  A holder that pins one epoch
+    twice is listed twice. *)
+
 val live_range : t -> int * int
 (** Oldest and newest retained epoch (the ring's two ends). *)
 
 (** {1 Vacuum}
 
-    Horizon-driven reclamation, the per-store half of
+    The eviction walk on demand, the per-store half of
     [Manager.vacuum]. *)
 
 type vacuum_stats = {
   vac_examined : int;  (** eviction candidates considered *)
   vac_reclaimed : int;  (** versions freed (or would be, on a dry run) *)
   vac_zombied : int;  (** pinned candidates parked on the zombie list *)
-  vac_kept : int;  (** unpinned candidates the horizon guard protected *)
   vac_bytes : int;  (** encoded bytes the freed versions held, as {!page_table} sums them *)
 }
 
 val vacuum : ?older_than:Clock.ts -> ?dry_run:bool -> t -> vacuum_stats
-(** Evict retained versions the horizon no longer needs.  Candidates are
-    ring versions past the retained count, plus — when [older_than] is
-    given — any non-head version whose snaptime is strictly below it (an
-    explicit cutoff overrides the count).  The head is never touched.
-    Pinned candidates move to the zombie list (their readers keep a
-    byte-identical image; the final {!release} reclaims them); unpinned
-    candidates are freed unless the reclaim guard vetoes.  [dry_run]
-    (default false) reports what would happen without changing anything.
-    It may run during a commit: the head it never touches is then the
-    pre-commit image. *)
+(** Evict retained versions.  Candidates are ring versions past the
+    retained count, plus — when [older_than] is given — any non-head
+    version whose snaptime is strictly below it (an explicit cutoff
+    overrides the count).  The head is never touched.  Pinned candidates
+    move to the zombie list (their readers keep a byte-identical image;
+    the final {!release} reclaims them); unpinned candidates are freed.
+    [dry_run] (default false) reports what would happen without changing
+    anything.  It may run during a commit: the head it never touches is
+    then the pre-commit image. *)

@@ -285,18 +285,16 @@ let test_cascade_link_down_mid_commit () =
   check_faithful "child = restriction of parent after a one-shot outage" parent casc;
   checkb "valid" true (Snapshot_table.validate child = Ok ())
 
-(* The held epoch is a read transaction on the parent whose lease names
+(* The held epoch is a read transaction on the parent whose pin names
    the child, and a child's refresh is its own [refresh] span, outside
    the parent's [refresh.apply] spans. *)
 let test_cascade_lease_and_span () =
   let module Trace = Snapdiff_obs.Trace in
-  let module Lease = Snapdiff_lifecycle.Lease in
-  let module Horizon = Snapdiff_lifecycle.Horizon in
   let base, m, parent, casc = cascade_setup () in
   let leases () =
     List.filter_map
-      (fun l -> if Lease.holder l = "cascade:verylow" then Lease.epoch l else None)
-      (Horizon.live_leases (Snapshot_table.horizon parent))
+      (fun (h, e) -> if h = "cascade:verylow" then Some e else None)
+      (Snapshot_table.holders parent)
   in
   Alcotest.(check (list int)) "one lease, at the held epoch" [ Cascade.held_epoch casc ] (leases ());
   Trace.enable Trace.Memory;
@@ -552,18 +550,16 @@ let test_sql_cascade_report () =
     (List.sort compare
        (List.map (fun r -> Value.to_string (Tuple.get r 0)) (rows_of (exec "SELECT * FROM c"))))
 
-(* DROP SNAPSHOT on a cascade releases its held parent epoch: the
-   parent's horizon holds no lease for it, and a parent refresh sends
-   nothing on its link. *)
+(* DROP SNAPSHOT on a cascade releases its held parent epoch: no pin on
+   the parent names it, and a parent refresh sends nothing on its
+   link. *)
 let test_sql_drop_cascade_releases_parent () =
   let db, exec = setup_db () in
   ignore (exec "CREATE SNAPSHOT p AS SELECT * FROM emp REFRESH DIFFERENTIAL");
   ignore (exec "CREATE SNAPSHOT c AS SELECT name FROM p WHERE salary < 7");
   let link = Database.snapshot_link db "c" in
-  let horizon = Snapshot_table.horizon (Manager.snapshot_table (Database.manager db) "p") in
-  let holders () =
-    List.map Snapdiff_lifecycle.Lease.holder (Snapdiff_lifecycle.Horizon.live_leases horizon)
-  in
+  let parent = Manager.snapshot_table (Database.manager db) "p" in
+  let holders () = List.map fst (Snapshot_table.holders parent) in
   Alcotest.(check (list string)) "c holds a parent epoch" [ "cascade:c" ] (holders ());
   ignore (exec "DROP SNAPSHOT c");
   Alcotest.(check (list string)) "no lease once dropped" [] (holders ());

@@ -1,14 +1,15 @@
-(* The unified retention horizon: leases, floors, and vacuum.
+(* Retention: WAL leases and floors, version pins, and vacuum.
 
    Three layers under test:
 
-   - Lease/Horizon directly: floors are the minimum over live leases,
-     gating lists name what held a floor down, release/move update them,
-     and with_lease is exception-safe;
+   - Lease/Horizon directly: the LSN floor is the minimum over live
+     leases, gating lists name what held it down, release/move update
+     it, and with_lease is exception-safe;
    - Manager.vacuum: dry runs touch nothing, real runs reclaim expired
-     versions and truncate the shared WAL to the lease horizon, pinned
+     versions and truncate the shared WAL to the lease floor, pinned
      epochs survive on the zombie list with byte-identical reads until
-     their last release, and a vacuum fired mid-scan from the chunk hook
+     their last release while the ring stays at its depth, each pin
+     names its holder, and a vacuum fired mid-scan from the chunk hook
      is gated by the scan's lease — the catch-up tail survives;
    - the qcheck property the subsystem promises: under a random
      interleaving of mutations, refreshes, pinned reads, checkpoints,
@@ -68,19 +69,6 @@ let test_lsn_floor_and_gating () =
   (* idempotent *)
   checki "all released" 0 (Horizon.lease_count h);
   checkb "floor back to the ceiling" true (Horizon.lsn_floor h ~ceiling:100 = (100, []))
-
-let test_epoch_floor () =
-  let h = Horizon.create () in
-  checkb "no epoch leases: no floor" true (Horizon.epoch_floor h = None);
-  let a = Horizon.acquire h ~kind:Lease.Pinned_read ~holder:"r1" ~epoch:7 () in
-  let b = Horizon.acquire h ~kind:Lease.Pinned_read ~holder:"r2" ~epoch:3 () in
-  checkb "floor = min leased epoch" true (Horizon.epoch_floor h = Some 3);
-  Lease.release b;
-  checkb "release raises the epoch floor" true (Horizon.epoch_floor h = Some 7);
-  Lease.move_epoch a 9;
-  checkb "move_epoch advances it" true (Horizon.epoch_floor h = Some 9);
-  Lease.release a;
-  checkb "empty again" true (Horizon.epoch_floor h = None)
 
 let test_with_lease_exception_safe () =
   let h = Horizon.create () in
@@ -171,8 +159,7 @@ let test_vacuum_spares_pinned_epoch () =
   Alcotest.(check (list (pair string int))) "the pinned reader is named"
     [ ("nightly-report", oldest.VS.vi_epoch) ] sv.Manager.sv_leases;
   checki "the pinned candidate was zombied, not freed" 1 sv.Manager.sv_zombied;
-  checkb "its lease also shields newer expired versions" true (sv.Manager.sv_kept > 0);
-  checki "so nothing was freed outright" 0 sv.Manager.sv_reclaimed;
+  checki "the unpinned expired version was freed" 1 sv.Manager.sv_reclaimed;
   checkb "the pinned epoch left the ring" true
     (not
        (List.exists
@@ -180,15 +167,107 @@ let test_vacuum_spares_pinned_epoch () =
           (Manager.snapshot_versions m "s")));
   checkb "pinned reads stay byte-identical after the vacuum" true
     (Snapshot_table.txn_contents rt = image0);
-  (* The last release reclaims the zombie and lifts the epoch floor: the
-     next vacuum frees what the lease was shielding. *)
+  (* The last release frees the zombie; nothing else is left to vacuum. *)
   Snapshot_table.release_txn rt;
-  checkb "release reclaimed the zombie" true
+  checkb "release freed the zombie" true
     (Metrics.counter_value Metrics.global "mvcc.zombies_reclaimed" > zr0);
+  checki "no zombie left" 0 (Snapshot_table.zombie_count (Manager.snapshot_table m "s"));
   let rep2 = Manager.vacuum ~older_than:(Clock.now clock) m in
   let sv2 = List.hd rep2.Manager.vac_snapshots in
-  checkb "release unblocked reclamation" true (sv2.Manager.sv_reclaimed > 0);
-  checki "nothing left shielded" 0 sv2.Manager.sv_kept
+  checki "a second vacuum finds only the head" 0 sv2.Manager.sv_examined;
+  checki "which it keeps" 1 (List.length (Manager.snapshot_versions m "s"))
+
+(* A pin holds the one version it reads, and the ring holds the rest: a
+   reader pinned at an old epoch through many refreshes leaves the ring
+   at its depth and its own epoch on the zombie list. *)
+let test_pin_holds_only_its_epoch () =
+  List.iter
+    (fun retain ->
+      let m, base, _, clock = mk_workload ~retain ~rounds:0 () in
+      let snap = Manager.snapshot_table m "s" in
+      let rt = Snapshot_table.read_txn_exn snap in
+      let image0 = Snapshot_table.txn_contents rt in
+      let rng = Rng.create 0x31 in
+      let refresh () =
+        ignore (Workload.update_fraction base ~rng ~u:0.2 ~mix:Workload.churn : int);
+        ignore (Manager.refresh m "s" : Manager.refresh_report)
+      in
+      (* Fill the ring, so the next refresh evicts the pinned epoch. *)
+      for _ = 2 to retain do
+        refresh ()
+      done;
+      for i = 1 to 10 do
+        refresh ();
+        let at = Printf.sprintf "retain %d, refresh %d: " retain i in
+        checki (at ^ "the ring stays at its depth") retain
+          (List.length (Manager.snapshot_versions m "s"));
+        checki (at ^ "the pinned epoch is the one zombie") 1 (Snapshot_table.zombie_count snap)
+      done;
+      let sv = List.hd (Manager.vacuum ~older_than:(Clock.now clock) m).Manager.vac_snapshots in
+      checki "the vacuum frees every non-head ring version" (retain - 1) sv.Manager.sv_reclaimed;
+      checki "and zombies nothing more" 0 sv.Manager.sv_zombied;
+      checki "the pinned epoch is still held" 1 (Snapshot_table.zombie_count snap);
+      checkb "and reads its image" true (Snapshot_table.txn_contents rt = image0);
+      Snapshot_table.release_txn rt;
+      checki "the release frees the zombie" 0 (Snapshot_table.zombie_count snap);
+      checki "only the head is left" 1 (List.length (Manager.snapshot_versions m "s")))
+    [ 1; 3 ]
+
+(* A cascade child whose link is down holds one parent epoch by its pin,
+   and only that one: the parent's ring stays at its depth through the
+   outage. *)
+let test_cascade_outage_holds_one_epoch () =
+  let m, base, _, _ = mk_workload ~retain:1 ~rounds:0 () in
+  let parent = Manager.snapshot_table m "s" in
+  let child = Cascade.attach ~upstream:parent ~name:"c" () in
+  ignore (Cascade.refresh child : Manager.refresh_report);
+  Snapdiff_net.Link.set_up (Cascade.link child) false;
+  let rng = Rng.create 0x46 in
+  for i = 1 to 10 do
+    ignore (Workload.update_fraction base ~rng ~u:0.2 ~mix:Workload.churn : int);
+    ignore (Manager.refresh m "s" : Manager.refresh_report);
+    ignore (Cascade.refresh child : Manager.refresh_report);
+    let at = Printf.sprintf "parent refresh %d: " i in
+    checki (at ^ "the parent ring stays at its depth") 1
+      (List.length (Manager.snapshot_versions m "s"));
+    checki (at ^ "the child's epoch is the one zombie") 1 (Snapshot_table.zombie_count parent)
+  done;
+  Snapdiff_net.Link.set_up (Cascade.link child) true;
+  checki "the child commits once its link is back" 0 (Cascade.refresh child).Manager.aborts;
+  checki "and lets its old epoch go" 0 (Snapshot_table.zombie_count parent)
+
+(* Each pin names its holder: [holders] and the dry run list every live
+   pin, a release drops exactly its own entry, and the entries follow a
+   version onto the zombie list. *)
+let test_pin_holders () =
+  let m, base, _, clock = mk_workload ~retain:2 ~rounds:1 () in
+  let snap = Manager.snapshot_table m "s" in
+  let e = Snapshot_table.last_committed_epoch snap in
+  let a1 = Snapshot_table.read_txn_exn ~holder:"a" snap in
+  let a2 = Snapshot_table.read_txn_exn ~holder:"a" snap in
+  let b = Snapshot_table.read_txn_exn ~holder:"b" snap in
+  let d = Option.get (Manager.read_txn m "s") in
+  let pairs = Alcotest.(list (pair string int)) in
+  Alcotest.check pairs "every pin is listed" [ ("a", e); ("a", e); ("b", e); ("s", e) ]
+    (Snapshot_table.holders snap);
+  let rep = Manager.vacuum ~dry_run:true ~older_than:(Clock.now clock) m in
+  Alcotest.check pairs "and named by the dry run" (Snapshot_table.holders snap)
+    (List.hd rep.Manager.vac_snapshots).Manager.sv_leases;
+  Snapshot_table.release_txn a1;
+  Snapshot_table.release_txn a1;
+  Alcotest.check pairs "releasing a twice drops one entry" [ ("a", e); ("b", e); ("s", e) ]
+    (Snapshot_table.holders snap);
+  let rng = Rng.create 0x7 in
+  for _ = 1 to 2 do
+    ignore (Workload.update_fraction base ~rng ~u:0.2 ~mix:Workload.churn : int);
+    ignore (Manager.refresh m "s" : Manager.refresh_report)
+  done;
+  checki "the held epoch left the ring" 1 (Snapshot_table.zombie_count snap);
+  Alcotest.check pairs "its holders followed it" [ ("a", e); ("b", e); ("s", e) ]
+    (Snapshot_table.holders snap);
+  List.iter Snapshot_table.release_txn [ a2; b; d ];
+  Alcotest.check pairs "none once released" [] (Snapshot_table.holders snap);
+  checki "and no zombie" 0 (Snapshot_table.zombie_count snap)
 
 (* A cascade child whose link is down keeps its parent epoch: the
    parent's dry run names it as the holder. *)
@@ -253,7 +332,7 @@ let test_vacuum_gated_by_live_scan () =
 
 (* ------------------------------------------------------------------ *)
 (* Fleet pinned reads overlapping a vacuum: the scheduler's pre-refresh
-   pins ride the same epoch leases, so a vacuum between ticks parks
+   pins are ordinary read transactions, so a vacuum between ticks parks
    their versions on the zombie list and reads stay byte-identical. *)
 
 let test_fleet_pinned_reads_survive_vacuum () =
@@ -295,10 +374,11 @@ let test_fleet_pinned_reads_survive_vacuum () =
 
 (* ------------------------------------------------------------------ *)
 (* The qcheck property: a random interleaving of mutations, refreshes,
-   pinned reads, checkpoints, and vacuums never loses a leased epoch
-   (every pinned read stays byte-identical for its lifetime), never
-   truncates a leased log cursor (log-based refresh never falls back to
-   full), and never escalates a chunked differential scan. *)
+   pinned reads, checkpoints, and vacuums never loses a pinned epoch
+   (every pinned read stays byte-identical for its lifetime, and the
+   snapshot lists one holder per pin), never truncates a leased log
+   cursor (log-based refresh never falls back to full), and never
+   escalates a chunked differential scan. *)
 
 let prop_interleaving_never_loses_leases =
   QCheck2.Test.make ~count:25
@@ -328,7 +408,10 @@ let prop_interleaving_never_loses_leases =
       let check_pins () =
         List.iter
           (fun (rt, img) -> fail_if ~reason:"pin changed" (Snapshot_table.txn_contents rt <> img))
-          !pins
+          !pins;
+        fail_if ~reason:"holders <> pins"
+          (List.length (Snapshot_table.holders (Manager.snapshot_table m "d"))
+          <> List.length !pins)
       in
       List.iter
         (fun k ->
@@ -378,7 +461,6 @@ let prop_interleaving_never_loses_leases =
 let suite =
   [
     Alcotest.test_case "horizon: lsn floor and gating" `Quick test_lsn_floor_and_gating;
-    Alcotest.test_case "horizon: epoch floor" `Quick test_epoch_floor;
     Alcotest.test_case "horizon: with_lease is exception-safe" `Quick
       test_with_lease_exception_safe;
     Alcotest.test_case "vacuum: dry run touches nothing" `Quick
@@ -389,6 +471,12 @@ let suite =
       test_vacuum_spares_pinned_epoch;
     Alcotest.test_case "vacuum: dry run names a cascade child's held epoch" `Quick
       test_vacuum_names_cascade_holder;
+    Alcotest.test_case "pins: a held reader keeps its epoch, not the ring" `Quick
+      test_pin_holds_only_its_epoch;
+    Alcotest.test_case "pins: a cascade outage holds one parent epoch" `Quick
+      test_cascade_outage_holds_one_epoch;
+    Alcotest.test_case "pins: holders listed, released and zombied" `Quick
+      test_pin_holders;
     Alcotest.test_case "vacuum: gated by a live chunked scan" `Quick
       test_vacuum_gated_by_live_scan;
     Alcotest.test_case "fleet pinned reads survive interleaved vacuums" `Quick
