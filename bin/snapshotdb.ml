@@ -522,18 +522,25 @@ let fleet_cmd verbose trace json tenants snaps_per ticks seed =
    epochs, proves every retained epoch is readable through SQL time
    travel (SELECT ... AS OF, compared byte-for-byte against the MVCC
    read-transaction oracle), then runs [Manager.vacuum]: expired
-   versions are reclaimed and the shared WAL is truncated to its lease
-   floor in one step.  The oracle check runs again afterwards — the
-   epochs vacuum kept must still read back identically.  Exit 3 if any
+   versions are reclaimed and the shared WAL is truncated up to its
+   lowest hold in one step.  The oracle check runs again afterwards —
+   the epochs vacuum kept must still read back identically.  Exit 3 if any
    AS OF result diverges from the oracle. *)
 let vacuum_cmd verbose trace json n rounds retain older_than dry_run =
   setup_logs verbose trace;
   let module Manager = Snapdiff_core.Manager in
   let module Snapshot_table = Snapdiff_core.Snapshot_table in
   let module VS = Snapdiff_mvcc.Version_store in
-  let module Lease = Snapdiff_lifecycle.Lease in
   let module Clock = Snapdiff_txn.Clock in
   let module Text_table = Snapdiff_util.Text_table in
+  (* A hold is a (holder, epoch) pin or a (holder, lsn) WAL hold. *)
+  let text_holds hs =
+    String.concat ", " (List.map (fun (h, at) -> Printf.sprintf "%s@%d" h at) hs)
+  in
+  let json_holds key hs =
+    String.concat ", "
+      (List.map (fun (h, at) -> Printf.sprintf "{\"holder\": \"%s\", \"%s\": %d}" h key at) hs)
+  in
   let db = Database.create () in
   let m = Database.manager db in
   let exec sql = ignore (Database.run db sql : Database.result) in
@@ -607,10 +614,7 @@ let vacuum_cmd verbose trace json n rounds retain older_than dry_run =
            \"bytes\": %d, \"leases\": [%s]}"
           sv.Manager.sv_snapshot sv.Manager.sv_examined sv.Manager.sv_reclaimed
           sv.Manager.sv_zombied sv.Manager.sv_bytes
-          (String.concat ", "
-             (List.map
-                (fun (holder, epoch) -> Printf.sprintf "{\"holder\": \"%s\", \"epoch\": %d}" holder epoch)
-                sv.Manager.sv_leases)))
+          (json_holds "epoch" sv.Manager.sv_leases))
       report.Manager.vac_snapshots;
     Buffer.add_string b "], \"wals\": [";
     List.iteri
@@ -621,10 +625,7 @@ let vacuum_cmd verbose trace json n rounds retain older_than dry_run =
            \"gated\": [%s]}"
           (String.concat ", " (List.map (Printf.sprintf "\"%s\"") wv.Manager.wv_bases))
           wv.Manager.wv_truncated_to wv.Manager.wv_log_bytes_reclaimed
-          (String.concat ", "
-             (List.map
-                (fun g -> Printf.sprintf "\"%s\"" (Lease.gating_to_string g))
-                wv.Manager.wv_gated)))
+          (json_holds "lsn" wv.Manager.wv_gated))
       report.Manager.vac_wals;
     Printf.bprintf b "], \"as_of_checks\": %d, \"as_of_ok\": %b}\n" checks all_ok;
     print_string (Buffer.contents b)
@@ -653,20 +654,14 @@ let vacuum_cmd verbose trace json n rounds retain older_than dry_run =
     List.iter
       (fun sv ->
         Printf.printf "%s: epoch leases: %s\n" sv.Manager.sv_snapshot
-          (match sv.Manager.sv_leases with
-          | [] -> "none"
-          | ls -> String.concat ", " (List.map (fun (h, e) -> Printf.sprintf "%s@%d" h e) ls)))
+          (match sv.Manager.sv_leases with [] -> "none" | ls -> text_holds ls))
       report.Manager.vac_snapshots;
     List.iter
       (fun wv ->
         Printf.printf "wal [%s]: truncated to LSN %d, %d log bytes reclaimed%s\n"
           (String.concat ", " wv.Manager.wv_bases)
           wv.Manager.wv_truncated_to wv.Manager.wv_log_bytes_reclaimed
-          (match wv.Manager.wv_gated with
-          | [] -> ""
-          | gs ->
-            Printf.sprintf ", gated by %s"
-              (String.concat ", " (List.map Lease.gating_to_string gs))))
+          (match wv.Manager.wv_gated with [] -> "" | gs -> ", gated by " ^ text_holds gs))
       report.Manager.vac_wals;
     Printf.printf "as-of oracle: %d epoch reads %s\n" checks
       (if all_ok then "byte-identical to read_txn" else "DIVERGED")
@@ -880,7 +875,7 @@ let cmds =
          ~doc:
            "Run a retained-epoch workload, verify SQL time travel (AS OF) \
             against the MVCC read-transaction oracle, then reclaim expired \
-            versions and truncate the WAL to the lease horizon.")
+            versions and truncate the WAL up to its lowest hold.")
       vacuum_t;
     Cmd.v
       (Cmd.info "faults"

@@ -12,8 +12,6 @@ module Recovery = Snapdiff_wal.Recovery
 module Wal_checkpoint = Snapdiff_wal.Checkpoint
 module Metrics = Snapdiff_obs.Metrics
 module Trace = Snapdiff_obs.Trace
-module Lease = Snapdiff_lifecycle.Lease
-module Horizon = Snapdiff_lifecycle.Horizon
 module Version_store = Snapdiff_mvcc.Version_store
 
 let m_refreshes = Metrics.counter Metrics.global "refresh.refreshes"
@@ -145,7 +143,7 @@ type snapshot = {
   mutable selectivity : float;
   mutable cursor_seq : Change_log.seq;
   mutable cursor_lsn : Wal.lsn;
-  mutable cursor_lease : Lease.t option;  (* log-based only: pins cursor_lsn *)
+  mutable cursor_hold : Wal.hold option;  (* log-based only: keeps cursor_lsn *)
   mutable mutations_at_refresh : int;
   mutable next_epoch : int;  (* every stream attempt gets a fresh epoch *)
   mutable history : refresh_report list;  (* committed refreshes, newest first *)
@@ -167,12 +165,6 @@ type t = {
   mutable chunk_entries : int;  (* scan chunk size; max_int = monolithic *)
   mutable on_chunk : (unit -> unit) option;  (* interleave point between chunks *)
   rng : Snapdiff_util.Rng.t;  (* backoff jitter, selectivity sampling *)
-  (* One retention horizon per WAL (keyed by physical identity — several
-     bases may share one log).  Every consumer of historical log state —
-     a chunked scan's catch-up, a log-based cursor, a running checkpoint —
-     holds a lease here, and the horizon's floor is the only truncation
-     gate: neither [checkpoint] nor [vacuum] may discard records below it. *)
-  mutable wal_horizons : (Wal.t * Horizon.t) list;
 }
 
 let key = String.lowercase_ascii
@@ -189,7 +181,6 @@ let create ?(retry = default_retry_policy) ?(seed = 0x5EED)
     chunk_entries = max 1 chunk_entries;
     on_chunk = None;
     rng = Snapdiff_util.Rng.create seed;
-    wal_horizons = [];
   }
 
 let txn_manager t = t.txns
@@ -298,50 +289,34 @@ let estimate_refresh_messages t name =
 
 (* --- Chunked concurrent refresh ------------------------------------------ *)
 
-exception Catchup_truncated
-(* Internal: the WAL tail the catch-up phase needs was truncated while the
-   chunked scan ran.  The attempt cannot be made consistent; the caller
-   escalates to a monolithic full refresh, which needs no log. *)
-
-let wal_horizon t wal =
-  match List.find_opt (fun (w, _) -> w == wal) t.wal_horizons with
-  | Some (_, h) -> h
-  | None ->
-    let h = Horizon.create () in
-    t.wal_horizons <- (wal, h) :: t.wal_horizons;
-    h
-
-(* Log-based cursor leases.  A snapshot refreshing from the WAL keeps a
-   [Log_cursor] lease at its cursor so truncation can never strand it on
-   the forced-full fallback; the lease tracks every cursor advance and is
-   dropped when the snapshot leaves the log-based method (or the catalog). *)
+(* Log-based cursor holds.  A snapshot refreshing from the WAL keeps a
+   hold at its cursor so truncation can never strand it on the full
+   fallback; the hold follows every cursor advance and is dropped when the
+   snapshot leaves the log-based method (or the catalog). *)
 let set_cursor_lsn s lsn =
   s.cursor_lsn <- lsn;
-  Option.iter (fun l -> Lease.move_lsn l lsn) s.cursor_lease
+  Option.iter (fun h -> Wal.move_hold h lsn) s.cursor_hold
 
-let release_cursor_lease s =
-  Option.iter Lease.release s.cursor_lease;
-  s.cursor_lease <- None
+let release_cursor_hold s =
+  Option.iter Wal.release_hold s.cursor_hold;
+  s.cursor_hold <- None
 
-let sync_cursor_lease t s =
-  match (s.spec, Base_table.wal (base t s.base_name)) with
-  | Log_based, Some wal -> (
-    match s.cursor_lease with
-    | Some l when Lease.live l -> Lease.move_lsn l s.cursor_lsn
-    | _ ->
-      s.cursor_lease <-
-        Some
-          (Horizon.acquire (wal_horizon t wal) ~kind:Lease.Log_cursor
-             ~holder:("cursor:" ^ s.snap_name) ~lsn:s.cursor_lsn ()))
-  | _ -> release_cursor_lease s
+let sync_cursor_hold t s =
+  match (s.spec, Base_table.wal (base t s.base_name), s.cursor_hold) with
+  | Log_based, Some _, Some h -> Wal.move_hold h s.cursor_lsn
+  | Log_based, Some wal, None ->
+    s.cursor_hold <- Some (Wal.hold wal ~holder:("cursor:" ^ s.snap_name) s.cursor_lsn)
+  | _ -> release_cursor_hold s
 
 (* Committed changes to [b] since the LSN captured at scan start, folded
    per address.  An address whose changes cancel out is kept: the fuzzy
    scan may have shipped its intermediate state (a row inserted ahead of
    the cursor and deleted behind it).  Skipped entirely (no log scan) when
-   the per-table LSN map proves the table quiescent since the capture. *)
+   the per-table LSN map proves the table quiescent since the capture.
+   The scan's hold at [lsn0] keeps the tail: no truncation passes it. *)
 let catchup_net_changes b ~wal ~lsn0 =
-  if Wal.oldest_retained wal > lsn0 then raise Catchup_truncated;
+  if Wal.oldest_retained wal > lsn0 then
+    failwith "Manager: the WAL was truncated past a held catch-up LSN";
   let table = Base_table.name b in
   match Wal.last_lsn_for wal ~table with
   | Some l when l >= lsn0 ->
@@ -374,19 +349,20 @@ let unchained b (addr, net) =
      | Some { Annotations.prev_addr = None; _ } -> true
      | _ -> false)
 
-(* The one lock/lease wrapper every refresh attempt runs under.
+(* The one lock/hold wrapper every refresh attempt runs under.
 
    Monolithic ([chunked = None]) is the one-chunk case: the table is locked
    in its final mode (X when the scan writes annotations, else S) for the
    whole scan, with no page locks, no interleave point and no catch-up.
 
-   Chunked ([Some wal]): a table intention lock (IX/IS) plus a [Scan] lease
-   at the WAL's end pinning the catch-up start.  The scan walks chunks of
-   roughly [t.chunk_entries] entries (whole pages at the table's current
-   average fill); each chunk's pages are locked in the final mode before
-   the previous chunk's are released (lock coupling — no updater can slip
-   between the cursor's footsteps), then the interleave hook runs so
-   cooperative updaters can act on the released pages.  One short table-S
+   Chunked ([Some wal]): a table intention lock (IX/IS) plus a WAL hold
+   ([scan:<base>]) at the log's end keeping the catch-up start.  The scan
+   walks chunks of roughly [t.chunk_entries] entries (whole pages at the
+   table's current average fill); each chunk's pages are locked in the
+   final mode before the previous chunk's are released (lock coupling —
+   no updater can slip between the cursor's footsteps), then the
+   interleave hook runs so cooperative updaters can act on the released
+   pages.  One short table-S
    catch-up replays the WAL tail before the Snaptime markers: the upgrade
    IS+S = S (or IX+S = SIX) still excludes updaters for its short window,
    which is what makes the committed stream transaction-consistent as of
@@ -407,8 +383,8 @@ let locked_scan t b ~write ~chunked open_scan =
   let txn = Txn.begin_txn t.txns in
   let table = Base_table.lock_resource b in
   let final = if write then Lock.X else Lock.S in
-  let lease = ref None in
-  let release () = Option.iter Lease.release !lease in
+  let hold = ref None in
+  let release () = Option.iter Wal.release_hold !hold in
   (* The scan's sub-phases: lock waits here, the cursors' page phases
      from the source (and from the catch-up's fix-up pass, if it runs). *)
   let lock_us = ref 0.0 in
@@ -442,10 +418,7 @@ let locked_scan t b ~write ~chunked open_scan =
     | Some wal ->
       lock table (if write then Lock.IX else Lock.IS);
       let lsn0 = Wal.end_lsn wal in
-      lease :=
-        Some
-          (Horizon.acquire (wal_horizon t wal) ~kind:Lease.Scan
-             ~holder:("scan:" ^ Base_table.name b) ~lsn:lsn0 ());
+      hold := Some (Wal.hold wal ~holder:("scan:" ^ Base_table.name b) lsn0);
       let sc = open_scan () in
       let max_hold = ref 0.0 in
       let held_since t0 =
@@ -536,66 +509,64 @@ type checkpoint_report = {
   cp_bytes_written : int;
   cp_truncated_to : Wal.lsn;
   cp_log_bytes_reclaimed : int;
-  cp_gated : Lease.gating list;  (* leases that lowered the truncation floor *)
+  cp_gated : (string * Wal.lsn) list;  (* holds that stopped the truncation *)
 }
 
-(* The highest LSN the log may be truncated to, given a checkpoint at
-   [ceiling]: the WAL's retention horizon lowers it to the oldest LSN any
-   live lease still needs — a chunked scan's catch-up start, a log-based
-   snapshot's cursor, a checkpoint in flight.  This is what keeps
-   [Catchup_truncated] (and the log-based method's forced-full fallback)
-   a managed contract — truncation through this gate can never strand a
-   live reader. *)
-let truncation_floor t wal ~ceiling =
-  let floor, gating = Horizon.lsn_floor (wal_horizon t wal) ~ceiling in
-  (max (Wal.oldest_retained wal) floor, gating)
+(* The registered bases that write to [wal], by name. *)
+let bases_on_log t wal =
+  Hashtbl.fold
+    (fun _ bst acc ->
+      match Base_table.wal bst.base_table with
+      | Some w when w == wal -> bst.base_table :: acc
+      | _ -> acc)
+    t.bases []
+  |> List.sort (fun a b -> compare (Base_table.name a) (Base_table.name b))
 
-(* Truncate the log to its gated floor under [ceiling]; returns the gating
-   leases. *)
-let truncate_gated t wal ~ceiling =
-  let floor, gated = truncation_floor t wal ~ceiling in
-  if floor > Wal.oldest_retained wal then Wal.truncate_before wal floor;
-  gated
-
-(* Fuzzy-checkpoint one base's pool.  The Begin_checkpoint record carries
-   the transactions genuinely in flight at this instant.  WAL-level
-   autocommit (Base_table.log_op) appends Begin/op/Commit atomically, so
-   these are the manager's lock-level transactions — refresh scans and
-   writers mid-flight.  The checkpoint itself runs under a lease at the
-   log's oldest record: a vacuum fired from the yield hook can then never
-   truncate records the fuzzy pass has yet to fence.  The lease is
-   released on return, before the caller computes the truncation floor,
-   so a checkpoint never gates itself. *)
-let checkpoint_base t wal b =
-  Horizon.with_lease (wal_horizon t wal) ~kind:Lease.Checkpoint
-    ~holder:("checkpoint:" ^ Base_table.name b) ~lsn:(Wal.oldest_retained wal)
-    (fun _ ->
-      Wal_checkpoint.run ~wal ~pool:(Base_table.pool b) ~active:(Txn.active_ids t.txns)
-        ?yield:t.on_chunk ())
-
-let checkpoint t base_name =
-  let b = base t base_name in
-  let wal =
-    match Base_table.wal b with
-    | Some w -> w
-    | None ->
-      raise
-        (Bad_definition (Printf.sprintf "table %s has no WAL to checkpoint" base_name))
+(* Checkpoint one physical log: fuzzy-checkpoint every base that writes to
+   it, then truncate the log once, to the minimum begin LSN (each base's
+   redo start); the WAL stops the truncation at its lowest live hold.
+   Each base's Begin_checkpoint record carries the transactions genuinely
+   in flight at this instant.  WAL-level autocommit (Base_table.log_op)
+   appends Begin/op/Commit atomically, so these are the manager's
+   lock-level transactions — refresh scans and writers mid-flight.  A
+   base's checkpoint runs under a hold at the log's oldest record: a
+   vacuum fired from the yield hook can then never truncate records the
+   fuzzy pass has yet to fence.  The hold is released before the
+   truncation, so a checkpoint never stops itself.  The report sums the
+   bases' page and byte counts and spans their checkpoint records. *)
+let checkpoint_log t ~name wal =
+  let stats =
+    List.map
+      (fun b ->
+        Wal.with_hold wal ~holder:("checkpoint:" ^ Base_table.name b)
+          (Wal.oldest_retained wal) (fun () ->
+            Wal_checkpoint.run ~wal ~pool:(Base_table.pool b)
+              ~active:(Txn.active_ids t.txns) ?yield:t.on_chunk ()))
+      (bases_on_log t wal)
   in
-  let stats = checkpoint_base t wal b in
+  let fold f init = List.fold_left f init stats in
+  let sum f = fold (fun acc st -> acc + f st) 0 in
+  let ceiling = fold (fun acc st -> min acc st.Wal_checkpoint.begin_lsn) (Wal.end_lsn wal) in
   let bytes_before = Wal.byte_size wal in
-  let gated = truncate_gated t wal ~ceiling:stats.Wal_checkpoint.begin_lsn in
+  let gated = Wal.truncate_before wal ceiling in
   {
-    cp_base = Base_table.name b;
-    cp_begin_lsn = stats.Wal_checkpoint.begin_lsn;
-    cp_end_lsn = stats.Wal_checkpoint.end_lsn;
-    cp_pages_snapshotted = stats.Wal_checkpoint.pages_snapshotted;
-    cp_pages_flushed = stats.Wal_checkpoint.pages_flushed;
-    cp_bytes_written = stats.Wal_checkpoint.bytes_written;
+    cp_base = name;
+    cp_begin_lsn = ceiling;
+    cp_end_lsn = fold (fun acc st -> max acc st.Wal_checkpoint.end_lsn) ceiling;
+    cp_pages_snapshotted = sum (fun st -> st.Wal_checkpoint.pages_snapshotted);
+    cp_pages_flushed = sum (fun st -> st.Wal_checkpoint.pages_flushed);
+    cp_bytes_written = sum (fun st -> st.Wal_checkpoint.bytes_written);
     cp_truncated_to = Wal.oldest_retained wal;
     cp_log_bytes_reclaimed = bytes_before - Wal.byte_size wal;
     cp_gated = gated;
   }
+
+let checkpoint t base_name =
+  let b = base t base_name in
+  match Base_table.wal b with
+  | Some wal -> checkpoint_log t ~name:(Base_table.name b) wal
+  | None ->
+    raise (Bad_definition (Printf.sprintf "table %s has no WAL to checkpoint" base_name))
 
 (* --- Vacuum --------------------------------------------------------------- *)
 
@@ -612,7 +583,7 @@ type wal_vacuum = {
   wv_bases : string list;  (* bases sharing this physical log, sorted *)
   wv_truncated_to : Wal.lsn;
   wv_log_bytes_reclaimed : int;
-  wv_gated : Lease.gating list;
+  wv_gated : (string * Wal.lsn) list;
 }
 
 type vacuum_report = {
@@ -622,12 +593,9 @@ type vacuum_report = {
 }
 
 (* Reclaim everything no longer held, in one pass: expired snapshot
-   versions first (a pin holds a version back), then the WAL.  Bases
-   sharing one physical log are checkpointed as a group — the log is
-   truncated once, to the minimum checkpoint begin LSN over the group
-   (each base's redo start), lowered by whatever leases are live, so a
-   live scan or log cursor holds back the vacuum exactly as it holds back
-   a checkpoint. *)
+   versions first (a pin holds a version back), then each physical log
+   through [checkpoint_log], so a live scan or log cursor holds back the
+   vacuum exactly as it holds back a checkpoint. *)
 let vacuum ?older_than ?(dry_run = false) t =
   let snaps =
     Hashtbl.fold (fun _ s acc -> s :: acc) t.snapshots []
@@ -647,48 +615,30 @@ let vacuum ?older_than ?(dry_run = false) t =
         })
       snaps
   in
-  (* WAL-backed bases by name, then grouped by physical log. *)
-  let logged =
+  let wals =
     Hashtbl.fold
       (fun _ bst acc ->
         match Base_table.wal bst.base_table with
-        | Some wal -> (wal, bst.base_table) :: acc
-        | None -> acc)
+        | Some w when not (List.memq w acc) -> w :: acc
+        | _ -> acc)
       t.bases []
-    |> List.sort (fun (_, a) (_, b) -> compare (Base_table.name a) (Base_table.name b))
   in
-  let wals = List.fold_left (fun acc (w, _) -> if List.memq w acc then acc else w :: acc) [] logged in
   let vac_wals =
     List.map
       (fun wal ->
-        let bases = List.filter_map (fun (w, b) -> if w == wal then Some b else None) logged in
-        let names = List.map Base_table.name bases in
+        let wv_bases = List.map Base_table.name (bases_on_log t wal) in
         if dry_run then begin
           (* What a vacuum now could reclaim at best: a checkpoint's begin
              LSN can reach at most the log's current end. *)
-          let floor, gating = truncation_floor t wal ~ceiling:(Wal.end_lsn wal) in
-          {
-            wv_bases = names;
-            wv_truncated_to = floor;
-            (* LSNs are byte offsets, so the reclaimable span is a byte count. *)
-            wv_log_bytes_reclaimed = floor - Wal.oldest_retained wal;
-            wv_gated = gating;
-          }
+          let floor, gated = Wal.truncation_floor wal (Wal.end_lsn wal) in
+          (* LSNs are byte offsets, so the reclaimable span is a byte count. *)
+          { wv_bases; wv_truncated_to = floor;
+            wv_log_bytes_reclaimed = floor - Wal.oldest_retained wal; wv_gated = gated }
         end
         else begin
-          let bytes_before = Wal.byte_size wal in
-          let ceiling =
-            List.fold_left
-              (fun acc b -> min acc (checkpoint_base t wal b).Wal_checkpoint.begin_lsn)
-              (Wal.end_lsn wal) bases
-          in
-          let gating = truncate_gated t wal ~ceiling in
-          {
-            wv_bases = names;
-            wv_truncated_to = Wal.oldest_retained wal;
-            wv_log_bytes_reclaimed = bytes_before - Wal.byte_size wal;
-            wv_gated = gating;
-          }
+          let cp = checkpoint_log t ~name:(String.concat "," wv_bases) wal in
+          { wv_bases; wv_truncated_to = cp.cp_truncated_to;
+            wv_log_bytes_reclaimed = cp.cp_log_bytes_reclaimed; wv_gated = cp.cp_gated }
         end)
       wals
     |> List.sort (fun a b -> compare a.wv_bases b.wv_bases)
@@ -776,7 +726,6 @@ type member = {
   started : float;
   mutable attempt : int;  (* 1-based number of the attempt under way *)
   mutable backoff : float;  (* simulated backoff accumulated so far *)
-  mutable forced_full : bool;  (* catch-up truncated: monolithic full from now on *)
   mutable epoch : int;
   mutable before : Link.stats;
   mutable failure : (string * bool) option;
@@ -785,7 +734,7 @@ type member = {
 
 let member ?(populate = false) s =
   { snap = s; populate; started = Trace.now_us (); attempt = 1; backoff = 0.0;
-    forced_full = false; epoch = 0; before = Link.stats s.link; failure = None; xmit_us = 0.0 }
+    epoch = 0; before = Link.stats s.link; failure = None; xmit_us = 0.0 }
 
 (* A member's report of the attempt under way: what its link carried
    since the attempt began. *)
@@ -806,9 +755,8 @@ let report_of_sub m (r : Differential.report) =
 
 (* After [escalate_after] consecutive failures the method degrades to a
    full refresh — the stream that needs the least shared state to
-   converge.  A truncated catch-up forces it at once. *)
-let escalated t m =
-  m.forced_full || (t.retry.escalate_after > 0 && m.attempt - 1 >= t.retry.escalate_after)
+   converge. *)
+let escalated t m = t.retry.escalate_after > 0 && m.attempt - 1 >= t.retry.escalate_after
 
 (* The source an attempt of [m] reads.  A log-based snapshot whose cursor
    fell behind the retained log falls back to a full scan: "One could
@@ -1052,12 +1000,10 @@ let attempt t b members =
   let deferred = Base_table.mode b = Base_table.Deferred in
   let scans_table = used = Used_differential || used = Used_full in
   (* Chunking applies to a table scan over a WAL-backed base when a chunk
-     size is configured — except an attempt forced monolithic by a
-     truncated catch-up. *)
+     size is configured. *)
   let chunked =
     match Base_table.wal b with
-    | Some wal when t.chunk_entries < max_int && scans_table && not members.(0).forced_full ->
-      Some wal
+    | Some wal when t.chunk_entries < max_int && scans_table -> Some wal
     | _ -> None
   in
   let span, attrs =
@@ -1081,14 +1027,6 @@ let attempt t b members =
       with
       | outs -> Some outs
       | exception Abandoned -> None
-      | exception Catchup_truncated ->
-        Metrics.incr m_escalations;
-        Array.iter
-          (fun m ->
-            if m.failure = None then m.forced_full <- true;
-            fail m ("WAL truncated past the chunked scan's catch-up LSN", false))
-          members;
-        None
   in
   if n > 1 then Metrics.observe h_group_size (float_of_int n);
   (* Taken now, not when a member settles: a failed sibling's solo retries
@@ -1426,7 +1364,7 @@ let compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
     selectivity;
     cursor_seq = 0;
     cursor_lsn = Wal.start_lsn;
-    cursor_lease = None;
+    cursor_hold = None;
     mutations_at_refresh = 0;
     next_epoch = 1;
     history = [];
@@ -1464,7 +1402,7 @@ let create_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
   (match bst.capture with
   | Some (log, _) -> s.cursor_seq <- Change_log.current_seq log
   | None -> ());
-  sync_cursor_lease t s;
+  sync_cursor_hold t s;
   Log.info (fun m ->
       m "created snapshot %s on %s (%s, selectivity %.3f): %d entries shipped"
         name base_name
@@ -1492,7 +1430,7 @@ let attach_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
         Snapshot_table.on_pool ?snaptime ?version_retain ~name ~schema pool)
   in
   Hashtbl.replace t.snapshots (key name) s;
-  sync_cursor_lease t s;
+  sync_cursor_hold t s;
   Log.info (fun m ->
       m "attached persisted snapshot %s on %s (snaptime %d, %d entries)" name base_name
         (Snapshot_table.snaptime s.table) (Snapshot_table.count s.table))
@@ -1500,7 +1438,7 @@ let attach_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
 let drop_snapshot t name =
   let s = snapshot t name in
   Hashtbl.remove t.snapshots (key name);
-  release_cursor_lease s;
+  release_cursor_hold s;
   let bst = base_state t s.base_name in
   match bst.capture with
   | None -> ()
@@ -1534,4 +1472,4 @@ let set_method t name spec =
     raise (Bad_definition "cannot switch a snapshot to the ideal method after creation")
   | _ -> ());
   s.spec <- spec;
-  sync_cursor_lease t s
+  sync_cursor_hold t s

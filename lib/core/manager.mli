@@ -429,47 +429,51 @@ val change_log : t -> string -> Change_log.t option
 (** {1 Checkpointing}
 
     An asynchronous fuzzy checkpoint ({!Snapdiff_wal.Checkpoint}) of a
-    WAL-backed base table, followed by WAL truncation gated on the WAL's
-    retention horizon ({!Snapdiff_lifecycle.Horizon}): the truncation
-    floor is the checkpoint's begin LSN, lowered to the oldest LSN any
-    live lease still needs — an in-flight chunked refresh's catch-up
-    start (leased while its scan runs, so a checkpoint invoked from the
-    chunk hook mid-refresh is safe and never triggers the scan's
-    [Catchup_truncated] escalation) or a log-based snapshot's cursor on
-    the same WAL. *)
+    physical WAL and every base table that writes to it, followed by one
+    truncation of that log to the minimum begin LSN.  The WAL itself stops
+    the truncation at its lowest live hold ({!Snapdiff_wal.Wal.hold}): an
+    in-flight chunked refresh's catch-up start ([scan:<base>], held while
+    its scan runs, so a checkpoint invoked from the chunk hook mid-refresh
+    leaves the scan's tail in place) or a log-based snapshot's cursor
+    ([cursor:<snap>]). *)
 
 type checkpoint_report = {
   cp_base : string;
-  cp_begin_lsn : Snapdiff_wal.Wal.lsn;  (** redo floor the checkpoint established *)
-  cp_end_lsn : Snapdiff_wal.Wal.lsn;
-  cp_pages_snapshotted : int;  (** dirty pages in the begin-LSN snapshot *)
+  cp_begin_lsn : Snapdiff_wal.Wal.lsn;
+      (** redo floor the checkpoint established: the minimum begin LSN
+          over the bases on the log *)
+  cp_end_lsn : Snapdiff_wal.Wal.lsn;  (** the last End_checkpoint record *)
+  cp_pages_snapshotted : int;  (** dirty pages in the begin-LSN snapshots *)
   cp_pages_flushed : int;  (** pages actually written back *)
   cp_bytes_written : int;  (** bytes written (sub-page ranges counted exactly) *)
   cp_truncated_to : Snapdiff_wal.Wal.lsn;  (** the log's new oldest retained LSN *)
   cp_log_bytes_reclaimed : int;
-  cp_gated : Snapdiff_lifecycle.Lease.gating list;
-      (** the live leases (scan catch-ups, log cursors) that held the
-          floor below the checkpoint's begin LSN; [[]] = ungated *)
+  cp_gated : (string * Snapdiff_wal.Wal.lsn) list;
+      (** [(holder, lsn)] of the live holds (scan catch-ups, log cursors)
+          that stopped the truncation below the begin LSN, ascending by
+          LSN; [[]] = the truncation reached it *)
 }
 
 val checkpoint : t -> string -> checkpoint_report
-(** [checkpoint t base_name] runs the fuzzy checkpoint on the named base
-    table's buffer pool and WAL (yielding to the chunk hook between page
+(** [checkpoint t base_name] checkpoints the named base table's WAL: it
+    runs the fuzzy checkpoint on the buffer pool of every registered base
+    that shares that log (yielding to the chunk hook between page
     write-backs, so cooperative updaters never stall), then truncates the
-    WAL to the gated floor.  The checkpoint itself holds a [Checkpoint]
-    lease while running, so a concurrent {!vacuum} cannot truncate under
-    it.  Raises {!Unknown_table}, or {!Bad_definition} if the table has
-    no WAL. *)
+    log once, to the minimum begin LSN — a shared log keeps the redo
+    records of every base's unflushed pages.  Page and byte counts are
+    summed over those bases.  Each base's checkpoint runs under a
+    [checkpoint:<base>] hold at the log's oldest record, so a concurrent
+    {!vacuum} cannot truncate under it.  Raises {!Unknown_table}, or
+    {!Bad_definition} if the table has no WAL. *)
 
 (** {1 Vacuum}
 
     Reclamation of expired snapshot versions and the WAL tail, in one
     pass.  A version stays while the ring or a pin holds it: vacuum parks
     a pinned version on the zombie list and frees any other.  The WAL
-    half consults the same {!Snapdiff_lifecycle} leases as a checkpoint,
-    so a live scan or a log cursor holds back the vacuum exactly as it
-    holds back a checkpoint — vacuum never truncates below a leased
-    LSN. *)
+    half is {!checkpoint} applied to every physical log, so a live scan
+    or a log cursor holds back the vacuum exactly as it holds back a
+    checkpoint — no truncation passes a live hold. *)
 
 type snapshot_vacuum = {
   sv_snapshot : string;
@@ -488,7 +492,9 @@ type wal_vacuum = {
   wv_bases : string list;  (** bases sharing this physical log, sorted *)
   wv_truncated_to : Snapdiff_wal.Wal.lsn;
   wv_log_bytes_reclaimed : int;
-  wv_gated : Snapdiff_lifecycle.Lease.gating list;
+  wv_gated : (string * Snapdiff_wal.Wal.lsn) list;
+      (** [(holder, lsn)] of the holds that stopped the truncation, as
+          [cp_gated] *)
 }
 
 type vacuum_report = {
@@ -501,10 +507,8 @@ val vacuum : ?older_than:Clock.ts -> ?dry_run:bool -> t -> vacuum_report
 (** Reclaim snapshot versions the ring has let go
     ({!Snapshot_table.vacuum} per snapshot; [older_than] vacuums any
     non-head version with an older snaptime, overriding the retained
-    count; a pinned one parks on the zombie list), then checkpoint every
-    WAL-backed base and truncate each physical log once, to the minimum
-    checkpoint begin LSN over the bases sharing it, lowered by live
-    leases.  [dry_run] (default false)
+    count; a pinned one parks on the zombie list), then checkpoint each
+    physical log as {!checkpoint} does.  [dry_run] (default false)
     reports what would be reclaimed without changing anything — the WAL
     half then reports the reclaimable byte span against the log's
     current end. *)

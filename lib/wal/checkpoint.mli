@@ -6,8 +6,8 @@
     [Begin_checkpoint] and [End_checkpoint] records, yielding between
     pages.  Once the [End_checkpoint] is durable, redo never needs log
     records below the checkpoint's begin LSN — that LSN is the
-    {e truncation floor} the caller may pass to {!Wal.truncate_before}
-    (after lowering it for any live log readers; see
+    {e truncation floor} the caller may pass to {!Wal.truncate_before},
+    which stops short of it at any live log reader's hold (see
     [Snapdiff_core.Manager.checkpoint]). *)
 
 type stats = {

@@ -8,6 +8,9 @@ let m_truncations = Metrics.counter Metrics.global "wal.truncations"
 let m_fsyncs = Metrics.counter Metrics.global "wal.fsyncs"
 let m_torn_tails = Metrics.counter Metrics.global "wal.torn_tails"
 let h_group_batch = Metrics.histogram Metrics.global "wal.group_commit_batch"
+let m_holds_taken = Metrics.counter Metrics.global "wal.holds_taken"
+let m_holds_released = Metrics.counter Metrics.global "wal.holds_released"
+let m_holds_live = Metrics.gauge Metrics.global "wal.holds_live"
 
 type lsn = int
 
@@ -44,7 +47,14 @@ type file_state = {
 (* The retained log is one growable byte image: records are written into
    it in place and every reader decodes from it through a cursor.  A
    truncation moves the retained suffix into a fresh image, so a cursor
-   over the old one stays valid. *)
+   over the old one stays valid.
+
+   [holds] is the log's retention registry: a truncation never passes the
+   lowest live hold.  Holds are taken and released from any domain, so
+   [hold_lock] guards the list, and a truncation keeps it for its whole
+   run: no hold can be registered between computing the floor and
+   discarding the records below it.  No code outside this module runs
+   under the lock. *)
 type t = {
   mutable img : bytes;  (* the retained records are [img.[0, len)] *)
   mutable len : int;
@@ -52,7 +62,11 @@ type t = {
   mutable base : lsn;  (* LSN of the first retained byte *)
   per_table : (string, lsn) Hashtbl.t;  (* table -> LSN of its latest record *)
   file : file_state option;
+  hold_lock : Mutex.t;
+  mutable holds : hold list;
 }
+
+and hold = { h_wal : t; h_holder : string; mutable h_lsn : lsn }
 
 let start_lsn = 0
 
@@ -109,7 +123,8 @@ let do_fsync t fs =
   mark_synced t fs
 
 let mk ?file () =
-  { img = Bytes.create 4096; len = 0; count = 0; base = 0; per_table = Hashtbl.create 8; file }
+  { img = Bytes.create 4096; len = 0; count = 0; base = 0; per_table = Hashtbl.create 8; file;
+    hold_lock = Mutex.create (); holds = [] }
 
 let fresh_segment () =
   let b = Bytes.create segment_header_size in
@@ -267,8 +282,55 @@ let rewrite_file t fs =
      durable; account for it as this rewrite's one real fsync. *)
   mark_synced t fs
 
-let truncate_before t lsn =
-  if lsn < t.base || lsn > end_lsn t then failwith "Wal.truncate_before: bad LSN";
+(* --- Holds ---------------------------------------------------------------- *)
+
+let locked t f =
+  Mutex.lock t.hold_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.hold_lock) f
+
+let hold t ~holder lsn =
+  let h = { h_wal = t; h_holder = holder; h_lsn = lsn } in
+  locked t (fun () -> t.holds <- h :: t.holds);
+  Metrics.incr m_holds_taken;
+  Metrics.shift m_holds_live 1.0;
+  h
+
+let move_hold h lsn = locked h.h_wal (fun () -> h.h_lsn <- lsn)
+
+let release_hold h =
+  let t = h.h_wal in
+  let live =
+    locked t (fun () ->
+        let live = List.memq h t.holds in
+        if live then t.holds <- List.filter (fun h' -> h' != h) t.holds;
+        live)
+  in
+  if live then begin
+    Metrics.incr m_holds_released;
+    Metrics.shift m_holds_live (-1.0)
+  end
+
+let with_hold t ~holder lsn f =
+  let h = hold t ~holder lsn in
+  Fun.protect ~finally:(fun () -> release_hold h) f
+
+(* (holder, lsn) pairs, ascending by LSN, then holder. *)
+let by_lsn holds =
+  List.map (fun h -> (h.h_holder, h.h_lsn)) holds
+  |> List.sort (fun (a, x) (b, y) -> compare (x, a) (y, b))
+
+let holders t = locked t (fun () -> by_lsn t.holds)
+
+(* The floor a truncation to [ceiling] stops at, and the holds below the
+   ceiling that set it; the caller holds the lock. *)
+let floor_below t ceiling =
+  let gated = List.filter (fun h -> h.h_lsn < ceiling) t.holds in
+  let floor = List.fold_left (fun acc h -> min acc h.h_lsn) ceiling gated in
+  (max t.base floor, by_lsn gated)
+
+let truncation_floor t ceiling = locked t (fun () -> floor_below t ceiling)
+
+let discard_before t lsn =
   if lsn > t.base then begin
     let cut = lsn - t.base in
     (* Count the discarded records and verify the boundary by decoding. *)
@@ -298,6 +360,13 @@ let truncate_before t lsn =
     (match t.file with None -> () | Some fs -> rewrite_file t fs);
     Metrics.incr m_truncations
   end
+
+let truncate_before t ceiling =
+  if ceiling < t.base || ceiling > end_lsn t then failwith "Wal.truncate_before: bad LSN";
+  locked t (fun () ->
+      let floor, gated = floor_below t ceiling in
+      discard_before t floor;
+      gated)
 
 let fold_from t lsn ~init ~f =
   let acc = ref init in

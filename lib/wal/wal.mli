@@ -100,17 +100,60 @@ val oldest_retained : t -> lsn
     transmit the entire (restricted) base table if the last refresh of the
     snapshot precedes the earliest retained changes". *)
 
-val truncate_before : t -> lsn -> unit
-(** Discard records below the given LSN (which must be a record boundary
-    previously returned by {!append}/iteration).  LSNs of retained records
-    are unchanged; per-table latest-LSN entries below the new base are
-    clamped to it (see {!last_lsn_for}).  On a file-backed log the segment
-    is rewritten {e atomically} — written to a sibling [.tmp] file,
-    fsynced, renamed over the old path, directory fsynced — so a crash
-    mid-truncation leaves either the complete old segment or the complete
-    new one, never a partial overwrite that recovery would mistake for a
-    torn tail ({!open_file} discards any leftover [.tmp]).  Raises
-    [Failure] on a bad or mid-record LSN. *)
+(** {1 Holds}
+
+    A log record lives while a hold keeps it.  Every reader of the log's
+    history takes a hold naming the oldest LSN it still needs — a chunked
+    refresh scan's catch-up start ([scan:<base>]), a log-based snapshot's
+    cursor ([cursor:<snap>]), a running checkpoint ([checkpoint:<base>])
+    — and {!truncate_before} never discards a record at or above the
+    lowest live hold.  The holder string is a diagnostic label; it names
+    the hold in {!holders} and in what a truncation reports.
+
+    Holds are taken and released from any domain; the registry has its
+    own lock. *)
+
+type hold
+
+val hold : t -> holder:string -> lsn -> hold
+(** Take a hold on the records from the given LSN on.  Release it with
+    {!release_hold}. *)
+
+val move_hold : hold -> lsn -> unit
+(** Set the LSN a hold keeps — a log cursor advancing after a committed
+    refresh.  Moving a released hold has no effect on truncation. *)
+
+val release_hold : hold -> unit
+(** Drop the hold.  Idempotent. *)
+
+val with_hold : t -> holder:string -> lsn -> (unit -> 'a) -> 'a
+(** Run the function under a hold, releasing it on return and on an
+    exception. *)
+
+val holders : t -> (string * lsn) list
+(** [(holder, lsn)] of every live hold, ascending by LSN, then holder. *)
+
+val truncation_floor : t -> lsn -> lsn * (string * lsn) list
+(** [truncation_floor t ceiling] is where {!truncate_before}[ t ceiling]
+    would stop — the ceiling, lowered to the lowest live hold, but never
+    below {!oldest_retained} — and the holds below the ceiling, ordered
+    as {!holders}.  Changes nothing. *)
+
+val truncate_before : t -> lsn -> (string * lsn) list
+(** [truncate_before t ceiling] discards the records below the ceiling,
+    but stops at the lowest live hold, and returns the holds below the
+    ceiling (what stopped it; [[]] when it reached the ceiling), ordered
+    as {!holders}.  The ceiling must lie in
+    [[oldest_retained t, end_lsn t]].  The floor it stops at must be a
+    record boundary previously returned by {!append}/iteration.  LSNs of
+    retained records are unchanged; per-table latest-LSN entries below
+    the new base are clamped to it (see {!last_lsn_for}).  On a
+    file-backed log the segment is rewritten {e atomically} — written to
+    a sibling [.tmp] file, fsynced, renamed over the old path, directory
+    fsynced — so a crash mid-truncation leaves either the complete old
+    segment or the complete new one, never a partial overwrite that
+    recovery would mistake for a torn tail ({!open_file} discards any
+    leftover [.tmp]).  Raises [Failure] on a bad or mid-record LSN. *)
 
 val record_count : t -> int
 

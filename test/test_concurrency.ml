@@ -246,28 +246,30 @@ let test_cursor_pages_stay_locked () =
   checkb "observed a coupled chunk still locked" true !saw_held_page
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: WAL truncated past the scan's catch-up LSN.  The chunked
-   attempt cannot restore consistency from the log, so the refresh must
-   escalate to a monolithic full refresh — and still converge. *)
+(* A truncation of the whole log mid-scan stops at the scan's hold on its
+   catch-up start: the catch-up still finds its tail, and the chunked
+   attempt commits without escalating. *)
 
-let test_truncated_catchup_escalates_to_full () =
+let test_scan_hold_stops_truncation () =
   let m, base, wal = setup ~chunk_entries:4 () in
-  let fired = ref false in
+  let lsn0 = Wal.end_lsn wal in
+  let gated = ref None in
   Manager.set_chunk_hook m
     (Some
        (fun () ->
-         if not !fired then begin
-           fired := true;
+         if !gated = None then begin
            ignore (Base_table.insert base (emp "mid" 5) : Addr.t);
-           (* A checkpoint ran away with the tail the catch-up needs. *)
-           Wal.truncate_before wal (Wal.end_lsn wal)
+           gated := Some (Wal.truncate_before wal (Wal.end_lsn wal))
          end));
   let r = Manager.refresh m "s" in
   Manager.set_chunk_hook m None;
-  checkb "escalated" true r.Manager.escalated;
-  checkb "retried as full" true (r.Manager.method_used = Manager.Used_full);
-  checki "second attempt committed" 2 r.Manager.attempts;
-  checki "retry was monolithic" 0 r.Manager.chunks;
+  Alcotest.(check (option (list (pair string int)))) "the truncation stopped at the scan's hold"
+    (Some [ ("scan:emp", lsn0) ]) !gated;
+  checki "the log keeps the catch-up tail" lsn0 (Wal.oldest_retained wal);
+  checkb "not escalated" false r.Manager.escalated;
+  checki "committed on the first attempt" 1 r.Manager.attempts;
+  checkb "chunked" true (r.Manager.chunks > 0);
+  checkb "catch-up replayed the tail" true (r.Manager.catchup_records > 0);
   checkb "converged" true (faithful m "s" base 10)
 
 (* ------------------------------------------------------------------ *)
@@ -553,8 +555,8 @@ let suite =
     Alcotest.test_case "chunked eager: updaters interleave" `Quick
       test_chunked_eager_interleaves;
     Alcotest.test_case "cursor pages stay locked" `Quick test_cursor_pages_stay_locked;
-    Alcotest.test_case "truncated catch-up escalates to full" `Quick
-      test_truncated_catchup_escalates_to_full;
+    Alcotest.test_case "a scan's hold stops a truncation" `Quick
+      test_scan_hold_stops_truncation;
     Alcotest.test_case "failed attempt aborts its lock txn" `Quick
       test_failed_attempt_aborts_lock_txn;
     Alcotest.test_case "quiescent chunked stream byte-identical" `Quick

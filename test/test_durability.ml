@@ -10,7 +10,6 @@ open Snapdiff_storage
 open Snapdiff_txn
 open Snapdiff_core
 module Expr = Snapdiff_expr.Expr
-module Lease = Snapdiff_lifecycle.Lease
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -208,7 +207,7 @@ let test_checkpoint_crash_redo () =
         let cp =
           Snapdiff_wal.Wal.append wal (Snapdiff_wal.Record.Checkpoint { active = [] })
         in
-        Snapdiff_wal.Wal.truncate_before wal cp;
+        checkb "no hold stops the truncation" true (Snapdiff_wal.Wal.truncate_before wal cp = []);
         (* Post-checkpoint work, never flushed. *)
         Base_table.update base a (emp "Bruce" 5);
         Base_table.delete base b;
@@ -357,10 +356,8 @@ let test_checkpoint_gates_on_live_scan () =
   Manager.set_chunk_hook m None;
   let cp = Option.get !cp_report in
   checkb "truncation was gated" true (cp.Manager.cp_gated <> []);
-  checkb "the gate names the live scan's lease" true
-    (List.exists
-       (fun g -> g.Lease.g_kind = Lease.Scan && g.Lease.g_lsn = lsn0)
-       cp.Manager.cp_gated);
+  checkb "the gate names the live scan's hold" true
+    (List.mem ("scan:emp", lsn0) cp.Manager.cp_gated);
   checki "floor = the live scan's start LSN" lsn0 cp.Manager.cp_truncated_to;
   checkb "refresh did not escalate" false report.Manager.escalated;
   checkb "catch-up replayed the tail" true (report.Manager.catchup_records > 0);
@@ -442,6 +439,60 @@ let test_fuzzy_checkpoint_crash_redo () =
           Wal.close rlog;
           Page_store.close store))
 
+(* Two bases on one file WAL: a checkpoint of one must keep the redo
+   records of the other's unflushed pages.  The checkpoint of [a]
+   checkpoints every base on the log and truncates to the lowest begin
+   LSN, so a crash without a flush recovers both tables. *)
+let test_checkpoint_keeps_shared_log_redo () =
+  let a_path = Filename.temp_file "snapdiff_a" ".db"
+  and b_path = Filename.temp_file "snapdiff_b" ".db"
+  and wal_path = Filename.temp_file "snapdiff_shared" ".wal" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ a_path; b_path; wal_path ])
+    (fun () ->
+      let wal = Wal.create ~backend:(Wal.File wal_path) () in
+      let clock = Clock.create () in
+      let m = Manager.create () in
+      let open_base name path =
+        let store = Page_store.open_file ~page_size:512 path in
+        let pool = Buffer_pool.create ~frames:64 store in
+        let base = Base_table.on_pool ~wal ~name ~clock pool emp_schema in
+        Manager.register_base m base;
+        (store, base)
+      in
+      let a_store, a = open_base "a" a_path in
+      let b_store, b = open_base "b" b_path in
+      List.iter
+        (fun base ->
+          for i = 1 to 5 do
+            ignore (Base_table.insert base (emp (Printf.sprintf "e%d" i) i) : Addr.t)
+          done)
+        [ a; b ];
+      let want_a = Base_table.to_user_list a and want_b = Base_table.to_user_list b in
+      ignore (Manager.checkpoint m "a" : Manager.checkpoint_report);
+      (* Crash: no flush, the pools' frames vanish. *)
+      Page_store.close a_store;
+      Page_store.close b_store;
+      Wal.close wal;
+      let rlog = Wal.open_file wal_path in
+      let reopen path =
+        let store = Page_store.open_file path in
+        let pool = Buffer_pool.create ~frames:64 store in
+        (store, Heap.on_pool pool (Annotations.extend_schema emp_schema))
+      in
+      let a_store, ha = reopen a_path in
+      let b_store, hb = reopen b_path in
+      Recovery.redo rlog (function "a" -> Some ha | "b" -> Some hb | _ -> None);
+      let rows heap =
+        List.map (fun (addr, stored) -> (addr, Annotations.user_part stored)) (Heap.to_list heap)
+      in
+      checkb "a recovered" true (rows ha = want_a);
+      checkb "b recovered" true (rows hb = want_b);
+      Wal.close rlog;
+      Page_store.close a_store;
+      Page_store.close b_store)
+
 (* Review regression: Begin_checkpoint must record the transactions
    actually in flight at the manager, not a hard-coded empty list. *)
 let test_checkpoint_records_live_txns () =
@@ -475,6 +526,8 @@ let suite =
       test_checkpoint_records_live_txns;
     QCheck_alcotest.to_alcotest prop_kill_at_random_byte;
     Alcotest.test_case "checkpoint gates on live scan" `Quick test_checkpoint_gates_on_live_scan;
+    Alcotest.test_case "checkpoint keeps a shared log's redo" `Quick
+      test_checkpoint_keeps_shared_log_redo;
     Alcotest.test_case "fuzzy checkpoint crash redo" `Quick test_fuzzy_checkpoint_crash_redo;
     Alcotest.test_case "checkpoint crash redo" `Quick test_checkpoint_crash_redo;
     Alcotest.test_case "refresh blocks on writer" `Quick test_refresh_blocks_on_writer;

@@ -1,27 +1,26 @@
-(* Retention: WAL leases and floors, version pins, and vacuum.
+(* Retention: WAL holds, version pins, and vacuum.
 
    Three layers under test:
 
-   - Lease/Horizon directly: the LSN floor is the minimum over live
-     leases, gating lists name what held it down, release/move update
-     it, and with_lease is exception-safe;
+   - WAL holds directly: a truncation stops at the lowest live hold and
+     names the holds below its ceiling, move/release update the floor,
+     with_hold is exception-safe, and a qcheck over random
+     hold/move/release/truncate scripts never sees the log pass a hold;
    - Manager.vacuum: dry runs touch nothing, real runs reclaim expired
-     versions and truncate the shared WAL to the lease floor, pinned
+     versions and truncate the shared WAL to its hold floor, pinned
      epochs survive on the zombie list with byte-identical reads until
      their last release while the ring stays at its depth, each pin
      names its holder, and a vacuum fired mid-scan from the chunk hook
-     is gated by the scan's lease — the catch-up tail survives;
+     is stopped by the scan's hold — the catch-up tail survives;
    - the qcheck property the subsystem promises: under a random
      interleaving of mutations, refreshes, pinned reads, checkpoints,
-     and vacuums, no pinned read ever changes, no leased log cursor is
+     and vacuums, no pinned read ever changes, no held log cursor is
      ever truncated away (log-based refresh never falls back to full),
      and no chunked scan ever escalates. *)
 
 open Snapdiff_storage
 open Snapdiff_txn
 open Snapdiff_core
-module Lease = Snapdiff_lifecycle.Lease
-module Horizon = Snapdiff_lifecycle.Horizon
 module VS = Snapdiff_mvcc.Version_store
 module Wal = Snapdiff_wal.Wal
 module Workload = Snapdiff_workload.Workload
@@ -41,44 +40,106 @@ let expected_half base =
     (Base_table.to_user_list base)
 
 (* ------------------------------------------------------------------ *)
-(* Horizon unit tests *)
+(* WAL holds *)
 
-let test_lsn_floor_and_gating () =
-  let h = Horizon.create () in
-  checkb "no leases: floor = ceiling, ungated" true
-    (Horizon.lsn_floor h ~ceiling:100 = (100, []));
-  let a = Horizon.acquire h ~kind:Lease.Scan ~holder:"a" ~lsn:10 () in
-  let b = Horizon.acquire h ~kind:Lease.Log_cursor ~holder:"b" ~lsn:5 () in
-  checki "two live leases" 2 (Horizon.lease_count h);
-  let floor, gating = Horizon.lsn_floor h ~ceiling:100 in
-  checki "floor = oldest leased lsn" 5 floor;
-  checkb "gating names both, sorted by lsn" true
-    (List.map (fun g -> (g.Lease.g_holder, g.Lease.g_lsn)) gating
-    = [ ("b", 5); ("a", 10) ]);
-  Lease.release b;
-  let floor, gating = Horizon.lsn_floor h ~ceiling:100 in
-  checki "release raises the floor" 10 floor;
-  checkb "only the scan gates now" true
-    (List.map (fun g -> g.Lease.g_holder) gating = [ "a" ]);
-  checkb "released lease is dead" false (Lease.live b);
-  Lease.move_lsn a 60;
-  checki "move_lsn advances the floor" 60 (fst (Horizon.lsn_floor h ~ceiling:100));
-  checki "the ceiling still caps" 50 (fst (Horizon.lsn_floor h ~ceiling:50));
-  Lease.release a;
-  Lease.release a;
-  (* idempotent *)
-  checki "all released" 0 (Horizon.lease_count h);
-  checkb "floor back to the ceiling" true (Horizon.lsn_floor h ~ceiling:100 = (100, []))
+let holds = Alcotest.(list (pair string int))
 
-let test_with_lease_exception_safe () =
-  let h = Horizon.create () in
-  (match Horizon.with_lease h ~kind:Lease.Checkpoint ~lsn:4 (fun _ -> failwith "boom") with
+(* A memory log of [n] records and the LSN of each record boundary,
+   the log's end included. *)
+let log_of n =
+  let wal = Wal.create () in
+  let lsns =
+    List.init n (fun i -> Wal.append wal (Snapdiff_wal.Record.Begin { txn = i }))
+  in
+  (wal, lsns @ [ Wal.end_lsn wal ])
+
+let test_truncation_stops_at_lowest_hold () =
+  let wal, lsns = log_of 10 in
+  let at i = List.nth lsns i in
+  let a = Wal.hold wal ~holder:"scan:a" (at 3) in
+  let b = Wal.hold wal ~holder:"cursor:b" (at 1) in
+  Alcotest.check holds "holders, by lsn" [ ("cursor:b", at 1); ("scan:a", at 3) ] (Wal.holders wal);
+  Alcotest.check holds "the truncation names both holds" [ ("cursor:b", at 1); ("scan:a", at 3) ]
+    (Wal.truncate_before wal (Wal.end_lsn wal));
+  checki "and stops at the lowest" (at 1) (Wal.oldest_retained wal);
+  Wal.release_hold b;
+  Alcotest.check holds "release raises the floor to the next hold" [ ("scan:a", at 3) ]
+    (Wal.truncate_before wal (Wal.end_lsn wal));
+  checki "which the log stops at" (at 3) (Wal.oldest_retained wal);
+  Wal.move_hold a (at 8);
+  checkb "a dry floor changes nothing" true
+    (Wal.truncation_floor wal (at 9) = (at 8, [ ("scan:a", at 8) ])
+    && Wal.oldest_retained wal = at 3);
+  Alcotest.check holds "a hold at or above the ceiling does not stop it" []
+    (Wal.truncate_before wal (at 5));
+  checki "the truncation reached its ceiling" (at 5) (Wal.oldest_retained wal);
+  Alcotest.check holds "a moved hold stops the next one" [ ("scan:a", at 8) ]
+    (Wal.truncate_before wal (Wal.end_lsn wal));
+  checki "at its new lsn" (at 8) (Wal.oldest_retained wal);
+  Wal.release_hold a;
+  Wal.release_hold a;
+  Alcotest.check holds "release is idempotent" [] (Wal.holders wal);
+  Alcotest.check holds "an unheld log truncates to its ceiling" []
+    (Wal.truncate_before wal (Wal.end_lsn wal));
+  checki "all of it" (Wal.end_lsn wal) (Wal.oldest_retained wal)
+
+let test_with_hold_exception_safe () =
+  let wal, lsns = log_of 4 in
+  (match Wal.with_hold wal ~holder:"checkpoint:a" (List.nth lsns 1) (fun () -> failwith "boom") with
   | _ -> Alcotest.fail "the exception should propagate"
   | exception Failure _ -> ());
-  checki "lease released on the exception path" 0 (Horizon.lease_count h);
+  Alcotest.check holds "hold released on the exception path" [] (Wal.holders wal);
   checki "normal path returns the value" 5
-    (Horizon.with_lease h ~kind:Lease.Scan ~lsn:1 (fun _ -> 5));
-  checki "and releases too" 0 (Horizon.lease_count h)
+    (Wal.with_hold wal ~holder:"checkpoint:a" (List.nth lsns 1) (fun () ->
+         Alcotest.check holds "held while the function runs" [ ("checkpoint:a", List.nth lsns 1) ]
+           (Wal.holders wal);
+         5));
+  Alcotest.check holds "and releases too" [] (Wal.holders wal)
+
+(* Random scripts of appends, holds, moves, releases and truncations, on
+   record boundaries the log still has.  After every truncation the log
+   keeps the lowest live hold, and with no hold it reaches its ceiling;
+   the truncation names exactly the holds below the ceiling. *)
+let prop_truncation_never_passes_a_hold =
+  QCheck2.Test.make ~count:200 ~name:"wal holds: no truncation passes a hold"
+    (Gen.list_size (Gen.int_range 5 60) (Gen.pair (Gen.int_range 0 4) Gen.nat))
+    (fun script ->
+      let wal, lsns = log_of 8 in
+      let bounds = ref lsns in
+      let live = ref [] in
+      let pick l k = List.nth l (k mod List.length l) in
+      let retained () = List.filter (fun l -> l >= Wal.oldest_retained wal) !bounds in
+      List.for_all
+        (fun (op, k) ->
+          match op with
+          | 0 ->
+            ignore (Wal.append wal (Snapdiff_wal.Record.Commit { txn = k }) : Wal.lsn);
+            bounds := !bounds @ [ Wal.end_lsn wal ];
+            true
+          | 1 ->
+            let lsn = pick (retained ()) k in
+            live := (Wal.hold wal ~holder:(Printf.sprintf "h%d" k) lsn, lsn) :: !live;
+            true
+          | 2 when !live <> [] ->
+            let h, _ = pick !live k in
+            let lsn = pick (retained ()) (k / 7) in
+            Wal.move_hold h lsn;
+            live := List.map (fun (h', l) -> if h' == h then (h', lsn) else (h', l)) !live;
+            true
+          | 3 when !live <> [] ->
+            let h, _ = pick !live k in
+            Wal.release_hold h;
+            live := List.filter (fun (h', _) -> h' != h) !live;
+            true
+          | _ ->
+            let ceiling = pick (retained ()) k in
+            let gated = Wal.truncate_before wal ceiling in
+            let lowest = List.fold_left (fun acc (_, l) -> min acc l) max_int !live in
+            let below = List.filter (fun (_, l) -> l < ceiling) (Wal.holders wal) in
+            Wal.oldest_retained wal <= lowest
+            && (!live <> [] || Wal.oldest_retained wal = ceiling)
+            && gated = below)
+        script)
 
 (* ------------------------------------------------------------------ *)
 (* Manager.vacuum over a WAL-backed workload *)
@@ -318,17 +379,47 @@ let test_vacuum_gated_by_live_scan () =
   Manager.set_chunk_hook m None;
   let rep = Option.get !vac_report in
   let wv = List.hd rep.Manager.vac_wals in
-  checkb "the scan's lease gated the truncation" true
-    (List.exists
-       (fun g -> g.Lease.g_kind = Lease.Scan && g.Lease.g_lsn = lsn0)
-       wv.Manager.wv_gated);
+  checkb "the scan's hold stopped the truncation" true
+    (List.mem ("scan:" ^ Base_table.name base, lsn0) wv.Manager.wv_gated);
   checkb "the floor stopped at the scan's start LSN" true
     (wv.Manager.wv_truncated_to <= lsn0);
-  checkb "the leased scan did not escalate" false report.Manager.escalated;
+  checkb "the held scan did not escalate" false report.Manager.escalated;
   checkb "catch-up found its tail" true (report.Manager.catchup_records > 0);
   let snap = Manager.snapshot_table m "s" in
   checkb "snapshot faithful" true (Snapshot_table.contents snap = expected_half base);
   checkb "snapshot valid" true (Snapshot_table.validate snap = Ok ())
+
+(* A log-based snapshot's cursor holds the log under the snapshot's name:
+   the vacuum's dry run and a checkpoint name it [cursor:<snap>] at the
+   cursor's LSN, a refresh moves it, and dropping the snapshot releases
+   it. *)
+let test_cursor_hold_named () =
+  let rng = Rng.create 0xC0 in
+  let clock = Clock.create () in
+  let wal = Wal.create () in
+  let base = Workload.make_base ~wal ~clock () in
+  Workload.populate base ~rng ~n:60;
+  let m = Manager.create () in
+  Manager.register_base m base;
+  ignore
+    (Manager.create_snapshot m ~name:"lb" ~base:(Base_table.name base)
+       ~restrict:(Workload.restrict_fraction 0.5) ~method_:Manager.Log_based ()
+      : Manager.refresh_report);
+  let cursor = Wal.end_lsn wal in
+  Alcotest.check holds "the log lists the cursor's hold" [ ("cursor:lb", cursor) ]
+    (Wal.holders wal);
+  ignore (Workload.update_fraction base ~rng ~u:0.2 ~mix:Workload.churn : int);
+  let dry = List.hd (Manager.vacuum ~dry_run:true m).Manager.vac_wals in
+  Alcotest.check holds "the dry run names it" [ ("cursor:lb", cursor) ] dry.Manager.wv_gated;
+  let cp = Manager.checkpoint m (Base_table.name base) in
+  Alcotest.check holds "so does the checkpoint" [ ("cursor:lb", cursor) ] cp.Manager.cp_gated;
+  checki "which stops at the cursor" cursor cp.Manager.cp_truncated_to;
+  let r = Manager.refresh m "lb" in
+  checkb "the refresh read the log" true (r.Manager.method_used = Manager.Used_log_based);
+  Alcotest.check holds "and moved the hold to the new cursor" [ ("cursor:lb", Wal.end_lsn wal) ]
+    (Wal.holders wal);
+  Manager.drop_snapshot m "lb";
+  Alcotest.check holds "dropping the snapshot releases it" [] (Wal.holders wal)
 
 (* ------------------------------------------------------------------ *)
 (* Fleet pinned reads overlapping a vacuum: the scheduler's pre-refresh
@@ -376,7 +467,7 @@ let test_fleet_pinned_reads_survive_vacuum () =
 (* The qcheck property: a random interleaving of mutations, refreshes,
    pinned reads, checkpoints, and vacuums never loses a pinned epoch
    (every pinned read stays byte-identical for its lifetime, and the
-   snapshot lists one holder per pin), never truncates a leased log
+   snapshot lists one holder per pin), never truncates a held log
    cursor (log-based refresh never falls back to full), and never
    escalates a chunked differential scan. *)
 
@@ -421,7 +512,7 @@ let prop_interleaving_never_loses_leases =
           | 2 ->
             let r = Manager.refresh m "d" in
             fail_if ~reason:"escalated" r.Manager.escalated;
-            (* The cursor lease keeps the log tail: log-based must never
+            (* The cursor's hold keeps the log tail: log-based must never
                be forced into the truncated-past-cursor full fallback. *)
             let rl = Manager.refresh m "lb" in
             fail_if ~reason:"lb fell back" (rl.Manager.method_used <> Manager.Used_log_based)
@@ -460,9 +551,11 @@ let prop_interleaving_never_loses_leases =
 
 let suite =
   [
-    Alcotest.test_case "horizon: lsn floor and gating" `Quick test_lsn_floor_and_gating;
-    Alcotest.test_case "horizon: with_lease is exception-safe" `Quick
-      test_with_lease_exception_safe;
+    Alcotest.test_case "wal holds: truncation stops at lowest" `Quick
+      test_truncation_stops_at_lowest_hold;
+    Alcotest.test_case "wal holds: with_hold is exception-safe" `Quick
+      test_with_hold_exception_safe;
+    QCheck_alcotest.to_alcotest prop_truncation_never_passes_a_hold;
     Alcotest.test_case "vacuum: dry run touches nothing" `Quick
       test_vacuum_dry_run_touches_nothing;
     Alcotest.test_case "vacuum: reclaims versions and truncates the WAL" `Quick
@@ -479,6 +572,7 @@ let suite =
       test_pin_holders;
     Alcotest.test_case "vacuum: gated by a live chunked scan" `Quick
       test_vacuum_gated_by_live_scan;
+    Alcotest.test_case "vacuum: a log cursor's hold is named" `Quick test_cursor_hold_named;
     Alcotest.test_case "fleet pinned reads survive interleaved vacuums" `Quick
       test_fleet_pinned_reads_survive_vacuum;
     QCheck_alcotest.to_alcotest prop_interleaving_never_loses_leases;

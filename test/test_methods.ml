@@ -222,18 +222,23 @@ let test_manager_log_based_requires_wal () =
           : Manager.refresh_report))
 
 (* The paper's bounded-buffer rule: a log-based snapshot whose cursor
-   precedes the earliest retained log falls back to a full transfer. *)
+   precedes the earliest retained log falls back to a full transfer.  A
+   log-based cursor holds its records, so the log is truncated while the
+   snapshot is differential (and holds nothing), then the snapshot
+   switches to the log. *)
 let test_manager_log_based_truncation_fallback () =
   let wal = Snapdiff_wal.Wal.create () in
   let m, base, _ = mk_manager ~wal () in
   let addrs = populate base in
   ignore
     (Manager.create_snapshot m ~name:"s" ~base:"emp" ~restrict:restrict_lt10
-       ~method_:Manager.Log_based ()
+       ~method_:Manager.Differential ()
       : Manager.refresh_report);
   Base_table.update base (List.nth addrs 1) (emp "Hamid" 15);
   (* The log is truncated beyond the snapshot's cursor (bounded buffer). *)
-  Snapdiff_wal.Wal.truncate_before wal (Snapdiff_wal.Wal.end_lsn wal);
+  checkb "no hold stops the truncation" true
+    (Snapdiff_wal.Wal.truncate_before wal (Snapdiff_wal.Wal.end_lsn wal) = []);
+  Manager.set_method m "s" Manager.Log_based;
   let r = Manager.refresh m "s" in
   checkb "fell back to full" true (r.Manager.method_used = Manager.Used_full);
   Alcotest.(check (list (Alcotest.testable Tuple.pp Tuple.equal)))

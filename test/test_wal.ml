@@ -9,6 +9,9 @@ let checki = Alcotest.(check int)
 
 let tuple = Alcotest.testable Tuple.pp Tuple.equal
 
+(* Truncate a log no one holds: the truncation reaches its ceiling. *)
+let truncate log lsn = checkb "no hold stops the truncation" true (Wal.truncate_before log lsn = [])
+
 let emp name salary = Tuple.make [ Value.str name; Value.int salary ]
 
 let a1 = Addr.make ~page:1 ~slot:0
@@ -188,7 +191,7 @@ let test_net_changes_clamped_after_truncation () =
         | acc, _ -> acc)
     |> Option.get
   in
-  Wal.truncate_before log cut;
+  truncate log cut;
   (* since = start_lsn is now below retention; the scan must clamp up. *)
   let changes, stats = Recovery.net_changes log ~table:"emp" ~since:Wal.start_lsn in
   checki "bytes = retained window" (Wal.end_lsn log - Wal.oldest_retained log)
@@ -211,7 +214,7 @@ let test_truncation () =
   let log = Wal.create ~backend:(Wal.File path) () in
   let lsns = List.map (Wal.append log) sample_records in
   let cut = List.nth lsns 3 in
-  Wal.truncate_before log cut;
+  truncate log cut;
   checki "oldest moved" cut (Wal.oldest_retained log);
   checki "count shrank" (List.length sample_records - 3) (Wal.record_count log);
   (* Retained records keep their LSNs and contents. *)
@@ -225,7 +228,7 @@ let test_truncation () =
       ignore (Wal.read log (List.nth lsns 1)));
   (* Truncating at a non-boundary fails. *)
   Alcotest.check_raises "mid-record" (Failure "Wal.truncate_before: LSN is not a record boundary")
-    (fun () -> Wal.truncate_before log (cut + 1));
+    (fun () -> truncate log (cut + 1));
   (* Appending continues with monotone LSNs; reopening the segment keeps
      the base. *)
   let next = Wal.append log (Record.Begin { txn = 99 }) in
@@ -246,7 +249,7 @@ let test_redo_after_truncation_replays_suffix () =
         | acc, _ -> acc)
     |> Option.get
   in
-  Wal.truncate_before log cut;
+  truncate log cut;
   (* Redo onto a heap restored "from a checkpoint": t1's committed state. *)
   let heap = Heap.create ~page_size:512 schema in
   Heap.insert_at heap a1 (emp "Bruce" 15);
@@ -387,7 +390,7 @@ let test_truncate_then_last_lsn_for () =
   let cut = app (Record.Begin { txn = 2 }) in
   ignore (app (Record.Insert { txn = 2; table = "emp"; addr = a2; tuple = emp "e" 2 }) : Wal.lsn);
   ignore (app (Record.Commit { txn = 2 }) : Wal.lsn);
-  Wal.truncate_before log cut;
+  truncate log cut;
   (match Wal.last_lsn_for log ~table:"dept" with
   | None -> Alcotest.fail "dept entry lost"
   | Some l ->
@@ -401,7 +404,7 @@ let test_truncate_then_last_lsn_for () =
   | Some l -> checkb "live entry untouched" true (l > cut)
   | None -> Alcotest.fail "emp entry lost");
   (* Truncating everything clamps every entry to end_lsn (= new base). *)
-  Wal.truncate_before log (Wal.end_lsn log);
+  truncate log (Wal.end_lsn log);
   let l = Option.get (Wal.last_lsn_for log ~table:"emp") in
   checki "clamped to empty-log base" (Wal.oldest_retained log) l;
   Wal.iter_from log l (fun _ _ -> ())
@@ -432,7 +435,7 @@ let test_truncate_crash_atomicity () =
       let before = read_file path in
       let full = Wal.to_list log in
       let cut = List.nth lsns 3 in
-      Wal.truncate_before log cut;
+      truncate log cut;
       let after = read_file path in
       let truncated = Wal.to_list log in
       Wal.close log;
@@ -533,8 +536,8 @@ let prop_file_backend_equals_memory =
           (* Truncate both at the same random record boundary. *)
           let boundaries = List.map fst (Wal.to_list mem) @ [ Wal.end_lsn mem ] in
           let cut = List.nth boundaries (cutpick mod List.length boundaries) in
-          Wal.truncate_before mem cut;
-          Wal.truncate_before file cut;
+          truncate mem cut;
+          truncate file cut;
           if not (same mem file) then QCheck2.Test.fail_report "truncation divergence";
           (* Close and reopen the segment: still identical. *)
           Wal.close file;
@@ -564,7 +567,7 @@ let prop_truncate_crash_keeps_durable_records =
           let full = Wal.to_list log in
           let boundaries = List.map fst full @ [ Wal.end_lsn log ] in
           let cut = List.nth boundaries (cutpick mod List.length boundaries) in
-          Wal.truncate_before log cut;
+          truncate log cut;
           let after = read_file path in
           let truncated = Wal.to_list log in
           Wal.close log;
