@@ -545,9 +545,8 @@ let timing () =
     Test.make ~name:"fig8 full refresh scan"
       (Staged.stage (fun () ->
            ignore
-             (Snapdiff_core.Full_refresh.refresh ~base:base_d ~restrict
-                ~xmit ()
-               : Snapdiff_core.Full_refresh.report)))
+             (Snapdiff_core.Differential.refresh_full ~base:base_d ~restrict ~xmit ()
+               : Snapdiff_core.Differential.report)))
   in
   let t_fixup =
     Test.make ~name:"fig7 standalone fix-up pass (clean)"

@@ -523,9 +523,10 @@ let fleet_cmd verbose trace json tenants snaps_per ticks seed =
    travel (SELECT ... AS OF, compared byte-for-byte against the MVCC
    read-transaction oracle), then runs [Manager.vacuum]: expired
    versions are reclaimed and the shared WAL is truncated up to its
-   lowest hold in one step.  The oracle check runs again afterwards —
-   the epochs vacuum kept must still read back identically.  Exit 3 if any
-   AS OF result diverges from the oracle. *)
+   lowest hold in one step (a lagging log-based snapshot's cursor).  The
+   oracle check runs again afterwards — the epochs vacuum kept must still
+   read back identically.  Exit 3 if any AS OF result diverges from the
+   oracle. *)
 let vacuum_cmd verbose trace json n rounds retain older_than dry_run =
   setup_logs verbose trace;
   let module Manager = Snapdiff_core.Manager in
@@ -557,6 +558,10 @@ let vacuum_cmd verbose trace json n rounds retain older_than dry_run =
        "CREATE SNAPSHOT lowpay AS SELECT * FROM emp WHERE salary < 40 REFRESH \
         DIFFERENTIAL RETAIN %d"
        retain);
+  (* A log-based snapshot never refreshed after its creation: its cursor
+     hold stays at the creation LSN, below every update the rounds log, so
+     it holds the WAL's truncation back and the report names it. *)
+  exec "CREATE SNAPSHOT lagging AS SELECT * FROM emp WHERE salary < 40 REFRESH LOGBASED";
   for r = 1 to rounds do
     (* Each round nudges a different prefix of the table across the
        restriction boundary, then publishes a new epoch. *)

@@ -5,11 +5,6 @@ type change =
   | Delete of Addr.t * Tuple.t
   | Update of Addr.t * Tuple.t * Tuple.t
 
-let pp_change ppf = function
-  | Insert (a, t) -> Format.fprintf ppf "insert %a %a" Addr.pp a Tuple.pp t
-  | Delete (a, t) -> Format.fprintf ppf "delete %a (was %a)" Addr.pp a Tuple.pp t
-  | Update (a, o, n) -> Format.fprintf ppf "update %a %a -> %a" Addr.pp a Tuple.pp o Tuple.pp n
-
 type seq = int
 
 type t = {
@@ -33,7 +28,7 @@ let length t = List.length t.entries
 let entries_since t cursor =
   if cursor < t.floor then
     invalid_arg
-      (Printf.sprintf "Change_log.entries_since: cursor %d below truncation point %d" cursor
+      (Printf.sprintf "Change_log.net_since: cursor %d below truncation point %d" cursor
          t.floor);
   List.rev (List.filter (fun (s, _) -> s > cursor) t.entries)
 

@@ -25,8 +25,6 @@ type change =
   | Delete of Addr.t * Tuple.t  (** old value *)
   | Update of Addr.t * Tuple.t * Tuple.t  (** old, new *)
 
-val pp_change : Format.formatter -> change -> unit
-
 type seq = int
 (** Sequence numbers; a cursor of [0] sees every change. *)
 
@@ -43,11 +41,6 @@ val current_seq : t -> seq
 val length : t -> int
 (** Changes currently retained. *)
 
-val entries_since : t -> seq -> (seq * change) list
-(** Raw changes with sequence number strictly greater than the cursor.
-    Raises [Invalid_argument] if the cursor is below the truncation
-    point. *)
-
 type net = {
   before : Tuple.t option;  (** state at the cursor; [None] = did not exist *)
   after : Tuple.t option;  (** state now; [None] = does not exist *)
@@ -56,11 +49,12 @@ type net = {
 val net_since : t -> seq -> (Addr.t * net) list
 (** Net effect per address, in address order; addresses whose before and
     after are both [None] (inserted then deleted inside the window) are
-    omitted, as are addresses where nothing changed. *)
+    omitted, as are addresses where nothing changed.  Raises
+    [Invalid_argument] if the cursor is below the truncation point. *)
 
 val truncate_below : t -> seq -> unit
 (** Discard changes with sequence numbers <= the given cursor.  Safe only
     once every snapshot's cursor is at or above it. *)
 
 val oldest_retained : t -> seq
-(** Smallest cursor that {!entries_since} still accepts. *)
+(** Smallest cursor that {!net_since} still accepts. *)

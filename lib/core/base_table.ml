@@ -83,7 +83,6 @@ let mode t = t.table_mode
 let wal t = t.wal
 let clock t = t.table_clock
 let user_schema t = t.user
-let stored_schema t = t.stored
 let count t = Heap.count t.heap
 let mutations t = t.mutation_count
 
@@ -165,8 +164,6 @@ let record_page_summary t ~page ~live ~first_live ~last_live ~first_prev ~max_ts
         sum_token = token;
       };
     token
-
-let summarized_pages t = Hashtbl.length t.summaries
 
 let load_page t ~arena ~page f =
   Heap.load_page t.heap ~arena ~page (fun p ->

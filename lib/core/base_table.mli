@@ -79,9 +79,6 @@ val clock : t -> Clock.t
 
 val user_schema : t -> Schema.t
 
-val stored_schema : t -> Schema.t
-(** User schema + annotation columns (what {!iter_stored} yields). *)
-
 val count : t -> int
 
 val mutations : t -> int
@@ -165,9 +162,6 @@ val record_page_summary :
     return its token.  If an identical summary is already recorded its
     existing token is returned unchanged, so concurrent snapshots'
     qualification caches survive each other's refreshes. *)
-
-val summarized_pages : t -> int
-(** How many data pages currently carry a summary (observability). *)
 
 val load_page : t -> arena:Decode_arena.t -> page:int -> (Page.t -> bool) -> unit
 (** One pin of data page [page]: snapshot it into [arena], then run [f]

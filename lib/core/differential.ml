@@ -49,6 +49,7 @@ type report = {
 }
 
 type subscriber = {
+  sub_full : bool;
   sub_snaptime : Clock.ts;
   sub_restrict : Snapdiff_expr.Eval.record_pred;
   sub_project : int array option;
@@ -115,9 +116,19 @@ type cursor = {
   mutable next_page : int;
   mutable tails_sent : bool;
   ps : Fixup.page_scan;  (* the scan's one page scratch, reused page to page *)
-  pruned : bool;  (* some subscriber has a prune cache: read page summaries *)
+  summaries : bool;  (* some subscriber may skip a page: read page summaries *)
   decisions : page_decision array;  (* per subscriber, for the current page *)
 }
+
+let send st m =
+  if Refresh_msg.is_data m then st.data_messages <- st.data_messages + 1;
+  st.sub.sub_xmit m
+
+let push st m =
+  if st.n_out = Array.length st.out then
+    st.out <- Array.init (2 * st.n_out) (fun j -> if j < st.n_out then st.out.(j) else m);
+  st.out.(st.n_out) <- m;
+  st.n_out <- st.n_out + 1
 
 let start ~base subs =
   let n_subs = Array.length subs in
@@ -141,6 +152,9 @@ let start ~base subs =
   for i = 0 to n_subs - 1 do
     states.(i).new_snaptime <- Clock.tick (Base_table.clock base)
   done;
+  (* "The snapshot is first cleared and then the received data is
+     inserted." *)
+  Array.iter (fun st -> if st.sub.sub_full then send st Refresh_msg.Clear) states;
   {
     base;
     deferred;
@@ -151,7 +165,7 @@ let start ~base subs =
     next_page = 1;
     tails_sent = false;
     ps = Fixup.page_scan ();
-    pruned = Array.exists (fun sub -> sub.sub_prune <> None) subs;
+    summaries = Array.exists (fun sub -> sub.sub_full || sub.sub_prune <> None) subs;
     decisions = Array.make n_subs Decode;
   }
 
@@ -159,35 +173,25 @@ let pages c = c.pages
 
 let fixup_time c = c.chain.Fixup.fixup_time
 
-let next_page c = c.next_page
-
 let timing c = c.ps.Fixup.timing
 
-let send st m =
-  if Refresh_msg.is_data m then st.data_messages <- st.data_messages + 1;
-  st.sub.sub_xmit m
-
-let push st m =
-  if st.n_out = Array.length st.out then
-    st.out <- Array.init (2 * st.n_out) (fun j -> if j < st.n_out then st.out.(j) else m);
-  st.out.(st.n_out) <- m;
-  st.n_out <- st.n_out + 1
-
-(* A subscriber may skip a page under exactly the solo conditions: the
-   page's summary [s] proves nothing on the page is newer than its
+(* A subscriber may skip a page under exactly the solo conditions.  A
+   full subscriber, or one with a qualification cache, skips a page its
+   summary [s] proves empty.  Beyond that, a differential subscriber
+   skips when the summary proves nothing on the page is newer than its
    SnapTime, the (shared) chain state shows no anomaly pending at the
    boundary, and its own qualification cache supplies the page's last
-   qualifying address.  A skip advances the subscriber's state at once;
-   the page is decoded iff any subscriber cannot skip it. *)
+   qualifying address; a full subscriber sends every qualified entry, so
+   it decodes every other page.  A skip advances the subscriber's state
+   at once; the page is decoded iff any subscriber cannot skip it. *)
 let decide c st page (s : Base_table.page_summary option) =
-  match (st.sub.sub_prune, s) with
+  match (s, st.sub.sub_prune) with
+  | Some s, _ when s.sum_live = 0 && (st.sub.sub_full || st.sub.sub_prune <> None) ->
+    st.st_pages_skipped <- st.st_pages_skipped + 1;
+    Skip_empty
   | None, _ | _, None -> Decode
-  | Some cache, Some s ->
-    if s.sum_live = 0 then begin
-      st.st_pages_skipped <- st.st_pages_skipped + 1;
-      Skip_empty
-    end
-    else if s.sum_max_ts > st.sub.sub_snaptime then Decode
+  | Some s, Some cache ->
+    if st.sub.sub_full || s.sum_max_ts > st.sub.sub_snaptime then Decode
     else if
       c.deferred
       && not (c.chain.expect_prev = c.chain.last_addr && s.sum_first_prev = c.chain.expect_prev)
@@ -212,7 +216,7 @@ let scan_page c page =
   let deferred = c.deferred in
   let states = c.states in
   let decisions = c.decisions in
-  let summary = if c.pruned then Base_table.page_summary base page else None in
+  let summary = if c.summaries then Base_table.page_summary base page else None in
   let need_decode = ref false in
   for i = 0 to Array.length states - 1 do
     let d = decide c states.(i) page summary in
@@ -267,7 +271,8 @@ let scan_page c page =
     let max_ts = ref Clock.never in
     let any_null = ref false in
     (* Per entry, in address order, on the corrected annotations: the
-       Figure 3 state machine of each decoding subscriber.  A sent entry's
+       Figure 3 state machine of each decoding subscriber, or a full
+       subscriber's [Upsert] per qualified entry.  A sent entry's
        projected columns are copied as bytes; nothing is decoded. *)
     for k = 0 to n - 1 do
       let addr = ps.Fixup.addrs.(k) and prev = ps.Fixup.prevs.(k) and ts = ps.Fixup.tss.(k) in
@@ -288,7 +293,9 @@ let scan_page c page =
              would mean corrupted annotations — treat as changed. *)
           let changed = ts = null || ts > st.sub.sub_snaptime in
           if Bytes.get st.qualified k <> '\000' then begin
-            if changed || st.deletion then
+            if st.sub.sub_full then
+              push st (Refresh_msg.Upsert { addr; row = Fixup.row ps k st.sub.sub_project })
+            else if changed || st.deletion then
               push st
                 (Refresh_msg.Entry
                    { addr; prev_qual = st.last_qual; row = Fixup.row ps k st.sub.sub_project });
@@ -344,20 +351,21 @@ let scan_to c ~last_page =
     c.next_page <- c.next_page + 1
   done
 
+(* "Handle deletions at end of BaseTable": unconditional in the paper;
+   optionally suppressed when the snapshot provably holds nothing above
+   LastQual.  A full subscriber's stream has no tail: its [Clear] already
+   emptied the snapshot. *)
+let tail_suppressed st =
+  match st.sub.sub_tail_suppression with
+  | Some high_water -> (not st.sub.sub_full) && high_water <= st.last_qual
+  | None -> false
+
 let emit_tails c =
   if not c.tails_sent then begin
     c.tails_sent <- true;
     Array.iter
       (fun st ->
-        (* "Handle deletions at end of BaseTable": unconditional in the
-           paper; optionally suppressed when the snapshot provably holds
-           nothing above LastQual. *)
-        let tail_suppressed =
-          match st.sub.sub_tail_suppression with
-          | Some high_water when high_water <= st.last_qual -> true
-          | Some _ | None -> false
-        in
-        if not tail_suppressed then
+        if not (st.sub.sub_full || tail_suppressed st) then
           send st (Refresh_msg.Tail { last_qual = st.last_qual }))
       c.states
   end
@@ -369,11 +377,6 @@ let finish c =
   let sub_reports =
     Array.mapi
       (fun i st ->
-        let tail_suppressed =
-          match st.sub.sub_tail_suppression with
-          | Some high_water when high_water <= st.last_qual -> true
-          | Some _ | None -> false
-        in
         send st (Refresh_msg.Snaptime st.new_snaptime);
         {
           new_snaptime = st.new_snaptime;
@@ -388,7 +391,7 @@ let finish c =
           fixup_writes = (if i = 0 then c.ps.Fixup.writes else 0);
           fixup_bytes = (if i = 0 then c.ps.Fixup.bytes else 0);
           data_messages = st.data_messages;
-          tail_suppressed;
+          tail_suppressed = tail_suppressed st;
         })
       c.states
   in
@@ -418,15 +421,17 @@ let finish c =
 
 let refresh_group ~base subs = finish (start ~base subs)
 
-(* The solo scan is a group of one: same code path, so the "group stream =
-   solo stream" invariant is structural for the degenerate case and the two
-   can never drift apart. *)
-let refresh ?(tail_suppression = None) ?prune ~base ~snaptime ~restrict ?project
-    ~xmit () =
-  let g =
-    refresh_group ~base
-      [| { sub_snaptime = snaptime; sub_restrict = restrict; sub_project = project;
-           sub_tail_suppression = tail_suppression; sub_prune = prune;
-           sub_xmit = xmit } |]
-  in
-  g.sub_reports.(0)
+(* The solo scans are groups of one: same code path, so the "group stream
+   = solo stream" invariant is structural for the degenerate case and the
+   two can never drift apart. *)
+let solo ~base sub = (refresh_group ~base [| sub |]).sub_reports.(0)
+
+let refresh ?(tail_suppression = None) ?prune ~base ~snaptime ~restrict ?project ~xmit () =
+  solo ~base
+    { sub_full = false; sub_snaptime = snaptime; sub_restrict = restrict; sub_project = project;
+      sub_tail_suppression = tail_suppression; sub_prune = prune; sub_xmit = xmit }
+
+let refresh_full ?prune ~base ~restrict ?project ~xmit () =
+  solo ~base
+    { sub_full = true; sub_snaptime = Clock.never; sub_restrict = restrict; sub_project = project;
+      sub_tail_suppression = None; sub_prune = prune; sub_xmit = xmit }

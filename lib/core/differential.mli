@@ -16,7 +16,16 @@
     as an exercise ("the reader is invited to discover improvements which
     reduce the message traffic"): if the snapshot reports the largest
     [BaseAddr] it holds and that is not above the last qualified entry, the
-    tail message cannot delete anything and is skipped. *)
+    tail message cannot delete anything and is skipped.
+
+    A {e full} refresh is the same pass with every qualified entry sent:
+    "the simplest method is to transmit the (restricted & projected) base
+    table to the snapshot each time the snapshot is refreshed.  The
+    snapshot is first cleared and then the received data is inserted."
+    It is one kind of {!subscriber}, so a full snapshot shares the group
+    scan with its differential siblings, and on a deferred-mode base the
+    scan's Figure 7 fix-up primes the annotations a later differential
+    refresh reads. *)
 
 open Snapdiff_storage
 open Snapdiff_txn
@@ -51,6 +60,10 @@ type report = {
 }
 
 type subscriber = {
+  sub_full : bool;
+      (** a full refresh: [Clear] at {!start}, then one [Upsert] per
+          qualified entry in address order, no [Tail]; its stream ignores
+          [sub_snaptime] and [sub_tail_suppression] *)
   sub_snaptime : Clock.ts;  (** the snapshot's current [SnapTime] *)
   sub_restrict : Snapdiff_expr.Eval.record_pred;
       (** compiled [SnapRestrict] ({!Snapdiff_expr.Eval.compile_record}),
@@ -67,8 +80,11 @@ type subscriber = {
       (** this snapshot's own qualification cache — never shared *)
   sub_xmit : Refresh_msg.t -> unit;  (** this snapshot's own link *)
 }
-(** One consumer of a group scan: everything a solo {!refresh} takes,
-    minus the base table, which the group shares. *)
+(** One consumer of a group scan: everything a solo {!refresh} or
+    {!refresh_full} takes, minus the base table, which the group shares.
+    A full subscriber decodes every page its summary does not prove
+    empty; it keeps [LastQual] as it goes, so a decoded page still fills
+    its qualification cache. *)
 
 type group_report = {
   group_pages : int;  (** data pages in the base table *)
@@ -106,9 +122,9 @@ type cursor
 
 val start : base:Base_table.t -> subscriber array -> cursor
 (** Tick the clock once per subscriber (drawing each stream's new
-    [SnapTime]; the first tick is the shared [FixupTime]), snapshot the
-    data-page count, and position the cursor before page 1.  Nothing is
-    scanned or transmitted yet. *)
+    [SnapTime]; the first tick is the shared [FixupTime]), send each full
+    subscriber's [Clear], snapshot the data-page count, and position the
+    cursor before page 1.  Nothing is scanned yet. *)
 
 val pages : cursor -> int
 (** Data pages the scan will cover (fixed at {!start}; pages added by
@@ -122,19 +138,17 @@ val timing : cursor -> Fixup.timing
 (** Where the scan spent its time so far: [load_us], [fixup_us],
     [filter_us], [emit_us], each timed per page. *)
 
-val next_page : cursor -> int
-(** The 1-based page the next {!scan_to} will decode first;
-    [pages c + 1] once the scan is complete. *)
-
 val scan_to : cursor -> last_page:int -> unit
 (** Advance the scan through page [last_page] (clamped to {!pages}),
-    transmitting [Entry] messages exactly as the monolithic pass would.
+    transmitting [Entry] (full: [Upsert]) messages exactly as the
+    monolithic pass would.
     The caller must hold locks covering the pages being scanned. *)
 
 val emit_tails : cursor -> unit
-(** Close the address-ordered part of every subscriber's stream with its
-    unconditional [Tail] message (suppressed per subscriber under the
-    tail-suppression rule).  Idempotent.  After this, the chunked
+(** Close the address-ordered part of every differential subscriber's
+    stream with its unconditional [Tail] message (suppressed per
+    subscriber under the tail-suppression rule; a full subscriber sends
+    none).  Idempotent.  After this, the chunked
     refresh protocol may append per-subscriber catch-up messages
     ([Upsert]/[Remove] replayed from the WAL tail) before {!finish}. *)
 
@@ -198,3 +212,17 @@ val refresh :
     O(changed pages).  Skipping never changes the transmitted stream or
     the resulting annotations: pruned and unpruned refresh are
     message-for-message identical. *)
+
+val refresh_full :
+  ?prune:Prune_cache.t ->
+  base:Base_table.t ->
+  restrict:Snapdiff_expr.Eval.record_pred ->
+  ?project:int array ->
+  xmit:(Refresh_msg.t -> unit) ->
+  unit ->
+  report
+(** A full refresh as a group of one full {!subscriber}: [Clear], an
+    [Upsert] per qualified entry, then the [Snaptime] marker.  [restrict]
+    and [project] are as for {!refresh}.  The clock ticks once; on a
+    deferred-mode base that tick is also the [FixupTime] of the fix-up the
+    pass runs as it loads each page.  The caller holds the table lock. *)

@@ -19,8 +19,9 @@
     [ExpectPrev] tracks the last {e non-newly-inserted} entry, [LastAddr]
     the last entry of any kind.
 
-    The standalone pass exists for tests and for offline "re-annotation";
-    refresh normally runs the combined single pass in {!Differential}. *)
+    The standalone pass serves {!run} and the chunked refresh's catch-up
+    re-fix; every refresh scan, full or differential, runs the combined
+    single pass in {!Differential}. *)
 
 open Snapdiff_txn
 
@@ -93,9 +94,8 @@ val step : chain -> addr:Snapdiff_storage.Addr.t -> prev:int -> ts:int -> bool
 
 (** {1 One page under one pin}
 
-    The first phase of every page-wise scan — this pass, the combined
-    fix-up/refresh scan in {!Differential} and {!Full_refresh} — is this
-    one function.  It pins the page once, copies it into the scan's
+    The first phase of every page-wise scan — this pass and the combined
+    fix-up/refresh scan in {!Differential} — is this one function.  It pins the page once, copies it into the scan's
     arena, walks every record's fields
     ({!Snapdiff_storage.Decode_arena.walk}: nothing is decoded) and, for
     a fix-up, runs {!step} on the two raw annotation fields read in
@@ -119,7 +119,7 @@ type timing = {
 type annotations =
   | Fix of chain  (** step the chain and patch (deferred-mode refresh) *)
   | Read  (** read the stored fields as they are (eager mode) *)
-  | Skip  (** walk only (full refresh) *)
+  | Skip  (** walk only (selectivity measurement) *)
 
 type page_scan = private {
   arena : Snapdiff_storage.Decode_arena.t;  (** the page copy and its walked records *)

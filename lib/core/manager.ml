@@ -741,9 +741,9 @@ let member ?(populate = false) s =
 let report_of m method_used =
   make_report ~snapshot:m.snap.snap_name method_used ~link:m.snap.link ~since:m.before
 
-let report_of_sub m (r : Differential.report) =
+let report_of_sub m used (r : Differential.report) =
   {
-    (report_of m Used_differential ~new_snaptime:r.new_snaptime
+    (report_of m used ~new_snaptime:r.new_snaptime
        ~entries_scanned:r.entries_scanned ~data_messages:r.data_messages)
     with
     entries_skipped = r.entries_skipped;
@@ -772,22 +772,19 @@ let method_for t b m =
     Used_full
   | used -> used
 
-(* Open [used]'s scan source over [members] (differential is the only source
-   a group of more than one shares).  Runs under the attempt's locks.
+(* The methods that read the base table's pages; the others read a log. *)
+let scans_table = function
+  | Used_full | Used_differential -> true
+  | Used_ideal | Used_log_based -> false
 
-   A full scan of a deferred-mode base primes the annotations: the fix-up
-   pass runs over each chunk's pages just before the scan reads them.  A
-   full refresh synchronizes the snapshot's contents as of its new
-   SnapTime but does not touch annotations — so an entry inserted before
-   it (still carrying NULL PrevAddr, hence absent from the chain) could be
-   deleted afterwards without leaving any anomaly, and a later
-   differential refresh would miss the deletion.  Priming restores the
-   invariant the differential scan depends on: "the annotation state is
-   current as of SnapTime".  It depends on the base mode and the method
-   only, since the scheduler or [set_method] may route any snapshot to the
-   differential method later.  The fix-up is idempotent (safe to re-run on
-   a retried attempt). *)
-let open_source t b used members xmits () =
+(* Open the scan source of [members], whose methods are [useds], under the
+   attempt's locks.  Full and differential members share one table scan,
+   each a subscriber of its own kind; on a deferred-mode base that scan's
+   fix-up restores the annotations of every page it loads, so a full
+   refresh leaves them current as of its SnapTime, as a later
+   differential refresh of the snapshot requires.  An ideal or log-based
+   member reads its log as a group of one. *)
+let open_source t b useds members xmits () =
   let m0 = members.(0) in
   let s = m0.snap in
   let unpaged close =
@@ -813,13 +810,14 @@ let open_source t b used members xmits () =
           nets)
       members
   in
-  match used with
-  | Used_differential ->
+  match useds.(0) with
+  | Used_full | Used_differential ->
     let subs =
       Array.mapi
         (fun i { snap; _ } ->
           {
-            Differential.sub_snaptime = Snapshot_table.snaptime snap.table;
+            Differential.sub_full = useds.(i) = Used_full;
+            sub_snaptime = Snapshot_table.snaptime snap.table;
             sub_restrict = snap.record_restrict;
             sub_project = snap.project_cols;
             sub_tail_suppression =
@@ -839,51 +837,12 @@ let open_source t b used members xmits () =
           Differential.emit_tails c;
           overlay nets;
           let g = Differential.finish c in
-          Array.mapi (fun i m -> (report_of_sub m g.Differential.sub_reports.(i), ignore)) members);
+          Array.mapi
+            (fun i m -> (report_of_sub m useds.(i) g.Differential.sub_reports.(i), ignore))
+            members);
       sc_fixup_time =
         (if Base_table.mode b = Base_table.Deferred then Some (Differential.fixup_time c) else None);
       sc_timing = (fun () -> [ Differential.timing c ]);
-    }
-  | Used_full ->
-    let fixup_time =
-      if Base_table.mode b <> Base_table.Deferred then None
-      else Some (Clock.tick (Base_table.clock b))
-    in
-    let prime = Option.map (fun fixup_time -> Fixup.start b ~fixup_time) fixup_time in
-    let c =
-      Full_refresh.start ~base:b ~restrict:s.record_restrict ?project:s.project_cols
-        ~xmit:xmits.(0) ()
-    in
-    {
-      sc_pages = Full_refresh.pages c;
-      sc_scan_to =
-        (fun ~last_page ->
-          Option.iter
-            (fun f ->
-              Trace.with_span "refresh.fixup" ~attrs:[ ("snapshot", s.snap_name) ] (fun () ->
-                  Fixup.scan_to f ~last_page))
-            prime;
-          Full_refresh.scan_to c ~last_page);
-      sc_close =
-        (fun nets ->
-          overlay nets;
-          let r = Full_refresh.finish c in
-          [| ( {
-                 (report_of m0 Used_full ~new_snaptime:r.Full_refresh.new_snaptime
-                    ~entries_scanned:r.Full_refresh.entries_scanned
-                    ~data_messages:r.Full_refresh.data_messages)
-                 with
-                 fixup_writes = Option.fold prime ~none:0 ~some:(fun f -> (Fixup.stats f).Fixup.writes);
-                 sender =
-                   { no_sender with
-                     fixup_bytes =
-                       Option.fold prime ~none:0 ~some:(fun f -> (Fixup.stats f).Fixup.bytes) };
-               },
-               ignore ) |]);
-      sc_fixup_time = fixup_time;
-      sc_timing =
-        (fun () ->
-          Full_refresh.timing c :: Option.fold prime ~none:[] ~some:(fun f -> [ Fixup.timing f ]));
     }
   | Used_ideal ->
     let log = ensure_capture t s.base_name in
@@ -941,7 +900,7 @@ exception Abandoned
 let attempt t b members =
   let started = Trace.now_us () and words0 = Gc.minor_words () in
   let n = Array.length members in
-  let used = method_for t b members.(0) in
+  let useds = Array.map (method_for t b) members in
   let live = ref n in
   let fail m failure =
     if m.failure = None then begin
@@ -998,7 +957,7 @@ let attempt t b members =
       members
   in
   let deferred = Base_table.mode b = Base_table.Deferred in
-  let scans_table = used = Used_differential || used = Used_full in
+  let scans_table = scans_table useds.(0) in
   (* Chunking applies to a table scan over a WAL-backed base when a chunk
      size is configured. *)
   let chunked =
@@ -1008,7 +967,8 @@ let attempt t b members =
   in
   let span, attrs =
     if n = 1 then
-      ("refresh.scan", [ ("snapshot", members.(0).snap.snap_name); ("method", method_name used) ])
+      ( "refresh.scan",
+        [ ("snapshot", members.(0).snap.snap_name); ("method", method_name useds.(0)) ] )
     else ("refresh.group", [ ("base", Base_table.name b); ("subscribers", string_of_int n) ])
   in
   let scan_wall = ref 0.0 in
@@ -1020,7 +980,7 @@ let attempt t b members =
             let t0 = Trace.now_us () in
             let outs =
               locked_scan t b ~write:(deferred && scans_table) ~chunked
-                (open_source t b used members xmits)
+                (open_source t b useds members xmits)
             in
             scan_wall := Trace.now_us () -. t0;
             outs)
@@ -1103,7 +1063,7 @@ let attempt t b members =
                  too — a later scheduler-driven switch to the log-based
                  method then replays only the genuine tail.  The log-based
                  method's own hook has set its exact new cursor. *)
-              if used <> Used_log_based then Option.iter (set_cursor_lsn s) wal_end )
+              if useds.(i) <> Used_log_based then Option.iter (set_cursor_lsn s) wal_end )
       | _, Some failure, _ -> Error failure
       | _, None, _ ->
         Error
@@ -1185,9 +1145,9 @@ let run t b members =
   else Trace.with_span "refresh" ~attrs:[ ("snapshot", members.(0).snap.snap_name) ] go
 
 (* Refresh every snapshot named in [only] (all of them by default),
-   grouping by base table so that all members routed to the differential
-   method share one scan; the rest (full, ideal, log-based) refresh as
-   groups of one.  Per-snapshot failures are returned, not raised: one bad
+   grouping by base table so that all members routed to a method that
+   scans the table (full or differential) share one scan; the rest
+   (ideal, log-based) refresh as groups of one.  Per-snapshot failures are returned, not raised: one bad
    arm must not abandon the rest of the batch.  Results land by request
    position. *)
 let refresh_all ?only t =
@@ -1218,7 +1178,7 @@ let refresh_all ?only t =
       let b = (Hashtbl.find t.bases k).base_table in
       let grouped, solo =
         List.partition
-          (fun i -> choose_method t snaps.(i) = Used_differential)
+          (fun i -> scans_table (choose_method t snaps.(i)))
           (List.rev (Hashtbl.find by_base k))
       in
       if grouped <> [] then run_group b grouped;

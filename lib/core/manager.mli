@@ -91,9 +91,10 @@ type refresh_report = {
       (** entries the pruned differential scan proved irrelevant via page
           summaries and never decoded *)
   pages_decoded : int;
-      (** base-table pages this snapshot's stream consumed (differential
-          scans only, 0 otherwise); under a group scan, members sharing a
-          page each count it, while the physical decode happened once *)
+      (** base-table pages this snapshot's stream consumed (table scans,
+          full or differential; 0 otherwise); under a group scan, members
+          sharing a page each count it, while the physical decode
+          happened once *)
   fixup_writes : int;
   data_messages : int;
   link_messages : int;  (** physical frames on the wire, incl. bracketing *)
@@ -321,18 +322,18 @@ val refresh : ?group:bool -> t -> string -> refresh_report
 (** [REFRESH SNAPSHOT]: runs the snapshot's method under the base-table
     lock.  With [group:true] (default false) the named snapshot is
     refreshed together with every sibling snapshot on its base table via
-    {!refresh_all}, so differential members share one scan; only the
+    {!refresh_all}, so table-scanning members share one scan; only the
     named snapshot's report is returned (its failure is re-raised).
     Raises {!Unknown_snapshot}. *)
 
 val refresh_all : ?only:string list -> t -> (string * (refresh_report, exn) result) list
 (** Refresh every snapshot ([only] restricts and orders the set),
-    grouping by base table: all members the cost model routes to the
-    differential method share {e one} page-pruned base-table scan
-    ({!Snapdiff_core.Differential.refresh_group}) under one table lock —
-    a page is decoded at most once per group and the deferred-mode
-    fix-up runs once per scan — while the rest (full/ideal/log-based,
-    or a differential group of one) refresh solo.  Every per-snapshot
+    grouping by base table: all members routed to a method that scans
+    the table, full or differential, share {e one} page-pruned
+    base-table scan ({!Snapdiff_core.Differential.refresh_group}) under
+    one table lock — a page is decoded at most once per group and the
+    deferred-mode fix-up runs once per scan — while the ideal and
+    log-based members refresh solo.  Every per-snapshot
     guarantee is preserved: each member's stream is framed, batched and
     checksummed on its own link under its own epoch, applied atomically,
     and committed independently; a member whose arm fails is muted for

@@ -195,9 +195,6 @@ val holders : t -> (string * int) list
     list, ascending by epoch, then holder.  A holder that pins one epoch
     twice is listed twice. *)
 
-val live_range : t -> int * int
-(** Oldest and newest retained epoch (the ring's two ends). *)
-
 (** {1 Vacuum}
 
     The eviction walk on demand, the per-store half of

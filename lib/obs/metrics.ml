@@ -174,16 +174,6 @@ let counter_value t name =
   Mutex.unlock t.reg_m;
   r
 
-let gauge_level t name =
-  Mutex.lock t.reg_m;
-  let r =
-    match Hashtbl.find_opt t.metrics name with
-    | Some (Gauge g) -> Atomic.get g
-    | _ -> 0.0
-  in
-  Mutex.unlock t.reg_m;
-  r
-
 let names t =
   Mutex.lock t.reg_m;
   let r = Hashtbl.fold (fun k _ acc -> k :: acc) t.metrics [] in

@@ -76,8 +76,6 @@ val quantile : histogram -> float -> float
 val counter_value : t -> string -> int
 (** 0 when the name is absent or not a counter. *)
 
-val gauge_level : t -> string -> float
-
 val names : t -> string list
 (** All registered metric names, sorted. *)
 

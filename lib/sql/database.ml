@@ -90,6 +90,11 @@ let find_snapshot t name =
 
 let name_exists t name = find_table t name <> None || find_snapshot t name <> None
 
+let snapshot_table t name =
+  match find_snapshot t name with
+  | Some table -> table
+  | None -> err "unknown snapshot %s" name
+
 let snapshot_link t name =
   if is_manager_snapshot t name then Manager.snapshot_link t.mgr name
   else
@@ -555,6 +560,7 @@ let populate_query_snapshot t qs =
   qs.qs_next_epoch <- epoch + 1;
   let w = Refresh_msg.writer ~epoch qs.qs_link in
   let now = Clock.tick t.db_clock in
+  let aborted_before = Snapshot_table.epochs_aborted qs.qs_table in
   (match
      Refresh_msg.write w Refresh_msg.Clear;
      List.iteri
@@ -569,9 +575,19 @@ let populate_query_snapshot t qs =
     let reason = Printf.sprintf "epoch %d cut short: %s" epoch (Printexc.to_string e) in
     Snapshot_table.abort_stream qs.qs_table ~reason;
     err "refresh of %s failed: %s" name reason);
-  if Snapshot_table.last_committed_epoch qs.qs_table <> epoch then
-    err "refresh of %s not committed: %s" name
-      (Option.value (Snapshot_table.last_abort qs.qs_table) ~default:"stream incomplete");
+  if Snapshot_table.last_committed_epoch qs.qs_table <> epoch then begin
+    (* The stream ended without committing.  The receiver's own reason
+       stands if it aborted this epoch; otherwise (a lost marker, say) the
+       epoch left open is aborted here, as a manager refresh does. *)
+    let reason =
+      match Snapshot_table.open_epoch qs.qs_table with
+      | None when Snapshot_table.epochs_aborted qs.qs_table > aborted_before ->
+        Option.value (Snapshot_table.last_abort qs.qs_table) ~default:"stream aborted"
+      | _ -> Printf.sprintf "epoch %d did not reach its Snaptime" epoch
+    in
+    Snapshot_table.abort_stream qs.qs_table ~reason;
+    err "refresh of %s not committed: %s" name reason
+  end;
   let n = List.length rows in
   Manager.make_report ~snapshot:name Manager.Used_full ~new_snaptime:now ~entries_scanned:n
     ~data_messages:n ~link:qs.qs_link ~since:before

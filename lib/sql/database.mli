@@ -50,6 +50,11 @@ val snapshot_link : t -> string -> Snapdiff_net.Link.t
     traffic or arming its faults.  Raises {!Sql_error} for an unknown
     snapshot. *)
 
+val snapshot_table : t -> string -> Snapdiff_core.Snapshot_table.t
+(** The replica a snapshot's refresh streams apply to, the receiver a
+    test re-attaches to {!snapshot_link}.  Raises {!Sql_error} for an
+    unknown snapshot. *)
+
 val index_scans : t -> int
 (** How many SELECTs were answered through a snapshot's secondary index
     (the equality fast path), for tests and EXPLAIN-style introspection. *)

@@ -7,7 +7,6 @@ type impl =
 type t = {
   page_size : int;
   mutable impl : impl;
-  mutable reads : int;
   mutable writes : int;  (* page writebacks, whole-page or ranged *)
   mutable range_writes : int;  (* individual sub-page range writes *)
   mutable written_bytes : int;
@@ -60,7 +59,6 @@ let read_into t n buf =
   check_page t n;
   if Bytes.length buf <> t.page_size then
     invalid_arg "Page_store.read_into: wrong page size";
-  t.reads <- t.reads + 1;
   match t.impl with
   | Mem m -> Bytes.blit m.pages.(n) 0 buf 0 t.page_size
   | File f -> really_pread f.fd buf (file_offset t n)
@@ -138,7 +136,6 @@ let close t =
     t.closed <- true
   end
 
-let reads_performed t = t.reads
 let writes_performed t = t.writes
 let range_writes_performed t = t.range_writes
 let bytes_written t = t.written_bytes
@@ -149,7 +146,6 @@ let in_memory ?(page_size = 4096) () =
   {
     page_size;
     impl = Mem { pages = Array.make 8 Bytes.empty; count = 0 };
-    reads = 0;
     writes = 0;
     range_writes = 0;
     written_bytes = 0;
@@ -178,7 +174,7 @@ let open_file ?page_size path =
     Bytes.blit_string magic 0 sb 0 8;
     Bytes.blit (bytes_of_u32 ps) 0 sb 8 4;
     really_pwrite fd sb 0;
-    { page_size = ps; impl = File { fd; count = 0 }; reads = 0; writes = 0;
+    { page_size = ps; impl = File { fd; count = 0 }; writes = 0;
       range_writes = 0; written_bytes = 0; closed = false }
   end
   else begin
@@ -203,6 +199,6 @@ let open_file ?page_size path =
       Unix.close fd;
       failwith "Page_store.open_file: file size not page-aligned"
     end;
-    { page_size = ps; impl = File { fd; count = data / ps }; reads = 0; writes = 0;
+    { page_size = ps; impl = File { fd; count = data / ps }; writes = 0;
       range_writes = 0; written_bytes = 0; closed = false }
   end

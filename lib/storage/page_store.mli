@@ -55,7 +55,6 @@ val sync : t -> unit
 
 val close : t -> unit
 
-val reads_performed : t -> int
 val writes_performed : t -> int
 (** I/O counters for cost accounting in benchmarks.  [writes_performed]
     counts page writebacks: one per {!write} and one per (non-empty)

@@ -13,6 +13,3 @@ let tick t =
   t.current
 
 let advance_to t ts = if ts > t.current then t.current <- ts
-
-let pp_ts ppf ts =
-  if ts = never then Format.pp_print_string ppf "-∞" else Format.pp_print_int ppf ts

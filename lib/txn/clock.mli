@@ -29,5 +29,3 @@ val tick : t -> ts
 
 val advance_to : t -> ts -> unit
 (** Ensure [now t >= ts]; used when recovering a persisted clock. *)
-
-val pp_ts : Format.formatter -> ts -> unit

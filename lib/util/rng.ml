@@ -48,11 +48,6 @@ let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))
 
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | _ -> List.nth l (int t (List.length l))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -42,9 +42,6 @@ val bernoulli : t -> float -> bool
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. *)
 
-val pick_list : t -> 'a list -> 'a
-(** Uniform choice from a non-empty list. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 

@@ -301,7 +301,8 @@ let test_group_model_matches_simulation () =
       Array.mapi
         (fun i (snap, cache) ->
           {
-            Differential.sub_snaptime = Snapshot_table.snaptime snap;
+            Differential.sub_full = false;
+            sub_snaptime = Snapshot_table.snaptime snap;
             sub_restrict = Annotations.user_pred restrict;
             sub_project = None;
             sub_tail_suppression = None;

@@ -477,9 +477,9 @@ let test_link_simulated_time () =
 let suite = suite @ [ Alcotest.test_case "link simulated time" `Quick test_link_simulated_time ]
 
 (* Appended: group refresh routing.  refresh_all shares one scan among the
-   differential members of each base table and leaves the rest solo; the
-   per-member streams still commit independently and the shared scan
-   decodes each page once. *)
+   members of each base table that scan it (full and differential) and
+   leaves the rest solo; the per-member streams still commit
+   independently and the shared scan decodes each page once. *)
 let test_refresh_all_routing () =
   let clock = Clock.create () in
   let base = Base_table.create ~page_size:256 ~name:"emp" ~clock emp_schema in
@@ -514,19 +514,22 @@ let test_refresh_all_routing () =
     | Ok r -> r
     | Error e -> raise e
   in
+  (* The full member scans the table too, so it rides the same group. *)
   List.iter
-    (fun n -> checki (n ^ " in a group of 3") 3 (report n).Manager.group_size)
-    [ "d1"; "d2"; "d3" ];
-  checki "full member solo" 1 (report "f1").Manager.group_size;
+    (fun n -> checki (n ^ " in a group of 4") 4 (report n).Manager.group_size)
+    [ "d1"; "d2"; "d3"; "f1" ];
+  checkb "f1 refreshed in full" true ((report "f1").Manager.method_used = Manager.Used_full);
   checki "lone differential on dept solo" 1 (report "o1").Manager.group_size;
   (* The group shares the scan: the siblings were charged the same pages a
-     solo scan would touch, yet a refresh of all three cannot have decoded
-     more than one scan's worth of pages. *)
+     solo scan would touch, yet a refresh of all four cannot have decoded
+     more than one scan's worth of pages.  The full member decodes every
+     page, none of which is empty. *)
   let total_pages = Base_table.data_pages base in
   List.iter
     (fun n -> checkb (n ^ " decodes bounded by table") true
         ((report n).Manager.pages_decoded <= total_pages))
     [ "d1"; "d2"; "d3" ];
+  checki "f1 decodes every page" total_pages (report "f1").Manager.pages_decoded;
   (* All five snapshots faithful. *)
   List.iter
     (fun (n, b, th) ->
@@ -545,9 +548,83 @@ let test_refresh_all_routing () =
   (* refresh ~group refreshes the named snapshot with its siblings. *)
   Base_table.update base (first_addr base) (emp "upd2" 2);
   let r = Manager.refresh ~group:true m "d2" in
-  checki "named snapshot rode a group" 3 r.Manager.group_size;
+  checki "named snapshot rode a group" 4 r.Manager.group_size;
   (* ... and its siblings were refreshed too (their snaptimes advanced). *)
   let r3 = Manager.refresh m "d3" in
   checki "sibling had nothing left to scan (just Tail)" 1 r3.Manager.data_messages
 
 let suite = suite @ [ Alcotest.test_case "refresh_all group routing" `Quick test_refresh_all_routing ]
+
+(* A full refresh of a deferred-mode base is one table scan: the fix-up
+   that primes the annotations runs in the same page load as the scan, so
+   the population pins every data page exactly once.  The selectivity is
+   given, so no sampling pass pins a page. *)
+let test_full_refresh_pins_each_page_once () =
+  let clock = Clock.create () in
+  let base =
+    Base_table.create ~mode:Base_table.Deferred ~page_size:256 ~name:"emp" ~clock emp_schema
+  in
+  let m = Manager.create () in
+  Manager.register_base m base;
+  for i = 0 to 199 do
+    ignore (Base_table.insert base (emp (Printf.sprintf "e%d" i) (i mod 20)) : Addr.t)
+  done;
+  let pool = Base_table.pool base in
+  let pins () =
+    let s = Buffer_pool.stats pool in
+    s.Buffer_pool.hits + s.Buffer_pool.misses
+  in
+  let before = pins () in
+  let r =
+    Manager.create_snapshot m ~name:"f" ~base:"emp" ~method_:Manager.Full ~selectivity:0.5
+      ~restrict:restrict_lt10 ()
+  in
+  checki "one pin per data page" (Base_table.data_pages base) (pins () - before);
+  checki "every qualified row sent" 100 r.Manager.data_messages;
+  (* The pass restored the annotations: a second fix-up finds nothing. *)
+  checki "annotations primed" 0
+    (Fixup.run base ~fixup_time:(Clock.tick clock)).Fixup.writes
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "full refresh pins each page once" `Quick
+        test_full_refresh_pins_each_page_once ]
+
+(* The prune cache a full pass fills is safe to skip from: after a FULL
+   population on a deferred base, a differential refresh skips the pages
+   nothing touched yet still sends a delete on a page the full pass
+   cached. *)
+let test_full_pass_prune_cache_misses_no_delete () =
+  let clock = Clock.create () in
+  let base =
+    Base_table.create ~mode:Base_table.Deferred ~page_size:256 ~name:"emp" ~clock emp_schema
+  in
+  let m = Manager.create () in
+  Manager.register_base m base;
+  for i = 0 to 199 do
+    ignore (Base_table.insert base (emp (Printf.sprintf "e%d" i) (i mod 20)) : Addr.t)
+  done;
+  ignore
+    (Manager.create_snapshot m ~name:"s" ~base:"emp" ~method_:Manager.Full ~selectivity:0.5
+       ~restrict:restrict_lt10 ()
+      : Manager.refresh_report);
+  Manager.set_method m "s" Manager.Differential;
+  let qualified =
+    List.filter
+      (fun (_, u) ->
+        match Tuple.get u 1 with Value.Int s -> Int64.to_int s < 10 | _ -> false)
+      (Base_table.to_user_list base)
+  in
+  let victim = fst (List.nth qualified (List.length qualified / 2)) in
+  Base_table.delete base victim;
+  let r = Manager.refresh m "s" in
+  checki "only the delete is sent (Remove + Tail)" 2 r.Manager.data_messages;
+  checkb "untouched pages skipped" true (r.Manager.entries_skipped > 0);
+  let table = Manager.snapshot_table m "s" in
+  checkb "the deleted row left the snapshot" true (Snapshot_table.get table victim = None);
+  checki "the rest stayed" (List.length qualified - 1) (Snapshot_table.count table)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "full pass prune cache misses no delete" `Quick
+        test_full_pass_prune_cache_misses_no_delete ]

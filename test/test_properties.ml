@@ -777,14 +777,17 @@ let prop_msg_roundtrip =
    [prune_mask] mixes cached and uncached subscribers in one group —
    their skip decisions differ per page, which is exactly where the
    demultiplexing could leak one subscriber's state into another's
-   stream. *)
+   stream.  [full_mask] makes subscribers full or differential, rotated
+   by one bit at each refresh, so one snapshot switches kinds: a full
+   pass fills the qualification cache the next differential pass reads. *)
 let group_gen =
-  Gen.quad scenario_gen Gen.bool (Gen.int_range 2 3) (Gen.int_range 0 7)
+  Gen.quad scenario_gen Gen.bool (Gen.int_range 2 3)
+    (Gen.pair (Gen.int_range 0 7) (Gen.int_range 0 7))
 
-let print_group (sc, eager, nsubs, prune_mask) =
-  Printf.sprintf "%s mode=%s nsubs=%d prune_mask=%d" (print_scenario sc)
+let print_group (sc, eager, nsubs, (prune_mask, full_mask)) =
+  Printf.sprintf "%s mode=%s nsubs=%d prune_mask=%d full_mask=%d" (print_scenario sc)
     (if eager then "eager" else "deferred")
-    nsubs prune_mask
+    nsubs prune_mask full_mask
 
 let bytes_of_stream ms =
   String.concat "" (List.map (fun m -> Bytes.to_string (Refresh_msg.encode m)) ms)
@@ -792,7 +795,7 @@ let bytes_of_stream ms =
 let prop_group_solo_byte_identity =
   QCheck2.Test.make ~name:"group refresh stream = solo stream, byte for byte" ~count:80
     ~print:print_group group_gen
-    (fun ((script, threshold), eager, nsubs, prune_mask) ->
+    (fun ((script, threshold), eager, nsubs, (prune_mask, full_mask)) ->
       let mode = if eager then Base_table.Eager else Base_table.Deferred in
       let mk_base () =
         let clock = Clock.create () in
@@ -815,13 +818,16 @@ let prop_group_solo_byte_identity =
       let side_g = mk_side () in
       let side_s = mk_side () in
       let restrict_of th t = salary t < th in
+      let refreshes = ref 0 in
+      let full i = (full_mask lsr ((i + !refreshes) mod 3)) land 1 = 1 in
       let group_streams () =
         let outs = Array.init nsubs (fun _ -> ref []) in
         let gsubs =
           Array.mapi
             (fun i (snap, prune) ->
               {
-                Differential.sub_snaptime = Snapshot_table.snaptime snap;
+                Differential.sub_full = full i;
+                sub_snaptime = Snapshot_table.snaptime snap;
                 sub_restrict = Annotations.user_pred (restrict_of thresholds.(i));
                 sub_project = None;
                 sub_tail_suppression = None;
@@ -843,12 +849,13 @@ let prop_group_solo_byte_identity =
           Array.mapi
             (fun i (snap, prune) ->
               let out = ref [] in
+              let restrict = Annotations.user_pred (restrict_of thresholds.(i)) in
+              let xmit m = out := m :: !out in
               let r =
-                Differential.refresh ?prune ~base:base_s
-                  ~snaptime:(Snapshot_table.snaptime snap)
-                  ~restrict:(Annotations.user_pred (restrict_of thresholds.(i)))
-                  ~xmit:(fun m -> out := m :: !out)
-                  ()
+                if full i then Differential.refresh_full ?prune ~base:base_s ~restrict ~xmit ()
+                else
+                  Differential.refresh ?prune ~base:base_s
+                    ~snaptime:(Snapshot_table.snaptime snap) ~restrict ~xmit ()
               in
               decoded := !decoded + r.Differential.pages_decoded;
               List.rev !out)
@@ -878,7 +885,8 @@ let prop_group_solo_byte_identity =
           in
           if Snapshot_table.contents (fst side_g.(i)) <> want then
             fail_report (Printf.sprintf "%s: subscriber %d diverged from base view" where i)
-        done
+        done;
+        incr refreshes
       in
       check "initial";
       let n = ref 0 in
@@ -941,7 +949,8 @@ let prop_group_prune_isolation =
           Array.mapi
             (fun i (snap, cache) ->
               {
-                Differential.sub_snaptime = Snapshot_table.snaptime snap;
+                Differential.sub_full = false;
+                sub_snaptime = Snapshot_table.snaptime snap;
                 sub_restrict = Annotations.user_pred (restrict_of thresholds.(i));
                 sub_project = None;
                 sub_tail_suppression = None;

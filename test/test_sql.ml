@@ -641,6 +641,65 @@ let test_db_join_snapshot_retains () =
         (render (exec (Printf.sprintf "SELECT * FROM j AS OF TIMESTAMP %d" ts)) = img))
     !images
 
+(* A query snapshot's stream that ends without its Snaptime marker never
+   commits; the refresh must abort the epoch it left open, under a reason
+   naming that epoch, rather than leave it for the next refresh to discard
+   as superseded.  An earlier abort's reason must not stand in for it. *)
+let test_db_query_snapshot_lost_marker () =
+  let db = Database.create () in
+  let exec s = ignore (Database.run db s : Database.result) in
+  exec "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL)";
+  exec "CREATE TABLE u (id INT NOT NULL, w INT NOT NULL)";
+  exec "INSERT INTO t VALUES (1, 10), (2, 20)";
+  exec "INSERT INTO u VALUES (1, 100), (2, 200)";
+  exec "CREATE SNAPSHOT j AS SELECT t.id, v, w FROM t, u WHERE t.id = u.id REFRESH FULL";
+  let link = Database.snapshot_link db "j" and table = Database.snapshot_table db "j" in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let failed_refresh () =
+    match Database.run db "REFRESH SNAPSHOT j" with
+    | _ -> Alcotest.fail "an incomplete stream committed"
+    | exception Database.Sql_error msg -> msg
+  in
+  let aborts () =
+    Snapdiff_obs.Metrics.counter_value Snapdiff_obs.Metrics.global "snapshot.stream_aborts"
+  in
+  (* First an abort of the receiver's own: a corrupt first frame. *)
+  let first = ref true in
+  Snapdiff_net.Link.attach link (fun b len ->
+      let b = Bytes.sub b 0 len in
+      if !first then begin
+        first := false;
+        Bytes.set b (len - 1) (Char.chr (Char.code (Bytes.get b (len - 1)) lxor 0xff))
+      end;
+      Snapshot_table.apply_bytes table b len);
+  let a0 = aborts () in
+  let msg = failed_refresh () in
+  checki "a corrupt frame aborts its epoch once" 1 (aborts () - a0);
+  checkb "the receiver's reason is reported" true (contains msg "corrupt frame");
+  (* Then a lost marker: the epoch stays open until the refresh aborts it. *)
+  let marker b len =
+    match Snapdiff_core.Refresh_msg.decode_framed (Bytes.sub b 0 len) with
+    | _, [ Snapdiff_core.Refresh_msg.Snaptime _ ] -> true
+    | _ -> false
+  in
+  Snapdiff_net.Link.attach link (fun b len ->
+      if not (marker b len) then Snapshot_table.apply_bytes table b len);
+  let a1 = aborts () in
+  let msg = failed_refresh () in
+  checki "the failed refresh aborts its open epoch" 1 (aborts () - a1);
+  let recorded = Option.value (Snapshot_table.last_abort table) ~default:"" in
+  checkb "the recorded reason names the lost marker" true
+    (contains recorded "did not reach its Snaptime");
+  checkb "the error names the lost marker" true (contains msg "did not reach its Snaptime");
+  Snapdiff_net.Link.attach link (Snapshot_table.apply_bytes table);
+  let a2 = aborts () in
+  exec "REFRESH SNAPSHOT j";
+  checki "a clean refresh aborts nothing" 0 (aborts () - a2)
+
 let test_db_dump_carries_retain () =
   let db = Database.create () in
   let exec s = Database.run db s in
@@ -675,4 +734,6 @@ let suite =
       Alcotest.test_case "db dump carries RETAIN" `Quick test_db_dump_carries_retain;
       Alcotest.test_case "db join snapshot keeps RETAIN epochs" `Quick
         test_db_join_snapshot_retains;
+      Alcotest.test_case "db query snapshot aborts an uncommitted epoch" `Quick
+        test_db_query_snapshot_lost_marker;
     ]
