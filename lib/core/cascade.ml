@@ -89,7 +89,7 @@ let refresh t =
          epoch where it was. *)
       let fail () =
         Snapshot_table.abort_stream t.downstream
-          ~reason:(Printf.sprintf "epoch %d did not reach its Snaptime" epoch);
+          ~reason:(Snapshot_table.abort_reason t.downstream ~epoch);
         Snapshot_table.release_txn now
       in
       let committed =

@@ -1065,11 +1065,7 @@ let attempt t b members =
                  method's own hook has set its exact new cursor. *)
               if useds.(i) <> Used_log_based then Option.iter (set_cursor_lsn s) wal_end )
       | _, Some failure, _ -> Error failure
-      | _, None, _ ->
-        Error
-          ( Option.value (Snapshot_table.last_abort s.table)
-              ~default:"stream not committed by receiver",
-            false ))
+      | _, None, _ -> Error (Snapshot_table.abort_reason s.table ~epoch:m.epoch, false))
     members
 
 let backoff_delay t ~failures =
@@ -1196,16 +1192,19 @@ let refresh ?(group = false) t name =
   let only = if group then List.sort compare (snapshots_on t s.base_name) else [ s.snap_name ] in
   match List.assoc s.snap_name (refresh_all ~only t) with Ok r -> r | Error e -> raise e
 
-(* Selectivity measurement for CREATE SNAPSHOT.  Small tables get the
-   exact single-pass scan; above [sample_threshold] entries we draw a
-   fixed-size uniform reservoir sample instead of materializing and
-   scanning the whole table. *)
+(* Selectivity measurement for a new snapshot.  Small tables get the
+   exact single-pass count, unless a population will count the same rows
+   anyway ([counted]: then [nan], and the caller takes the population's
+   count); above [sample_threshold] entries we draw a fixed-size uniform
+   reservoir sample instead of materializing and scanning the whole
+   table. *)
 let sample_threshold = 10_000
 let sample_size = 1_000
 
-let measure_selectivity t b ~restrict_expr restrict =
+let measure_selectivity t b ~counted ~restrict_expr restrict =
   let n = Base_table.count b in
   if n = 0 then Selectivity.heuristic restrict_expr
+  else if n <= sample_threshold && counted then Float.nan
   else if n <= sample_threshold then begin
     let hits = ref 0 in
     let ps = Fixup.page_scan () in
@@ -1258,10 +1257,12 @@ let validate_projection user_schema projection =
 (* Compile a snapshot definition against its base table: type-check and
    simplify the restriction, validate the projection, build the replica
    with [make_table] over the projected schema, wire the link pair (the
-   base site receives the one-time Register), and measure the selectivity.
-   Nothing is registered in the catalog. *)
+   base site receives the one-time Register), and measure the selectivity
+   — or, when [counted] (a population follows), leave it [nan] for the
+   caller to set from the population's count.  Nothing is registered in
+   the catalog. *)
 let compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
-    ~tail_suppression ~prune ?selectivity make_table =
+    ~tail_suppression ~prune ?selectivity ~counted make_table =
   if Hashtbl.mem t.snapshots (key name) then raise (Duplicate_name name);
   let b = base t base_name in
   let user_schema = Base_table.user_schema b in
@@ -1305,7 +1306,7 @@ let compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
   let selectivity =
     match selectivity with
     | Some q -> Float.max 0.0 (Float.min 1.0 q)  (* caller-provided estimate *)
-    | None -> measure_selectivity t b ~restrict_expr:restrict record_restrict
+    | None -> measure_selectivity t b ~counted ~restrict_expr:restrict record_restrict
   in
   {
     snap_name = name;
@@ -1335,7 +1336,7 @@ let create_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
     ?version_retain () =
   let s =
     compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
-      ~tail_suppression ~prune ?selectivity (fun schema ->
+      ~tail_suppression ~prune ?selectivity ~counted:true (fun schema ->
         Snapshot_table.create ?version_retain ~name ~schema ())
   in
   let bst = base_state t base_name in
@@ -1357,6 +1358,12 @@ let create_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
       if created_capture then drop_capture t base_name;
       raise e
   in
+  (* A small table's selectivity is the population's own count of the
+     qualified rows: the exact pass, without a second read of the pages.
+     Nothing reads it before this point. *)
+  if Float.is_nan s.selectivity then
+    s.selectivity <-
+      float_of_int report.data_messages /. float_of_int (Base_table.count (base t base_name));
   (* Register only after the populating transfer has succeeded. *)
   Hashtbl.replace t.snapshots (key name) s;
   (match bst.capture with
@@ -1386,7 +1393,7 @@ let attach_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
   (* May raise Corrupt_snapshot: nothing has been registered yet. *)
   let s =
     compile_definition t ~name ~base_name ~restrict ?projection ~method_ ?link
-      ~tail_suppression ~prune ?selectivity (fun schema ->
+      ~tail_suppression ~prune ?selectivity ~counted:false (fun schema ->
         Snapshot_table.on_pool ?snaptime ?version_retain ~name ~schema pool)
   in
   Hashtbl.replace t.snapshots (key name) s;

@@ -237,6 +237,13 @@ let open_frame r b len =
       Some { epoch; seq; marker = tag = 7 }
     with Failure reason | Invalid_argument reason -> raise (Corrupt reason)
 
+let frame_epoch b len =
+  if len < header_size || Char.code (Bytes.get b 0) <> frame_tag then -1
+  else
+    match Codec.int_of_i64 (Bytes.get_int64_le b 1) with
+    | epoch -> max (-1) epoch
+    | exception Failure _ -> -1
+
 let next r =
   let module C = Codec.Cursor in
   let c = r.cur in

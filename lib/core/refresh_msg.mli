@@ -119,6 +119,11 @@ val open_frame : reader -> bytes -> int -> frame option
     not start with the frame tag; raises {!Corrupt} on a checksum
     mismatch or a truncated frame. *)
 
+val frame_epoch : bytes -> int -> int
+(** The epoch field of the frame header in the first [len] bytes, read
+    without any check, for naming the epoch a {!Corrupt} frame belonged
+    to; [-1] if the bytes are no frame or too short. *)
+
 val next : reader -> t option
 (** The frame's next message, or [None] past its last.  Raises
     {!Corrupt} on an undecodable message or trailing bytes. *)

@@ -32,6 +32,8 @@ type epoch = {
   mutable decode_us : float;  (* checksum and decode of its frames, rows left as bytes *)
   freeze_us : float;  (* the seal at its first frame *)
   mutable replay_us : float;  (* read, row check and replay of its frames *)
+  mutable msgs : int;  (* messages replayed *)
+  searches0 : int;  (* the page table's search count at its first frame *)
 }
 
 type stream =
@@ -44,9 +46,13 @@ type commit_phases = {
   freeze_us : float;
   replay_us : float;
   publish_us : float;
+  replay_msgs : int;
+  replay_searches : int;
 }
 
-let no_phases = { decode_us = 0.0; freeze_us = 0.0; replay_us = 0.0; publish_us = 0.0 }
+let no_phases =
+  { decode_us = 0.0; freeze_us = 0.0; replay_us = 0.0; publish_us = 0.0; replay_msgs = 0;
+    replay_searches = 0 }
 
 type t = {
   snap_name : string;
@@ -59,6 +65,7 @@ type t = {
   mutable commits : int;
   mutable aborts : int;
   mutable last_abort : string option;
+  mutable abort_epoch : int;  (* the epoch [last_abort] aborted, [-1] if unknown *)
   mutable committed_epoch : int;  (* -1 before any framed commit *)
   mutable last_phases : commit_phases;  (* of the last framed commit *)
   reader : Refresh_msg.reader;  (* over the frame being received *)
@@ -78,6 +85,7 @@ let make ?(version_retain = 1) ~name ~schema ~time store =
     commits = 0;
     aborts = 0;
     last_abort = None;
+    abort_epoch = -1;
     committed_epoch = -1;
     last_phases = no_phases;
     reader = Refresh_msg.reader ();
@@ -168,24 +176,30 @@ let sec_remove t base_addr row =
       | None -> ())
     t.secondaries
 
-(* Every mutation is one page-table edit; the secondary indexes follow
-   from the old row the edit returns.  Rows arrive checked by [replay]. *)
+(* Every mutation is one page-table edit; the secondary indexes, if
+   any, follow from the old row the edit returns.  Rows arrive checked by
+   [replay]. *)
 let put t base_addr row =
-  Option.iter (sec_remove t base_addr) (Version_store.put t.versions base_addr row);
-  sec_add t base_addr row
+  let old = Version_store.put t.versions base_addr row in
+  if Hashtbl.length t.secondaries > 0 then begin
+    Option.iter (sec_remove t base_addr) old;
+    sec_add t base_addr row
+  end
 
 let delete t base_addr =
-  Option.iter (sec_remove t base_addr) (Version_store.delete t.versions base_addr)
+  let old = Version_store.delete t.versions base_addr in
+  if Hashtbl.length t.secondaries > 0 then Option.iter (sec_remove t base_addr) old
 
 (* Delete every entry with [lo <= BaseAddr <= hi]: the merge step of
    Figure 4.  Each successor probe at or below [hi] is a gap victim.  An
    empty range — an entry whose predecessor qualified, the common case
    in a dense differential stream — costs nothing, and a gap with no
-   victim costs the one probe.  The probe returns [max_int] for "none":
+   victim costs the one probe, which the page table's cursor serves from
+   where the last edit landed.  The probe returns [max_int] for "none":
    under [hi = max_int] that is one [delete] of whatever row is there. *)
 let rec drop_range t ~lo ~hi =
   if lo <= hi then begin
-    let a = Version_store.succ (head t) lo in
+    let a = Version_store.succ_head t.versions lo in
     if a <= hi then begin
       delete t a;
       if a < hi then drop_range t ~lo:(a + 1) ~hi
@@ -236,8 +250,10 @@ let replay t (msg : Refresh_msg.t) =
    start, the indexes are rebuilt from it, and the epoch's later frames
    are dropped.  Bytes that are no frame at all may be a frame whose
    header was garbled, so with no epoch open the next frame past
-   sequence 0 is dropped as the garbled one's. *)
-let abort t reason =
+   sequence 0 is dropped as the garbled one's.  The reason is recorded
+   with the epoch it hit: the open one, else [heard] (what a corrupt
+   frame's header claims), else unknown until that next frame. *)
+let abort ?(heard = -1) t reason =
   match t.stream with
   | Dropping _ -> ()
   | (Idle | Open _) as s ->
@@ -251,6 +267,7 @@ let abort t reason =
         | _ -> -1);
     t.aborts <- t.aborts + 1;
     t.last_abort <- Some reason;
+    t.abort_epoch <- (match s with Open o -> o.epoch | _ -> heard);
     Metrics.incr m_stream_aborts;
     Trace.event "refresh.discard" ~attrs:[ ("snapshot", t.snap_name); ("reason", reason) ]
 
@@ -264,16 +281,18 @@ let commit t o ts =
   t.stream <- Idle;
   t.last_phases <-
     { decode_us = o.decode_us; freeze_us = o.freeze_us; replay_us = o.replay_us;
-      publish_us = Trace.now_us () -. t0 };
+      publish_us = Trace.now_us () -. t0; replay_msgs = o.msgs;
+      replay_searches = Version_store.searches t.versions - o.searches0 };
   t.commits <- t.commits + 1;
   t.committed_epoch <- o.epoch;
   Metrics.incr m_stream_commits
 
-let rec replay_frame t =
+let rec replay_frame t o =
   match Refresh_msg.next t.reader with
   | Some msg ->
     replay t msg;
-    replay_frame t
+    o.msgs <- o.msgs + 1;
+    replay_frame t o
   | None -> ()
 
 (* The frame [apply_bytes] opened; [decode_us] is the time it spent on
@@ -281,6 +300,8 @@ let rec replay_frame t =
 let rec receive t ~decode_us ({ Refresh_msg.epoch; seq; marker } as frame) =
   match t.stream with
   | Dropping d when d = epoch || (d = -1 && seq > 0) ->
+    (* A frame past sequence 0 names the epoch the unknown abort hit. *)
+    if d = -1 && t.abort_epoch = -1 then t.abort_epoch <- epoch;
     t.stream <- (if marker then Idle else Dropping epoch)
   | Open o when o.epoch <> epoch ->
     (* The open epoch was truncated before its commit marker. *)
@@ -290,7 +311,9 @@ let rec receive t ~decode_us ({ Refresh_msg.epoch; seq; marker } as frame) =
     let t0 = Trace.now_us () in
     Version_store.begin_commit t.versions;
     t.stream <-
-      Open { epoch; next_seq = 0; decode_us = 0.0; freeze_us = Trace.now_us () -. t0; replay_us = 0.0 };
+      Open
+        { epoch; next_seq = 0; decode_us = 0.0; freeze_us = Trace.now_us () -. t0; replay_us = 0.0;
+          msgs = 0; searches0 = Version_store.searches t.versions };
     receive t ~decode_us frame
   | Open o -> (
     let t0 = Trace.now_us () in
@@ -308,8 +331,8 @@ let rec receive t ~decode_us ({ Refresh_msg.epoch; seq; marker } as frame) =
         if Trace.enabled () then
           Trace.with_span "refresh.apply"
             ~attrs:[ ("snapshot", t.snap_name); ("epoch", string_of_int epoch) ]
-            (fun () -> replay_frame t)
-        else replay_frame t
+            (fun () -> replay_frame t o)
+        else replay_frame t o
       with
       | () ->
         o.replay_us <- o.replay_us +. (Trace.now_us () -. t0);
@@ -329,7 +352,8 @@ let apply_bytes t b len =
   let t0 = Trace.now_us () in
   match Refresh_msg.open_frame t.reader b len with
   | Some frame -> receive t ~decode_us:(Trace.now_us () -. t0) frame
-  | exception Refresh_msg.Corrupt reason -> abort t ("corrupt frame: " ^ reason)
+  | exception Refresh_msg.Corrupt reason ->
+    abort t ~heard:(Refresh_msg.frame_epoch b len) ("corrupt frame: " ^ reason)
   | None -> (
     match Refresh_msg.decode ~len b with
     | msg when t.stream = Idle -> (
@@ -340,6 +364,12 @@ let apply_bytes t b len =
 let epochs_committed t = t.commits
 let epochs_aborted t = t.aborts
 let last_abort t = t.last_abort
+
+let abort_reason t ~epoch =
+  match t.last_abort with
+  | Some reason when t.abort_epoch = epoch -> reason
+  | _ -> Printf.sprintf "epoch %d did not reach its Snaptime" epoch
+
 let last_committed_epoch t = t.committed_epoch
 let last_commit_phases t = t.last_phases
 let open_epoch t = match t.stream with Open o -> Some o.epoch | Idle | Dropping _ -> None

@@ -120,6 +120,13 @@ val epochs_committed : t -> int
 val epochs_aborted : t -> int
 
 val last_abort : t -> string option
+(** The reason of the last abort, whichever epoch it hit. *)
+
+val abort_reason : t -> epoch:int -> string
+(** Why [epoch] did not commit: the last abort's reason if that abort hit
+    [epoch], otherwise ["epoch N did not reach its Snaptime"].  An abort
+    with no epoch open (a first frame garbled past reading) is charged to
+    the epoch whose next frame arrives. *)
 
 val last_committed_epoch : t -> int
 (** Epoch of the most recently committed framed stream; [-1] before any. *)
@@ -133,12 +140,17 @@ val last_committed_epoch : t -> int
     replaying it into the page table, the row stored as its bytes
     (copying each page the first time the epoch touches it);
     [publish_us] is
-    {!Version_store.end_commit} publishing the epoch. *)
+    {!Version_store.end_commit} publishing the epoch.  Beside the times,
+    [replay_msgs] counts the messages replayed and [replay_searches] the
+    page-table lookups among them that fell back to a binary search
+    ({!Version_store.searches}). *)
 type commit_phases = {
   decode_us : float;
   freeze_us : float;
   replay_us : float;
   publish_us : float;
+  replay_msgs : int;
+  replay_searches : int;
 }
 
 val no_phases : commit_phases

@@ -59,6 +59,12 @@ type t = {
   (* The open root, edited by the one writer. *)
   mutable open_dir : dir;
   mutable open_rows : int;
+  (* The writer's cursor: the open directory's slot and its page's slot
+     where the last edit or probe landed.  A hint only, checked against
+     the keys at every use (see [seek]), so nothing keeps it current. *)
+  mutable cur_i : int;
+  mutable cur_j : int;
+  mutable searches : int;  (* lookups the cursor could not serve *)
   (* Bumped by every seal (commit start, pin of the head): pages made
      before it are reachable from some sealed root and are copied before
      an edit. *)
@@ -109,6 +115,9 @@ let create ?(retain = 1) ?(page_span = 64) () =
     lock = Mutex.create ();
     open_dir = empty_dir 0;
     open_rows = 0;
+    cur_i = 0;
+    cur_j = 0;
+    searches = 0;
     cur_gen = 0;
     ring = [ head ];
     zombies = [];
@@ -134,14 +143,18 @@ let seal t = t.cur_gen <- t.cur_gen + 1
 (* Floor division, so a negative probe bound lands below every page. *)
 let pid_of span a = if a >= 0 then a / span else -1 - ((-1 - a) / span)
 
-(* The first of the [n] ascending [keys] at or above [x]; [n] if none. *)
-let lower_bound keys n x =
-  let lo = ref 0 and hi = ref n in
+(* The first of the ascending [keys] in slots [lo, hi) at or above [x];
+   [hi] if none. *)
+let search keys lo hi x =
+  let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
     if keys.(mid) < x then lo := mid + 1 else hi := mid
   done;
   !lo
+
+(* The first of the [n] ascending [keys] at or above [x]; [n] if none. *)
+let lower_bound keys n x = search keys 0 n x
 
 (* ------------------------------------------------------------------ *)
 (* Reading a root. *)
@@ -154,17 +167,6 @@ let find (r : image) addr =
     let pg = d.pages.(i) in
     let j = lower_bound pg.addrs pg.len addr in
     if j < pg.len && pg.addrs.(j) = addr then Some pg.rows.(j) else None
-
-let succ (r : image) lo =
-  let d = r.dir in
-  let i = lower_bound d.pids d.n (pid_of r.span lo) in
-  if i = d.n then max_int
-  else
-    let pg = d.pages.(i) in
-    let j = lower_bound pg.addrs pg.len lo in
-    if j < pg.len then pg.addrs.(j)
-    else if i + 1 < d.n then d.pages.(i + 1).addrs.(0)
-    else max_int
 
 let last (r : image) =
   let d = r.dir in
@@ -228,6 +230,51 @@ let page_table (r : image) =
 (* ------------------------------------------------------------------ *)
 (* The writer's edits of the open root. *)
 
+(* [lower_bound keys n x] from a hint slot [h], or [-1] when the keys
+   show the hint does not apply.  A key at or below [x] in [h] starts a
+   forward search, in steps that double until one reaches [x]; a key
+   above [x] in [h] with the key before it below [x] (or [h] the first
+   slot, or the slot past the last) is the answer itself.  So an
+   ascending run of targets costs a step or two each, and a hint left
+   behind by any edit, abort or clear is only ever a miss. *)
+let seek keys n h x =
+  if h < n && keys.(h) <= x then
+    if keys.(h) = x then h
+    else
+      (* keys.(lo) < x throughout *)
+      let rec gallop lo step =
+        let k = lo + step in
+        if k < n && keys.(k) < x then gallop k (2 * step) else search keys (lo + 1) (min n k) x
+      in
+      gallop h 1
+  else if h <= n && (h = 0 || keys.(h - 1) < x) then h
+  else -1
+
+(* The open directory's first slot at or above [pid], from the cursor's
+   slot when it applies. *)
+let dir_slot t (d : dir) pid =
+  let i = seek d.pids d.n t.cur_i pid in
+  if i >= 0 then i
+  else begin
+    t.searches <- t.searches + 1;
+    lower_bound d.pids d.n pid
+  end
+
+(* The first slot at or above [addr] of [pg], the page in directory slot
+   [i]: from the cursor's page slot when [i] is the cursor's directory
+   slot, else a binary search. *)
+let page_slot t i pg addr =
+  let j = if i = t.cur_i then seek pg.addrs pg.len t.cur_j addr else -1 in
+  if j >= 0 then j
+  else begin
+    t.searches <- t.searches + 1;
+    lower_bound pg.addrs pg.len addr
+  end
+
+let park t i j =
+  t.cur_i <- i;
+  t.cur_j <- j
+
 (* A page copied or created, and the bytes of the slots it duplicated: a
    word per address and per row. *)
 let note_copy slots =
@@ -279,77 +326,112 @@ let remove a n i fill =
   Array.blit a (i + 1) a i (n - i - 1);
   a.(n - 1) <- fill
 
-(* Edits outside a commit can race a pin of the head, which seals the
-   open root, so they hold the lock.  Inside a commit a pin lands on the
-   sealed pre-commit root and never reads the open one. *)
-let editing t f = if t.committing then f () else locked t f
+(* The body of each edit, run with the lock held or inside a commit.
+   Each lands the cursor on the slot it edited. *)
+let put_open t addr row =
+  let d = t.open_dir and pid = pid_of t.span addr in
+  let i = dir_slot t d pid in
+  if i = d.n || d.pids.(i) <> pid then begin
+    note_copy 0;
+    let d = private_dir t in
+    d.pids <- room d.pids d.n ~cap:max_int 0;
+    d.pages <- room d.pages d.n ~cap:max_int no_page;
+    insert d.pids d.n i pid;
+    insert d.pages d.n i { gen = t.cur_gen; len = 1; addrs = [| addr |]; rows = [| row |] };
+    d.n <- d.n + 1;
+    t.open_rows <- t.open_rows + 1;
+    park t i 0;
+    None
+  end
+  else begin
+    (* A copy keeps its slots, so [j] holds in it. *)
+    let j = page_slot t i d.pages.(i) addr in
+    let pg = private_page t i in
+    park t i j;
+    if j < pg.len && pg.addrs.(j) = addr then begin
+      let old = pg.rows.(j) in
+      pg.rows.(j) <- row;
+      Some old
+    end
+    else begin
+      pg.addrs <- room pg.addrs pg.len ~cap:t.span 0;
+      pg.rows <- room pg.rows pg.len ~cap:t.span no_row;
+      insert pg.addrs pg.len j addr;
+      insert pg.rows pg.len j row;
+      pg.len <- pg.len + 1;
+      t.open_rows <- t.open_rows + 1;
+      None
+    end
+  end
 
-let put t addr row =
-  editing t (fun () ->
-      let d = t.open_dir and pid = pid_of t.span addr in
-      let i = lower_bound d.pids d.n pid in
-      if i = d.n || d.pids.(i) <> pid then begin
-        note_copy 0;
+(* A removal parks the cursor on the slot before the one removed, whose
+   key is below every later ascending target. *)
+let delete_open t addr =
+  let d = t.open_dir and pid = pid_of t.span addr in
+  let i = dir_slot t d pid in
+  if i = d.n || d.pids.(i) <> pid then None
+  else
+    let pg = d.pages.(i) in
+    let j = page_slot t i pg addr in
+    if j = pg.len || pg.addrs.(j) <> addr then None
+    else begin
+      let old = pg.rows.(j) in
+      t.open_rows <- t.open_rows - 1;
+      if pg.len = 1 then begin
         let d = private_dir t in
-        d.pids <- room d.pids d.n ~cap:max_int 0;
-        d.pages <- room d.pages d.n ~cap:max_int no_page;
-        insert d.pids d.n i pid;
-        insert d.pages d.n i
-          { gen = t.cur_gen; len = 1; addrs = [| addr |]; rows = [| row |] };
-        d.n <- d.n + 1;
-        t.open_rows <- t.open_rows + 1;
-        None
+        remove d.pids d.n i 0;
+        remove d.pages d.n i no_page;
+        d.n <- d.n - 1;
+        park t (max 0 (i - 1)) 0
       end
       else begin
         let pg = private_page t i in
-        let j = lower_bound pg.addrs pg.len addr in
-        if j < pg.len && pg.addrs.(j) = addr then begin
-          let old = pg.rows.(j) in
-          pg.rows.(j) <- row;
-          Some old
-        end
-        else begin
-          pg.addrs <- room pg.addrs pg.len ~cap:t.span 0;
-          pg.rows <- room pg.rows pg.len ~cap:t.span no_row;
-          insert pg.addrs pg.len j addr;
-          insert pg.rows pg.len j row;
-          pg.len <- pg.len + 1;
-          t.open_rows <- t.open_rows + 1;
-          None
-        end
-      end)
+        remove pg.addrs pg.len j 0;
+        remove pg.rows pg.len j no_row;
+        pg.len <- pg.len - 1;
+        park t i (max 0 (j - 1))
+      end;
+      Some old
+    end
+
+(* Edits outside a commit can race a pin of the head, which seals the
+   open root, so they hold the lock.  Inside a commit a pin lands on the
+   sealed pre-commit root and never reads the open one, so the edit runs
+   as it is. *)
+let put t addr row =
+  if t.committing then put_open t addr row else locked t (fun () -> put_open t addr row)
 
 let delete t addr =
-  editing t (fun () ->
-      let d = t.open_dir and pid = pid_of t.span addr in
-      let i = lower_bound d.pids d.n pid in
-      if i = d.n || d.pids.(i) <> pid then None
-      else
-        let pg = d.pages.(i) in
-        let j = lower_bound pg.addrs pg.len addr in
-        if j = pg.len || pg.addrs.(j) <> addr then None
-        else begin
-          let old = pg.rows.(j) in
-          t.open_rows <- t.open_rows - 1;
-          if pg.len = 1 then begin
-            let d = private_dir t in
-            remove d.pids d.n i 0;
-            remove d.pages d.n i no_page;
-            d.n <- d.n - 1
-          end
-          else begin
-            let pg = private_page t i in
-            remove pg.addrs pg.len j 0;
-            remove pg.rows pg.len j no_row;
-            pg.len <- pg.len - 1
-          end;
-          Some old
-        end)
+  if t.committing then delete_open t addr else locked t (fun () -> delete_open t addr)
+
+(* The open root's first address at or above [lo], probed through the
+   cursor, which it lands on the address found; the next page's first
+   when [lo] lies past its page's last. *)
+let succ_head t lo =
+  let d = t.open_dir in
+  let i = dir_slot t d (pid_of t.span lo) in
+  if i = d.n then max_int
+  else
+    let pg = d.pages.(i) in
+    let j = page_slot t i pg lo in
+    if j < pg.len then begin
+      park t i j;
+      pg.addrs.(j)
+    end
+    else if i + 1 < d.n then begin
+      park t (i + 1) 0;
+      d.pages.(i + 1).addrs.(0)
+    end
+    else max_int
+
+let searches t = t.searches
 
 let clear t =
-  editing t (fun () ->
-      t.open_dir <- empty_dir t.cur_gen;
-      t.open_rows <- 0)
+  let run () =
+    t.open_dir <- empty_dir t.cur_gen;
+    t.open_rows <- 0
+  in
+  if t.committing then run () else locked t run
 
 let validate t =
   let d = t.open_dir in

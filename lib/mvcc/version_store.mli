@@ -14,15 +14,30 @@
     and the directory is that index.
 
     The {e open root} is the head, edited by the one writer through
-    {!put}, {!delete} and {!clear}, and read by it through {!head}.  The
-    writer edits a page in place only if no published or pinned root can
-    reach it; otherwise it copies the page first (the page-granular
-    copy-on-update of {e A Comparative Study of Consistent Snapshot
-    Algorithms for Main-Memory Database Systems}).  Each page, and the
+    {!put}, {!delete} and {!clear}, and read by it through {!head} and
+    {!succ_head}.  The writer edits a page in place only if no published
+    or pinned root can reach it; otherwise it copies the page first (the
+    page-granular copy-on-update of {e A Comparative Study of Consistent
+    Snapshot Algorithms for Main-Memory Database Systems}).  Each page, and the
     directory, carries the generation it was made in, and a {e seal}
     starts a new generation: at each commit start and at each pin of the
     head.  So a commit copies the directory once and the pages it
     touches once each.
+
+    {2 The writer's cursor}
+
+    {!put}, {!delete} and {!succ_head} start from a cursor: the
+    directory slot and the page slot where the writer's last one of them
+    landed.  A target at or above the cursor's key is found by a forward
+    search from it, in steps that double, so an address-ascending run of
+    edits — the Figure 4 merge — costs a step or two each instead of a
+    binary search of the directory and one of the page.  The cursor is a
+    hint that checks itself against the keys at each use: no edit,
+    {!clear} or {!abort_commit} has to keep it current.  When the keys
+    show it does not apply (a backward jump, a slot gone) the lookup
+    falls back to the binary search and counts it in {!searches}; so does
+    a page lookup in a page other than the cursor's, so an ascending
+    stream makes at most one per page it enters.
 
     {2 Epochs}
 
@@ -42,8 +57,9 @@
 
     A sealed root is immutable, so a reader needs no lock to read it.  One
     mutex guards the ring, the pins and the seal; a commit holds it
-    only at its start and its end.  Edits outside a commit hold it too,
-    since a pin of the head may seal the open root at any time. *)
+    only at its start and its end, and its edits run without it.  Edits
+    outside a commit hold it, since a pin of the head may seal the open
+    root at any time. *)
 
 open Snapdiff_storage
 open Snapdiff_txn
@@ -92,6 +108,17 @@ val delete : t -> Addr.t -> Row.t option
 val clear : t -> unit
 (** Empty the open root, in O(1). *)
 
+val succ_head : t -> Addr.t -> Addr.t
+(** The first address the open root holds at or above the bound, or
+    [max_int] if there is none: the receiver's gap probe, through the
+    writer's cursor, which it moves to the address found.  It allocates
+    nothing.  A row held at [max_int] reads the same as none. *)
+
+val searches : t -> int
+(** How many of the writer's lookups so far fell back to a binary search
+    (of the directory or of one page) because the cursor did not apply.
+    A plain counter: read it from the writer's side. *)
+
 val validate : t -> (unit, string) result
 (** The open root's layout, in O(rows): addresses strictly ascending
     within and across pages, each inside its pid's span, between 1 and
@@ -116,11 +143,6 @@ val abort_commit : t -> unit
 (** {1 Reading an image} *)
 
 val find : image -> Addr.t -> Row.t option
-
-val succ : image -> Addr.t -> Addr.t
-(** The first address held at or above the bound, or [max_int] if there
-    is none: the receiver's successor probe, which allocates nothing.  A
-    row held at [max_int] reads the same as none. *)
 
 val last : image -> Addr.t option
 (** The largest address held. *)

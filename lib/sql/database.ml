@@ -560,7 +560,6 @@ let populate_query_snapshot t qs =
   qs.qs_next_epoch <- epoch + 1;
   let w = Refresh_msg.writer ~epoch qs.qs_link in
   let now = Clock.tick t.db_clock in
-  let aborted_before = Snapshot_table.epochs_aborted qs.qs_table in
   (match
      Refresh_msg.write w Refresh_msg.Clear;
      List.iteri
@@ -579,12 +578,7 @@ let populate_query_snapshot t qs =
     (* The stream ended without committing.  The receiver's own reason
        stands if it aborted this epoch; otherwise (a lost marker, say) the
        epoch left open is aborted here, as a manager refresh does. *)
-    let reason =
-      match Snapshot_table.open_epoch qs.qs_table with
-      | None when Snapshot_table.epochs_aborted qs.qs_table > aborted_before ->
-        Option.value (Snapshot_table.last_abort qs.qs_table) ~default:"stream aborted"
-      | _ -> Printf.sprintf "epoch %d did not reach its Snaptime" epoch
-    in
+    let reason = Snapshot_table.abort_reason qs.qs_table ~epoch in
     Snapshot_table.abort_stream qs.qs_table ~reason;
     err "refresh of %s not committed: %s" name reason
   end;

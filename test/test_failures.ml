@@ -359,6 +359,43 @@ let test_corruption_exhausts_then_recovers () =
   ignore (Manager.refresh m "s" : Manager.refresh_report);
   checkb "faithful on a clean line" true (faithful m base 20)
 
+(* A failed refresh names its own epoch's failure, not an older one's:
+   after a refresh whose frame arrived corrupt, a refresh whose Snaptime
+   frame is lost reports that lost marker, and records it as the abort. *)
+let test_failure_names_its_own_epoch () =
+  let m, _base =
+    setup ~method_:Manager.Differential
+      ~retry:{ Manager.default_retry_policy with max_attempts = 1 }
+      (burst, 20)
+  in
+  let snap = Manager.snapshot_table m "s" in
+  let link = Manager.snapshot_link m "s" in
+  let failed () =
+    match Manager.refresh m "s" with
+    | (_ : Manager.refresh_report) -> Alcotest.fail "expected Refresh_failed"
+    | exception Manager.Refresh_failed { reason; _ } -> reason
+  in
+  let first = ref true in
+  Link.attach link (fun b len ->
+      let b = Bytes.sub b 0 len in
+      if !first then begin
+        first := false;
+        Bytes.set b (len - 1) (Char.chr (Char.code (Bytes.get b (len - 1)) lxor 0xff))
+      end;
+      Snapshot_table.apply_bytes snap b len);
+  Alcotest.(check string) "refresh 1: the corrupt frame" "corrupt frame: checksum mismatch" (failed ());
+  let heard = ref (-1) in
+  Link.attach link (fun b len ->
+      match Refresh_msg.decode_framed (Bytes.sub b 0 len) with
+      | _, [ Refresh_msg.Snaptime _ ] -> ()
+      | frame, _ ->
+        heard := frame.Refresh_msg.epoch;
+        Snapshot_table.apply_bytes snap b len);
+  let reason = failed () in
+  let own = Printf.sprintf "epoch %d did not reach its Snaptime" !heard in
+  Alcotest.(check string) "refresh 2: its own lost marker" own reason;
+  Alcotest.(check (option string)) "and the abort recorded" (Some own) (Snapshot_table.last_abort snap)
+
 (* ------------------------------------------------------------------ *)
 (* Properties over random scenarios and fault seeds. *)
 
@@ -576,6 +613,8 @@ let suite =
     Alcotest.test_case "repeated failures escalate to full" `Quick test_escalates_to_full;
     Alcotest.test_case "total corruption exhausts budget atomically" `Quick
       test_corruption_exhausts_then_recovers;
+    Alcotest.test_case "a failed refresh names its own epoch" `Quick
+      test_failure_names_its_own_epoch;
     QCheck_alcotest.to_alcotest (prop_transient_outage ~method_:Manager.Differential
                                    "transient outage converges (differential)");
     QCheck_alcotest.to_alcotest (prop_transient_outage ~method_:Manager.Ideal

@@ -557,9 +557,10 @@ let suite = suite @ [ Alcotest.test_case "refresh_all group routing" `Quick test
 
 (* A full refresh of a deferred-mode base is one table scan: the fix-up
    that primes the annotations runs in the same page load as the scan, so
-   the population pins every data page exactly once.  The selectivity is
-   given, so no sampling pass pins a page. *)
-let test_full_refresh_pins_each_page_once () =
+   the population pins every data page exactly once.  Without a given
+   selectivity the small table's exact count is the population's own, so
+   no counting pass pins a page either. *)
+let full_refresh_pins_each_page_once ?selectivity () =
   let clock = Clock.create () in
   let base =
     Base_table.create ~mode:Base_table.Deferred ~page_size:256 ~name:"emp" ~clock emp_schema
@@ -576,10 +577,13 @@ let test_full_refresh_pins_each_page_once () =
   in
   let before = pins () in
   let r =
-    Manager.create_snapshot m ~name:"f" ~base:"emp" ~method_:Manager.Full ~selectivity:0.5
+    Manager.create_snapshot m ~name:"f" ~base:"emp" ~method_:Manager.Full ?selectivity
       ~restrict:restrict_lt10 ()
   in
   checki "one pin per data page" (Base_table.data_pages base) (pins () - before);
+  if selectivity = None then
+    checkb "the count is the selectivity" true
+      (Float.equal (Manager.selectivity_estimate m "f") 0.5);
   checki "every qualified row sent" 100 r.Manager.data_messages;
   (* The pass restored the annotations: a second fix-up finds nothing. *)
   checki "annotations primed" 0
@@ -588,7 +592,38 @@ let test_full_refresh_pins_each_page_once () =
 let suite =
   suite
   @ [ Alcotest.test_case "full refresh pins each page once" `Quick
-        test_full_refresh_pins_each_page_once ]
+        (full_refresh_pins_each_page_once ~selectivity:0.5);
+      Alcotest.test_case "full refresh pins each page once, selectivity counted" `Quick
+        (full_refresh_pins_each_page_once ?selectivity:None) ]
+
+(* The selectivity a population counts is the exact pass's value, to the
+   bit: qualified rows over the table's count, deleted rows in neither. *)
+let test_counted_selectivity_exact () =
+  let clock = Clock.create () in
+  let base = Base_table.create ~name:"emp" ~clock emp_schema in
+  let m = Manager.create () in
+  Manager.register_base m base;
+  let addrs =
+    Array.init 150 (fun i -> Base_table.insert base (emp (Printf.sprintf "e%d" i) (i * 7 mod 23)))
+  in
+  Array.iteri (fun i a -> if i mod 5 = 2 then Base_table.delete base a) addrs;
+  List.iter
+    (fun k ->
+      let name = Printf.sprintf "s%d" k in
+      ignore
+        (Manager.create_snapshot m ~name ~base:"emp" ~restrict:Expr.(col "salary" <. int k) ()
+          : Manager.refresh_report);
+      let live = Base_table.to_user_list base in
+      let hits = List.length (List.filter (fun (_, t) -> Value.compare t.(1) (Value.int k) < 0) live) in
+      checkb (Printf.sprintf "salary < %d" k) true
+        (Float.equal (Manager.selectivity_estimate m name)
+           (float_of_int hits /. float_of_int (List.length live))))
+    [ 0; 1; 7; 13; 22; 23 ]
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "a counted selectivity = the exact pass" `Quick
+        test_counted_selectivity_exact ]
 
 (* The prune cache a full pass fills is safe to skip from: after a FULL
    population on a deferred base, a differential refresh skips the pages

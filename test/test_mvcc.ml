@@ -28,6 +28,7 @@ module Fleet = Snapdiff_fleet.Fleet
 module Workload = Snapdiff_workload.Workload
 module Rng = Snapdiff_util.Rng
 module Gen = QCheck2.Gen
+module Metrics = Snapdiff_obs.Metrics
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -1134,6 +1135,199 @@ let prop_rx_schedules =
     Gen.(pair (int_range 1 4) (list_size (int_range 1 25) rx_op_gen))
     run_rx_schedule
 
+(* ------------------------------------------------------------------ *)
+(* The writer's cursor alone: random schedules of ascending edit runs,
+   backward jumps, clears, commit brackets and pins, checked step by
+   step against a map.  The cursor is a hint the keys check, so no step
+   may ever see it stale: every edit returns the model's old row, every
+   successor probe the model's successor, the layout validates, and a
+   pinned image never moves. *)
+
+type cur_op =
+  | Cur_run of int * (int * int) list  (* start, then (gap, 0 put | 1 delete | 2 probe) *)
+  | Cur_jump of int * int  (* one edit at any address: kind, address *)
+  | Cur_clear
+  | Cur_begin
+  | Cur_abort
+  | Cur_end
+  | Cur_pin
+  | Cur_release of int
+
+let print_cur_op = function
+  | Cur_run (a, steps) ->
+    Printf.sprintf "run from %d: %s" a
+      (String.concat " "
+         (List.map (fun (g, k) -> Printf.sprintf "+%d%s" g [| "put"; "del"; "succ" |].(k)) steps))
+  | Cur_jump (k, a) -> Printf.sprintf "%s %d" [| "put"; "del"; "succ" |].(k) a
+  | Cur_clear -> "clear"
+  | Cur_begin -> "begin"
+  | Cur_abort -> "abort"
+  | Cur_end -> "end"
+  | Cur_pin -> "pin"
+  | Cur_release k -> Printf.sprintf "release %d" k
+
+let cur_addrs = 120
+
+let cur_op_gen =
+  Gen.(
+    frequency
+      [
+        ( 6,
+          map2
+            (fun a steps -> Cur_run (a, steps))
+            (int_range (-2) cur_addrs)
+            (list_size (int_range 1 16)
+               (pair (frequency [ (1, pure 0); (6, int_range 1 3); (1, int_range 4 20) ])
+                  (frequency [ (4, pure 0); (2, pure 1); (2, pure 2) ]))) );
+        (2, map2 (fun k a -> Cur_jump (k, a)) (int_range 0 2) (int_range (-2) cur_addrs));
+        (1, pure Cur_clear);
+        (2, pure Cur_begin);
+        (1, pure Cur_abort);
+        (2, pure Cur_end);
+        (2, pure Cur_pin);
+        (2, map (fun k -> Cur_release k) nat);
+      ])
+
+let run_cursor_schedule (retain, ops) =
+  let fail fmt = Printf.ksprintf (fun s -> QCheck2.Test.fail_report s) fmt in
+  let vs = VS.create ~retain ~page_span:span () in
+  let model = ref IntMap.empty and sealed = ref IntMap.empty in
+  let committing = ref false and epoch = ref 0 and stamp = ref 0 in
+  let held = ref [] in
+  let check what =
+    (match VS.validate vs with Ok () -> () | Error e -> fail "%s: validate: %s" what e);
+    if image_list (VS.head vs) <> IntMap.bindings !model then fail "%s: head differs from the model" what;
+    List.iter
+      (fun (txn, img) -> if txn_list txn <> img then fail "%s: a pinned image moved" what)
+      !held
+  in
+  let edit kind a =
+    incr stamp;
+    let old = Option.map Row.to_tuple in
+    match kind with
+    | 0 ->
+      let v = row !stamp a in
+      if old (VS.put vs a (Row.of_tuple v)) <> IntMap.find_opt a !model then
+        fail "put %d: wrong old row" a;
+      model := IntMap.add a v !model
+    | 1 ->
+      if old (VS.delete vs a) <> IntMap.find_opt a !model then fail "delete %d: wrong old row" a;
+      model := IntMap.remove a !model
+    | _ ->
+      let expect =
+        match IntMap.find_first_opt (fun k -> k >= a) !model with Some (k, _) -> k | None -> max_int
+      in
+      let got = VS.succ_head vs a in
+      if got <> expect then fail "succ %d: %d, the model says %d" a got expect
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Cur_run (a, steps) ->
+        ignore
+          (List.fold_left
+             (fun a (gap, kind) ->
+               let a = a + gap in
+               edit kind a;
+               check (Printf.sprintf "run at %d" a);
+               a)
+             a steps
+            : int)
+      | Cur_jump (kind, a) -> edit kind a
+      | Cur_clear ->
+        VS.clear vs;
+        model := IntMap.empty
+      | Cur_begin ->
+        if not !committing then begin
+          VS.begin_commit vs;
+          committing := true;
+          sealed := !model
+        end
+      | Cur_abort ->
+        if !committing then begin
+          VS.abort_commit vs;
+          committing := false;
+          model := !sealed
+        end
+      | Cur_end ->
+        if !committing then begin
+          incr epoch;
+          VS.end_commit vs ~epoch:!epoch ~snaptime:(10 * !epoch);
+          committing := false
+        end
+      | Cur_pin -> (
+        (* Inside a commit a pin of the head reads the sealed root. *)
+        match VS.pin vs with
+        | Some txn ->
+          held := (txn, IntMap.bindings (if !committing then !sealed else !model)) :: !held
+        | None -> fail "head unpinnable")
+      | Cur_release k -> (
+        match !held with
+        | [] -> ()
+        | l ->
+          let ((txn, _) as h) = List.nth l (k mod List.length l) in
+          VS.release txn;
+          held := List.filter (fun h' -> h' != h) l));
+      check (print_cur_op op))
+    ops;
+  List.iter (fun (txn, _) -> VS.release txn) !held;
+  true
+
+let prop_cursor_schedules =
+  QCheck2.Test.make ~name:"version store: the writer's cursor = a map, pins exact" ~count:300
+    ~print:(fun (retain, ops) ->
+      Printf.sprintf "retain %d:\n%s" retain (String.concat "\n" (List.map print_cur_op ops)))
+    Gen.(pair (int_range 1 3) (list_size (int_range 1 30) cur_op_gen))
+    run_cursor_schedule
+
+(* An ascending Entry stream over a committed image: the cursor serves
+   each message's successor probe and edit, so the binary searches the
+   replay falls back to stay at about one per page entered, well under
+   one per message; and the pages copied are the pages the epoch
+   touches, each once, as exact-size copies. *)
+let test_cursor_ascending_counts () =
+  let snap = Snapshot_table.create ~name:"s" ~schema:emp_schema () in
+  let pages = 8 and span = 64 in
+  let tuple a = Row.of_tuple (emp (Printf.sprintf "r%d" a) a) in
+  let commit epoch msgs =
+    List.iteri
+      (fun seq ms -> Test_properties.deliver snap (Refresh_msg.encode_framed ~epoch ~seq ms))
+      (Test_properties.frames_of ~k:Refresh_msg.default_batch_size
+         (msgs @ [ Refresh_msg.Snaptime (10 * epoch) ]));
+    checki (Printf.sprintf "epoch %d committed" epoch) epoch
+      (Snapshot_table.last_committed_epoch snap)
+  in
+  let all = List.init (pages * span) Fun.id in
+  (* Epoch 1: every address but those = 3 mod 4, 48 rows a page. *)
+  let before = List.filter (fun a -> a mod 4 <> 3) all in
+  commit 1
+    (Refresh_msg.Clear :: List.map (fun a -> Refresh_msg.Upsert { addr = a; row = tuple a }) before);
+  (* Epoch 2: update each a = 0 mod 4, drop each a = 2 mod 16 and insert
+     each a = 3 mod 16, the entry whose gap holds the dropped one. *)
+  let after = List.filter (fun a -> (a mod 4 <> 3 || a mod 16 = 3) && a mod 16 <> 2) all in
+  let sent = List.filter (fun a -> a mod 4 = 0 || a mod 16 = 3) after in
+  let prev_of a = List.fold_left (fun p q -> if q < a then q else p) (-1) after in
+  let entries =
+    List.map (fun a -> Refresh_msg.Entry { addr = a; prev_qual = prev_of a; row = tuple a }) sent
+  in
+  let copied0 = Metrics.counter_value Metrics.global "mvcc.pages_copied"
+  and bytes0 = Metrics.counter_value Metrics.global "mvcc.copy_bytes" in
+  commit 2 (entries @ [ Refresh_msg.Tail { last_qual = List.fold_left max (-1) after } ]);
+  checkb "image = the epoch's qualified set" true
+    (List.map fst (Snapshot_table.contents snap) = after);
+  let ph = Snapshot_table.last_commit_phases snap in
+  let msgs = List.length sent + 2 in
+  checki "messages replayed" msgs ph.Snapshot_table.replay_msgs;
+  checkb
+    (Printf.sprintf "%d searches for %d messages: at most one per page" ph.Snapshot_table.replay_searches
+       msgs)
+    true
+    (ph.Snapshot_table.replay_searches <= pages);
+  checki "each page copied once" pages
+    (Metrics.counter_value Metrics.global "mvcc.pages_copied" - copied0);
+  checki "exact-size copies: a word per address and per row" (pages * 48 * 2 * (Sys.word_size / 8))
+    (Metrics.counter_value Metrics.global "mvcc.copy_bytes" - bytes0)
+
 let suite =
   [
     Alcotest.test_case "version store: inert default path" `Quick test_vs_inert_default;
@@ -1168,4 +1362,7 @@ let suite =
       (prop_epochs_exact ~batch_size:Refresh_msg.default_batch_size
          "batched: each retained epoch = its recorded image");
     QCheck_alcotest.to_alcotest prop_rx_schedules;
+    QCheck_alcotest.to_alcotest prop_cursor_schedules;
+    Alcotest.test_case "cursor: an ascending Entry stream, counted" `Quick
+      test_cursor_ascending_counts;
   ]
