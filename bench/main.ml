@@ -39,8 +39,8 @@ let json_path =
   find (Array.to_list Sys.argv)
 
 (* Set when a section detects an invariant violation (the fleet section's
-   SLO checks, the cascade section's child images); the process then exits
-   nonzero. *)
+   SLO checks, the cascade section's child images, the prune section's
+   pruned/unpruned streams); the process then exits nonzero. *)
 let violations : string list ref = ref []
 
 let n_figure = if quick then 2_000 else 20_000
@@ -380,7 +380,12 @@ let prune () =
           Text_table.cell_float ~decimals:1 decoded_pct;
           string_of_int r.Figures.pruned_msgs;
           string_of_int r.Figures.unpruned_msgs;
-          (if r.Figures.prune_identical then "yes" else "NO") ])
+          (if r.Figures.prune_identical then "yes" else "NO") ];
+      if not r.Figures.prune_identical then
+        violations :=
+          Printf.sprintf "prune: at %d B pages and %.2f%% updated the pruned refresh differs"
+            r.Figures.prune_page_size r.Figures.prune_u_pct
+          :: !violations)
     (Figures.prune_ablation ~n:n_figure ~u_list ());
   Text_table.print t;
   print_endline

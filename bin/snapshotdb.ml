@@ -308,7 +308,8 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_re
         | Ok r ->
           Printf.bprintf buf
             "  {\"snapshot\": \"%s\", \"ok\": true, \"method\": \"%s\", \
-             \"group_size\": %d, \"pages_decoded\": %d, \"data_messages\": %d, \
+             \"group_size\": %d, \"pages_decoded\": %d, \
+             \"group_pages_decoded\": %d, \"data_messages\": %d, \
              \"link_bytes\": %d, \"attempts\": %d, \"chunks\": %d, \
              \"catchup_records\": %d, \"decode_us\": %.1f, \
              \"freeze_us\": %.1f, \"replay_us\": %.1f, \"publish_us\": %.1f, \
@@ -319,7 +320,8 @@ let refresh_cmd verbose trace json all names n rounds u chunk_entries version_re
              \"alloc_words\": %d, \"replay_msgs\": %d, \"replay_searches\": %d"
             name
             (Manager.method_name r.Manager.method_used)
-            r.Manager.group_size r.Manager.pages_decoded r.Manager.data_messages
+            r.Manager.group_size r.Manager.pages_decoded r.Manager.group_pages_decoded
+            r.Manager.data_messages
             r.Manager.link_bytes r.Manager.attempts r.Manager.chunks
             r.Manager.catchup_records r.Manager.receiver.decode_us
             r.Manager.receiver.freeze_us r.Manager.receiver.replay_us

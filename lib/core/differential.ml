@@ -12,26 +12,40 @@ let m_group_scans = Metrics.counter Metrics.global "refresh.group_scans"
 let m_group_subscribers = Metrics.counter Metrics.global "refresh.group_subscribers"
 let m_group_decodes_saved = Metrics.counter Metrics.global "refresh.group_decodes_saved"
 
-(* Page-indexed: page [p]'s token (0: no entry, since tokens start at 1)
-   and last qualifying address ([Addr.zero]: none qualifies, since no
-   entry has address 0). *)
+(* Page-indexed: page [p]'s token (0: no entry, since tokens start at 1),
+   first and last qualifying addresses ([Addr.zero]: none qualifies, since
+   no entry has address 0) and the first qualifying entry's projected row,
+   which a pending [Deletion] sends without decoding the page. *)
 module Prune_cache = struct
-  type t = { mutable tokens : int array; mutable last_quals : Addr.t array }
+  type t = {
+    mutable tokens : int array;
+    mutable first_quals : Addr.t array;
+    mutable last_quals : Addr.t array;
+    mutable first_rows : Row.t array;
+  }
 
-  let create () = { tokens = Array.make 64 0; last_quals = Array.make 64 Addr.zero }
+  let no_row = Row.of_tuple (Tuple.make [])
+
+  let create () =
+    { tokens = Array.make 64 0; first_quals = Array.make 64 Addr.zero;
+      last_quals = Array.make 64 Addr.zero; first_rows = Array.make 64 no_row }
 
   let token t page = if page < Array.length t.tokens then t.tokens.(page) else 0
 
-  let set t page ~token ~last_qual =
+  let set t page ~token ~first_qual ~last_qual ~first_row =
     let n = Array.length t.tokens in
     if page >= n then begin
       let cap = max (page + 1) (2 * n) in
-      let grow a = Array.init cap (fun i -> if i < n then a.(i) else 0) in
-      t.tokens <- grow t.tokens;
-      t.last_quals <- grow t.last_quals
+      let grow a zero = Array.init cap (fun i -> if i < n then a.(i) else zero) in
+      t.tokens <- grow t.tokens 0;
+      t.first_quals <- grow t.first_quals Addr.zero;
+      t.last_quals <- grow t.last_quals Addr.zero;
+      t.first_rows <- grow t.first_rows no_row
     end;
     t.tokens.(page) <- token;
-    t.last_quals.(page) <- last_qual
+    t.first_quals.(page) <- first_qual;
+    t.last_quals.(page) <- last_qual;
+    t.first_rows.(page) <- first_row
 
   let remove t page = if page < Array.length t.tokens then t.tokens.(page) <- 0
 end
@@ -78,7 +92,8 @@ type sub_state = {
   mutable st_pages_decoded : int;
   mutable st_pages_skipped : int;
   mutable data_messages : int;
-  mutable page_qualified : bool;  (* an entry on the page being decoded qualified *)
+  mutable page_first : int;  (* the decoded page's first qualifying entry; -1: none yet *)
+  mutable page_first_row : Row.t;  (* that entry's projected row, for [sub_prune] *)
   mutable qualified : Bytes.t;  (* the restriction over the page being decoded, per entry *)
   mutable out : Refresh_msg.t array;  (* the page's messages, sent after its phases *)
   mutable n_out : int;
@@ -139,7 +154,8 @@ let start ~base subs =
       (fun sub ->
         { sub; new_snaptime = Clock.never; last_qual = Addr.zero; deletion = false;
           scanned = 0; skipped = 0; st_pages_decoded = 0; st_pages_skipped = 0;
-          data_messages = 0; page_qualified = false; qualified = Bytes.create 64;
+          data_messages = 0; page_first = -1; page_first_row = Prune_cache.no_row;
+          qualified = Bytes.create 64;
           out = Array.make 16 Refresh_msg.Clear; n_out = 0 })
       subs
   in
@@ -182,8 +198,12 @@ let timing c = c.ps.Fixup.timing
    SnapTime, the (shared) chain state shows no anomaly pending at the
    boundary, and its own qualification cache supplies the page's last
    qualifying address; a full subscriber sends every qualified entry, so
-   it decodes every other page.  A skip advances the subscriber's state
-   at once; the page is decoded iff any subscriber cannot skip it. *)
+   it decodes every other page.  A pending [Deletion] rides the cache
+   too: nothing on the page changed, so a decode would send exactly one
+   [Entry], for the page's first qualifying entry, whose address and row
+   the cache holds.  A skip advances the subscriber's state at once and
+   queues that message; the page is decoded iff any subscriber cannot
+   skip it. *)
 let decide c st page (s : Base_table.page_summary option) =
   match (s, st.sub.sub_prune) with
   | Some s, _ when s.sum_live = 0 && (st.sub.sub_full || st.sub.sub_prune <> None) ->
@@ -199,13 +219,19 @@ let decide c st page (s : Base_table.page_summary option) =
     else if Prune_cache.token cache page <> s.sum_token then Decode
     else begin
       let last_qual = cache.Prune_cache.last_quals.(page) in
-      if st.deletion && last_qual <> Addr.zero then Decode
-      else begin
-        st.st_pages_skipped <- st.st_pages_skipped + 1;
-        st.skipped <- st.skipped + s.sum_live;
-        if last_qual <> Addr.zero then st.last_qual <- last_qual;
-        Skip_cached
-      end
+      st.st_pages_skipped <- st.st_pages_skipped + 1;
+      st.skipped <- st.skipped + s.sum_live;
+      if last_qual <> Addr.zero then begin
+        if st.deletion then begin
+          push st
+            (Refresh_msg.Entry
+               { addr = cache.first_quals.(page); prev_qual = st.last_qual;
+                 row = cache.first_rows.(page) });
+          st.deletion <- false
+        end;
+        st.last_qual <- last_qual
+      end;
+      Skip_cached
     end
 
 (* The per-page scan body.  Everything stateful (decisions, fix-up,
@@ -244,7 +270,7 @@ let scan_page c page =
       if decisions.(i) = Decode then begin
         let st = states.(i) in
         st.st_pages_decoded <- st.st_pages_decoded + 1;
-        st.page_qualified <- false
+        st.page_first <- -1
       end
     done;
     let ps = c.ps in
@@ -293,14 +319,19 @@ let scan_page c page =
              would mean corrupted annotations — treat as changed. *)
           let changed = ts = null || ts > st.sub.sub_snaptime in
           if Bytes.get st.qualified k <> '\000' then begin
-            if st.sub.sub_full then
-              push st (Refresh_msg.Upsert { addr; row = Fixup.row ps k st.sub.sub_project })
-            else if changed || st.deletion then
-              push st
-                (Refresh_msg.Entry
-                   { addr; prev_qual = st.last_qual; row = Fixup.row ps k st.sub.sub_project });
+            let first = st.page_first < 0 in
+            if first then st.page_first <- k;
+            let sent = st.sub.sub_full || changed || st.deletion in
+            (* A cache keeps the page's first qualifying row, the sent
+               one when there is one. *)
+            if sent || (first && st.sub.sub_prune <> None) then begin
+              let row = Fixup.row ps k st.sub.sub_project in
+              if first then st.page_first_row <- row;
+              if st.sub.sub_full then push st (Refresh_msg.Upsert { addr; row })
+              else if sent then
+                push st (Refresh_msg.Entry { addr; prev_qual = st.last_qual; row })
+            end;
             st.last_qual <- addr;
-            st.page_qualified <- true;
             st.deletion <- false
           end
           else if changed then
@@ -312,13 +343,6 @@ let scan_page c page =
     let t2 = Trace.now_us () in
     tm.Fixup.filter_us <- tm.Fixup.filter_us +. (t1 -. t0);
     tm.Fixup.emit_us <- tm.Fixup.emit_us +. (t2 -. t1);
-    Array.iter
-      (fun st ->
-        for j = 0 to st.n_out - 1 do
-          send st st.out.(j)
-        done;
-        st.n_out <- 0)
-      states;
     if not !any_null then begin
       let token =
         Base_table.record_page_summary base ~page ~live:!live ~first_live:!first_live
@@ -330,8 +354,12 @@ let scan_page c page =
         (fun i st ->
           match (decisions.(i), st.sub.sub_prune) with
           | Decode, Some cache ->
-            Prune_cache.set cache page ~token
-              ~last_qual:(if st.page_qualified then st.last_qual else Addr.zero)
+            if st.page_first < 0 then
+              Prune_cache.set cache page ~token ~first_qual:Addr.zero ~last_qual:Addr.zero
+                ~first_row:Prune_cache.no_row
+            else
+              Prune_cache.set cache page ~token ~first_qual:ps.Fixup.addrs.(st.page_first)
+                ~last_qual:st.last_qual ~first_row:st.page_first_row
           | _ -> ())
         states
     end
@@ -342,7 +370,14 @@ let scan_page c page =
           | Decode, Some cache -> Prune_cache.remove cache page
           | _ -> ())
         states
-  end
+  end;
+  Array.iter
+    (fun st ->
+      for j = 0 to st.n_out - 1 do
+        send st st.out.(j)
+      done;
+      st.n_out <- 0)
+    states
 
 let scan_to c ~last_page =
   let upto = min last_page c.pages in

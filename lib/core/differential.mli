@@ -32,13 +32,17 @@ open Snapdiff_txn
 
 (** Per-snapshot page-qualification cache, the companion of the base
     table's page summaries: for each page last seen clean it remembers the
-    last {e qualifying} address on the page (or that there is none) and
-    the summary token it was recorded against, in arrays indexed by page
-    number.  A token mismatch — the
-    page changed, or its summary was rebuilt — silently invalidates the
-    entry and the page is decoded again.  The cache is bound to one
-    snapshot's restriction: never share a cache between snapshots with
-    different [restrict] predicates. *)
+    first and last {e qualifying} addresses on the page (or that there is
+    none), the first qualifying entry's projected row, and the summary
+    token they were recorded against, in arrays indexed by page number.
+    The row is what a pending [Deletion] sends for the page without
+    decoding it: a decode of an unchanged page would send exactly that
+    entry.  A token mismatch — the page changed, or its summary was
+    rebuilt — silently invalidates the entry and the page is decoded
+    again.  The cache is bound to one snapshot's restriction {e and}
+    projection, and holds one row per page that has a qualifying entry:
+    never share a cache between snapshots with different [restrict]
+    predicates or [project] columns. *)
 module Prune_cache : sig
   type t
 
@@ -116,7 +120,8 @@ type cursor
     unpinned over the copy: each decoding subscriber's restriction over
     the page into a bitmap, then the address-order Figure 3 pass, which
     copies a sent entry's projected fields' bytes into its row
-    ({!Fixup.row}) and decodes nothing.  The
+    ({!Fixup.row}), and those of the page's first qualifying entry for a
+    qualification cache, and decodes nothing.  The
     page's messages go out after its phases, so {!timing}'s filter and
     emit phases hold no transmit time. *)
 
@@ -204,9 +209,10 @@ val refresh :
     ExpectPrev]), and a token-valid cache entry supplying the page's last
     qualifying address so [LastQual] — hence the receiver's
     delete-between semantics — advances exactly as an unpruned scan
-    would.  A page whose cache entry says it holds qualifying entries is
-    never skipped while the [Deletion] flag is pending (the next
-    qualifying entry must be transmitted).  Every page the scan does
+    would.  While the [Deletion] flag is pending, a skipped page whose
+    cache entry says it holds qualifying entries sends the one [Entry] a
+    decode would — its first qualifying address and cached row, with
+    [prev_qual = LastQual] — and clears the flag.  Every page the scan does
     decode gets its summary recorded and its cache entry refreshed, so
     the first pruned refresh pays one full scan and subsequent ones cost
     O(changed pages).  Skipping never changes the transmitted stream or

@@ -71,6 +71,7 @@ type refresh_report = {
   entries_scanned : int;
   entries_skipped : int;  (* proven irrelevant by page summaries, not decoded *)
   pages_decoded : int;  (* pages this stream consumed; differential scans only *)
+  group_pages_decoded : int;  (* the serving scan's physical decodes; 0 if none *)
   fixup_writes : int;
   data_messages : int;
   link_messages : int;  (* physical frames *)
@@ -660,6 +661,7 @@ let make_report ~snapshot method_used ~new_snaptime ~entries_scanned ~data_messa
     entries_scanned;
     entries_skipped = 0;
     pages_decoded = 0;
+    group_pages_decoded = 0;
     fixup_writes = 0;
     data_messages;
     link_messages = now.Link.messages - since.Link.messages;
@@ -741,13 +743,14 @@ let member ?(populate = false) s =
 let report_of m method_used =
   make_report ~snapshot:m.snap.snap_name method_used ~link:m.snap.link ~since:m.before
 
-let report_of_sub m used (r : Differential.report) =
+let report_of_sub m used ~group_pages_decoded (r : Differential.report) =
   {
     (report_of m used ~new_snaptime:r.new_snaptime
        ~entries_scanned:r.entries_scanned ~data_messages:r.data_messages)
     with
     entries_skipped = r.entries_skipped;
     pages_decoded = r.pages_decoded;
+    group_pages_decoded;
     fixup_writes = r.fixup_writes;
     tail_suppressed = r.tail_suppressed;
     sender = { no_sender with fixup_bytes = r.fixup_bytes };
@@ -838,7 +841,10 @@ let open_source t b useds members xmits () =
           overlay nets;
           let g = Differential.finish c in
           Array.mapi
-            (fun i m -> (report_of_sub m useds.(i) g.Differential.sub_reports.(i), ignore))
+            (fun i m ->
+              ( report_of_sub m useds.(i) ~group_pages_decoded:g.Differential.group_pages_decoded
+                  g.Differential.sub_reports.(i),
+                ignore ))
             members);
       sc_fixup_time =
         (if Base_table.mode b = Base_table.Deferred then Some (Differential.fixup_time c) else None);

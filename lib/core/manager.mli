@@ -95,6 +95,10 @@ type refresh_report = {
           full or differential; 0 otherwise); under a group scan, members
           sharing a page each count it, while the physical decode
           happened once *)
+  group_pages_decoded : int;
+      (** physical page decodes of the table scan that served this
+          refresh ({!Differential.group_report}): the same on every member
+          of a group, 0 for methods that do not scan *)
   fixup_writes : int;
   data_messages : int;
   link_messages : int;  (** physical frames on the wire, incl. bracketing *)

@@ -918,8 +918,10 @@ let prune_ablation ?(seed = 43) ?(n = 20_000) ?(u_list = [ 0.001; 0.01; 0.05; 0.
         let rp = Manager.refresh mgr "pruned" in
         let ru = Manager.refresh mgr "plain" in
         let identical =
-          encode_contents (Manager.snapshot_table mgr "pruned")
-          = encode_contents (Manager.snapshot_table mgr "plain")
+          rp.Manager.data_messages = ru.Manager.data_messages
+          && rp.Manager.link_bytes = ru.Manager.link_bytes
+          && encode_contents (Manager.snapshot_table mgr "pruned")
+             = encode_contents (Manager.snapshot_table mgr "plain")
         in
         {
           prune_page_size = page_size;

@@ -194,7 +194,9 @@ type prune_row = {
   pruned_msgs : int;
   unpruned_scanned : int;  (** always the full table *)
   unpruned_msgs : int;
-  prune_identical : bool;  (** snapshot contents byte-identical after both *)
+  prune_identical : bool;
+      (** both refreshes sent as many data messages and link bytes, and
+          left byte-identical snapshot contents *)
 }
 
 val prune_ablation :

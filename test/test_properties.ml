@@ -914,6 +914,186 @@ let prop_group_solo_byte_identity =
       check "final";
       true)
 
+(* Pruning never changes a stream, message for message.  Twin universes
+   replay one script: a group of pruned subscribers on one base, their
+   unpruned twins on the other, so both clocks tick alike and even the
+   Snaptime trailers must match.  Low thresholds leave most entries
+   unqualified, so a changed unqualified entry sets [Deletion] and the
+   next qualifier is often on a later page the summaries would skip; the
+   projections (all columns, one, both reordered) make a cached row that
+   ignored the subscriber's projection visible on the wire.  A subscriber
+   runs full at every fifth refresh, rotated by its index, so a full
+   pass's rows fill the cache a differential pass reads. *)
+let stream_identity_gen =
+  Gen.triple script_gen Gen.bool
+    (Gen.triple (Gen.int_range 1 8) (Gen.int_range 1 8) (Gen.int_range 1 8))
+
+let prop_pruned_stream_identity =
+  QCheck2.Test.make ~name:"pruned stream = unpruned stream, message for message" ~count:150
+    ~print:(fun (script, eager, (a, b, c)) ->
+      Printf.sprintf "%s mode=%s thresholds=%d,%d,%d"
+        (print_scenario (script, 0))
+        (if eager then "eager" else "deferred")
+        a b c)
+    stream_identity_gen
+    (fun (script, eager, (t0, t1, t2)) ->
+      let mode = if eager then Base_table.Eager else Base_table.Deferred in
+      let mk_base () =
+        let clock = Clock.create () in
+        let base = Base_table.create ~mode ~page_size:256 ~name:"emp" ~clock emp_schema in
+        for i = 0 to 39 do
+          ignore (Base_table.insert base (emp (Printf.sprintf "s%d" i) (i * 7 mod 20)) : Addr.t)
+        done;
+        base
+      in
+      let thresholds = [| t0; t1; t2 |] in
+      let projections = [| None; Some [| 1 |]; Some [| 1; 0 |] |] in
+      let side pruned =
+        ( mk_base (),
+          Array.map (fun _ -> if pruned then Some (Differential.Prune_cache.create ()) else None)
+            thresholds,
+          Array.map (fun _ -> Clock.never) thresholds )
+      in
+      let pruned = side true and plain = side false in
+      let refreshes = ref 0 in
+      let streams (base, caches, snaptimes) =
+        let outs = Array.map (fun _ -> ref []) thresholds in
+        let subs =
+          Array.mapi
+            (fun i th ->
+              {
+                Differential.sub_full = (!refreshes + i) mod 5 = 0;
+                sub_snaptime = snaptimes.(i);
+                sub_restrict = Annotations.user_pred (fun t -> salary t < th);
+                sub_project = projections.(i);
+                sub_tail_suppression = None;
+                sub_prune = caches.(i);
+                sub_xmit = (fun m -> outs.(i) := Refresh_msg.encode m :: !(outs.(i)));
+              })
+            thresholds
+        in
+        let g = Differential.refresh_group ~base subs in
+        Array.iteri
+          (fun i r -> snaptimes.(i) <- r.Differential.new_snaptime)
+          g.Differential.sub_reports;
+        Array.map (fun o -> List.rev !o) outs
+      in
+      let check where =
+        let ps = streams pruned and us = streams plain in
+        Array.iteri
+          (fun i p ->
+            if List.length p <> List.length us.(i) then
+              fail_report
+                (Printf.sprintf "%s: subscriber %d sent %d messages pruned, %d unpruned" where i
+                   (List.length p) (List.length us.(i)));
+            List.iteri
+              (fun k (mp, mu) ->
+                if not (Bytes.equal mp mu) then
+                  fail_report
+                    (Printf.sprintf "%s: subscriber %d message %d: pruned %s, unpruned %s" where
+                       i k
+                       (Format.asprintf "%a" Refresh_msg.pp (Refresh_msg.decode mp))
+                       (Format.asprintf "%a" Refresh_msg.pp (Refresh_msg.decode mu))))
+              (List.combine p us.(i)))
+          ps;
+        incr refreshes
+      in
+      let (base_p, _, _), (base_u, _, _) = (pruned, plain) in
+      check "initial";
+      let n = ref 0 in
+      List.iter
+        (fun op ->
+          incr n;
+          match op with
+          | Ins s ->
+            ignore (Base_table.insert base_p (emp (Printf.sprintf "x%d" !n) s) : Addr.t);
+            ignore (Base_table.insert base_u (emp (Printf.sprintf "x%d" !n) s) : Addr.t)
+          | Upd (i, s) -> (
+            match pick_live base_p i with
+            | Some addr ->
+              Base_table.update base_p addr (emp (Printf.sprintf "u%d" !n) s);
+              Base_table.update base_u addr (emp (Printf.sprintf "u%d" !n) s)
+            | None -> ())
+          | Del i -> (
+            match pick_live base_p i with
+            | Some addr ->
+              Base_table.delete base_p addr;
+              Base_table.delete base_u addr
+            | None -> ())
+          | Refresh -> check (Printf.sprintf "refresh at op %d" !n))
+        script;
+      check "final";
+      true)
+
+(* A pending deletion carried onto an unchanged page rides the cache:
+   the entry that stops qualifying at the end of page p sets [Deletion],
+   and page p+1's first qualifier goes out from the cache with the
+   deletion's gap, so the scan decodes page p alone.  The stream equals
+   an unpruned twin's and the snapshot drops the row. *)
+let test_carried_deletion_decodes_changed_page () =
+  List.iter
+    (fun mode ->
+      let where = if mode = Base_table.Eager then "eager" else "deferred" in
+      let mk () =
+        let clock = Clock.create () in
+        let base = Base_table.create ~mode ~page_size:256 ~name:"emp" ~clock emp_schema in
+        let addrs =
+          Array.init 30 (fun i -> Base_table.insert base (emp (Printf.sprintf "s%d" i) 5))
+        in
+        (base, addrs)
+      in
+      let base, addrs = mk () and twin, _ = mk () in
+      let snap = Snapshot_table.create ~name:"p" ~schema:emp_schema () in
+      let cache = Differential.Prune_cache.create () in
+      let twin_snaptime = ref Clock.never in
+      let restrict = Annotations.user_pred (fun t -> salary t < 10) in
+      let refresh () =
+        let msgs = ref [] and twin_msgs = ref [] in
+        let g =
+          Differential.refresh_group ~base
+            [| { Differential.sub_full = false; sub_snaptime = Snapshot_table.snaptime snap;
+                 sub_restrict = restrict; sub_project = None; sub_tail_suppression = None;
+                 sub_prune = Some cache; sub_xmit = (fun m -> msgs := m :: !msgs) } |]
+        in
+        let r =
+          Differential.refresh ~base:twin ~snaptime:!twin_snaptime ~restrict
+            ~xmit:(fun m -> twin_msgs := m :: !twin_msgs)
+            ()
+        in
+        twin_snaptime := r.Differential.new_snaptime;
+        Alcotest.(check string)
+          (where ^ ": stream = unpruned twin's")
+          (bytes_of_stream (List.rev !twin_msgs))
+          (bytes_of_stream (List.rev !msgs));
+        List.iter (Snapshot_table.apply snap) (List.rev !msgs);
+        g
+      in
+      ignore (refresh () : Differential.group_report);
+      ignore (refresh () : Differential.group_report);
+      let on_page p = Array.to_list addrs |> List.filter (fun a -> Addr.page a = p) in
+      let page1 = on_page 1 and page2 = on_page 2 in
+      Alcotest.(check bool) (where ^ ": three pages or more") true
+        (page2 <> [] && on_page 3 <> []);
+      let victim = List.nth page1 (List.length page1 - 1) in
+      Base_table.update base victim (emp "gone" 50);
+      Base_table.update twin victim (emp "gone" 50);
+      let g = refresh () in
+      let r = g.Differential.sub_reports.(0) in
+      Alcotest.(check int) (where ^ ": pages decoded") 1 g.Differential.group_pages_decoded;
+      Alcotest.(check int) (where ^ ": entries scanned") (List.length page1)
+        r.Differential.entries_scanned;
+      Alcotest.(check int)
+        (where ^ ": entries skipped, page 2's among them")
+        (Array.length addrs - List.length page1)
+        r.Differential.entries_skipped;
+      Alcotest.(check int) (where ^ ": page 2's first entry and the tail") 2
+        r.Differential.data_messages;
+      Alcotest.(check bool) (where ^ ": row dropped") false
+        (List.mem_assoc victim (Snapshot_table.contents snap));
+      Alcotest.(check bool) (where ^ ": snapshot = restricted base") true
+        (Snapshot_table.contents snap = expected_restricted base 10))
+    [ Base_table.Deferred; Base_table.Eager ]
+
 (* Satellite: per-subscriber qualification caches under a group scan must
    never cross-contaminate.  Two subscribers with different restrictions
    share every page of a tiny pool-backed table (3 frames, second chance,
@@ -1724,6 +1904,7 @@ let suite =
       prop_pruned_batched_ideal_equiv;
       prop_pruned_eviction_restart;
       prop_group_solo_byte_identity;
+      prop_pruned_stream_identity;
       prop_group_prune_isolation;
       prop_group_fault_isolation;
       prop_method_switch_keeps_deletes;
@@ -1732,5 +1913,7 @@ let suite =
     ]
   @ [ Alcotest.test_case "prune: reused-slot delete not hidden" `Quick
         test_prune_insert_reuse_delete;
+      Alcotest.test_case "prune: a carried deletion decodes only the changed page" `Quick
+        test_carried_deletion_decodes_changed_page;
       Alcotest.test_case "NULL-annotation rows: whole-row fallback" `Quick
         test_null_annotation_fallback ]
