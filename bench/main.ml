@@ -349,7 +349,8 @@ let prune () =
   let u_list = if quick then [ 0.01; 0.05 ] else [ 0.001; 0.01; 0.05; 0.2 ] in
   let t =
     Text_table.create
-      [ ("page B", Text_table.Right); ("updated %", Text_table.Right);
+      [ ("page B", Text_table.Right); ("updates", Text_table.Left);
+        ("updated %", Text_table.Right);
         ("pages", Text_table.Right); ("decoded", Text_table.Right);
         ("skipped", Text_table.Right); ("decoded %", Text_table.Right);
         ("msgs (pruned)", Text_table.Right); ("msgs (unpruned)", Text_table.Right);
@@ -364,6 +365,7 @@ let prune () =
       emit
         ~params:
           [ ("page_size", string_of_int r.Figures.prune_page_size);
+            ("mix", r.Figures.prune_mix);
             ("u_pct", Printf.sprintf "%.2f" r.Figures.prune_u_pct);
             ("n", string_of_int r.Figures.prune_n);
             ("pages", string_of_int r.Figures.prune_pages);
@@ -373,6 +375,7 @@ let prune () =
         ~entries_scanned:r.Figures.pruned_scanned ~messages:r.Figures.pruned_msgs ();
       Text_table.add_row t
         [ string_of_int r.Figures.prune_page_size;
+          r.Figures.prune_mix;
           Text_table.cell_float ~decimals:2 r.Figures.prune_u_pct;
           string_of_int r.Figures.prune_pages;
           string_of_int r.Figures.pruned_scanned;
@@ -383,8 +386,8 @@ let prune () =
           (if r.Figures.prune_identical then "yes" else "NO") ];
       if not r.Figures.prune_identical then
         violations :=
-          Printf.sprintf "prune: at %d B pages and %.2f%% updated the pruned refresh differs"
-            r.Figures.prune_page_size r.Figures.prune_u_pct
+          Printf.sprintf "prune: at %d B pages and %.2f%% updated (%s) the pruned refresh differs"
+            r.Figures.prune_page_size r.Figures.prune_u_pct r.Figures.prune_mix
           :: !violations)
     (Figures.prune_ablation ~n:n_figure ~u_list ());
   Text_table.print t;

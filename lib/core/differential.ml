@@ -69,8 +69,13 @@ type subscriber = {
   sub_project : int array option;
   sub_tail_suppression : Addr.t option;
   sub_prune : Prune_cache.t option;
-  sub_xmit : Refresh_msg.t -> unit;
+  sub_xmit : Refresh_msg.t array -> int -> unit;
 }
+
+let each xmit msgs n =
+  for j = 0 to n - 1 do
+    xmit msgs.(j)
+  done
 
 type group_report = {
   group_pages : int;
@@ -95,7 +100,7 @@ type sub_state = {
   mutable page_first : int;  (* the decoded page's first qualifying entry; -1: none yet *)
   mutable page_first_row : Row.t;  (* that entry's projected row, for [sub_prune] *)
   mutable qualified : Bytes.t;  (* the restriction over the page being decoded, per entry *)
-  mutable out : Refresh_msg.t array;  (* the page's messages, sent after its phases *)
+  mutable out : Refresh_msg.t array;  (* the page's messages: one burst, after its phases *)
   mutable n_out : int;
 }
 
@@ -135,15 +140,27 @@ type cursor = {
   decisions : page_decision array;  (* per subscriber, for the current page *)
 }
 
-let send st m =
-  if Refresh_msg.is_data m then st.data_messages <- st.data_messages + 1;
-  st.sub.sub_xmit m
-
 let push st m =
   if st.n_out = Array.length st.out then
     st.out <- Array.init (2 * st.n_out) (fun j -> if j < st.n_out then st.out.(j) else m);
   st.out.(st.n_out) <- m;
   st.n_out <- st.n_out + 1
+
+(* The queued messages go to the stream in one burst, borrowed for the
+   call. *)
+let flush st =
+  let n = st.n_out in
+  if n > 0 then begin
+    st.n_out <- 0;
+    for j = 0 to n - 1 do
+      if Refresh_msg.is_data st.out.(j) then st.data_messages <- st.data_messages + 1
+    done;
+    st.sub.sub_xmit st.out n
+  end
+
+let send st m =
+  push st m;
+  flush st
 
 let start ~base subs =
   let n_subs = Array.length subs in
@@ -371,13 +388,7 @@ let scan_page c page =
           | _ -> ())
         states
   end;
-  Array.iter
-    (fun st ->
-      for j = 0 to st.n_out - 1 do
-        send st st.out.(j)
-      done;
-      st.n_out <- 0)
-    states
+  Array.iter flush states
 
 let scan_to c ~last_page =
   let upto = min last_page c.pages in
@@ -464,9 +475,9 @@ let solo ~base sub = (refresh_group ~base [| sub |]).sub_reports.(0)
 let refresh ?(tail_suppression = None) ?prune ~base ~snaptime ~restrict ?project ~xmit () =
   solo ~base
     { sub_full = false; sub_snaptime = snaptime; sub_restrict = restrict; sub_project = project;
-      sub_tail_suppression = tail_suppression; sub_prune = prune; sub_xmit = xmit }
+      sub_tail_suppression = tail_suppression; sub_prune = prune; sub_xmit = each xmit }
 
 let refresh_full ?prune ~base ~restrict ?project ~xmit () =
   solo ~base
     { sub_full = true; sub_snaptime = Clock.never; sub_restrict = restrict; sub_project = project;
-      sub_tail_suppression = None; sub_prune = prune; sub_xmit = xmit }
+      sub_tail_suppression = None; sub_prune = prune; sub_xmit = each xmit }

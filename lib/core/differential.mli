@@ -82,13 +82,23 @@ type subscriber = {
       (** the snapshot's high-water [BaseAddr]; [None] disables *)
   sub_prune : Prune_cache.t option;
       (** this snapshot's own qualification cache — never shared *)
-  sub_xmit : Refresh_msg.t -> unit;  (** this snapshot's own link *)
+  sub_xmit : Refresh_msg.t array -> int -> unit;
+      (** this snapshot's own link: [sub_xmit msgs n] sends
+          [msgs.(0)] .. [msgs.(n-1)] in order, one burst; the array is
+          borrowed for the call.  A page's messages are one burst, sent
+          after its phases; [Clear], [Tail] and [Snaptime] are bursts of
+          one. *)
 }
 (** One consumer of a group scan: everything a solo {!refresh} or
     {!refresh_full} takes, minus the base table, which the group shares.
     A full subscriber decodes every page its summary does not prove
     empty; it keeps [LastQual] as it goes, so a decoded page still fills
     its qualification cache. *)
+
+val each : (Refresh_msg.t -> unit) -> Refresh_msg.t array -> int -> unit
+(** [each xmit]: a {!subscriber}'s [sub_xmit] that hands the burst's
+    messages to [xmit] one at a time, as {!refresh} and {!refresh_full}
+    do with theirs. *)
 
 type group_report = {
   group_pages : int;  (** data pages in the base table *)

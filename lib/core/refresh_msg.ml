@@ -126,17 +126,12 @@ let run_tag = 10
 let header_size = 21  (* tag, epoch, seq, checksum *)
 let members = header_size + 5  (* past the run's tag and count *)
 
-let fnv h byte = (h lxor byte) * 0x01000193 land 0xFFFFFFFF
-
-(* FNV-1a over the payload [b.[pos, pos+len)], folded with epoch and seq
-   so a frame whose header was garbled fails the check even if the
-   payload survived. *)
+(* {!Codec.checksum} of the payload [b.[pos, pos+len)], then epoch and
+   seq folded in as 32-bit words, so a frame whose header was garbled
+   fails the check even if the payload survived. *)
 let checksum ~epoch ~seq b ~pos ~len =
-  let h = ref (Codec.fnv1a b ~pos ~len) in
-  for k = 0 to 7 do
-    h := fnv (fnv !h ((epoch lsr (8 * k)) land 0xFF)) ((seq lsr (8 * k)) land 0xFF)
-  done;
-  !h
+  let fold h v = Codec.checksum_word (Codec.checksum_word h v) (v lsr 32) in
+  fold (fold (Codec.checksum b ~pos ~len) epoch) seq
 
 (* A frame in the making: messages written in place as a run from
    [members] on.  [seal] writes the run's header, or shifts a lone

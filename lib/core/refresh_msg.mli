@@ -68,7 +68,9 @@ val equal : t -> t -> bool
     frame of one {!Snaptime}.
 
     The {!writer} owns the layout: tag [0xF7], epoch and seq as i64, the
-    u32 FNV-1a checksum of the payload folded with epoch and seq, then
+    u32 {!Snapdiff_storage.Codec.checksum} of the payload with epoch and
+    seq folded in as 32-bit words (low half first) by
+    {!Snapdiff_storage.Codec.checksum_word}, then
     the payload — a lone message, or a run of any other number of
     messages: tag [10], a u32 count, then each message behind its u32
     length.  Both tags are disjoint from every message tag, so framed and

@@ -862,6 +862,7 @@ let faults_ablation ?(seed = 41) ?(n = 10_000) ?(q = 0.25) ?(rounds = 6) () =
 
 type prune_row = {
   prune_page_size : int;
+  prune_mix : string;
   prune_u_pct : float;
   prune_n : int;
   prune_pages : int;
@@ -878,7 +879,10 @@ type prune_row = {
    decodes every entry every time; the pruned scan decodes only pages
    whose summary cannot prove them irrelevant, so its cost tracks change
    volume.  Page size is swept because it is the pruning granularity: one
-   update dirties a whole page, so smaller pages isolate changes better. *)
+   update dirties a whole page, so smaller pages isolate changes better.
+   Payload-only updates never change whether an entry qualifies; updates
+   that redraw [qual] do, so a pending deletion can cross a skipped page,
+   whose cached first qualifying entry then carries it. *)
 let prune_ablation ?(seed = 43) ?(n = 20_000) ?(u_list = [ 0.001; 0.01; 0.05; 0.2 ]) ()
     =
   let module Manager = Snapdiff_core.Manager in
@@ -893,7 +897,7 @@ let prune_ablation ?(seed = 43) ?(n = 20_000) ?(u_list = [ 0.001; 0.01; 0.05; 0.
       (Snapshot_table.contents snap);
     Buffer.contents buf
   in
-  let run_page_size page_size =
+  let run (mix_name, mix) page_size =
     let clock = Clock.create () in
     let base = Workload.make_base ~page_size ~clock () in
     let rng = Rng.create seed in
@@ -914,7 +918,7 @@ let prune_ablation ?(seed = 43) ?(n = 20_000) ?(u_list = [ 0.001; 0.01; 0.05; 0.
     ignore (Manager.refresh mgr "plain" : Manager.refresh_report);
     List.map
       (fun u ->
-        ignore (Workload.update_fraction base ~rng ~u ~mix:Workload.payload_updates_only : int);
+        ignore (Workload.update_fraction base ~rng ~u ~mix : int);
         let rp = Manager.refresh mgr "pruned" in
         let ru = Manager.refresh mgr "plain" in
         let identical =
@@ -925,6 +929,7 @@ let prune_ablation ?(seed = 43) ?(n = 20_000) ?(u_list = [ 0.001; 0.01; 0.05; 0.
         in
         {
           prune_page_size = page_size;
+          prune_mix = mix_name;
           prune_u_pct = 100.0 *. u;
           prune_n = n;
           prune_pages = Base_table.data_pages base;
@@ -937,7 +942,10 @@ let prune_ablation ?(seed = 43) ?(n = 20_000) ?(u_list = [ 0.001; 0.01; 0.05; 0.
         })
       u_list
   in
-  List.concat_map run_page_size [ 4096; 512 ]
+  List.concat_map
+    (fun mix -> List.concat_map (run mix) [ 4096; 512 ])
+    [ ("payload", Workload.payload_updates_only);
+      ("qual_flip", { Workload.payload_updates_only with qual_flip = true }) ]
 
 type wire_batch_row = {
   batch_u_pct : float;

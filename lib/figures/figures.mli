@@ -186,6 +186,9 @@ val faults_ablation :
 
 type prune_row = {
   prune_page_size : int;  (** pruning granularity under sweep *)
+  prune_mix : string;
+      (** ["payload"]: updates touch only the payload; ["qual_flip"]:
+          they redraw [qual], so entries enter and leave the snapshot *)
   prune_u_pct : float;
   prune_n : int;
   prune_pages : int;
@@ -205,7 +208,9 @@ val prune_ablation :
     snapshot over the same base table refresh after each activity burst;
     the pruned scan's decode count tracks change volume while the
     transmitted stream — hence snapshot contents — stays identical.  Page
-    size is swept because it is the pruning granularity. *)
+    size is swept because it is the pruning granularity, and the update
+    mix because only updates that change whether an entry qualifies
+    carry a pending deletion across a skipped page. *)
 
 type wire_batch_row = {
   batch_u_pct : float;

@@ -35,10 +35,14 @@ let state =
 
 (* Monotonic microsecond clock: [Unix.gettimeofday] clamped to be
    non-decreasing, so spans can never report negative durations even if
-   the wall clock steps backwards. *)
+   the wall clock steps backwards.  Each read is counted. *)
 let last_now = ref 0.0
+let reads = ref 0
+
+let clock_reads () = !reads
 
 let now_us () =
+  incr reads;
   let t = Unix.gettimeofday () *. 1e6 in
   if t > !last_now then last_now := t;
   !last_now

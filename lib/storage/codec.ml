@@ -352,15 +352,52 @@ module Fields = struct
     t
 end
 
-(* FNV-1a, 32-bit.  The low 32 bits of [(h lxor byte) * prime] depend
-   only on the low 32 bits of [h], so the product is masked once, after
-   the loop, with the same result as masking every step.  The loop runs
-   on an unboxed [int64], which spares each step the tagged-int
-   arithmetic's extra instructions on its dependency chain. *)
-let fnv1a b ~pos ~len =
-  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Codec.fnv1a";
-  let h = ref 0x811C9DC5L in
-  for i = pos to pos + len - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)))) 0x01000193L
+(* The frame and record checksum.  [mix32] multiplies by an odd constant
+   mod 2^32, then xorshifts: both are bijections on 32-bit values, so a
+   step [mix32 (h lxor w)] is a bijection in the state [h] and injective
+   in the word [w].  The payload is consumed in 16-byte blocks by four
+   independent lanes, one aligned 32-bit word each per block; the lanes
+   are then folded in sequence into a sum seeded with the length, and
+   the 0-15 tail bytes follow as words, the last one zero-padded.  A
+   change confined to one aligned word changes one step of one chain of
+   injective steps, so it always changes the sum.  Each 64-bit load is
+   split into its two 32-bit halves ([Int64.to_int] of the whole word
+   would drop bit 63), and the lanes run on unboxed [int64]s, which
+   spares each step the tagged-int arithmetic. *)
+let[@inline] mix32 h =
+  let h = Int64.logand (Int64.mul h 0x9E3779B1L) 0xFFFFFFFFL in
+  Int64.logxor h (Int64.shift_right_logical h 16)
+
+let[@inline] step h w = mix32 (Int64.logxor h w)
+
+let checksum_word h w = Int64.to_int (step (Int64.of_int h) (Int64.of_int (w land 0xFFFFFFFF)))
+
+let checksum b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Codec.checksum";
+  let lo w = Int64.logand w 0xFFFFFFFFL and hi w = Int64.shift_right_logical w 32 in
+  let h0 = ref 0x243F6A88L and h1 = ref 0x85A308D3L in
+  let h2 = ref 0x13198A2EL and h3 = ref 0x03707344L in
+  let blocks_end = pos + (len land lnot 15) in
+  let i = ref pos in
+  while !i < blocks_end do
+    let a = Bytes.get_int64_le b !i and c = Bytes.get_int64_le b (!i + 8) in
+    h0 := step !h0 (lo a);
+    h1 := step !h1 (hi a);
+    h2 := step !h2 (lo c);
+    h3 := step !h3 (hi c);
+    i := !i + 16
   done;
-  Int64.to_int !h land 0xFFFFFFFF
+  let h = ref (step (step (step (step (Int64.of_int len) !h0) !h1) !h2) !h3) in
+  let stop = pos + len in
+  while !i + 4 <= stop do
+    h := step !h (lo (Int64.of_int32 (Bytes.get_int32_le b !i)));
+    i := !i + 4
+  done;
+  if !i < stop then begin
+    let w = ref 0 in
+    for k = stop - 1 downto !i do
+      w := (!w lsl 8) lor Char.code (Bytes.unsafe_get b k)
+    done;
+    h := step !h (Int64.of_int !w)
+  end;
+  Int64.to_int !h

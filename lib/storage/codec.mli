@@ -187,7 +187,19 @@ module Fields : sig
       Raises [Invalid_argument] for [n] outside [0, count]. *)
 end
 
-val fnv1a : bytes -> pos:int -> len:int -> int
-(** The 32-bit FNV-1a hash of [b.[pos, pos+len)], for the WAL's and the
-    refresh frames' checksums.  Raises [Invalid_argument] for a range
-    outside [b]. *)
+val checksum : bytes -> pos:int -> len:int -> int
+(** The 32-bit checksum of [b.[pos, pos+len)], for the WAL's records and
+    the refresh frames.  Four independent 32-bit lanes consume the range
+    in 16-byte blocks, one aligned word each per block, with the step
+    [h := mix32 (h lxor word)]: [mix32] multiplies by an odd constant mod
+    2^32, then xorshifts, so the step is a bijection in [h] and injective
+    in the word.  The lanes are folded in sequence into a sum seeded with
+    [len], and the 0-15 tail bytes follow as little-endian words, the
+    last zero-padded.  A change confined to one 32-bit word aligned to
+    [pos] — in particular any change to one byte — always changes the
+    sum.  Raises [Invalid_argument] for a range outside [b]. *)
+
+val checksum_word : int -> int -> int
+(** [checksum_word h w]: one step of {!checksum}, folding the low 32
+    bits of [w] into the 32-bit sum [h]; injective in those bits, so a
+    frame header's fields can be folded in with the same guarantee. *)

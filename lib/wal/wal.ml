@@ -20,17 +20,20 @@ type backend = Memory | File of string
 
    {v
    +----------+-----------+--------------------------------·····--+
-   | WALSEG01 | base (i64) | frame | frame | frame | ...           |
+   | WALSEG02 | base (i64) | frame | frame | frame | ...           |
    +----------+-----------+--------------------------------·····--+
    v}
 
-   Each frame is [u32 payload length | u32 FNV-1a checksum | payload],
-   little-endian, where the payload is exactly one {!Record.write} image.
+   Each frame is [u32 payload length | u32 checksum | payload],
+   little-endian, where the payload is exactly one {!Record.write} image
+   and the checksum is {!Codec.checksum} of the payload.  The magic names
+   the checksum rule: a WALSEG01 segment, summed with FNV-1a, is refused
+   rather than reopened as an empty valid prefix.
    LSNs remain byte offsets into the {e unframed} logical log (the
    in-memory image), so framing overhead never shifts an LSN; they are
    recomputed on {!open_file} by re-accumulating payload lengths. *)
 
-let segment_magic = "WALSEG01"
+let segment_magic = "WALSEG02"
 let segment_header_size = 16
 let frame_header_size = 8
 
@@ -92,7 +95,7 @@ let write_segment_header b base =
    [dst]; returns the offset just past it. *)
 let write_frame dst off img ~pos ~len =
   let off = Codec.write_u32 dst off len in
-  let off = Codec.write_u32 dst off (Codec.fnv1a img ~pos ~len) in
+  let off = Codec.write_u32 dst off (Codec.checksum img ~pos ~len) in
   Bytes.blit img pos dst off len;
   off + len
 
@@ -429,7 +432,7 @@ let open_file ?group_commit_window path =
         let len = Codec.Cursor.u32 c in
         let sum = Codec.Cursor.u32 c in
         let pos = off + frame_header_size in
-        if len = 0 || len > size - pos || Codec.fnv1a img ~pos ~len <> sum then off
+        if len = 0 || len > size - pos || Codec.checksum img ~pos ~len <> sum then off
         else begin
           Codec.Cursor.set c img ~pos ~len;
           match Record.read c with

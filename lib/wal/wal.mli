@@ -31,12 +31,15 @@ val create : ?backend:backend -> ?group_commit_window:int -> unit -> t
 
 val open_file : ?group_commit_window:int -> string -> t
 (** Open (or create) the segment file at a path and rebuild the log from
-    it.  Frames are verified in order (length bounds, FNV-1a checksum,
-    exact decode); at the first invalid frame the file is truncated to the
-    last valid record — the torn tail a crash mid-append leaves is
-    silently trimmed (counted by the [wal.torn_tails] metric) and the
-    durable prefix is the recovered log.  Raises [Failure] only if the
-    file exists but is not a WAL segment (bad magic). *)
+    it.  Frames are verified in order (length bounds,
+    {!Snapdiff_storage.Codec.checksum} of the payload, exact decode); at
+    the first invalid frame the file is truncated to the last valid
+    record — the torn tail a crash mid-append leaves is silently trimmed
+    (counted by the [wal.torn_tails] metric) and the durable prefix is
+    the recovered log.  Raises [Failure "Wal.open_file: bad segment
+    magic"] if the file exists but does not start with the magic
+    [WALSEG02], among them a [WALSEG01] segment, whose records were
+    summed under the older FNV-1a rule. *)
 
 val backend : t -> backend
 

@@ -307,7 +307,7 @@ let test_group_model_matches_simulation () =
             sub_project = None;
             sub_tail_suppression = None;
             sub_prune = Some cache;
-            sub_xmit = (fun m -> outs.(i) := m :: !(outs.(i)));
+            sub_xmit = Differential.each (fun m -> outs.(i) := m :: !(outs.(i)));
           })
         snaps
     in

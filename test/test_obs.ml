@@ -549,6 +549,51 @@ let test_sender_ledger () =
   checkb "the refresh ran chunked" true (rc.Manager.chunks > 1);
   check_scan_split "chunked" rc
 
+(* The ledger's own cost: a stream's transmit time is read once per
+   burst (a page's messages), not per message.  Two refreshes over the
+   same pages at the same batch size, one sending about ten times the
+   messages of the other, must differ in clock reads by at most a small
+   constant per extra frame (the writer times each frame's send, the
+   receiver each frame's decode and replay). *)
+let test_clock_reads_per_burst () =
+  let clock = Clock.create () in
+  let base = Base_table.create ~page_size:512 ~name:"emp" ~clock emp_schema in
+  let m = Manager.create ~batch_size:8 () in
+  Manager.register_base m base;
+  for i = 0 to 299 do
+    ignore (Base_table.insert base (emp (Printf.sprintf "s%d" i) (i mod 20)) : Addr.t)
+  done;
+  ignore
+    (Manager.create_snapshot m ~name:"s" ~base:"emp" ~restrict:Expr.(col "salary" <. int 100)
+       ~method_:Manager.Differential ()
+      : Manager.refresh_report);
+  let pages = Base_table.data_pages base in
+  let refresh ~per_page =
+    List.iter
+      (fun (a, _) -> if Addr.slot a < per_page then Base_table.update base a (emp "u" 1))
+      (Base_table.to_user_list base);
+    let reads0 = Trace.clock_reads () in
+    let r = Manager.refresh m "s" in
+    (r, Trace.clock_reads () - reads0)
+  in
+  let few, few_reads = refresh ~per_page:1 in
+  let many, many_reads = refresh ~per_page:max_int in
+  checki "the same pages" pages few.Manager.pages_decoded;
+  checki "the same pages, both times" pages many.Manager.pages_decoded;
+  checkb
+    (Printf.sprintf "about tenfold messages (%d vs %d)" many.Manager.data_messages
+       few.Manager.data_messages)
+    true
+    (many.Manager.data_messages >= 8 * few.Manager.data_messages);
+  let extra_frames = many.Manager.link_messages - few.Manager.link_messages in
+  checkb
+    (Printf.sprintf "%d more clock reads for %d more messages in %d more frames"
+       (many_reads - few_reads)
+       (many.Manager.data_messages - few.Manager.data_messages)
+       extra_frames)
+    true
+    (many_reads - few_reads <= 8 * extra_frames + 8)
+
 let suite =
   [
     Alcotest.test_case "metrics counters/gauges" `Quick test_metrics_counters_gauges;
@@ -564,6 +609,8 @@ let suite =
     Alcotest.test_case "subsystem coverage" `Quick test_subsystem_coverage;
     Alcotest.test_case "receiver ledger phases fit the refresh" `Quick test_receiver_ledger;
     Alcotest.test_case "sender ledger fits the refresh" `Quick test_sender_ledger;
+    Alcotest.test_case "clock reads: one per burst, not per message" `Quick
+      test_clock_reads_per_burst;
     Alcotest.test_case "allocation ledger: words per refresh attempt" `Quick test_alloc_ledger;
     QCheck_alcotest.to_alcotest prop_stream_identical_traced;
   ]

@@ -832,7 +832,7 @@ let prop_group_solo_byte_identity =
                 sub_project = None;
                 sub_tail_suppression = None;
                 sub_prune = prune;
-                sub_xmit = (fun m -> outs.(i) := m :: !(outs.(i)));
+                sub_xmit = Differential.each (fun m -> outs.(i) := m :: !(outs.(i)));
               })
             side_g
         in
@@ -968,7 +968,8 @@ let prop_pruned_stream_identity =
                 sub_project = projections.(i);
                 sub_tail_suppression = None;
                 sub_prune = caches.(i);
-                sub_xmit = (fun m -> outs.(i) := Refresh_msg.encode m :: !(outs.(i)));
+                sub_xmit =
+                  Differential.each (fun m -> outs.(i) := Refresh_msg.encode m :: !(outs.(i)));
               })
             thresholds
         in
@@ -1053,7 +1054,7 @@ let test_carried_deletion_decodes_changed_page () =
           Differential.refresh_group ~base
             [| { Differential.sub_full = false; sub_snaptime = Snapshot_table.snaptime snap;
                  sub_restrict = restrict; sub_project = None; sub_tail_suppression = None;
-                 sub_prune = Some cache; sub_xmit = (fun m -> msgs := m :: !msgs) } |]
+                 sub_prune = Some cache; sub_xmit = Differential.each (fun m -> msgs := m :: !msgs) } |]
         in
         let r =
           Differential.refresh ~base:twin ~snaptime:!twin_snaptime ~restrict
@@ -1135,7 +1136,7 @@ let prop_group_prune_isolation =
                 sub_project = None;
                 sub_tail_suppression = None;
                 sub_prune = Some cache;
-                sub_xmit = (fun m -> outs.(i) := m :: !(outs.(i)));
+                sub_xmit = Differential.each (fun m -> outs.(i) := m :: !(outs.(i)));
               })
             side_g
         in

@@ -483,6 +483,23 @@ let test_durable_end_lsn_tracks_group_commit () =
         (Wal.durable_end_lsn log2);
       Wal.close log2)
 
+(* A segment written under the FNV-1a checksum rule carries the magic
+   WALSEG01.  Its frames would fail the current checksum at the first
+   record and reopen as an empty valid prefix, losing the log silently;
+   the magic refuses it instead, and leaves the file as it was. *)
+let test_old_segment_magic_refused () =
+  with_tmp_wal (fun path ->
+      let log = Wal.create ~backend:(Wal.File path) () in
+      List.iter (fun r -> ignore (Wal.append log r : Wal.lsn)) sample_records;
+      Wal.close log;
+      let b = Bytes.of_string (read_file path) in
+      Bytes.blit_string "WALSEG01" 0 b 0 8;
+      let old = Bytes.to_string b in
+      write_file path old;
+      Alcotest.check_raises "old magic" (Failure "Wal.open_file: bad segment magic") (fun () ->
+          ignore (Wal.open_file path : Wal.t));
+      checkb "the refused segment is untouched" true (read_file path = old))
+
 (* Property: the file backend is byte-for-byte equivalent to the in-memory
    WAL — same appends give the same log, net changes, and redo result,
    including across truncation and close/reopen. *)
@@ -603,6 +620,8 @@ let suite =
       test_file_backend_roundtrip_and_reopen;
     Alcotest.test_case "torn tail recovers prefix" `Quick test_torn_tail_recovers_prefix;
     Alcotest.test_case "corrupt frame truncates" `Quick test_corrupt_frame_truncates;
+    Alcotest.test_case "segment under the old magic is refused" `Quick
+      test_old_segment_magic_refused;
     Alcotest.test_case "group commit batches commits" `Quick test_group_commit_batches_commits;
     Alcotest.test_case "truncate clamps last_lsn_for" `Quick test_truncate_then_last_lsn_for;
     Alcotest.test_case "record roundtrip" `Quick test_record_roundtrip;

@@ -5,7 +5,7 @@
    timestamps and counts as little-endian i64 (OCaml ints) or u32 (string
    lengths, list and run counts), tuples as a u16 field count then
    tag-byte values.  A frame is tag 0xF7, epoch and seq as i64, the u32
-   FNV-1a checksum of the payload folded with epoch and seq, then the
+   checksum of the payload folded with epoch and seq, then the
    payload: a lone message, or tag 10, a u32 count and each message
    behind a u32 length.  The library's encoders and stream writer must
    produce exactly these bytes, and its decoders must reject every
@@ -109,15 +109,44 @@ let ref_payload = function
       ms;
     Buffer.contents buf
 
-let ref_checksum ~epoch ~seq payload =
-  let h = ref 0x811C9DC5 in
-  let feed byte = h := ((!h lxor byte) * 0x01000193) land 0xFFFFFFFF in
-  String.iter (fun c -> feed (Char.code c)) payload;
-  for k = 0 to 7 do
-    feed ((epoch lsr (8 * k)) land 0xff);
-    feed ((seq lsr (8 * k)) land 0xff)
+(* The checksum, byte by byte on tagged ints: [mix] multiplies by the odd
+   constant 0x9E3779B1 mod 2^32, then xors in the top 16 bits; a word is
+   four bytes little-endian, zero past the end of the payload.  Word [l]
+   of each whole 16-byte block goes to lane [l]; the lanes are folded in
+   order into a sum that starts at the payload's length, then the tail's
+   words (the last one zero-padded), then epoch and seq as two words
+   each, low half first. *)
+let ref_mix h w =
+  let h = ((h lxor w) * 0x9E3779B1) land 0xFFFFFFFF in
+  h lxor (h lsr 16)
+
+let ref_sum payload =
+  let n = String.length payload in
+  let word i =
+    let w = ref 0 in
+    for k = 3 downto 0 do
+      w := (!w lsl 8) lor (if i + k < n then Char.code payload.[i + k] else 0)
+    done;
+    !w
+  in
+  let lanes = [| 0x243F6A88; 0x85A308D3; 0x13198A2E; 0x03707344 |] in
+  let blocks = n / 16 in
+  for blk = 0 to blocks - 1 do
+    Array.iteri (fun l h -> lanes.(l) <- ref_mix h (word ((16 * blk) + (4 * l)))) lanes
+  done;
+  let h = ref (Array.fold_left ref_mix n lanes) in
+  let i = ref (16 * blocks) in
+  while !i < n do
+    h := ref_mix !h (word !i);
+    i := !i + 4
   done;
   !h
+
+let ref_checksum ~epoch ~seq payload =
+  List.fold_left
+    (fun h v -> ref_mix h (v land 0xFFFFFFFF))
+    (ref_sum payload)
+    [ epoch; epoch lsr 32; seq; seq lsr 32 ]
 
 let ref_framed ~epoch ~seq ms =
   let payload = ref_payload ms in
@@ -294,6 +323,142 @@ let prop_damaged_frame_keeps_committed_image =
         [ Refresh_msg.Upsert { addr = a2; row = row "b" 0 }; Refresh_msg.Snaptime 99 ];
       Snapshot_table.last_committed_epoch snap = !epoch
       && Snapshot_table.get snap a2 = Some (tuple "b" 0))
+
+(* ---- The checksum's guarantee ------------------------------------------ *)
+
+(* Every single-byte corruption of [b.[lo, hi)] — each byte XORed with
+   0x80 (bit 63 of a 64-bit load, when the byte ends one) and with
+   [mask] — and the 32-bit word at [from + 4 * word] (aligned to [from],
+   within [from, hi)) XORed with [garble], its bytes past [hi] left
+   alone and at least one bit changed. *)
+let corruptions b ~lo ~hi ~from ~mask ~word ~garble =
+  let xor c i m = Bytes.set c i (Char.chr (Char.code (Bytes.get c i) lxor m)) in
+  let flip i m =
+    let c = Bytes.copy b in
+    xor c i m;
+    (Printf.sprintf "flip 0x%02x at byte %d" m i, c)
+  in
+  let flips = List.concat (List.init (hi - lo) (fun k -> [ flip (lo + k) 0x80; flip (lo + k) mask ])) in
+  if hi <= from then flips
+  else begin
+    let w = from + (4 * (word mod ((hi - from + 3) / 4))) in
+    let n = min 4 (hi - w) in
+    let g = garble land ((1 lsl (8 * n)) - 1) in
+    let g = if g = 0 then 1 else g in
+    let c = Bytes.copy b in
+    for k = 0 to n - 1 do
+      xor c (w + k) ((g lsr (8 * k)) land 0xff)
+    done;
+    (Printf.sprintf "garble 0x%08x at word %d" g w, c) :: flips
+  end
+
+let garble_gen = Gen.triple (Gen.int_range 1 255) Gen.nat (Gen.int_range 1 0xFFFFFFFF)
+
+(* Frames of every message kind: each byte flip, and a garbled word of
+   the payload, fails the header check.  A flip of the tag byte leaves
+   bytes that are not a frame at all. *)
+let prop_checksum_catches_frame_damage =
+  QCheck2.Test.make ~name:"checksum: every byte flip and garbled payload word of a frame is caught"
+    ~count:300
+    ~print:(fun (c, (mask, word, garble)) ->
+      Printf.sprintf "%s mask=0x%02x word=%d garble=0x%x" (print_case c) mask word garble)
+    (Gen.pair case_gen garble_gen)
+    (fun ((ms, epoch, seq), (mask, word, garble)) ->
+      let framed = Refresh_msg.encode_framed ~epoch ~seq ms in
+      let len = Bytes.length framed in
+      let r = Refresh_msg.reader () in
+      List.iter
+        (fun (what, b) ->
+          match Refresh_msg.open_frame r b len with
+          | None when Bytes.get b 0 <> Bytes.get framed 0 -> ()
+          | _ -> QCheck2.Test.fail_reportf "%s/%d bytes: the frame opened" what len
+          | exception Refresh_msg.Corrupt _ -> ())
+        (corruptions framed ~lo:0 ~hi:len ~from:21 ~mask ~word ~garble);
+      true)
+
+let short_tuple_gen =
+  Gen.map
+    (Array.map (function
+      | Value.Str s when String.length s > 12 -> Value.Str (String.sub s 0 12)
+      | v -> v))
+    tuple_gen
+
+let wal_record_gen =
+  let open Snapdiff_wal.Record in
+  let table = Gen.string_size (Gen.int_range 0 8) in
+  let active = Gen.list_size (Gen.int_range 0 4) Gen.nat in
+  Gen.oneof
+    [ Gen.map (fun txn -> Begin { txn }) Gen.nat;
+      Gen.map (fun txn -> Commit { txn }) Gen.nat;
+      Gen.map (fun txn -> Abort { txn }) Gen.nat;
+      Gen.map3 (fun txn addr tuple -> Insert { txn; table = "t"; addr; tuple }) Gen.nat Gen.nat
+        short_tuple_gen;
+      Gen.map3 (fun table addr old_tuple -> Delete { txn = 1; table; addr; old_tuple }) table
+        Gen.nat short_tuple_gen;
+      Gen.map3
+        (fun addr old_tuple new_tuple -> Update { txn = 2; table = "u"; addr; old_tuple; new_tuple })
+        Gen.nat short_tuple_gen short_tuple_gen;
+      Gen.map (fun active -> Checkpoint { active }) active;
+      Gen.map (fun active -> Begin_checkpoint { active }) active;
+      Gen.map (fun begin_lsn -> End_checkpoint { begin_lsn }) Gen.nat ]
+
+let image r =
+  let b = Bytes.create (Snapdiff_wal.Record.size r) in
+  ignore (Snapdiff_wal.Record.write b 0 r : int);
+  b
+
+let write_file path b =
+  let oc = open_out_bin path in
+  output_bytes oc b;
+  close_out oc
+
+(* WAL record images: a segment of records, one of which is damaged —
+   a byte of its frame (length, checksum or payload) flipped, or a word
+   of its payload garbled.  Reopening stops at that record: exactly the
+   records before it come back. *)
+let prop_checksum_catches_record_damage =
+  QCheck2.Test.make
+    ~name:"checksum: every byte flip and garbled payload word of a WAL record stops the reopen"
+    ~count:60
+    ~print:(fun ((before, victim, after), (mask, word, garble)) ->
+      let pp r = Format.asprintf "%a" Snapdiff_wal.Record.pp r in
+      Printf.sprintf "[%s] victim=%s [%s] mask=0x%02x word=%d garble=0x%x"
+        (String.concat "; " (List.map pp before)) (pp victim)
+        (String.concat "; " (List.map pp after)) mask word garble)
+    (Gen.pair
+       (Gen.triple
+          (Gen.list_size (Gen.int_range 0 2) wal_record_gen)
+          wal_record_gen
+          (Gen.list_size (Gen.int_range 0 2) wal_record_gen))
+       garble_gen)
+    (fun ((before, victim, after), (mask, word, garble)) ->
+      let module Wal = Snapdiff_wal.Wal in
+      let path = Filename.temp_file "snapdiff_wire" ".wal" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          let log = Wal.create ~backend:(Wal.File path) () in
+          List.iter (fun r -> ignore (Wal.append log r : Wal.lsn)) (before @ (victim :: after));
+          Wal.close log;
+          let ic = open_in_bin path in
+          let seg = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
+          close_in ic;
+          (* Frames follow the 16-byte segment header: a u32 payload
+             length, a u32 checksum, then the payload. *)
+          let frame_end off = off + 8 + Int32.to_int (Bytes.get_int32_le seg off) in
+          let off = List.fold_left (fun off _ -> frame_end off) 16 before in
+          List.iter
+            (fun (what, b) ->
+              write_file path b;
+              let log = Wal.open_file path in
+              let got = List.map snd (Wal.to_list log) in
+              Wal.close log;
+              (* Compared as images: a NaN field is not equal to itself. *)
+              if List.map image got <> List.map image before then
+                QCheck2.Test.fail_reportf "%s: %d records reopened, %d before the damaged one" what
+                  (List.length got) (List.length before))
+            (corruptions seg ~lo:off ~hi:(frame_end off) ~from:(off + 8) ~mask ~word ~garble);
+          true))
 
 (* ---- The writer's one frame buffer ------------------------------------- *)
 
@@ -528,5 +693,6 @@ let prop_row_check_is_validate_tuple =
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_encoders_match_reference; prop_damaged_frames_are_corrupt;
+      prop_checksum_catches_frame_damage; prop_checksum_catches_record_damage;
       prop_damaged_frame_keeps_committed_image; prop_reused_buffer_leaks_nothing; prop_copied_row_is_encoded_projection;
       prop_row_check_is_validate_tuple; prop_row_field_is_decoded_field ]
